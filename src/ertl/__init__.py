@@ -21,9 +21,9 @@ from .measures import (MomentSpec, MomentTable, RegularityReport,
 from .lorth import (LPolySequence, RecurrenceCoeffs, bootstrap_recurrence,
                     eval_Q, orthogonality_residual, q_at_zero, tau,
                     triangle_from_coeffs)
-from .lattice import (LatticeState, StepControl, Trajectory, integrate,
-                      integrate_buffered, rhs_ertl, rhs_gamma, rhs_langmuir,
-                      rhs_rtl1, rhs_rtl2, state_from_coeffs)
+from .lattice import (SYSTEMS, LatticeState, StepControl, Trajectory,
+                      integrate, integrate_buffered, rhs_ertl, rhs_gamma,
+                      rhs_langmuir, state_from_coeffs)
 from .lax import (LaxPair, build_pair, commutator, hausdorff_distance,
                   isospectral_drift, lax_residual, spectrum)
 from .circle import (CircleState, VerblunskySeq, cd_from_verblunsky,

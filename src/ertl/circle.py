@@ -70,8 +70,7 @@ class CircleState:
     """Kernel parametrization at w = 1: rho ladder, chain parameters, (c, d).
 
     ``rho[n]`` is rho_n for n = 0..N, ``g``/``c`` hold indices 1..N and ``d``
-    holds d_2..d_N; the conventions c_0 = 1, d_1 = 0 are implied.  xi0 is the
-    total mass of the modified measure (normalization of the kernel ladder).
+    holds d_2..d_N; the conventions c_0 = 1, d_1 = 0 are implied.
     """
 
     t: float
@@ -80,7 +79,6 @@ class CircleState:
     g: tuple
     c: tuple
     d: tuple
-    xi0: float = 1.0
 
     def __post_init__(self):
         for n, r in enumerate(self.rho):
@@ -208,7 +206,7 @@ def szego_values(v: VerblunskySeq, w: complex):
     return normalized, raw
 
 
-def kernel_coeffs(v: VerblunskySeq, w: complex, t: float | None = None):
+def kernel_coeffs(v: VerblunskySeq, w: complex):
     """Kernel-polynomial recurrence coefficients at the point w, |w| = 1.
 
     Returns (beta_1..beta_N, alpha_2..alpha_N, rho_0..rho_N) with
@@ -225,8 +223,7 @@ def kernel_coeffs(v: VerblunskySeq, w: complex, t: float | None = None):
     return beta, alpha, rho
 
 
-def cd_from_verblunsky(v: VerblunskySeq, t: float | None = None,
-                       xi0: float = 1.0) -> CircleState:
+def cd_from_verblunsky(v: VerblunskySeq, t: float | None = None) -> CircleState:
     """Real kernel parametrization (g_n, c_n, d_{n+1}) at w = 1.
 
         g_n = |1 - rho_{n-1} a_{n-1}|^2 / (2 (1 - Re(rho_{n-1} a_{n-1}))),
@@ -244,7 +241,7 @@ def cd_from_verblunsky(v: VerblunskySeq, t: float | None = None,
         c.append(r.imag / (r.real - 1.0))
     d = [(1.0 - g[i]) * g[i + 1] for i in range(v.N - 1)]
     return CircleState(t=v.t if t is None else t, w=1.0 + 0j, rho=tuple(rho),
-                       g=tuple(g), c=tuple(c), d=tuple(d), xi0=xi0)
+                       g=tuple(g), c=tuple(c), d=tuple(d))
 
 
 def map_beta_alpha_cd(c, d):
@@ -364,11 +361,11 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     The window evolves a_0..a_{M-1} with the missing neighbour a_M held at 0;
     only the first ``n_report`` coefficients are trustworthy (truncation
     effects creep in from the top).  The modulus bound |a_n| < 1 is asserted
-    at every accepted step.  Returns (times, list of VerblunskySeq, stats).
+    at every accepted step; the output grid follows ``integrate_core``.
+    Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
     ctrl = ctrl or StepControl()
     q = complex(q)
-    M = v.N
 
     def f(t, y):
         vv = VerblunskySeq(t=t, a=tuple(y))
@@ -380,22 +377,21 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
             n = int(np.argmax(mods))
             raise PositivityLost(f"|a_{n}| = {mods[n]} reached 1 at t={t}")
 
-    if t_out is None:
-        t_out = [t_end]
-    t_out = sorted(float(x) for x in t_out)
-    snaps, stats = integrate_core(f, v.t, np.array(v.a, dtype=complex), t_out,
-                                  ctrl, validate)
-    n_report = M if n_report is None else n_report
-    seqs = [VerblunskySeq(t=tt, a=tuple(y[:n_report])) for tt, y in zip(t_out, snaps)]
-    return [v.t] + list(t_out), [VerblunskySeq(t=v.t, a=v.a[:n_report])] + seqs, stats
+    times, snaps, stats = integrate_core(f, v.t, np.array(v.a, dtype=complex), t_end,
+                                         t_out, ctrl, validate)
+    n_report = v.N if n_report is None else n_report
+    seqs = [VerblunskySeq(t=tt, a=tuple(y[:n_report])) for tt, y in zip(times, snaps)]
+    return [v.t] + times, [VerblunskySeq(t=v.t, a=v.a[:n_report])] + seqs, stats
 
 
 def integrate_cd(c, d, q, t0: float, t_end: float,
                  ctrl: StepControl | None = None, t_out=None):
     """Integrate the real (c, d) flow on a finite window (d_{M+1} = 0).
 
-    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  Returns
-    (times, c_snapshots, d_snapshots, stats); snapshots include t0.
+    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  PositivityLost is
+    raised when an accepted step takes some d_n, n >= 2, out of (0, 1),
+    where no chain sequence lives; the output grid follows ``integrate_core``.
+    Returns (times, c_snapshots, d_snapshots, stats); snapshots include t0.
     """
     ctrl = ctrl or StepControl()
     q = complex(q)
@@ -410,14 +406,17 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
         dc, dd = _rhs_cd_arrays(cc, dd_full, q)
         return np.array(dc + dd[1:], dtype=complex)
 
-    if t_out is None:
-        t_out = [t_end]
-    t_out = sorted(float(x) for x in t_out)
-    snaps, stats = integrate_core(f, t0, y0, t_out, ctrl, None)
-    times = [t0] + list(t_out)
+    def validate(t, y):
+        dd = y[M:].real
+        bad = ~((dd > 0.0) & (dd < 1.0))
+        if np.any(bad):
+            n = int(np.argmax(bad))
+            raise PositivityLost(f"d_{n + 2} = {dd[n]} left (0, 1) at t={t}")
+
+    times, snaps, stats = integrate_core(f, t0, y0, t_end, t_out, ctrl, validate)
     c_snaps = [[float(x) for x in c]]
     d_snaps = [[float(x) for x in d]]
     for y in snaps:
         c_snaps.append([float(x.real) for x in y[:M]])
         d_snaps.append([0.0] + [float(x.real) for x in y[M:]])
-    return times, c_snaps, d_snaps, stats
+    return [t0] + times, c_snaps, d_snaps, stats

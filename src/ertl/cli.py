@@ -24,9 +24,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,8 +32,7 @@ from . import __version__
 from .errors import ErtlError
 from .measures import MomentSpec, compute_moments
 from .lorth import bootstrap_recurrence
-from .lattice import (LatticeState, StepControl, integrate, rhs_ertl,
-                      state_from_coeffs)
+from .lattice import SYSTEMS, LatticeState, StepControl, integrate, state_from_coeffs
 from .lax import lax_residual, spectrum as lax_spectrum
 from .circle import (cd_from_verblunsky, integrate_cd, integrate_schur,
                      kernel_coeffs, rhs_schur, verblunsky_from_moments,
@@ -174,7 +171,7 @@ def _cmd_simulate(args):
     ctrl = StepControl(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     t_out = [float(x) for x in args.t_out.split(",")] if args.t_out else None
 
-    if args.system in ("ertl", "rtl1", "rtl2", "langmuir"):
+    if args.system in SYSTEMS:
         state = _lattice_init(args, args.N)
         traj = integrate(state, args.t_end, rhs_id=args.system, ctrl=ctrl, t_out=t_out)
         rows = []
@@ -230,12 +227,7 @@ def _cmd_verify_lax(args):
         rng = np.random.default_rng(args.seed)
         states = [_random_state(rng, args.N, args.p, args.q, args.t)
                   for _ in range(args.count)]
-        workers = int(os.environ.get("ERTL_THREADS", "1") or "1")
-        if workers > 1 and len(states) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                cases = list(pool.map(lax_residual, states))
-        else:
-            cases = [lax_residual(s) for s in states]
+        cases = [lax_residual(s) for s in states]
     report = {
         "N": args.N,
         "count": len(cases),
@@ -360,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="integrate a lattice or circle flow")
     sim.add_argument("--system", required=True,
-                     choices=["ertl", "rtl1", "rtl2", "langmuir", "cd", "schur"])
+                     choices=[*SYSTEMS, "cd", "schur"])
     sim.add_argument("--N", type=int, default=None)
     sim.add_argument("--p", type=_parse_complex, default=0j)
     sim.add_argument("--q", type=_parse_complex, default=0j)

@@ -186,16 +186,6 @@ def rhs_ertl(state: LatticeState):
     return _rhs_ertl_core(state.p, state.q, state.beta, state.alpha, state.t)
 
 
-def rhs_rtl1(state: LatticeState):
-    """Specialization p = 0, q = 1 (shares the generic kernel verbatim)."""
-    return _rhs_ertl_core(0, 1, state.beta, state.alpha, state.t)
-
-
-def rhs_rtl2(state: LatticeState):
-    """Specialization p = 1, q = 0 (shares the generic kernel verbatim)."""
-    return _rhs_ertl_core(1, 0, state.beta, state.alpha, state.t)
-
-
 def rhs_gamma(state: LatticeState):
     """gamma_dot_1..gamma_dot_N; equals dalpha shifted by one plus dbeta."""
     N = state.N
@@ -223,6 +213,15 @@ def rhs_gamma(state: LatticeState):
 SYMMETRY_TOL = 1e-8
 
 
+def _rhs_volterra(alpha):
+    """dalpha_1..N+1 of alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1})."""
+    N = len(alpha) - 1
+    a = lambda n: -1 if n == 0 else alpha[n - 1]
+    out = [a(n) * (a(n - 1) - a(n + 1)) for n in range(1, N + 1)]
+    out.append(0 if alpha[N] == 0 else _NAN)
+    return out
+
+
 def rhs_langmuir(state: LatticeState):
     """Volterra flow alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}).
 
@@ -244,25 +243,11 @@ def rhs_langmuir(state: LatticeState):
     if bad > 1e-12 * scale:
         raise NotSymmetricState(f"beta equation does not vanish: {bad:.3e}")
 
-    alpha = state.alpha
-    N = state.N
-    a = lambda n: -1 if n == 0 else alpha[n - 1]
-    out = []
-    for n in range(1, N + 2):
-        if n == N + 1:
-            out.append(0 if alpha[N] == 0 else _NAN)
-            continue
-        up = a(n + 1) if n <= N else 0
-        out.append(a(n) * (a(n - 1) - up))
-    return out
+    return _rhs_volterra(state.alpha)
 
 
-_RHS_TABLE = {
-    "ertl": rhs_ertl,
-    "rtl1": rhs_rtl1,
-    "rtl2": rhs_rtl2,
-    "langmuir": None,  # handled specially: beta frozen
-}
+#: system id -> the (p, q) it forces on the flow, or None to keep the state's
+SYSTEMS = {"ertl": None, "rtl1": (0j, 1 + 0j), "rtl2": (1 + 0j, 0j), "langmuir": None}
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +260,8 @@ class StepControl:
 
     Acceptance is error-per-unit-step: a step of size h is accepted when the
     step-doubling estimate is below h * (abs_tol + rel_tol * |y|), making the
-    accumulated error proportional to the tolerance.  ``fixed=True`` disables
+    accumulated error proportional to the tolerance (floored at 8 eps |y|,
+    below which the estimate is rounding noise).  ``fixed=True`` disables
     control entirely (used for order measurements).
     """
 
@@ -292,6 +278,10 @@ class StepControl:
             raise ValueError("tolerances and h_init must be > 0")
 
 
+#: per-step tolerance floor relative to |y|: the rounding level of the error estimate
+_ROUNDING_FLOOR = 8 * np.finfo(float).eps
+
+
 def _rk4(f, t, y, h):
     k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
@@ -300,21 +290,37 @@ def _rk4(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_core(f, t0, y0, t_out, ctrl: StepControl, validate=None):
-    """Drive y' = f(t, y) through the strictly increasing times ``t_out``.
+def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
+    """Drive y' = f(t, y) from t0 to t_end, snapshotting at the times ``t_out``.
 
-    Steps are shortened to land exactly on every requested output time (no
-    interpolation).  Returns (snapshots, stats).  ``validate(t, y)`` may raise
-    to abort (singularity / positivity loss); the offending step is bracketed.
+    The one owner of output-grid semantics for every flow: ``t_out`` defaults
+    to [t_end], is sorted, must lie in (t0, t_end] without repeats (ValueError
+    otherwise, as for t_end <= t0) and gains t_end when missing.  Steps land
+    exactly on every output time (no interpolation).  ``validate(t, y)`` runs
+    after every accepted step and may raise to abort (singularity / positivity
+    loss); the offending step is bracketed.  Returns (times, snapshots, stats)
+    for the output times, t0 excluded.
     """
+    t0, t_end = float(t0), float(t_end)
+    if t_end <= t0:
+        raise ValueError("t_end must exceed the start time")
+    slack = 1e-15 * max(1.0, abs(t_end))
+    times = sorted(float(x) for x in ([t_end] if t_out is None else t_out))
+    if not times or times[0] <= t0 or times[-1] > t_end + slack:
+        raise ValueError("output times must lie in (t0, t_end]")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("output times must not repeat")
+    if t_end - times[-1] > slack:
+        times.append(t_end)
+
     y = np.array(y0, dtype=complex)
-    t = float(t0)
+    t = t0
     h = ctrl.h_init
     accepted = rejected = 0
     max_err = 0.0
     snaps = []
 
-    for target in t_out:
+    for target in times:
         while target - t > 1e-15 * max(abs(target), 1.0):
             if accepted + rejected > ctrl.max_steps:
                 raise StepUnderflow(f"step budget exhausted at t={t}")
@@ -333,7 +339,8 @@ def integrate_core(f, t0, y0, t_out, ctrl: StepControl, validate=None):
                                           t_bracket=(t, t + h_try)) from None
 
             if not ctrl.fixed:
-                tol = h_try * (ctrl.abs_tol + ctrl.rel_tol * float(np.max(np.abs(y))))
+                ymax = float(np.max(np.abs(y)))
+                tol = max(h_try * (ctrl.abs_tol + ctrl.rel_tol * ymax), _ROUNDING_FLOOR * ymax)
                 if not math.isfinite(err) or err > tol:
                     rejected += 1
                     shrink = 0.1 if not math.isfinite(err) else \
@@ -348,16 +355,15 @@ def integrate_core(f, t0, y0, t_out, ctrl: StepControl, validate=None):
             accepted += 1
             t = t + h_try
             y = y_new
-            if validate is not None:
-                try:
-                    validate(t, y)
-                except SingularDenominator as exc:
-                    raise SingularDenominator(exc.n, exc.value,
-                                              t_bracket=(t - h_try, t)) from None
+            try:
+                validate(t, y)
+            except SingularDenominator as exc:
+                raise SingularDenominator(exc.n, exc.value,
+                                          t_bracket=(t - h_try, t)) from None
         t = target
         snaps.append(y.copy())
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err}
-    return snaps, stats
+    return times, snaps, stats
 
 
 def _pack(state: LatticeState):
@@ -375,28 +381,26 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     """Integrate a finite-closure state to t_end, snapshotting at t_out.
 
     The evolving unknowns are beta_1..beta_N and alpha_2..alpha_N; alpha_1
-    and alpha_{N+1} stay pinned at 0.  ``rhs_id`` selects the system among
-    {"ertl", "rtl1", "rtl2", "langmuir"}; the Langmuir system freezes beta.
+    and alpha_{N+1} stay pinned at 0.  ``rhs_id`` selects a system of
+    ``SYSTEMS``: "rtl1" and "rtl2" run the generic flow at their forced
+    (p, q); "langmuir" checks the symmetric manifold once, here, then freezes
+    beta and steps the Volterra flow.  The output grid follows
+    ``integrate_core``; the returned times start at the state's own time.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
-    if t_end <= state.t:
-        raise ValueError("t_end must exceed the state time")
-    if rhs_id not in _RHS_TABLE:
+    if rhs_id not in SYSTEMS:
         raise ValueError(f"unknown system {rhs_id!r}")
     ctrl = ctrl or StepControl()
     N = state.N
-    p, q = state.p, state.q
-    if rhs_id == "rtl1":
-        p, q = 0j, 1 + 0j
-    elif rhs_id == "rtl2":
-        p, q = 1 + 0j, 0j
+    p, q = SYSTEMS[rhs_id] or (state.p, state.q)
 
     if rhs_id == "langmuir":
+        rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
+
         def f(t, y):
-            beta, alpha = _unpack(y, N)
-            da = rhs_langmuir(LatticeState(p, q, t, beta, alpha, closure="finite"))
-            return np.array([0j] * N + da[1:-1], dtype=complex)
+            _, alpha = _unpack(y, N)
+            return np.array([0j] * N + _rhs_volterra(alpha)[1:-1], dtype=complex)
     else:
         def f(t, y):
             beta, alpha = _unpack(y, N)
@@ -412,22 +416,13 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
             if np.any(y.real <= 0.0) or np.any(np.abs(y.imag) > 1e-8 * (1 + np.abs(y.real))):
                 raise PositivityLost(f"coefficient left the positive cone at t={t}")
 
-    if t_out is None:
-        t_out = [t_end]
-    t_out = sorted(float(x) for x in t_out)
-    if t_out[-1] > t_end + 1e-15 * max(1.0, abs(t_end)):
-        raise ValueError("output times must lie in (t, t_end]")
-    if abs(t_out[-1] - t_end) > 1e-15 * max(1.0, abs(t_end)):
-        t_out.append(float(t_end))
-    if any(x <= state.t for x in t_out):
-        raise ValueError("output times must lie in (t, t_end]")
-
-    snaps, stats = integrate_core(f, state.t, _pack(state), t_out, ctrl, validate)
+    times, snaps, stats = integrate_core(f, state.t, _pack(state), t_end, t_out,
+                                         ctrl, validate)
     states = [state]
-    for tt, y in zip(t_out, snaps):
+    for tt, y in zip(times, snaps):
         beta, alpha = _unpack(y, N)
         states.append(LatticeState(state.p, state.q, tt, beta, alpha, closure="finite"))
-    return Trajectory(times=(state.t,) + tuple(t_out), states=tuple(states),
+    return Trajectory(times=(state.t,) + tuple(times), states=tuple(states),
                       step_stats=stats)
 
 
@@ -437,6 +432,8 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 
 #: reported sites must move less than this under buffer doubling
 BUFFER_VALIDATION_TOL = 1e-9
+#: buffer doublings tried before BufferTooSmall
+BUFFER_ESCALATIONS = 3
 
 
 def default_buffer(n_report: int, t_span: float) -> int:
@@ -445,19 +442,19 @@ def default_buffer(n_report: int, t_span: float) -> int:
 
 def integrate_buffered(make_state, n_report: int, t_end: float,
                        rhs_id: str = "ertl", ctrl: StepControl | None = None,
-                       t_out=None, n_buf: int | None = None,
-                       validate_buffer: bool = True, max_escalations: int = 3) -> Trajectory:
+                       t_out=None, n_buf: int | None = None) -> Trajectory:
     """Integrate a semi-infinite system by truncating past a buffer zone.
 
     ``make_state(M)`` must return a finite-closure state with M sites (the
     truncated initial data).  The first ``n_report`` sites of the buffered run
     are reported, with the true alpha_{n_report+1} taken from the buffer.
-    When ``validate_buffer`` is set, the run is repeated with twice the buffer
-    and must agree on the reported sites to BUFFER_VALIDATION_TOL; the buffer
-    escalates (doubling) until it does, or BufferTooSmall is raised.  The
-    perturbation from the artificial far-end closure travels inward at a
-    speed set by the local coefficient size, so systems whose coefficients
-    grow with the site index need more buffer than the default.
+    The run is checked against one with twice the buffer, which must agree on
+    the reported sites to BUFFER_VALIDATION_TOL; on disagreement the check run
+    becomes the run and the buffer doubles, up to BUFFER_ESCALATIONS times,
+    before BufferTooSmall is raised.  The perturbation from the artificial
+    far-end closure travels inward at a speed set by the local coefficient
+    size, so systems whose coefficients grow with the site index need more
+    buffer than the default.
     """
     state0 = make_state(n_report)  # cheap sanity probe of the callback
     if n_buf is None:
@@ -469,10 +466,8 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
             raise ValueError("make_state(M) must return a finite-closure state with M sites")
         return integrate(st, t_end, rhs_id=rhs_id, ctrl=ctrl, t_out=t_out)
 
-    for _ in range(max_escalations + 1):
-        traj = run(n_buf)
-        if not validate_buffer:
-            break
+    traj = run(n_buf)
+    for escalation in range(BUFFER_ESCALATIONS + 1):
         check = run(2 * n_buf)
         dev = 0.0
         for a, b in zip(traj.states, check.states):
@@ -481,10 +476,10 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
             dev = max(dev, max(abs(x - y) for x, y in zip(pa.alpha, pb.alpha)))
         if dev < BUFFER_VALIDATION_TOL:
             break
-        n_buf *= 2
-    else:
-        raise BufferTooSmall(
-            f"buffer {n_buf} failed doubling validation (deviation {dev:.3e})")
+        if escalation == BUFFER_ESCALATIONS:
+            raise BufferTooSmall(
+                f"buffer {n_buf} failed doubling validation (deviation {dev:.3e})")
+        traj, n_buf = check, 2 * n_buf
 
     states = tuple(s.prefix(n_report) for s in traj.states)
     stats = dict(traj.step_stats, n_buf=n_buf)

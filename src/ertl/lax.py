@@ -35,16 +35,14 @@ class LaxPair:
     N: int
     H: np.ndarray
     F: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
 
 
 def build_pair(state: LatticeState) -> LaxPair:
     """Assemble (H, F) from a finite-closure state.
 
-    F is constructed both as p X + q Y and directly from its tridiagonal
-    entries -p alpha_k / p alpha_k + q/beta_k / -q/beta_k; the two must agree
-    exactly (same arithmetic), which guards the assembly against index slips.
+    F = p X + q Y is tridiagonal, so it is filled entry by entry: diagonal
+    p alpha_k + q/beta_k, subdiagonal -p alpha_k, superdiagonal -q/beta_k
+    (scalar complex arithmetic, so the entries equal an elementwise p X + q Y).
     """
     if state.closure != "finite":
         raise ValueError("Lax pair needs a finite-closure state")
@@ -63,35 +61,15 @@ def build_pair(state: LatticeState) -> LaxPair:
     for i in range(1, N):
         H[i, i - 1] = alpha[i]  # alpha_{i+1}
 
-    X = np.zeros((N, N), dtype=complex)
-    Y = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        X[k, k] = alpha[k]              # alpha_{k+1} on the diagonal
-        if k > 0:
-            X[k, k - 1] = -alpha[k]
-        Y[k, k] = inv_beta[k]
-        if k < N - 1:
-            Y[k, k + 1] = -inv_beta[k]
-
     p, q = state.p, state.q
-    # scalar arithmetic on both routes so the comparison is exact (numpy's
-    # vectorized complex products round differently from CPython's)
     F = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            F[i, j] = p * complex(X[i, j]) + q * complex(Y[i, j])
-
-    F_direct = np.zeros((N, N), dtype=complex)
     for k in range(N):
-        F_direct[k, k] = p * complex(alpha[k]) + q * complex(inv_beta[k])
+        F[k, k] = p * complex(alpha[k]) + q * complex(inv_beta[k])
         if k > 0:
-            F_direct[k, k - 1] = p * complex(-alpha[k])
+            F[k, k - 1] = p * complex(-alpha[k])
         if k < N - 1:
-            F_direct[k, k + 1] = q * complex(-inv_beta[k])
-    if not np.array_equal(F, F_direct):
-        raise AssertionError("tridiagonal assembly of F disagrees with p X + q Y")
-
-    return LaxPair(N=N, H=H, F=F, X=X, Y=Y)
+            F[k, k + 1] = q * complex(-inv_beta[k])
+    return LaxPair(N=N, H=H, F=F)
 
 
 def commutator(pair: LaxPair) -> np.ndarray:

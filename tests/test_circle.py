@@ -315,6 +315,17 @@ def test_integrate_cd_chain_sequence_preserved():
             assert 0.0 < g[-1] < 1.0
 
 
+def test_integrate_cd_positivity_guard():
+    # d_2 = d_3 = 0.9 is no chain sequence (d_2 = 0.9 forces g_2 > 0.9, so
+    # d_3 < 0.1), and the flow drives d_3 past 1
+    with pytest.raises(PositivityLost):
+        integrate_cd([0.0, 0.0, 0.0], [0.0, 0.9, 0.9], 3.0, 0.0, 2.0)
+    # valid chain data stays inside (0, 1) without a false raise
+    for q in (0.5, 3.0, 2 + 2j):
+        _, _, ds, _ = integrate_cd([0.0] * 4, [0.0, 0.25, 0.25, 0.25], q, 0.0, 3.0)
+        assert all(0.0 < x < 1.0 for x in ds[-1][1:])
+
+
 def test_circle_state_invariants():
     with pytest.raises(ValueError):
         CircleState(t=0.0, w=1.0, rho=(1.0, 0.5), g=(0.5,), c=(0.0,), d=())

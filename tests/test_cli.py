@@ -167,8 +167,7 @@ def test_verify_lax_report(capsys):
     assert report["residual"] < 1e-12
 
 
-def test_verify_lax_sweep_with_threads(capsys, monkeypatch):
-    monkeypatch.setenv("ERTL_THREADS", "2")
+def test_verify_lax_sweep_with_threads(capsys):
     assert main(["verify-lax", "--N", "5", "--p", "0.7,0.3", "--q", "1.1,-0.4",
                  "--seed", "11", "--count", "6"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -237,6 +236,13 @@ def test_exit_code_validation_error(capsys):
     assert main(["simulate", "--system", "cd", "--q", "1,0", "--t-end", "1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err
+
+
+def test_exit_code_output_time_before_start(capsys):
+    # the circle flows share the lattice's output-grid validation
+    assert main(["simulate", "--system", "schur", "--q", "0.5,0", "--t-end", "1",
+                 "--t-out", "-1", "--init", '{"a":[[0.2,0],[0.1,0]]}']) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_exit_code_numerical_breakdown(capsys):

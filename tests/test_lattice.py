@@ -1,13 +1,17 @@
 """Lattice right-hand sides, reductions, and the adaptive integrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ertl import (ClosedFormExample, NotSymmetricState, SingularDenominator,
-                  StepControl, StepUnderflow, bootstrap_recurrence,
-                  compute_moments, discrete_spec, example1_coeffs, integrate,
-                  integrate_buffered, rhs_ertl, rhs_gamma, rhs_langmuir,
-                  rhs_rtl1, rhs_rtl2, state_from_coeffs, LatticeState)
+from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
+                  SingularDenominator, StepControl, StepUnderflow,
+                  VerblunskySeq, bootstrap_recurrence, compute_moments,
+                  discrete_spec, example1_coeffs, integrate, integrate_buffered,
+                  integrate_cd, integrate_schur, rhs_ertl, rhs_gamma,
+                  rhs_langmuir, state_from_coeffs, LatticeState)
+from ertl.lattice import BUFFER_ESCALATIONS
 
 EX1 = ClosedFormExample("example1", 1.0, 2.0)
 
@@ -52,17 +56,19 @@ def test_gamma_is_shifted_alpha_plus_beta(rng):
 
 
 def test_specializations_share_kernel(rng):
-    st = random_state(rng, 6, p=0.0, q=1.0)
-    db, da = rhs_ertl(st)
-    db1, da1 = rhs_rtl1(st)
-    assert db == db1 and da == da1
-    st2 = random_state(rng, 6, p=1.0, q=0.0)
-    assert rhs_ertl(st2) == rhs_rtl2(st2)
+    # rtl1 and rtl2 are the generic flow at the (p, q) they force, bit for bit
+    for rhs_id, p, q in (("rtl1", 0.0, 1.0), ("rtl2", 1.0, 0.0)):
+        st = random_state(rng, 6)
+        forced = integrate(st, 0.3, rhs_id=rhs_id, t_out=[0.1, 0.3])
+        generic = integrate(replace(st, p=p, q=q), 0.3, t_out=[0.1, 0.3])
+        assert forced.times == generic.times
+        assert [(s.beta, s.alpha) for s in forced.states] == \
+            [(s.beta, s.alpha) for s in generic.states]
 
 
 def test_rtl_single_site_zero():
     st = state_from_coeffs(0.0, 1.0, 0.0, [1.1], [])
-    db, da = rhs_rtl1(st)
+    db, da = rhs_ertl(st)
     assert db[0] == 0 and da == [0, 0]
 
 
@@ -199,9 +205,66 @@ def test_blowup_detected():
         assert exc.value.t_bracket is not None
 
 
-def test_output_grid_hit_exactly(rng):
-    st = random_state(rng, 3, complex_data=False)
-    traj = integrate(st, 0.4, t_out=[0.1, 0.2, 0.3, 0.4])
-    assert traj.times == (0.0, 0.1, 0.2, 0.3, 0.4)
-    with pytest.raises(ValueError):
-        integrate(st, 0.4, t_out=[0.5])
+def test_tight_tolerance_short_step_accepted():
+    # the step clipped to land on t = 0.25 is so short that h (abs_tol +
+    # rel_tol |y|) sits below the rounding level of the step-doubling
+    # estimate; the tolerance floor keeps such steps acceptable
+    st = state_from_coeffs(1, 0, 0.0, [1, 2, 1.5], [0.5, 0.25])
+    traj = integrate(st, 0.5, rhs_id="rtl2",
+                     ctrl=StepControl(rel_tol=1e-13, abs_tol=1e-15), t_out=[0.25, 0.5])
+    ref = integrate(st, 0.5, rhs_id="rtl2", ctrl=StepControl(h_init=1e-3, fixed=True),
+                    t_out=[0.25, 0.5])
+    assert traj.times == ref.times == (0.0, 0.25, 0.5)
+    for a, b in zip(traj.states, ref.states):
+        assert max(abs(x - y) for x, y in zip(a.beta + a.alpha, b.beta + b.alpha)) < 1e-12
+
+
+def test_buffer_too_small_reuses_check_runs():
+    calls = []
+
+    def mk(M):
+        # stationary (alpha = 0), but the reported beta depend on M, so no
+        # two buffer sizes ever agree
+        calls.append(M)
+        return state_from_coeffs(1.0, 2.0, 0.0, [1.0 + 1.0 / M] * M, [0.0] * (M - 1))
+
+    with pytest.raises(BufferTooSmall):
+        integrate_buffered(mk, 2, 0.1, n_buf=4)
+    # the probe, the first run, then one check run per escalation and a last
+    # one: every failed check run becomes the next run instead of repeating it
+    assert len(calls) == 1 + (BUFFER_ESCALATIONS + 2)
+    assert calls == [2] + [4 * 2 ** k for k in range(BUFFER_ESCALATIONS + 2)]
+
+
+# -- output grid, shared by every flow through integrate_core ---------------------
+
+def _lattice_times(t_end, t_out):
+    st = state_from_coeffs(1.0, 2.0, 0.0, [1.0, 1.5, 0.8], [0.4, 0.3])
+    return integrate(st, t_end, t_out=t_out).times
+
+
+def _schur_times(t_end, t_out):
+    v = VerblunskySeq(0.0, (0.2, 0.1 + 0.05j, 0.05))
+    return integrate_schur(v, 0.5, t_end, t_out=t_out)[0]
+
+
+def _cd_times(t_end, t_out):
+    return integrate_cd([0.0] * 4, [0.0, 0.25, 0.25, 0.25], 0.5, 0.0, t_end, t_out=t_out)[0]
+
+
+@pytest.mark.parametrize("run", [_lattice_times, _schur_times, _cd_times],
+                         ids=["integrate", "integrate_schur", "integrate_cd"])
+def test_output_grid(run):
+    assert tuple(run(0.4, [0.1, 0.2, 0.3, 0.4])) == (0.0, 0.1, 0.2, 0.3, 0.4)
+    assert tuple(run(0.4, [0.3, 0.1])) == (0.0, 0.1, 0.3, 0.4)  # sorted, t_end added
+    assert tuple(run(1.0, [0.3])) == (0.0, 0.3, 1.0)
+    assert tuple(run(0.4, None)) == (0.0, 0.4)
+    bad = [(0.4, [0.5]),          # past t_end
+           (0.4, [-1.0]),         # before t0
+           (0.4, [0.0, 0.4]),     # at t0
+           (0.4, [0.2, 0.2]),     # duplicate
+           (0.0, None),           # t_end = t0
+           (-0.5, None)]          # t_end < t0
+    for t_end, t_out in bad:
+        with pytest.raises(ValueError):
+            run(t_end, t_out)

@@ -46,11 +46,23 @@ def test_build_pair_filled_row_entry(rng):
 def test_f_decomposition(rng):
     st = random_state(rng, 7)
     pair = build_pair(st)
-    # recombine p X + q Y in scalar arithmetic: must equal F exactly
+    # X lower bidiagonal {diag alpha_k, sub -alpha_k}, Y upper bidiagonal
+    # {diag 1/beta_k, super -1/beta_k}; p X + q Y recombined in scalar
+    # arithmetic must equal the tridiagonal F exactly
+    inv_beta = 1.0 / np.array(st.beta, dtype=complex)
+    X = np.zeros((7, 7), dtype=complex)
+    Y = np.zeros((7, 7), dtype=complex)
+    for k in range(7):
+        X[k, k] = st.alpha[k]
+        Y[k, k] = inv_beta[k]
+        if k > 0:
+            X[k, k - 1] = -st.alpha[k]
+        if k < 6:
+            Y[k, k + 1] = -inv_beta[k]
     recombined = np.zeros_like(pair.F)
     for i in range(7):
         for j in range(7):
-            recombined[i, j] = st.p * complex(pair.X[i, j]) + st.q * complex(pair.Y[i, j])
+            recombined[i, j] = st.p * complex(X[i, j]) + st.q * complex(Y[i, j])
     assert np.array_equal(recombined, pair.F)
     assert np.count_nonzero(np.triu(pair.F, 2)) == 0
     assert np.count_nonzero(np.tril(pair.F, -2)) == 0
@@ -60,7 +72,7 @@ def test_commutator_trivial_cases():
     st = state_from_coeffs(1.0, 2.0, 0.0, [0.8], [])
     assert commutator(build_pair(st)) == pytest.approx(np.zeros((1, 1)))
     eye = np.eye(3, dtype=complex)
-    assert np.allclose(commutator(LaxPair(3, eye, eye, eye, eye)), 0.0)
+    assert np.allclose(commutator(LaxPair(3, eye, eye)), 0.0)
 
 
 def test_commutator_against_triple_loop(rng):
