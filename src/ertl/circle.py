@@ -32,6 +32,12 @@ reflection coefficients themselves satisfy the two-parameter Schur flow
 extended to n = 0 by the boundary convention a_{-1} = -1 (derived from the
 telescoping beta-sum identity through the coefficient map, and verified
 against quadrature-evolved measures in the test suite).
+
+Both flows' right-hand sides are shifted-slice kernels on padded arrays:
+float64 C = (c_0 = 1, c_1..c_M, 0) and D = (d_0 = 0, d_1..d_M, d_{M+1} = 0)
+for the (c, d) system, and complex A = (a_{-1} = -1, a_0, ..., top
+neighbour) for the Schur flow.  The public ``rhs_cd``/``rhs_schur`` pad their
+input and return lists; the integrators refill the padded arrays in place.
 """
 
 from __future__ import annotations
@@ -56,9 +62,7 @@ class VerblunskySeq:
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
-        for n, x in enumerate(self.a):
-            if abs(x) >= 1.0:
-                raise ValueError(f"|a_{n}| = {abs(x)} >= 1: degenerate measure rejected")
+        _check_modulus(np.array(self.a, dtype=complex))
 
     @property
     def N(self) -> int:
@@ -291,47 +295,58 @@ def map_cd_beta_alpha(beta, alpha):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _rhs_cd_arrays(c, d_full, q):
-    """(dc_1..M, dd_1..M) for windows c_1..c_M, d_1..d_M (d_1 = 0).
+def _cd_kernel(C, D, q):
+    """(dc_1..M, dd_2..M) on the padded C = (1, c_1..c_M, 0), D = (0, d_1..d_M, 0).
 
-    Finite closure at the window end: d_{M+1} = 0 (the chain analogue of a
-    vanishing top alpha), c_{M+1} immaterial.  With d_1 = 0 the generic n = 1
-    row reduces to the boundary form of the c-equation automatically.
+    d_{M+1} = 0 closes the window (the chain analogue of a vanishing top
+    alpha).  With d_1 = 0 the n = 1 row of dc is the boundary form of the
+    c-equation.  Each 1 + c_n^2 is formed once.
     """
-    M = len(c)
     qr, qi = q.real, q.imag
-    cg = lambda n: 1.0 if n == 0 else (c[n - 1] if n <= M else 0.0)
-    dg = lambda n: d_full[n - 1] if 1 <= n <= M else 0.0
-
-    dc = []
-    for n in range(1, M + 1):
-        lo = dg(n) * (cg(n) + cg(n - 1)) / (1.0 + cg(n - 1) ** 2)
-        hi = dg(n + 1) * (cg(n) + cg(n + 1)) / (1.0 + cg(n + 1) ** 2)
-        lo_i = dg(n) * (1.0 - cg(n) * cg(n - 1)) / (1.0 + cg(n - 1) ** 2)
-        hi_i = dg(n + 1) * (1.0 - cg(n) * cg(n + 1)) / (1.0 + cg(n + 1) ** 2)
-        dc.append(4.0 * qr * (lo - hi) + 4.0 * qi * (lo_i - hi_i))
-
-    dd = [0.0]
-    for n in range(2, M + 1):
-        den_n = 1.0 + cg(n) ** 2
-        den_m = 1.0 + cg(n - 1) ** 2
-        re_part = (dg(n) * dg(n - 1) / (1.0 + cg(n - 2) ** 2)
-                   - dg(n) * dg(n + 1) / (1.0 + cg(n + 1) ** 2)
-                   + dg(n) * (1.0 - dg(n)) * (cg(n - 1) ** 2 - cg(n) ** 2) / (den_n * den_m))
-        im_part = (dg(n) * dg(n - 1) * cg(n - 2) / (1.0 + cg(n - 2) ** 2)
-                   - dg(n) * dg(n + 1) * cg(n + 1) / (1.0 + cg(n + 1) ** 2)
-                   + dg(n) * (1.0 - dg(n)) * (cg(n) - cg(n - 1)) * (1.0 - cg(n) * cg(n - 1))
-                   / (den_n * den_m))
-        dd.append(4.0 * qr * re_part - 4.0 * qi * im_part)
+    sq = C * C
+    den = 1.0 + sq
+    c, cm, cp, d, dp = C[1:-1], C[:-2], C[2:], D[1:-1], D[2:]  # rows n = 1..M
+    dc = (4.0 * qr * (d * (c + cm) / den[:-2] - dp * (c + cp) / den[2:])
+          + 4.0 * qi * (d * (1.0 - c * cm) / den[:-2] - dp * (1.0 - c * cp) / den[2:]))
+    c, cm, cmm, cp = C[2:-1], C[1:-2], C[:-3], C[3:]  # rows n = 2..M
+    d, dm, dp = D[2:-1], D[1:-2], D[3:]
+    den_nm = den[2:-1] * den[1:-2]
+    dd = (4.0 * qr * (d * dm / den[:-3] - d * dp / den[3:]
+                      + d * (1.0 - d) * (sq[1:-2] - sq[2:-1]) / den_nm)
+          - 4.0 * qi * (d * dm * cmm / den[:-3] - d * dp * cp / den[3:]
+                        + d * (1.0 - d) * (c - cm) * (1.0 - c * cm) / den_nm))
     return dc, dd
+
+
+def _cd_padded(c, d):
+    return np.array([1.0, *c, 0.0]), np.array([0.0, *d, 0.0])
 
 
 def rhs_cd(state: CircleState, q):
     """Time derivatives (dc_1..N, dd_2..N) of the real kernel parametrization."""
-    q = complex(q)
-    d_full = [0.0] + list(state.d)
-    dc, dd = _rhs_cd_arrays(list(state.c), d_full, q)
-    return dc, dd[1:]
+    C, D = _cd_padded(state.c, (0.0,) + state.d)
+    dc, dd = _cd_kernel(C, D, complex(q))
+    return dc.tolist(), dd.tolist()
+
+
+def _check_modulus(a):
+    """ValueError at the first n with |a_n| >= 1; returns |a_n|."""
+    mods = np.abs(a)
+    bad = mods >= 1.0
+    if bad.any():
+        n = int(bad.argmax())
+        raise ValueError(f"|a_{n}| = {float(mods[n])} >= 1: degenerate measure rejected")
+    return mods
+
+
+def _schur_kernel(A, q):
+    """Rows n = 0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}).
+
+    A = (a_{-1} = -1, a_0, ..., top neighbour); each row's |a_n| < 1 is
+    checked first, with VerblunskySeq's ValueError.
+    """
+    mods = _check_modulus(A[1:-1])
+    return (1.0 - mods ** 2) * (q.conjugate() * A[:-2] - q * A[2:])
 
 
 def rhs_schur(v: VerblunskySeq, q, a_top=None):
@@ -341,16 +356,8 @@ def rhs_schur(v: VerblunskySeq, q, a_top=None):
     a_{-1} = -1, so a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).  Passing
     ``a_top`` (a frozen a_N) extends the output by the n = N-1 row.
     """
-    q = complex(q)
-    a = list(v.a)
-    prevs = [-1.0 + 0j] + a[:-1]
-    tops = a[1:]
-    if a_top is not None:
-        tops = tops + [complex(a_top)]
-    out = []
-    for n, up in enumerate(tops):
-        out.append((1.0 - abs(a[n]) ** 2) * (q.conjugate() * prevs[n] - q * up))
-    return out
+    A = np.array((-1.0,) + v.a + (() if a_top is None else (a_top,)), dtype=complex)
+    return _schur_kernel(A, complex(q)).tolist()
 
 
 def integrate_schur(v: VerblunskySeq, q, t_end: float,
@@ -366,10 +373,11 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     """
     ctrl = ctrl or StepControl()
     q = complex(q)
+    A = np.array((-1.0,) + v.a + (0j,))  # f refills a_0..a_{M-1}; a_M = 0 stays
 
     def f(t, y):
-        vv = VerblunskySeq(t=t, a=tuple(y))
-        return np.array(rhs_schur(vv, q, a_top=0j), dtype=complex)
+        A[1:-1] = y
+        return _schur_kernel(A, q)
 
     def validate(t, y):
         mods = np.abs(y)
@@ -399,12 +407,12 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     if len(d) != M or (M and d[0] != 0.0):
         raise ValueError("d must list d_1..d_M with d_1 = 0")
     y0 = np.array(list(c) + list(d[1:]), dtype=complex)
+    C, D = _cd_padded(c, d)  # f refills c_1..c_M and d_2..d_M in place
 
     def f(t, y):
-        cc = [float(x.real) for x in y[:M]]
-        dd_full = [0.0] + [float(x.real) for x in y[M:]]
-        dc, dd = _rhs_cd_arrays(cc, dd_full, q)
-        return np.array(dc + dd[1:], dtype=complex)
+        C[1:-1] = y[:M].real
+        D[2:-1] = y[M:].real
+        return np.concatenate(_cd_kernel(C, D, q))
 
     def validate(t, y):
         dd = y[M:].real
@@ -414,9 +422,6 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
             raise PositivityLost(f"d_{n + 2} = {dd[n]} left (0, 1) at t={t}")
 
     times, snaps, stats = integrate_core(f, t0, y0, t_end, t_out, ctrl, validate)
-    c_snaps = [[float(x) for x in c]]
-    d_snaps = [[float(x) for x in d]]
-    for y in snaps:
-        c_snaps.append([float(x.real) for x in y[:M]])
-        d_snaps.append([0.0] + [float(x.real) for x in y[M:]])
+    c_snaps = [[float(x) for x in c]] + [y[:M].real.tolist() for y in snaps]
+    d_snaps = [[float(x) for x in d]] + [[0.0] + y[M:].real.tolist() for y in snaps]
     return [t0] + times, c_snaps, d_snaps, stats

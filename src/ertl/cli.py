@@ -24,6 +24,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -405,18 +406,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: error attributes copied into the stderr JSON report when they are set
+_ERROR_FIELDS = ("n", "which", "value", "t", "t_bracket", "modulus")
+
+
+def _json_field(v):
+    """Plain JSON form of an error attribute: reals as numbers, complex as [re, im]."""
+    if isinstance(v, (tuple, list)):
+        return [_json_field(x) for x in v]
+    if isinstance(v, numbers.Real):
+        return int(v) if isinstance(v, numbers.Integral) else float(v)
+    if isinstance(v, numbers.Complex):
+        return [float(v.real), float(v.imag)]
+    return str(v)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ErtlError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    except (ErtlError, ValueError, KeyError, OSError) as exc:
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        report.update((key, _json_field(getattr(exc, key))) for key in _ERROR_FIELDS
+                      if getattr(exc, key, None) is not None)
+        json.dump(report, sys.stderr)
         sys.stderr.write("\n")
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, ErtlError) else 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,13 @@ a genuine blow-up of the flow and is detected (SingularDenominator), never
 regularized.  Integration uses a classical 4th-order step with step-doubling
 error control (error-per-unit-step acceptance, so global error scales
 linearly with the tolerance).
+
+Each flow has one right-hand-side kernel, written as shifted slices of
+padded complex arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 =
+-1, alpha_1..alpha_{N+1}): row n reads b[n-1..n+1] and a[n-1..n+1], so the
+boundary conventions need no special case.  The public ``rhs_*`` functions
+pad a state and return lists; ``integrate`` refills one pair of padded
+arrays in place from its packed unknowns (beta_1..beta_N, alpha_2..alpha_N).
 """
 
 from __future__ import annotations
@@ -84,9 +91,7 @@ class LatticeState:
             raise ValueError("alpha_1 must be 0")
         if self.closure == "finite" and self.alpha[-1] != 0:
             raise ValueError("finite closure requires alpha_{N+1} = 0")
-        for i, b in enumerate(self.beta):
-            if abs(b) < EPS_SING:
-                raise SingularDenominator(i + 1, b, t=self.t)
+        _check_betas(self.beta, self.t)
 
     @property
     def N(self) -> int:
@@ -135,90 +140,70 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides (generic over the scalar type)
+# Right-hand sides: one shifted-slice kernel per flow on padded arrays
 # ---------------------------------------------------------------------------
 
+def _padded(beta, alpha):
+    """b = (1, beta_1..beta_N) and a = (-1, alpha_1..alpha_{N+1}) as complex arrays."""
+    return np.array([1, *beta], dtype=complex), np.array([-1, *alpha], dtype=complex)
+
+
 def _check_betas(beta, t=None):
-    for i, b in enumerate(beta):
-        if abs(b) < EPS_SING:
-            raise SingularDenominator(i + 1, b, t=t)
+    """SingularDenominator at the first n with |beta_n| < EPS_SING (beta_1..beta_N)."""
+    small = np.abs(beta) < EPS_SING
+    if small.any():
+        n = int(small.argmax())
+        raise SingularDenominator(n + 1, complex(beta[n]), t=t)
 
 
-def _rhs_ertl_core(p, q, beta, alpha, t=None):
-    """dbeta (length N) and dalpha (length N+1) for given boundary data.
+def _ertl_kernel(p, q, b, a, t=None):
+    """dbeta (length N) and dalpha (length N+1) on the padded b, a.
 
-    ``beta`` lists beta_1..beta_N, ``alpha`` lists alpha_1..alpha_{N+1}.
-    Entries that would require beta_{N+1} are 0 when alpha_{N+1} = 0 (the
-    factor multiplies everything) and NaN otherwise.
+    Row n reads b[n-1..n+1] and a[n-1..n+1] (b[0] = beta_0 = 1, a[0] =
+    alpha_0 = -1).  Entries that would require beta_{N+1} are 0 when
+    alpha_{N+1} = 0 (the factor multiplies everything) and NaN otherwise.
     """
-    N = len(beta)
-    _check_betas(beta, t)
-    b = lambda n: 1 if n == 0 else beta[n - 1]
-    a = lambda n: -1 if n == 0 else alpha[n - 1]
-
-    dbeta = []
-    for n in range(1, N + 1):
-        lead = p * b(n) * (a(n) - a(n + 1))
-        drag_in = a(n) / (b(n) * b(n - 1))
-        if n < N:
-            drag_out = a(n + 1) / (b(n + 1) * b(n))
-        elif alpha[N] == 0:
-            drag_out = 0
-        else:
-            dbeta.append(_NAN)
-            continue
-        dbeta.append(lead + q * b(n) * (drag_out - drag_in))
-
-    dalpha = []
-    for n in range(1, N + 2):
-        if n == N + 1:
-            # alpha_dot_{N+1} needs beta_{N+1} unless alpha_{N+1} = 0
-            dalpha.append(0 if alpha[N] == 0 else _NAN)
-            continue
-        lead = p * a(n) * (a(n - 1) + b(n - 1) - a(n + 1) - b(n))
-        drag = q * a(n) * (1 / b(n - 1) - 1 / b(n))
-        dalpha.append(lead + drag)
+    _check_betas(b[1:], t)
+    bn, bm = b[1:], b[:-1]                # beta_n, beta_{n-1}
+    an, am, ap = a[1:-1], a[:-2], a[2:]   # alpha_n, alpha_{n-1}, alpha_{n+1}
+    drag_out = np.zeros(bn.shape, dtype=complex)
+    drag_out[:-1] = ap[:-1] / (bn[1:] * bn[:-1])
+    dbeta = p * bn * (an - ap) + q * bn * (drag_out - an / (bn * bm))
+    dalpha = np.zeros(an.size + 1, dtype=complex)
+    dalpha[:-1] = p * an * (am + bm - ap - bn) + q * an * (1 / bm - 1 / bn)
+    if a[-1] != 0:
+        dbeta[-1] = dalpha[-1] = _NAN
     return dbeta, dalpha
 
 
 def rhs_ertl(state: LatticeState):
     """Two-parameter flow; returns (dbeta_1..N, dalpha_1..N+1)."""
-    return _rhs_ertl_core(state.p, state.q, state.beta, state.alpha, state.t)
+    b, a = _padded(state.beta, state.alpha)
+    dbeta, dalpha = _ertl_kernel(state.p, state.q, b, a, state.t)
+    return dbeta.tolist(), dalpha.tolist()
 
 
 def rhs_gamma(state: LatticeState):
     """gamma_dot_1..gamma_dot_N; equals dalpha shifted by one plus dbeta."""
-    N = state.N
-    beta, alpha = state.beta, state.alpha
-    _check_betas(beta, state.t)
-    p, q = state.p, state.q
-    b = lambda n: 1 if n == 0 else beta[n - 1]
-    a = lambda n: -1 if n == 0 else alpha[n - 1]
-    g = lambda n: alpha[n] + beta[n - 1]  # gamma_n, 1 <= n <= N
-
-    out = []
-    for n in range(1, N + 1):
-        if n < N:
-            head = a(n) * g(n) - a(n + 1) * g(n + 1)
-        elif alpha[N] == 0:
-            head = a(N) * g(N)
-        else:
-            out.append(_NAN)
-            continue
-        out.append(p * head + q * (a(n + 1) / b(n) - a(n) / b(n - 1)))
-    return out
+    b, a = _padded(state.beta, state.alpha)
+    _check_betas(b[1:], state.t)
+    ag = a[1:-1] * (a[2:] + b[1:])  # alpha_n gamma_n
+    head = ag - np.append(ag[1:], 0)
+    out = state.p * head + state.q * (a[2:] / b[1:] - a[1:-1] / b[:-1])
+    if a[-1] != 0:
+        out[-1] = _NAN
+    return out.tolist()
 
 
 #: tolerance for the frozen-beta check of the symmetric reduction
 SYMMETRY_TOL = 1e-8
 
 
-def _rhs_volterra(alpha):
-    """dalpha_1..N+1 of alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1})."""
-    N = len(alpha) - 1
-    a = lambda n: -1 if n == 0 else alpha[n - 1]
-    out = [a(n) * (a(n - 1) - a(n + 1)) for n in range(1, N + 1)]
-    out.append(0 if alpha[N] == 0 else _NAN)
+def _volterra_kernel(a):
+    """dalpha_1..N+1 of alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}), a padded."""
+    out = np.empty_like(a[1:])
+    out[:-1] = a[1:-1] * (a[:-2] - a[2:])
+    out[-1] = 0 if a[-1] == 0 else _NAN
     return out
 
 
@@ -232,18 +217,18 @@ def rhs_langmuir(state: LatticeState):
     q = state.q
     if abs(q.imag) > 1e-12 or q.real <= 0:
         raise NotSymmetricState("symmetric reduction needs real positive q")
-    sq = math.sqrt(q.real)
-    dev = max(abs(b - sq) for b in state.beta)
+    b, a = _padded(state.beta, state.alpha)
+    dev = float(np.abs(b[1:] - math.sqrt(q.real)).max())
     if dev > SYMMETRY_TOL:
         raise NotSymmetricState(f"max |beta_n - sqrt(q)| = {dev:.3e}")
 
-    dbeta, _ = _rhs_ertl_core(1, q, state.beta, state.alpha, state.t)
-    scale = 1.0 + max(abs(a) for a in state.alpha)
-    bad = max((abs(d) for d in dbeta if d == d), default=0.0)
+    dbeta, _ = _ertl_kernel(1, q, b, a, state.t)
+    scale = 1.0 + float(np.abs(a[1:]).max())
+    bad = float(np.abs(dbeta[~np.isnan(dbeta)]).max(initial=0.0))
     if bad > 1e-12 * scale:
         raise NotSymmetricState(f"beta equation does not vanish: {bad:.3e}")
 
-    return _rhs_volterra(state.alpha)
+    return _volterra_kernel(a).tolist()
 
 
 #: system id -> the (p, q) it forces on the flow, or None to keep the state's
@@ -279,11 +264,11 @@ class StepControl:
 
 
 #: per-step tolerance floor relative to |y|: the rounding level of the error estimate
-_ROUNDING_FLOOR = 8 * np.finfo(float).eps
+_ROUNDING_FLOOR = 8 * float(np.finfo(float).eps)
 
 
-def _rk4(f, t, y, h):
-    k1 = f(t, y)
+def _rk4(f, t, y, h, k1):
+    """One classical RK4 step of size h from (t, y), given k1 = f(t, y)."""
     k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
     k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = f(t + h, y + h * k3)
@@ -299,7 +284,8 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     exactly on every output time (no interpolation).  ``validate(t, y)`` runs
     after every accepted step and may raise to abort (singularity / positivity
     loss); the offending step is bracketed.  Returns (times, snapshots, stats)
-    for the output times, t0 excluded.
+    for the output times, t0 excluded.  ``stats["rhs_calls"]`` counts calls of f:
+    11 per adaptive attempt (the full step and the first half-step share k1).
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
@@ -312,6 +298,13 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
         raise ValueError("output times must not repeat")
     if t_end - times[-1] > slack:
         times.append(t_end)
+
+    rhs_calls = 0
+
+    def counted(t, y):
+        nonlocal rhs_calls
+        rhs_calls += 1
+        return f(t, y)
 
     y = np.array(y0, dtype=complex)
     t = t0
@@ -326,13 +319,15 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                 raise StepUnderflow(f"step budget exhausted at t={t}")
             h_try = min(h, target - t)
             try:
+                k1 = counted(t, y)
                 if ctrl.fixed:
-                    y_new = _rk4(f, t, y, h_try)
+                    y_new = _rk4(counted, t, y, h_try, k1)
                     err = 0.0
                 else:
-                    full = _rk4(f, t, y, h_try)
-                    mid = _rk4(f, t, y, 0.5 * h_try)
-                    y_new = _rk4(f, t + 0.5 * h_try, mid, 0.5 * h_try)
+                    full = _rk4(counted, t, y, h_try, k1)
+                    mid = _rk4(counted, t, y, 0.5 * h_try, k1)
+                    t_mid = t + 0.5 * h_try
+                    y_new = _rk4(counted, t_mid, mid, 0.5 * h_try, counted(t_mid, mid))
                     err = float(np.max(np.abs(y_new - full))) / 15.0
             except SingularDenominator as exc:
                 raise SingularDenominator(exc.n, exc.value,
@@ -362,18 +357,9 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                                           t_bracket=(t - h_try, t)) from None
         t = target
         snaps.append(y.copy())
-    stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err}
+    stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,
+             "rhs_calls": rhs_calls}
     return times, snaps, stats
-
-
-def _pack(state: LatticeState):
-    return np.array(list(state.beta) + list(state.alpha[1:-1]), dtype=complex)
-
-
-def _unpack(y, N):
-    beta = [complex(v) for v in y[:N]]
-    alpha = [0j] + [complex(v) for v in y[N:]] + [0j]
-    return beta, alpha
 
 
 def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
@@ -395,33 +381,31 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     N = state.N
     p, q = SYSTEMS[rhs_id] or (state.p, state.q)
 
+    b, a = _padded(state.beta, state.alpha)  # f refills the unknowns in place
+
     if rhs_id == "langmuir":
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
 
         def f(t, y):
-            _, alpha = _unpack(y, N)
-            return np.array([0j] * N + _rhs_volterra(alpha)[1:-1], dtype=complex)
+            a[2:-1] = y[N:]
+            return np.concatenate((np.zeros(N), _volterra_kernel(a)[1:-1]))
     else:
         def f(t, y):
-            beta, alpha = _unpack(y, N)
-            db, da = _rhs_ertl_core(p, q, beta, alpha, t)
-            return np.array(db + da[1:-1], dtype=complex)
+            b[1:] = y[:N]
+            a[2:-1] = y[N:]
+            dbeta, dalpha = _ertl_kernel(p, q, b, a, t)
+            return np.concatenate((dbeta, dalpha[1:-1]))
 
     def validate(t, y):
-        babs = np.abs(y[:N])
-        if babs.size and babs.min() < EPS_SING:
-            i = int(babs.argmin())
-            raise SingularDenominator(i + 1, complex(y[i]), t=t)
+        _check_betas(y[:N], t)
         if ctrl.enforce_positive:
             if np.any(y.real <= 0.0) or np.any(np.abs(y.imag) > 1e-8 * (1 + np.abs(y.real))):
                 raise PositivityLost(f"coefficient left the positive cone at t={t}")
 
-    times, snaps, stats = integrate_core(f, state.t, _pack(state), t_end, t_out,
-                                         ctrl, validate)
-    states = [state]
-    for tt, y in zip(times, snaps):
-        beta, alpha = _unpack(y, N)
-        states.append(LatticeState(state.p, state.q, tt, beta, alpha, closure="finite"))
+    y0 = np.concatenate((b[1:], a[2:-1]))  # beta_1..beta_N, alpha_2..alpha_N
+    times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)
+    states = [state] + [LatticeState(state.p, state.q, tt, y[:N].tolist(),
+                                     [0j] + y[N:].tolist() + [0j]) for tt, y in zip(times, snaps)]
     return Trajectory(times=(state.t,) + tuple(times), states=tuple(states),
                       step_stats=stats)
 

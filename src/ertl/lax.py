@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, SingularDenominator
-from .lattice import EPS_SING, LatticeState, Trajectory, rhs_ertl, rhs_gamma
+from .errors import NonConvergence
+from .lattice import LatticeState, Trajectory, _check_betas, rhs_ertl, rhs_gamma
 from .lorth import triangle_from_coeffs
 
 
@@ -35,6 +35,14 @@ class LaxPair:
     N: int
     H: np.ndarray
     F: np.ndarray
+
+
+def _hessenberg(upper, sub):
+    """Row i holds upper[j] for j >= i and sub[i-1] at column i-1; zeros below."""
+    N = len(upper)
+    M = np.triu(np.tile(np.asarray(upper, dtype=complex), (N, 1)))
+    M[np.arange(1, N), np.arange(N - 1)] = sub
+    return M
 
 
 def build_pair(state: LatticeState) -> LaxPair:
@@ -49,17 +57,9 @@ def build_pair(state: LatticeState) -> LaxPair:
     N = state.N
     beta = np.array(state.beta, dtype=complex)
     alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
-    if np.min(np.abs(beta)) < EPS_SING:
-        k = int(np.argmin(np.abs(beta)))
-        raise SingularDenominator(k + 1, complex(beta[k]), t=state.t)
-    gamma = alpha[1:] + beta  # gamma_k, k = 1..N
+    _check_betas(beta, state.t)
+    H = _hessenberg(alpha[1:] + beta, alpha[1:N])  # gamma_k = alpha_{k+1} + beta_k
     inv_beta = 1.0 / beta
-
-    H = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        H[i, i:] = gamma[i:]
-    for i in range(1, N):
-        H[i, i - 1] = alpha[i]  # alpha_{i+1}
 
     p, q = state.p, state.q
     F = np.zeros((N, N), dtype=complex)
@@ -84,17 +84,8 @@ def lax_residual(state: LatticeState) -> float:
     carries alpha_dot and every row above the diagonal carries gamma_dot.
     """
     pair = build_pair(state)
-    N = state.N
     _, dalpha = rhs_ertl(state)
-    dgamma = rhs_gamma(state)
-
-    Hdot = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(i, N):
-            Hdot[i, j] = dgamma[j]
-    for i in range(1, N):
-        Hdot[i, i - 1] = dalpha[i]
-
+    Hdot = _hessenberg(rhs_gamma(state), dalpha[1:state.N])
     resid = np.max(np.abs(Hdot - commutator(pair)))
     scale = max(1.0, float(np.max(np.abs(pair.H))) * float(np.max(np.abs(pair.F))))
     return float(resid) / scale
@@ -130,7 +121,8 @@ def spectrum(state: LatticeState) -> list:
     Simultaneous Aberth iteration with the polynomial and its derivative
     evaluated through the recurrence (numerically stable; no companion
     matrix), finished with two Newton polish sweeps.  Returned sorted
-    lexicographically by (Re, Im).
+    lexicographically by (Re, Im).  Raises NonConvergence when the iteration
+    stalls or a root estimate turns non-finite (Q_N overflows from the start).
     """
     if state.closure != "finite":
         raise ValueError("spectrum needs a finite-closure state")
@@ -162,6 +154,8 @@ def spectrum(state: LatticeState) -> list:
             denom = 1.0 - w * s
             step = w if denom == 0 else w / denom
             z[i] -= step
+            if not cmath.isfinite(z[i]):  # poisons every other root through the sum
+                raise NonConvergence(f"Aberth root estimate {i} became non-finite ({z[i]})")
             worst = max(worst, abs(step) / (1.0 + abs(z[i])))
         if worst <= ABERTH_TOL:
             converged = True

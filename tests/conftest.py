@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# reproducible property tests with no per-example deadline on a loaded machine
+settings.register_profile("ertl", derandomize=True, deadline=None)
+settings.load_profile("ertl")
 
 from ertl import compute_moments, discrete_spec, example1_spec, example2_spec
 

@@ -251,7 +251,13 @@ def test_exit_code_numerical_breakdown(capsys):
                  "--init", '{"beta":[[0.5,0],[1,0]],"alpha":[[-1,0]]}'])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] in ("SingularDenominator", "StepUnderflow")
+    assert err["error"] == "SingularDenominator"
+    # the error's fields ride along as plain JSON numbers
+    assert err["n"] == 1
+    lo, hi = err["t_bracket"]
+    assert isinstance(lo, float) and isinstance(hi, float) and 0.0 < lo < hi < 2.0
+    assert len(err["value"]) == 2 and abs(complex(*err["value"])) < 1e-12
+    assert "np.float64" not in err["message"]
 
 
 def test_console_script_installed():
