@@ -339,13 +339,23 @@ def _check_modulus(a):
     return mods
 
 
-def _schur_kernel(A, q):
+def _flow_modulus(y, t):
+    """|a_n| inside the Schur flow; PositivityLost (n, modulus, t) at the first |a_n| >= 1."""
+    mods = np.abs(y)
+    bad = mods >= 1.0
+    if bad.any():
+        n = int(bad.argmax())
+        mod = float(mods[n])
+        raise PositivityLost(f"|a_{n}| = {mod} reached 1 at t={t}", n=n, modulus=mod, t=t)
+    return mods
+
+
+def _schur_kernel(A, q, mods):
     """Rows n = 0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}).
 
-    A = (a_{-1} = -1, a_0, ..., top neighbour); each row's |a_n| < 1 is
-    checked first, with VerblunskySeq's ValueError.
+    A = (a_{-1} = -1, a_0, ..., top neighbour); ``mods`` holds the rows'
+    |a_n|, already checked below 1 by the caller.
     """
-    mods = _check_modulus(A[1:-1])
     return (1.0 - mods ** 2) * (q.conjugate() * A[:-2] - q * A[2:])
 
 
@@ -357,7 +367,7 @@ def rhs_schur(v: VerblunskySeq, q, a_top=None):
     ``a_top`` (a frozen a_N) extends the output by the n = N-1 row.
     """
     A = np.array((-1.0,) + v.a + (() if a_top is None else (a_top,)), dtype=complex)
-    return _schur_kernel(A, complex(q)).tolist()
+    return _schur_kernel(A, complex(q), _check_modulus(A[1:-1])).tolist()
 
 
 def integrate_schur(v: VerblunskySeq, q, t_end: float,
@@ -368,7 +378,8 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     The window evolves a_0..a_{M-1} with the missing neighbour a_M held at 0;
     only the first ``n_report`` coefficients are trustworthy (truncation
     effects creep in from the top).  The modulus bound |a_n| < 1 is asserted
-    at every accepted step; the output grid follows ``integrate_core``.
+    at every stage and every accepted step (PositivityLost with n, modulus
+    and t); the output grid follows ``integrate_core``.
     Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
     ctrl = ctrl or StepControl()
@@ -377,13 +388,10 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
 
     def f(t, y):
         A[1:-1] = y
-        return _schur_kernel(A, q)
+        return _schur_kernel(A, q, _flow_modulus(y, t))
 
     def validate(t, y):
-        mods = np.abs(y)
-        if np.any(mods >= 1.0):
-            n = int(np.argmax(mods))
-            raise PositivityLost(f"|a_{n}| = {mods[n]} reached 1 at t={t}")
+        _flow_modulus(y, t)
 
     times, snaps, stats = integrate_core(f, v.t, np.array(v.a, dtype=complex), t_end,
                                          t_out, ctrl, validate)
@@ -419,7 +427,7 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
         bad = ~((dd > 0.0) & (dd < 1.0))
         if np.any(bad):
             n = int(np.argmax(bad))
-            raise PositivityLost(f"d_{n + 2} = {dd[n]} left (0, 1) at t={t}")
+            raise PositivityLost(f"d_{n + 2} = {dd[n]} left (0, 1) at t={t}", n=n + 2, t=t)
 
     times, snaps, stats = integrate_core(f, t0, y0, t_end, t_out, ctrl, validate)
     c_snaps = [[float(x) for x in c]] + [y[:M].real.tolist() for y in snaps]

@@ -21,6 +21,7 @@ configuration, 2 numerical breakdown (a JSON error report goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -332,6 +333,7 @@ def _cmd_oracle(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)  # built on first use, shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ertl", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)

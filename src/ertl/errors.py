@@ -58,7 +58,17 @@ class StepUnderflow(ErtlError):
 
 
 class PositivityLost(ErtlError):
-    """A coefficient required to stay positive crossed zero during integration."""
+    """A coefficient left its admissible range (positive cone, |a_n| < 1) during integration.
+
+    ``n`` is the site, ``modulus`` the offending |a_n| of the Schur flow and
+    ``t`` the time at which the integrator saw it, each when known.
+    """
+
+    def __init__(self, message, n=None, modulus=None, t=None):
+        self.n = n
+        self.modulus = modulus
+        self.t = t
+        super().__init__(message)
 
 
 class NotSymmetricState(ErtlError):

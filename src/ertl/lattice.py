@@ -400,7 +400,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
         _check_betas(y[:N], t)
         if ctrl.enforce_positive:
             if np.any(y.real <= 0.0) or np.any(np.abs(y.imag) > 1e-8 * (1 + np.abs(y.real))):
-                raise PositivityLost(f"coefficient left the positive cone at t={t}")
+                raise PositivityLost(f"coefficient left the positive cone at t={t}", t=t)
 
     y0 = np.concatenate((b[1:], a[2:-1]))  # beta_1..beta_N, alpha_2..alpha_N
     times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)

@@ -12,20 +12,19 @@ flow satisfies  dH/dt = [H, F] = HF - FH  pointwise in the coefficients, an
 algebraic identity with no integration involved; ``lax_residual`` measures it
 directly.  Consequently the spectrum of H is conserved along trajectories,
 and the zeros of Q_N coincide with the eigenvalues of H, which ``spectrum``
-exploits: roots come from simultaneous Aberth iteration on the recurrence
-evaluation of Q_N (a dense eigensolver is kept test-side as an oracle).
+exploits: ``numpy.linalg.eigvals`` of the O(N) Hessenberg H supplies the
+start, and simultaneous Aberth iteration on the recurrence evaluation of Q_N,
+run on all N estimates as arrays, refines it to zeros of Q_N.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence
 from .lattice import LatticeState, Trajectory, _check_betas, rhs_ertl, rhs_gamma
-from .lorth import triangle_from_coeffs
 
 
 @dataclass(frozen=True)
@@ -95,14 +94,14 @@ def lax_residual(state: LatticeState) -> float:
 # Spectrum of the finite system
 # ---------------------------------------------------------------------------
 
-def _q_and_dq(beta, alpha, n, x):
-    """(Q_n(x), Q_n'(x)) by differentiating the forward recurrence."""
-    q_prev, dq_prev = 1.0 + 0j, 0j
-    if n == 0:
-        return q_prev, dq_prev
-    q_cur, dq_cur = x - beta[0], 1.0 + 0j
-    for k in range(1, n):
-        b, a = beta[k], alpha[k - 1]
+def _q_and_dq(beta, alpha, x):
+    """(Q_N(x), Q_N'(x)) at every entry of x by the differentiated recurrence.
+
+    ``beta`` holds beta_1..beta_N and ``alpha`` alpha_2..alpha_N (N >= 1).
+    """
+    q_prev, dq_prev = np.ones_like(x), np.zeros_like(x)
+    q_cur, dq_cur = x - beta[0], np.ones_like(x)
+    for b, a in zip(beta[1:], alpha):
         q_next = (x - b) * q_cur - a * x * q_prev
         dq_next = q_cur + (x - b) * dq_cur - a * (q_prev + x * dq_prev)
         q_prev, dq_prev = q_cur, dq_cur
@@ -118,57 +117,53 @@ ABERTH_MAX_ITER = 200
 def spectrum(state: LatticeState) -> list:
     """All N zeros of Q_N (= eigenvalues of H) for a finite-closure state.
 
-    Simultaneous Aberth iteration with the polynomial and its derivative
+    The estimates start at ``numpy.linalg.eigvals`` of the Hessenberg H and
+    are refined together by simultaneous Aberth iteration, with Q_N and Q_N'
     evaluated through the recurrence (numerically stable; no companion
-    matrix), finished with two Newton polish sweeps.  Returned sorted
-    lexicographically by (Re, Im).  Raises NonConvergence when the iteration
-    stalls or a root estimate turns non-finite (Q_N overflows from the start).
+    matrix), then finished with two Newton polish sweeps; the returned values
+    are zeros of the recurrence, eig(H) only supplies the start.  Returned
+    sorted lexicographically by (Re, Im).  Raises NonConvergence when the
+    iteration stalls or a root estimate turns non-finite (Q_N overflows).
     """
     if state.closure != "finite":
         raise ValueError("spectrum needs a finite-closure state")
     N = state.N
-    beta = [complex(b) for b in state.beta]
-    alpha = [complex(a) for a in state.alpha[1:-1]]  # alpha_2..alpha_N
+    beta = np.array(state.beta, dtype=complex)
+    alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
     if N == 1:
-        return [beta[0]]
+        return [complex(beta[0])]
+    try:
+        z = np.linalg.eigvals(_hessenberg(alpha[1:] + beta, alpha[1:N]))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalues of H as Aberth start: {exc}") from exc
+    alpha = alpha[1:N]  # alpha_2..alpha_N
+    off = ~np.eye(N, dtype=bool)
 
-    coeffs = triangle_from_coeffs(beta, alpha, N)[N]  # monic c_0..c_N
-    centroid = -coeffs[N - 1] / N
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    z = [centroid + 0.7 * radius * cmath.exp(2j * cmath.pi * (k + 0.37) / N + 0.41j)
-         for k in range(N)]
-
-    converged = False
-    for _ in range(ABERTH_MAX_ITER):
-        worst = 0.0
-        for i in range(N):
-            qv, dqv = _q_and_dq(beta, alpha, N, z[i])
-            if qv == 0:
-                continue
-            if dqv == 0:
-                z[i] += 1e-8 * (1.0 + abs(z[i]))
-                worst = float("inf")
-                continue
-            w = qv / dqv
-            s = sum(1.0 / (z[i] - z[j]) for j in range(N) if j != i)
-            denom = 1.0 - w * s
-            step = w if denom == 0 else w / denom
-            z[i] -= step
-            if not cmath.isfinite(z[i]):  # poisons every other root through the sum
+    with np.errstate(all="ignore"):  # overflow surfaces as NonConvergence, not warnings
+        for _ in range(ABERTH_MAX_ITER):
+            qv, dqv = _q_and_dq(beta, alpha, z)
+            w = np.where(qv == 0, 0, qv / dqv)
+            diff = z[:, None] - z[None, :]
+            repel = np.divide(1.0, diff, out=np.zeros_like(diff), where=off & (diff != 0))
+            denom = 1.0 - w * repel.sum(axis=1)
+            step = np.where(denom == 0, w, w / denom)
+            stuck = (dqv == 0) & (qv != 0)  # Q_N' vanishes off a root: nudge it
+            step[stuck] = -1e-8 * (1.0 + np.abs(z[stuck]))
+            z = z - step
+            bad = ~np.isfinite(z)
+            if bad.any():  # poisons every other root through the repulsion sum
+                i = int(bad.argmax())
                 raise NonConvergence(f"Aberth root estimate {i} became non-finite ({z[i]})")
-            worst = max(worst, abs(step) / (1.0 + abs(z[i])))
-        if worst <= ABERTH_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergence(f"Aberth iteration stalled (last correction {worst:.3e})")
+            worst = np.inf if stuck.any() else float(np.max(np.abs(step) / (1.0 + np.abs(z))))
+            if worst <= ABERTH_TOL:
+                break
+        else:
+            raise NonConvergence(f"Aberth iteration stalled (last correction {worst:.3e})")
 
-    for _ in range(2):  # Newton polish on the recurrence evaluation
-        for i in range(N):
-            qv, dqv = _q_and_dq(beta, alpha, N, z[i])
-            if dqv != 0:
-                z[i] -= qv / dqv
-    return sorted(z, key=lambda v: (v.real, v.imag))
+        for _ in range(2):  # Newton polish on the recurrence evaluation
+            qv, dqv = _q_and_dq(beta, alpha, z)
+            z = z - np.where(dqv == 0, 0, qv / dqv)
+    return sorted(z.tolist(), key=lambda v: (v.real, v.imag))
 
 
 def hausdorff_distance(a, b) -> float:

@@ -260,6 +260,18 @@ def test_exit_code_numerical_breakdown(capsys):
     assert "np.float64" not in err["message"]
 
 
+def test_exit_code_schur_breakdown(capsys):
+    # an RK stage pushes |a_1| past 1: a breakdown of the flow (exit 2), not bad input
+    code = main(["simulate", "--system", "schur", "--q", "50,0", "--t-end", "1",
+                 "--init", '{"a": [[0.99,0],[0.5,0]]}'])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PositivityLost"
+    assert err["n"] == 1
+    assert isinstance(err["modulus"], float) and err["modulus"] >= 1.0
+    assert isinstance(err["t"], float) and 0.0 < err["t"] < 1.0
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "ertl.cli", "oracle", "example1",
                            "--delta", "1", "--q", "2", "--t", "1", "--N", "2"],

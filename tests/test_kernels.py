@@ -1,4 +1,5 @@
-"""Array kernels of every flow against their per-site loop forms (property tests).
+"""Array kernels of every flow against their per-site loop forms (property tests),
+and the array Aberth spectrum against numpy's eigensolver and the recurrence.
 
 The loops below are the scalar formulas the kernels replaced, kept here as the
 oracle: one row per site, boundary values through small index helpers.  The
@@ -8,16 +9,18 @@ guard can be reached with data a ``LatticeState`` would refuse to hold.
 
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ertl import (NonConvergence, SingularDenominator, StepControl, integrate,
-                  isospectral_drift, rhs_cd, rhs_ertl, rhs_gamma, rhs_langmuir,
-                  rhs_schur, spectrum)
+from ertl import (NonConvergence, RecurrenceCoeffs, SingularDenominator, StepControl,
+                  build_pair, eval_Q, integrate, isospectral_drift, rhs_cd, rhs_ertl,
+                  rhs_gamma, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
 from ertl.lattice import EPS_SING, integrate_core
 from tests.test_lattice import random_state
@@ -265,27 +268,128 @@ def test_rhs_calls_per_attempt():
     assert stats["rhs_calls"] == len(calls) == 4 * stats["accepted"] == 40
 
 
-# -- spectrum: a non-finite root estimate fails fast --------------------------------
+# -- spectrum: Aberth from eig(H), refined on the recurrence --------------------
+
+def sorted_eigs(state):
+    """Eigenvalues of H by numpy's dense eigensolver, in spectrum's order."""
+    return sorted(np.linalg.eigvals(build_pair(state).H).tolist(),
+                  key=lambda z: (z.real, z.imag))
+
+
+def fd_dq(rc, N, lam):
+    """Central-difference Q_N'(lam) from the public recurrence evaluation."""
+    h = 1e-6 * (1.0 + abs(lam))
+    return (eval_Q(rc, N, lam + h) - eval_Q(rc, N, lam - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("N", [26, 28, 31, 32, 40])
+def test_spectrum_matches_eig_from_n26(seed, N):
+    # the Cauchy-bound start stalled for N = 26..31 and overflowed from N = 32
+    state = random_state(np.random.default_rng(seed), N)
+    lam = spectrum(state)
+    assert max(abs(a - b) for a, b in zip(lam, sorted_eigs(state))) < 1e-9
+
 
 @pytest.mark.parametrize("N", [32, 40])
-def test_spectrum_raises_instead_of_nan(N):
+def test_drift_of_former_overflow_state(N):
+    # these states overflowed Q_N in the first sweep of the Cauchy-bound start
     state = random_state(np.random.default_rng(N), N)
-    with pytest.raises(NonConvergence, match="non-finite"):
-        spectrum(state)
-    with pytest.raises(NonConvergence):
-        isospectral_drift(integrate(state, 0.02))
+    assert max(abs(a - b) for a, b in zip(spectrum(state), sorted_eigs(state))) < 1e-9
+    drift = isospectral_drift(integrate(state, 0.02))
+    assert math.isfinite(drift) and drift < 1e-7
 
 
-def test_cli_spectrum_exits_2_on_divergence(tmp_path, capsys):
+def test_cli_spectrum_n32_matches_eig(tmp_path):
     state = random_state(np.random.default_rng(32), 32)
     traj, out = tmp_path / "traj.csv", tmp_path / "spec.csv"
     init = {"beta": [[b.real, b.imag] for b in state.beta],
             "alpha": [[a.real, a.imag] for a in state.alpha[1:-1]]}
     p, q = state.p, state.q
     assert main(["simulate", "--system", "ertl", f"--p={p.real},{p.imag}",
-                 f"--q={q.real},{q.imag}", "--t-end", "0.02",
+                 f"--q={q.real},{q.imag}", "--t-end", "0.02", "--t-out", "0.01,0.02",
                  "--init", json.dumps(init), "--out", str(traj)]) == 0
-    capsys.readouterr()
-    assert main(["spectrum", "--traj", str(traj), "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "NonConvergence"
+    assert main(["spectrum", "--traj", str(traj), "--out", str(out)]) == 0
+    by_t = {}
+    for line in out.read_text().splitlines()[2:]:
+        t, _, re, im = line.split(",")
+        by_t.setdefault(float(t), []).append(complex(float(re), float(im)))
+    assert sorted(by_t) == [0.0, 0.01, 0.02]
+    eig = sorted_eigs(state)
+    for lam in by_t.values():
+        assert len(lam) == 32
+        assert max(abs(a - b) for a, b in zip(lam, eig)) < 1e-7
+
+
+@pytest.mark.parametrize("N", [23, 48, 64])
+def test_spectrum_constant_coefficients_closed_form(N):
+    # beta = alpha = 1: Q_N(x) = x^(N/2) U_N(cos theta) with x - 1 = 2 sqrt(x) cos theta,
+    # so the zeros are (cos theta_k + sqrt(1 + cos^2 theta_k))^2, theta_k = k pi / (N + 1).
+    # H is far from normal here: eig(H) is 2.7e-9 off at N = 23 and 2e-2 at N = 48,
+    # so the start is poor and the Aberth repulsion keeps two estimates off one zero
+    c = np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
+    want = np.sort((c + np.sqrt(1.0 + c * c)) ** 2)
+    lam = spectrum(state_from_coeffs(1.0, 1.0, 0.0, [1.0] * N, [1.0] * (N - 1)))
+    assert np.max(np.abs(np.array(lam) - want)) < 1e-12
+
+
+def overflow_state():
+    """N = 8 with beta_k ~ 1e160: Q_8 overflows double precision near every root."""
+    beta = [1e160 * (1.0 + 0.1 * k) for k in range(8)]
+    return state_from_coeffs(1.0, 1.0, 0.0, beta, [0.5] * 7)
+
+
+def test_spectrum_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            spectrum(overflow_state())
+
+
+def test_cli_spectrum_exits_2_on_overflow(tmp_path, capsys):
+    state = overflow_state()
+    traj, out = tmp_path / "traj.csv", tmp_path / "spec.csv"
+    rows = [f"0.0,{n},{b.real!r},0.0,{a.real!r},0.0"
+            for n, (b, a) in enumerate(zip(state.beta, state.alpha), start=1)]
+    traj.write_text("\n".join(["# overflow", "t,site,re_beta,im_beta,re_alpha,im_alpha"]
+                              + rows) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--traj", str(traj), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "NonConvergence"
     assert not out.exists()
+
+
+@st.composite
+def spectrum_states(draw):
+    """Complex finite-closure states in random_state's ranges, N from 1 to 48."""
+    N = draw(st.integers(1, 48))
+    polar = lambda n, lo, hi: (draw(arrays(float, n, elements=st.floats(lo, hi)))
+                               * np.exp(1j * draw(arrays(float, n, elements=st.floats(-0.5, 0.5)))))
+    beta, alpha = polar(N, 0.5, 1.5), polar(N - 1, 0.2, 1.0)
+    return state_from_coeffs(draw(nonzero), draw(nonzero), 0.0, beta, alpha)
+
+
+@given(spectrum_states())
+def test_spectrum_roots_match_eig_and_recurrence(state):
+    N = state.N
+    lam = np.array(spectrum(state))
+    assert lam.shape == (N,)
+    # eig(H) is backward stable, so each eigenvalue is off by at most about
+    # N eps |H| times its condition number: 1e-9 for most states, but H is far
+    # from normal at beta = alpha = 1 (eig is 2.7e-9 off at N = 23, 2e-2 at N = 48)
+    H = build_pair(state).H
+    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    kappa = (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
+             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    tol = np.maximum(1e-9, N * np.finfo(float).eps * np.linalg.norm(H) * kappa)
+    assert np.all(np.min(np.abs(lam[None, :] - w[:, None]), axis=1) <= tol)
+    rc = RecurrenceCoeffs(0.0, state.p, state.q, state.beta, state.alpha[1:-1])
+    for z in lam:  # the Newton correction |Q_N / Q_N'| is small at every root
+        assert abs(eval_Q(rc, N, z)) <= 1e-9 * (1.0 + abs(z)) * abs(fd_dq(rc, N, z))
+    # each zero once: Q_N = prod (x - lambda_i) at N + 1 points around the spectrum
+    c = lam.mean()
+    radius = 1.0 + np.max(np.abs(lam - c))
+    for x in c + 2.0 * radius * np.exp(2j * np.pi * np.arange(N + 1) / (N + 1)):
+        assert abs(eval_Q(rc, N, x) / np.prod(x - lam) - 1.0) < 1e-9

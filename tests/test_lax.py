@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ertl import (LaxPair, NonConvergence, StepControl, build_pair, commutator,
-                  example1_coeffs, hausdorff_distance, integrate,
+from ertl import (LaxPair, NonConvergence, RecurrenceCoeffs, StepControl, build_pair,
+                  commutator, eval_Q, example1_coeffs, hausdorff_distance, integrate,
                   isospectral_drift, lax_residual, spectrum, state_from_coeffs,
                   ClosedFormExample)
 from tests.test_lattice import random_state
@@ -173,13 +173,12 @@ def test_spectrum_matches_dense_eigensolver(rng):
 
 
 def test_spectrum_polynomial_duality(rng):
-    from ertl.lax import _q_and_dq
     st = random_state(rng, 7)
-    beta = [complex(x) for x in st.beta]
-    alpha = [complex(x) for x in st.alpha[1:-1]]
+    rc = RecurrenceCoeffs(0.0, st.p, st.q, st.beta, st.alpha[1:-1])
     for lam in spectrum(st):
-        qv, dqv = _q_and_dq(beta, alpha, 7, lam)
-        assert abs(qv) < 1e-9 * max(1.0, abs(dqv))
+        h = 1e-6 * (1.0 + abs(lam))  # central-difference scale of Q_7'(lam)
+        dq = (eval_Q(rc, 7, lam + h) - eval_Q(rc, 7, lam - h)) / (2.0 * h)
+        assert abs(eval_Q(rc, 7, lam)) < 1e-9 * max(1.0, abs(dq))
 
 
 # -- isospectral drift --------------------------------------------------------------
