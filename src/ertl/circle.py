@@ -185,11 +185,11 @@ def opuc_recurrence_coeffs(v: VerblunskySeq, q=None) -> RecurrenceCoeffs:
 
 
 def szego_values(v: VerblunskySeq, w: complex):
-    """(rho_normalized, rho_raw): ratios Phi_n(w)/Phi*_n(w) for n = 0..N.
+    """Ratios rho_n = Phi_n(w)/Phi*_n(w) for n = 0..N, normalized to |rho_n| = 1.
 
     The coupled recursion is rescaled by |Phi*| each level (a common real
-    factor, invisible to the ratio); raw ratios keep the rounding drift of
-    the modulus for diagnostics, normalized ones pin |rho_n| = 1 exactly.
+    factor, invisible to the ratio).  The unnormalized ratios may drift from
+    the unit circle only by rounding; a drift beyond 1e-10 raises ValueError.
     """
     phi, phis = 1.0 + 0j, 1.0 + 0j
     raw = [phi / phis]
@@ -207,7 +207,7 @@ def szego_values(v: VerblunskySeq, w: complex):
         if abs(m - 1.0) > 1e-10:
             raise ValueError(f"|rho_{n}| = {m} drifted from the unit circle")
         normalized.append(r / m)
-    return normalized, raw
+    return normalized
 
 
 def kernel_coeffs(v: VerblunskySeq, w: complex):
@@ -219,7 +219,7 @@ def kernel_coeffs(v: VerblunskySeq, w: complex):
     """
     if abs(abs(w) - 1.0) > 1e-12:
         raise ValueError("kernel point must satisfy |w| = 1")
-    rho, _ = szego_values(v, complex(w))
+    rho = szego_values(v, complex(w))
     beta = [-rho[n] / rho[n - 1] for n in range(1, v.N + 1)]
     alpha = [(1.0 + rho[n] * v.a[n - 1])
              * (1.0 - (complex(w) * rho[n] * v.a[n]).conjugate()) * complex(w)
@@ -234,7 +234,7 @@ def cd_from_verblunsky(v: VerblunskySeq, t: float | None = None) -> CircleState:
         c_n = Im(rho_{n-1} a_{n-1}) / (Re(rho_{n-1} a_{n-1}) - 1),
         d_{n+1} = (1 - g_n) g_{n+1}.
     """
-    rho, _ = szego_values(v, 1.0 + 0j)
+    rho = szego_values(v, 1.0 + 0j)
     g, c = [], []
     for n in range(1, v.N + 1):
         r = rho[n - 1] * v.a[n - 1]

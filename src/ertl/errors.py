@@ -28,11 +28,13 @@ class RegularityBreakdown(ErtlError):
 
     Signals failure of one of the two determinant conditions that guarantee
     existence of the next L-orthogonal polynomial and its nonzero value at 0.
+    ``which`` names the sigma that vanished: ``"condition_a"`` for
+    sigma_{n,-1} = L[x^(-n-1) Q_n], ``"condition_b"`` for sigma_{n,n} = L[Q_n].
     """
 
     def __init__(self, n, which, value=None):
         self.n = n
-        self.which = which  # "existence" or "at_zero"
+        self.which = which
         self.value = value
         super().__init__(f"regularity breakdown at level {n} ({which}): sigma={value!r}")
 

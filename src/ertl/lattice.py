@@ -97,16 +97,6 @@ class LatticeState:
     def N(self) -> int:
         return len(self.beta)
 
-    def beta_at(self, n: int):
-        return 1 if n == 0 else self.beta[n - 1]
-
-    def alpha_at(self, n: int):
-        return -1 if n == 0 else self.alpha[n - 1]
-
-    def gamma_at(self, n: int):
-        """gamma_n = alpha_{n+1} + beta_n for 1 <= n <= N."""
-        return self.alpha[n] + self.beta[n - 1]
-
     def prefix(self, n: int) -> "LatticeState":
         """First n sites with the true alpha_{n+1}; closure becomes buffered."""
         if n >= self.N:
@@ -254,8 +244,6 @@ class StepControl:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     fixed: bool = False
-    h_min: float = 1e-14
-    max_steps: int = 2_000_000
     enforce_positive: bool = False
 
     def __post_init__(self):
@@ -265,6 +253,10 @@ class StepControl:
 
 #: per-step tolerance floor relative to |y|: the rounding level of the error estimate
 _ROUNDING_FLOOR = 8 * float(np.finfo(float).eps)
+#: smallest adaptive step before StepUnderflow
+_H_MIN = 1e-14
+#: attempted steps (accepted plus rejected) before StepUnderflow
+_MAX_STEPS = 2_000_000
 
 
 def _rk4(f, t, y, h, k1):
@@ -315,7 +307,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
 
     for target in times:
         while target - t > 1e-15 * max(abs(target), 1.0):
-            if accepted + rejected > ctrl.max_steps:
+            if accepted + rejected > _MAX_STEPS:
                 raise StepUnderflow(f"step budget exhausted at t={t}")
             h_try = min(h, target - t)
             try:
@@ -341,12 +333,12 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                     shrink = 0.1 if not math.isfinite(err) else \
                         max(0.1, 0.9 * (tol / err) ** 0.25)
                     h = h_try * shrink
-                    if h < ctrl.h_min:
+                    if h < _H_MIN:
                         raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
                     continue
                 max_err = max(max_err, err)
                 grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.25))
-                h = max(h_try * grow, ctrl.h_min)
+                h = max(h_try * grow, _H_MIN)
             accepted += 1
             t = t + h_try
             y = y_new

@@ -92,10 +92,6 @@ class RecurrenceCoeffs:
             return 0
         return self.alpha[n - 2]
 
-    def gamma_at(self, n: int):
-        """gamma_n = alpha_{n+1} + beta_n, defined for 1 <= n <= N-1."""
-        return self.alpha_at(n + 1) + self.beta_at(n)
-
 
 @dataclass(frozen=True)
 class LPolySequence:
@@ -112,11 +108,6 @@ class LPolySequence:
     sigma_diag: tuple
     sigma_minus: tuple
     tau: tuple
-
-    def coeff(self, n: int, j: int):
-        if j < 0 or j > n:
-            return 0
-        return self.rows[n][j]
 
 
 def _sigma_threshold(log_scales) -> float:

@@ -15,9 +15,16 @@ functionals are supported:
   (``circle_lebesgue``) or f(z) * (z - w) dmu(z) (``circle_kernel``), where
   mu is the normalized arc measure plus optional point masses and the
   modification requires p = conj(q),
-* ``discrete`` -- finite positive point masses on (0, inf); moments are exact
-  finite sums (optionally in rational arithmetic),
+* ``discrete`` -- finite positive point masses on (0, inf); moments are
+  finite sums (exact in rational arithmetic by ``compute_moments_exact``),
 * ``explicit_table`` -- moments supplied directly.
+
+Every kind but ``explicit_table`` is evaluated as one weighted node set
+(x_j, w_j): the moments are its power sums nu_k = sum_j w_j x_j^k, formed by
+one kernel.  Discrete nodes are summed once in plain floating point; the
+real-line and circle kinds are equispaced trapezoid rules whose node count
+one loop doubles until every nu_k has settled to its rounding scale
+sum_j |w_j x_j^k|.
 
 Weight families on the positive axis:
 
@@ -34,7 +41,6 @@ route to recurrence coefficients.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,10 +60,6 @@ QUAD_RTOL = 1e-12
 _QUAD_INTERNAL = 1e-13
 #: integrand values below this fraction of the peak are treated as tail
 _TAIL_FLOOR = 1e-18
-
-
-def _as_complex(z) -> complex:
-    return complex(z)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +87,8 @@ class MomentSpec:
         if self.kind not in ("real_line_weighted", "unit_circle_weighted",
                              "discrete", "explicit_table"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "p", _as_complex(self.p))
-        object.__setattr__(self, "q", _as_complex(self.q))
+        object.__setattr__(self, "p", complex(self.p))
+        object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "support", tuple(self.support))
@@ -128,7 +130,7 @@ class MomentSpec:
             if abs(self.p - self.q.conjugate()) > 1e-15 * (1.0 + abs(self.q)):
                 raise ValueError("circle kinds require p = conj(q)")
             if self.weight_id == "circle_kernel":
-                w = _as_complex(self.params.get("w", 1.0))
+                w = complex(self.params.get("w", 1.0))
                 if abs(abs(w) - 1.0) > 1e-12:
                     raise ValueError("kernel point w must have |w| = 1")
             for theta, mass in self.params.get("atoms", ()):
@@ -179,7 +181,7 @@ def _params_to_json(params: dict) -> dict:
     out = {}
     for key, val in params.items():
         if key == "w":
-            z = _as_complex(val)
+            z = complex(val)
             out[key] = [z.real, z.imag]
         elif key == "atoms":
             out[key] = [[float(th), float(m)] for th, m in val]
@@ -227,7 +229,7 @@ def discrete_spec(nodes, weights, p=0.0, q=0.0) -> MomentSpec:
 
 def circle_lebesgue_spec(q, atoms=()) -> MomentSpec:
     """Functional f |-> int f(z) z dmu^(t)(z) over mu = arc measure + atoms."""
-    qc = _as_complex(q)
+    qc = complex(q)
     return MomentSpec(kind="unit_circle_weighted", weight_id="circle_lebesgue",
                       params={"atoms": tuple(atoms)} if atoms else {},
                       p=qc.conjugate(), q=qc)
@@ -235,8 +237,8 @@ def circle_lebesgue_spec(q, atoms=()) -> MomentSpec:
 
 def circle_kernel_spec(q, w=1.0, atoms=()) -> MomentSpec:
     """Functional f |-> int f(z) (z - w) dmu^(t)(z), |w| = 1."""
-    qc = _as_complex(q)
-    params = {"w": _as_complex(w)}
+    qc = complex(q)
+    params = {"w": complex(w)}
     if atoms:
         params["atoms"] = tuple(atoms)
     return MomentSpec(kind="unit_circle_weighted", weight_id="circle_kernel",
@@ -292,133 +294,122 @@ class MomentTable:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature backends
+# Weighted node sets and their power sums
 # ---------------------------------------------------------------------------
 
-def _trapezoid_real_axis(f, u_half=8.0, rtol=_QUAD_INTERNAL, max_doublings=16):
-    """Integral of f over the real axis for doubly-exponentially decaying f.
+#: node-count doublings allowed to the quadrature kinds before giving up
+_MAX_DOUBLINGS = 16
+#: nodes per slab of the power-sum kernel, bounding its array at (2K+1) x _SLAB
+_SLAB = 4096
 
-    Expands the truncation window until both tails are below _TAIL_FLOOR of
-    the peak, then refines an equispaced trapezoid rule by doubling until the
-    relative change drops below ``rtol``.
+
+def _power_sums(x, w, K: int):
+    """(nu_k, s_k) = (sum_j w_j x_j^k, sum_j |w_j x_j^k|) for k = -K..K.
+
+    Every kind's moments are the power sums of one weighted node set; s_k is
+    the rounding scale of nu_k.  The (2K+1) x m terms are formed a slab of
+    nodes at a time, so memory stays bounded at the doubling budget.
     """
-    U = float(u_half)
+    ks = np.arange(-K, K + 1)[:, None]
+    nu = np.zeros(2 * K + 1, dtype=complex)
+    scale = np.zeros(2 * K + 1)
+    for s in range(0, len(x), _SLAB):
+        terms = w[s:s + _SLAB] * x[s:s + _SLAB] ** ks
+        nu += terms.sum(axis=1)
+        scale += np.abs(terms).sum(axis=1)
+    if not np.isfinite(nu).all():
+        raise NonConvergentIntegral(f"moment sums overflow double precision at |k| <= {K}")
+    return nu, scale
+
+
+def _refine(node_set, K: int):
+    """Power sums of ``node_set(m)``, doubling m from 256 until they settle.
+
+    Converged when every |nu_k(2m) - nu_k(m)| is within _QUAD_INTERNAL of the
+    rounding scale sum_j |w_j x_j^k| (for positive node sets, the relative
+    change of nu_k).
+    """
+    m = 256
+    prev, _ = _power_sums(*node_set(m), K)
+    for _ in range(_MAX_DOUBLINGS):
+        m *= 2
+        nu, scale = _power_sums(*node_set(m), K)
+        if np.all(np.abs(nu - prev) <= _QUAD_INTERNAL * scale):
+            return nu
+        prev = nu
+    raise NonConvergentIntegral(
+        f"trapezoid rule did not converge to {_QUAD_INTERNAL} within {_MAX_DOUBLINGS} doublings")
+
+
+def _real_line_node_set(spec: MomentSpec, t: float, K: int):
+    """The u-trapezoid on (0, inf) as a node set with m intervals.
+
+    The substitution x = sqrt(q) e^u symmetrizes x <-> q/x and gives dx = x du,
+    so node x_j carries h w(x_j) exp(-t(p x_j + q/x_j)) x_j.  One window
+    |u| <= U serves the whole table: it is widened until every k's integrand
+    tails are below _TAIL_FLOOR of that k's peak, which also makes the
+    trapezoid rule's end corrections negligible.
+    """
+    delta, qw = spec.params["delta"], spec.params["q"]
+    sq = math.sqrt(qw)
+    ks = np.arange(-K, K + 1)[:, None]
+
+    def integrand(u):
+        x = sq * np.exp(u)
+        shape = x ** -0.5 if spec.weight_id == "example1" else (x + sq) * x ** -1.5
+        return x, (shape * np.exp(-delta * (x + qw / x))
+                   * np.exp(-t * (spec.p * x + spec.q / x)) * x)
+
+    U = 8.0
     for _ in range(200):
-        u = np.linspace(-U, U, 129)
-        fu = np.asarray(f(u), dtype=complex)
-        peak = np.max(np.abs(fu))
-        if peak == 0.0:
-            return 0.0 + 0.0j
-        if max(abs(fu[0]), abs(fu[-1])) <= _TAIL_FLOOR * peak:
+        x, g = integrand(np.linspace(-U, U, 129))
+        g = np.abs(g * x ** ks)
+        if not np.isfinite(g).all():
+            raise NonConvergentIntegral(
+                f"integrand x^k w(x) overflows double precision on |u| <= {U:.3g} "
+                f"at |k| <= {K}")
+        if np.all(np.maximum(g[:, 0], g[:, -1]) <= _TAIL_FLOOR * g.max(axis=1)):
             break
         U *= 1.4
     else:
         raise NonConvergentIntegral("integrand tails never became negligible")
 
-    m = 257
-    u = np.linspace(-U, U, m)
-    val = np.trapezoid(np.asarray(f(u), dtype=complex), u)
-    for _ in range(max_doublings):
-        m = 2 * m - 1
-        u = np.linspace(-U, U, m)
-        new = np.trapezoid(np.asarray(f(u), dtype=complex), u)
-        if abs(new - val) <= rtol * max(abs(new), 1e-300):
-            return new
-        val = new
-    raise NonConvergentIntegral(
-        f"trapezoid rule did not converge to rtol={rtol} within {max_doublings} doublings")
+    def node_set(m):
+        u, h = np.linspace(-U, U, m + 1, retstep=True)
+        x, g = integrand(u)
+        return x, h * g
+    return node_set
 
 
-def _real_line_weight(weight_id: str, params: dict):
-    """Return w(x) for the named family, as a vectorized callable."""
-    delta = params["delta"]
-    qw = params["q"]
-    if weight_id == "example1":
-        def w(x):
-            return x ** (-0.5) * np.exp(-delta * (x + qw / x))
-    elif weight_id == "example2":
-        sq = math.sqrt(qw)
-        def w(x):
-            return (x + sq) * x ** (-1.5) * np.exp(-delta * (x + qw / x))
-    else:  # pragma: no cover - guarded at construction
-        raise InvalidSupport(f"no weight defined for {weight_id!r}")
-    return w
+def _moments_circle(spec: MomentSpec, t: float, K: int):
+    """m equispaced z_j with weights (z_j - w) damp_j / m, then the atoms once.
 
-
-def _moments_real_line(spec: MomentSpec, t: float, K: int) -> dict:
-    w = _real_line_weight(spec.weight_id, spec.params)
-    qw = spec.params["q"]
-    sq = math.sqrt(qw)
-    p_mod, q_mod = spec.p, spec.q
-    out = {}
-    for k in range(-K, K + 1):
-        def f(u, k=k):
-            x = sq * np.exp(u)
-            # substitution x = sqrt(q) e^u symmetrizes x <-> q/x; dx = x du
-            g = w(x) * np.exp(-t * (p_mod * x + q_mod / x)) * x ** (k + 1)
-            return g
-        out[k] = complex(_trapezoid_real_axis(f))
-    return out
-
-
-def _circle_factor(spec: MomentSpec):
-    if spec.weight_id == "circle_kernel":
-        w = _as_complex(spec.params["w"])
-        return lambda z: z - w
-    return lambda z: z
-
-
-def _moments_circle(spec: MomentSpec, t: float, K: int) -> dict:
+    On |z| = 1 with p = conj(q) the modification is the real damping
+    exp(-2t Re(q conj z)); ``circle_lebesgue`` is the kernel case w = 0.
+    """
     qr, qi = spec.q.real, spec.q.imag
-    factor = _circle_factor(spec)
-    atoms = spec.params.get("atoms", ())
+    w = complex(spec.params["w"]) if spec.weight_id == "circle_kernel" else 0j
 
-    def batch(m):
+    def node_set(m):
         theta = 2.0 * np.pi * np.arange(m) / m
         z = np.exp(1j * theta)
         damp = np.exp(-2.0 * t * (qr * np.cos(theta) + qi * np.sin(theta)))
-        base = factor(z) * damp
-        ks = np.arange(-K, K + 1)
-        vals = (z[None, :] ** ks[:, None] * base[None, :]).mean(axis=1)
-        return dict(zip(ks.tolist(), vals.tolist()))
+        return z, (z - w) * damp / m
 
-    m = 256
-    prev = batch(m)
-    for _ in range(14):
-        m *= 2
-        cur = batch(m)
-        scale = max(max(abs(v) for v in cur.values()), 1e-300)
-        if max(abs(cur[k] - prev[k]) for k in cur) <= _QUAD_INTERNAL * scale:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise NonConvergentIntegral("circle trapezoid rule did not converge")
-
+    nu = _refine(node_set, K)
+    atoms = spec.params.get("atoms", ())
     if atoms:
-        for k in prev:
-            acc = 0j
-            for theta, mass in atoms:
-                z = cmath.exp(1j * theta)
-                acc += mass * factor(z) * cmath.exp(-t * (spec.p * z + spec.q / z)) * z ** k
-            prev[k] = prev[k] + acc
-    return prev
+        theta, mass = np.array(atoms, dtype=float).T
+        z = np.exp(1j * theta)
+        nu = nu + _power_sums(z, mass * (z - w) * np.exp(-t * (spec.p * z + spec.q / z)), K)[0]
+    return nu
 
 
-def _moments_discrete(spec: MomentSpec, t: float, K: int) -> dict:
-    out = {}
-    for k in range(-K, K + 1):
-        acc = 0j
-        c = 0j  # Kahan compensation
-        for x, wgt in zip(spec.nodes, spec.weights):
-            xf = float(x)
-            term = float(wgt) * cmath.exp(-t * (spec.p * xf + spec.q / xf)) * xf ** k
-            y = term - c
-            s = acc + y
-            c = (s - acc) - y
-            acc = s
-        out[k] = acc
-    return out
+def _moments_discrete(spec: MomentSpec, t: float, K: int):
+    """The spec's nodes with weights w_j exp(-t(p x_j + q/x_j)), summed once."""
+    x = np.array(spec.nodes, dtype=float)
+    w = np.array(spec.weights, dtype=float) * np.exp(-t * (spec.p * x + spec.q / x))
+    return _power_sums(x, w, K)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +419,13 @@ def _moments_discrete(spec: MomentSpec, t: float, K: int) -> dict:
 def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     """Moments nu_k(t) of the modified functional for |k| <= K.
 
-    Real-line and circle kinds integrate by spectrally convergent trapezoid
-    rules (relative accuracy ~1e-12); the discrete kind returns exact finite
-    sums in floating point.  Raises NonConvergentIntegral when a quadrature
-    budget is exhausted and InvalidSupport for divergent modifications.
+    Every kind but ``explicit_table`` is a weighted node set (x_j, w_j) whose
+    power sums sum_j w_j x_j^k are the moments: the discrete kind's own nodes
+    (plain floating-point sums), or equispaced trapezoid rules on the
+    real-line and circle kinds, refined by doubling to relative accuracy
+    ~1e-12.  Raises NonConvergentIntegral when a quadrature budget is
+    exhausted or the sums overflow, and InvalidSupport for divergent
+    modifications.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -439,18 +433,8 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
         raise ValueError("t must be >= 0 for positive-axis functionals")
 
     positive = False
-    if spec.kind == "real_line_weighted":
-        nu = _moments_real_line(spec, t, K)
-        provenance = "quadrature"
-        positive = True
-    elif spec.kind == "unit_circle_weighted":
-        nu = _moments_circle(spec, t, K)
-        provenance = "quadrature"
-    elif spec.kind == "discrete":
-        nu = _moments_discrete(spec, t, K)
-        provenance = "exact"
-        positive = spec.p.imag == 0.0 and spec.q.imag == 0.0
-    else:  # explicit_table
+    provenance = "quadrature"
+    if spec.kind == "explicit_table":
         stored = spec.params["nu"]
         t0 = spec.params.get("t0", 0.0)
         if t != t0:
@@ -459,6 +443,18 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
             raise IndexOutOfTable(f"stored table does not cover |k| <= {K}")
         nu = {k: complex(stored[k]) for k in range(-K, K + 1)}
         provenance = "exact"
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.kind == "real_line_weighted":
+                sums = _refine(_real_line_node_set(spec, t, K), K)
+                positive = True
+            elif spec.kind == "unit_circle_weighted":
+                sums = _moments_circle(spec, t, K)
+            else:
+                sums = _moments_discrete(spec, t, K)
+                provenance = "exact"
+                positive = spec.p.imag == 0.0 and spec.q.imag == 0.0
+        nu = dict(zip(range(-K, K + 1), sums.tolist()))
 
     return MomentTable(t=float(t), K=K, nu=nu, provenance=provenance,
                        positive=positive, kind=spec.kind, weight_id=spec.weight_id)
@@ -497,9 +493,7 @@ def hankel_determinant(table: MomentTable, m: int, n: int):
     if not table.covers(m, m + 2 * n - 2):
         raise IndexOutOfTable(
             f"H_{n}^({m}) needs moments {m}..{m + 2 * n - 2}, table has |k| <= {table.K}")
-    rows = [[table.nu[m + i + j] for j in range(n)] for i in range(n)]
-    det, _ = _det_pivoted(rows, exact=table.exact)
-    return det
+    return _hankel_with_rank(table, m, n)[0]
 
 
 def _det_pivoted(rows, exact=False):

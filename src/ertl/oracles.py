@@ -56,11 +56,6 @@ def example1_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs
     return RecurrenceCoeffs(t=t, p=1.0 + 0j, q=complex(ex.q), beta=beta, alpha=alpha)
 
 
-def example1_alpha_dot(ex: ClosedFormExample, t: float, n: int) -> float:
-    """Analytic d/dt of alpha_n(t) = (n-1)/(2(t+delta)), n >= 2."""
-    return -(n - 1) / (2.0 * (t + ex.delta) ** 2)
-
-
 def _l_sequence(ex: ClosedFormExample, t: float, N: int):
     """l_0..l_N and their analytic time derivatives ldot_0..ldot_N.
 

@@ -1,16 +1,21 @@
 """Moment tables: closed-form oracles, Hankel diagnostics, spec invariants."""
 
+import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import iv, kv
 
-from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, check_regularity,
-                  circle_kernel_spec, circle_lebesgue_spec, compute_moments,
-                  compute_moments_exact, discrete_spec, example1_spec,
-                  hankel_determinant, verblunsky_from_moments)
+from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, NonConvergentIntegral,
+                  check_regularity, circle_kernel_spec, circle_lebesgue_spec,
+                  compute_moments, compute_moments_exact, discrete_spec,
+                  example1_spec, example2_spec, hankel_determinant,
+                  verblunsky_from_moments)
+from ertl.cli import main
 
 
 def bessel_moment(n, t, delta, q):
@@ -47,6 +52,68 @@ def test_example1_moments_at_later_time():
         assert abs(tab.nu_at(n) - ref) <= 1e-10 * abs(ref)
 
 
+@pytest.mark.parametrize("delta, t", [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (0.015, 0.0)])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_real_line_table_k21_matches_bessel(family, delta, t):
+    # example2's weight is (x + sqrt q) x^(-3/2) e^(...): nu_k = B_k + sqrt(q) B_(k-1);
+    # at delta = 0.015 the window must widen for the outer k, not for k = 0
+    spec = (example1_spec if family == "example1" else example2_spec)(delta, 2.0)
+    tab = compute_moments(spec, t, 21)
+    for k in range(-21, 22):
+        ref = bessel_moment(k, t, delta, 2.0)
+        if family == "example2":
+            ref += math.sqrt(2.0) * bessel_moment(k - 1, t, delta, 2.0)
+        assert abs(tab.nu_at(k) - ref) <= 1e-13 * abs(ref)
+
+
+def test_complex_modification_matches_bessel():
+    # int_0^inf x^(nu-1) e^(-a x - b/x) dx = 2 (b/a)^(nu/2) K_nu(2 sqrt(ab)), complex a, b;
+    # the error is measured against M_k, the same integral of the modulus
+    delta, qw, p, q, t = 1.0, 2.0, 1 + 3j, 2 - 2j, 2.0
+    spec = MomentSpec(kind="real_line_weighted", weight_id="example1",
+                      params={"delta": delta, "q": qw}, p=p, q=q)
+    tab = compute_moments(spec, t, 13)
+    a, b = delta + t * p, delta * qw + t * q
+    for k in range(-13, 14):
+        nu = k + 0.5
+        ref = 2 * (b / a) ** (nu / 2) * kv(nu, 2 * np.sqrt(a * b))
+        mod = 2 * (b.real / a.real) ** (nu / 2) * kv(nu, 2 * math.sqrt(a.real * b.real))
+        assert abs(tab.nu_at(k) - ref) <= 1e-13 * mod
+
+
+OVERFLOW_SPEC = ('{"kind":"real_line_weighted","weight_id":"example1",'
+                 '"params":{"delta":1.0,"q":2.0},"p":[1,0],"q":[2,0]}')
+
+
+def test_real_line_overflow_raises_without_warning():
+    # |nu_101| ~ 1e158 fits a double, but x^101 on the window does not
+    spec = MomentSpec.from_json(OVERFLOW_SPEC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergentIntegral, match="overflow"):
+            compute_moments(spec, 0.0, 101)
+        tab = compute_moments(spec, 0.0, 81)
+    for k in (-81, 0, 81):
+        ref = bessel_moment(k, 0.0, 1.0, 2.0)
+        assert abs(tab.nu_at(k) - ref) <= 1e-12 * abs(ref)
+
+
+def test_circle_damping_overflow_raises_without_warning():
+    # exp(-2 t q cos theta) passes 1e308 near theta = pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergentIntegral, match="overflow"):
+            compute_moments(circle_lebesgue_spec(400.0), 1.0, 4)
+
+
+def test_cli_moments_exits_2_on_overflow(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["moments", "--measure", OVERFLOW_SPEC, "--K", "101"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "NonConvergentIntegral"
+
+
 def test_circle_lebesgue_matches_bessel_series():
     tab = compute_moments(circle_lebesgue_spec(0.5), 0.3, 4)
     for k in range(-4, 5):
@@ -69,6 +136,18 @@ def test_discrete_moments_exact_sums():
     assert tab.nu_at(0) == pytest.approx(2.0)
     assert tab.nu_at(-1) == pytest.approx(1.5)
     assert tab.nu_at(1) == pytest.approx(3.0)
+
+
+@given(st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 10.0)),
+                min_size=1, max_size=12, unique_by=lambda nw: nw[0]),
+       st.integers(1, 15))
+def test_discrete_moments_match_exact_rational(masses, K):
+    spec = discrete_spec([x for x, _ in masses], [w for _, w in masses], p=1.0, q=2.0)
+    tab = compute_moments(spec, 0.0, K)
+    exact = compute_moments_exact(spec, 0.0, K)
+    for k in range(-K, K + 1):
+        ref = float(exact.nu_at(k))
+        assert abs(tab.nu_at(k) - ref) <= 1e-14 * ref
 
 
 def test_moment_table_index_error():
