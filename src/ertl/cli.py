@@ -363,8 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t-end", type=float, required=True)
     sim.add_argument("--t-out", default=None, help="comma-separated output times")
     sim.add_argument("--init", default=None, help="initial data JSON (inline or path)")
-    sim.add_argument("--rel-tol", type=float, default=1e-10)
-    sim.add_argument("--abs-tol", type=float, default=1e-12)
+    sim.add_argument("--rel-tol", type=float, default=1e-10,
+                     help="local error allowed per step, relative to each component")
+    sim.add_argument("--abs-tol", type=float, default=1e-12,
+                     help="local error allowed per step and component, added to rel-tol |y_i|")
     sim.add_argument("--out", default="-")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -28,9 +28,10 @@ validation fails, which happens when coefficients grow with site index).
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
-regularized.  Integration uses a classical 4th-order step with step-doubling
-error control (error-per-unit-step acceptance, so global error scales
-linearly with the tolerance).
+regularized.  Integration uses the embedded Dormand-Prince 5(4) pair with
+FSAL (the last stage of an accepted step is the next step's first), and
+accepts a step when its local error, scaled per component, is within the
+tolerance (error per step, not per unit step).
 
 Each flow has one right-hand-side kernel, written as shifted slices of
 padded complex arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 =
@@ -231,13 +232,17 @@ SYSTEMS = {"ertl": None, "rtl1": (0j, 1 + 0j), "rtl2": (1 + 0j, 0j), "langmuir":
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-size policy for the classical 4th-order one-step method.
+    """Step-size policy of ``integrate_core``.
 
-    Acceptance is error-per-unit-step: a step of size h is accepted when the
-    step-doubling estimate is below h * (abs_tol + rel_tol * |y|), making the
-    accumulated error proportional to the tolerance (floored at 8 eps |y|,
-    below which the estimate is rounding noise).  ``fixed=True`` disables
-    control entirely (used for order measurements).
+    Adaptive steps use the Dormand-Prince 5(4) pair and propagate its 5th-order
+    solution.  Acceptance is error per step, each component scaled by its own
+    size: a step from y to y_new is accepted when its embedded error estimate
+    e satisfies |e_i| <= abs_tol + rel_tol * max(|y_i|, |y_new_i|) for every
+    component i (with that scale floored at the estimate's rounding level,
+    ``_ROUNDING_FLOOR`` times max |y|).  So ``rel_tol`` bounds the local error
+    of one step, not the error per unit time.  ``fixed=True`` disables control
+    and takes classical RK4 steps of size ``h_init`` (used for order
+    measurements and as an independent reference).
     """
 
     h_init: float = 1e-2
@@ -251,8 +256,30 @@ class StepControl:
             raise ValueError("tolerances and h_init must be > 0")
 
 
-#: per-step tolerance floor relative to |y|: the rounding level of the error estimate
-_ROUNDING_FLOOR = 8 * float(np.finfo(float).eps)
+# Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
+# Table II.5.2).  Row 6 of A is the 5th-order weight vector, so stage 7 is
+# evaluated at the new solution and serves as the next step's k1 (FSAL);
+# _DP_E holds the 5th- minus the 4th-order weights.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+], dtype=complex)
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40], dtype=complex)
+
+#: error-scale floor relative to max |y|.  Adding the update h (b @ K) to y
+#: rounds by about eps |y| every step, which the estimate e = h (E @ K) cannot
+#: see, and e itself carries at most sum|E_j| (7 + 3.3) eps |y| = 1.65 eps |y|
+#: of rounding: seven summed terms with h |k| <= |y|, plus stage-argument
+#: rounding amplified by h |df/dy| <= 3.3, DP5's real stability bound.  A
+#: scale of 2 eps |y| sits above both, so no step is rejected for noise.
+_ROUNDING_FLOOR = 2 * float(np.finfo(float).eps)
 #: smallest adaptive step before StepUnderflow
 _H_MIN = 1e-14
 #: attempted steps (accepted plus rejected) before StepUnderflow
@@ -267,6 +294,19 @@ def _rk4(f, t, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _dp54(f, t, y, h, K):
+    """One Dormand-Prince 5(4) step of size h from (t, y).
+
+    ``K`` is a (7, n) complex array whose row 0 holds f(t, y); rows 1..6 are
+    filled with the later stages, row 6 being f(t + h, y_new).  Returns the
+    5th-order y_new and the embedded error estimate h (E @ K).
+    """
+    for i in range(1, 7):
+        y_stage = y + h * (_DP_A[i, :i] @ K[:i])
+        K[i] = f(t + _DP_C[i] * h, y_stage)
+    return y_stage, h * (_DP_E @ K)
+
+
 def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     """Drive y' = f(t, y) from t0 to t_end, snapshotting at the times ``t_out``.
 
@@ -276,8 +316,14 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     exactly on every output time (no interpolation).  ``validate(t, y)`` runs
     after every accepted step and may raise to abort (singularity / positivity
     loss); the offending step is bracketed.  Returns (times, snapshots, stats)
-    for the output times, t0 excluded.  ``stats["rhs_calls"]`` counts calls of f:
-    11 per adaptive attempt (the full step and the first half-step share k1).
+    for the output times, t0 excluded.
+
+    ``stats`` holds ``accepted`` and ``rejected`` step counts, ``rhs_calls``
+    (calls of f: 1 + 6 per adaptive attempt, since an accepted step's last
+    stage is the next one's first; 4 per fixed step), ``h_min`` and ``h_max``
+    over accepted steps (steps clipped to land on an output time included),
+    and ``max_err_est``, the largest weighted error ratio max_i |e_i| / sc_i
+    of an accepted step (at most 1; 0.0 for fixed steps).
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
@@ -299,10 +345,12 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
         return f(t, y)
 
     y = np.array(y0, dtype=complex)
+    K = np.empty((7, y.size), dtype=complex)
     t = t0
     h = ctrl.h_init
     accepted = rejected = 0
     max_err = 0.0
+    h_min, h_max = math.inf, 0.0
     snaps = []
 
     for target in times:
@@ -311,35 +359,34 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                 raise StepUnderflow(f"step budget exhausted at t={t}")
             h_try = min(h, target - t)
             try:
-                k1 = counted(t, y)
                 if ctrl.fixed:
-                    y_new = _rk4(counted, t, y, h_try, k1)
-                    err = 0.0
+                    y_new = _rk4(counted, t, y, h_try, counted(t, y))
                 else:
-                    full = _rk4(counted, t, y, h_try, k1)
-                    mid = _rk4(counted, t, y, 0.5 * h_try, k1)
-                    t_mid = t + 0.5 * h_try
-                    y_new = _rk4(counted, t_mid, mid, 0.5 * h_try, counted(t_mid, mid))
-                    err = float(np.max(np.abs(y_new - full))) / 15.0
+                    if accepted + rejected == 0:  # later, K[0] = f(t, y) by FSAL
+                        K[0] = counted(t, y)
+                    y_new, e = _dp54(counted, t, y, h_try, K)
             except SingularDenominator as exc:
                 raise SingularDenominator(exc.n, exc.value,
                                           t_bracket=(t, t + h_try)) from None
 
             if not ctrl.fixed:
-                ymax = float(np.max(np.abs(y)))
-                tol = max(h_try * (ctrl.abs_tol + ctrl.rel_tol * ymax), _ROUNDING_FLOOR * ymax)
-                if not math.isfinite(err) or err > tol:
+                scale = np.maximum(np.abs(y), np.abs(y_new))
+                sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale,
+                                _ROUNDING_FLOOR * float(scale.max()))
+                err = float(np.max(np.abs(e) / sc))
+                factor = 0.9 * err ** -0.2 if 0.0 < err < math.inf else \
+                    (5.0 if err == 0.0 else 0.1)
+                if not err <= 1.0:  # also catches NaN
                     rejected += 1
-                    shrink = 0.1 if not math.isfinite(err) else \
-                        max(0.1, 0.9 * (tol / err) ** 0.25)
-                    h = h_try * shrink
+                    h = h_try * max(0.1, factor)
                     if h < _H_MIN:
                         raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
                     continue
                 max_err = max(max_err, err)
-                grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.25))
-                h = max(h_try * grow, _H_MIN)
+                h = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
+                K[0] = K[6]
             accepted += 1
+            h_min, h_max = min(h_min, h_try), max(h_max, h_try)
             t = t + h_try
             y = y_new
             try:
@@ -350,7 +397,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
         t = target
         snaps.append(y.copy())
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,
-             "rhs_calls": rhs_calls}
+             "h_min": h_min, "h_max": h_max, "rhs_calls": rhs_calls}
     return times, snaps, stats
 
 

@@ -22,7 +22,7 @@ from ertl import (NonConvergence, RecurrenceCoeffs, SingularDenominator, StepCon
                   build_pair, eval_Q, integrate, isospectral_drift, rhs_cd, rhs_ertl,
                   rhs_gamma, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
-from ertl.lattice import EPS_SING, integrate_core
+from ertl.lattice import EPS_SING, _dp54, integrate_core
 from tests.test_lattice import random_state
 
 NAN = complex(float("nan"), float("nan"))
@@ -248,7 +248,7 @@ def test_schur_kernel_rejects_modulus_one():
         rhs_schur(SimpleNamespace(a=(0.5, 1.0, 0.2)), 1.0, a_top=0j)
 
 
-# -- integrator: k1 shared between the full step and the first half-step -------------
+# -- integrator: Dormand-Prince 5(4) with FSAL ------------------------------------
 
 def test_rhs_calls_per_attempt():
     calls = []
@@ -260,12 +260,55 @@ def test_rhs_calls_per_attempt():
     ctrl = StepControl(h_init=1.0, rel_tol=1e-10)  # the first attempts are rejected
     _, _, stats = integrate_core(f, 0.0, [1.0, 0.5j], 2.0, None, ctrl, lambda t, y: None)
     assert stats["rejected"] >= 1
-    assert stats["rhs_calls"] == len(calls) == 11 * (stats["accepted"] + stats["rejected"])
+    # k1 once, then 6 per attempt: an accepted step's last stage is the next k1
+    assert stats["rhs_calls"] == len(calls) == 1 + 6 * (stats["accepted"] + stats["rejected"])
 
     calls.clear()
     fixed = StepControl(h_init=0.1, fixed=True)
     _, _, stats = integrate_core(f, 0.0, [1.0], 1.0, None, fixed, lambda t, y: None)
     assert stats["rhs_calls"] == len(calls) == 4 * stats["accepted"] == 40
+
+
+def dp_quadrature_step(g):
+    """One DP5(4) step of y' = g(t) over [0, 1] from y = 0: (y_new, error estimate)."""
+    f = lambda t, y: np.full(y.shape, g(t), dtype=complex)
+    K = np.empty((7, 1), dtype=complex)
+    K[0] = f(0.0, np.zeros(1))
+    y_new, e = _dp54(f, 0.0, np.zeros(1, dtype=complex), 1.0, K)
+    return complex(y_new[0]), complex(e[0])
+
+
+def test_dp54_tableau_quadrature_orders():
+    # for y' = g(t) the pair is a quadrature: the 5th-order weights integrate
+    # degree 4 exactly, the embedded 4th-order ones degree 3 but not 4
+    y_new, e = dp_quadrature_step(lambda t: 5.0 * t ** 4)
+    assert abs(y_new - 1.0) < 1e-15
+    assert abs(e - 71 / 54000) < 1e-15  # 5 sum_j (b5_j - b4_j) c_j^4
+    y_new, e = dp_quadrature_step(lambda t: 4.0 * t ** 3)
+    assert abs(y_new - 1.0) < 1e-15
+    assert abs(e) < 1e-16
+
+
+def test_step_stats_report_step_sizes():
+    state = state_from_coeffs(1, 0, 0.0, [1, 2, 1.5], [0.5, 0.25])
+    stats = integrate(state, 0.5, rhs_id="rtl2", t_out=[0.25, 0.5]).step_stats
+    assert 0.0 < stats["h_min"] <= stats["h_max"] <= 0.25
+    assert 0.0 < stats["max_err_est"] <= 1.0
+    fixed = integrate(state, 0.5, ctrl=StepControl(h_init=0.1, fixed=True)).step_stats
+    assert fixed["h_min"] == pytest.approx(0.1) and fixed["h_max"] == pytest.approx(0.1)
+    assert fixed["max_err_est"] == 0.0
+
+
+@given(N=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_adaptive_run_keeps_trace_and_determinant(N, seed):
+    # tr H = sum gamma_n is linear in the unknowns, so every RK method keeps it
+    # to rounding; det H = prod beta_n is kept to the order of the tolerance
+    state = random_state(np.random.default_rng(seed), N)
+    tr0, det0 = sum(state.beta) + sum(state.alpha), math.prod(state.beta)
+    traj = integrate(state, 0.25, ctrl=StepControl(rel_tol=1e-8))
+    for s in traj.states[1:]:
+        assert abs(sum(s.beta) + sum(s.alpha) - tr0) <= 1e-13 * abs(tr0)
+        assert abs(math.prod(s.beta) - det0) <= 1e-7 * abs(det0)
 
 
 # -- spectrum: Aberth from eig(H), refined on the recurrence --------------------

@@ -8,9 +8,9 @@ import pytest
 from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   SingularDenominator, StepControl, StepUnderflow,
                   VerblunskySeq, bootstrap_recurrence, compute_moments,
-                  discrete_spec, example1_coeffs, integrate, integrate_buffered,
-                  integrate_cd, integrate_schur, rhs_ertl, rhs_gamma,
-                  rhs_langmuir, state_from_coeffs, LatticeState)
+                  discrete_spec, example1_coeffs, example2_coeffs, integrate,
+                  integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
+                  rhs_gamma, rhs_langmuir, state_from_coeffs, LatticeState)
 from ertl.lattice import BUFFER_ESCALATIONS
 
 EX1 = ClosedFormExample("example1", 1.0, 2.0)
@@ -188,6 +188,21 @@ def test_fixed_step_fourth_order_convergence(rng):
     assert 10 < r1 < 24 and 10 < r2 < 24  # ~16x per halving
 
 
+def test_adaptive_error_falls_with_tolerance():
+    # error per step: the global error over [0, 0.5] tracks rel_tol, measured
+    # against fixed-step RK4 at h = 1e-4 (converged to ~1e-14 relative)
+    rc = example2_coeffs(ClosedFormExample("example2", 1.0, 2.0), 0.0, 24)
+    st = state_from_coeffs(1.0, 2.0, 0.0, rc.beta, rc.alpha)
+    coeffs = lambda traj: np.array(traj.final.beta + traj.final.alpha)
+    ref = coeffs(integrate(st, 0.5, ctrl=StepControl(h_init=1e-4, fixed=True)))
+    errs = []
+    for tol in (1e-6, 1e-8, 1e-10):
+        fin = coeffs(integrate(st, 0.5, ctrl=StepControl(rel_tol=tol)))
+        errs.append(np.abs(fin - ref).max() / np.abs(ref).max())
+        assert errs[-1] < tol
+    assert errs[1] < 0.1 * errs[0] and errs[2] < 0.1 * errs[1]
+
+
 def test_positivity_preserved_and_enforced(rng):
     st = random_state(rng, 6, complex_data=False)
     traj = integrate(st, 1.0, ctrl=StepControl(enforce_positive=True))
@@ -206,9 +221,9 @@ def test_blowup_detected():
 
 
 def test_tight_tolerance_short_step_accepted():
-    # the step clipped to land on t = 0.25 is so short that h (abs_tol +
-    # rel_tol |y|) sits below the rounding level of the step-doubling
-    # estimate; the tolerance floor keeps such steps acceptable
+    # a tight tolerance and a short step clipped to land on t = 0.25: an
+    # error test per unit step, unfloored, rejected such steps down to
+    # StepUnderflow
     st = state_from_coeffs(1, 0, 0.0, [1, 2, 1.5], [0.5, 0.25])
     traj = integrate(st, 0.5, rhs_id="rtl2",
                      ctrl=StepControl(rel_tol=1e-13, abs_tol=1e-15), t_out=[0.25, 0.5])
