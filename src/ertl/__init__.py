@@ -19,7 +19,7 @@ from .measures import (MomentSpec, MomentTable, RegularityReport,
                        compute_moments_exact, discrete_spec, example1_spec,
                        example2_spec, explicit_table_spec, hankel_determinant)
 from .lorth import (LPolySequence, RecurrenceCoeffs, bootstrap_recurrence,
-                    eval_Q, orthogonality_residual, q_at_zero, tau,
+                    eval_Q, orthogonality_residual, q_at_zero, stieltjes, tau,
                     triangle_from_coeffs)
 from .lattice import (SYSTEMS, LatticeState, StepControl, Trajectory,
                       integrate, integrate_buffered, rhs_ertl, rhs_gamma,

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 moments       moments of a (modified) functional         -> k,re_nu,im_nu
-from-measure  recurrence coefficients from moments       -> n,re_beta,im_beta,re_alpha,im_alpha
+from-measure  recurrence coefficients of a measure       -> n,re_beta,im_beta,re_alpha,im_alpha
 simulate      integrate a lattice/circle flow            -> t,site,... per system
 verify-lax    commutator-identity residual report        -> JSON on stdout
 spectrum      eigenvalues along a simulated trajectory   -> t,i,re_lambda,im_lambda
@@ -345,12 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out", default="-")
     m.set_defaults(func=_cmd_moments)
 
-    fm = sub.add_parser("from-measure", help="recurrence coefficients from moments")
+    fm = sub.add_parser("from-measure",
+                        help="recurrence coefficients of a measure: discretized Stieltjes "
+                             "on its nodes, or the moment bootstrap for moment-only tables")
     fm.add_argument("--measure", required=True)
     fm.add_argument("--t", default="0.0", help="comma-separated time points")
     fm.add_argument("--N", type=int, required=True)
     fm.add_argument("--out", default="-")
-    fm.add_argument("--dump-poly", default=None, help="JSON dump of the full sequence")
+    fm.add_argument("--dump-poly", default=None,
+                    help="JSON dump of the full sequence, with the monomial triangle")
     fm.set_defaults(func=_cmd_from_measure)
 
     sim = sub.add_parser("simulate", help="integrate a lattice or circle flow")

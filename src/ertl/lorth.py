@@ -1,7 +1,7 @@
-"""L-orthogonal polynomials and their recurrence coefficients from moments.
+"""L-orthogonal polynomials and their recurrence coefficients.
 
-For a moment table of a regular functional, the monic polynomials Q_n defined
-by  L[x^(-n+s) Q_n] = 0, s = 0..n-1,  satisfy
+For a regular functional L the monic polynomials Q_n defined by
+L[x^(-n+s) Q_n] = 0, s = 0..n-1, satisfy
 
     Q_{n+1}(x) = (x - beta_{n+1}) Q_n(x) - alpha_{n+1} x Q_{n-1}(x),
 
@@ -10,30 +10,51 @@ sigma_{n,-1} = L[x^(-n-1) Q_n], the coefficients obey
 
     beta_1      = sigma_{0,0} / sigma_{0,-1},
     alpha_{n+1} = sigma_{n,n} / sigma_{n-1,n-1},
-    beta_{n+1}  = -alpha_{n+1} * sigma_{n-1,-1} / sigma_{n,-1},
+    beta_{n+1}  = -alpha_{n+1} * sigma_{n-1,-1} / sigma_{n,-1}.
 
-which is the production route used here: each level needs only two dot
-products of the current coefficient row against the moment table, so the
-bootstrap never forms a Hankel determinant.  All arithmetic is generic over
-the scalar type; complex tables run in double precision and exact rational
-tables run in fractions.Fraction, which serves as the conditioning oracle.
+Two routes evaluate the sigmas.
+
+* Discretized Stieltjes (Gautschi, *Orthogonal Polynomials: Computation and
+  Approximation*, 2004, sec. 2.2) serves every table summed from a weighted
+  node set on the positive axis (real-line and discrete kinds).  By
+  L-orthogonality sigma_{n,n} = L[x^(-n) Q_n^2] and
+  Q_n(0) sigma_{n,-1} = L[x^(-n-1) Q_n^2], so with r_n = Q_n / x^(n/2), which
+  obeys r_{n+1} = (sqrt(x) - beta_{n+1}/sqrt(x)) r_n - alpha_{n+1} r_{n-1},
+  each level takes two node sums
+
+      D_n = sum_j w_j r_n(x_j)^2 = sigma_{n,n},   S_n = sum_j w_j r_n(x_j)^2 / x_j,
+
+  and alpha_{n+1} = D_n / D_{n-1}, beta_{n+1} = alpha_{n+1} beta_n S_{n-1} / S_n.
+  For a positive measure both are sums of positive terms, so the route loses
+  nothing to cancellation and needs no depth cap.
+* The moment bootstrap dots the coefficient row of Q_n against the moment
+  table.  It serves tables that carry moments only (explicit and circle
+  tables) and exact ``fractions.Fraction`` tables, the conditioning oracle.
+  In double precision its dots cancel by about 8 digits at depth 12, hence
+  its depth cap MAX_DEPTH.
 
 Conventions: beta_0 = 1, alpha_0 = -1, alpha_1 = 0 (recorded in metadata).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import IndexOutOfTable, MismatchBeyondTolerance, RegularityBreakdown
-from .measures import MomentTable
+import numpy as np
+
+from .errors import (IndexOutOfTable, MismatchBeyondTolerance,
+                     NonConvergentIntegral, RegularityBreakdown)
+from .measures import _QUAD_INTERNAL, MomentTable, _refine
 
 #: relative threshold below which a sigma counts as a regularity failure
 SIGMA_ZERO_REL = 1e-12
-#: default depth cap in double precision; deeper runs need an explicit opt-in
+#: depth cap of the moment bootstrap in double precision; deeper runs need an
+#: explicit opt-in
 MAX_DEPTH = 24
 
 
@@ -95,19 +116,35 @@ class RecurrenceCoeffs:
 
 @dataclass(frozen=True)
 class LPolySequence:
-    """Monic coefficient triangle a_{n,j} with the sigma and tau ladders.
+    """Coefficients to depth N with the sigma and tau ladders.
 
-    ``rows[n][j]`` is the coefficient of x^j in Q_n (so rows[n][n] == 1);
-    sigma_diag[n] = L[Q_n], sigma_minus[n] = L[x^(-n-1) Q_n], and
-    tau[n] = L[x Q_n] for n <= N-1.
+    ``beta`` and ``alpha`` are indexed as in RecurrenceCoeffs;
+    sigma_diag[n] = L[Q_n] and sigma_minus[n] = L[x^(-n-1) Q_n] for n <= N,
+    and tau[n] = L[x Q_n] for n <= N-1.  On the Stieltjes route margin[n],
+    n <= N-1, is the smaller of |D_n| and |S_n| over their rounding scales
+    (see ``stieltjes``): how far level n stayed from a regularity breakdown,
+    which is margin <= SIGMA_ZERO_REL.  The moment bootstrap leaves it empty.
     """
 
-    t: float
-    N: int
-    rows: tuple
+    beta: tuple
+    alpha: tuple
     sigma_diag: tuple
     sigma_minus: tuple
     tau: tuple
+    margin: tuple = ()
+
+    @property
+    def N(self) -> int:
+        return len(self.beta)
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """Monic coefficient triangle: rows[n][j] is the coefficient of x^j in Q_n.
+
+        Built from (beta, alpha) on first use.  It is ill-conditioned past
+        depth ~20, so no route to a coefficient reads it.
+        """
+        return tuple(tuple(r) for r in triangle_from_coeffs(self.beta, self.alpha))
 
 
 def _sigma_threshold(log_scales) -> float:
@@ -119,26 +156,149 @@ def _sigma_threshold(log_scales) -> float:
 
 def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None,
                          max_depth: int = MAX_DEPTH):
-    """Build (LPolySequence, RecurrenceCoeffs) to depth N from a moment table.
+    """Build (LPolySequence, RecurrenceCoeffs) to depth N of a table's functional.
 
-    Iterates the three-term recurrence, computing each new coefficient row
-    from the previous two; sigma values are compensated dot products against
-    the table.  Raises RegularityBreakdown(n) when |sigma_{n,n}| or
-    |sigma_{n,-1}| falls below a threshold relative to the geometric mean of
-    the sigma magnitudes seen so far.
+    A table summed from a weighted node set (``table.nodes``: the real-line
+    and discrete kinds) runs ``stieltjes`` on its nodes.  A discrete table
+    runs it once.  A quadrature table runs it on the trapezoid rules with
+    m/2, m, 2m, ... intervals, m being where its moments converged, until
+    every coefficient moves by at most _QUAD_INTERNAL of its rounding scale
+    |c| / margin; the doubling budget is the moments'.  This route has no
+    depth cap.
 
-    ``p``/``q`` are the modification coefficients recorded on the result (the
-    coefficients themselves depend only on the table).
+    Every other table (explicit, circle, exact Fraction) runs the moment
+    bootstrap: each level dots the current coefficient row against the
+    table, with compensated sums, and RegularityBreakdown(n) is raised when
+    |sigma_{n,n}| or |sigma_{n,-1}| falls below a threshold relative to the
+    geometric mean of the sigma magnitudes seen so far.  In double
+    precision it is capped at ``max_depth`` and warns when the sigmas run
+    out of range.
+
+    Either route needs the table to cover nu_{-N-1}..nu_N (IndexOutOfTable
+    otherwise): a quadrature node set is sized and converged for the table's
+    orders.  ``p``/``q`` are the modification coefficients recorded on the
+    result (the coefficients themselves depend only on the table).
     """
     if N < 1:
         raise ValueError("depth N must be >= 1")
-    if N > max_depth and not table.exact:
+    if table.nodes is None and N > max_depth and not table.exact:
         raise ValueError(
-            f"depth {N} exceeds the double-precision cap {max_depth}; "
-            "pass max_depth explicitly to go deeper at your own risk")
+            f"depth {N} exceeds the double-precision cap {max_depth} of the moment "
+            "bootstrap; pass max_depth explicitly to go deeper at your own risk")
     if not table.covers(-N - 1, N):
         raise IndexOutOfTable(f"bootstrap to depth {N} needs moments in [-{N + 1}, {N}]")
 
+    if table.nodes is None:
+        lp = _moment_bootstrap(table, N)
+    else:
+        node_set, m = table.nodes
+        if m is None:
+            lp = stieltjes(*node_set(m), N)
+        else:
+            lp, _ = _refine(node_set, lambda x, w: stieltjes(x, w, N),
+                            _coefficients_settled, m // 2)
+    rc = RecurrenceCoeffs(t=table.t, p=0j if p is None else complex(p),
+                          q=0j if q is None else complex(q),
+                          beta=lp.beta, alpha=lp.alpha)
+    return lp, rc
+
+
+def stieltjes(x, w, N: int) -> LPolySequence:
+    """Discretized Stieltjes procedure to depth N on nodes x_j > 0 with weights w_j.
+
+    The functional is L[f] = sum_j w_j f(x_j).  Level n forms r_n = Q_n / x^(n/2)
+    at the nodes and the sums D_n = sum w r_n^2 = sigma_{n,n},
+    S_n = sum w r_n^2 / x = Q_n(0) sigma_{n,-1} and sum w x r_n^2, which is
+    tau_n + a_{n,n-1} sigma_{n,n} by L-orthogonality (a_{n,n-1} being the
+    x^(n-1) coefficient of Q_n).
+
+    r_n is formed from three terms, sqrt(x) r_{n-1}, beta_n r_{n-1} / sqrt(x)
+    and alpha_n r_{n-2}.  RegularityBreakdown(n, "condition_b") or
+    (n, "condition_a") is raised when D_n or S_n is within SIGMA_ZERO_REL of
+    the sum of |w| times those terms squared (over x for S_n): the sigma
+    vanished to rounding.  At level m of m nodes it vanishes exactly
+    (Q_m = prod_j (x - x_j)), and that level raises without a test, since
+    rounding in the last levels can leave D_m above any fixed threshold.
+    Level N is formed for the ladders but not checked, since it gates level
+    N+1 only.  Sums that overflow raise NonConvergentIntegral.
+
+    The margins are D_n and S_n over those scales.  The relative rounding
+    error of beta_{n+1} and alpha_{n+1} is of order eps over the smallest
+    margin of levels <= n.
+    """
+    if N < 1:
+        raise ValueError("depth N must be >= 1")
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w)
+    if not (x > 0).all():
+        raise ValueError("Stieltjes nodes must be positive")
+    if np.iscomplexobj(w) and not w.imag.any():
+        w = w.real
+    positive = not np.iscomplexobj(w) and bool((w >= 0).all())
+    sx = np.sqrt(x)
+    isx = 1.0 / sx
+    powers = np.stack([np.ones_like(x), 1.0 / x, x, x ** -2.0], axis=1)
+    beta, alpha, sigma_diag, sigma_minus, tau, margin = [], [], [], [], [], []
+    r_prev, r = np.zeros_like(x), np.ones_like(x)
+    mag1 = mag2 = (0.0,) * 4  # sum |w| |r|^2 times 1, 1/x, x, 1/x^2 at levels n-1, n-2
+    a = 0.0     # alpha_{n+1}; alpha_1 = 0
+    q0 = 1.0    # Q_n(0)
+    gsum = 0.0  # sum_{k <= n} (beta_k + alpha_k) = -a_{n,n-1}
+    with np.errstate(all="ignore"):
+        for n in range(N + 1):
+            wr2 = w * r * r
+            sums = wr2 @ powers
+            D, S, T, _ = sums.tolist()
+            if not (cmath.isfinite(D) and cmath.isfinite(S)):
+                raise NonConvergentIntegral(
+                    f"Stieltjes sums overflow double precision at level {n}")
+            sigma_diag.append(D)
+            sigma_minus.append(S / q0)
+            if n == N:
+                break
+            mag = (sums if positive else np.abs(wr2) @ powers).tolist()
+            if n == 0:
+                scale_d, scale_s = mag[0], mag[1]
+            else:
+                bb, aa = abs(beta[-1]) ** 2, abs(a) ** 2
+                scale_d = mag1[2] + bb * mag1[1] + aa * mag2[0]
+                scale_s = mag1[0] + bb * mag1[3] + aa * mag2[1]
+            mag1, mag2 = mag, mag1
+            if n == len(x) or not abs(D) > SIGMA_ZERO_REL * scale_d:
+                raise RegularityBreakdown(n, "condition_b", D)
+            if not abs(S) > SIGMA_ZERO_REL * scale_s:
+                raise RegularityBreakdown(n, "condition_a", S)
+            margin.append(min(abs(D) / scale_d, abs(S) / scale_s))
+            tau.append(T + gsum * D)
+            if n == 0:
+                b = D / S
+            else:
+                a = D / sigma_diag[n - 1]
+                b = a * beta[-1] * S_prev / S
+                alpha.append(a)
+            beta.append(b)
+            gsum += a + b
+            q0 *= -b
+            S_prev = S
+            r, r_prev = (sx - b * isx) * r - a * r_prev, r
+    return LPolySequence(beta=tuple(map(complex, beta)), alpha=tuple(map(complex, alpha)),
+                         sigma_diag=tuple(map(complex, sigma_diag)),
+                         sigma_minus=tuple(map(complex, sigma_minus)),
+                         tau=tuple(map(complex, tau)), margin=tuple(margin))
+
+
+def _coefficients_settled(prev: LPolySequence, cur: LPolySequence) -> bool:
+    """Every beta_{n+1} and alpha_{n+1} moved by at most _QUAD_INTERNAL of its
+    rounding scale |c| / margin, the margin being the smallest of levels <= n."""
+    rho = np.minimum.accumulate(cur.margin)
+    old = np.array(prev.beta + prev.alpha)
+    new = np.array(cur.beta + cur.alpha)
+    scale = np.maximum(np.abs(old), np.abs(new)) / np.concatenate([rho, rho[1:]])
+    return bool(np.all(np.abs(new - old) <= _QUAD_INTERNAL * scale))
+
+
+def _moment_bootstrap(table: MomentTable, N: int) -> LPolySequence:
+    """The sigma ladder from dot products of each row of Q_n with the table."""
     exact = table.exact
     one = Fraction(1) if exact else 1.0 + 0.0j
     nu = table.nu
@@ -178,7 +338,7 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None,
             if not (1e-120 < ratio < 1e120):
                 warnings.warn(
                     f"sigma ratio {ratio:.3e} at level {n}: results beyond this "
-                    "depth are likely garbage", RuntimeWarning, stacklevel=2)
+                    "depth are likely garbage", RuntimeWarning, stacklevel=3)
         a_next = s_diag / sigma_diag[n - 1]
         b_next = -a_next * sigma_minus[n - 1] / s_minus
         alpha.append(a_next)
@@ -188,21 +348,14 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None,
     # they gate level N+1 only, and a depth-N bootstrap of an N-point measure
     # legitimately ends with sigma_{N,N} = 0.
     rows.append(_next_row(rows, beta[-1], alpha[-1] if alpha else 0))
-    s_diag = kahan_dot(rows[N], [nu[j] for j in range(N + 1)])
-    s_minus = kahan_dot(rows[N], [nu[j - N - 1] for j in range(N + 1)])
-    sigma_diag.append(s_diag)
-    sigma_minus.append(s_minus)
+    sigma_diag.append(kahan_dot(rows[N], [nu[j] for j in range(N + 1)]))
+    sigma_minus.append(kahan_dot(rows[N], [nu[j - N - 1] for j in range(N + 1)]))
 
     tau = tuple(kahan_dot(rows[n], [nu[j + 1] for j in range(n + 1)])
                 for n in range(N))
-
-    lp = LPolySequence(t=table.t, N=N, rows=tuple(tuple(r) for r in rows),
-                       sigma_diag=tuple(sigma_diag), sigma_minus=tuple(sigma_minus),
-                       tau=tau)
-    rc = RecurrenceCoeffs(t=table.t, p=0j if p is None else complex(p),
-                          q=0j if q is None else complex(q),
-                          beta=tuple(beta), alpha=tuple(alpha))
-    return lp, rc
+    return LPolySequence(beta=tuple(beta), alpha=tuple(alpha),
+                         sigma_diag=tuple(sigma_diag), sigma_minus=tuple(sigma_minus),
+                         tau=tau)
 
 
 def _next_row(rows, b_new, a_new):
@@ -222,14 +375,14 @@ def _next_row(rows, b_new, a_new):
 
 
 def triangle_from_coeffs(beta, alpha, N=None):
-    """Expand the recurrence into the monic coefficient triangle.
+    """Expand the recurrence into the monic coefficient triangle, rows 0..N.
 
-    ``beta`` lists beta_1.. and ``alpha`` lists alpha_2..; the independent
-    route against a bootstrapped triangle in route-equivalence checks.
+    ``beta`` lists beta_1.. and ``alpha`` lists alpha_2..; Fraction
+    coefficients give an exact triangle.
     """
     if N is None:
         N = len(beta)
-    rows = [[1.0 + 0.0j]]
+    rows = [[Fraction(1) if isinstance(beta[0], Fraction) else 1.0 + 0.0j]]
     for n in range(N):
         rows.append(_next_row(rows, beta[n], alpha[n - 1] if n >= 1 else 0))
     return rows
@@ -268,9 +421,11 @@ TAU_MATCH_RTOL = 1e-8
 def tau(table: MomentTable, rc: RecurrenceCoeffs, lp: LPolySequence, n: int):
     """tau_n = L[x Q_n], computed two ways and cross-checked.
 
-    Direct route: dot product of row n against shifted moments.  Closed form:
-    sigma_{n,n} * sum_{k=1}^{n+1} gamma_k with gamma_k = alpha_{k+1} + beta_k,
-    where alpha values beyond the rc depth come from sigma-diagonal ratios.
+    Direct route: ``lp.tau``, a node sum of x r_n^2 on the Stieltjes route or
+    a dot product of row n against shifted moments on the moment route.
+    Closed form: sigma_{n,n} * sum_{k=1}^{n+1} gamma_k with
+    gamma_k = alpha_{k+1} + beta_k, where alpha values beyond the rc depth
+    come from sigma-diagonal ratios.
     Raises MismatchBeyondTolerance when the two routes disagree, which signals
     an inconsistent table/coefficient pair.
     """

@@ -24,7 +24,10 @@ Every kind but ``explicit_table`` is evaluated as one weighted node set
 one kernel.  Discrete nodes are summed once in plain floating point; the
 real-line and circle kinds are equispaced trapezoid rules whose node count
 one loop doubles until every nu_k has settled to its rounding scale
-sum_j |w_j x_j^k|.
+sum_j |w_j x_j^k|.  A table on the positive axis (real-line and discrete
+kinds) keeps its node set, so ``lorth.bootstrap_recurrence`` can run the
+discretized Stieltjes procedure on the nodes themselves instead of on the
+moments.
 
 Weight families on the positive axis:
 
@@ -35,8 +38,8 @@ both with delta > 0, q > 0, and modification defaults p = 1, same q, so that
 the modified weight is the base weight with delta replaced by delta + t.
 
 Hankel determinants H_n^(m) built from a table serve as existence diagnostics
-only; they are exponentially ill-conditioned and are never the production
-route to recurrence coefficients.
+only; they are exponentially ill-conditioned and are never a route to
+recurrence coefficients.
 """
 
 from __future__ import annotations
@@ -261,6 +264,12 @@ class MomentTable:
     real axis (strong positivity of Hankel determinants is then expected).
     Entries are complex scalars, or ``fractions.Fraction`` when the provenance
     is ``exact_rational``.
+
+    ``nodes`` is the node set the moments were summed from, when they came
+    from one on the positive axis: a pair (node_set, m) where node_set(m)
+    returns the arrays (x_j, w_j) with m intervals and m is the count the
+    moments converged at, or m is None for the discrete kind's fixed nodes.
+    It is None for explicit, circle and exact tables.
     """
 
     t: float
@@ -270,6 +279,7 @@ class MomentTable:
     positive: bool = False
     kind: str = ""
     weight_id: str = ""
+    nodes: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for k, v in self.nu.items():
@@ -297,7 +307,9 @@ class MomentTable:
 # Weighted node sets and their power sums
 # ---------------------------------------------------------------------------
 
-#: node-count doublings allowed to the quadrature kinds before giving up
+#: node count every refinement starts from
+_M0 = 256
+#: doublings of _M0 allowed before giving up; bounds every refinement's node count
 _MAX_DOUBLINGS = 16
 #: nodes per slab of the power-sum kernel, bounding its array at (2K+1) x _SLAB
 _SLAB = 4096
@@ -322,23 +334,37 @@ def _power_sums(x, w, K: int):
     return nu, scale
 
 
-def _refine(node_set, K: int):
-    """Power sums of ``node_set(m)``, doubling m from 256 until they settle.
+def _refine(node_set, evaluate, settled, m: int = _M0):
+    """(evaluate(*node_set(m)), m), doubling m until two results settle.
+
+    ``settled(previous, current)`` decides convergence.  The moments start at
+    _M0; a caller refining something else over the same node set may start
+    where the moments converged.  Every caller shares one budget: m never
+    passes _M0 doubled _MAX_DOUBLINGS times.
+    """
+    prev = evaluate(*node_set(m))
+    while m < _M0 << _MAX_DOUBLINGS:
+        m *= 2
+        cur = evaluate(*node_set(m))
+        if settled(prev, cur):
+            return cur, m
+        prev = cur
+    raise NonConvergentIntegral(
+        f"trapezoid rule did not converge to {_QUAD_INTERNAL} within {_M0 << _MAX_DOUBLINGS} "
+        "intervals")
+
+
+def _refine_moments(node_set, K: int):
+    """Power sums of ``node_set(m)`` at the m where they settle, and that m.
 
     Converged when every |nu_k(2m) - nu_k(m)| is within _QUAD_INTERNAL of the
     rounding scale sum_j |w_j x_j^k| (for positive node sets, the relative
     change of nu_k).
     """
-    m = 256
-    prev, _ = _power_sums(*node_set(m), K)
-    for _ in range(_MAX_DOUBLINGS):
-        m *= 2
-        nu, scale = _power_sums(*node_set(m), K)
-        if np.all(np.abs(nu - prev) <= _QUAD_INTERNAL * scale):
-            return nu
-        prev = nu
-    raise NonConvergentIntegral(
-        f"trapezoid rule did not converge to {_QUAD_INTERNAL} within {_MAX_DOUBLINGS} doublings")
+    (nu, _), m = _refine(
+        node_set, lambda x, w: _power_sums(x, w, K),
+        lambda prev, cur: np.all(np.abs(cur[0] - prev[0]) <= _QUAD_INTERNAL * cur[1]))
+    return nu, m
 
 
 def _real_line_node_set(spec: MomentSpec, t: float, K: int):
@@ -396,7 +422,7 @@ def _moments_circle(spec: MomentSpec, t: float, K: int):
         damp = np.exp(-2.0 * t * (qr * np.cos(theta) + qi * np.sin(theta)))
         return z, (z - w) * damp / m
 
-    nu = _refine(node_set, K)
+    nu = _refine_moments(node_set, K)[0]
     atoms = spec.params.get("atoms", ())
     if atoms:
         theta, mass = np.array(atoms, dtype=float).T
@@ -405,11 +431,10 @@ def _moments_circle(spec: MomentSpec, t: float, K: int):
     return nu
 
 
-def _moments_discrete(spec: MomentSpec, t: float, K: int):
-    """The spec's nodes with weights w_j exp(-t(p x_j + q/x_j)), summed once."""
+def _discrete_node_set(spec: MomentSpec, t: float):
+    """The spec's nodes with weights w_j exp(-t(p x_j + q/x_j))."""
     x = np.array(spec.nodes, dtype=float)
-    w = np.array(spec.weights, dtype=float) * np.exp(-t * (spec.p * x + spec.q / x))
-    return _power_sums(x, w, K)[0]
+    return x, np.array(spec.weights, dtype=float) * np.exp(-t * (spec.p * x + spec.q / x))
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +448,10 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     power sums sum_j w_j x_j^k are the moments: the discrete kind's own nodes
     (plain floating-point sums), or equispaced trapezoid rules on the
     real-line and circle kinds, refined by doubling to relative accuracy
-    ~1e-12.  Raises NonConvergentIntegral when a quadrature budget is
-    exhausted or the sums overflow, and InvalidSupport for divergent
-    modifications.
+    ~1e-12.  Real-line and discrete tables keep their node set in
+    ``nodes`` for the Stieltjes route of ``lorth.bootstrap_recurrence``.
+    Raises NonConvergentIntegral when a quadrature budget is exhausted or
+    the sums overflow, and InvalidSupport for divergent modifications.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -434,6 +460,7 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
 
     positive = False
     provenance = "quadrature"
+    nodes = None
     if spec.kind == "explicit_table":
         stored = spec.params["nu"]
         t0 = spec.params.get("t0", 0.0)
@@ -446,18 +473,23 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.kind == "real_line_weighted":
-                sums = _refine(_real_line_node_set(spec, t, K), K)
+                node_set = _real_line_node_set(spec, t, K)
+                sums, m = _refine_moments(node_set, K)
+                nodes = (node_set, m)
                 positive = True
             elif spec.kind == "unit_circle_weighted":
                 sums = _moments_circle(spec, t, K)
             else:
-                sums = _moments_discrete(spec, t, K)
+                x, w = _discrete_node_set(spec, t)
+                sums = _power_sums(x, w, K)[0]
+                nodes = (lambda m: (x, w), None)
                 provenance = "exact"
                 positive = spec.p.imag == 0.0 and spec.q.imag == 0.0
         nu = dict(zip(range(-K, K + 1), sums.tolist()))
 
     return MomentTable(t=float(t), K=K, nu=nu, provenance=provenance,
-                       positive=positive, kind=spec.kind, weight_id=spec.weight_id)
+                       positive=positive, kind=spec.kind, weight_id=spec.weight_id,
+                       nodes=nodes)
 
 
 def compute_moments_exact(spec: MomentSpec, t: float, K: int) -> MomentTable:

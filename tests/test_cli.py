@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
+import ertl
 from ertl.cli import main
 from ertl.lattice import StepControl, integrate, state_from_coeffs
 from ertl.lorth import RecurrenceCoeffs, bootstrap_recurrence, eval_Q
@@ -273,8 +274,11 @@ def test_exit_code_schur_breakdown(capsys):
 
 
 def test_console_script_installed():
+    # the child imports the ertl under test, installed or from the source tree
+    src = str(Path(ertl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "ertl.cli", "oracle", "example1",
                            "--delta", "1", "--q", "2", "--t", "1", "--N", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "1.4142135623730951" in proc.stdout
