@@ -298,23 +298,27 @@ def map_cd_beta_alpha(beta, alpha):
 def _cd_kernel(C, D, q):
     """(dc_1..M, dd_2..M) on the padded C = (1, c_1..c_M, 0), D = (0, d_1..d_M, 0).
 
+    With z_k = 1 + i c_k, the edge term P_n = Im(q z_n z_{n-1}) (n = 1..M+1)
+    and R_k = Re(q z_k) / |z_k|^2,
+
+        dc_n = 4 (d_n P_n / |z_{n-1}|^2 - d_{n+1} P_{n+1} / |z_{n+1}|^2),
+        dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1}
+                      + (1 - d_n) (c_{n-1} - c_n) P_n / (|z_n|^2 |z_{n-1}|^2)).
+
     d_{M+1} = 0 closes the window (the chain analogue of a vanishing top
     alpha).  With d_1 = 0 the n = 1 row of dc is the boundary form of the
-    c-equation.  Each 1 + c_n^2 is formed once.
+    c-equation.
     """
     qr, qi = q.real, q.imag
-    sq = C * C
-    den = 1.0 + sq
-    c, cm, cp, d, dp = C[1:-1], C[:-2], C[2:], D[1:-1], D[2:]  # rows n = 1..M
-    dc = (4.0 * qr * (d * (c + cm) / den[:-2] - dp * (c + cp) / den[2:])
-          + 4.0 * qi * (d * (1.0 - c * cm) / den[:-2] - dp * (1.0 - c * cp) / den[2:]))
-    c, cm, cmm, cp = C[2:-1], C[1:-2], C[:-3], C[3:]  # rows n = 2..M
-    d, dm, dp = D[2:-1], D[1:-2], D[3:]
-    den_nm = den[2:-1] * den[1:-2]
-    dd = (4.0 * qr * (d * dm / den[:-3] - d * dp / den[3:]
-                      + d * (1.0 - d) * (sq[1:-2] - sq[2:-1]) / den_nm)
-          - 4.0 * qi * (d * dm * cmm / den[:-3] - d * dp * cp / den[3:]
-                        + d * (1.0 - d) * (c - cm) * (1.0 - c * cm) / den_nm))
+    den = 1.0 + C * C                                # |z_k|^2, k = 0..M+1
+    cn, cm = C[1:], C[:-1]                           # edges n = 1..M+1
+    P = qr * (cn + cm) + qi * (1.0 - cn * cm)
+    dP = D[1:] * P                                   # d_n P_n
+    dc = 4.0 * (dP[:-1] / den[:-2] - dP[1:] / den[2:])
+    R = (qr - qi * C) / den
+    G = (cm - cn) * P / (den[1:] * den[:-1])
+    d = D[2:-1]                                      # rows n = 2..M
+    dd = 4.0 * d * (D[1:-2] * R[:-3] - D[3:] * R[3:] + (1.0 - d) * G[1:-1])
     return dc, dd
 
 
@@ -340,11 +344,13 @@ def _check_modulus(a):
 
 
 def _flow_modulus(y, t):
-    """|a_n| inside the Schur flow; PositivityLost (n, modulus, t) at the first |a_n| >= 1."""
+    """|a_n| inside the Schur flow; PositivityLost (n, modulus, t) at the first |a_n| >= 1.
+
+    NaN entries are skipped, as by the comparison that locates n.
+    """
     mods = np.abs(y)
-    bad = mods >= 1.0
-    if bad.any():
-        n = int(bad.argmax())
+    if np.fmax.reduce(mods, initial=0.0) >= 1.0:
+        n = int(np.argmax(mods >= 1.0))
         mod = float(mods[n])
         raise PositivityLost(f"|a_{n}| = {mod} reached 1 at t={t}", n=n, modulus=mod, t=t)
     return mods
@@ -404,7 +410,8 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
                  ctrl: StepControl | None = None, t_out=None):
     """Integrate the real (c, d) flow on a finite window (d_{M+1} = 0).
 
-    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  PositivityLost is
+    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  The unknowns
+    c_1..c_M, d_2..d_M are stepped as float64.  PositivityLost is
     raised when an accepted step takes some d_n, n >= 2, out of (0, 1),
     where no chain sequence lives; the output grid follows ``integrate_core``.
     Returns (times, c_snapshots, d_snapshots, stats); snapshots include t0.
@@ -414,22 +421,22 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     M = len(c)
     if len(d) != M or (M and d[0] != 0.0):
         raise ValueError("d must list d_1..d_M with d_1 = 0")
-    y0 = np.array(list(c) + list(d[1:]), dtype=complex)
+    y0 = np.array(list(c) + list(d[1:]), dtype=float)
     C, D = _cd_padded(c, d)  # f refills c_1..c_M and d_2..d_M in place
 
     def f(t, y):
-        C[1:-1] = y[:M].real
-        D[2:-1] = y[M:].real
+        C[1:-1] = y[:M]
+        D[2:-1] = y[M:]
         return np.concatenate(_cd_kernel(C, D, q))
 
     def validate(t, y):
-        dd = y[M:].real
+        dd = y[M:]
         bad = ~((dd > 0.0) & (dd < 1.0))
         if np.any(bad):
             n = int(np.argmax(bad))
             raise PositivityLost(f"d_{n + 2} = {dd[n]} left (0, 1) at t={t}", n=n + 2, t=t)
 
     times, snaps, stats = integrate_core(f, t0, y0, t_end, t_out, ctrl, validate)
-    c_snaps = [[float(x) for x in c]] + [y[:M].real.tolist() for y in snaps]
-    d_snaps = [[float(x) for x in d]] + [[0.0] + y[M:].real.tolist() for y in snaps]
+    c_snaps = [[float(x) for x in c]] + [y[:M].tolist() for y in snaps]
+    d_snaps = [[float(x) for x in d]] + [[0.0] + y[M:].tolist() for y in snaps]
     return [t0] + times, c_snaps, d_snaps, stats

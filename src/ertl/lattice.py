@@ -28,17 +28,19 @@ validation fails, which happens when coefficients grow with site index).
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
-regularized.  Integration uses the embedded Dormand-Prince 5(4) pair with
-FSAL (the last stage of an accepted step is the next step's first), and
-accepts a step when its local error, scaled per component, is within the
-tolerance (error per step, not per unit step).
+regularized.  Integration uses the Dormand-Prince 8(5,3) pair (DOP853) with
+FSAL (f at the new solution of an accepted step is the next step's first
+stage), and accepts a step when its local error, scaled per component, is
+within the tolerance (error per step, not per unit step).  Steps run in the
+dtype of the unknowns: float64 for a real flow, complex otherwise.
 
 Each flow has one right-hand-side kernel, written as shifted slices of
-padded complex arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 =
--1, alpha_1..alpha_{N+1}): row n reads b[n-1..n+1] and a[n-1..n+1], so the
+padded arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 = -1,
+alpha_1..alpha_{N+1}): row n reads b[n-1..n+1] and a[n-1..n+1], so the
 boundary conventions need no special case.  The public ``rhs_*`` functions
-pad a state and return lists; ``integrate`` refills one pair of padded
-arrays in place from its packed unknowns (beta_1..beta_N, alpha_2..alpha_N).
+pad a state as complex arrays and return lists; ``integrate`` refills one
+pair of padded arrays in place from its packed unknowns (beta_1..beta_N,
+alpha_2..alpha_N), real when p, q and the state are real.
 """
 
 from __future__ import annotations
@@ -134,36 +136,43 @@ class Trajectory:
 # Right-hand sides: one shifted-slice kernel per flow on padded arrays
 # ---------------------------------------------------------------------------
 
-def _padded(beta, alpha):
-    """b = (1, beta_1..beta_N) and a = (-1, alpha_1..alpha_{N+1}) as complex arrays."""
-    return np.array([1, *beta], dtype=complex), np.array([-1, *alpha], dtype=complex)
+def _padded(beta, alpha, dtype=complex):
+    """b = (1, beta_1..beta_N) and a = (-1, alpha_1..alpha_{N+1}) as arrays."""
+    return np.array([1, *beta], dtype=dtype), np.array([-1, *alpha], dtype=dtype)
 
 
 def _check_betas(beta, t=None):
-    """SingularDenominator at the first n with |beta_n| < EPS_SING (beta_1..beta_N)."""
-    small = np.abs(beta) < EPS_SING
-    if small.any():
-        n = int(small.argmax())
+    """SingularDenominator at the first n with |beta_n| < EPS_SING (beta_1..beta_N).
+
+    NaN entries are skipped, as by the comparison that locates n.
+    """
+    mods = np.abs(beta)
+    if np.fmin.reduce(mods, initial=np.inf) < EPS_SING:
+        n = int(np.argmax(mods < EPS_SING))
         raise SingularDenominator(n + 1, complex(beta[n]), t=t)
 
 
 def _ertl_kernel(p, q, b, a, t=None):
-    """dbeta (length N) and dalpha (length N+1) on the padded b, a.
+    """dbeta_1..N and dalpha_1..N on the padded b, a (real or complex).
 
-    Row n reads b[n-1..n+1] and a[n-1..n+1] (b[0] = beta_0 = 1, a[0] =
-    alpha_0 = -1).  Entries that would require beta_{N+1} are 0 when
-    alpha_{N+1} = 0 (the factor multiplies everything) and NaN otherwise.
+    With s_n = p alpha_n - q alpha_n / (beta_n beta_{n-1}) and v_n = p beta_n
+    + q / beta_n (n = 0..N, so v_0 = p + q):
+
+        dbeta_n  = beta_n (s_n - s_{n+1}),
+        dalpha_n = alpha_n (p (alpha_{n-1} - alpha_{n+1}) + v_{n-1} - v_n).
+
+    s_{N+1} would need beta_{N+1}; it is 0 when alpha_{N+1} = 0 and dbeta_N
+    is NaN otherwise.  dalpha_{N+1} (0 or NaN likewise) is the caller's.
     """
     _check_betas(b[1:], t)
-    bn, bm = b[1:], b[:-1]                # beta_n, beta_{n-1}
-    an, am, ap = a[1:-1], a[:-2], a[2:]   # alpha_n, alpha_{n-1}, alpha_{n+1}
-    drag_out = np.zeros(bn.shape, dtype=complex)
-    drag_out[:-1] = ap[:-1] / (bn[1:] * bn[:-1])
-    dbeta = p * bn * (an - ap) + q * bn * (drag_out - an / (bn * bm))
-    dalpha = np.zeros(an.size + 1, dtype=complex)
-    dalpha[:-1] = p * an * (am + bm - ap - bn) + q * an * (1 / bm - 1 / bn)
+    bn, an = b[1:], a[1:-1]
+    s = an * (p - q / (bn * b[:-1]))
+    dbeta = bn * s
+    dbeta[:-1] -= bn[:-1] * s[1:]
     if a[-1] != 0:
-        dbeta[-1] = dalpha[-1] = _NAN
+        dbeta[-1] = np.nan
+    v = p * b + q / b
+    dalpha = an * (p * (a[:-2] - a[2:]) + (v[:-1] - v[1:]))
     return dbeta, dalpha
 
 
@@ -171,7 +180,7 @@ def rhs_ertl(state: LatticeState):
     """Two-parameter flow; returns (dbeta_1..N, dalpha_1..N+1)."""
     b, a = _padded(state.beta, state.alpha)
     dbeta, dalpha = _ertl_kernel(state.p, state.q, b, a, state.t)
-    return dbeta.tolist(), dalpha.tolist()
+    return dbeta.tolist(), dalpha.tolist() + [0j if a[-1] == 0 else _NAN]
 
 
 def rhs_gamma(state: LatticeState):
@@ -234,15 +243,18 @@ SYSTEMS = {"ertl": None, "rtl1": (0j, 1 + 0j), "rtl2": (1 + 0j, 0j), "langmuir":
 class StepControl:
     """Step-size policy of ``integrate_core``.
 
-    Adaptive steps use the Dormand-Prince 5(4) pair and propagate its 5th-order
-    solution.  Acceptance is error per step, each component scaled by its own
-    size: a step from y to y_new is accepted when its embedded error estimate
-    e satisfies |e_i| <= abs_tol + rel_tol * max(|y_i|, |y_new_i|) for every
-    component i (with that scale floored at the estimate's rounding level,
-    ``_ROUNDING_FLOOR`` times max |y|).  So ``rel_tol`` bounds the local error
-    of one step, not the error per unit time.  ``fixed=True`` disables control
-    and takes classical RK4 steps of size ``h_init`` (used for order
-    measurements and as an independent reference).
+    Adaptive steps use the Dormand-Prince 8(5,3) pair (DOP853) and propagate
+    its 8th-order solution.  Acceptance is error per step, each component
+    scaled by its own size: with e5 and e3 the embedded 5th- and 3rd-order
+    error estimates, a step from y to y_new is accepted when
+
+        |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) <= abs_tol + rel_tol * max(|y_i|, |y_new_i|)
+
+    for every component i (with that scale floored at the estimate's
+    rounding level, ``_ROUNDING_FLOOR`` times max |y|).  So ``rel_tol``
+    bounds the local error of one step, not the error per unit time.
+    ``fixed=True`` disables control and takes classical RK4 steps of size
+    ``h_init`` (used for order measurements and as an independent reference).
     """
 
     h_init: float = 1e-2
@@ -256,30 +268,77 @@ class StepControl:
             raise ValueError("tolerances and h_init must be > 0")
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
-# Table II.5.2).  Row 6 of A is the 5th-order weight vector, so stage 7 is
-# evaluated at the new solution and serves as the next step's k1 (FSAL);
-# _DP_E holds the 5th- minus the 4th-order weights.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = np.array([
-    [0, 0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-], dtype=complex)
-_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40], dtype=complex)
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
+# Section II.10, the coefficients of their code DOP853).  Row 12 of A is the
+# 8th-order weight vector b, so stage 13 is evaluated at the new solution and
+# serves as the next step's k1 (FSAL).  Rows of _DOP_E weigh stages 1..12:
+# E5 = b minus a 5th-order rule, E3 = b minus a 3rd-order rule.
+_DOP_C = (0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+          0.118350341907227396726757197510, 0.281649658092772603273242802490,
+          1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0, 1.0)
+_DOP_A = np.zeros((13, 13))
+for _i, _row in enumerate((
+        (),
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2),
+        (2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+         9.24834003261792003115737966543e-1),
+        (3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+         1.25467687566822425016691814123e-1),
+        (3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+         6.02165389804559606850219397283e-2, -1.7578125e-2),
+        (3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+         1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+         8.27378916381402288758473766002e-3),
+        (6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+         -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+         2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+        (4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+         -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+         1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+         -2.03312017085086261358222928593e-2),
+        (-9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+         1.09143734899672957818500254654, -8.14978701074692612513997267357,
+         -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+         2.49360555267965238987089396762, -3.0467644718982195003823669022),
+        (2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+         -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+         2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+         -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+         6.43392746015763530355970484046e-1),
+        (5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+         1.89151789931450038304281599044, -5.8012039600105847814672114227,
+         3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+         2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2))):
+    _DOP_A[_i, :len(_row)] = _row
+del _i, _row
+_DOP_E = np.array([
+    [0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e1,
+     -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1],
+    _DOP_A[12, :12]])
+_DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                          0.220588235294117647058823529412e-1)
 
 #: error-scale floor relative to max |y|.  Adding the update h (b @ K) to y
-#: rounds by about eps |y| every step, which the estimate e = h (E @ K) cannot
-#: see, and e itself carries at most sum|E_j| (7 + 3.3) eps |y| = 1.65 eps |y|
-#: of rounding: seven summed terms with h |k| <= |y|, plus stage-argument
-#: rounding amplified by h |df/dy| <= 3.3, DP5's real stability bound.  A
-#: scale of 2 eps |y| sits above both, so no step is rejected for noise.
+#: rounds by about eps |y| every step, which the estimate cannot see, so a
+#: smaller scale buys nothing.  The estimate's own rounding is twelve summed
+#: terms h E_j k_j plus stage-argument rounding eps |y| amplified by
+#: h |df/dy|: sum|E| (12 h |k| / |y| + h |df/dy|) eps |y|.  At the step
+#: limit (h |k| <= |y| and DOP853's real stability bound h |df/dy| <= 6.39;
+#: DP5(4)'s was 3.31) that is 4.19 (12 + 6.39) = 77 eps |y| in e5 and
+#: 13.13 (12 + 6.39) = 241 eps |y| in e3 (sum|E5| = 4.19, sum|E3| = 13.13),
+#: and |e5|^2 / hypot(|e5|, 0.1 |e3|) never exceeds |e5|.  But both terms
+#: shrink with h, and an 8th-order step that meets a tolerance near eps is
+#: far inside the stability region: on truncated example2 (N = 40) a step
+#: with h |df/dy| = 0.035 has an estimate of 0.16 eps |y|.  A step rejected
+#: for noise is retried shorter, with less noise, so 2 eps |y| never drives
+#: the step to StepUnderflow.
 _ROUNDING_FLOOR = 2 * float(np.finfo(float).eps)
+#: floor under hypot(|e5|, 0.1 |e3|), so that a component with e5 = e3 = 0 reads 0
+_TINY = float(np.finfo(float).tiny)
 #: smallest adaptive step before StepUnderflow
 _H_MIN = 1e-14
 #: attempted steps (accepted plus rejected) before StepUnderflow
@@ -294,17 +353,19 @@ def _rk4(f, t, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _dp54(f, t, y, h, K):
-    """One Dormand-Prince 5(4) step of size h from (t, y).
+def _dop853(f, t, y, h, K):
+    """One DOP853 step of size h from (t, y).
 
-    ``K`` is a (7, n) complex array whose row 0 holds f(t, y); rows 1..6 are
-    filled with the later stages, row 6 being f(t + h, y_new).  Returns the
-    5th-order y_new and the embedded error estimate h (E @ K).
+    ``K`` is a (13, n) array of y's dtype whose row 0 holds f(t, y); rows
+    1..12 are filled with the later stages, row 12 being f(t + h, y_new).
+    Returns the 8th-order y_new and the (2, n) error estimates h (E @ K),
+    row 0 the 5th-order e5 and row 1 the 3rd-order e3.
     """
-    for i in range(1, 7):
-        y_stage = y + h * (_DP_A[i, :i] @ K[:i])
-        K[i] = f(t + _DP_C[i] * h, y_stage)
-    return y_stage, h * (_DP_E @ K)
+    hA = h * _DOP_A
+    for i in range(1, 13):
+        y_stage = y + hA[i, :i] @ K[:i]
+        K[i] = f(t + _DOP_C[i] * h, y_stage)
+    return y_stage, h * (_DOP_E @ K[:12])
 
 
 def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
@@ -315,15 +376,18 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     otherwise, as for t_end <= t0) and gains t_end when missing.  Steps land
     exactly on every output time (no interpolation).  ``validate(t, y)`` runs
     after every accepted step and may raise to abort (singularity / positivity
-    loss); the offending step is bracketed.  Returns (times, snapshots, stats)
-    for the output times, t0 excluded.
+    loss); the offending step is bracketed.  The unknowns are stepped in the
+    dtype of ``y0`` (float64 when it is real, complex otherwise), and ``f``
+    must return that dtype.  Returns (times, snapshots, stats) for the output
+    times, t0 excluded.
 
     ``stats`` holds ``accepted`` and ``rejected`` step counts, ``rhs_calls``
-    (calls of f: 1 + 6 per adaptive attempt, since an accepted step's last
+    (calls of f: 1 + 12 per adaptive attempt, since an accepted step's last
     stage is the next one's first; 4 per fixed step), ``h_min`` and ``h_max``
     over accepted steps (steps clipped to land on an output time included),
-    and ``max_err_est``, the largest weighted error ratio max_i |e_i| / sc_i
-    of an accepted step (at most 1; 0.0 for fixed steps).
+    and ``max_err_est``, the largest weighted error ratio
+    max_i |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) / sc_i of an accepted step
+    (at most 1; 0.0 for fixed steps).
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
@@ -344,8 +408,8 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
         rhs_calls += 1
         return f(t, y)
 
-    y = np.array(y0, dtype=complex)
-    K = np.empty((7, y.size), dtype=complex)
+    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
+    K = np.empty((13, y.size), dtype=y.dtype)
     t = t0
     h = ctrl.h_init
     accepted = rejected = 0
@@ -364,17 +428,18 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                 else:
                     if accepted + rejected == 0:  # later, K[0] = f(t, y) by FSAL
                         K[0] = counted(t, y)
-                    y_new, e = _dp54(counted, t, y, h_try, K)
+                    y_new, e = _dop853(counted, t, y, h_try, K)
             except SingularDenominator as exc:
                 raise SingularDenominator(exc.n, exc.value,
                                           t_bracket=(t, t + h_try)) from None
 
             if not ctrl.fixed:
+                e5, e3 = np.abs(e)
                 scale = np.maximum(np.abs(y), np.abs(y_new))
                 sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale,
                                 _ROUNDING_FLOOR * float(scale.max()))
-                err = float(np.max(np.abs(e) / sc))
-                factor = 0.9 * err ** -0.2 if 0.0 < err < math.inf else \
+                err = float(np.max(e5 * e5 / (np.maximum(np.hypot(e5, 0.1 * e3), _TINY) * sc)))
+                factor = 0.9 * err ** -0.125 if 0.0 < err < math.inf else \
                     (5.0 if err == 0.0 else 0.1)
                 if not err <= 1.0:  # also catches NaN
                     rejected += 1
@@ -384,7 +449,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                     continue
                 max_err = max(max_err, err)
                 h = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
-                K[0] = K[6]
+                K[0] = K[12]
             accepted += 1
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)
             t = t + h_try
@@ -409,8 +474,10 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     and alpha_{N+1} stay pinned at 0.  ``rhs_id`` selects a system of
     ``SYSTEMS``: "rtl1" and "rtl2" run the generic flow at their forced
     (p, q); "langmuir" checks the symmetric manifold once, here, then freezes
-    beta and steps the Volterra flow.  The output grid follows
-    ``integrate_core``; the returned times start at the state's own time.
+    beta and steps the Volterra flow.  When p, q and the state are real the
+    unknowns are stepped as float64; the returned states are complex either
+    way.  The output grid follows ``integrate_core``; the returned times start
+    at the state's own time.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
@@ -421,19 +488,22 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     p, q = SYSTEMS[rhs_id] or (state.p, state.q)
 
     b, a = _padded(state.beta, state.alpha)  # f refills the unknowns in place
+    if p.imag == q.imag == 0.0 and not (b.imag.any() or a.imag.any()):
+        p, q, b, a = p.real, q.real, b.real.copy(), a.real.copy()  # step in float64
 
     if rhs_id == "langmuir":
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
+        frozen = np.zeros(N)
 
         def f(t, y):
             a[2:-1] = y[N:]
-            return np.concatenate((np.zeros(N), _volterra_kernel(a)[1:-1]))
+            return np.concatenate((frozen, _volterra_kernel(a)[1:-1]))
     else:
         def f(t, y):
             b[1:] = y[:N]
             a[2:-1] = y[N:]
             dbeta, dalpha = _ertl_kernel(p, q, b, a, t)
-            return np.concatenate((dbeta, dalpha[1:-1]))
+            return np.concatenate((dbeta, dalpha[1:]))
 
     def validate(t, y):
         _check_betas(y[:N], t)
@@ -443,6 +513,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 
     y0 = np.concatenate((b[1:], a[2:-1]))  # beta_1..beta_N, alpha_2..alpha_N
     times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)
+    snaps = [y.astype(complex, copy=False) for y in snaps]  # states stay complex
     states = [state] + [LatticeState(state.p, state.q, tt, y[:N].tolist(),
                                      [0j] + y[N:].tolist() + [0j]) for tt, y in zip(times, snaps)]
     return Trajectory(times=(state.t,) + tuple(times), states=tuple(states),

@@ -282,3 +282,15 @@ def test_console_script_installed():
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "1.4142135623730951" in proc.stdout
+
+
+def test_library_imports_leave_scipy_out():
+    # scipy costs ~0.5 s and ~40 MiB at import; nothing outside the tests needs it
+    src = str(Path(ertl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, ertl.cli, ertl.lattice, ertl.circle, ertl.lax; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -18,11 +18,13 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ertl import (NonConvergence, RecurrenceCoeffs, SingularDenominator, StepControl,
-                  build_pair, eval_Q, integrate, isospectral_drift, rhs_cd, rhs_ertl,
-                  rhs_gamma, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
+from ertl import (NonConvergence, PositivityLost, RecurrenceCoeffs, SingularDenominator,
+                  StepControl, build_pair, eval_Q, integrate, isospectral_drift, rhs_cd,
+                  rhs_ertl, rhs_gamma, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
-from ertl.lattice import EPS_SING, _dp54, integrate_core
+from ertl.circle import _cd_kernel, _cd_padded, _flow_modulus
+from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _check_betas, _dop853,
+                          _ertl_kernel, _padded, integrate_core)
 from tests.test_lattice import random_state
 
 NAN = complex(float("nan"), float("nan"))
@@ -153,6 +155,8 @@ coeffs = st.complex_numbers(max_magnitude=3.0)
 nonzero = st.complex_numbers(min_magnitude=0.2, max_magnitude=3.0)
 tiny = st.complex_numbers(max_magnitude=0.5 * EPS_SING)
 tops = st.one_of(st.just(0j), nonzero)
+real_coeffs = st.floats(-3.0, 3.0)
+real_nonzero = st.one_of(st.floats(-3.0, -0.2), st.floats(0.2, 3.0))
 
 
 def values(draw, n, elements, dtype=complex):
@@ -161,12 +165,16 @@ def values(draw, n, elements, dtype=complex):
 
 
 @st.composite
-def lattice_data(draw):
-    """(p, q, beta_1..N, alpha_1..N+1): finite or buffered (alpha_{N+1} != 0)."""
+def lattice_data(draw, real=False):
+    """(p, q, beta_1..N, alpha_1..N+1): finite or buffered (alpha_{N+1} != 0).
+
+    ``real=True`` draws every value as a float.
+    """
     N = draw(sizes)
-    beta = values(draw, N, nonzero)
-    alpha = [0j] + values(draw, N - 1, coeffs) + [draw(tops)]
-    return draw(nonzero), draw(nonzero), beta, alpha
+    dtype, nz, cf = (float, real_nonzero, real_coeffs) if real else (complex, nonzero, coeffs)
+    beta = values(draw, N, nz, dtype)
+    alpha = [dtype(0)] + values(draw, N - 1, cf, dtype) + [draw(st.one_of(st.just(dtype(0)), nz))]
+    return draw(nz), draw(nz), beta, alpha
 
 
 def lattice_scale(p, q, beta, alpha):
@@ -184,7 +192,7 @@ def raw_state(p, q, beta, alpha):
 
 # -- properties -------------------------------------------------------------------
 
-@given(lattice_data())
+@given(st.one_of(lattice_data(), lattice_data(real=True)))
 def test_ertl_kernel_matches_loop(data):
     p, q, beta, alpha = data
     db, da = rhs_ertl(raw_state(p, q, beta, alpha))
@@ -193,6 +201,12 @@ def test_ertl_kernel_matches_loop(data):
     assert_matches(db, wb, scale)
     assert_matches(da, wa, scale)
     assert np.isnan(db[-1]) == np.isnan(da[-1]) == (alpha[-1] != 0)
+    if isinstance(p, float):
+        # the real route integrate takes: float64 arrays in, float64 out
+        rb, ra = _ertl_kernel(p, q, *_padded(beta, alpha, float))
+        assert rb.dtype == ra.dtype == np.float64
+        assert_matches(rb, wb, scale)
+        assert_matches(ra, wa[:-1], scale)
 
 
 @given(lattice_data())
@@ -224,8 +238,9 @@ def test_volterra_kernel_matches_loop(N, q, data):
     assert_matches(rhs_langmuir(state), volterra_loop(alpha), 2.0 * m * m)
 
 
-@given(sizes, nonzero, st.data())
+@given(sizes, st.one_of(nonzero, real_nonzero), st.data())
 def test_cd_kernel_matches_loop(M, q, data):
+    q = complex(q)
     c = values(data.draw, M, st.floats(-3.0, 3.0), float)
     d = [0.0] + values(data.draw, M - 1, st.floats(0.0, 1.0), float)
     dc, dd = rhs_cd(SimpleNamespace(c=tuple(c), d=tuple(d[1:])), q)
@@ -233,6 +248,8 @@ def test_cd_kernel_matches_loop(M, q, data):
     scale = 4.0 * abs(q) * 4.0 * max([1.0] + [abs(x) for x in c]) ** 2
     assert_matches(dc, wc, scale)
     assert_matches(dd, wd[1:], scale)
+    # integrate_cd steps float64 arrays: the kernel stays real for any q
+    assert all(x.dtype == np.float64 for x in _cd_kernel(*_cd_padded(c, d), q))
 
 
 @given(sizes, nonzero, st.one_of(st.none(), st.complex_numbers(max_magnitude=0.99)),
@@ -248,7 +265,25 @@ def test_schur_kernel_rejects_modulus_one():
         rhs_schur(SimpleNamespace(a=(0.5, 1.0, 0.2)), 1.0, a_top=0j)
 
 
-# -- integrator: Dormand-Prince 5(4) with FSAL ------------------------------------
+def test_check_betas_skips_nan():
+    # a NaN elsewhere in beta must not hide a small beta_n (a NaN-propagating
+    # minimum would)
+    beta = np.array([1.0, np.nan, 0.5, 0.3 * EPS_SING, 2.0, 0.1 * EPS_SING]) + 0j
+    with pytest.raises(SingularDenominator) as exc:
+        _check_betas(beta, 0.5)
+    assert (exc.value.n, exc.value.value, exc.value.t) == (4, complex(beta[3]), 0.5)
+    _check_betas(np.array([np.nan, 1.0]))  # NaN alone is not a small beta
+
+
+def test_flow_modulus_skips_nan():
+    y = np.array([0.5, np.nan, 0.2j, 1.25, 1.5 + 0j])
+    with pytest.raises(PositivityLost) as exc:
+        _flow_modulus(y, 0.25)
+    assert (exc.value.n, exc.value.modulus, exc.value.t) == (3, 1.25, 0.25)
+    _flow_modulus(np.array([np.nan, 0.5]), 0.0)  # NaN alone is not |a_n| >= 1
+
+
+# -- integrator: Dormand-Prince 8(5,3) with FSAL ----------------------------------
 
 def test_rhs_calls_per_attempt():
     calls = []
@@ -260,8 +295,8 @@ def test_rhs_calls_per_attempt():
     ctrl = StepControl(h_init=1.0, rel_tol=1e-10)  # the first attempts are rejected
     _, _, stats = integrate_core(f, 0.0, [1.0, 0.5j], 2.0, None, ctrl, lambda t, y: None)
     assert stats["rejected"] >= 1
-    # k1 once, then 6 per attempt: an accepted step's last stage is the next k1
-    assert stats["rhs_calls"] == len(calls) == 1 + 6 * (stats["accepted"] + stats["rejected"])
+    # k1 once, then 12 per attempt: an accepted step's last stage is the next k1
+    assert stats["rhs_calls"] == len(calls) == 1 + 12 * (stats["accepted"] + stats["rejected"])
 
     calls.clear()
     fixed = StepControl(h_init=0.1, fixed=True)
@@ -269,24 +304,52 @@ def test_rhs_calls_per_attempt():
     assert stats["rhs_calls"] == len(calls) == 4 * stats["accepted"] == 40
 
 
-def dp_quadrature_step(g):
-    """One DP5(4) step of y' = g(t) over [0, 1] from y = 0: (y_new, error estimate)."""
-    f = lambda t, y: np.full(y.shape, g(t), dtype=complex)
-    K = np.empty((7, 1), dtype=complex)
+def test_integrate_core_steps_in_y0_dtype():
+    seen = []
+
+    def f(t, y):
+        seen.append(y.dtype)
+        return -y
+
+    for y0, dtype in (([1.0, 2.0], np.float64), ([1.0, 2j], np.complex128)):
+        seen.clear()
+        _, snaps, _ = integrate_core(f, 0.0, y0, 0.5, None, StepControl(), lambda t, y: None)
+        assert set(seen) == {np.dtype(dtype)} and snaps[-1].dtype == dtype
+        assert np.allclose(snaps[-1], np.array(y0) * math.exp(-0.5), rtol=1e-9, atol=0.0)
+
+
+def dop_quadrature_step(g):
+    """One DOP853 step of y' = g(t) over [0, 1] from y = 0: (y_new, e5, e3)."""
+    f = lambda t, y: np.full(y.shape, g(t))
+    K = np.empty((13, 1))
     K[0] = f(0.0, np.zeros(1))
-    y_new, e = _dp54(f, 0.0, np.zeros(1, dtype=complex), 1.0, K)
-    return complex(y_new[0]), complex(e[0])
+    y_new, e = _dop853(f, 0.0, np.zeros(1), 1.0, K)
+    return float(y_new[0]), float(e[0, 0]), float(e[1, 0])
 
 
-def test_dp54_tableau_quadrature_orders():
-    # for y' = g(t) the pair is a quadrature: the 5th-order weights integrate
-    # degree 4 exactly, the embedded 4th-order ones degree 3 but not 4
-    y_new, e = dp_quadrature_step(lambda t: 5.0 * t ** 4)
-    assert abs(y_new - 1.0) < 1e-15
-    assert abs(e - 71 / 54000) < 1e-15  # 5 sum_j (b5_j - b4_j) c_j^4
-    y_new, e = dp_quadrature_step(lambda t: 4.0 * t ** 3)
-    assert abs(y_new - 1.0) < 1e-15
-    assert abs(e) < 1e-16
+def test_dop853_tableau_quadrature_orders():
+    c, b = np.array(_DOP_C), _DOP_A[12, :12]
+    e5, e3 = _DOP_E
+    assert np.abs(_DOP_A.sum(axis=1) - c).max() < 1e-14  # row sums of A are c
+    # for y' = g(t) the pair is a quadrature: b integrates degree <= 7 exactly
+    # and misses degree 8; E5 annihilates degree <= 4 and E3 degree <= 2
+    for k in range(8):
+        assert abs(b @ c[:12] ** k - 1 / (k + 1)) < 1e-15
+    assert b @ c[:12] ** 8 - 1 / 9 == pytest.approx(2.675e-5, rel=1e-3)
+    for k in range(5):
+        assert abs(e5 @ c[:12] ** k) < 1e-15
+    assert abs(e5 @ c[:12] ** 5) > 1e-4
+    for k in range(3):
+        assert abs(e3 @ c[:12] ** k) < 1e-15
+    assert abs(e3 @ c[:12] ** 3) > 1e-2
+    # and the step applies the tableau: exact at degree 7, e5 = 0 at degree 4,
+    # e3 = 0 at degree 2
+    y_new, e5_7, _ = dop_quadrature_step(lambda t: 8.0 * t ** 7)
+    assert abs(y_new - 1.0) < 1e-14 and abs(e5_7 - 8.0 * (e5 @ c[:12] ** 7)) < 1e-14
+    y_new, e5_4, e3_4 = dop_quadrature_step(lambda t: 5.0 * t ** 4)
+    assert abs(y_new - 1.0) < 1e-14 and abs(e5_4) < 1e-14 and abs(e3_4) > 0.1
+    _, _, e3_2 = dop_quadrature_step(lambda t: 3.0 * t ** 2)
+    assert abs(e3_2) < 1e-14
 
 
 def test_step_stats_report_step_sizes():

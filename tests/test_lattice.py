@@ -203,6 +203,26 @@ def test_adaptive_error_falls_with_tolerance():
     assert errs[1] < 0.1 * errs[0] and errs[2] < 0.1 * errs[1]
 
 
+def test_error_vs_work_beats_dp54_record():
+    # truncated example2 (N = 40, T = 0.5): at rel_tol 1e-8 and 1e-10 the
+    # DOP853 stepper is at least as accurate as the Dormand-Prince 5(4)
+    # stepper it replaced was (4.4e-10 and 5.0e-12) with fewer RHS calls than
+    # it made (535 and 1,303)
+    rc = example2_coeffs(ClosedFormExample("example2", 1.0, 2.0), 0.0, 40)
+    st = state_from_coeffs(1.0, 2.0, 0.0, rc.beta, rc.alpha)
+    coeffs = lambda traj: np.array(traj.final.beta + traj.final.alpha)
+    coarse, ref = (coeffs(integrate(st, 0.5, ctrl=StepControl(h_init=h, fixed=True)))
+                   for h in (2e-4, 1e-4))
+    scale = np.abs(ref).max()
+    # halving h moves fixed-step RK4 by 15 times its error at 1e-4, so the
+    # reference is good to 1e-12 / 15 < 7e-14 relative
+    assert np.abs(coarse - ref).max() <= 1e-12 * scale
+    for tol, dp54_err, dp54_calls in ((1e-8, 4.4e-10, 535), (1e-10, 5.0e-12, 1303)):
+        traj = integrate(st, 0.5, ctrl=StepControl(rel_tol=tol))
+        assert np.abs(coeffs(traj) - ref).max() <= dp54_err * scale
+        assert traj.step_stats["rhs_calls"] < dp54_calls
+
+
 def test_positivity_preserved_and_enforced(rng):
     st = random_state(rng, 6, complex_data=False)
     traj = integrate(st, 1.0, ctrl=StepControl(enforce_positive=True))
