@@ -8,22 +8,21 @@ and the unit-circle reductions (kernel chain sequences and the Schur flow).
 """
 
 from .errors import (BufferTooSmall, DegenerateKernel, ErtlError,
-                     IndexOutOfTable, InvalidSupport, MismatchBeyondTolerance,
-                     NonConvergence, NonConvergentIntegral, NotPositiveDefinite,
+                     IndexOutOfTable, InvalidSupport, NonConvergence,
+                     NonConvergentIntegral, NotPositiveDefinite,
                      NotSymmetricState, PositivityLost, ReciprocalZero,
                      RegularityBreakdown, SingularDenominator, StepUnderflow,
                      ZeroVerblunsky)
-from .measures import (MomentSpec, MomentTable, RegularityReport,
-                       check_regularity, circle_kernel_spec,
+from .measures import (MomentSpec, MomentTable, circle_kernel_spec,
                        circle_lebesgue_spec, compute_moments,
                        compute_moments_exact, discrete_spec, example1_spec,
-                       example2_spec, explicit_table_spec, hankel_determinant)
+                       example2_spec, explicit_table_spec)
 from .lorth import (LPolySequence, RecurrenceCoeffs, bootstrap_recurrence,
-                    eval_Q, orthogonality_residual, q_at_zero, stieltjes, tau,
+                    eval_Q, orthogonality_residual, q_at_zero, stieltjes,
                     triangle_from_coeffs)
 from .lattice import (SYSTEMS, LatticeState, StepControl, Trajectory,
-                      integrate, integrate_buffered, rhs_ertl, rhs_gamma,
-                      rhs_langmuir, state_from_coeffs)
+                      integrate, integrate_buffered, rhs_ertl, rhs_langmuir,
+                      state_from_coeffs)
 from .lax import (LaxPair, build_pair, commutator, hausdorff_distance,
                   isospectral_drift, lax_residual, spectrum)
 from .circle import (CircleState, VerblunskySeq, cd_from_verblunsky,
@@ -31,7 +30,6 @@ from .circle import (CircleState, VerblunskySeq, cd_from_verblunsky,
                      map_beta_alpha_cd, map_cd_beta_alpha,
                      opuc_recurrence_coeffs, rhs_cd, rhs_schur, szego_values,
                      verblunsky_from_moments)
-from .oracles import (ClosedFormExample, example1_coeffs, example2_coeffs,
-                      fd_derivative)
+from .oracles import ClosedFormExample, example1_coeffs, example2_coeffs
 
 __version__ = "0.1.0"

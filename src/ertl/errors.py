@@ -39,10 +39,6 @@ class RegularityBreakdown(ErtlError):
         super().__init__(f"regularity breakdown at level {n} ({which}): sigma={value!r}")
 
 
-class MismatchBeyondTolerance(ErtlError):
-    """Two routes to the same quantity disagree beyond tolerance."""
-
-
 class SingularDenominator(ErtlError):
     """|beta_n| fell below the singularity threshold at site ``n``."""
 

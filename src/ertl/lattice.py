@@ -50,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BufferTooSmall, NotSymmetricState, PositivityLost,
-                     SingularDenominator, StepUnderflow)
+from .errors import BufferTooSmall, NotSymmetricState, SingularDenominator, StepUnderflow
 
 #: |beta_n| below this is treated as a blow-up of the flow
 EPS_SING = 1e-12
@@ -183,18 +182,6 @@ def rhs_ertl(state: LatticeState):
     return dbeta.tolist(), dalpha.tolist() + [0j if a[-1] == 0 else _NAN]
 
 
-def rhs_gamma(state: LatticeState):
-    """gamma_dot_1..gamma_dot_N; equals dalpha shifted by one plus dbeta."""
-    b, a = _padded(state.beta, state.alpha)
-    _check_betas(b[1:], state.t)
-    ag = a[1:-1] * (a[2:] + b[1:])  # alpha_n gamma_n
-    head = ag - np.append(ag[1:], 0)
-    out = state.p * head + state.q * (a[2:] / b[1:] - a[1:-1] / b[:-1])
-    if a[-1] != 0:
-        out[-1] = _NAN
-    return out.tolist()
-
-
 #: tolerance for the frozen-beta check of the symmetric reduction
 SYMMETRY_TOL = 1e-8
 
@@ -261,7 +248,6 @@ class StepControl:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     fixed: bool = False
-    enforce_positive: bool = False
 
     def __post_init__(self):
         if self.h_init <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -270,9 +256,9 @@ class StepControl:
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
 # Section II.10, the coefficients of their code DOP853).  Row 12 of A is the
-# 8th-order weight vector b, so stage 13 is evaluated at the new solution and
-# serves as the next step's k1 (FSAL).  Rows of _DOP_E weigh stages 1..12:
-# E5 = b minus a 5th-order rule, E3 = b minus a 3rd-order rule.
+# 8th-order weight vector b, so f at the new solution (c = 1) is the next
+# step's k1 (FSAL), evaluated when that step starts.  Rows of _DOP_E weigh
+# stages 1..12: E5 = b minus a 5th-order rule, E3 = b minus a 3rd-order rule.
 _DOP_C = (0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
           0.118350341907227396726757197510, 0.281649658092772603273242802490,
           1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0, 1.0)
@@ -356,16 +342,15 @@ def _rk4(f, t, y, h, k1):
 def _dop853(f, t, y, h, K):
     """One DOP853 step of size h from (t, y).
 
-    ``K`` is a (13, n) array of y's dtype whose row 0 holds f(t, y); rows
-    1..12 are filled with the later stages, row 12 being f(t + h, y_new).
-    Returns the 8th-order y_new and the (2, n) error estimates h (E @ K),
-    row 0 the 5th-order e5 and row 1 the 3rd-order e3.
+    ``K`` is a (12, n) array of y's dtype whose row 0 holds f(t, y); rows
+    1..11 are filled with the later stages.  Returns the 8th-order
+    y_new = y + h (b @ K) and the (2, n) error estimates h (E @ K), row 0 the
+    5th-order e5 and row 1 the 3rd-order e3.
     """
     hA = h * _DOP_A
-    for i in range(1, 13):
-        y_stage = y + hA[i, :i] @ K[:i]
-        K[i] = f(t + _DOP_C[i] * h, y_stage)
-    return y_stage, h * (_DOP_E @ K[:12])
+    for i in range(1, 12):
+        K[i] = f(t + _DOP_C[i] * h, y + hA[i, :i] @ K[:i])
+    return y + hA[12, :12] @ K, h * (_DOP_E @ K)
 
 
 def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
@@ -382,12 +367,12 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     times, t0 excluded.
 
     ``stats`` holds ``accepted`` and ``rejected`` step counts, ``rhs_calls``
-    (calls of f: 1 + 12 per adaptive attempt, since an accepted step's last
-    stage is the next one's first; 4 per fixed step), ``h_min`` and ``h_max``
-    over accepted steps (steps clipped to land on an output time included),
-    and ``max_err_est``, the largest weighted error ratio
-    max_i |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) / sc_i of an accepted step
-    (at most 1; 0.0 for fixed steps).
+    (calls of f: 11 per adaptive attempt, plus f(t, y) once at each point an
+    attempt starts from, which is one per accepted step; 4 per fixed step),
+    ``h_min`` and ``h_max`` over accepted steps (steps clipped to land on an
+    output time included), and ``max_err_est``, the largest weighted error
+    ratio max_i |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) / sc_i of an accepted
+    step (at most 1; 0.0 for fixed steps).
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
@@ -409,10 +394,11 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
         return f(t, y)
 
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    K = np.empty((13, y.size), dtype=y.dtype)
+    K = np.empty((12, y.size), dtype=y.dtype)
     t = t0
     h = ctrl.h_init
     accepted = rejected = 0
+    k1_due = True  # K[0] = f(t, y) is still to evaluate at this y
     max_err = 0.0
     h_min, h_max = math.inf, 0.0
     snaps = []
@@ -426,8 +412,9 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                 if ctrl.fixed:
                     y_new = _rk4(counted, t, y, h_try, counted(t, y))
                 else:
-                    if accepted + rejected == 0:  # later, K[0] = f(t, y) by FSAL
+                    if k1_due:
                         K[0] = counted(t, y)
+                        k1_due = False
                     y_new, e = _dop853(counted, t, y, h_try, K)
             except SingularDenominator as exc:
                 raise SingularDenominator(exc.n, exc.value,
@@ -449,7 +436,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                     continue
                 max_err = max(max_err, err)
                 h = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
-                K[0] = K[12]
+                k1_due = True
             accepted += 1
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)
             t = t + h_try
@@ -507,9 +494,6 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 
     def validate(t, y):
         _check_betas(y[:N], t)
-        if ctrl.enforce_positive:
-            if np.any(y.real <= 0.0) or np.any(np.abs(y.imag) > 1e-8 * (1 + np.abs(y.real))):
-                raise PositivityLost(f"coefficient left the positive cone at t={t}", t=t)
 
     y0 = np.concatenate((b[1:], a[2:-1]))  # beta_1..beta_N, alpha_2..alpha_N
     times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)

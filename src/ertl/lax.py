@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .lattice import LatticeState, Trajectory, _check_betas, rhs_ertl, rhs_gamma
+from .lattice import LatticeState, Trajectory, _check_betas, rhs_ertl
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,14 @@ def commutator(pair: LaxPair) -> np.ndarray:
 def lax_residual(state: LatticeState) -> float:
     """max |dH/dt - [H, F]| normalized by max(1, |H|_max |F|_max).
 
-    dH/dt is assembled from the lattice right-hand sides: the subdiagonal
-    carries alpha_dot and every row above the diagonal carries gamma_dot.
+    dH/dt is assembled from ``rhs_ertl``, the (beta, alpha) right-hand side
+    the integrator steps: the subdiagonal carries alpha_dot_2..N, and column
+    j (0-based) on and above the diagonal gamma_dot_{j+1} = alpha_dot_{j+2} +
+    beta_dot_{j+1}, so the check reads both equations.
     """
     pair = build_pair(state)
-    _, dalpha = rhs_ertl(state)
-    Hdot = _hessenberg(rhs_gamma(state), dalpha[1:state.N])
+    dbeta, dalpha = rhs_ertl(state)
+    Hdot = _hessenberg(np.add(dalpha[1:], dbeta), dalpha[1:state.N])
     resid = np.max(np.abs(Hdot - commutator(pair)))
     scale = max(1.0, float(np.max(np.abs(pair.H))) * float(np.max(np.abs(pair.F))))
     return float(resid) / scale

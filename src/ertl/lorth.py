@@ -47,14 +47,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (IndexOutOfTable, MismatchBeyondTolerance,
-                     NonConvergentIntegral, RegularityBreakdown)
+from .errors import IndexOutOfTable, NonConvergentIntegral, RegularityBreakdown
 from .measures import _QUAD_INTERNAL, MomentTable, _refine
 
 #: relative threshold below which a sigma counts as a regularity failure
 SIGMA_ZERO_REL = 1e-12
-#: depth cap of the moment bootstrap in double precision; deeper runs need an
-#: explicit opt-in
+#: depth cap of the moment bootstrap in double precision
 MAX_DEPTH = 24
 
 
@@ -154,8 +152,7 @@ def _sigma_threshold(log_scales) -> float:
     return SIGMA_ZERO_REL * math.exp(mean)
 
 
-def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None,
-                         max_depth: int = MAX_DEPTH):
+def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     """Build (LPolySequence, RecurrenceCoeffs) to depth N of a table's functional.
 
     A table summed from a weighted node set (``table.nodes``: the real-line
@@ -171,7 +168,7 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None,
     table, with compensated sums, and RegularityBreakdown(n) is raised when
     |sigma_{n,n}| or |sigma_{n,-1}| falls below a threshold relative to the
     geometric mean of the sigma magnitudes seen so far.  In double
-    precision it is capped at ``max_depth`` and warns when the sigmas run
+    precision it is capped at MAX_DEPTH and warns when the sigmas run
     out of range.
 
     Either route needs the table to cover nu_{-N-1}..nu_N (IndexOutOfTable
@@ -181,10 +178,9 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None,
     """
     if N < 1:
         raise ValueError("depth N must be >= 1")
-    if table.nodes is None and N > max_depth and not table.exact:
+    if table.nodes is None and N > MAX_DEPTH and not table.exact:
         raise ValueError(
-            f"depth {N} exceeds the double-precision cap {max_depth} of the moment "
-            "bootstrap; pass max_depth explicitly to go deeper at your own risk")
+            f"depth {N} exceeds the double-precision cap {MAX_DEPTH} of the moment bootstrap")
     if not table.covers(-N - 1, N):
         raise IndexOutOfTable(f"bootstrap to depth {N} needs moments in [-{N + 1}, {N}]")
 
@@ -412,42 +408,6 @@ def q_at_zero(rc: RecurrenceCoeffs, n: int):
     for k in range(n):
         prod = prod * rc.beta[k]
     return prod if n % 2 == 0 else -prod
-
-
-#: tolerance for the two tau routes to count as consistent
-TAU_MATCH_RTOL = 1e-8
-
-
-def tau(table: MomentTable, rc: RecurrenceCoeffs, lp: LPolySequence, n: int):
-    """tau_n = L[x Q_n], computed two ways and cross-checked.
-
-    Direct route: ``lp.tau``, a node sum of x r_n^2 on the Stieltjes route or
-    a dot product of row n against shifted moments on the moment route.
-    Closed form: sigma_{n,n} * sum_{k=1}^{n+1} gamma_k with
-    gamma_k = alpha_{k+1} + beta_k, where alpha values beyond the rc depth
-    come from sigma-diagonal ratios.
-    Raises MismatchBeyondTolerance when the two routes disagree, which signals
-    an inconsistent table/coefficient pair.
-    """
-    if n > lp.N - 1:
-        raise ValueError(f"tau_{n} needs moments beyond the table depth {lp.N}")
-    direct = lp.tau[n]
-
-    gam_sum = None
-    for k in range(1, n + 2):
-        if k + 1 <= rc.N:
-            a_k1 = rc.alpha_at(k + 1)
-        else:
-            a_k1 = lp.sigma_diag[k] / lp.sigma_diag[k - 1]
-        g = a_k1 + rc.beta_at(k)
-        gam_sum = g if gam_sum is None else gam_sum + g
-    closed = lp.sigma_diag[n] * gam_sum
-
-    scale = max(abs(complex(direct)), abs(complex(closed)), 1e-300)
-    if abs(complex(direct) - complex(closed)) > TAU_MATCH_RTOL * scale:
-        raise MismatchBeyondTolerance(
-            f"tau_{n}: direct {direct!r} vs closed form {closed!r}")
-    return direct
 
 
 def orthogonality_residual(table: MomentTable, lp: LPolySequence, n: int) -> float:

@@ -36,10 +36,6 @@ Weight families on the positive axis:
 
 both with delta > 0, q > 0, and modification defaults p = 1, same q, so that
 the modified weight is the base weight with delta replaced by delta + t.
-
-Hankel determinants H_n^(m) built from a table serve as existence diagnostics
-only; they are exponentially ill-conditioned and are never a route to
-recurrence coefficients.
 """
 
 from __future__ import annotations
@@ -260,8 +256,6 @@ def explicit_table_spec(nu: dict, t0: float = 0.0) -> MomentSpec:
 class MomentTable:
     """Immutable snapshot of moments nu_k(t) for |k| <= K at one time.
 
-    ``positive`` marks tables arising from a positive measure on the positive
-    real axis (strong positivity of Hankel determinants is then expected).
     Entries are complex scalars, or ``fractions.Fraction`` when the provenance
     is ``exact_rational``.
 
@@ -276,7 +270,6 @@ class MomentTable:
     K: int
     nu: dict
     provenance: str
-    positive: bool = False
     kind: str = ""
     weight_id: str = ""
     nodes: Optional[tuple] = field(default=None, compare=False, repr=False)
@@ -458,7 +451,6 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     if spec.kind in ("real_line_weighted", "discrete") and t < 0:
         raise ValueError("t must be >= 0 for positive-axis functionals")
 
-    positive = False
     provenance = "quadrature"
     nodes = None
     if spec.kind == "explicit_table":
@@ -476,7 +468,6 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
                 node_set = _real_line_node_set(spec, t, K)
                 sums, m = _refine_moments(node_set, K)
                 nodes = (node_set, m)
-                positive = True
             elif spec.kind == "unit_circle_weighted":
                 sums = _moments_circle(spec, t, K)
             else:
@@ -484,12 +475,10 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
                 sums = _power_sums(x, w, K)[0]
                 nodes = (lambda m: (x, w), None)
                 provenance = "exact"
-                positive = spec.p.imag == 0.0 and spec.q.imag == 0.0
         nu = dict(zip(range(-K, K + 1), sums.tolist()))
 
     return MomentTable(t=float(t), K=K, nu=nu, provenance=provenance,
-                       positive=positive, kind=spec.kind, weight_id=spec.weight_id,
-                       nodes=nodes)
+                       kind=spec.kind, weight_id=spec.weight_id, nodes=nodes)
 
 
 def compute_moments_exact(spec: MomentSpec, t: float, K: int) -> MomentTable:
@@ -508,140 +497,4 @@ def compute_moments_exact(spec: MomentSpec, t: float, K: int) -> MomentTable:
     for k in range(-K, K + 1):
         nu[k] = sum((w * x ** k for x, w in zip(nodes, weights)), Fraction(0))
     return MomentTable(t=float(t), K=K, nu=nu, provenance="exact_rational",
-                       positive=True, kind="discrete")
-
-
-def hankel_determinant(table: MomentTable, m: int, n: int):
-    """Hankel determinant H_n^(m) with entries nu_{m+i+j}, H_0^(m) = 1.
-
-    Computed by Gaussian elimination with partial pivoting; works on complex
-    tables and exactly on rational ones.  Diagnostics only: useful for
-    n <= ~12 in double precision.
-    """
-    if n < 0:
-        raise ValueError("order n must be >= 0")
-    if n == 0:
-        return Fraction(1) if table.exact else 1.0 + 0.0j
-    if not table.covers(m, m + 2 * n - 2):
-        raise IndexOutOfTable(
-            f"H_{n}^({m}) needs moments {m}..{m + 2 * n - 2}, table has |k| <= {table.K}")
-    return _hankel_with_rank(table, m, n)[0]
-
-
-def _det_pivoted(rows, exact=False):
-    """(determinant, smallest scaled pivot) by elimination with partial pivoting.
-
-    The second value is min_k |pivot_k| / |A|_max, the standard numerical-rank
-    indicator: a rank-deficient matrix collapses a pivot to rounding level,
-    while a well-defined (if ill-conditioned) determinant keeps every pivot
-    well above it.  For exact (Fraction) input the indicator is 1.0 whenever
-    the determinant is nonzero and 0.0 otherwise.
-    """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    det_one = Fraction(1) if exact else 1.0 + 0.0j
-    amax = max((abs(complex(v)) for r in rows for v in r), default=0.0)
-    if amax == 0.0:
-        return det_one * 0, 0.0
-    min_ratio = math.inf
-    for col in range(n):
-        piv, piv_val = -1, -1.0
-        for r in range(col, n):
-            v = abs(a[r][col])
-            if v > piv_val:
-                piv, piv_val = r, v
-        if piv_val == 0:
-            return det_one * 0, 0.0
-        min_ratio = min(min_ratio, float(piv_val) / amax)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor != 0:
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - factor * a[col][c]
-    det = det_one * sign
-    for i in range(n):
-        det *= a[i][i]
-    if exact:
-        return det, 1.0 if det != 0 else 0.0
-    return det, min_ratio
-
-
-def _hankel_with_rank(table: MomentTable, m: int, n: int):
-    """(H_n^(m), smallest scaled pivot) for the regularity diagnostics."""
-    if n == 0:
-        return (Fraction(1) if table.exact else 1.0 + 0.0j), 1.0
-    rows = [[table.nu[m + i + j] for j in range(n)] for i in range(n)]
-    return _det_pivoted(rows, exact=table.exact)
-
-
-@dataclass(frozen=True)
-class LevelStatus:
-    n: int
-    det_existence: complex       # H_n^(-n)
-    det_at_zero: complex         # H_{n+1}^(-n)
-    ok_existence: bool
-    ok_at_zero: bool
-    positive_existence: Optional[bool] = None
-    positive_at_zero: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    depth: int
-    levels: tuple
-
-    @property
-    def all_ok(self) -> bool:
-        return all(s.ok_existence and s.ok_at_zero for s in self.levels)
-
-    @property
-    def all_positive(self) -> bool:
-        return all(bool(s.positive_existence) and bool(s.positive_at_zero)
-                   for s in self.levels)
-
-    def first_failure(self):
-        for s in self.levels:
-            if not (s.ok_existence and s.ok_at_zero):
-                return s
-        return None
-
-
-#: smallest scaled elimination pivot that still counts as "nonzero"
-HANKEL_ZERO_REL = 1e-10
-
-
-def check_regularity(table: MomentTable, N: int) -> RegularityReport:
-    """Check both determinant conditions H_n^(-n) != 0, H_{n+1}^(-n) != 0 for n <= N.
-
-    The nonzero test is the numerical-rank criterion: the smallest pivot of
-    the pivoted elimination, scaled by the largest matrix entry, must exceed
-    HANKEL_ZERO_REL.  (The determinant itself shrinks super-exponentially
-    relative to any power of the row norms even for perfectly regular
-    positive functionals, so a threshold on |H| alone cannot work beyond a
-    few levels.)  For positive real-line tables the sign of the determinant
-    is reported as well.  Never raises on failure; the report carries
-    per-level status.
-    """
-    if not table.covers(-N - 1, N):
-        raise IndexOutOfTable(f"regularity to depth {N} needs moments in [-{N + 1}, {N}]")
-    levels = []
-    for n in range(N + 1):
-        det_a, rank_a = _hankel_with_rank(table, -n, n)
-        det_b, rank_b = _hankel_with_rank(table, -n, n + 1)
-        if table.exact:
-            ok_a, ok_b = det_a != 0, det_b != 0
-        else:
-            ok_a, ok_b = rank_a > HANKEL_ZERO_REL, rank_b > HANKEL_ZERO_REL
-        pos_a = pos_b = None
-        if table.positive:
-            if table.exact:
-                pos_a, pos_b = det_a > 0, det_b > 0
-            else:
-                pos_a = complex(det_a).real > 0 and ok_a
-                pos_b = complex(det_b).real > 0 and ok_b
-        levels.append(LevelStatus(n, det_a, det_b, ok_a, ok_b, pos_a, pos_b))
-    return RegularityReport(depth=N, levels=tuple(levels))
+                       kind="discrete")

@@ -1,4 +1,4 @@
-"""Closed-form recurrence coefficients and finite-difference references.
+"""Closed-form recurrence coefficients and their analytic time derivatives.
 
 Two weight families on the positive axis admit explicit recurrence
 coefficients for the time-modified functionals (weight parameter delta is
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .lorth import RecurrenceCoeffs
 
@@ -111,19 +109,3 @@ def example2_coeff_derivatives(ex: ClosedFormExample, t: float, N: int):
         ad = beta_dot[n - 1] * (l[n] ** 2 - 1.0) + 2.0 * b_n * l[n] * ldot[n]
         alpha_dot.append(ad)
     return beta_dot, alpha_dot
-
-
-def fd_derivative(f, t: float, h: float = 1e-4, richardson: bool = False):
-    """Central difference (f(t+h) - f(t-h)) / (2h), vector valued.
-
-    With ``richardson`` the h and h/2 stencils are combined to cancel the
-    leading O(h^2) term; the pair is also the standard smoothness check
-    (the two stencils should agree to ~h^2/4).
-    """
-    if h <= 0:
-        raise ValueError("h must be > 0")
-    d1 = (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2.0 * h)
-    if not richardson:
-        return d1
-    d2 = (np.asarray(f(t + h / 2)) - np.asarray(f(t - h / 2))) / h
-    return (4.0 * d2 - d1) / 3.0

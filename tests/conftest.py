@@ -9,6 +9,16 @@ settings.load_profile("ertl")
 from ertl import compute_moments, discrete_spec, example1_spec, example2_spec
 
 
+def tau_closed_form(lp, n):
+    """tau_n = L[x Q_n] as sigma_{n,n} * sum_{k=1}^{n+1} gamma_k, gamma_k = alpha_{k+1} + beta_k.
+
+    The second route to ``lp.tau[n]`` (n <= N-1): alpha_{N+1}, past the
+    sequence's coefficients, is the sigma ratio sigma_{N,N} / sigma_{N-1,N-1}.
+    """
+    alpha = lp.alpha + (lp.sigma_diag[lp.N] / lp.sigma_diag[lp.N - 1],)  # alpha_2..alpha_{N+1}
+    return lp.sigma_diag[n] * sum(a + b for a, b in zip(alpha[:n + 1], lp.beta[:n + 1]))
+
+
 @pytest.fixture(scope="session")
 def ex1_spec():
     return example1_spec(1.0, 2.0)

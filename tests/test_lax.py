@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ertl.lattice as lattice
 from ertl import (LaxPair, NonConvergence, RecurrenceCoeffs, StepControl, build_pair,
                   commutator, eval_Q, example1_coeffs, hausdorff_distance, integrate,
                   isospectral_drift, lax_residual, spectrum, state_from_coeffs,
@@ -103,6 +104,20 @@ def test_lax_residual_example1():
     rc = example1_coeffs(EX1, 0.0, 6)
     st = state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:5], rc.alpha[:4])
     assert lax_residual(st) < 1e-12
+
+
+def test_lax_residual_reads_beta_equation(rng, monkeypatch):
+    # dH/dt above the diagonal is alpha_dot_{n+1} + beta_dot_n of the stepped
+    # right-hand side, so a wrong beta equation shows in the residual
+    st = random_state(rng, 8)
+    kernel = lattice._ertl_kernel
+
+    def wrong_beta(*args, **kwargs):
+        dbeta, dalpha = kernel(*args, **kwargs)
+        return dbeta * (1 + 1e-6), dalpha
+
+    monkeypatch.setattr(lattice, "_ertl_kernel", wrong_beta)
+    assert lax_residual(st) > 1e-9
 
 
 def test_lax_identity_exact_rational():

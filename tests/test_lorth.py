@@ -11,8 +11,12 @@ from ertl import (ClosedFormExample, IndexOutOfTable, MomentSpec, RegularityBrea
                   bootstrap_recurrence, compute_moments, compute_moments_exact,
                   discrete_spec, eval_Q, example1_coeffs, example1_spec,
                   example2_coeffs, example2_spec, explicit_table_spec,
-                  orthogonality_residual, q_at_zero, tau, triangle_from_coeffs)
+                  orthogonality_residual, q_at_zero, triangle_from_coeffs)
 from ertl.lorth import stieltjes
+from tests.conftest import tau_closed_form
+
+#: agreement of the two tau routes (node or moment sums vs the gamma identity)
+TAU_RTOL = 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -139,15 +143,16 @@ def test_sigxi_sigman_product_identities(ten_node_boot):
 
 
 def test_tau_two_routes_quadrature(ex1_boot):
-    table, lp, rc = ex1_boot
+    _, lp, _ = ex1_boot
     for n in (0, 3, 5, 7):
-        tau(table, rc, lp, n)  # raises MismatchBeyondTolerance on failure
+        assert abs(lp.tau[n] - tau_closed_form(lp, n)) <= TAU_RTOL * abs(lp.tau[n])
 
 
 def test_tau_n0_is_first_moment(ten_node_boot):
     table, lp, rc = ten_node_boot
-    t0 = tau(table, rc, lp, 0)
+    t0 = lp.tau[0]
     assert abs(t0 - table.nu_at(1)) <= 1e-12 * abs(t0)
+    assert abs(t0 - tau_closed_form(lp, 0)) <= TAU_RTOL * abs(t0)
     # the n = 0 closed form is nu_0 (alpha_2 + beta_1) = L[x]
     closed = table.nu_at(0) * (rc.alpha_at(2) + rc.beta_at(1))
     assert abs(closed - table.nu_at(1)) <= 1e-10 * abs(t0)
@@ -156,8 +161,8 @@ def test_tau_n0_is_first_moment(ten_node_boot):
 def test_tau_exact_rational():
     spec = discrete_spec([1, 2], [1, 1])
     table = compute_moments_exact(spec, 0.0, 3)
-    lp, rc = bootstrap_recurrence(table, 2)
-    assert tau(table, rc, lp, 1) == Fraction(1)  # 1*(1-4/3) + 2*(2-4/3)
+    lp, _ = bootstrap_recurrence(table, 2)
+    assert lp.tau[1] == tau_closed_form(lp, 1) == Fraction(1)  # 1*(1-4/3) + 2*(2-4/3)
 
 
 def test_exact_rational_agrees_with_float_bootstrap():
@@ -305,7 +310,7 @@ def test_stieltjes_matches_exact_bootstrap_property(measure, t):
     for n in range(1, m + 1):
         assert orthogonality_residual(table, lp, n) < 1e-12
     for n in range(m):
-        tau(table, rc, lp, n)  # raises MismatchBeyondTolerance on failure
+        assert abs(lp.tau[n] - tau_closed_form(lp, n)) <= TAU_RTOL * abs(lp.tau[n])
     # m nodes carry a regular functional to level m - 1 only
     with pytest.raises(RegularityBreakdown) as err:
         bootstrap_recurrence(table, m + 1)

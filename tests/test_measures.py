@@ -1,4 +1,4 @@
-"""Moment tables: closed-form oracles, Hankel diagnostics, spec invariants."""
+"""Moment tables: closed-form oracles, Hankel-determinant regularity, spec invariants."""
 
 import json
 import math
@@ -11,10 +11,9 @@ from hypothesis import given, strategies as st
 from scipy.special import iv, kv
 
 from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, NonConvergentIntegral,
-                  check_regularity, circle_kernel_spec, circle_lebesgue_spec,
-                  compute_moments, compute_moments_exact, discrete_spec,
-                  example1_spec, example2_spec, hankel_determinant,
-                  verblunsky_from_moments)
+                  RegularityBreakdown, bootstrap_recurrence, circle_kernel_spec,
+                  circle_lebesgue_spec, compute_moments, compute_moments_exact,
+                  discrete_spec, example1_spec, example2_spec)
 from ertl.cli import main
 
 
@@ -156,60 +155,70 @@ def test_moment_table_index_error():
         tab.nu_at(3)
 
 
-# -- Hankel determinants ------------------------------------------------------
+# -- Hankel determinants: the regularity conditions as determinants -----------
 
-def test_hankel_order_zero_is_one(ex1_table_t0):
-    assert hankel_determinant(ex1_table_t0, m=4, n=0) == 1.0
+def hankel_det(table, m, n):
+    """H_n^(m) = det[nu_{m+i+j}]_{i,j<n}, H_0^(m) = 1: exact elimination on a
+    Fraction table, numpy's LU otherwise."""
+    rows = [[table.nu_at(m + i + j) for j in range(n)] for i in range(n)]
+    if not table.exact:
+        return complex(np.linalg.det(np.array(rows, dtype=complex).reshape(n, n)))
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
 
 
-def test_hankel_rank_one_unit_mass():
-    tab = compute_moments(discrete_spec([1.0], [1.0]), 0.0, 4)
-    assert hankel_determinant(tab, m=-1, n=2) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_hankel_first_negative_moment(ex1_table_t0):
-    val = hankel_determinant(ex1_table_t0, m=-1, n=1)
-    assert val == pytest.approx(ex1_table_t0.nu_at(-1))
-    assert complex(val).real > 0
+def hankel_sigmas(table, n):
+    """(sigma_{n,n}, sigma_{n,-1}) by Cramer's rule on L[x^(-n+s) Q_n] = 0, s < n:
+    H_{n+1}^(-n) / H_n^(-n) and (-1)^n H_{n+1}^(-n-1) / H_n^(-n)."""
+    h = hankel_det(table, -n, n)
+    return hankel_det(table, -n, n + 1) / h, (-1) ** n * hankel_det(table, -n - 1, n + 1) / h
 
 
 def test_hankel_exact_rational():
     tab = compute_moments_exact(discrete_spec([1, 2], [1, 1]), 0.0, 3)
     # H_2^(-1) = nu_-1 nu_1 - nu_0^2 = (3/2)(3) - 4 = 1/2
-    assert hankel_determinant(tab, -1, 2) == Fraction(1, 2)
+    assert hankel_det(tab, -1, 2) == Fraction(1, 2)
+    # the moment bootstrap's sigma ladder is the determinant ratios, exactly
+    tab = compute_moments_exact(discrete_spec([1, 2, 4, 8], [1, 3, 2, 1]), 0.0, 5)
+    lp, _ = bootstrap_recurrence(tab, 4)
+    for n in range(5):
+        assert (lp.sigma_diag[n], lp.sigma_minus[n]) == hankel_sigmas(tab, n)
 
-
-def test_hankel_needs_coverage(ex1_table_t0):
-    with pytest.raises(IndexOutOfTable):
-        hankel_determinant(ex1_table_t0, m=-12, n=4)
-
-
-# -- regularity ---------------------------------------------------------------
 
 def test_regularity_example1_all_positive(ex1_table_t0):
-    rep = check_regularity(ex1_table_t0, 6)
-    assert rep.all_ok
-    assert rep.all_positive
-    assert rep.first_failure() is None
+    # a positive measure: H_n^(-n), H_{n+1}^(-n) > 0 at every level, and the
+    # Stieltjes ladder matches the determinant ratios (to 1e-11 at n = 6)
+    lp, _ = bootstrap_recurrence(ex1_table_t0, 6)
+    for n in range(7):
+        assert hankel_det(ex1_table_t0, -n, n).real > 0
+        assert hankel_det(ex1_table_t0, -n, n + 1).real > 0
+        for got, want in zip((lp.sigma_diag[n], lp.sigma_minus[n]),
+                             hankel_sigmas(ex1_table_t0, n)):
+            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_regularity_unit_mass_fails_at_two():
-    tab = compute_moments(discrete_spec([1.0], [1.0]), 0.0, 4)
-    rep = check_regularity(tab, 2)
-    lv = {s.n: s for s in rep.levels}
-    assert lv[0].ok_existence and lv[0].ok_at_zero
-    assert not lv[2].ok_existence  # rank-one moment matrix
-
-
-def test_regularity_matches_verblunsky_nonzero():
-    # z-weighted circle table: condition (b) holding through level n is the
-    # same statement as the first n reflection coefficients being nonzero
-    tab = compute_moments(circle_lebesgue_spec(0.5), 0.2, 8)
-    rep = check_regularity(tab, 5)
-    v = verblunsky_from_moments(tab, 6)
-    cond_b = all(s.ok_at_zero for s in rep.levels)
-    assert cond_b == all(a != 0 for a in v.a[:6])
-    assert cond_b
+    # rank-one Hankel matrices: Q_1 exists (H_1^(-1) != 0), Q_2 does not
+    # (H_2^(-2) = 0), and sigma_{1,1} = H_2^(-1) / H_1^(-1) = 0 is where both
+    # routes of the ladder break down
+    tab = compute_moments_exact(discrete_spec([1], [1]), 0.0, 4)
+    assert hankel_det(tab, -1, 1) == 1
+    assert hankel_det(tab, -2, 2) == hankel_det(tab, -1, 2) == 0
+    for table in (tab, compute_moments(discrete_spec([1.0], [1.0]), 0.0, 4)):
+        with pytest.raises(RegularityBreakdown) as err:
+            bootstrap_recurrence(table, 3)
+        assert (err.value.n, err.value.which) == (1, "condition_b")
 
 
 # -- spec invariants ----------------------------------------------------------

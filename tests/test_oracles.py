@@ -1,10 +1,10 @@
-"""Closed-form coefficient families and the finite-difference helper."""
+"""Closed-form coefficient families and their analytic time derivatives."""
 
 import numpy as np
 import pytest
 
-from ertl import (ClosedFormExample, example1_coeffs, example2_coeffs,
-                  fd_derivative, rhs_ertl, state_from_coeffs)
+from ertl import (ClosedFormExample, example1_coeffs, example2_coeffs, rhs_ertl,
+                  state_from_coeffs)
 from ertl.oracles import example2_coeff_derivatives
 
 
@@ -63,27 +63,6 @@ def test_example2_satisfies_both_flow_equations():
         assert abs(db[n - 1] - bdot[n - 1]) < 1e-10
         if n >= 2:
             assert abs(da[n - 1] - adot[n - 2]) < 1e-10
-
-
-def test_fd_derivative_polynomial():
-    d = fd_derivative(lambda t: np.array([t * t]), 1.0, 1e-4)
-    assert d[0] == pytest.approx(2.0, abs=1e-8)
-
-
-def test_fd_derivative_example1_alpha_path():
-    ex = ClosedFormExample("example1", 1.0, 2.0)
-
-    def path(t):
-        return np.array([a.real for a in example1_coeffs(ex, t, 6).alpha])
-
-    d = fd_derivative(path, 0.0, 1e-4)
-    for i, n in enumerate(range(2, 7)):
-        assert abs(d[i] - (-(n - 1) / 2.0)) < 1e-6
-
-
-def test_fd_richardson_variant():
-    d = fd_derivative(lambda t: np.array([np.sin(3 * t)]), 0.4, 1e-3, richardson=True)
-    assert d[0] == pytest.approx(3 * np.cos(1.2), abs=1e-11)
 
 
 def test_bad_family_rejected():
