@@ -46,6 +46,21 @@ def test_state_invariants():
         LatticeState(1, 1, 0.0, (1e-15,), (0.0, 0.0))
 
 
+def test_gamma_is_shifted_alpha_plus_beta(rng):
+    # the paper's gamma equation, gamma_n = alpha_{n+1} + beta_n, written out
+    # site by site, is alpha_dot_{n+1} + beta_dot_n of rhs_ertl
+    for _ in range(20):
+        st = random_state(rng, int(rng.integers(2, 9)))
+        db, da = rhs_ertl(st)
+        a = (-1,) + st.alpha  # a[n] = alpha_n, alpha_0 = -1; alpha_{N+1} = 0
+        b = (1,) + st.beta    # b[n] = beta_n, beta_0 = 1
+        g = lambda n: a[n + 1] + b[n]
+        for n in range(1, st.N + 1):
+            out = a[n + 1] * g(n + 1) if n < st.N else 0
+            dg = st.p * (a[n] * g(n) - out) + st.q * (a[n + 1] / b[n] - a[n] / b[n - 1])
+            assert abs(dg - (da[n] + db[n - 1])) < 1e-13 * (1 + abs(dg))
+
+
 def test_specializations_share_kernel(rng):
     # rtl1 and rtl2 are the generic flow at the (p, q) they force, bit for bit
     for rhs_id, p, q in (("rtl1", 0.0, 1.0), ("rtl2", 1.0, 0.0)):

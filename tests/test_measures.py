@@ -185,6 +185,21 @@ def hankel_sigmas(table, n):
     return hankel_det(table, -n, n + 1) / h, (-1) ** n * hankel_det(table, -n - 1, n + 1) / h
 
 
+def test_hankel_order_zero_is_one(ex1_table_t0):
+    assert hankel_det(ex1_table_t0, m=4, n=0) == 1.0
+
+
+def test_hankel_rank_one_unit_mass():
+    tab = compute_moments(discrete_spec([1.0], [1.0]), 0.0, 4)
+    assert hankel_det(tab, m=-1, n=2) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_hankel_first_negative_moment(ex1_table_t0):
+    val = hankel_det(ex1_table_t0, m=-1, n=1)
+    assert val == pytest.approx(ex1_table_t0.nu_at(-1))
+    assert complex(val).real > 0
+
+
 def test_hankel_exact_rational():
     tab = compute_moments_exact(discrete_spec([1, 2], [1, 1]), 0.0, 3)
     # H_2^(-1) = nu_-1 nu_1 - nu_0^2 = (3/2)(3) - 4 = 1/2
