@@ -8,12 +8,7 @@ coupled recursion
     Phi*_{n+1}(z) = Phi*_n(z) - a_n z Phi_n(z),
 
 with reflection (Verblunsky) coefficients a_n = -conj(Phi_{n+1}(0)),
-|a_n| < 1.  Three derived objects are computed here:
-
-* the recurrence coefficients of the z-weighted functional
-  (beta_1 = conj(a_0), beta_{n+1} = -conj(a_n)/conj(a_{n-1}),
-  alpha_{n+1} = conj(a_n)/conj(a_{n-1}) (1 - |a_{n-1}|^2)), defined whenever
-  no a_n vanishes;
+|a_n| < 1.  Two derived objects are computed here:
 
 * the kernel-polynomial recurrence coefficients at a point |w| = 1
   (beta_n = -rho_n/rho_{n-1}, alpha_{n+1} = (1 + rho_n a_{n-1})
@@ -46,10 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateKernel, NotPositiveDefinite, PositivityLost,
-                     ReciprocalZero, ZeroVerblunsky)
+from .errors import DegenerateKernel, NotPositiveDefinite, PositivityLost, ReciprocalZero
 from .lattice import StepControl, integrate_core
-from .lorth import RecurrenceCoeffs
 from .measures import MomentTable
 
 
@@ -162,27 +155,6 @@ def verblunsky_from_moments(table: MomentTable, N: int) -> VerblunskySeq:
 # ---------------------------------------------------------------------------
 # Coefficient maps
 # ---------------------------------------------------------------------------
-
-def opuc_recurrence_coeffs(v: VerblunskySeq, q=None) -> RecurrenceCoeffs:
-    """Recurrence coefficients of the z-weighted functional from reflections.
-
-    Defined only when every a_n is nonzero (otherwise the three-term form of
-    the orthogonality breaks down); raises ZeroVerblunsky(n) on the first
-    vanishing coefficient.
-    """
-    for n, x in enumerate(v.a):
-        if x == 0:
-            raise ZeroVerblunsky(n)
-    ac = [x.conjugate() for x in v.a]
-    beta = [ac[0]]
-    alpha = []
-    for n in range(1, v.N):
-        ratio = ac[n] / ac[n - 1]
-        beta.append(-ratio)
-        alpha.append(ratio * (1.0 - abs(v.a[n - 1]) ** 2))
-    qq = 0j if q is None else complex(q)
-    return RecurrenceCoeffs(t=v.t, p=qq.conjugate(), q=qq, beta=beta, alpha=alpha)
-
 
 def szego_values(v: VerblunskySeq, w: complex):
     """Ratios rho_n = Phi_n(w)/Phi*_n(w) for n = 0..N, normalized to |rho_n| = 1.
@@ -365,14 +337,13 @@ def _schur_kernel(A, q, mods):
     return (1.0 - mods ** 2) * (q.conjugate() * A[:-2] - q * A[2:])
 
 
-def rhs_schur(v: VerblunskySeq, q, a_top=None):
+def rhs_schur(v: VerblunskySeq, q):
     """Two-parameter Schur flow a_dot_n = (1-|a_n|^2)(conj(q) a_{n-1} - q a_{n+1}).
 
     Returns a_dot_0..a_dot_{N-2}; the n = 0 row uses the boundary convention
-    a_{-1} = -1, so a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).  Passing
-    ``a_top`` (a frozen a_N) extends the output by the n = N-1 row.
+    a_{-1} = -1, so a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).
     """
-    A = np.array((-1.0,) + v.a + (() if a_top is None else (a_top,)), dtype=complex)
+    A = np.array((-1.0,) + v.a, dtype=complex)
     return _schur_kernel(A, complex(q), _check_modulus(A[1:-1])).tolist()
 
 

@@ -11,7 +11,7 @@ circle        verblunsky | kernel | cd | schur-check
 oracle        closed-form families example1 | example2   -> same schema as from-measure
 
 Complex numbers are `re,im` pairs on the command line and `[re, im]` arrays
-in JSON files.  Every CSV starts with one metadata comment line
+in JSON files.  Every CSV starts with one header comment line
 (`# ertl=<version> seed=<seed> config=<sha256 prefix>`); bodies are
 deterministic for a fixed config and seed, with floats printed to 17
 significant digits (round-trip exact).  Exit codes: 0 ok, 1 invalid

@@ -12,7 +12,7 @@ class ErtlError(Exception):
 
 
 class InvalidSupport(ErtlError):
-    """The weight is undefined (or the moments diverge) on the given support."""
+    """The modification does not damp the weight at 0 and at infinity, so the moments diverge."""
 
 
 class NonConvergentIntegral(ErtlError):
@@ -84,14 +84,6 @@ class NotPositiveDefinite(ErtlError):
         self.n = n
         self.modulus = modulus
         super().__init__(f"implied reflection coefficient has |a_{n}| >= 1 (got {modulus!r})")
-
-
-class ZeroVerblunsky(ErtlError):
-    """A Verblunsky coefficient required to be nonzero vanished at index ``n``."""
-
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"Verblunsky coefficient a_{n} is zero; coefficient map undefined")
 
 
 class ReciprocalZero(ErtlError):

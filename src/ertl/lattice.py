@@ -107,10 +107,10 @@ class LatticeState:
                             self.alpha[:n + 1], closure="buffered")
 
 
-def state_from_coeffs(p, q, t, beta, alpha_free, closure="finite", alpha_top=0):
-    """Assemble a state from beta_1..beta_N and the free alpha_2..alpha_N."""
-    alpha = (0,) + tuple(alpha_free) + (alpha_top,)
-    return LatticeState(p=p, q=q, t=t, beta=tuple(beta), alpha=alpha, closure=closure)
+def state_from_coeffs(p, q, t, beta, alpha_free):
+    """Assemble a finite-closure state from beta_1..beta_N and the free alpha_2..alpha_N."""
+    alpha = (0,) + tuple(alpha_free) + (0,)
+    return LatticeState(p=p, q=q, t=t, beta=tuple(beta), alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -240,18 +240,14 @@ class StepControl:
     for every component i (with that scale floored at the estimate's
     rounding level, ``_ROUNDING_FLOOR`` times max |y|).  So ``rel_tol``
     bounds the local error of one step, not the error per unit time.
-    ``fixed=True`` disables control and takes classical RK4 steps of size
-    ``h_init`` (used for order measurements and as an independent reference).
     """
 
-    h_init: float = 1e-2
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    fixed: bool = False
 
     def __post_init__(self):
-        if self.h_init <= 0 or self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances and h_init must be > 0")
+        if self.rel_tol <= 0 or self.abs_tol <= 0:
+            raise ValueError("tolerances must be > 0")
 
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -325,18 +321,12 @@ _DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857
 _ROUNDING_FLOOR = 2 * float(np.finfo(float).eps)
 #: floor under hypot(|e5|, 0.1 |e3|), so that a component with e5 = e3 = 0 reads 0
 _TINY = float(np.finfo(float).tiny)
+#: first attempted step; the controller resizes it from the first error estimate
+_H_INIT = 1e-2
 #: smallest adaptive step before StepUnderflow
 _H_MIN = 1e-14
 #: attempted steps (accepted plus rejected) before StepUnderflow
 _MAX_STEPS = 2_000_000
-
-
-def _rk4(f, t, y, h, k1):
-    """One classical RK4 step of size h from (t, y), given k1 = f(t, y)."""
-    k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _dop853(f, t, y, h, K):
@@ -360,19 +350,21 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     to [t_end], is sorted, must lie in (t0, t_end] without repeats (ValueError
     otherwise, as for t_end <= t0) and gains t_end when missing.  Steps land
     exactly on every output time (no interpolation).  ``validate(t, y)`` runs
-    after every accepted step and may raise to abort (singularity / positivity
-    loss); the offending step is bracketed.  The unknowns are stepped in the
-    dtype of ``y0`` (float64 when it is real, complex otherwise), and ``f``
-    must return that dtype.  Returns (times, snapshots, stats) for the output
-    times, t0 excluded.
+    on every step that passes the error test, before it is accepted, and may
+    raise to abort (singularity / positivity loss); a SingularDenominator from
+    f or from ``validate`` is re-raised with ``t_bracket``, the start and end
+    time of the step.  The unknowns are stepped in the dtype of ``y0``
+    (float64 when it is real, complex otherwise), and ``f`` must return that
+    dtype.  Returns (times, snapshots, stats) for the output times, t0
+    excluded.
 
     ``stats`` holds ``accepted`` and ``rejected`` step counts, ``rhs_calls``
-    (calls of f: 11 per adaptive attempt, plus f(t, y) once at each point an
-    attempt starts from, which is one per accepted step; 4 per fixed step),
-    ``h_min`` and ``h_max`` over accepted steps (steps clipped to land on an
-    output time included), and ``max_err_est``, the largest weighted error
-    ratio max_i |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) / sc_i of an accepted
-    step (at most 1; 0.0 for fixed steps).
+    (calls of f: 11 per attempt, plus f(t, y) once at each point an attempt
+    starts from, which is one per accepted step), ``h_min`` and ``h_max`` over
+    accepted steps (steps clipped to land on an output time included), and
+    ``max_err_est``, the largest weighted error ratio
+    max_i |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) / sc_i of an accepted step
+    (at most 1).
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
@@ -396,7 +388,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     K = np.empty((12, y.size), dtype=y.dtype)
     t = t0
-    h = ctrl.h_init
+    h = _H_INIT
     accepted = rejected = 0
     k1_due = True  # K[0] = f(t, y) is still to evaluate at this y
     max_err = 0.0
@@ -409,43 +401,36 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                 raise StepUnderflow(f"step budget exhausted at t={t}")
             h_try = min(h, target - t)
             try:
-                if ctrl.fixed:
-                    y_new = _rk4(counted, t, y, h_try, counted(t, y))
-                else:
-                    if k1_due:
-                        K[0] = counted(t, y)
-                        k1_due = False
-                    y_new, e = _dop853(counted, t, y, h_try, K)
-            except SingularDenominator as exc:
-                raise SingularDenominator(exc.n, exc.value,
-                                          t_bracket=(t, t + h_try)) from None
-
-            if not ctrl.fixed:
+                if k1_due:
+                    K[0] = counted(t, y)
+                    k1_due = False
+                y_new, e = _dop853(counted, t, y, h_try, K)
                 e5, e3 = np.abs(e)
                 scale = np.maximum(np.abs(y), np.abs(y_new))
                 sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale,
                                 _ROUNDING_FLOOR * float(scale.max()))
                 err = float(np.max(e5 * e5 / (np.maximum(np.hypot(e5, 0.1 * e3), _TINY) * sc)))
-                factor = 0.9 * err ** -0.125 if 0.0 < err < math.inf else \
-                    (5.0 if err == 0.0 else 0.1)
-                if not err <= 1.0:  # also catches NaN
-                    rejected += 1
-                    h = h_try * max(0.1, factor)
-                    if h < _H_MIN:
-                        raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
-                    continue
-                max_err = max(max_err, err)
-                h = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
-                k1_due = True
+                if err <= 1.0:
+                    validate(t + h_try, y_new)
+            except SingularDenominator as exc:
+                raise SingularDenominator(exc.n, exc.value,
+                                          t_bracket=(t, t + h_try)) from None
+
+            factor = 0.9 * err ** -0.125 if 0.0 < err < math.inf else \
+                (5.0 if err == 0.0 else 0.1)
+            if not err <= 1.0:  # also catches NaN
+                rejected += 1
+                h = h_try * max(0.1, factor)
+                if h < _H_MIN:
+                    raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
+                continue
+            max_err = max(max_err, err)
+            h = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
+            k1_due = True
             accepted += 1
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)
             t = t + h_try
             y = y_new
-            try:
-                validate(t, y)
-            except SingularDenominator as exc:
-                raise SingularDenominator(exc.n, exc.value,
-                                          t_bracket=(t - h_try, t)) from None
         t = target
         snaps.append(y.copy())
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,

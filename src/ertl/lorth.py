@@ -33,7 +33,8 @@ Two routes evaluate the sigmas.
   In double precision its dots cancel by about 8 digits at depth 12, hence
   its depth cap MAX_DEPTH.
 
-Conventions: beta_0 = 1, alpha_0 = -1, alpha_1 = 0 (recorded in metadata).
+Conventions: beta_0 = 1, alpha_0 = -1, alpha_1 = 0 (written out by
+``ertl from-measure --dump-poly``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -78,8 +79,7 @@ class RecurrenceCoeffs:
     """Recurrence coefficients beta_1..beta_N, alpha_2..alpha_N at one time.
 
     ``beta[i]`` holds beta_{i+1} and ``alpha[i]`` holds alpha_{i+2}; the
-    index-shifted accessors below take the mathematical subscript and supply
-    the boundary conventions beta_0 = 1, alpha_0 = -1, alpha_1 = 0.
+    boundary conventions are beta_0 = 1, alpha_0 = -1, alpha_1 = 0.
     """
 
     t: float
@@ -87,7 +87,6 @@ class RecurrenceCoeffs:
     q: complex
     beta: tuple
     alpha: tuple
-    meta: dict = field(default_factory=lambda: {"alpha_1": 0, "alpha_0": -1, "beta_0": 1})
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(self.beta))
@@ -98,18 +97,6 @@ class RecurrenceCoeffs:
     @property
     def N(self) -> int:
         return len(self.beta)
-
-    def beta_at(self, n: int):
-        if n == 0:
-            return 1
-        return self.beta[n - 1]
-
-    def alpha_at(self, n: int):
-        if n == 0:
-            return -1
-        if n == 1:
-            return 0
-        return self.alpha[n - 2]
 
 
 @dataclass(frozen=True)
@@ -370,59 +357,14 @@ def _next_row(rows, b_new, a_new):
     return out
 
 
-def triangle_from_coeffs(beta, alpha, N=None):
+def triangle_from_coeffs(beta, alpha):
     """Expand the recurrence into the monic coefficient triangle, rows 0..N.
 
-    ``beta`` lists beta_1.. and ``alpha`` lists alpha_2..; Fraction
-    coefficients give an exact triangle.
+    ``beta`` lists beta_1..beta_N and ``alpha`` lists alpha_2..alpha_N;
+    Fraction coefficients give an exact triangle.
     """
-    if N is None:
-        N = len(beta)
     rows = [[Fraction(1) if isinstance(beta[0], Fraction) else 1.0 + 0.0j]]
-    for n in range(N):
+    for n in range(len(beta)):
         rows.append(_next_row(rows, beta[n], alpha[n - 1] if n >= 1 else 0))
     return rows
 
-
-def eval_Q(rc: RecurrenceCoeffs, n: int, x):
-    """Value of Q_n at x by the forward three-term recurrence."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if n > rc.N:
-        raise ValueError(f"rc holds coefficients to depth {rc.N} < {n}")
-    if n == 0:
-        return 1
-    q_prev = 1
-    q_cur = x - rc.beta[0]
-    for k in range(1, n):
-        q_next = (x - rc.beta[k]) * q_cur - rc.alpha[k - 1] * x * q_prev
-        q_prev, q_cur = q_cur, q_next
-    return q_cur
-
-
-def q_at_zero(rc: RecurrenceCoeffs, n: int):
-    """Q_n(0) = (-1)^n beta_n ... beta_1, the product form of the constant term."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    prod = 1
-    for k in range(n):
-        prod = prod * rc.beta[k]
-    return prod if n % 2 == 0 else -prod
-
-
-def orthogonality_residual(table: MomentTable, lp: LPolySequence, n: int) -> float:
-    """Largest relative violation of L[x^(-n+s) Q_n] = 0 over s = 0..n-1.
-
-    Each condition is normalized by the magnitude sum of its terms, so the
-    residual measures achieved cancellation independently of moment scale.
-    """
-    if n < 1 or n > lp.N:
-        raise ValueError("need 1 <= n <= depth of the sequence")
-    row = lp.rows[n]
-    worst = 0.0
-    for s in range(n):
-        moms = [table.nu_at(j - n + s) for j in range(n + 1)]
-        num = abs(complex(kahan_dot(row, moms)))
-        den = sum(abs(complex(c)) * abs(complex(m)) for c, m in zip(row, moms))
-        worst = max(worst, num / max(den, 1e-300))
-    return worst

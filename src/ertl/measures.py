@@ -6,8 +6,8 @@ is
 
     nu_k(t) = L[exp(-t*(p*x + q/x)) * x^k],
 
-with complex modification coefficients ``p`` and ``q``.  Four kinds of
-functionals are supported:
+with complex modification coefficients ``p`` and ``q``.  There are four kinds
+of functionals:
 
 * ``real_line_weighted`` -- L[f] = integral of f over (0, inf) against a named
   strong positive weight (families ``example1`` and ``example2`` below),
@@ -78,7 +78,6 @@ class MomentSpec:
     params: dict = field(default_factory=dict)
     p: complex = 0j
     q: complex = 0j
-    support: tuple = (0.0, math.inf)
     nodes: tuple = ()
     weights: tuple = ()
 
@@ -90,7 +89,6 @@ class MomentSpec:
         object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "support", tuple(self.support))
 
         if self.kind == "discrete":
             if not self.nodes:
@@ -107,21 +105,17 @@ class MomentSpec:
         elif self.kind == "real_line_weighted":
             if self.weight_id not in REAL_LINE_FAMILIES:
                 raise ValueError(f"unknown real-line weight family {self.weight_id!r}")
-            a, b = self.support
-            if not (0.0 <= a < b):
-                raise ValueError("support must satisfy 0 <= a < b")
             delta = self.params.get("delta")
             qw = self.params.get("q")
             if delta is None or not delta > 0:
                 raise ValueError("weight parameter delta must be > 0")
             if qw is None or not qw > 0:
                 raise ValueError("weight parameter q must be > 0")
-            if math.isinf(b) or a == 0.0:
-                # unbounded support: both exponential directions must damp
-                if not (self.p.real > 0.0 and self.q.real > 0.0):
-                    raise InvalidSupport(
-                        "unbounded support requires Re(p) > 0 and Re(q) > 0; "
-                        "refusing a divergent modification")
+            # on (0, inf) both exponential directions must damp
+            if not (self.p.real > 0.0 and self.q.real > 0.0):
+                raise InvalidSupport(
+                    "a weight on (0, inf) requires Re(p) > 0 and Re(q) > 0; "
+                    "refusing a divergent modification")
 
         elif self.kind == "unit_circle_weighted":
             if self.weight_id not in CIRCLE_FAMILIES:

@@ -1,4 +1,4 @@
-"""Closed-form recurrence coefficients and their analytic time derivatives.
+"""Closed-form recurrence coefficients of two weight families.
 
 Two weight families on the positive axis admit explicit recurrence
 coefficients for the time-modified functionals (weight parameter delta is
@@ -15,8 +15,7 @@ simply shifted to delta + t):
   under x -> sqrt(q) x, which the quadrature bootstrap confirms.)
 
 These serve as independent references for the quadrature + bootstrap pipeline
-and for the lattice right-hand sides (their analytic time derivatives are
-available in closed form, so the checks are not finite-difference limited).
+and, as exact solutions of the flow, for the lattice integrators.
 """
 
 from __future__ import annotations
@@ -55,57 +54,23 @@ def example1_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs
 
 
 def _l_sequence(ex: ClosedFormExample, t: float, N: int):
-    """l_0..l_N and their analytic time derivatives ldot_0..ldot_N.
-
-    Differentiating  l_n = 1 + c_n(t)/(l_{n-1}+1)  with
-    c_n(t) = n/(2 sqrt(q) (t+delta))  gives
-
-        ldot_n = cdot_n/(l_{n-1}+1) - c_n ldot_{n-1}/(l_{n-1}+1)^2,
-
-    a forward chain-rule recursion (no finite differences involved).
-    """
+    """l_0..l_N: l_0 = 1, l_n = 1 + c_n/(l_{n-1}+1) with c_n = n/(2 sqrt(q) (t+delta))."""
     s = t + ex.delta
     sq = math.sqrt(ex.q)
     l = [1.0]
-    ldot = [0.0]
     for n in range(1, N + 1):
-        c = n / (2.0 * sq * s)
-        cdot = -n / (2.0 * sq * s * s)
-        denom = l[n - 1] + 1.0
-        l.append(1.0 + c / denom)
-        ldot.append(cdot / denom - c * ldot[n - 1] / (denom * denom))
-    return l, ldot
+        l.append(1.0 + n / (2.0 * sq * s) / (l[n - 1] + 1.0))
+    return l
 
 
 def example2_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:
     """Coefficients of the second family via the l_n forward recursion."""
     if t + ex.delta <= 0:
         raise ValueError("need t + delta > 0")
-    l, _ = _l_sequence(ex, t, N)
+    l = _l_sequence(ex, t, N)
     sq = math.sqrt(ex.q)
     beta = [sq * l[n - 1] / l[n] for n in range(1, N + 1)]
     # alpha_{n+1} = beta_n (l_n^2 - 1) for n = 1..N-1 fills alpha_2..alpha_N
     alpha = [beta[n - 1] * (l[n] ** 2 - 1.0) for n in range(1, N)]
     return RecurrenceCoeffs(t=t, p=1.0 + 0j, q=complex(ex.q), beta=beta, alpha=alpha)
 
-
-def example2_coeff_derivatives(ex: ClosedFormExample, t: float, N: int):
-    """Analytic (beta_dot_1..N, alpha_dot_2..N) for the second family.
-
-    beta_n = sqrt(q) l_{n-1}/l_n  and  alpha_{n+1} = beta_n (l_n^2 - 1), so
-
-        beta_dot_n  = (ldot_{n-1} l_n - l_{n-1} ldot_n) / l_n^2
-        alpha_dot_{n+1} = beta_dot_n (l_n^2 - 1) + 2 beta_n l_n ldot_n.
-    """
-    l, ldot = _l_sequence(ex, t, N)
-    sq = math.sqrt(ex.q)
-    beta_dot = []
-    alpha_dot = []
-    for n in range(1, N + 1):
-        bd = sq * (ldot[n - 1] * l[n] - l[n - 1] * ldot[n]) / (l[n] ** 2)
-        beta_dot.append(bd)
-    for n in range(1, N):
-        b_n = sq * l[n - 1] / l[n]
-        ad = beta_dot[n - 1] * (l[n] ** 2 - 1.0) + 2.0 * b_n * l[n] * ldot[n]
-        alpha_dot.append(ad)
-    return beta_dot, alpha_dot

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,7 +8,87 @@ from hypothesis import settings
 settings.register_profile("ertl", derandomize=True, deadline=None)
 settings.load_profile("ertl")
 
-from ertl import compute_moments, discrete_spec, example1_spec, example2_spec
+from ertl import (SYSTEMS, LatticeState, Trajectory, compute_moments, discrete_spec,
+                  example1_spec, example2_spec, rhs_ertl)
+from ertl.lorth import kahan_dot
+
+
+def beta_at(rc, n):
+    """beta_n of RecurrenceCoeffs ``rc`` by its subscript, with beta_0 = 1."""
+    return 1 if n == 0 else rc.beta[n - 1]
+
+
+def alpha_at(rc, n):
+    """alpha_n of ``rc`` by its subscript, with alpha_0 = -1 and alpha_1 = 0."""
+    return (-1, 0)[n] if n < 2 else rc.alpha[n - 2]
+
+
+def eval_Q(rc, n, x):
+    """Q_n(x) by the forward three-term recurrence of ``rc`` (n <= rc.N)."""
+    if not 0 <= n <= rc.N:
+        raise ValueError(f"degree {n} outside 0..{rc.N}")
+    q_prev, q_cur = 0, 1
+    for k in range(n):
+        q_prev, q_cur = q_cur, (x - rc.beta[k]) * q_cur - alpha_at(rc, k + 1) * x * q_prev
+    return q_cur
+
+
+def q_at_zero(rc, n):
+    """Q_n(0) = (-1)^n beta_n ... beta_1, the product form of the constant term."""
+    return (-1) ** n * math.prod(rc.beta[:n])
+
+
+def orthogonality_residual(table, lp, n):
+    """Largest relative violation of L[x^(-n+s) Q_n] = 0 over s = 0..n-1.
+
+    Reads Q_n from the coefficient triangle ``lp.rows``; each condition is
+    normalized by the magnitude sum of its terms, so the residual measures
+    the achieved cancellation whatever the moment scale.
+    """
+    row = lp.rows[n]
+    worst = 0.0
+    for s in range(n):
+        moms = [table.nu_at(j - n + s) for j in range(n + 1)]
+        num = abs(complex(kahan_dot(row, moms)))
+        den = sum(abs(complex(c)) * abs(complex(m)) for c, m in zip(row, moms))
+        worst = max(worst, num / max(den, 1e-300))
+    return worst
+
+
+def rk4_reference(state, t_end, h, t_out=None, rhs_id="ertl"):
+    """Classical RK4 on the public ``rhs_ertl``: the fixed-step reference for ``integrate``.
+
+    It shares neither ``integrate``'s packing of the unknowns nor its float64
+    stepping: every stage is a complex LatticeState.  Each stretch between
+    output times (``t_out`` plus t_end) is cut into equal steps of at most h.
+    ``rhs_id`` names a system of ``SYSTEMS`` stepped by the generic flow
+    ("ertl", "rtl1", "rtl2"), whose (p, q) it forces.
+    """
+    if rhs_id not in ("ertl", "rtl1", "rtl2"):
+        raise ValueError(f"no generic-flow reference for {rhs_id!r}")
+    p, q = SYSTEMS[rhs_id] or (state.p, state.q)
+    N = state.N
+
+    def f(t, y):
+        db, da = rhs_ertl(LatticeState(p, q, t, y[:N], [0j, *y[N:], 0j]))
+        return np.array(db + da[1:-1])
+
+    t, y = state.t, np.array(state.beta + state.alpha[1:-1], dtype=complex)
+    times = sorted({*(t_out or ()), t_end})
+    states = [state]
+    for target in times:
+        n = math.ceil((target - t) / h - 1e-9)
+        dt = (target - t) / n
+        for i in range(n):
+            s = t + i * dt
+            k1 = f(s, y)
+            k2 = f(s + dt / 2, y + dt / 2 * k1)
+            k3 = f(s + dt / 2, y + dt / 2 * k2)
+            k4 = f(s + dt, y + dt * k3)
+            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = target
+        states.append(LatticeState(state.p, state.q, t, y[:N], [0j, *y[N:], 0j]))
+    return Trajectory((state.t, *times), tuple(states), {})
 
 
 def tau_closed_form(lp, n):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from ertl import (CircleState, LatticeState, NotPositiveDefinite,
-                  PositivityLost, StepControl, VerblunskySeq, ZeroVerblunsky,
+from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefinite,
+                  PositivityLost, RecurrenceCoeffs, StepControl, VerblunskySeq,
                   bootstrap_recurrence, cd_from_verblunsky, circle_kernel_spec,
-                  circle_lebesgue_spec, compute_moments, eval_Q,
-                  explicit_table_spec, integrate_cd, integrate_schur,
-                  kernel_coeffs, map_beta_alpha_cd, map_cd_beta_alpha,
-                  opuc_recurrence_coeffs, q_at_zero, rhs_cd, rhs_ertl,
-                  rhs_schur, verblunsky_from_moments)
+                  circle_lebesgue_spec, compute_moments, explicit_table_spec,
+                  integrate_cd, integrate_schur, kernel_coeffs, map_beta_alpha_cd,
+                  map_cd_beta_alpha, rhs_cd, rhs_ertl, rhs_schur,
+                  verblunsky_from_moments)
+from tests.conftest import eval_Q, q_at_zero
 
 
 def gram_schmidt_verblunsky(mu, N):
@@ -36,6 +36,24 @@ def gram_schmidt_verblunsky(mu, N):
         if n >= 1:
             out.append(-b[0].conjugate())
     return out
+
+
+def opuc_recurrence_coeffs(v, q=None):
+    """Recurrence coefficients of the z-weighted functional from reflections.
+
+    beta_1 = conj(a_0), beta_{n+1} = -conj(a_n)/conj(a_{n-1}) and
+    alpha_{n+1} = conj(a_n)/conj(a_{n-1}) (1 - |a_{n-1}|^2), the second route
+    to the bootstrap of a circle table.  Defined only when no a_n vanishes
+    (the three-term form of the orthogonality breaks down); ValueError
+    otherwise.
+    """
+    if 0 in v.a:
+        raise ValueError(f"a_{v.a.index(0)} = 0: coefficient map undefined")
+    ac = [x.conjugate() for x in v.a]
+    ratios = [ac[n] / ac[n - 1] for n in range(1, v.N)]
+    qq = 0j if q is None else complex(q)
+    return RecurrenceCoeffs(t=v.t, p=qq.conjugate(), q=qq, beta=[ac[0]] + [-r for r in ratios],
+                            alpha=[r * (1.0 - abs(v.a[n]) ** 2) for n, r in enumerate(ratios)])
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +134,7 @@ def test_opuc_coeffs_product_identity(leb_verb):
 
 def test_zero_verblunsky_raises():
     v = VerblunskySeq(0.0, (0.3, 0.0, 0.2))
-    with pytest.raises(ZeroVerblunsky):
+    with pytest.raises(ValueError, match="a_1 = 0"):
         opuc_recurrence_coeffs(v)
 
 
@@ -172,6 +190,16 @@ def test_cd_map_matches_kernel_coeffs_complex_q():
     bmap, amap = map_beta_alpha_cd(list(cs.c), [0.0] + list(cs.d))
     assert max(abs(a - b) for a, b in zip(bmap, beta)) < 1e-10
     assert max(abs(a - b) for a, b in zip(amap[1:], alpha)) < 1e-10
+
+
+def test_degenerate_kernel_detected():
+    # at w = 1, rho_0 = 1: g_1 = |1 - a_0|^2 / (2 (1 - Re a_0)) = (1 - a_0) / 2
+    # for real a_0, and its denominator falls below 1e-14 at a_0 = 1 - 1e-15
+    with pytest.raises(DegenerateKernel) as exc:
+        cd_from_verblunsky(VerblunskySeq(0.0, (1 - 1e-15, 0.1)))
+    assert exc.value.n == 1
+    cs = cd_from_verblunsky(VerblunskySeq(0.0, (1 - 1e-13, 0.1)))
+    assert cs.g[0] == pytest.approx(5.0e-14, rel=1e-2)
 
 
 def test_map_trivial_values():

@@ -13,9 +13,10 @@ from scipy.special import iv
 
 import ertl
 from ertl.cli import main
-from ertl.lattice import StepControl, integrate, state_from_coeffs
-from ertl.lorth import RecurrenceCoeffs, bootstrap_recurrence, eval_Q
+from ertl.lattice import state_from_coeffs
+from ertl.lorth import RecurrenceCoeffs, bootstrap_recurrence
 from ertl.measures import MomentSpec, compute_moments_exact
+from tests.conftest import eval_Q, rk4_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,9 +136,8 @@ def test_simulate_golden_and_determinism(tmp_path):
         assert abs(sum(beta) + sum(alpha) - 5.25) <= 1e-12 * 5.25
         assert abs(math.prod(beta) - 3.0) <= 1e-9 * 3.0
     # fixed-step RK4 reference, converged to ~1e-13 at h = 1e-3
-    ref = integrate(state_from_coeffs(1, 0, 0.0, [1, 2, 1.5], [0.5, 0.25]), 0.5,
-                    rhs_id="rtl2", ctrl=StepControl(h_init=1e-3, fixed=True),
-                    t_out=[0.25, 0.5])
+    ref = rk4_reference(state_from_coeffs(1, 0, 0.0, [1, 2, 1.5], [0.5, 0.25]), 0.5,
+                        1e-3, t_out=[0.25, 0.5], rhs_id="rtl2")
     for t, s in zip(ref.times, ref.states):
         rows = by_t[t]
         for r, b, a in zip(rows, s.beta, s.alpha):

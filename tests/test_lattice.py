@@ -12,6 +12,7 @@ from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
                   rhs_langmuir, state_from_coeffs, LatticeState)
 from ertl.lattice import BUFFER_ESCALATIONS
+from tests.conftest import rk4_reference
 
 EX1 = ClosedFormExample("example1", 1.0, 2.0)
 
@@ -94,8 +95,7 @@ def test_rhs_matches_moment_derived_path(ten_node_spec):
     boots = {dt: bootstrap_recurrence(compute_moments(ten_node_spec, t0 + dt, 9),
                                       8, p=1.0, q=2.0)[1] for dt in (-h, 0.0, h)}
     rc = boots[0.0]
-    st = state_from_coeffs(1.0, 2.0, t0, rc.beta[:7], rc.alpha[:6],
-                           closure="finite")
+    st = state_from_coeffs(1.0, 2.0, t0, rc.beta[:7], rc.alpha[:6])
     db, da = rhs_ertl(st)
     for n in range(1, 7):
         fd_b = (boots[h].beta[n - 1] - boots[-h].beta[n - 1]) / (2 * h)
@@ -188,7 +188,7 @@ def test_fixed_step_fourth_order_convergence(rng):
     ref = integrate(st, 0.5, ctrl=StepControl(rel_tol=1e-13, abs_tol=1e-14)).final
     errs = []
     for h in (0.025, 0.0125, 0.00625):
-        fin = integrate(st, 0.5, ctrl=StepControl(h_init=h, fixed=True)).final
+        fin = rk4_reference(st, 0.5, h).final
         errs.append(max(abs(a - b) for a, b in zip(fin.beta, ref.beta)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert 10 < r1 < 24 and 10 < r2 < 24  # ~16x per halving
@@ -196,11 +196,12 @@ def test_fixed_step_fourth_order_convergence(rng):
 
 def test_adaptive_error_falls_with_tolerance():
     # error per step: the global error over [0, 0.5] tracks rel_tol, measured
-    # against fixed-step RK4 at h = 1e-4 (converged to ~1e-14 relative)
+    # against the fixed-step RK4 reference at h = 1e-4 (converged to ~1e-14
+    # relative)
     rc = example2_coeffs(ClosedFormExample("example2", 1.0, 2.0), 0.0, 24)
     st = state_from_coeffs(1.0, 2.0, 0.0, rc.beta, rc.alpha)
     coeffs = lambda traj: np.array(traj.final.beta + traj.final.alpha)
-    ref = coeffs(integrate(st, 0.5, ctrl=StepControl(h_init=1e-4, fixed=True)))
+    ref = coeffs(rk4_reference(st, 0.5, 1e-4))
     errs = []
     for tol in (1e-6, 1e-8, 1e-10):
         fin = coeffs(integrate(st, 0.5, ctrl=StepControl(rel_tol=tol)))
@@ -217,8 +218,7 @@ def test_error_vs_work_beats_dp54_record():
     rc = example2_coeffs(ClosedFormExample("example2", 1.0, 2.0), 0.0, 40)
     st = state_from_coeffs(1.0, 2.0, 0.0, rc.beta, rc.alpha)
     coeffs = lambda traj: np.array(traj.final.beta + traj.final.alpha)
-    coarse, ref = (coeffs(integrate(st, 0.5, ctrl=StepControl(h_init=h, fixed=True)))
-                   for h in (2e-4, 1e-4))
+    coarse, ref = (coeffs(rk4_reference(st, 0.5, h)) for h in (2e-4, 1e-4))
     scale = np.abs(ref).max()
     # halving h moves fixed-step RK4 by 15 times its error at 1e-4, so the
     # reference is good to 1e-12 / 15 < 7e-14 relative
@@ -254,8 +254,7 @@ def test_tight_tolerance_short_step_accepted():
     st = state_from_coeffs(1, 0, 0.0, [1, 2, 1.5], [0.5, 0.25])
     traj = integrate(st, 0.5, rhs_id="rtl2",
                      ctrl=StepControl(rel_tol=1e-13, abs_tol=1e-15), t_out=[0.25, 0.5])
-    ref = integrate(st, 0.5, rhs_id="rtl2", ctrl=StepControl(h_init=1e-3, fixed=True),
-                    t_out=[0.25, 0.5])
+    ref = rk4_reference(st, 0.5, 1e-3, t_out=[0.25, 0.5], rhs_id="rtl2")
     assert traj.times == ref.times == (0.0, 0.25, 0.5)
     for a, b in zip(traj.states, ref.states):
         assert max(abs(x - y) for x, y in zip(a.beta + a.alpha, b.beta + b.alpha)) < 1e-12

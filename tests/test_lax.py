@@ -7,9 +7,10 @@ import pytest
 
 import ertl.lattice as lattice
 from ertl import (LaxPair, NonConvergence, RecurrenceCoeffs, StepControl, build_pair,
-                  commutator, eval_Q, example1_coeffs, hausdorff_distance, integrate,
+                  commutator, example1_coeffs, hausdorff_distance, integrate,
                   isospectral_drift, lax_residual, spectrum, state_from_coeffs,
                   ClosedFormExample)
+from tests.conftest import eval_Q
 from tests.test_lattice import random_state
 
 EX1 = ClosedFormExample("example1", 1.0, 2.0)

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from ertl import (ClosedFormExample, IndexOutOfTable, MomentSpec, RegularityBreakdown,
                   bootstrap_recurrence, compute_moments, compute_moments_exact,
-                  discrete_spec, eval_Q, example1_coeffs, example1_spec,
+                  discrete_spec, example1_coeffs, example1_spec,
                   example2_coeffs, example2_spec, explicit_table_spec,
-                  orthogonality_residual, q_at_zero, triangle_from_coeffs)
+                  triangle_from_coeffs)
 from ertl.lorth import stieltjes
-from tests.conftest import tau_closed_form
+from tests.conftest import (alpha_at, beta_at, eval_Q, orthogonality_residual, q_at_zero,
+                            tau_closed_form)
 
 #: agreement of the two tau routes (node or moment sums vs the gamma identity)
 TAU_RTOL = 1e-8
@@ -87,7 +88,7 @@ def test_route_equivalence_triangle(ten_node_spec):
     spec = discrete_spec(ten_node_spec.nodes, ten_node_spec.weights)
     lp, _ = bootstrap_recurrence(compute_moments(spec, 0.0, 9), 8)
     lpe, _ = bootstrap_recurrence(compute_moments_exact(spec, 0.0, 9), 8)
-    rows = triangle_from_coeffs(lp.beta, lp.alpha, 8)
+    rows = triangle_from_coeffs(lp.beta, lp.alpha)
     for n in range(9):
         for j in range(n + 1):
             ref = float(lpe.rows[n][j])
@@ -124,7 +125,7 @@ def test_abzeros_identity(ex1_boot):
     # alpha_{n+1} + beta_{n+1} = a_{n,n-1} - a_{n+1,n}
     _, lp, rc = ex1_boot
     for n in range(1, 8):
-        lhs = rc.alpha_at(n + 1) + rc.beta_at(n + 1)
+        lhs = alpha_at(rc, n + 1) + beta_at(rc, n + 1)
         rhs = lp.rows[n][n - 1] - lp.rows[n + 1][n]
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
@@ -134,10 +135,10 @@ def test_sigxi_sigman_product_identities(ten_node_boot):
     prod_alpha = 1.0 + 0j
     for n in range(0, 8):
         if n >= 1:
-            prod_alpha *= rc.alpha_at(n + 1)
+            prod_alpha *= alpha_at(rc, n + 1)
         sig = lp.sigma_diag[n]
         assert abs(sig - prod_alpha * lp.sigma_diag[0]) <= 1e-10 * abs(sig)
-        expect_minus = sig / (rc.beta_at(n + 1) * lp.rows[n][0]) if n >= 1 else None
+        expect_minus = sig / (beta_at(rc, n + 1) * lp.rows[n][0]) if n >= 1 else None
         if n >= 1 and n + 1 <= rc.N:
             assert abs(lp.sigma_minus[n] - expect_minus) <= 1e-10 * abs(lp.sigma_minus[n])
 
@@ -154,7 +155,7 @@ def test_tau_n0_is_first_moment(ten_node_boot):
     assert abs(t0 - table.nu_at(1)) <= 1e-12 * abs(t0)
     assert abs(t0 - tau_closed_form(lp, 0)) <= TAU_RTOL * abs(t0)
     # the n = 0 closed form is nu_0 (alpha_2 + beta_1) = L[x]
-    closed = table.nu_at(0) * (rc.alpha_at(2) + rc.beta_at(1))
+    closed = table.nu_at(0) * (alpha_at(rc, 2) + beta_at(rc, 1))
     assert abs(closed - table.nu_at(1)) <= 1e-10 * abs(t0)
 
 
@@ -196,8 +197,8 @@ def test_beta_sum_identity(ex1_spec):
         for k in range(1, n + 1):
             bdot = (boots[0.5 + h].beta[k - 1] - boots[0.5 - h].beta[k - 1]) / (2 * h)
             lhs += bdot / rc.beta[k - 1]
-        rhs = (-rc.p * rc.alpha_at(n + 1)
-               + rc.q * rc.alpha_at(n + 1) / (rc.beta_at(n + 1) * rc.beta_at(n)))
+        rhs = (-rc.p * alpha_at(rc, n + 1)
+               + rc.q * alpha_at(rc, n + 1) / (beta_at(rc, n + 1) * beta_at(rc, n)))
         assert abs(lhs - rhs) < 1e-5
 
 

@@ -257,6 +257,9 @@ def test_spec_rejects_bad_inputs():
     with pytest.raises(InvalidSupport):
         MomentSpec(kind="real_line_weighted", weight_id="example1",
                    params={"delta": 1.0, "q": 2.0}, p=-1.0, q=2.0)
+    with pytest.raises(TypeError):  # the real-line weights live on (0, inf) only
+        MomentSpec(kind="real_line_weighted", weight_id="example1",
+                   params={"delta": 1.0, "q": 2.0}, p=1.0, q=2.0, support=(1.0, 2.0))
     with pytest.raises(ValueError):
         MomentSpec(kind="unit_circle_weighted", weight_id="circle_lebesgue",
                    p=1.0, q=0.5j)

@@ -1,11 +1,39 @@
 """Closed-form coefficient families and their analytic time derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ertl import (ClosedFormExample, example1_coeffs, example2_coeffs, rhs_ertl,
                   state_from_coeffs)
-from ertl.oracles import example2_coeff_derivatives
+
+
+def example2_coeff_derivatives(ex, t, N):
+    """Analytic (beta_dot_1..N, alpha_dot_2..N) of the second family.
+
+    Differentiating l_n = 1 + c_n/(l_{n-1}+1), c_n = n/(2 sqrt(q) (t+delta)),
+    gives the forward chain-rule recursion (no finite differences)
+
+        ldot_n = cdot_n/(l_{n-1}+1) - c_n ldot_{n-1}/(l_{n-1}+1)^2,
+
+    and beta_n = sqrt(q) l_{n-1}/l_n, alpha_{n+1} = beta_n (l_n^2 - 1) give
+
+        beta_dot_n      = sqrt(q) (ldot_{n-1} l_n - l_{n-1} ldot_n) / l_n^2,
+        alpha_dot_{n+1} = beta_dot_n (l_n^2 - 1) + 2 beta_n l_n ldot_n.
+    """
+    s, sq = t + ex.delta, math.sqrt(ex.q)
+    l, ldot = [1.0], [0.0]
+    for n in range(1, N + 1):
+        c, cdot = n / (2.0 * sq * s), -n / (2.0 * sq * s * s)
+        denom = l[n - 1] + 1.0
+        l.append(1.0 + c / denom)
+        ldot.append(cdot / denom - c * ldot[n - 1] / (denom * denom))
+    beta_dot = [sq * (ldot[n - 1] * l[n] - l[n - 1] * ldot[n]) / l[n] ** 2
+                for n in range(1, N + 1)]
+    alpha_dot = [beta_dot[n - 1] * (l[n] ** 2 - 1.0) + 2.0 * (sq * l[n - 1] / l[n]) * l[n] * ldot[n]
+                 for n in range(1, N)]
+    return beta_dot, alpha_dot
 
 
 def test_example1_values_at_zero():
@@ -19,7 +47,7 @@ def test_example1_values_at_one():
     ex = ClosedFormExample("example1", 1.0, 2.0)
     rc = example1_coeffs(ex, 1.0, 5)
     for n in range(1, 5):
-        assert rc.alpha_at(n + 1) == pytest.approx(n / 4.0)
+        assert rc.alpha[n - 1] == pytest.approx(n / 4.0)  # alpha_{n+1}
 
 
 def test_example2_hand_values():
