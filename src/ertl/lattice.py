@@ -232,14 +232,18 @@ class StepControl:
 
     Adaptive steps use the Dormand-Prince 8(5,3) pair (DOP853) and propagate
     its 8th-order solution.  Acceptance is error per step, each component
-    scaled by its own size: with e5 and e3 the embedded 5th- and 3rd-order
-    error estimates, a step from y to y_new is accepted when
+    scaled by its own size sc_i = abs_tol + rel_tol * max(|y_i|, |y_new_i|)
+    (floored at the estimate's rounding level, ``_ROUNDING_FLOOR`` times
+    max |y|).  With e5 and e3 the embedded 5th- and 3rd-order error
+    estimates, their norms E5 = max_i |e5_i| / sc_i and E3 = max_i |e3_i| / sc_i
+    are combined as in Hairer's DOP853, and a step is accepted when
 
-        |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) <= abs_tol + rel_tol * max(|y_i|, |y_new_i|)
+        E5^2 / hypot(E5, 0.1 E3) <= 1.
 
-    for every component i (with that scale floored at the estimate's
-    rounding level, ``_ROUNDING_FLOOR`` times max |y|).  So ``rel_tol``
-    bounds the local error of one step, not the error per unit time.
+    The norms are combined, not the components: a component whose e3 passes
+    near zero would otherwise be judged by its raw 5th-order estimate.  So
+    ``rel_tol`` bounds the local error of one step, not the error per unit
+    time.
     """
 
     rel_tol: float = 1e-10
@@ -312,14 +316,14 @@ _DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857
 #: limit (h |k| <= |y| and DOP853's real stability bound h |df/dy| <= 6.39;
 #: DP5(4)'s was 3.31) that is 4.19 (12 + 6.39) = 77 eps |y| in e5 and
 #: 13.13 (12 + 6.39) = 241 eps |y| in e3 (sum|E5| = 4.19, sum|E3| = 13.13),
-#: and |e5|^2 / hypot(|e5|, 0.1 |e3|) never exceeds |e5|.  But both terms
+#: and E5^2 / hypot(E5, 0.1 E3) never exceeds E5.  But both terms
 #: shrink with h, and an 8th-order step that meets a tolerance near eps is
 #: far inside the stability region: on truncated example2 (N = 40) a step
 #: with h |df/dy| = 0.035 has an estimate of 0.16 eps |y|.  A step rejected
 #: for noise is retried shorter, with less noise, so 2 eps |y| never drives
 #: the step to StepUnderflow.
 _ROUNDING_FLOOR = 2 * float(np.finfo(float).eps)
-#: floor under hypot(|e5|, 0.1 |e3|), so that a component with e5 = e3 = 0 reads 0
+#: floor under hypot(E5, 0.1 E3), so that a step with e5 = e3 = 0 reads 0
 _TINY = float(np.finfo(float).tiny)
 #: first attempted step; the controller resizes it from the first error estimate
 _H_INIT = 1e-2
@@ -362,9 +366,9 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     (calls of f: 11 per attempt, plus f(t, y) once at each point an attempt
     starts from, which is one per accepted step), ``h_min`` and ``h_max`` over
     accepted steps (steps clipped to land on an output time included), and
-    ``max_err_est``, the largest weighted error ratio
-    max_i |e5_i|^2 / hypot(|e5_i|, 0.1 |e3_i|) / sc_i of an accepted step
-    (at most 1).
+    ``max_err_est``, the largest error E5^2 / hypot(E5, 0.1 E3) of an
+    accepted step, with E5 = max_i |e5_i| / sc_i and E3 = max_i |e3_i| / sc_i
+    the scaled norms of ``StepControl`` (at most 1).
     """
     t0, t_end = float(t0), float(t_end)
     if t_end <= t0:
@@ -405,11 +409,11 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
                     K[0] = counted(t, y)
                     k1_due = False
                 y_new, e = _dop853(counted, t, y, h_try, K)
-                e5, e3 = np.abs(e)
                 scale = np.maximum(np.abs(y), np.abs(y_new))
                 sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale,
                                 _ROUNDING_FLOOR * float(scale.max()))
-                err = float(np.max(e5 * e5 / (np.maximum(np.hypot(e5, 0.1 * e3), _TINY) * sc)))
+                e5, e3 = (np.abs(e) / sc).max(axis=1).tolist()
+                err = e5 * e5 / max(math.hypot(e5, 0.1 * e3), _TINY)
                 if err <= 1.0:
                     validate(t + h_try, y_new)
             except SingularDenominator as exc:

@@ -20,14 +20,18 @@ of functionals:
 * ``explicit_table`` -- moments supplied directly.
 
 Every kind but ``explicit_table`` is evaluated as one weighted node set
-(x_j, w_j): the moments are its power sums nu_k = sum_j w_j x_j^k, formed by
-one kernel.  Discrete nodes are summed once in plain floating point; the
-real-line and circle kinds are equispaced trapezoid rules whose node count
-one loop doubles until every nu_k has settled to its rounding scale
-sum_j |w_j x_j^k|.  A table on the positive axis (real-line and discrete
-kinds) keeps its node set, so ``lorth.bootstrap_recurrence`` can run the
-discretized Stieltjes procedure on the nodes themselves instead of on the
-moments.
+(x_j, w_j): the moments are its power sums nu_k = sum_j w_j x_j^k.  Discrete
+nodes are summed once in plain floating point; the real-line and circle
+kinds are equispaced trapezoid rules whose node count one loop doubles until
+every nu_k has settled to its rounding scale sum_j |w_j x_j^k|.  On the
+circle the nodes are the m-th roots of unity, so the rule's power sums are
+one DFT of its weights (one FFT per node count, the scale sum_j |w_j| for
+every k); every other node set (atoms, the real-line rule, discrete nodes)
+goes through one power-sum kernel.  When p and q are real the positive-axis
+weights exp(-t(p x + q/x)) are formed, and summed, in float64.  A table on
+the positive axis (real-line and discrete kinds) keeps its node set, so
+``lorth.bootstrap_recurrence`` can run the discretized Stieltjes procedure
+on the nodes themselves instead of on the moments.
 
 Weight families on the positive axis:
 
@@ -153,6 +157,10 @@ class MomentSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "MomentSpec":
+        unknown = sorted(set(d) - _JSON_KEYS)
+        if unknown:
+            raise ValueError(f"unknown moment-spec keys {unknown}; expected a subset of "
+                             f"{sorted(_JSON_KEYS)}")
         p = complex(*d.get("p", (0.0, 0.0)))
         q = complex(*d.get("q", (0.0, 0.0)))
         return MomentSpec(
@@ -168,6 +176,10 @@ class MomentSpec:
     @staticmethod
     def from_json(text: str) -> "MomentSpec":
         return MomentSpec.from_json_dict(json.loads(text))
+
+
+#: the top-level keys of a spec's JSON form, as ``to_json_dict`` writes them
+_JSON_KEYS = frozenset(("kind", "weight_id", "params", "p", "q", "nodes", "weights"))
 
 
 def _params_to_json(params: dict) -> dict:
@@ -305,20 +317,40 @@ _SLAB = 4096
 def _power_sums(x, w, K: int):
     """(nu_k, s_k) = (sum_j w_j x_j^k, sum_j |w_j x_j^k|) for k = -K..K.
 
-    Every kind's moments are the power sums of one weighted node set; s_k is
-    the rounding scale of nu_k.  The (2K+1) x m terms are formed a slab of
-    nodes at a time, so memory stays bounded at the doubling budget.
+    The moments of an arbitrary node set (atoms, the real-line rule, discrete
+    nodes) are its power sums; s_k is the rounding scale of nu_k.  The terms
+    take the dtype of x and w, so a real modification sums float64 terms.
+    The (2K+1) x m terms are formed a slab of nodes at a time, so memory
+    stays bounded at the doubling budget.
     """
     ks = np.arange(-K, K + 1)[:, None]
-    nu = np.zeros(2 * K + 1, dtype=complex)
+    nu = np.zeros(2 * K + 1, dtype=np.result_type(x, w))
     scale = np.zeros(2 * K + 1)
     for s in range(0, len(x), _SLAB):
         terms = w[s:s + _SLAB] * x[s:s + _SLAB] ** ks
         nu += terms.sum(axis=1)
         scale += np.abs(terms).sum(axis=1)
+    _check_finite(nu, K)
+    return nu, scale
+
+
+def _dft_sums(w, K: int):
+    """(nu_k, s) = (sum_j w_j z_j^k, sum_j |w_j|) for k = -K..K on z_j = e^(2 pi i j/m).
+
+    The power sums of the m-th roots of unity are one DFT of the weights:
+    fft(w)[n] = sum_j w_j z_j^(-n), so nu_k sits at index (-k) mod m, and
+    |k| >= m wraps as the direct sums do.  Since |z_j| = 1, every k has the
+    rounding scale sum_j |w_j|.
+    """
+    ks = np.arange(-K, K + 1)
+    nu = np.fft.fft(w)[-ks % len(w)]
+    _check_finite(nu, K)
+    return nu, np.full(2 * K + 1, np.abs(w).sum())
+
+
+def _check_finite(nu, K: int):
     if not np.isfinite(nu).all():
         raise NonConvergentIntegral(f"moment sums overflow double precision at |k| <= {K}")
-    return nu, scale
 
 
 def _refine(node_set, evaluate, settled, m: int = _M0):
@@ -341,15 +373,15 @@ def _refine(node_set, evaluate, settled, m: int = _M0):
         "intervals")
 
 
-def _refine_moments(node_set, K: int):
-    """Power sums of ``node_set(m)`` at the m where they settle, and that m.
+def _refine_moments(node_set, sums):
+    """``sums(*node_set(m))`` at the m where the moments settle, and that m.
 
-    Converged when every |nu_k(2m) - nu_k(m)| is within _QUAD_INTERNAL of the
-    rounding scale sum_j |w_j x_j^k| (for positive node sets, the relative
-    change of nu_k).
+    ``sums`` returns (nu_k, s_k) as ``_power_sums`` does.  Converged when every
+    |nu_k(2m) - nu_k(m)| is within _QUAD_INTERNAL of the rounding scale s_k
+    (for positive node sets, the relative change of nu_k).
     """
     (nu, _), m = _refine(
-        node_set, lambda x, w: _power_sums(x, w, K),
+        node_set, sums,
         lambda prev, cur: np.all(np.abs(cur[0] - prev[0]) <= _QUAD_INTERNAL * cur[1]))
     return nu, m
 
@@ -361,17 +393,18 @@ def _real_line_node_set(spec: MomentSpec, t: float, K: int):
     so node x_j carries h w(x_j) exp(-t(p x_j + q/x_j)) x_j.  One window
     |u| <= U serves the whole table: it is widened until every k's integrand
     tails are below _TAIL_FLOOR of that k's peak, which also makes the
-    trapezoid rule's end corrections negligible.
+    trapezoid rule's end corrections negligible.  Real p and q give float64
+    weights.
     """
     delta, qw = spec.params["delta"], spec.params["q"]
     sq = math.sqrt(qw)
     ks = np.arange(-K, K + 1)[:, None]
+    p, q = _real_if_real(spec.p, spec.q)
 
     def integrand(u):
         x = sq * np.exp(u)
         shape = x ** -0.5 if spec.weight_id == "example1" else (x + sq) * x ** -1.5
-        return x, (shape * np.exp(-delta * (x + qw / x))
-                   * np.exp(-t * (spec.p * x + spec.q / x)) * x)
+        return x, shape * np.exp(-delta * (x + qw / x)) * np.exp(-t * (p * x + q / x)) * x
 
     U = 8.0
     for _ in range(200):
@@ -394,24 +427,33 @@ def _real_line_node_set(spec: MomentSpec, t: float, K: int):
     return node_set
 
 
-def _moments_circle(spec: MomentSpec, t: float, K: int):
-    """m equispaced z_j with weights (z_j - w) damp_j / m, then the atoms once.
+def _circle_node_set(spec: MomentSpec, t: float):
+    """m equispaced z_j = e^(2 pi i j/m) with weights (z_j - w) damp_j / m.
 
     On |z| = 1 with p = conj(q) the modification is the real damping
     exp(-2t Re(q conj z)); ``circle_lebesgue`` is the kernel case w = 0.
     """
     qr, qi = spec.q.real, spec.q.imag
-    w = complex(spec.params["w"]) if spec.weight_id == "circle_kernel" else 0j
+    w = _kernel_point(spec)
 
     def node_set(m):
         theta = 2.0 * np.pi * np.arange(m) / m
         z = np.exp(1j * theta)
         damp = np.exp(-2.0 * t * (qr * np.cos(theta) + qi * np.sin(theta)))
         return z, (z - w) * damp / m
+    return node_set
 
-    nu = _refine_moments(node_set, K)[0]
+
+def _kernel_point(spec: MomentSpec) -> complex:
+    return complex(spec.params["w"]) if spec.weight_id == "circle_kernel" else 0j
+
+
+def _moments_circle(spec: MomentSpec, t: float, K: int):
+    """The equispaced rule's sums, one FFT per node count, then the atoms once."""
+    nu = _refine_moments(_circle_node_set(spec, t), lambda z, w: _dft_sums(w, K))[0]
     atoms = spec.params.get("atoms", ())
     if atoms:
+        w = _kernel_point(spec)
         theta, mass = np.array(atoms, dtype=float).T
         z = np.exp(1j * theta)
         nu = nu + _power_sums(z, mass * (z - w) * np.exp(-t * (spec.p * z + spec.q / z)), K)[0]
@@ -419,9 +461,15 @@ def _moments_circle(spec: MomentSpec, t: float, K: int):
 
 
 def _discrete_node_set(spec: MomentSpec, t: float):
-    """The spec's nodes with weights w_j exp(-t(p x_j + q/x_j))."""
+    """The spec's nodes with weights w_j exp(-t(p x_j + q/x_j)), float64 for real p, q."""
     x = np.array(spec.nodes, dtype=float)
-    return x, np.array(spec.weights, dtype=float) * np.exp(-t * (spec.p * x + spec.q / x))
+    p, q = _real_if_real(spec.p, spec.q)
+    return x, np.array(spec.weights, dtype=float) * np.exp(-t * (p * x + q / x))
+
+
+def _real_if_real(p: complex, q: complex):
+    """(p, q) as floats when both are real, so the weights they modify stay float64."""
+    return (p.real, q.real) if p.imag == q.imag == 0.0 else (p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +483,11 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     power sums sum_j w_j x_j^k are the moments: the discrete kind's own nodes
     (plain floating-point sums), or equispaced trapezoid rules on the
     real-line and circle kinds, refined by doubling to relative accuracy
-    ~1e-12.  Real-line and discrete tables keep their node set in
-    ``nodes`` for the Stieltjes route of ``lorth.bootstrap_recurrence``.
+    ~1e-12.  The circle rule's sums are one FFT of its weights per node
+    count (a DFT, since its nodes are roots of unity); real p and q keep the
+    positive-axis weights and sums in float64.  Real-line and discrete
+    tables keep their node set in ``nodes`` for the Stieltjes route of
+    ``lorth.bootstrap_recurrence``.
     Raises NonConvergentIntegral when a quadrature budget is exhausted or
     the sums overflow, and InvalidSupport for divergent modifications.
     """
@@ -460,7 +511,7 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.kind == "real_line_weighted":
                 node_set = _real_line_node_set(spec, t, K)
-                sums, m = _refine_moments(node_set, K)
+                sums, m = _refine_moments(node_set, lambda x, w: _power_sums(x, w, K))
                 nodes = (node_set, m)
             elif spec.kind == "unit_circle_weighted":
                 sums = _moments_circle(spec, t, K)
@@ -469,7 +520,7 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
                 sums = _power_sums(x, w, K)[0]
                 nodes = (lambda m: (x, w), None)
                 provenance = "exact"
-        nu = dict(zip(range(-K, K + 1), sums.tolist()))
+        nu = dict(zip(range(-K, K + 1), sums.astype(complex).tolist()))
 
     return MomentTable(t=float(t), K=K, nu=nu, provenance=provenance,
                        kind=spec.kind, weight_id=spec.weight_id, nodes=nodes)

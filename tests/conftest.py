@@ -38,6 +38,12 @@ def q_at_zero(rc, n):
     return (-1) ** n * math.prod(rc.beta[:n])
 
 
+def direct_power_sums(x, w, K):
+    """sum_j w_j x_j^k for k = -K..K, one k at a time: the direct route to a node set's moments."""
+    x, w = np.asarray(x), np.asarray(w)
+    return np.array([np.sum(w * x ** k) for k in range(-K, K + 1)])
+
+
 def orthogonality_residual(table, lp, n):
     """Largest relative violation of L[x^(-n+s) Q_n] = 0 over s = 0..n-1.
 

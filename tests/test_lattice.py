@@ -229,6 +229,23 @@ def test_error_vs_work_beats_dp54_record():
         assert traj.step_stats["rhs_calls"] < dp54_calls
 
 
+def test_buffered_example2_check_run_rejects_few_steps():
+    # the 64-site check run of a buffered example2 sweep: with the 5th- and
+    # 3rd-order estimates combined per component it rejected 10 of 45 attempts;
+    # combining their norms, as DOP853 does, rejects at most 3
+    ex = ClosedFormExample("example2", 1.0, 2.0)
+    rc = example2_coeffs(ex, 0.0, 65)
+    st = state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:64], rc.alpha[:63])
+    traj = integrate(st, 0.5, ctrl=StepControl(rel_tol=1e-8), t_out=[0.25, 0.5])
+    assert traj.step_stats["rejected"] <= 3
+    for t, s in zip(traj.times[1:], traj.states[1:]):
+        ref = example2_coeffs(ex, t, 7)
+        got = s.prefix(6)
+        assert max(abs(a - b) for a, b in zip(got.beta, ref.beta[:6])) <= 1e-7
+        # the state's alpha runs alpha_1 = 0, alpha_2, ...; the oracle's from alpha_2
+        assert max(abs(a - b) for a, b in zip(got.alpha[1:], ref.alpha[:6])) <= 1e-7
+
+
 def test_positivity_preserved_and_enforced(rng):
     # a real positive state stays real and positive along the flow
     st = random_state(rng, 6, complex_data=False)

@@ -15,6 +15,9 @@ from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, NonConvergentInte
                   circle_lebesgue_spec, compute_moments, compute_moments_exact,
                   discrete_spec, example1_spec, example2_spec)
 from ertl.cli import main
+from ertl.measures import (_circle_node_set, _dft_sums, _discrete_node_set,
+                           _real_line_node_set)
+from tests.conftest import direct_power_sums
 
 
 def bessel_moment(n, t, delta, q):
@@ -111,6 +114,49 @@ def test_cli_moments_exits_2_on_overflow(capsys):
         assert main(["moments", "--measure", OVERFLOW_SPEC, "--K", "101"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "NonConvergentIntegral"
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("spec, t", [
+    (circle_lebesgue_spec(0.5), 0.3),
+    (circle_lebesgue_spec(0.3 + 0.4j, atoms=((0.4, 0.2), (2.5, 0.7))), 0.25),
+    (circle_kernel_spec(0.3 + 0.4j, w=np.exp(0.7j)), 0.4)])
+def test_circle_dft_sums_match_direct_sums(spec, t, m):
+    # the rule's power sums as one FFT of its weights; K = 20 >= m wraps |k| past m
+    z, w = _circle_node_set(spec, t)(m)
+    scale = np.abs(w).sum()
+    for K in (3, 20):
+        nu, s = _dft_sums(w, K)
+        assert np.abs(nu - direct_power_sums(z, w, K)).max() <= 1e-14 * scale
+        assert np.all(s == scale)
+
+
+@pytest.mark.parametrize("atoms", [(), ((0.4, 0.2), (2.5, 0.7))])
+def test_circle_table_matches_direct_sums(atoms):
+    # the rule converges geometrically: at m = 512 its direct sums are exact to
+    # rounding, whatever node count the refinement stopped at
+    spec, t, K = circle_lebesgue_spec(0.3 + 0.4j, atoms=atoms), 0.25, 20
+    z, w = _circle_node_set(spec, t)(512)
+    ref, scale = direct_power_sums(z, w, K), np.abs(w).sum()
+    if atoms:
+        theta, mass = np.array(atoms).T
+        za = np.exp(1j * theta)
+        wa = mass * za * np.exp(-t * (spec.p * za + spec.q / za))
+        ref, scale = ref + direct_power_sums(za, wa, K), scale + np.abs(wa).sum()
+    tab = compute_moments(spec, t, K)
+    got = np.array([tab.nu_at(k) for k in range(-K, K + 1)])
+    assert np.abs(got - ref).max() <= 1e-14 * scale
+
+
+def test_real_modification_keeps_node_weights_float64():
+    real_line = lambda p, q: MomentSpec(kind="real_line_weighted", weight_id="example1",
+                                        params={"delta": 1.0, "q": 2.0}, p=p, q=q)
+    for p, q, dtype in ((1.0, 2.0, np.float64), (1 + 3j, 2.0, np.complex128),
+                        (1.0, 2 - 2j, np.complex128)):
+        _, w = _real_line_node_set(real_line(p, q), 0.5, 4)(64)
+        assert w.dtype == dtype
+        _, w = _discrete_node_set(discrete_spec([0.5, 2.0], [1.0, 1.0], p=p, q=q), 0.5)
+        assert w.dtype == dtype
 
 
 def test_circle_lebesgue_matches_bessel_series():
@@ -239,12 +285,25 @@ def test_regularity_unit_mass_fails_at_two():
 # -- spec invariants ----------------------------------------------------------
 
 def test_spec_json_roundtrip():
+    from ertl import explicit_table_spec
     for spec in (example1_spec(1.0, 2.0),
                  discrete_spec([1.0, 2.5], [0.5, 0.5], p=1.0, q=0.5),
                  circle_lebesgue_spec(0.3 + 0.4j),
-                 circle_kernel_spec(0.5, w=np.exp(0.3j))):
+                 circle_kernel_spec(0.5, w=np.exp(0.3j)),
+                 explicit_table_spec({k: complex(k, 1) for k in range(-2, 3)}, t0=0.5)):
         back = MomentSpec.from_json(spec.to_json())
         assert back == spec
+
+
+def test_spec_json_rejects_unknown_keys(capsys):
+    # a spec written for a bounded interval must not run on (0, inf)
+    text = ('{"kind":"real_line_weighted","weight_id":"example1",'
+            '"params":{"delta":1.0,"q":2.0},"p":[1,0],"q":[2,0],"support":[1,2],"bogus":3}')
+    with pytest.raises(ValueError, match="'bogus', 'support'"):
+        MomentSpec.from_json(text)
+    assert main(["moments", "--measure", text, "--t", "0", "--K", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "support" in err["message"]
 
 
 def test_spec_rejects_bad_inputs():
