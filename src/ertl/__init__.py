@@ -22,7 +22,7 @@ from .lattice import (SYSTEMS, LatticeState, StepControl, Trajectory,
                       integrate, integrate_buffered, rhs_ertl, rhs_langmuir,
                       state_from_coeffs)
 from .lax import (LaxPair, build_pair, commutator, hausdorff_distance,
-                  isospectral_drift, lax_residual, spectrum)
+                  isospectral_drift, lax_residual, spectra, spectrum)
 from .circle import (CircleState, VerblunskySeq, cd_from_verblunsky,
                      integrate_cd, integrate_schur, kernel_coeffs,
                      map_beta_alpha_cd, map_cd_beta_alpha, rhs_cd, rhs_schur,

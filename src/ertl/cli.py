@@ -7,6 +7,7 @@ from-measure  recurrence coefficients of a measure       -> n,re_beta,im_beta,re
 simulate      integrate a lattice/circle flow            -> t,site,... per system
 verify-lax    commutator-identity residual report        -> JSON on stdout
 spectrum      eigenvalues along a simulated trajectory   -> t,i,re_lambda,im_lambda
+              (each time warm-started from the previous one's zeros)
 circle        verblunsky | kernel | cd | schur-check
 oracle        closed-form families example1 | example2   -> same schema as from-measure
 
@@ -35,7 +36,7 @@ from .errors import ErtlError
 from .measures import MomentSpec, compute_moments
 from .lorth import bootstrap_recurrence
 from .lattice import SYSTEMS, LatticeState, StepControl, integrate, state_from_coeffs
-from .lax import lax_residual, spectrum as lax_spectrum
+from .lax import lax_residual, spectra as lax_spectra
 from .circle import (cd_from_verblunsky, integrate_cd, integrate_schur,
                      kernel_coeffs, rhs_schur, verblunsky_from_moments,
                      VerblunskySeq)
@@ -255,13 +256,15 @@ def _cmd_spectrum(args):
     by_t: dict = {}
     for r in rows:
         by_t.setdefault(r[0], []).append(r)
-    out = []
+    states = []
     for tkey in by_t:
         grp = sorted(by_t[tkey], key=lambda r: int(r[1]))
         beta = [complex(float(r[2]), float(r[3])) for r in grp]
         alpha = [complex(float(r[4]), float(r[5])) for r in grp] + [0j]
-        state = LatticeState(p=0, q=0, t=float(tkey), beta=beta, alpha=alpha)
-        for i, lam in enumerate(lax_spectrum(state)):
+        states.append(LatticeState(p=0, q=0, t=float(tkey), beta=beta, alpha=alpha))
+    out = []
+    for tkey, zeros in zip(by_t, lax_spectra(states)):
+        for i, lam in enumerate(zeros):
             out.append([tkey, str(i)] + _cx_cells(lam))
     _emit(args, "t,i,re_lambda,im_lambda", out)
     return 0

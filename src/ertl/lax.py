@@ -11,10 +11,16 @@ with gamma_k = alpha_{k+1} + beta_k (so gamma_k - alpha_{k+1} = beta_k).  The
 flow satisfies  dH/dt = [H, F] = HF - FH  pointwise in the coefficients, an
 algebraic identity with no integration involved; ``lax_residual`` measures it
 directly.  Consequently the spectrum of H is conserved along trajectories,
-and the zeros of Q_N coincide with the eigenvalues of H, which ``spectrum``
-exploits: ``numpy.linalg.eigvals`` of the O(N) Hessenberg H supplies the
-start, and simultaneous Aberth iteration on the recurrence evaluation of Q_N,
-run on all N estimates as arrays, refines it to zeros of Q_N.
+and the zeros of Q_N coincide with the eigenvalues of H.  ``spectrum`` finds
+them from a cold start: ``numpy.linalg.eigvals`` of the O(N) Hessenberg H
+supplies the estimates, and simultaneous Aberth iteration on the recurrence
+evaluation of Q_N, run on all N estimates as arrays, refines them to zeros of
+Q_N, followed by at most two Newton polish sweeps that stop once every
+correction is at rounding level.  ``spectra`` does the same along a
+trajectory, where each snapshot has (to integration error) the zeros of the
+one before: it warm-starts Aberth from the previous snapshot's zeros when N
+matches and falls back to the cold start when that run does not converge,
+so eig(H) runs once per trajectory rather than once per snapshot.
 """
 
 from __future__ import annotations
@@ -47,9 +53,11 @@ def _hessenberg(upper, sub):
 def build_pair(state: LatticeState) -> LaxPair:
     """Assemble (H, F) from a finite-closure state.
 
-    F = p X + q Y is tridiagonal, so it is filled entry by entry: diagonal
-    p alpha_k + q/beta_k, subdiagonal -p alpha_k, superdiagonal -q/beta_k
-    (scalar complex arithmetic, so the entries equal an elementwise p X + q Y).
+    F = p X + q Y is tridiagonal, so only its three diagonals are filled:
+    diagonal p alpha_k + q/beta_k, subdiagonal -p alpha_k, superdiagonal
+    -q/beta_k.  Each is one numpy array expression, whose complex multiply
+    may round an entry differently from Python's scalar one (by up to about
+    eps), so F agrees with an entrywise p X + q Y to rounding, not bitwise.
     """
     if state.closure != "finite":
         raise ValueError("Lax pair needs a finite-closure state")
@@ -62,12 +70,9 @@ def build_pair(state: LatticeState) -> LaxPair:
 
     p, q = state.p, state.q
     F = np.zeros((N, N), dtype=complex)
-    for k in range(N):
-        F[k, k] = p * complex(alpha[k]) + q * complex(inv_beta[k])
-        if k > 0:
-            F[k, k - 1] = p * complex(-alpha[k])
-        if k < N - 1:
-            F[k, k + 1] = q * complex(-inv_beta[k])
+    F.flat[::N + 1] = p * alpha[:N] + q * inv_beta
+    F.flat[N::N + 1] = p * -alpha[1:N]
+    F.flat[1::N + 1] = q * -inv_beta[:N - 1]
     return LaxPair(N=N, H=H, F=F)
 
 
@@ -100,12 +105,18 @@ def _q_and_dq(beta, alpha, x):
     """(Q_N(x), Q_N'(x)) at every entry of x by the differentiated recurrence.
 
     ``beta`` holds beta_1..beta_N and ``alpha`` alpha_2..alpha_N (N >= 1).
+    The rows x - beta_{k+1} and alpha_{k+1} x are formed once, as
+    (N-1) x N arrays; each entry keeps the arithmetic of the scalar
+    recurrence
+        Q_{k+1} = (x - beta_{k+1}) Q_k - alpha_{k+1} x Q_{k-1}.
     """
+    x_beta = x[None, :] - beta[1:, None]
+    alpha_x = alpha[:, None] * x[None, :]
     q_prev, dq_prev = np.ones_like(x), np.zeros_like(x)
     q_cur, dq_cur = x - beta[0], np.ones_like(x)
-    for b, a in zip(beta[1:], alpha):
-        q_next = (x - b) * q_cur - a * x * q_prev
-        dq_next = q_cur + (x - b) * dq_cur - a * (q_prev + x * dq_prev)
+    for xb, ax, a in zip(x_beta, alpha_x, alpha):
+        q_next = xb * q_cur - ax * q_prev
+        dq_next = q_cur + xb * dq_cur - a * (q_prev + x * dq_prev)
         q_prev, dq_prev = q_cur, dq_cur
         q_cur, dq_cur = q_next, dq_next
     return q_cur, dq_cur
@@ -114,33 +125,21 @@ def _q_and_dq(beta, alpha, x):
 #: Aberth stopping tolerance on corrections (relative to 1 + |z|)
 ABERTH_TOL = 1e-13
 ABERTH_MAX_ITER = 200
+#: a Newton polish correction at most this times (1 + |z|) is rounding noise
+_POLISH_ROUNDING = 4.0 * np.finfo(float).eps
 
 
-def spectrum(state: LatticeState) -> list:
-    """All N zeros of Q_N (= eigenvalues of H) for a finite-closure state.
+def _zeros(beta, alpha, z):
+    """Refine the start estimates z to the N zeros of Q_N (N >= 2).
 
-    The estimates start at ``numpy.linalg.eigvals`` of the Hessenberg H and
-    are refined together by simultaneous Aberth iteration, with Q_N and Q_N'
-    evaluated through the recurrence (numerically stable; no companion
-    matrix), then finished with two Newton polish sweeps; the returned values
-    are zeros of the recurrence, eig(H) only supplies the start.  Returned
-    sorted lexicographically by (Re, Im).  Raises NonConvergence when the
-    iteration stalls or a root estimate turns non-finite (Q_N overflows).
+    Simultaneous Aberth iteration until every correction is below
+    ``ABERTH_TOL`` (1 + |z|), then at most two Newton polish sweeps, stopping
+    after a sweep whose corrections are all at rounding level.  ``alpha``
+    holds alpha_2..alpha_N.  Raises NonConvergence when the iteration stalls
+    or an estimate turns non-finite (Q_N overflows).
     """
-    if state.closure != "finite":
-        raise ValueError("spectrum needs a finite-closure state")
-    N = state.N
-    beta = np.array(state.beta, dtype=complex)
-    alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
-    if N == 1:
-        return [complex(beta[0])]
-    try:
-        z = np.linalg.eigvals(_hessenberg(alpha[1:] + beta, alpha[1:N]))
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalues of H as Aberth start: {exc}") from exc
-    alpha = alpha[1:N]  # alpha_2..alpha_N
+    N = len(z)
     off = ~np.eye(N, dtype=bool)
-
     with np.errstate(all="ignore"):  # overflow surfaces as NonConvergence, not warnings
         for _ in range(ABERTH_MAX_ITER):
             qv, dqv = _q_and_dq(beta, alpha, z)
@@ -164,8 +163,69 @@ def spectrum(state: LatticeState) -> list:
 
         for _ in range(2):  # Newton polish on the recurrence evaluation
             qv, dqv = _q_and_dq(beta, alpha, z)
-            z = z - np.where(dqv == 0, 0, qv / dqv)
+            corr = np.where(dqv == 0, 0, qv / dqv)
+            z = z - corr
+            if np.all(np.abs(corr) <= _POLISH_ROUNDING * (1.0 + np.abs(z))):
+                break
+    return z
+
+
+def _spectrum_from(state: LatticeState, start) -> list:
+    """Zeros of Q_N refined from ``start`` (None: the eigenvalues of H), sorted."""
+    if state.closure != "finite":
+        raise ValueError("spectrum needs a finite-closure state")
+    N = state.N
+    beta = np.array(state.beta, dtype=complex)
+    alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
+    if N == 1:
+        return [complex(beta[0])]
+    if start is None:
+        try:
+            start = np.linalg.eigvals(_hessenberg(alpha[1:] + beta, alpha[1:N]))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"eigenvalues of H as Aberth start: {exc}") from exc
+    z = _zeros(beta, alpha[1:N], np.array(start, dtype=complex))
     return sorted(z.tolist(), key=lambda v: (v.real, v.imag))
+
+
+def spectrum(state: LatticeState) -> list:
+    """All N zeros of Q_N (= eigenvalues of H) for a finite-closure state.
+
+    Cold start: the estimates start at ``numpy.linalg.eigvals`` of the
+    Hessenberg H and are refined together by simultaneous Aberth iteration,
+    with Q_N and Q_N' evaluated through the recurrence (numerically stable;
+    no companion matrix), then finished with at most two Newton polish
+    sweeps, which stop after a sweep whose corrections are all at most
+    4 eps (1 + |z|).  The returned values are zeros of the recurrence; eig(H)
+    only supplies the start.  Returned sorted lexicographically by (Re, Im).
+    Raises NonConvergence when the iteration stalls or a root estimate turns
+    non-finite (Q_N overflows).
+    """
+    return _spectrum_from(state, None)
+
+
+def spectra(states) -> list:
+    """``spectrum`` of each snapshot of a trajectory, warm-started along it.
+
+    The first snapshot takes the cold start of ``spectrum``.  Each later one
+    whose N matches the previous snapshot's starts the Aberth iteration from
+    the previous zeros, which the isospectral flow moves only by integration
+    error, so the refinement takes a sweep or two and eig(H) is not formed.
+    A warm run that raises NonConvergence is retried from the cold start,
+    and a snapshot with a different N takes the cold start directly.  The
+    refinement and polish stop are those of ``spectrum``, and so is the
+    result, to rounding.  Returns one sorted list of zeros per snapshot.
+    """
+    out = []
+    for state in states:
+        lam = None
+        if out and len(out[-1]) == state.N:
+            try:
+                lam = _spectrum_from(state, out[-1])
+            except NonConvergence:
+                pass
+        out.append(_spectrum_from(state, None) if lam is None else lam)
+    return out
 
 
 def hausdorff_distance(a, b) -> float:
@@ -181,12 +241,11 @@ def isospectral_drift(traj: Trajectory) -> float:
     Returns the max over output times of the Hausdorff distance between the
     spectrum at t and the spectrum at the initial snapshot; for an exact Lax
     flow this is zero, so the value measures integrator (plus root-finder)
-    error.
+    error.  The spectra come from ``spectra``: a cold start at the first
+    snapshot, then each snapshot warm-started from the one before, with the
+    cold start as fallback.
     """
     if any(s.closure != "finite" for s in traj.states):
         raise ValueError("isospectral drift is defined for finite-closure trajectories")
-    base = spectrum(traj.states[0])
-    drift = 0.0
-    for s in traj.states[1:]:
-        drift = max(drift, hausdorff_distance(spectrum(s), base))
-    return drift
+    base, *rest = spectra(traj.states)
+    return max((hausdorff_distance(lam, base) for lam in rest), default=0.0)

@@ -127,7 +127,9 @@ class MomentSpec:
             if abs(self.p - self.q.conjugate()) > 1e-15 * (1.0 + abs(self.q)):
                 raise ValueError("circle kinds require p = conj(q)")
             if self.weight_id == "circle_kernel":
-                w = complex(self.params.get("w", 1.0))
+                if "w" not in self.params:
+                    raise ValueError("circle_kernel spec needs params['w'] with |w| = 1")
+                w = complex(self.params["w"])
                 if abs(abs(w) - 1.0) > 1e-12:
                     raise ValueError("kernel point w must have |w| = 1")
             for theta, mass in self.params.get("atoms", ()):
@@ -137,6 +139,12 @@ class MomentSpec:
         elif self.kind == "explicit_table":
             if "nu" not in self.params:
                 raise ValueError("explicit_table spec needs params['nu']")
+
+        family = self.weight_id if self.kind == "unit_circle_weighted" else self.kind
+        unknown = sorted(set(self.params) - _PARAM_KEYS[family])
+        if unknown:
+            raise ValueError(f"unknown params keys {unknown} for {family}; expected a "
+                             f"subset of {sorted(_PARAM_KEYS[family])}")
 
     # -- JSON (external interface) ------------------------------------------------
 
@@ -180,6 +188,14 @@ class MomentSpec:
 
 #: the top-level keys of a spec's JSON form, as ``to_json_dict`` writes them
 _JSON_KEYS = frozenset(("kind", "weight_id", "params", "p", "q", "nodes", "weights"))
+#: the ``params`` keys each kind accepts (circle kinds: each weight family)
+_PARAM_KEYS = {
+    "real_line_weighted": frozenset(("delta", "q")),
+    "circle_lebesgue": frozenset(("atoms",)),
+    "circle_kernel": frozenset(("w", "atoms")),
+    "explicit_table": frozenset(("nu", "t0")),
+    "discrete": frozenset(),
+}
 
 
 def _params_to_json(params: dict) -> dict:
@@ -203,7 +219,7 @@ def _params_from_json(params: dict) -> dict:
         if key == "w":
             out[key] = complex(*val)
         elif key == "atoms":
-            out[key] = [(th, m) for th, m in val]
+            out[key] = tuple((th, m) for th, m in val)
         elif key == "nu":
             out[key] = {int(k): complex(*v) for k, v in val.items()}
         else:

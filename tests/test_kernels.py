@@ -437,6 +437,8 @@ def test_spectrum_constant_coefficients_closed_form(N):
     want = np.sort((c + np.sqrt(1.0 + c * c)) ** 2)
     lam = spectrum(state_from_coeffs(1.0, 1.0, 0.0, [1.0] * N, [1.0] * (N - 1)))
     assert np.max(np.abs(np.array(lam) - want)) < 1e-12
+    # the Newton polish may stop after one sweep, but only at rounding level
+    assert np.all(np.abs(np.array(lam) - want) <= 1e-15 * (1.0 + want))
 
 
 def overflow_state():

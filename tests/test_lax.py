@@ -2,14 +2,17 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import ertl.lattice as lattice
+import ertl.lax as lax
 from ertl import (LaxPair, NonConvergence, RecurrenceCoeffs, StepControl, build_pair,
                   commutator, example1_coeffs, hausdorff_distance, integrate,
-                  isospectral_drift, lax_residual, spectrum, state_from_coeffs,
+                  isospectral_drift, lax_residual, spectra, spectrum, state_from_coeffs,
                   ClosedFormExample)
+from ertl.cli import main
 from tests.conftest import eval_Q
 from tests.test_lattice import random_state
 
@@ -49,8 +52,9 @@ def test_f_decomposition(rng):
     st = random_state(rng, 7)
     pair = build_pair(st)
     # X lower bidiagonal {diag alpha_k, sub -alpha_k}, Y upper bidiagonal
-    # {diag 1/beta_k, super -1/beta_k}; p X + q Y recombined in scalar
-    # arithmetic must equal the tridiagonal F exactly
+    # {diag 1/beta_k, super -1/beta_k}; p X + q Y recombined entry by entry in
+    # scalar arithmetic is the tridiagonal F up to the rounding of numpy's
+    # complex multiply, which may differ from Python's by about eps
     inv_beta = 1.0 / np.array(st.beta, dtype=complex)
     X = np.zeros((7, 7), dtype=complex)
     Y = np.zeros((7, 7), dtype=complex)
@@ -65,7 +69,8 @@ def test_f_decomposition(rng):
     for i in range(7):
         for j in range(7):
             recombined[i, j] = st.p * complex(X[i, j]) + st.q * complex(Y[i, j])
-    assert np.array_equal(recombined, pair.F)
+    assert np.array_equal(recombined != 0, pair.F != 0)
+    assert np.all(np.abs(pair.F - recombined) <= 1e-15 * np.abs(recombined))
     assert np.count_nonzero(np.triu(pair.F, 2)) == 0
     assert np.count_nonzero(np.tril(pair.F, -2)) == 0
 
@@ -195,6 +200,132 @@ def test_spectrum_polynomial_duality(rng):
         h = 1e-6 * (1.0 + abs(lam))  # central-difference scale of Q_7'(lam)
         dq = (eval_Q(rc, 7, lam + h) - eval_Q(rc, 7, lam - h)) / (2.0 * h)
         assert abs(eval_Q(rc, 7, lam)) < 1e-9 * max(1.0, abs(dq))
+
+
+def assert_same_zeros(got, want, tol):
+    """Each zero of one set within tol (1 + |z|) of a zero of the other, sets of one size."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    for a, b in ((got, want), (want, got)):
+        gap = np.min(np.abs(a[:, None] - b[None, :]), axis=1)
+        assert np.all(gap <= tol * (1.0 + np.abs(a))), float(np.max(gap))
+
+
+@pytest.mark.parametrize("complex_data", [True, False])
+@pytest.mark.parametrize("N", [8, 16, 24, 32, 40, 48])
+def test_spectra_match_cold_spectrum(N, complex_data):
+    state = random_state(np.random.default_rng(100 + N), N, complex_data=complex_data)
+    traj = integrate(state, 0.2, t_out=[0.05, 0.1, 0.15, 0.2])
+    warm = spectra(traj.states)
+    assert len(warm) == 5
+    for lam, s in zip(warm, traj.states):
+        assert_same_zeros(lam, spectrum(s), 1e-14)
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """Count the cold starts: each one forms eig(H) once."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def test_spectra_warm_start_skips_eig(eigvals_calls):
+    state = random_state(np.random.default_rng(7), 16)
+    spectra(integrate(state, 0.1, t_out=[0.05, 0.1]).states)
+    assert eigvals_calls == [16]
+
+
+def test_spectra_cold_start_when_n_changes(eigvals_calls):
+    # N falls, then rises: six estimates from the previous snapshot would
+    # converge to only six of the ten zeros
+    rng = np.random.default_rng(8)
+    states = [random_state(rng, N) for N in (8, 6, 10, 10)]
+    got = spectra(states)
+    assert eigvals_calls == [8, 6, 10]
+    for lam, s in zip(got[:3], states):
+        assert lam == spectrum(s)  # the same cold path, bit for bit
+
+
+def test_spectra_falls_back_to_cold_start(monkeypatch, eigvals_calls):
+    # the warm run of the second snapshot fails; its retry from eig(H) is the cold result
+    states = integrate(random_state(np.random.default_rng(9), 12), 0.1,
+                       t_out=[0.05, 0.1]).states
+    zeros, runs = lax._zeros, []
+
+    def failing_second_run(beta, alpha, z):
+        runs.append(len(runs))
+        if len(runs) == 2:
+            raise NonConvergence("forced warm-start failure")
+        return zeros(beta, alpha, z)
+
+    monkeypatch.setattr(lax, "_zeros", failing_second_run)
+    got = spectra(states)
+    assert len(runs) == 4 and eigvals_calls == [12, 12]
+    monkeypatch.setattr(lax, "_zeros", zeros)
+    assert got[1] == spectrum(states[1])
+    assert_same_zeros(got[2], spectrum(states[2]), 1e-14)
+
+
+def test_spectra_fallback_failure_raises():
+    # a warm run that fails and a cold retry that fails too: the error surfaces
+    beta = [1e160 * (1.0 + 0.1 * k) for k in range(8)]
+    overflow = state_from_coeffs(1.0, 1.0, 0.0, beta, [0.5] * 7)
+    with pytest.raises(NonConvergence):
+        spectra([random_state(np.random.default_rng(10), 8), overflow])
+
+
+def test_cli_spectrum_matches_per_snapshot_spectrum(tmp_path):
+    state = random_state(np.random.default_rng(11), 20)
+    traj = integrate(state, 0.2, t_out=[0.05, 0.1, 0.2])
+    cells = lambda z: f"{complex(z).real!r},{complex(z).imag!r}"
+    rows = [f"{s.t!r},{n},{cells(b)},{cells(a)}"
+            for s in traj.states
+            for n, (b, a) in enumerate(zip(s.beta, s.alpha), start=1)]
+    path, out = tmp_path / "traj.csv", tmp_path / "spec.csv"
+    path.write_text("\n".join(["t,site,re_beta,im_beta,re_alpha,im_alpha"] + rows) + "\n")
+    assert main(["spectrum", "--traj", str(path), "--out", str(out)]) == 0
+    by_t = {}
+    for line in out.read_text().splitlines()[2:]:
+        t, _, re, im = line.split(",")
+        by_t.setdefault(float(t), []).append(complex(float(re), float(im)))
+    assert sorted(by_t) == [s.t for s in traj.states]
+    for s in traj.states:
+        assert_same_zeros(by_t[s.t], spectrum(s), 1e-14)
+
+
+def mp_zeros(state, dps=50):
+    """Zeros of Q_N at dps digits: the recurrence on coefficient lists, then polyroots."""
+    with mpmath.workdps(dps):
+        beta = [mpmath.mpc(b) for b in state.beta]
+        alpha = [mpmath.mpc(a) for a in state.alpha[1:state.N]]
+        q_prev, q_cur = [mpmath.mpc(1)], [-beta[0], mpmath.mpc(1)]  # ascending powers
+        for b, a in zip(beta[1:], alpha):
+            shifted = [mpmath.mpc(0)] + q_cur  # x Q_k
+            q_next = [s - b * c for s, c in zip(shifted, q_cur + [0])]
+            for i, c in enumerate(q_prev):
+                q_next[i + 1] -= a * c  # - alpha x Q_{k-1}
+            q_prev, q_cur = q_cur, q_next
+        roots = mpmath.polyroots(q_cur[::-1], maxsteps=400, extraprec=2 * dps)
+        return np.array([complex(r) for r in roots])
+
+
+def test_complex_spectrum_against_50_digit_zeros():
+    # a reference that does not start from eig(H): the exact zeros of Q_16
+    # for the coefficients as stored, by mpmath at 50 digits
+    state = random_state(np.random.default_rng(16), 16)
+    states = integrate(state, 0.1, t_out=[0.05, 0.1]).states
+    warm = spectra(states)
+    for lam, s in zip(warm, states):
+        want = mp_zeros(s)
+        assert_same_zeros(spectrum(s), want, 1e-13)
+        assert_same_zeros(lam, want, 1e-13)
 
 
 # -- isospectral drift --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Moment tables: closed-form oracles, Hankel-determinant regularity, spec invariants."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -13,7 +14,7 @@ from scipy.special import iv, kv
 from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, NonConvergentIntegral,
                   RegularityBreakdown, bootstrap_recurrence, circle_kernel_spec,
                   circle_lebesgue_spec, compute_moments, compute_moments_exact,
-                  discrete_spec, example1_spec, example2_spec)
+                  discrete_spec, example1_spec, example2_spec, explicit_table_spec)
 from ertl.cli import main
 from ertl.measures import (_circle_node_set, _dft_sums, _discrete_node_set,
                            _real_line_node_set)
@@ -304,6 +305,38 @@ def test_spec_json_rejects_unknown_keys(capsys):
     assert main(["moments", "--measure", text, "--t", "0", "--K", "1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "support" in err["message"]
+
+
+@pytest.mark.parametrize("spec", [
+    example1_spec(1.0, 2.0),
+    discrete_spec([1.0, 2.5], [0.5, 0.5]),
+    circle_lebesgue_spec(0.3 + 0.4j, atoms=[(0.5, 0.1)]),
+    circle_kernel_spec(0.5, w=np.exp(0.3j), atoms=[(0.5, 0.1)]),
+    explicit_table_spec({k: complex(k, 1) for k in range(-2, 3)}, t0=0.5)])
+def test_spec_rejects_unknown_params_keys(spec):
+    assert MomentSpec.from_json(spec.to_json()) == spec  # every key in use is accepted
+    with pytest.raises(ValueError, match="'support'"):
+        dataclasses.replace(spec, params={**spec.params, "support": (1.0, 2.0)})
+
+
+def test_spec_json_rejects_unknown_params_keys(capsys):
+    # a bounded-interval spec with its support moved into params must not run on (0, inf)
+    text = ('{"kind":"real_line_weighted","weight_id":"example1",'
+            '"params":{"delta":1.0,"q":2.0,"support":[1,2]},"p":[1,0],"q":[2,0]}')
+    assert main(["moments", "--measure", text, "--t", "0", "--K", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "'support'" in err["message"]
+
+
+def test_circle_kernel_spec_needs_w():
+    # one rule for the constructor and the moments: w is required, never defaulted
+    with pytest.raises(ValueError, match=r"params\['w'\]"):
+        MomentSpec(kind="unit_circle_weighted", weight_id="circle_kernel", p=0.5, q=0.5)
+    with pytest.raises(ValueError, match=r"params\['w'\]"):
+        MomentSpec.from_json('{"kind":"unit_circle_weighted","weight_id":"circle_kernel",'
+                             '"params":{},"p":[0.5,0],"q":[0.5,0]}')
+    table = compute_moments(circle_kernel_spec(0.5, w=1.0), 0.1, 2)
+    assert all(math.isfinite(abs(v)) for v in table.nu.values())
 
 
 def test_spec_rejects_bad_inputs():
