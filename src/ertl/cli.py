@@ -25,7 +25,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import numbers
 import sys
 
@@ -110,7 +109,7 @@ def _cmd_moments(args):
     return 0
 
 
-def _coeff_rows(t, beta, alpha_with_a1):
+def _coeff_rows(beta, alpha_with_a1):
     """Rows n,re_beta,im_beta,re_alpha,im_alpha; alpha_with_a1[0] is alpha_1."""
     rows = []
     for n, b in enumerate(beta, start=1):
@@ -129,10 +128,10 @@ def _cmd_from_measure(args):
         lp, rc = bootstrap_recurrence(table, args.N, p=spec.p, q=spec.q)
         alpha = [0j] + list(rc.alpha)
         if len(times) == 1:
-            all_rows += _coeff_rows(t, rc.beta, alpha)
+            all_rows += _coeff_rows(rc.beta, alpha)
             header = "n,re_beta,im_beta,re_alpha,im_alpha"
         else:
-            for row in _coeff_rows(t, rc.beta, alpha):
+            for row in _coeff_rows(rc.beta, alpha):
                 all_rows.append([_f(t)] + row)
             header = "t,n,re_beta,im_beta,re_alpha,im_alpha"
         if args.dump_poly:
@@ -289,7 +288,7 @@ def _cmd_circle(args):
 
     if args.mode == "kernel":
         beta, alpha, _ = kernel_coeffs(v, args.w)
-        rows = _coeff_rows(args.t, beta, [0j] + list(alpha))
+        rows = _coeff_rows(beta, [0j] + list(alpha))
         _emit(args, "n,re_beta,im_beta,re_alpha,im_alpha", rows)
         return 0
 
@@ -327,7 +326,7 @@ def _cmd_oracle(args):
     ex = ClosedFormExample(args.family, args.delta, args.q)
     fn = example1_coeffs if args.family == "example1" else example2_coeffs
     rc = fn(ex, args.t, args.N)
-    rows = _coeff_rows(args.t, rc.beta, [0j] + list(rc.alpha))
+    rows = _coeff_rows(rc.beta, [0j] + list(rc.alpha))
     _emit(args, "n,re_beta,im_beta,re_alpha,im_alpha", rows)
     return 0
 

@@ -11,16 +11,15 @@ with gamma_k = alpha_{k+1} + beta_k (so gamma_k - alpha_{k+1} = beta_k).  The
 flow satisfies  dH/dt = [H, F] = HF - FH  pointwise in the coefficients, an
 algebraic identity with no integration involved; ``lax_residual`` measures it
 directly.  Consequently the spectrum of H is conserved along trajectories,
-and the zeros of Q_N coincide with the eigenvalues of H.  ``spectrum`` finds
-them from a cold start: ``numpy.linalg.eigvals`` of the O(N) Hessenberg H
-supplies the estimates, and simultaneous Aberth iteration on the recurrence
-evaluation of Q_N, run on all N estimates as arrays, refines them to zeros of
-Q_N, followed by at most two Newton polish sweeps that stop once every
-correction is at rounding level.  ``spectra`` does the same along a
-trajectory, where each snapshot has (to integration error) the zeros of the
-one before: it warm-starts Aberth from the previous snapshot's zeros when N
-matches and falls back to the cold start when that run does not converge,
-so eig(H) runs once per trajectory rather than once per snapshot.
+and the zeros of Q_N coincide with the eigenvalues of H.  ``spectra`` finds
+them along a trajectory, where each snapshot has (to integration error) the
+zeros of the one before.  Simultaneous Aberth iteration on the recurrence
+evaluation of Q_N, run on all N estimates as arrays, refines the estimates to
+zeros of Q_N.  They start from the previous snapshot's zeros when N matches,
+and otherwise, or when that run does not converge, from
+``numpy.linalg.eigvals`` of the O(N) Hessenberg H (the cold start), so eig(H)
+runs once per trajectory rather than once per snapshot.  ``spectrum`` is
+``spectra`` of one state.
 """
 
 from __future__ import annotations
@@ -125,18 +124,16 @@ def _q_and_dq(beta, alpha, x):
 #: Aberth stopping tolerance on corrections (relative to 1 + |z|)
 ABERTH_TOL = 1e-13
 ABERTH_MAX_ITER = 200
-#: a Newton polish correction at most this times (1 + |z|) is rounding noise
-_POLISH_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def _zeros(beta, alpha, z):
     """Refine the start estimates z to the N zeros of Q_N (N >= 2).
 
     Simultaneous Aberth iteration until every correction is below
-    ``ABERTH_TOL`` (1 + |z|), then at most two Newton polish sweeps, stopping
-    after a sweep whose corrections are all at rounding level.  ``alpha``
-    holds alpha_2..alpha_N.  Raises NonConvergence when the iteration stalls
-    or an estimate turns non-finite (Q_N overflows).
+    ``ABERTH_TOL`` (1 + |z|); near simple zeros the iteration converges
+    cubically, so after that correction the estimates are zeros to rounding.
+    ``alpha`` holds alpha_2..alpha_N.  Raises NonConvergence when the
+    iteration stalls or an estimate turns non-finite (Q_N overflows).
     """
     N = len(z)
     off = ~np.eye(N, dtype=bool)
@@ -157,74 +154,58 @@ def _zeros(beta, alpha, z):
                 raise NonConvergence(f"Aberth root estimate {i} became non-finite ({z[i]})")
             worst = np.inf if stuck.any() else float(np.max(np.abs(step) / (1.0 + np.abs(z))))
             if worst <= ABERTH_TOL:
-                break
-        else:
-            raise NonConvergence(f"Aberth iteration stalled (last correction {worst:.3e})")
-
-        for _ in range(2):  # Newton polish on the recurrence evaluation
-            qv, dqv = _q_and_dq(beta, alpha, z)
-            corr = np.where(dqv == 0, 0, qv / dqv)
-            z = z - corr
-            if np.all(np.abs(corr) <= _POLISH_ROUNDING * (1.0 + np.abs(z))):
-                break
-    return z
-
-
-def _spectrum_from(state: LatticeState, start) -> list:
-    """Zeros of Q_N refined from ``start`` (None: the eigenvalues of H), sorted."""
-    if state.closure != "finite":
-        raise ValueError("spectrum needs a finite-closure state")
-    N = state.N
-    beta = np.array(state.beta, dtype=complex)
-    alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
-    if N == 1:
-        return [complex(beta[0])]
-    if start is None:
-        try:
-            start = np.linalg.eigvals(_hessenberg(alpha[1:] + beta, alpha[1:N]))
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"eigenvalues of H as Aberth start: {exc}") from exc
-    z = _zeros(beta, alpha[1:N], np.array(start, dtype=complex))
-    return sorted(z.tolist(), key=lambda v: (v.real, v.imag))
+                return z
+    raise NonConvergence(f"Aberth iteration stalled (last correction {worst:.3e})")
 
 
 def spectrum(state: LatticeState) -> list:
     """All N zeros of Q_N (= eigenvalues of H) for a finite-closure state.
 
-    Cold start: the estimates start at ``numpy.linalg.eigvals`` of the
-    Hessenberg H and are refined together by simultaneous Aberth iteration,
-    with Q_N and Q_N' evaluated through the recurrence (numerically stable;
-    no companion matrix), then finished with at most two Newton polish
-    sweeps, which stop after a sweep whose corrections are all at most
-    4 eps (1 + |z|).  The returned values are zeros of the recurrence; eig(H)
-    only supplies the start.  Returned sorted lexicographically by (Re, Im).
-    Raises NonConvergence when the iteration stalls or a root estimate turns
-    non-finite (Q_N overflows).
+    ``spectra`` of the one state, so from the cold start; see there.
     """
-    return _spectrum_from(state, None)
+    return spectra([state])[0]
 
 
 def spectra(states) -> list:
-    """``spectrum`` of each snapshot of a trajectory, warm-started along it.
+    """All N zeros of Q_N (= eigenvalues of H) of each finite-closure snapshot.
 
-    The first snapshot takes the cold start of ``spectrum``.  Each later one
-    whose N matches the previous snapshot's starts the Aberth iteration from
-    the previous zeros, which the isospectral flow moves only by integration
-    error, so the refinement takes a sweep or two and eig(H) is not formed.
-    A warm run that raises NonConvergence is retried from the cold start,
-    and a snapshot with a different N takes the cold start directly.  The
-    refinement and polish stop are those of ``spectrum``, and so is the
-    result, to rounding.  Returns one sorted list of zeros per snapshot.
+    Cold start: the estimates start at ``numpy.linalg.eigvals`` of the
+    Hessenberg H and are refined together by simultaneous Aberth iteration,
+    with Q_N and Q_N' evaluated through the recurrence (numerically stable;
+    no companion matrix).  The returned values are zeros of the recurrence;
+    eig(H) only supplies the start.  Each later snapshot whose N matches the
+    previous snapshot's starts the iteration from the previous zeros, which
+    the isospectral flow moves only by integration error, so the refinement
+    takes a sweep or two and eig(H) is not formed.  A warm run that raises
+    NonConvergence is retried from the cold start, and a snapshot with a
+    different N takes the cold start directly.  Returns one list of zeros
+    per snapshot, sorted lexicographically by (Re, Im).  Raises ValueError
+    on a state that is not finite-closure, and NonConvergence when a cold
+    run stalls or a root estimate turns non-finite (Q_N overflows).
     """
     out = []
     for state in states:
-        lam = None
-        if out and len(out[-1]) == state.N:
+        if state.closure != "finite":
+            raise ValueError("spectrum needs a finite-closure state")
+        N = state.N
+        beta = np.array(state.beta, dtype=complex)
+        alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
+        if N == 1:
+            out.append([complex(beta[0])])
+            continue
+        z = None
+        if out and len(out[-1]) == N:
             try:
-                lam = _spectrum_from(state, out[-1])
+                z = _zeros(beta, alpha[1:N], np.array(out[-1]))
             except NonConvergence:
                 pass
-        out.append(_spectrum_from(state, None) if lam is None else lam)
+        if z is None:
+            try:
+                start = np.linalg.eigvals(_hessenberg(alpha[1:] + beta, alpha[1:N]))
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergence(f"eigenvalues of H as Aberth start: {exc}") from exc
+            z = _zeros(beta, alpha[1:N], start)
+        out.append(sorted(z.tolist(), key=lambda v: (v.real, v.imag)))
     return out
 
 
@@ -243,9 +224,8 @@ def isospectral_drift(traj: Trajectory) -> float:
     flow this is zero, so the value measures integrator (plus root-finder)
     error.  The spectra come from ``spectra``: a cold start at the first
     snapshot, then each snapshot warm-started from the one before, with the
-    cold start as fallback.
+    cold start as fallback.  Raises ValueError, as ``spectra`` does, when a
+    snapshot is not finite-closure.
     """
-    if any(s.closure != "finite" for s in traj.states):
-        raise ValueError("isospectral drift is defined for finite-closure trajectories")
     base, *rest = spectra(traj.states)
     return max((hausdorff_distance(lam, base) for lam in rest), default=0.0)

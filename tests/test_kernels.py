@@ -427,7 +427,7 @@ def test_cli_spectrum_n32_matches_eig(tmp_path):
         assert max(abs(a - b) for a, b in zip(lam, eig)) < 1e-7
 
 
-@pytest.mark.parametrize("N", [23, 48, 64])
+@pytest.mark.parametrize("N", [23, 48, 64, 100, 128])
 def test_spectrum_constant_coefficients_closed_form(N):
     # beta = alpha = 1: Q_N(x) = x^(N/2) U_N(cos theta) with x - 1 = 2 sqrt(x) cos theta,
     # so the zeros are (cos theta_k + sqrt(1 + cos^2 theta_k))^2, theta_k = k pi / (N + 1).
@@ -437,7 +437,8 @@ def test_spectrum_constant_coefficients_closed_form(N):
     want = np.sort((c + np.sqrt(1.0 + c * c)) ** 2)
     lam = spectrum(state_from_coeffs(1.0, 1.0, 0.0, [1.0] * N, [1.0] * (N - 1)))
     assert np.max(np.abs(np.array(lam) - want)) < 1e-12
-    # the Newton polish may stop after one sweep, but only at rounding level
+    # Aberth stops after a correction below ABERTH_TOL; converging cubically, it
+    # leaves rounding error only
     assert np.all(np.abs(np.array(lam) - want) <= 1e-15 * (1.0 + want))
 
 

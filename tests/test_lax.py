@@ -8,10 +8,10 @@ import pytest
 
 import ertl.lattice as lattice
 import ertl.lax as lax
-from ertl import (LaxPair, NonConvergence, RecurrenceCoeffs, StepControl, build_pair,
-                  commutator, example1_coeffs, hausdorff_distance, integrate,
-                  isospectral_drift, lax_residual, spectra, spectrum, state_from_coeffs,
-                  ClosedFormExample)
+from ertl import (LaxPair, NonConvergence, RecurrenceCoeffs, StepControl, Trajectory,
+                  build_pair, commutator, example1_coeffs, example2_coeffs,
+                  hausdorff_distance, integrate, isospectral_drift, lax_residual, spectra,
+                  spectrum, state_from_coeffs, ClosedFormExample)
 from ertl.cli import main
 from tests.conftest import eval_Q
 from tests.test_lattice import random_state
@@ -326,6 +326,26 @@ def test_complex_spectrum_against_50_digit_zeros():
         want = mp_zeros(s)
         assert_same_zeros(spectrum(s), want, 1e-13)
         assert_same_zeros(lam, want, 1e-13)
+
+
+@pytest.mark.parametrize("family, coeffs", [("example1", example1_coeffs),
+                                            ("example2", example2_coeffs)])
+def test_truncated_example_spectrum_against_50_digit_zeros(family, coeffs):
+    # real positive coefficients, N = 24: the zeros are real and simple, and
+    # Aberth alone brings them to rounding level
+    rc = coeffs(ClosedFormExample(family, 1.0, 2.0), 0.0, 24)
+    state = state_from_coeffs(rc.p, rc.q, rc.t, rc.beta, rc.alpha)
+    assert_same_zeros(spectrum(state), mp_zeros(state), 1e-15)
+
+
+def test_spectra_reject_buffered_state():
+    state = random_state(np.random.default_rng(12), 8)
+    buffered = state.prefix(5)  # carries the true nonzero alpha_6
+    traj = Trajectory(times=(0.0, 0.1), states=(state, buffered), step_stats={})
+    for call in (lambda: spectrum(buffered), lambda: spectra([state, buffered]),
+                 lambda: isospectral_drift(traj)):
+        with pytest.raises(ValueError, match="finite-closure"):
+            call()
 
 
 # -- isospectral drift --------------------------------------------------------------
