@@ -17,7 +17,8 @@ with reflection (Verblunsky) coefficients a_n = -conj(Phi_{n+1}(0)),
 * at w = 1 the real parametrization c_n (rotation) and d_{n+1} = (1-g_n)
   g_{n+1} (positive chain sequence with parameters g_n in (0,1)), linked to
   (beta, alpha) by the invertible map beta_n = -(1-i c_n)/(1+i c_n),
-  alpha_n = 4 d_n / ((1+i c_n)(1-i c_{n-1})), c_0 = 1, d_1 = 0.
+  alpha_n = 4 d_n / ((1+i c_n)(1+i c_{n-1})), c_0 = 1, d_1 = 0.
+  ``CircleState`` stores g_n and c_n; d_{n+1} follows from g.
 
 The induced flows: the (c, d) system closes over the reals, and the
 reflection coefficients themselves satisfy the two-parameter Schur flow
@@ -64,34 +65,30 @@ class VerblunskySeq:
 
 @dataclass(frozen=True)
 class CircleState:
-    """Kernel parametrization at w = 1: rho ladder, chain parameters, (c, d).
+    """Kernel parametrization at w = 1: chain parameters g_n and rotations c_n.
 
-    ``rho[n]`` is rho_n for n = 0..N, ``g``/``c`` hold indices 1..N and ``d``
-    holds d_2..d_N; the conventions c_0 = 1, d_1 = 0 are implied.
+    ``g`` and ``c`` hold indices 1..N; ``d`` (derived) holds
+    d_{n+1} = (1 - g_n) g_{n+1} for n = 1..N-1.  The conventions c_0 = 1,
+    d_1 = 0 are implied.
     """
 
     t: float
-    w: complex
-    rho: tuple
     g: tuple
     c: tuple
-    d: tuple
 
     def __post_init__(self):
-        for n, r in enumerate(self.rho):
-            if abs(abs(r) - 1.0) > 1e-10:
-                raise ValueError(f"|rho_{n}| = {abs(r)} deviates from 1")
         for n, gv in enumerate(self.g, start=1):
             if not 0.0 < gv < 1.0:
                 raise ValueError(f"g_{n} = {gv} outside (0,1)")
-        for i, dv in enumerate(self.d):
-            expect = (1.0 - self.g[i]) * self.g[i + 1]
-            if abs(dv - expect) > 1e-12 * max(1.0, abs(dv)):
-                raise ValueError(f"d_{i + 2} breaks the chain-sequence factorization")
 
     @property
     def N(self) -> int:
         return len(self.g)
+
+    @property
+    def d(self) -> tuple:
+        g = self.g
+        return tuple((1.0 - g[i]) * g[i + 1] for i in range(len(g) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +212,7 @@ def cd_from_verblunsky(v: VerblunskySeq, t: float | None = None) -> CircleState:
             raise DegenerateKernel(n)
         g.append(0.5 * abs(1.0 - r) ** 2 / den)
         c.append(r.imag / (r.real - 1.0))
-    d = [(1.0 - g[i]) * g[i + 1] for i in range(v.N - 1)]
-    return CircleState(t=v.t if t is None else t, w=1.0 + 0j, rho=tuple(rho),
-                       g=tuple(g), c=tuple(c), d=tuple(d))
+    return CircleState(t=v.t if t is None else t, g=tuple(g), c=tuple(c))
 
 
 def map_beta_alpha_cd(c, d):
@@ -359,7 +354,6 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     and t); the output grid follows ``integrate_core``.
     Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
-    ctrl = ctrl or StepControl()
     q = complex(q)
     A = np.array((-1.0,) + v.a + (0j,))  # f refills a_0..a_{M-1}; a_M = 0 stays
 
@@ -374,7 +368,7 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
                                          t_out, ctrl, validate)
     n_report = v.N if n_report is None else n_report
     seqs = [VerblunskySeq(t=tt, a=tuple(y[:n_report])) for tt, y in zip(times, snaps)]
-    return [v.t] + times, [VerblunskySeq(t=v.t, a=v.a[:n_report])] + seqs, stats
+    return times, seqs, stats
 
 
 def integrate_cd(c, d, q, t0: float, t_end: float,
@@ -385,9 +379,8 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     c_1..c_M, d_2..d_M are stepped as float64.  PositivityLost is
     raised when an accepted step takes some d_n, n >= 2, out of (0, 1),
     where no chain sequence lives; the output grid follows ``integrate_core``.
-    Returns (times, c_snapshots, d_snapshots, stats); snapshots include t0.
+    Returns (times, c_snapshots, d_snapshots, stats), all starting at t0.
     """
-    ctrl = ctrl or StepControl()
     q = complex(q)
     M = len(c)
     if len(d) != M or (M and d[0] != 0.0):
@@ -408,6 +401,6 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
             raise PositivityLost(f"d_{n + 2} = {dd[n]} left (0, 1) at t={t}", n=n + 2, t=t)
 
     times, snaps, stats = integrate_core(f, t0, y0, t_end, t_out, ctrl, validate)
-    c_snaps = [[float(x) for x in c]] + [y[:M].tolist() for y in snaps]
-    d_snaps = [[float(x) for x in d]] + [[0.0] + y[M:].tolist() for y in snaps]
-    return [t0] + times, c_snaps, d_snaps, stats
+    c_snaps = [y[:M].tolist() for y in snaps]
+    d_snaps = [[0.0] + y[M:].tolist() for y in snaps]
+    return times, c_snaps, d_snaps, stats

@@ -13,10 +13,10 @@ oracle        closed-form families example1 | example2   -> same schema as from-
 
 Complex numbers are `re,im` pairs on the command line and `[re, im]` arrays
 in JSON files.  Every CSV starts with one header comment line
-(`# ertl=<version> seed=<seed> config=<sha256 prefix>`); bodies are
-deterministic for a fixed config and seed, with floats printed to 17
-significant digits (round-trip exact).  Exit codes: 0 ok, 1 invalid
-configuration, 2 numerical breakdown (a JSON error report goes to stderr).
+(`# ertl=<version> config=<sha256 prefix>`); bodies are deterministic for
+a fixed config, with floats printed to 17 significant digits (round-trip
+exact).  Exit codes: 0 ok, 1 invalid configuration, 2 numerical breakdown
+(a JSON error report goes to stderr).
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ def _open_out(args):
     return open(path, "w"), True
 
 
-def _emit(args, header: str, rows, seed=None):
+def _emit(args, header: str, rows):
     fh, close = _open_out(args)
     try:
-        fh.write(f"# ertl={__version__} seed={seed} config={_config_hash(args)}\n")
+        fh.write(f"# ertl={__version__} config={_config_hash(args)}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")

@@ -347,8 +347,8 @@ def _dop853(f, t, y, h, K):
     return y + hA[12, :12] @ K, h * (_DOP_E @ K)
 
 
-def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
-    """Drive y' = f(t, y) from t0 to t_end, snapshotting at the times ``t_out``.
+def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
+    """Drive y' = f(t, y) from t0 to t_end, snapshotting at t0 and the times ``t_out``.
 
     The one owner of output-grid semantics for every flow: ``t_out`` defaults
     to [t_end], is sorted, must lie in (t0, t_end] without repeats (ValueError
@@ -359,8 +359,9 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     f or from ``validate`` is re-raised with ``t_bracket``, the start and end
     time of the step.  The unknowns are stepped in the dtype of ``y0``
     (float64 when it is real, complex otherwise), and ``f`` must return that
-    dtype.  Returns (times, snapshots, stats) for the output times, t0
-    excluded.
+    dtype; ``ctrl`` None means ``StepControl()``.  Returns (times, snapshots,
+    stats): times are t0 followed by the output times, and the first snapshot
+    is y0 in the stepping dtype.
 
     ``stats`` holds ``accepted`` and ``rejected`` step counts, ``rhs_calls``
     (calls of f: 11 per attempt, plus f(t, y) once at each point an attempt
@@ -381,6 +382,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
         raise ValueError("output times must not repeat")
     if t_end - times[-1] > slack:
         times.append(t_end)
+    ctrl = ctrl or StepControl()
 
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     K = np.empty((12, y.size), dtype=y.dtype)
@@ -390,7 +392,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     k1_due = True  # K[0] = f(t, y) is still to evaluate at this y
     max_err = 0.0
     h_min, h_max = math.inf, 0.0
-    snaps = []
+    snaps = [y.copy()]
 
     for target in times:
         while target - t > 1e-15 * max(abs(target), 1.0):
@@ -433,7 +435,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl, validate):
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,
              "h_min": h_min, "h_max": h_max,
              "rhs_calls": 11 * (accepted + rejected) + accepted}
-    return times, snaps, stats
+    return [t0] + times, snaps, stats
 
 
 def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
@@ -446,14 +448,13 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     (p, q); "langmuir" checks the symmetric manifold once, here, then freezes
     beta and steps the Volterra flow.  When p, q and the state are real the
     unknowns are stepped as float64; the returned states are complex either
-    way.  The output grid follows ``integrate_core``; the returned times start
-    at the state's own time.
+    way.  The output grid follows ``integrate_core``, so the returned times
+    and states start at the state's own time.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
     if rhs_id not in SYSTEMS:
         raise ValueError(f"unknown system {rhs_id!r}")
-    ctrl = ctrl or StepControl()
     N = state.N
     p, q = SYSTEMS[rhs_id] or (state.p, state.q)
 
@@ -481,10 +482,9 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     y0 = np.concatenate((b[1:], a[2:-1]))  # beta_1..beta_N, alpha_2..alpha_N
     times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)
     snaps = [y.astype(complex, copy=False) for y in snaps]  # states stay complex
-    states = [state] + [LatticeState(state.p, state.q, tt, y[:N].tolist(),
-                                     [0j] + y[N:].tolist() + [0j]) for tt, y in zip(times, snaps)]
-    return Trajectory(times=(state.t,) + tuple(times), states=tuple(states),
-                      step_stats=stats)
+    states = [LatticeState(state.p, state.q, tt, y[:N].tolist(), [0j] + y[N:].tolist() + [0j])
+              for tt, y in zip(times, snaps)]
+    return Trajectory(times=tuple(times), states=tuple(states), step_stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .lattice import LatticeState, Trajectory, _check_betas, rhs_ertl
 class LaxPair:
     """Dense Lax matrices of one finite-closure state (value object)."""
 
-    N: int
     H: np.ndarray
     F: np.ndarray
 
@@ -72,7 +71,7 @@ def build_pair(state: LatticeState) -> LaxPair:
     F.flat[::N + 1] = p * alpha[:N] + q * inv_beta
     F.flat[N::N + 1] = p * -alpha[1:N]
     F.flat[1::N + 1] = q * -inv_beta[:N - 1]
-    return LaxPair(N=N, H=H, F=F)
+    return LaxPair(H=H, F=F)
 
 
 def commutator(pair: LaxPair) -> np.ndarray:

@@ -28,8 +28,9 @@ circle the nodes are the m-th roots of unity, so the rule's power sums are
 one DFT of its weights (one FFT per node count, the scale sum_j |w_j| for
 every k); every other node set (atoms, the real-line rule, discrete nodes)
 goes through one power-sum kernel.  When p and q are real the positive-axis
-weights exp(-t(p x + q/x)) are formed, and summed, in float64.  A table on
-the positive axis (real-line and discrete kinds) keeps its node set, so
+weights exp(-t(p x + q/x)) are formed, and summed, in float64.  A
+``MomentTable`` holds t, K and the moments; one on the positive axis
+(real-line and discrete kinds) also keeps its node set, so
 ``lorth.bootstrap_recurrence`` can run the discretized Stieltjes procedure
 on the nodes themselves instead of on the moments.
 
@@ -57,9 +58,8 @@ from .errors import IndexOutOfTable, InvalidSupport, NonConvergentIntegral
 REAL_LINE_FAMILIES = ("example1", "example2")
 CIRCLE_FAMILIES = ("circle_lebesgue", "circle_kernel")
 
-#: default relative tolerance of the quadrature backends
-QUAD_RTOL = 1e-12
-#: internal doubling target, one order tighter than the advertised tolerance
+#: doubling target of every node-set refinement: successive results must agree
+#: to this fraction of their rounding scale
 _QUAD_INTERNAL = 1e-13
 #: integrand values below this fraction of the peak are treated as tail
 _TAIL_FLOOR = 1e-18
@@ -278,8 +278,8 @@ def explicit_table_spec(nu: dict, t0: float = 0.0) -> MomentSpec:
 class MomentTable:
     """Immutable snapshot of moments nu_k(t) for |k| <= K at one time.
 
-    Entries are complex scalars, or ``fractions.Fraction`` when the provenance
-    is ``exact_rational``.
+    Entries are complex scalars, or all ``fractions.Fraction`` in a table from
+    ``compute_moments_exact``; ``exact`` (derived, not settable) says which.
 
     ``nodes`` is the node set the moments were summed from, when they came
     from one on the positive axis: a pair (node_set, m) where node_set(m)
@@ -291,18 +291,19 @@ class MomentTable:
     t: float
     K: int
     nu: dict
-    provenance: str
-    kind: str = ""
-    weight_id: str = ""
     nodes: Optional[tuple] = field(default=None, compare=False, repr=False)
+    exact: bool = field(init=False)
 
     def __post_init__(self):
+        exact = True
         for k, v in self.nu.items():
             if isinstance(v, Fraction):
                 continue
+            exact = False
             z = complex(v)
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"non-finite moment nu_{k} = {v!r}")
+        object.__setattr__(self, "exact", exact)
 
     def nu_at(self, k: int):
         try:
@@ -312,10 +313,6 @@ class MomentTable:
 
     def covers(self, kmin: int, kmax: int) -> bool:
         return all(k in self.nu for k in range(kmin, kmax + 1))
-
-    @property
-    def exact(self) -> bool:
-        return self.provenance == "exact_rational"
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +509,6 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     if spec.kind in ("real_line_weighted", "discrete") and t < 0:
         raise ValueError("t must be >= 0 for positive-axis functionals")
 
-    provenance = "quadrature"
     nodes = None
     if spec.kind == "explicit_table":
         stored = spec.params["nu"]
@@ -522,7 +518,6 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
         if not all(k in stored for k in range(-K, K + 1)):
             raise IndexOutOfTable(f"stored table does not cover |k| <= {K}")
         nu = {k: complex(stored[k]) for k in range(-K, K + 1)}
-        provenance = "exact"
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.kind == "real_line_weighted":
@@ -535,11 +530,9 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
                 x, w = _discrete_node_set(spec, t)
                 sums = _power_sums(x, w, K)[0]
                 nodes = (lambda m: (x, w), None)
-                provenance = "exact"
         nu = dict(zip(range(-K, K + 1), sums.astype(complex).tolist()))
 
-    return MomentTable(t=float(t), K=K, nu=nu, provenance=provenance,
-                       kind=spec.kind, weight_id=spec.weight_id, nodes=nodes)
+    return MomentTable(t=float(t), K=K, nu=nu, nodes=nodes)
 
 
 def compute_moments_exact(spec: MomentSpec, t: float, K: int) -> MomentTable:
@@ -557,5 +550,4 @@ def compute_moments_exact(spec: MomentSpec, t: float, K: int) -> MomentTable:
     nu = {}
     for k in range(-K, K + 1):
         nu[k] = sum((w * x ** k for x, w in zip(nodes, weights)), Fraction(0))
-    return MomentTable(t=float(t), K=K, nu=nu, provenance="exact_rational",
-                       kind="discrete")
+    return MomentTable(t=float(t), K=K, nu=nu)

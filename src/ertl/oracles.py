@@ -43,8 +43,15 @@ class ClosedFormExample:
             raise ValueError("q must be > 0")
 
 
+def _check_family(ex: ClosedFormExample, family: str):
+    if ex.id != family:
+        raise ValueError(f"{family}_coeffs given a {ex.id} example; "
+                         f"the {ex.id} family needs {ex.id}_coeffs")
+
+
 def example1_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:
     """beta_n = sqrt(q), alpha_{n+1} = n/(2(t+delta)) for the first family."""
+    _check_family(ex, "example1")
     if t + ex.delta <= 0:
         raise ValueError("need t + delta > 0")
     s = t + ex.delta
@@ -65,6 +72,7 @@ def _l_sequence(ex: ClosedFormExample, t: float, N: int):
 
 def example2_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:
     """Coefficients of the second family via the l_n forward recursion."""
+    _check_family(ex, "example2")
     if t + ex.delta <= 0:
         raise ValueError("need t + delta > 0")
     l = _l_sequence(ex, t, N)

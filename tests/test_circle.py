@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefinite,
                   PositivityLost, RecurrenceCoeffs, StepControl, VerblunskySeq,
@@ -354,8 +355,39 @@ def test_integrate_cd_positivity_guard():
         assert all(0.0 < x < 1.0 for x in ds[-1][1:])
 
 
+# -- near-breakdown sweep: chain parameters g_n up to 1e-9 from 0 and 1 ----------
+
+@st.composite
+def chain_data(draw):
+    """(c_1..c_M, d_1..d_M) with d_1 = 0 and d computed from g_n in [1e-9, 1 - 1e-9]."""
+    M = draw(st.integers(1, 8))
+    c = draw(st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=M, max_size=M))
+    g = draw(st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=M, max_size=M))
+    return c, [0.0, *CircleState(t=0.0, g=tuple(g), c=tuple(c)).d]
+
+
+@settings(max_examples=200)
+@given(chain_data())
+def test_map_round_trip_near_breakdown(data):
+    c, d = data
+    c2, d2 = map_cd_beta_alpha(*map_beta_alpha_cd(c, d))
+    for x, y in zip(c + d, c2 + d2):
+        assert abs(x - y) <= 1e-13 * abs(x)
+
+
+@settings(max_examples=100)
+@given(chain_data(), st.complex_numbers(max_magnitude=3.0))
+def test_integrate_cd_near_breakdown_keeps_chain_or_raises(data, q):
+    c, d = data
+    try:
+        _, cs, ds, _ = integrate_cd(c, d, q, 0.0, 1.0)
+    except PositivityLost:
+        return
+    for cn, dn in zip(cs, ds):
+        assert np.isfinite(cn).all()
+        assert all(0.0 < x < 1.0 for x in dn[1:])
+
+
 def test_circle_state_invariants():
     with pytest.raises(ValueError):
-        CircleState(t=0.0, w=1.0, rho=(1.0, 0.5), g=(0.5,), c=(0.0,), d=())
-    with pytest.raises(ValueError):
-        CircleState(t=0.0, w=1.0, rho=(1.0,), g=(1.5,), c=(0.0,), d=())
+        CircleState(t=0.0, g=(1.5,), c=(0.0,))

@@ -79,7 +79,7 @@ def test_commutator_trivial_cases():
     st = state_from_coeffs(1.0, 2.0, 0.0, [0.8], [])
     assert commutator(build_pair(st)) == pytest.approx(np.zeros((1, 1)))
     eye = np.eye(3, dtype=complex)
-    assert np.allclose(commutator(LaxPair(3, eye, eye)), 0.0)
+    assert np.allclose(commutator(LaxPair(eye, eye)), 0.0)
 
 
 def test_commutator_against_triple_loop(rng):

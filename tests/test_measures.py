@@ -202,6 +202,27 @@ def test_moment_table_index_error():
         tab.nu_at(3)
 
 
+def test_moment_table_rejects_non_finite_entry(capsys):
+    spec = explicit_table_spec({-1: 1.0, 0: math.inf, 1: 1.0})
+    with pytest.raises(ValueError, match="non-finite moment nu_0"):
+        compute_moments(spec, 0.0, 1)
+    assert main(["moments", "--measure", spec.to_json(), "--K", "1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "nu_0" in err["message"]
+
+
+def test_moment_table_exact_is_derived_from_entries():
+    spec = discrete_spec([1, 2, 4], [1, 3, 2])
+    assert compute_moments_exact(spec, 0.0, 3).exact
+    assert not compute_moments(spec, 0.0, 3).exact
+    assert not compute_moments(example1_spec(1.0, 2.0), 0.0, 3).exact
+    assert not compute_moments(circle_lebesgue_spec(0.5), 0.0, 3).exact
+    # an explicit table given Fractions is converted to complex, so it is not exact
+    tab = compute_moments(explicit_table_spec({k: Fraction(k + 4, 3) for k in range(-2, 3)}),
+                          0.0, 2)
+    assert not tab.exact and tab.nu_at(1) == 5 / 3
+
+
 # -- Hankel determinants: the regularity conditions as determinants -----------
 
 def hankel_det(table, m, n):

@@ -57,6 +57,13 @@ def test_example2_hand_values():
     assert rc.alpha[0] == pytest.approx(9.0 / 20.0)
 
 
+@pytest.mark.parametrize("coeffs, own, other", [(example1_coeffs, "example1", "example2"),
+                                                (example2_coeffs, "example2", "example1")])
+def test_family_mismatch_rejected(coeffs, own, other):
+    with pytest.raises(ValueError, match=f"{own}.*{other}"):
+        coeffs(ClosedFormExample(other, 1.0, 2.0), 0.0, 3)
+
+
 def test_example2_l_monotone_and_positive():
     ex = ClosedFormExample("example2", 0.7, 3.0)
     rc = example2_coeffs(ex, 0.2, 10)

@@ -1,11 +1,13 @@
 """Static checks on the library source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ertl"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ertl"
 # the package __init__ imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -32,3 +34,54 @@ def test_unused_imports_finds_unread_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_definitions(source):
+    """(name, node) for each function, class and assigned name at module level."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def dead_names(modules, texts, exported):
+    """'module.name' for each module-level definition nothing else names.
+
+    ``texts`` maps each file to its source, and ``modules`` lists the files
+    whose definitions are checked.  A definition is dead when ``exported``
+    lacks its name and no line of any text, outside the definition's own
+    lines, holds the name as a word.
+    """
+    where = {}
+    for path, text in texts.items():
+        for line, row in enumerate(text.splitlines(), start=1):
+            for word in set(re.findall(r"[A-Za-z_]\w*", row)):
+                where.setdefault(word, []).append((path, line))
+    dead = []
+    for path in modules:
+        for name, node in module_definitions(texts[path]):
+            if name in exported:
+                continue
+            if all(p == path and node.lineno <= line <= node.end_lineno
+                   for p, line in where[name]):
+                dead.append(f"{Path(path).stem}.{name}")
+    return sorted(dead)
+
+
+def test_dead_names_finds_unnamed_definition():
+    module = ("def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n"
+              "\n\nclass Shape:\n    pass\n\n\nEXPORTED = 2\nDEAD = used()\n")
+    texts = {"a.py": module, "b.py": "from a import Shape\n"}
+    assert dead_names(["a.py"], texts, {"EXPORTED"}) == ["a.DEAD", "a.recursive"]
+
+
+def test_no_dead_module_level_names():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    texts = {path: path.read_text() for top in ("src", "tests", "perfbench")
+             for path in (ROOT / top).rglob("*.py")}
+    assert dead_names(sorted(SRC.glob("*.py")), texts, exported) == []
