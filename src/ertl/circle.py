@@ -349,11 +349,15 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
 
     The window evolves a_0..a_{M-1} with the missing neighbour a_M held at 0;
     only the first ``n_report`` coefficients are trustworthy (truncation
-    effects creep in from the top).  The modulus bound |a_n| < 1 is asserted
-    at every stage and every accepted step (PositivityLost with n, modulus
-    and t); the output grid follows ``integrate_core``.
+    effects creep in from the top), and ValueError is raised unless
+    1 <= n_report <= M.  The modulus bound |a_n| < 1 is asserted at every
+    stage and every accepted step (PositivityLost with n, modulus and t);
+    the output grid follows ``integrate_core``.
     Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
+    n_report = v.N if n_report is None else n_report
+    if not 1 <= n_report <= v.N:
+        raise ValueError(f"n_report = {n_report} must lie in 1..{v.N}, the window size")
     q = complex(q)
     A = np.array((-1.0,) + v.a + (0j,))  # f refills a_0..a_{M-1}; a_M = 0 stays
 
@@ -366,9 +370,14 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
 
     times, snaps, stats = integrate_core(f, v.t, np.array(v.a, dtype=complex), t_end,
                                          t_out, ctrl, validate)
-    n_report = v.N if n_report is None else n_report
     seqs = [VerblunskySeq(t=tt, a=tuple(y[:n_report])) for tt, y in zip(times, snaps)]
     return times, seqs, stats
+
+
+def _first_outside_unit(dd):
+    """The first n with d_n outside (0, 1) (or NaN), given dd = d_2..d_M; else None."""
+    bad = ~((dd > 0.0) & (dd < 1.0))
+    return int(np.argmax(bad)) + 2 if bad.any() else None
 
 
 def integrate_cd(c, d, q, t0: float, t_end: float,
@@ -376,9 +385,10 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     """Integrate the real (c, d) flow on a finite window (d_{M+1} = 0).
 
     ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  The unknowns
-    c_1..c_M, d_2..d_M are stepped as float64.  PositivityLost is
-    raised when an accepted step takes some d_n, n >= 2, out of (0, 1),
-    where no chain sequence lives; the output grid follows ``integrate_core``.
+    c_1..c_M, d_2..d_M are stepped as float64.  No chain sequence lives
+    where some d_n, n >= 2, is outside (0, 1): ValueError is raised when
+    the initial chain has one there, and PositivityLost when an accepted
+    step takes one there.  The output grid follows ``integrate_core``.
     Returns (times, c_snapshots, d_snapshots, stats), all starting at t0.
     """
     q = complex(q)
@@ -386,6 +396,9 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     if len(d) != M or (M and d[0] != 0.0):
         raise ValueError("d must list d_1..d_M with d_1 = 0")
     y0 = np.array(list(c) + list(d[1:]), dtype=float)
+    n = _first_outside_unit(y0[M:])
+    if n:
+        raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
     C, D = _cd_padded(c, d)  # f refills c_1..c_M and d_2..d_M in place
 
     def f(t, y):
@@ -394,11 +407,9 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
         return np.concatenate(_cd_kernel(C, D, q))
 
     def validate(t, y):
-        dd = y[M:]
-        bad = ~((dd > 0.0) & (dd < 1.0))
-        if np.any(bad):
-            n = int(np.argmax(bad))
-            raise PositivityLost(f"d_{n + 2} = {dd[n]} left (0, 1) at t={t}", n=n + 2, t=t)
+        n = _first_outside_unit(y[M:])
+        if n:
+            raise PositivityLost(f"d_{n} = {y[M + n - 2]} left (0, 1) at t={t}", n=n, t=t)
 
     times, snaps, stats = integrate_core(f, t0, y0, t_end, t_out, ctrl, validate)
     c_snaps = [y[:M].tolist() for y in snaps]

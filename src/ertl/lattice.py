@@ -515,11 +515,13 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     before BufferTooSmall is raised.  The perturbation from the artificial
     far-end closure travels inward at a speed set by the local coefficient
     size, so systems whose coefficients grow with the site index need more
-    buffer than the default.
+    buffer than the default.  ValueError is raised unless n_buf > n_report.
     """
     state0 = make_state(n_report)  # cheap sanity probe of the callback
     if n_buf is None:
         n_buf = default_buffer(n_report, t_end - state0.t)
+    if n_buf <= n_report:
+        raise ValueError(f"buffer n_buf = {n_buf} must exceed n_report = {n_report}")
 
     def run(m):
         st = make_state(m)

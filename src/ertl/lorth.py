@@ -27,11 +27,15 @@ Two routes evaluate the sigmas.
   and alpha_{n+1} = D_n / D_{n-1}, beta_{n+1} = alpha_{n+1} beta_n S_{n-1} / S_n.
   For a positive measure both are sums of positive terms, so the route loses
   nothing to cancellation and needs no depth cap.
-* The moment bootstrap dots the coefficient row of Q_n against the moment
-  table.  It serves tables that carry moments only (explicit and circle
-  tables) and exact ``fractions.Fraction`` tables, the conditioning oracle.
-  In double precision its dots cancel by about 8 digits at depth 12, hence
-  its depth cap MAX_DEPTH.
+* The moment bootstrap is the Chebyshev algorithm (Gautschi 2004, sec. 2.1)
+  on the mixed moments m_{n,k} = L[x^k Q_n]: the three-term recurrence
+  carries them level by level from m_{0,k} = nu_k, and level n reads
+  sigma_{n,n} = m_{n,0}, sigma_{n,-1} = m_{n,-n-1} and tau_n = m_{n,1}.  It
+  never forms the coefficients of Q_n.  It serves tables that carry moments
+  only (explicit and circle tables) and exact ``fractions.Fraction`` tables,
+  the conditioning oracle.  In double precision the map from moments to
+  coefficients loses about 8 digits by depth 12, hence its depth cap
+  MAX_DEPTH.
 
 Conventions: beta_0 = 1, alpha_0 = -1, alpha_1 = 0 (written out by
 ``ertl from-measure --dump-poly``).
@@ -55,23 +59,6 @@ from .measures import _QUAD_INTERNAL, MomentTable, _refine
 SIGMA_ZERO_REL = 1e-12
 #: depth cap of the moment bootstrap in double precision
 MAX_DEPTH = 24
-
-
-def kahan_dot(coeffs, values):
-    """Compensated sum of coeffs[j] * values[j]; exact for Fraction inputs."""
-    acc = None
-    comp = None
-    for c, v in zip(coeffs, values):
-        term = c * v
-        if acc is None:
-            acc = term
-            comp = term - term  # zero of the right type
-            continue
-        y = term - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-    return acc
 
 
 @dataclass(frozen=True)
@@ -151,12 +138,12 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     depth cap.
 
     Every other table (explicit, circle, exact Fraction) runs the moment
-    bootstrap: each level dots the current coefficient row against the
-    table, with compensated sums, and RegularityBreakdown(n) is raised when
-    |sigma_{n,n}| or |sigma_{n,-1}| falls below a threshold relative to the
-    geometric mean of the sigma magnitudes seen so far.  In double
-    precision it is capped at MAX_DEPTH and warns when the sigmas run
-    out of range.
+    bootstrap: each level advances the mixed moments L[x^k Q_n],
+    k = -N-1..N-n, by the three-term recurrence and reads its sigma pair
+    from them.  RegularityBreakdown(n) is raised when |sigma_{n,n}| or
+    |sigma_{n,-1}| falls below a threshold relative to the geometric mean of
+    the sigma magnitudes seen so far.  In double precision it is capped at
+    MAX_DEPTH and warns when the sigmas run out of range.
 
     Either route needs the table to cover nu_{-N-1}..nu_N (IndexOutOfTable
     otherwise): a quadrature node set is sized and converged for the table's
@@ -281,14 +268,17 @@ def _coefficients_settled(prev: LPolySequence, cur: LPolySequence) -> bool:
 
 
 def _moment_bootstrap(table: MomentTable, N: int) -> LPolySequence:
-    """The sigma ladder from dot products of each row of Q_n with the table."""
-    exact = table.exact
-    one = Fraction(1) if exact else 1.0 + 0.0j
-    nu = table.nu
+    """The sigma ladder from the mixed moments m_{n,k} = L[x^k Q_n] (Chebyshev algorithm).
 
-    rows = [[one]]
-    sigma_diag = [nu[0] * one]
-    sigma_minus = [nu[-1] * one]
+    m_{0,k} = nu_k for k = -N-1..N, and the recurrence of Q_{n+1} gives
+    m_{n+1,k} = m_{n,k+1} - beta_{n+1} m_{n,k} - alpha_{n+1} m_{n-1,k+1}
+    for k = -N-1..N-n-1.  Level n reads sigma_{n,n} = m_{n,0},
+    sigma_{n,-1} = m_{n,-n-1} and tau_n = m_{n,1}.
+    """
+    exact = table.exact
+    m = [table.nu[k] for k in range(-N - 1, N + 1)]  # m[i] = m_{n,i-N-1}
+    prev = [0] * len(m)                               # m_{n-1,k}; Q_{-1} = 0
+    beta, alpha, sigma_diag, sigma_minus, tau = [], [], [], [], []
     log_scales = []
 
     def check(n, value, which):
@@ -301,70 +291,51 @@ def _moment_bootstrap(table: MomentTable, N: int) -> LPolySequence:
             raise RegularityBreakdown(n, which, value)
         log_scales.append(math.log(mag))
 
-    check(0, sigma_diag[0], "condition_b")
-    check(0, sigma_minus[0], "condition_a")
-
-    beta = [sigma_diag[0] / sigma_minus[0]]
-    alpha = []
-
-    for n in range(1, N):
-        cur = _next_row(rows, beta[-1], alpha[-1] if alpha else 0)
-        rows.append(cur)
-        s_diag = kahan_dot(cur, [nu[j] for j in range(n + 1)])
-        s_minus = kahan_dot(cur, [nu[j - n - 1] for j in range(n + 1)])
-        check(n, s_diag, "condition_b")
-        check(n, s_minus, "condition_a")
+    a = 0  # alpha_1
+    for n in range(N + 1):
+        s_diag, s_minus = m[N + 1], m[N - n]
         sigma_diag.append(s_diag)
         sigma_minus.append(s_minus)
-        if not exact:
+        # Level N is not regularity-checked: it gates level N+1 only, and a
+        # depth-N bootstrap of an N-point measure legitimately ends with
+        # sigma_{N,N} = 0.
+        if n == N:
+            break
+        check(n, s_diag, "condition_b")
+        check(n, s_minus, "condition_a")
+        tau.append(m[N + 2])
+        if n and not exact:
             ratio = abs(complex(s_diag)) / abs(complex(sigma_diag[0]))
             if not (1e-120 < ratio < 1e120):
                 warnings.warn(
                     f"sigma ratio {ratio:.3e} at level {n}: results beyond this "
                     "depth are likely garbage", RuntimeWarning, stacklevel=3)
-        a_next = s_diag / sigma_diag[n - 1]
-        b_next = -a_next * sigma_minus[n - 1] / s_minus
-        alpha.append(a_next)
-        beta.append(b_next)
-
-    # Final row N plus its sigma pair.  These are *not* regularity-checked:
-    # they gate level N+1 only, and a depth-N bootstrap of an N-point measure
-    # legitimately ends with sigma_{N,N} = 0.
-    rows.append(_next_row(rows, beta[-1], alpha[-1] if alpha else 0))
-    sigma_diag.append(kahan_dot(rows[N], [nu[j] for j in range(N + 1)]))
-    sigma_minus.append(kahan_dot(rows[N], [nu[j - N - 1] for j in range(N + 1)]))
-
-    tau = tuple(kahan_dot(rows[n], [nu[j + 1] for j in range(n + 1)])
-                for n in range(N))
+        if n == 0:
+            b = s_diag / s_minus
+        else:
+            a = s_diag / sigma_diag[n - 1]
+            b = -a * sigma_minus[n - 1] / s_minus
+            alpha.append(a)
+        beta.append(b)
+        prev, m = m, [u - b * v - a * w for v, u, w in zip(m, m[1:], prev[1:])]
     return LPolySequence(beta=tuple(beta), alpha=tuple(alpha),
                          sigma_diag=tuple(sigma_diag), sigma_minus=tuple(sigma_minus),
-                         tau=tau)
-
-
-def _next_row(rows, b_new, a_new):
-    """Coefficients of Q_{n+1} = (x - b) Q_n - a x Q_{n-1} from rows n, n-1."""
-    cur = rows[-1]
-    prev = rows[-2] if len(rows) >= 2 else []
-    n = len(cur) - 1
-    out = []
-    for j in range(n + 2):
-        val = -b_new * (cur[j] if j <= n else 0)
-        if j >= 1:
-            val = val + cur[j - 1]
-            if j - 1 <= len(prev) - 1:
-                val = val - a_new * prev[j - 1]
-        out.append(val)
-    return out
+                         tau=tuple(tau))
 
 
 def triangle_from_coeffs(beta, alpha):
     """Expand the recurrence into the monic coefficient triangle, rows 0..N.
 
     ``beta`` lists beta_1..beta_N and ``alpha`` lists alpha_2..alpha_N;
-    Fraction coefficients give an exact triangle.
+    Fraction coefficients give an exact triangle.  Row n+1 holds the
+    coefficients of Q_{n+1} = (x - beta_{n+1}) Q_n - alpha_{n+1} x Q_{n-1}.
     """
     rows = [[Fraction(1) if isinstance(beta[0], Fraction) else 1.0 + 0.0j]]
-    for n in range(len(beta)):
-        rows.append(_next_row(rows, beta[n], alpha[n - 1] if n >= 1 else 0))
+    prev = []
+    for n, b in enumerate(beta):
+        a = alpha[n - 1] if n else 0
+        cur = rows[-1]
+        rows.append([s - b * c - a * p
+                     for s, c, p in zip([0, *cur], [*cur, 0], [0, *prev, 0, 0])])
+        prev = cur
     return rows
-

@@ -244,6 +244,7 @@ def example2_spec(delta: float, q: float) -> MomentSpec:
 
 
 def discrete_spec(nodes, weights, p=0.0, q=0.0) -> MomentSpec:
+    """Functional f |-> sum_j w_j f(x_j) over point masses at nodes x_j > 0."""
     return MomentSpec(kind="discrete", nodes=tuple(nodes), weights=tuple(weights),
                       p=p, q=q)
 
@@ -267,6 +268,7 @@ def circle_kernel_spec(q, w=1.0, atoms=()) -> MomentSpec:
 
 
 def explicit_table_spec(nu: dict, t0: float = 0.0) -> MomentSpec:
+    """Functional given by its moments ``nu`` (k -> nu_k), a snapshot at time t0."""
     return MomentSpec(kind="explicit_table", params={"nu": dict(nu), "t0": float(t0)})
 
 
@@ -495,10 +497,14 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     Every kind but ``explicit_table`` is a weighted node set (x_j, w_j) whose
     power sums sum_j w_j x_j^k are the moments: the discrete kind's own nodes
     (plain floating-point sums), or equispaced trapezoid rules on the
-    real-line and circle kinds, refined by doubling to relative accuracy
-    ~1e-12.  The circle rule's sums are one FFT of its weights per node
-    count (a DFT, since its nodes are roots of unity); real p and q keep the
-    positive-axis weights and sums in float64.  Real-line and discrete
+    real-line and circle kinds, refined by doubling until every
+    |nu_k(2m) - nu_k(m)| <= 1e-13 s_k, s_k = sum_j |w_j x_j^k| being the
+    rounding scale of nu_k.  Positive weights on the positive axis have
+    s_k = |nu_k|, so there the criterion is relative.  On the circle
+    s_k = sum_j |w_j| for every k, so it is absolute, and a small circle
+    moment carries no relative accuracy.  The circle rule's sums are one FFT
+    of its weights per node count (a DFT, since its nodes are roots of
+    unity); real p and q keep the positive-axis weights and sums in float64.  Real-line and discrete
     tables keep their node set in ``nodes`` for the Stieltjes route of
     ``lorth.bootstrap_recurrence``.
     Raises NonConvergentIntegral when a quadrature budget is exhausted or

@@ -10,7 +10,6 @@ settings.load_profile("ertl")
 
 from ertl import (SYSTEMS, LatticeState, Trajectory, compute_moments, discrete_spec,
                   example1_spec, example2_spec, rhs_ertl)
-from ertl.lorth import kahan_dot
 
 
 def beta_at(rc, n):
@@ -42,6 +41,23 @@ def direct_power_sums(x, w, K):
     """sum_j w_j x_j^k for k = -K..K, one k at a time: the direct route to a node set's moments."""
     x, w = np.asarray(x), np.asarray(w)
     return np.array([np.sum(w * x ** k) for k in range(-K, K + 1)])
+
+
+def kahan_dot(coeffs, values):
+    """Compensated sum of coeffs[j] * values[j]; exact for Fraction inputs."""
+    acc = None
+    comp = None
+    for c, v in zip(coeffs, values):
+        term = c * v
+        if acc is None:
+            acc = term
+            comp = term - term  # zero of the right type
+            continue
+        y = term - comp
+        s = acc + y
+        comp = (s - acc) - y
+        acc = s
+    return acc
 
 
 def orthogonality_residual(table, lp, n):

@@ -11,6 +11,7 @@ from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefini
                   integrate_cd, integrate_schur, kernel_coeffs, map_beta_alpha_cd,
                   map_cd_beta_alpha, rhs_cd, rhs_ertl, rhs_schur,
                   verblunsky_from_moments)
+from ertl.lorth import MAX_DEPTH
 from tests.conftest import eval_Q, q_at_zero
 
 
@@ -149,24 +150,31 @@ def test_kernel_coeffs_free_case():
     assert all(abs(a - w) < 1e-14 for a in alpha)
 
 
-def test_kernel_coeffs_route_equivalence_real_q():
-    q = 0.5
-    kt = compute_moments(circle_kernel_spec(q, w=1.0), 0.2, 12)
-    _, rck = bootstrap_recurrence(kt, 8, p=q, q=q)
-    v = verblunsky_from_moments(compute_moments(circle_lebesgue_spec(q), 0.2, 12), 10)
-    beta, alpha, _ = kernel_coeffs(v, 1.0)
-    assert max(abs(a - b) for a, b in zip(beta[:8], rck.beta)) < 1e-8
-    assert max(abs(a - b) for a, b in zip(alpha[:7], rck.alpha)) < 1e-8
+def kernel_route_gap(q, t, N, w):
+    """Largest |difference| of the kernel coefficients to depth N by the moment
+    bootstrap and by Levinson + ``kernel_coeffs``."""
+    kt = compute_moments(circle_kernel_spec(q, w=w), t, N + 4)
+    _, rck = bootstrap_recurrence(kt, N, p=np.conj(q), q=q)
+    v = verblunsky_from_moments(compute_moments(circle_lebesgue_spec(q), t, N + 4), N + 2)
+    beta, alpha, _ = kernel_coeffs(v, w)
+    return max(abs(a - b) for a, b in zip(beta[:N] + alpha[:N - 1], rck.beta + rck.alpha))
 
 
-def test_kernel_coeffs_route_equivalence_complex_q():
-    q = 0.3 + 0.4j
-    kt = compute_moments(circle_kernel_spec(q, w=1.0), 0.15, 12)
-    _, rck = bootstrap_recurrence(kt, 8, p=np.conj(q), q=q)
-    v = verblunsky_from_moments(compute_moments(circle_lebesgue_spec(q), 0.15, 12), 10)
-    beta, alpha, _ = kernel_coeffs(v, 1.0)
-    assert max(abs(a - b) for a, b in zip(beta[:8], rck.beta)) < 1e-8
-    assert max(abs(a - b) for a, b in zip(alpha[:7], rck.alpha)) < 1e-8
+# depth 8 is the moment route's general bound; on circle kernel tables it
+# stays near rounding up to its cap MAX_DEPTH (about 1e-15 measured)
+ROUTE_CASES = pytest.mark.parametrize(
+    "N, w, bound", [(8, 1.0, 1e-8), (MAX_DEPTH, 1.0, 1e-14), (MAX_DEPTH, np.exp(0.7j), 1e-14)],
+    ids=["depth8", "cap-w=1", "cap-w=exp(0.7i)"])
+
+
+@ROUTE_CASES
+def test_kernel_coeffs_route_equivalence_real_q(N, w, bound):
+    assert kernel_route_gap(0.5, 0.2, N, w) < bound
+
+
+@ROUTE_CASES
+def test_kernel_coeffs_route_equivalence_complex_q(N, w, bound):
+    assert kernel_route_gap(0.3 + 0.4j, 0.15, N, w) < bound
 
 
 def test_cd_symmetric_measure_c_vanishes(leb_verb):
@@ -355,6 +363,23 @@ def test_integrate_cd_positivity_guard():
         assert all(0.0 < x < 1.0 for x in ds[-1][1:])
 
 
+def test_integrate_schur_rejects_report_outside_window():
+    v = VerblunskySeq(0.0, (0.1, 0.2, 0.1))
+    for n_report in (0, 4, 10):
+        with pytest.raises(ValueError, match="n_report"):
+            integrate_schur(v, 0.5, 0.1, n_report=n_report)
+    _, seqs, _ = integrate_schur(v, 0.5, 0.1, n_report=3)
+    assert len(seqs[-1].a) == 3
+
+
+def test_integrate_cd_rejects_initial_d_outside_unit_interval():
+    # with q = 0 the flow is stationary: d_2 never left (0, 1), it started outside
+    with pytest.raises(ValueError, match="d_2 = -0.5"):
+        integrate_cd([0.1, 0.2, 0.3], [0, -0.5, 0.2], 0.0, 0.0, 0.1)
+    with pytest.raises(ValueError, match="d_3 = 1.0"):
+        integrate_cd([0.0] * 3, [0.0, 0.25, 1.0], 0.5, 0.0, 0.1)
+
+
 # -- near-breakdown sweep: chain parameters g_n up to 1e-9 from 0 and 1 ----------
 
 @st.composite
@@ -386,6 +411,29 @@ def test_integrate_cd_near_breakdown_keeps_chain_or_raises(data, q):
     for cn, dn in zip(cs, ds):
         assert np.isfinite(cn).all()
         assert all(0.0 < x < 1.0 for x in dn[1:])
+
+
+# -- near-breakdown sweep: Schur flow with |a_n| up to 1e-9 from 1 ---------------
+
+@st.composite
+def near_unit_verblunsky(draw):
+    """a_0..a_{M-1} with |a_n| = 1 - 10^-u, u in [0, 9], and any phase."""
+    M = draw(st.integers(1, 8))
+    u = draw(st.lists(st.floats(0.0, 9.0), min_size=M, max_size=M))
+    phase = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=M, max_size=M))
+    return tuple((1.0 - 10.0 ** -x) * np.exp(1j * ph) for x, ph in zip(u, phase))
+
+
+@settings(max_examples=200)
+@given(near_unit_verblunsky(), st.complex_numbers(max_magnitude=3.0))
+def test_integrate_schur_near_breakdown_keeps_modulus_or_raises(a, q):
+    try:
+        _, seqs, _ = integrate_schur(VerblunskySeq(0.0, a), q, 1.0)
+    except PositivityLost:
+        return
+    for s in seqs:
+        assert np.isfinite(s.a).all()
+        assert max(abs(x) for x in s.a) < 1.0
 
 
 def test_circle_state_invariants():

@@ -239,6 +239,13 @@ def test_exit_code_validation_error(capsys):
     assert "error" in err
 
 
+def test_exit_code_bad_initial_chain(capsys):
+    # d_2 outside (0, 1) at the start is bad input (1), not a breakdown of the flow (2)
+    assert main(["simulate", "--system", "cd", "--q", "0,0", "--t-end", "0.1",
+                 "--init", '{"c":[0.1,0.2,0.3],"d":[0,-0.5,0.2]}']) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_exit_code_output_time_before_start(capsys):
     # the circle flows share the lattice's output-grid validation
     assert main(["simulate", "--system", "schur", "--q", "0.5,0", "--t-end", "1",

@@ -294,6 +294,17 @@ def test_buffer_too_small_reuses_check_runs():
     assert calls == [2] + [4 * 2 ** k for k in range(BUFFER_ESCALATIONS + 2)]
 
 
+def test_integrate_buffered_rejects_buffer_not_wider_than_report():
+    def mk(M):
+        # stationary (alpha = 0): every buffer size agrees with every other
+        return state_from_coeffs(1.0, 2.0, 0.0, [1.0] * M, [0.0] * (M - 1))
+
+    for n_buf in (4, 10):
+        with pytest.raises(ValueError, match="n_buf"):
+            integrate_buffered(mk, 10, 0.1, n_buf=n_buf)
+    assert integrate_buffered(mk, 10, 0.1, n_buf=11).final.N == 10
+
+
 # -- output grid, shared by every flow through integrate_core ---------------------
 
 def _lattice_times(t_end, t_out):

@@ -85,3 +85,36 @@ def test_no_dead_module_level_names():
     texts = {path: path.read_text() for top in ("src", "tests", "perfbench")
              for path in (ROOT / top).rglob("*.py")}
     assert dead_names(sorted(SRC.glob("*.py")), texts, exported) == []
+
+
+def undocumented(init_source, sources):
+    """'module.name' for each function or class ``init_source`` re-exports without a docstring.
+
+    ``sources`` maps a module name to its text.  An exported name its module
+    does not define at top level is reported too, so no export escapes.
+    """
+    missing = []
+    for node in ast.parse(init_source).body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        defs = dict(module_definitions(sources[node.module]))
+        for alias in node.names:
+            d = defs.get(alias.name)
+            if d is None:
+                missing.append(f"{node.module}.{alias.name} (not defined there)")
+            elif (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not ast.get_docstring(d)):
+                missing.append(f"{node.module}.{alias.name}")
+    return sorted(missing)
+
+
+def test_undocumented_finds_missing_docstrings():
+    init = "from .a import f, g, C, K, gone\n"
+    module = ("def f():\n    \"\"\"Doc.\"\"\"\n\n\ndef g():\n    pass\n\n\n"
+              "class C:\n    \"\"\"\"\"\"\n\n\nK = 1\n\n\ndef h():\n    pass\n")
+    assert undocumented(init, {"a": module}) == ["a.C", "a.g", "a.gone (not defined there)"]
+
+
+def test_exports_have_docstrings():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert undocumented((SRC / "__init__.py").read_text(), sources) == []
