@@ -31,8 +31,11 @@ a genuine blow-up of the flow and is detected (SingularDenominator), never
 regularized.  Integration uses the Dormand-Prince 8(5,3) pair (DOP853) with
 FSAL (f at the new solution of an accepted step is the next step's first
 stage), and accepts a step when its local error, scaled per component, is
-within the tolerance (error per step, not per unit step).  Steps run in the
-dtype of the unknowns: float64 for a real flow, complex otherwise.
+within the tolerance (error per step, not per unit step).  The first step is
+sized from the problem by one Euler probe (Hairer's HINIT), and a step cut
+short to land on an output time leaves the next step's proposal as it was.
+Steps run in the dtype of the unknowns: float64 for a real flow, complex
+otherwise.
 
 Each flow has one right-hand-side kernel, written as shifted slices of
 padded arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 = -1,
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BufferTooSmall, NotSymmetricState, SingularDenominator, StepUnderflow
+from .errors import (BufferTooSmall, ErtlError, NotSymmetricState, SingularDenominator,
+                     StepUnderflow)
 
 #: |beta_n| below this is treated as a blow-up of the flow
 EPS_SING = 1e-12
@@ -243,15 +247,18 @@ class StepControl:
     The norms are combined, not the components: a component whose e3 passes
     near zero would otherwise be judged by its raw 5th-order estimate.  So
     ``rel_tol`` bounds the local error of one step, not the error per unit
-    time.
+    time.  The tolerances also size the first step, through the scale
+    abs_tol + rel_tol |y0| of the automatic start (``_start_step``).  Both
+    must be finite and > 0 (ValueError otherwise).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and > 0, got rel_tol = "
+                             f"{self.rel_tol}, abs_tol = {self.abs_tol}")
 
 
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -325,8 +332,8 @@ _DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857
 _ROUNDING_FLOOR = 2 * float(np.finfo(float).eps)
 #: floor under hypot(E5, 0.1 E3), so that a step with e5 = e3 = 0 reads 0
 _TINY = float(np.finfo(float).tiny)
-#: first attempted step; the controller resizes it from the first error estimate
-_H_INIT = 1e-2
+#: first step when the probe of the automatic start leaves the flow's domain
+_H_FALLBACK = 1e-2
 #: smallest adaptive step before StepUnderflow
 _H_MIN = 1e-14
 #: attempted steps (accepted plus rejected) before StepUnderflow
@@ -347,6 +354,33 @@ def _dop853(f, t, y, h, K):
     return y + hA[12, :12] @ K, h * (_DOP_E @ K)
 
 
+def _start_step(f, t0, y0, f0, span, ctrl):
+    """First step proposal from the problem (the HINIT of Hairer's DOP853).
+
+    With sc = abs_tol + rel_tol |y0|, d0 = max |y0| / sc and d1 = max |f0| /
+    sc, an explicit Euler probe of length h0 = 0.01 d0 / d1 (1e-6 when d0 or
+    d1 is below 1e-5) gives d2 = max |f(t0 + h0, y0 + h0 f0) - f0| / sc / h0,
+    and the proposal is min(100 h0, (0.01 / max(d1, d2))^(1/8), span).  A
+    flat start (max(d1, d2) <= 1e-15) takes the whole span.  The probe point
+    is off the trajectory, so a probe that raises an ``ErtlError`` or returns
+    non-finite values is no breakdown of the flow: the proposal is then
+    ``_H_FALLBACK``.
+    """
+    sc = ctrl.abs_tol + ctrl.rel_tol * np.abs(y0)
+    d0 = float((np.abs(y0) / sc).max())
+    d1 = float((np.abs(f0) / sc).max())
+    h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and 1e-5 <= d1 < math.inf else 1e-6, span)
+    try:
+        with np.errstate(all="ignore"):
+            d2 = float((np.abs(f(t0 + h0, y0 + h0 * f0) - f0) / sc).max()) / h0
+    except ErtlError:
+        d2 = math.nan
+    if not math.isfinite(d2):
+        return _H_FALLBACK
+    d = max(d1, d2)
+    return span if d <= 1e-15 else min(100.0 * h0, (0.01 / d) ** 0.125, span)
+
+
 def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
     """Drive y' = f(t, y) from t0 to t_end, snapshotting at t0 and the times ``t_out``.
 
@@ -363,9 +397,18 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
     stats): times are t0 followed by the output times, and the first snapshot
     is y0 in the stepping dtype.
 
+    The first step comes from ``_start_step``: f(t0, y0), which is also the
+    first step's first stage, and one probe call of f.  An error of f(t0, y0)
+    is the flow's own (a SingularDenominator is bracketed as if the first
+    step were ``_H_FALLBACK``); an error of the probe is not, and only
+    selects that fallback step.  Each attempt is clipped to land on the next
+    output time, and a step accepted after such a clip leaves the proposal
+    at least where it was before, so landing costs no extra steps later.
+
     ``stats`` holds ``accepted`` and ``rejected`` step counts, ``rhs_calls``
     (calls of f: 11 per attempt, plus f(t, y) once at each point an attempt
-    starts from, which is one per accepted step), ``h_min`` and ``h_max`` over
+    starts from, which is one per accepted step, plus the probe),
+    ``h_start``, the first attempted step, ``h_min`` and ``h_max`` over
     accepted steps (steps clipped to land on an output time included), and
     ``max_err_est``, the largest error E5^2 / hypot(E5, 0.1 E3) of an
     accepted step, with E5 = max_i |e5_i| / sc_i and E3 = max_i |e3_i| / sc_i
@@ -387,9 +430,15 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     K = np.empty((12, y.size), dtype=y.dtype)
     t = t0
-    h = _H_INIT
+    try:
+        K[0] = f(t0, y)
+    except SingularDenominator as exc:  # bracketed by the fallback first step
+        raise SingularDenominator(exc.n, exc.value, t_bracket=(
+            t0, t0 + min(_H_FALLBACK, times[0] - t0))) from None
+    h = _start_step(f, t0, y, K[0], t_end - t0, ctrl)
+    h_start = min(h, times[0] - t0)
     accepted = rejected = 0
-    k1_due = True  # K[0] = f(t, y) is still to evaluate at this y
+    k1_due = False  # K[0] = f(t, y) is still to evaluate at this y
     max_err = 0.0
     h_min, h_max = math.inf, 0.0
     snaps = [y.copy()]
@@ -424,7 +473,8 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
                     raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
                 continue
             max_err = max(max_err, err)
-            h = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
+            h_next = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
+            h = max(h_next, h) if h_try < h else h_next  # landing keeps the proposal
             k1_due = True
             accepted += 1
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)
@@ -433,8 +483,8 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
         t = target
         snaps.append(y.copy())
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,
-             "h_min": h_min, "h_max": h_max,
-             "rhs_calls": 11 * (accepted + rejected) + accepted}
+             "h_start": h_start, "h_min": h_min, "h_max": h_max,
+             "rhs_calls": 11 * (accepted + rejected) + accepted + 1}
     return [t0] + times, snaps, stats
 
 

@@ -352,6 +352,19 @@ def test_integrate_cd_chain_sequence_preserved():
             assert 0.0 < g[-1] < 1.0
 
 
+def test_circle_flows_take_few_steps():
+    # step counts are deterministic where timings are not.  The flows of the
+    # circle benchmark task, from t0 = 0.1 with outputs at 0.2, 0.3 and 0.4,
+    # take 5 steps each from the fallback first step of 1e-2
+    v = verblunsky_from_moments(compute_moments(circle_lebesgue_spec(0.5), 0.1, 20), 16)
+    cs = cd_from_verblunsky(v, 0.1)
+    t_out = [0.2, 0.3, 0.4]
+    *_, schur = integrate_schur(v, 0.5, 0.4, t_out=t_out, n_report=6)
+    *_, cd = integrate_cd(list(cs.c), [0.0, *cs.d], 0.5, 0.1, 0.4, t_out=t_out)
+    for stats in (schur, cd):
+        assert stats["accepted"] <= 4 and stats["rejected"] == 0
+
+
 def test_integrate_cd_positivity_guard():
     # d_2 = d_3 = 0.9 is no chain sequence (d_2 = 0.9 forces g_2 > 0.9, so
     # d_3 < 0.1), and the flow drives d_3 past 1

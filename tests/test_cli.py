@@ -246,6 +246,15 @@ def test_exit_code_bad_initial_chain(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("flag,value", [("--rel-tol", "nan"), ("--rel-tol", "inf"),
+                                        ("--abs-tol", "nan"), ("--abs-tol", "0")])
+def test_exit_code_bad_tolerance(capsys, flag, value):
+    # a tolerance that is not finite and positive is bad input (1), not a breakdown (2)
+    assert main(["simulate", "--system", "rtl2", "--N", "3", "--t-end", "0.1",
+                 flag, value]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_exit_code_output_time_before_start(capsys):
     # the circle flows share the lattice's output-grid validation
     assert main(["simulate", "--system", "schur", "--q", "0.5,0", "--t-end", "1",

@@ -15,16 +15,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ertl import (NonConvergence, PositivityLost, RecurrenceCoeffs, SingularDenominator,
-                  StepControl, build_pair, integrate, isospectral_drift, rhs_cd,
-                  rhs_ertl, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
+                  StepControl, VerblunskySeq, build_pair, integrate, integrate_schur,
+                  isospectral_drift, rhs_cd, rhs_ertl, rhs_langmuir, rhs_schur, spectrum,
+                  state_from_coeffs)
 from ertl.cli import main
 from ertl.circle import _cd_kernel, _cd_padded, _flow_modulus, _schur_kernel
-from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _check_betas, _dop853,
-                          _ertl_kernel, _padded, integrate_core)
+from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _check_betas,
+                          _dop853, _ertl_kernel, _padded, integrate_core)
 from tests.conftest import eval_Q
 from tests.test_lattice import random_state
 
@@ -301,10 +302,10 @@ def test_rhs_calls_per_attempt():
     ctrl = StepControl(rel_tol=1e-10)  # the controller rejects some attempts
     _, _, stats = integrate_core(f, 0.0, [1.0, 0.5j], 2.0, None, ctrl, lambda t, y: None)
     assert stats["rejected"] >= 1
-    # 11 stages per attempt, and f(t, y) once per starting point, which is the
-    # start plus every accepted step but the last
+    # 11 stages per attempt, f(t, y) once per starting point, which is the
+    # start plus every accepted step but the last, and the starting-step probe
     attempts = stats["accepted"] + stats["rejected"]
-    assert stats["rhs_calls"] == len(calls) == 11 * attempts + stats["accepted"]
+    assert stats["rhs_calls"] == len(calls) == 11 * attempts + stats["accepted"] + 1
 
 
 def test_integrate_core_steps_in_y0_dtype():
@@ -360,6 +361,74 @@ def test_step_stats_report_step_sizes():
     stats = integrate(state, 0.5, rhs_id="rtl2", t_out=[0.25, 0.5]).step_stats
     assert 0.0 < stats["h_min"] <= stats["h_max"] <= 0.25
     assert 0.0 < stats["max_err_est"] <= 1.0
+
+
+def test_flat_start_takes_one_step_per_output_interval():
+    # from the fallback first step of 1e-2 the controller takes 4 steps on
+    # [0, 1]: 0.01, 0.05, 0.25, 0.69
+    zero = lambda t, y: np.zeros_like(y)
+    for t_out, steps in ((None, 1), ([0.25, 0.5, 0.75, 1.0], 4)):
+        _, _, stats = integrate_core(zero, 0.0, [1.0, 2.0], 1.0, t_out, None,
+                                     lambda t, y: None)
+        assert (stats["accepted"], stats["rejected"]) == (steps, 0)
+        assert stats["h_start"] == (t_out or [1.0])[0]
+
+
+@pytest.mark.parametrize("lam, fallback_attempts", [(1e-3, 4), (1.0, 6)])
+def test_start_step_is_accepted_on_linear_decay(lam, fallback_attempts):
+    # fallback_attempts: the attempts made from the fallback first step of 1e-2
+    passed = []
+    _, snaps, stats = integrate_core(lambda t, y: -lam * y, 0.0, [1.0], 1.0, None, None,
+                                     lambda t, y: passed.append(t))
+    assert passed[0] == stats["h_start"]  # the first attempt passed the error test
+    assert stats["rejected"] == 0 and stats["accepted"] <= fallback_attempts
+    assert abs(snaps[-1][0] - math.exp(-lam)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", ["raise", "nan"])
+def test_start_falls_back_when_probe_leaves_the_domain(bad):
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        if len(calls) == 2:  # the starting-step probe, right after f(t0, y0)
+            if bad == "raise":
+                raise SingularDenominator(1, 0j, t=t)
+            return np.full_like(y, np.nan)
+        return -y
+
+    _, snaps, stats = integrate_core(f, 0.0, [1.0], 1.0, None, None, lambda t, y: None)
+    assert stats["h_start"] == _H_FALLBACK and stats["rhs_calls"] == len(calls)
+    assert abs(snaps[-1][0] - math.exp(-1.0)) < 1e-10
+
+
+def test_start_probe_past_unit_modulus_is_no_breakdown():
+    # the probe y0 + h0 f0 from a_0 = -(1 - 1e-8) lands at |a_0| > 1, off the
+    # trajectory; the flow itself keeps |a_0| < 1
+    _, seqs, stats = integrate_schur(VerblunskySeq(0.0, (-(1 - 1e-8),)), 2 + 2j, 1.0)
+    assert abs(seqs[-1].a[0]) < 1.0 and stats["h_start"] == _H_FALLBACK
+
+
+@settings(max_examples=100)
+@given(N=st.integers(1, 8), u=st.floats(0.0, 11.0), complex_data=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_integrate_near_singular_beta_is_finite_or_typed(N, u, complex_data, seed, data):
+    # one |beta_n| = 10^-u, run for 10^-u, the time beta_n takes to move by
+    # its own size: finite states or a SingularDenominator bracketed inside
+    # the run, never NaN and never an error of the starting-step probe
+    state = random_state(np.random.default_rng(seed), N, complex_data=complex_data)
+    n = data.draw(st.integers(0, N - 1))
+    beta = list(state.beta)
+    beta[n] = 10.0 ** -u * beta[n] / abs(beta[n])
+    state = state_from_coeffs(state.p, state.q, 0.0, beta, state.alpha[1:-1])
+    t_end = 10.0 ** -u
+    try:
+        traj = integrate(state, t_end)
+    except SingularDenominator as exc:
+        lo, hi = exc.t_bracket
+        assert 0.0 <= lo < hi <= t_end
+    else:
+        assert all(np.isfinite(s.beta + s.alpha).all() for s in traj.states)
 
 
 @given(N=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))

@@ -255,6 +255,16 @@ def test_positivity_preserved_and_enforced(rng):
         assert all(a.real > 0 and a.imag == 0 for a in s.alpha[1:-1])
 
 
+@pytest.mark.parametrize("tols", [dict(rel_tol=float("nan")), dict(rel_tol=float("inf")),
+                                  dict(abs_tol=float("nan")), dict(abs_tol=float("inf")),
+                                  dict(rel_tol=0.0), dict(abs_tol=-1e-12)])
+def test_step_control_rejects_non_finite_or_non_positive_tolerance(tols):
+    # a NaN tolerance would make integrate report StepUnderflow at t = 0, and
+    # an infinite one would let every step pass unchecked
+    with pytest.raises(ValueError, match="finite and > 0"):
+        StepControl(**tols)
+
+
 def test_blowup_detected():
     # alpha_2 < 0 with q-coupling drives beta_1 through zero in finite time
     st = state_from_coeffs(0.0, 1.0, 0.0, [0.5, 1.0], [-1.0])
