@@ -134,8 +134,10 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     runs it once.  A quadrature table runs it on the trapezoid rules with
     m/2, m, 2m, ... intervals, m being where its moments converged, until
     every coefficient moves by at most _QUAD_INTERNAL of its rounding scale
-    |c| / margin; the doubling budget is the moments'.  This route has no
-    depth cap.
+    |c| / margin; the doubling budget is the moments'.  The m/2 and m rules
+    are the ones the table holds, so the weight is not evaluated for them,
+    and a finer rule evaluates it at its new odd nodes only (the rules
+    nest; see ``measures._NestedRule``).  This route has no depth cap.
 
     Every other table (explicit, circle, exact Fraction) runs the moment
     bootstrap: each level advances the mixed moments L[x^k Q_n],
@@ -165,7 +167,7 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
         if m is None:
             lp = stieltjes(*node_set(m), N)
         else:
-            lp, _ = _refine(node_set, lambda x, w: stieltjes(x, w, N),
+            lp, _ = _refine(node_set, lambda x, w, _: stieltjes(x, w, N),
                             _coefficients_settled, m // 2)
     rc = RecurrenceCoeffs(t=table.t, p=0j if p is None else complex(p),
                           q=0j if q is None else complex(q),

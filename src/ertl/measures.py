@@ -23,16 +23,23 @@ Every kind but ``explicit_table`` is evaluated as one weighted node set
 (x_j, w_j): the moments are its power sums nu_k = sum_j w_j x_j^k.  Discrete
 nodes are summed once in plain floating point; the real-line and circle
 kinds are equispaced trapezoid rules whose node count one loop doubles until
-every nu_k has settled to its rounding scale sum_j |w_j x_j^k|.  On the
-circle the nodes are the m-th roots of unity, so the rule's power sums are
-one DFT of its weights (one FFT per node count, the scale sum_j |w_j| for
-every k); every other node set (atoms, the real-line rule, discrete nodes)
-goes through one power-sum kernel.  When p and q are real the positive-axis
+every nu_k has settled to its rounding scale sum_j |w_j x_j^k|.  The rules
+nest (Trefethen and Weideman, "The exponentially convergent trapezoidal
+rule", SIAM Review 56, 2014): the even nodes of the m-interval rule are the
+m/2 rule's nodes, bitwise, with halved weights.  So each doubling evaluates
+the weight at its new odd nodes only (``_NestedRule``), and a table
+evaluates each node once.  On the real line the sums follow suit,
+nu_k(m) = nu_k(m/2) / 2 + sum over the odd nodes.  On the circle the nodes
+are the m-th roots of unity, so the rule's power sums are one DFT of its
+assembled weights (one FFT per node count, the scale sum_j |w_j| for every
+k); every other node set (atoms, the real-line rule, discrete nodes) goes
+through one power-sum kernel.  When p and q are real the positive-axis
 weights exp(-t(p x + q/x)) are formed, and summed, in float64.  A
 ``MomentTable`` holds t, K and the moments; one on the positive axis
 (real-line and discrete kinds) also keeps its node set, so
 ``lorth.bootstrap_recurrence`` can run the discretized Stieltjes procedure
-on the nodes themselves instead of on the moments.
+on the nodes themselves instead of on the moments: on the real line it reads
+the two finest rules the table holds and evaluates no weight for them.
 
 Weight families on the positive axis:
 
@@ -45,6 +52,7 @@ the modified weight is the base weight with delta replaced by delta + t.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -74,7 +82,9 @@ class MomentSpec:
     """Declarative description of a moment functional and its modification.
 
     Immutable after construction; all invariants are checked in
-    ``__post_init__`` so that an instance in hand is always usable.
+    ``__post_init__`` so that an instance in hand is always usable.  Every
+    number it carries (p, q, weight parameters, nodes, weights, atoms, the
+    kernel point) must be finite: ValueError otherwise.
     """
 
     kind: str
@@ -93,18 +103,20 @@ class MomentSpec:
         object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "weights", tuple(self.weights))
+        _require_finite("p", self.p)
+        _require_finite("q", self.q)
 
         if self.kind == "discrete":
             if not self.nodes:
                 raise ValueError("discrete spec needs at least one node")
             if len(self.nodes) != len(self.weights):
                 raise ValueError("nodes and weights must have equal length")
-            if any(not (float(x) > 0.0) for x in self.nodes):
-                raise ValueError("discrete nodes must be strictly positive")
+            if any(not 0.0 < float(x) < math.inf for x in self.nodes):
+                raise ValueError("discrete nodes must be finite and > 0")
             if len({float(x) for x in self.nodes}) != len(self.nodes):
                 raise ValueError("discrete nodes must be distinct")
-            if any(not (float(w) > 0.0) for w in self.weights):
-                raise ValueError("discrete weights must be strictly positive")
+            if any(not 0.0 < float(w) < math.inf for w in self.weights):
+                raise ValueError("discrete weights must be finite and > 0")
 
         elif self.kind == "real_line_weighted":
             if self.weight_id not in REAL_LINE_FAMILIES:
@@ -115,6 +127,8 @@ class MomentSpec:
                 raise ValueError("weight parameter delta must be > 0")
             if qw is None or not qw > 0:
                 raise ValueError("weight parameter q must be > 0")
+            _require_finite("weight parameter delta", delta)
+            _require_finite("weight parameter q", qw)
             # on (0, inf) both exponential directions must damp
             if not (self.p.real > 0.0 and self.q.real > 0.0):
                 raise InvalidSupport(
@@ -130,11 +144,13 @@ class MomentSpec:
                 if "w" not in self.params:
                     raise ValueError("circle_kernel spec needs params['w'] with |w| = 1")
                 w = complex(self.params["w"])
+                _require_finite("kernel point w", w)
                 if abs(abs(w) - 1.0) > 1e-12:
                     raise ValueError("kernel point w must have |w| = 1")
             for theta, mass in self.params.get("atoms", ()):
-                if not mass > 0:
-                    raise ValueError("atom masses must be positive")
+                _require_finite("atom angle", theta)
+                if not 0 < mass < math.inf:
+                    raise ValueError("atom masses must be finite and > 0")
 
         elif self.kind == "explicit_table":
             if "nu" not in self.params:
@@ -184,6 +200,12 @@ class MomentSpec:
     @staticmethod
     def from_json(text: str) -> "MomentSpec":
         return MomentSpec.from_json_dict(json.loads(text))
+
+
+def _require_finite(name: str, value):
+    """ValueError unless ``value`` is a finite number."""
+    if not cmath.isfinite(complex(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 #: the top-level keys of a spec's JSON form, as ``to_json_dict`` writes them
@@ -285,9 +307,14 @@ class MomentTable:
 
     ``nodes`` is the node set the moments were summed from, when they came
     from one on the positive axis: a pair (node_set, m) where node_set(m)
-    returns the arrays (x_j, w_j) with m intervals and m is the count the
-    moments converged at, or m is None for the discrete kind's fixed nodes.
-    It is None for explicit, circle and exact tables.
+    returns read-only arrays (x_j, w_j) with m intervals and m is the count
+    the moments converged at, or m is None for the discrete kind's fixed
+    nodes.  On the real line node_set is the table's ``_NestedRule``: it
+    holds the m/2 and m rules the moments settled between, which is where
+    the Stieltjes ladder of ``lorth.bootstrap_recurrence`` starts, so that
+    ladder evaluates no weight at those levels; a finer rule it adds is
+    built from the finest one held and replaces the coarsest.  It is None
+    for explicit, circle and exact tables.
     """
 
     t: float
@@ -329,7 +356,7 @@ _MAX_DOUBLINGS = 16
 _SLAB = 4096
 
 
-def _power_sums(x, w, K: int):
+def _power_sums(x, w, K: int, half=None):
     """(nu_k, s_k) = (sum_j w_j x_j^k, sum_j |w_j x_j^k|) for k = -K..K.
 
     The moments of an arbitrary node set (atoms, the real-line rule, discrete
@@ -337,10 +364,19 @@ def _power_sums(x, w, K: int):
     take the dtype of x and w, so a real modification sums float64 terms.
     The (2K+1) x m terms are formed a slab of nodes at a time, so memory
     stays bounded at the doubling budget.
+
+    ``half`` is the (nu_k, s_k) of the m/2 rule when (x, w) is an m rule of a
+    ``_NestedRule``: its even nodes carry the m/2 rule's terms halved, so
+    only the odd nodes are summed, nu_k(m) = nu_k(m/2) / 2 + sum_{j odd}
+    w_j x_j^k, and likewise s_k.
     """
     ks = np.arange(-K, K + 1)[:, None]
-    nu = np.zeros(2 * K + 1, dtype=np.result_type(x, w))
-    scale = np.zeros(2 * K + 1)
+    if half is None:
+        nu = np.zeros(2 * K + 1, dtype=np.result_type(x, w))
+        scale = np.zeros(2 * K + 1)
+    else:
+        x, w = x[1::2], w[1::2]
+        nu, scale = 0.5 * half[0], 0.5 * half[1]
     for s in range(0, len(x), _SLAB):
         terms = w[s:s + _SLAB] * x[s:s + _SLAB] ** ks
         nu += terms.sum(axis=1)
@@ -368,18 +404,64 @@ def _check_finite(nu, K: int):
         raise NonConvergentIntegral(f"moment sums overflow double precision at |k| <= {K}")
 
 
-def _refine(node_set, evaluate, settled, m: int = _M0):
-    """(evaluate(*node_set(m)), m), doubling m until two results settle.
+class _NestedRule:
+    """An equispaced trapezoid rule as a node set that doubles by nesting.
 
-    ``settled(previous, current)`` decides convergence.  The moments start at
-    _M0; a caller refining something else over the same node set may start
-    where the moments converged.  Every caller shares one budget: m never
-    passes _M0 doubled _MAX_DOUBLINGS times.
+    ``rule(m)`` returns the arrays (x_j, w_j) of the rule with m intervals.
+    ``build(m, odd)`` evaluates the weight on the m rule's nodes: all of
+    them, or with ``odd`` only those of odd index.  Equispaced rules nest:
+    node 2i of the m rule is node i of the m/2 rule, bitwise, and its weight
+    is that node's weight halved, exactly since m is a power of two (only
+    subnormal tail weights can round differently).  So
+    once the m/2 rule is held, the m rule takes its even nodes and halved
+    weights from it and evaluates the weight at its m/2 odd nodes only: a
+    ladder 256, 512, ..., m evaluates each of its m (+ 1) nodes once.
+
+    The rule holds its two finest levels, the m/2 and m rules a moment ladder
+    settled between, where the Stieltjes ladder of
+    ``lorth.bootstrap_recurrence`` starts; a finer level replaces the
+    coarsest.  Every caller gets the same arrays, so they are read-only.
     """
-    prev = evaluate(*node_set(m))
+
+    def __init__(self, build):
+        self._build = build
+        self.levels = {}
+
+    def __call__(self, m: int):
+        if m in self.levels:
+            return self.levels[m]
+        half = self.levels.get(m // 2) if m % 2 == 0 else None
+        if half is None:
+            x, w = self._build(m, False)
+        else:
+            xo, wo = self._build(m, True)
+            x = np.empty(len(half[0]) + len(xo), dtype=xo.dtype)
+            w = np.empty(len(x), dtype=wo.dtype)
+            x[0::2], x[1::2] = half[0], xo
+            w[0::2], w[1::2] = 0.5 * half[1], wo
+        x.flags.writeable = w.flags.writeable = False
+        self.levels[m] = (x, w)
+        if len(self.levels) > 2:
+            del self.levels[min(self.levels)]
+        return x, w
+
+
+def _refine(rule, evaluate, settled, m: int = _M0):
+    """(evaluate(*rule(m), previous), m), doubling m until two results settle.
+
+    ``rule`` is a ``_NestedRule``, so each doubling evaluates the weight at
+    the new odd nodes only.  ``evaluate(x, w, previous)`` also receives its
+    own result on the m/2 rule (None at the first level), which a sum over
+    the nodes halves and completes with the odd nodes (``_power_sums``).
+    ``settled(previous, current)`` decides convergence.  The moments start at
+    _M0; the Stieltjes ladder over the same rule starts where the moments
+    converged, at levels the rule still holds.  Every caller shares one
+    budget: m never passes _M0 doubled _MAX_DOUBLINGS times.
+    """
+    prev = evaluate(*rule(m), None)
     while m < _M0 << _MAX_DOUBLINGS:
         m *= 2
-        cur = evaluate(*node_set(m))
+        cur = evaluate(*rule(m), prev)
         if settled(prev, cur):
             return cur, m
         prev = cur
@@ -388,42 +470,45 @@ def _refine(node_set, evaluate, settled, m: int = _M0):
         "intervals")
 
 
-def _refine_moments(node_set, sums):
-    """``sums(*node_set(m))`` at the m where the moments settle, and that m.
+def _refine_moments(rule, sums):
+    """``sums(*rule(m), previous)`` at the m where the moments settle, and that m.
 
     ``sums`` returns (nu_k, s_k) as ``_power_sums`` does.  Converged when every
     |nu_k(2m) - nu_k(m)| is within _QUAD_INTERNAL of the rounding scale s_k
     (for positive node sets, the relative change of nu_k).
     """
     (nu, _), m = _refine(
-        node_set, sums,
+        rule, sums,
         lambda prev, cur: np.all(np.abs(cur[0] - prev[0]) <= _QUAD_INTERNAL * cur[1]))
     return nu, m
 
 
-def _real_line_node_set(spec: MomentSpec, t: float, K: int):
-    """The u-trapezoid on (0, inf) as a node set with m intervals.
+def _real_line_weight(spec: MomentSpec, t: float, u):
+    """(x, g) at the u-nodes: x = sqrt(q) e^u and g = w(x) exp(-t(p x + q/x)) x.
 
     The substitution x = sqrt(q) e^u symmetrizes x <-> q/x and gives dx = x du,
-    so node x_j carries h w(x_j) exp(-t(p x_j + q/x_j)) x_j.  One window
-    |u| <= U serves the whole table: it is widened until every k's integrand
-    tails are below _TAIL_FLOOR of that k's peak, which also makes the
-    trapezoid rule's end corrections negligible.  Real p and q give float64
-    weights.
+    so g is the u-integrand.  Real p and q give float64 values.
     """
     delta, qw = spec.params["delta"], spec.params["q"]
     sq = math.sqrt(qw)
-    ks = np.arange(-K, K + 1)[:, None]
     p, q = _real_if_real(spec.p, spec.q)
+    x = sq * np.exp(u)
+    shape = x ** -0.5 if spec.weight_id == "example1" else (x + sq) * x ** -1.5
+    return x, shape * np.exp(-delta * (x + qw / x)) * np.exp(-t * (p * x + q / x)) * x
 
-    def integrand(u):
-        x = sq * np.exp(u)
-        shape = x ** -0.5 if spec.weight_id == "example1" else (x + sq) * x ** -1.5
-        return x, shape * np.exp(-delta * (x + qw / x)) * np.exp(-t * (p * x + q / x)) * x
 
+def _real_line_node_set(spec: MomentSpec, t: float, K: int):
+    """The u-trapezoid on (0, inf) as a ``_NestedRule``: node x_j carries h g(u_j).
+
+    One window |u| <= U serves the whole table: it is widened until every
+    k's integrand tails are below _TAIL_FLOOR of that k's peak, which also
+    makes the trapezoid rule's end corrections negligible.  The m rule's
+    nodes are u_j = j (2U/m) - U, as ``np.linspace`` places them.
+    """
+    ks = np.arange(-K, K + 1)[:, None]
     U = 8.0
     for _ in range(200):
-        x, g = integrand(np.linspace(-U, U, 129))
+        x, g = _real_line_weight(spec, t, np.linspace(-U, U, 129))
         g = np.abs(g * x ** ks)
         if not np.isfinite(g).all():
             raise NonConvergentIntegral(
@@ -435,28 +520,33 @@ def _real_line_node_set(spec: MomentSpec, t: float, K: int):
     else:
         raise NonConvergentIntegral("integrand tails never became negligible")
 
-    def node_set(m):
-        u, h = np.linspace(-U, U, m + 1, retstep=True)
-        x, g = integrand(u)
+    def build(m, odd):
+        if odd:
+            h = 2.0 * U / m
+            u = np.arange(1, m, 2) * h - U
+        else:
+            u, h = np.linspace(-U, U, m + 1, retstep=True)
+        x, g = _real_line_weight(spec, t, u)
         return x, h * g
-    return node_set
+    return _NestedRule(build)
 
 
 def _circle_node_set(spec: MomentSpec, t: float):
-    """m equispaced z_j = e^(2 pi i j/m) with weights (z_j - w) damp_j / m.
+    """The m equispaced z_j = e^(2 pi i j/m) with weights (z_j - w) damp_j / m.
 
-    On |z| = 1 with p = conj(q) the modification is the real damping
+    A ``_NestedRule``: the m rule's even nodes are the m/2 rule's.  On
+    |z| = 1 with p = conj(q) the modification is the real damping
     exp(-2t Re(q conj z)); ``circle_lebesgue`` is the kernel case w = 0.
     """
     qr, qi = spec.q.real, spec.q.imag
     w = _kernel_point(spec)
 
-    def node_set(m):
-        theta = 2.0 * np.pi * np.arange(m) / m
+    def build(m, odd):
+        theta = 2.0 * np.pi * (np.arange(1, m, 2) if odd else np.arange(m)) / m
         z = np.exp(1j * theta)
         damp = np.exp(-2.0 * t * (qr * np.cos(theta) + qi * np.sin(theta)))
         return z, (z - w) * damp / m
-    return node_set
+    return _NestedRule(build)
 
 
 def _kernel_point(spec: MomentSpec) -> complex:
@@ -465,7 +555,7 @@ def _kernel_point(spec: MomentSpec) -> complex:
 
 def _moments_circle(spec: MomentSpec, t: float, K: int):
     """The equispaced rule's sums, one FFT per node count, then the atoms once."""
-    nu = _refine_moments(_circle_node_set(spec, t), lambda z, w: _dft_sums(w, K))[0]
+    nu = _refine_moments(_circle_node_set(spec, t), lambda z, w, _: _dft_sums(w, K))[0]
     atoms = spec.params.get("atoms", ())
     if atoms:
         w = _kernel_point(spec)
@@ -502,16 +592,23 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     rounding scale of nu_k.  Positive weights on the positive axis have
     s_k = |nu_k|, so there the criterion is relative.  On the circle
     s_k = sum_j |w_j| for every k, so it is absolute, and a small circle
-    moment carries no relative accuracy.  The circle rule's sums are one FFT
-    of its weights per node count (a DFT, since its nodes are roots of
-    unity); real p and q keep the positive-axis weights and sums in float64.  Real-line and discrete
-    tables keep their node set in ``nodes`` for the Stieltjes route of
-    ``lorth.bootstrap_recurrence``.
-    Raises NonConvergentIntegral when a quadrature budget is exhausted or
-    the sums overflow, and InvalidSupport for divergent modifications.
+    moment carries no relative accuracy.  The rules nest, so each node is
+    evaluated once per table: a doubling evaluates the weight at its m/2 new
+    odd nodes, and on the real line sums only those, halving the previous
+    nu_k and s_k.  The circle rule's sums are one FFT of its weights per
+    node count (a DFT, since its nodes are roots of unity); real p and q
+    keep the positive-axis weights and sums in float64.  Real-line and
+    discrete tables keep their node set in ``nodes`` for the Stieltjes route
+    of ``lorth.bootstrap_recurrence``, which reads the real-line table's
+    rules instead of rebuilding them.
+    Raises ValueError for a non-finite t, NonConvergentIntegral when a
+    quadrature budget is exhausted or the sums overflow, and InvalidSupport
+    for divergent modifications.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if spec.kind in ("real_line_weighted", "discrete") and t < 0:
         raise ValueError("t must be >= 0 for positive-axis functionals")
 
@@ -527,13 +624,14 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.kind == "real_line_weighted":
-                node_set = _real_line_node_set(spec, t, K)
-                sums, m = _refine_moments(node_set, lambda x, w: _power_sums(x, w, K))
-                nodes = (node_set, m)
+                rule = _real_line_node_set(spec, t, K)
+                sums, m = _refine_moments(rule, lambda x, w, half: _power_sums(x, w, K, half))
+                nodes = (rule, m)
             elif spec.kind == "unit_circle_weighted":
                 sums = _moments_circle(spec, t, K)
             else:
                 x, w = _discrete_node_set(spec, t)
+                x.flags.writeable = w.flags.writeable = False
                 sums = _power_sums(x, w, K)[0]
                 nodes = (lambda m: (x, w), None)
         nu = dict(zip(range(-K, K + 1), sums.astype(complex).tolist()))

@@ -255,6 +255,26 @@ def test_exit_code_bad_tolerance(capsys, flag, value):
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("measure,t", [
+    ('{"kind":"discrete","nodes":[1,2],"weights":[1,Infinity]}', "0"),
+    ('{"kind":"discrete","nodes":[1,Infinity],"weights":[1,1]}', "0"),
+    ('{"kind":"real_line_weighted","weight_id":"example1",'
+     '"params":{"delta":Infinity,"q":2.0},"p":[1,0],"q":[2,0]}', "0.5"),
+    ('{"kind":"unit_circle_weighted","weight_id":"circle_lebesgue",'
+     '"p":[NaN,0],"q":[NaN,0]}', "0.5"),
+    ('{"kind":"unit_circle_weighted","weight_id":"circle_lebesgue",'
+     '"params":{"atoms":[[NaN,0.2]]},"p":[0.5,0],"q":[0.5,0]}', "0.5"),
+    ('{"kind":"unit_circle_weighted","weight_id":"circle_kernel",'
+     '"params":{"w":[NaN,0]},"p":[0.5,0],"q":[0.5,0]}', "0.5"),
+    (DISCRETE, "inf"),
+    (DISCRETE, "nan"),
+], ids=["weight", "node", "delta", "circle-q", "atom-angle", "kernel-w", "t-inf", "t-nan"])
+def test_exit_code_non_finite_moment_input(capsys, measure, t):
+    # a non-finite spec entry or time is bad input (1), not a numerical breakdown (2)
+    assert main(["moments", "--measure", measure, "--t", t, "--K", "3"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
 def test_exit_code_output_time_before_start(capsys):
     # the circle flows share the lattice's output-grid validation
     assert main(["simulate", "--system", "schur", "--q", "0.5,0", "--t-end", "1",

@@ -1,15 +1,16 @@
 """Bootstrap of L-orthogonal recurrence coefficients and the sigma/tau ladder."""
 
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ertl import (ClosedFormExample, IndexOutOfTable, MomentSpec, RegularityBreakdown,
-                  bootstrap_recurrence, compute_moments, compute_moments_exact,
-                  discrete_spec, example1_coeffs, example1_spec,
+from ertl import (ClosedFormExample, ErtlError, IndexOutOfTable, MomentSpec,
+                  RegularityBreakdown, bootstrap_recurrence, compute_moments,
+                  compute_moments_exact, discrete_spec, example1_coeffs, example1_spec,
                   example2_coeffs, example2_spec, explicit_table_spec,
                   triangle_from_coeffs)
 from ertl.lorth import stieltjes
@@ -316,6 +317,37 @@ def test_stieltjes_matches_exact_bootstrap_property(measure, t):
     with pytest.raises(RegularityBreakdown) as err:
         bootstrap_recurrence(table, m + 1)
     assert err.value.n == m and err.value.which == "condition_b"
+
+
+@st.composite
+def coincident_discrete(draw):
+    """2-10 nodes in [0.1, 10], some adjacent pairs x, x (1 + 10^-u), u in [2, 12]."""
+    n = draw(st.integers(2, 10))
+    nodes = sorted(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n, unique=True)))
+    for i in range(n - 1):
+        if draw(st.booleans()):
+            twin = nodes[i] * (1.0 + 10.0 ** -draw(st.floats(2.0, 12.0)))
+            # only moving a node down keeps the nodes sorted and distinct
+            nodes[i + 1] = min(nodes[i + 1], twin)
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    return nodes, weights
+
+
+@settings(max_examples=100)
+@given(coincident_discrete(), st.floats(0.0, 1.0))
+def test_coincident_nodes_give_finite_or_typed_result(measure, t):
+    # a near-double node makes the measure nearly one node short: each depth
+    # either returns finite coefficients or raises a typed error, never NaN
+    nodes, weights = measure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = compute_moments(discrete_spec(nodes, weights, p=1.0, q=2.0), t, len(nodes))
+        for N in range(1, len(nodes)):
+            try:
+                _, rc = bootstrap_recurrence(table, N)
+            except ErtlError:
+                continue
+            assert np.all(np.isfinite(rc.beta + rc.alpha))
 
 
 def test_stieltjes_direct_call_matches_bootstrap(ten_node_boot):

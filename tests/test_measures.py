@@ -15,8 +15,10 @@ from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, NonConvergentInte
                   RegularityBreakdown, bootstrap_recurrence, circle_kernel_spec,
                   circle_lebesgue_spec, compute_moments, compute_moments_exact,
                   discrete_spec, example1_spec, example2_spec, explicit_table_spec)
+from ertl import measures
 from ertl.cli import main
-from ertl.measures import (_circle_node_set, _dft_sums, _discrete_node_set,
+from ertl.lorth import stieltjes
+from ertl.measures import (_circle_node_set, _dft_sums, _discrete_node_set, _power_sums,
                            _real_line_node_set)
 from tests.conftest import direct_power_sums
 
@@ -147,6 +149,83 @@ def test_circle_table_matches_direct_sums(atoms):
     tab = compute_moments(spec, t, K)
     got = np.array([tab.nu_at(k) for k in range(-K, K + 1)])
     assert np.abs(got - ref).max() <= 1e-14 * scale
+
+
+def equal_but_subnormal(a, b):
+    """a == b entrywise, except where both parts of an entry are at most the
+    smallest normal double: a halved weight that underflows rounds twice."""
+    tiny = np.finfo(float).tiny
+    return all(np.all((u == v) | (np.maximum(np.abs(u), np.abs(v)) <= tiny))
+               for u, v in ((a.real, b.real), (a.imag, b.imag)))
+
+
+def real_line_spec(family, p, q):
+    return MomentSpec(kind="real_line_weighted", weight_id=family,
+                      params={"delta": 1.0, "q": 2.0}, p=p, q=q)
+
+
+NESTED_SPECS = {
+    "example1-real": real_line_spec("example1", 1.0, 2.0),
+    "example1-complex": real_line_spec("example1", 1 + 0.5j, 2 - 0.5j),
+    "example2-real": real_line_spec("example2", 1.0, 2.0),
+    "example2-complex": real_line_spec("example2", 1 + 0.5j, 2 - 0.5j),
+    "circle-atoms": circle_lebesgue_spec(0.3 + 0.4j, atoms=((0.4, 0.2), (2.5, 0.7))),
+    "circle-kernel": circle_kernel_spec(0.3 + 0.4j, w=np.exp(0.7j)),
+}
+
+
+@pytest.mark.parametrize("which", sorted(NESTED_SPECS))
+def test_nested_rule_equals_direct_rule(which):
+    # each doubling reuses the m/2 rule's nodes: positions bitwise, weights
+    # halved exactly, so sums and Stieltjes coefficients are those of the rule
+    # built from scratch
+    spec, t, K, N = NESTED_SPECS[which], 0.5, 20, 8
+    circle = spec.kind == "unit_circle_weighted"
+    make = (lambda: _circle_node_set(spec, t)) if circle else (
+        lambda: _real_line_node_set(spec, t, K))
+    nested, half = make(), None
+    for m in (256, 512, 1024, 2048):
+        x, w = nested(m)
+        xd, wd = make()(m)
+        assert np.array_equal(x, xd)
+        assert w.dtype == wd.dtype and equal_but_subnormal(w, wd)
+        if circle:
+            # the circle ladder takes one FFT of the assembled weights
+            assert np.array_equal(_dft_sums(w, K)[0], _dft_sums(wd, K)[0])
+        else:
+            half = _power_sums(x, w, K, half)
+            ref, scale = _power_sums(xd, wd, K)
+            assert np.all(np.abs(half[0] - ref) <= 1e-15 * scale)
+            assert np.all(np.abs(half[1] - scale) <= 1e-15 * scale)
+            assert stieltjes(x, w, N) == stieltjes(xd, wd, N)
+    assert sorted(nested.levels) == [1024, 2048]
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("N", [12, 20])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_each_node_is_evaluated_once_per_table(family, N, t, monkeypatch):
+    # the moment ladder 256 -> 512 evaluates the weight on the 257 + 256 nodes
+    # of the 512 rule (besides the 129-point window probes), and the Stieltjes
+    # ladder reads the table's two rules without evaluating it again
+    sizes = []
+    weight = measures._real_line_weight
+
+    def counted(spec, t, u):
+        sizes.append(len(u))
+        return weight(spec, t, u)
+
+    monkeypatch.setattr(measures, "_real_line_weight", counted)
+    table = compute_moments(real_line_spec(family, 1.0, 2.0), t, N + 1)
+    rule, m = table.nodes
+    assert m == 512
+    assert sum(n for n in sizes if n != 129) == m + 1
+    sizes.clear()
+    bootstrap_recurrence(table, N)
+    assert sizes == []
+    assert sorted(rule.levels) == [m // 2, m]
+    for x, w in rule.levels.values():
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_real_modification_keeps_node_weights_float64():
@@ -376,6 +455,39 @@ def test_spec_rejects_bad_inputs():
     with pytest.raises(ValueError):
         MomentSpec(kind="unit_circle_weighted", weight_id="circle_lebesgue",
                    p=1.0, q=0.5j)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("build", [
+    lambda: example1_spec(INF, 2.0),
+    lambda: example1_spec(1.0, INF),
+    lambda: example2_spec(1.0, NAN),
+    lambda: MomentSpec(kind="real_line_weighted", weight_id="example1",
+                       params={"delta": 1.0, "q": 2.0}, p=complex(1.0, INF), q=2.0),
+    lambda: discrete_spec([1.0, 2.0], [1.0, INF]),
+    lambda: discrete_spec([1.0, INF], [1.0, 1.0]),
+    lambda: discrete_spec([1.0, 2.0], [1.0, 1.0], p=NAN),
+    lambda: circle_lebesgue_spec(complex(NAN, 0.0)),
+    lambda: circle_lebesgue_spec(0.5, atoms=((0.4, INF),)),
+    lambda: circle_lebesgue_spec(0.5, atoms=((NAN, 0.2),)),
+    lambda: circle_kernel_spec(0.5, w=complex(NAN, 0.0)),
+], ids=["delta", "weight-q", "nan-q", "p", "weight", "node", "discrete-p", "circle-q",
+        "atom-mass", "atom-angle", "kernel-w"])
+def test_spec_rejects_non_finite_input(build):
+    # invalid input, not a numerical breakdown: no all-zero table, no overflow error
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("t", [INF, NAN])
+@pytest.mark.parametrize("spec", [example1_spec(1.0, 2.0), circle_lebesgue_spec(0.5),
+                                  discrete_spec([1.0, 2.0], [1.0, 1.0])],
+                         ids=["real-line", "circle", "discrete"])
+def test_compute_moments_rejects_non_finite_time(spec, t):
+    with pytest.raises(ValueError, match="finite"):
+        compute_moments(spec, t, 5)
 
 
 def test_decay_bound_real_positive_modification():
