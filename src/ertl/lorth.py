@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndexOutOfTable, NonConvergentIntegral, RegularityBreakdown
-from .measures import _QUAD_INTERNAL, MomentTable, _refine
+from .measures import _QUAD_INTERNAL, MomentTable, _doublings
 
 #: relative threshold below which a sigma counts as a regularity failure
 SIGMA_ZERO_REL = 1e-12
@@ -130,14 +130,17 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     """Build (LPolySequence, RecurrenceCoeffs) to depth N of a table's functional.
 
     A table summed from a weighted node set (``table.nodes``: the real-line
-    and discrete kinds) runs ``stieltjes`` on its nodes.  A discrete table
+    and discrete kinds) runs the ``stieltjes`` pass on its nodes.  A discrete table
     runs it once.  A quadrature table runs it on the trapezoid rules with
-    m/2, m, 2m, ... intervals, m being where its moments converged, until
-    every coefficient moves by at most _QUAD_INTERNAL of its rounding scale
-    |c| / margin; the doubling budget is the moments'.  The m/2 and m rules
-    are the ones the table holds, so the weight is not evaluated for them,
-    and a finer rule evaluates it at its new odd nodes only (the rules
-    nest; see ``measures._NestedRule``).  This route has no depth cap.
+    m, 2m, 4m, ... intervals, m being where its moments converged, until one
+    pass certifies itself: the m/2 rule is the m rule's even nodes with
+    doubled weights, so each level's sums D_n, S_n are also taken on the
+    m/2 rule, and every level must agree to _QUAD_INTERNAL of its rounding
+    scale (the discretization test of Gautschi 2004, sec. 2.2.3, applied to
+    the sums).  The doubling budget is the moments'.  The m rule is the one
+    the table holds, so the weight is not evaluated for it, and a finer rule
+    evaluates it at its new odd nodes only (the rules nest; see
+    ``measures._NestedRule``).  This route has no depth cap.
 
     Every other table (explicit, circle, exact Fraction) runs the moment
     bootstrap: each level advances the mixed moments L[x^k Q_n],
@@ -165,10 +168,12 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     else:
         node_set, m = table.nodes
         if m is None:
-            lp = stieltjes(*node_set(m), N)
+            lp = _stieltjes(*node_set(m), N)
         else:
-            lp, _ = _refine(node_set, lambda x, w, _: stieltjes(x, w, N),
-                            _coefficients_settled, m // 2)
+            for m in _doublings(m):
+                lp = _stieltjes(*node_set(m), N, nested=True)
+                if lp is not None:
+                    break
     rc = RecurrenceCoeffs(t=table.t, p=0j if p is None else complex(p),
                           q=0j if q is None else complex(q),
                           beta=lp.beta, alpha=lp.alpha)
@@ -197,6 +202,24 @@ def stieltjes(x, w, N: int) -> LPolySequence:
     The margins are D_n and S_n over those scales.  The relative rounding
     error of beta_{n+1} and alpha_{n+1} is of order eps over the smallest
     margin of levels <= n.
+
+    ``bootstrap_recurrence`` runs this pass on a table's node set; on a
+    trapezoid rule the same pass also certifies the rule (``_stieltjes``).
+    """
+    return _stieltjes(x, w, N)
+
+
+def _stieltjes(x, w, N: int, nested: bool = False):
+    """``stieltjes``; with ``nested``, also the discretization test of the m rule.
+
+    (x, w) is then the m rule of a ``measures._NestedRule``, whose even nodes
+    with doubled weights are the m/2 rule.  Each level n <= N-1 also sums
+    its terms w r_n^2 and w r_n^2 / x over the even nodes, times 2: D~_n and
+    S~_n, the same sums on the m/2 rule.  The rule has settled when
+    |D_n - D~_n| and |S_n - S~_n| stay within _QUAD_INTERNAL of the rounding
+    scales of the regularity test; a level that has not returns None before
+    that test, so a breakdown is read only from a rule that resolves it.
+    The main sums are untouched, so the result is ``stieltjes(x, w, N)``.
     """
     if N < 1:
         raise ValueError("depth N must be >= 1")
@@ -210,6 +233,7 @@ def stieltjes(x, w, N: int) -> LPolySequence:
     sx = np.sqrt(x)
     isx = 1.0 / sx
     powers = np.stack([np.ones_like(x), 1.0 / x, x, x ** -2.0], axis=1)
+    even = 2.0 * powers[0::2, :2] if nested else None  # the m/2 rule's D and S columns
     beta, alpha, sigma_diag, sigma_minus, tau, margin = [], [], [], [], [], []
     r_prev, r = np.zeros_like(x), np.ones_like(x)
     mag1 = mag2 = (0.0,) * 4  # sum |w| |r|^2 times 1, 1/x, x, 1/x^2 at levels n-1, n-2
@@ -236,6 +260,11 @@ def stieltjes(x, w, N: int) -> LPolySequence:
                 scale_d = mag1[2] + bb * mag1[1] + aa * mag2[0]
                 scale_s = mag1[0] + bb * mag1[3] + aa * mag2[1]
             mag1, mag2 = mag, mag1
+            if nested:
+                dh, sh = (wr2[0::2] @ even).tolist()
+                if not (abs(D - dh) <= _QUAD_INTERNAL * scale_d
+                        and abs(S - sh) <= _QUAD_INTERNAL * scale_s):
+                    return None
             if n == len(x) or not abs(D) > SIGMA_ZERO_REL * scale_d:
                 raise RegularityBreakdown(n, "condition_b", D)
             if not abs(S) > SIGMA_ZERO_REL * scale_s:
@@ -257,16 +286,6 @@ def stieltjes(x, w, N: int) -> LPolySequence:
                          sigma_diag=tuple(map(complex, sigma_diag)),
                          sigma_minus=tuple(map(complex, sigma_minus)),
                          tau=tuple(map(complex, tau)), margin=tuple(margin))
-
-
-def _coefficients_settled(prev: LPolySequence, cur: LPolySequence) -> bool:
-    """Every beta_{n+1} and alpha_{n+1} moved by at most _QUAD_INTERNAL of its
-    rounding scale |c| / margin, the margin being the smallest of levels <= n."""
-    rho = np.minimum.accumulate(cur.margin)
-    old = np.array(prev.beta + prev.alpha)
-    new = np.array(cur.beta + cur.alpha)
-    scale = np.maximum(np.abs(old), np.abs(new)) / np.concatenate([rho, rho[1:]])
-    return bool(np.all(np.abs(new - old) <= _QUAD_INTERNAL * scale))
 
 
 def _moment_bootstrap(table: MomentTable, N: int) -> LPolySequence:

@@ -38,8 +38,8 @@ weights exp(-t(p x + q/x)) are formed, and summed, in float64.  A
 ``MomentTable`` holds t, K and the moments; one on the positive axis
 (real-line and discrete kinds) also keeps its node set, so
 ``lorth.bootstrap_recurrence`` can run the discretized Stieltjes procedure
-on the nodes themselves instead of on the moments: on the real line it reads
-the two finest rules the table holds and evaluates no weight for them.
+on the nodes themselves instead of on the moments: on the real line it starts
+from the rule the table holds and evaluates no weight for it.
 
 Weight families on the positive axis:
 
@@ -55,6 +55,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -84,7 +85,8 @@ class MomentSpec:
     Immutable after construction; all invariants are checked in
     ``__post_init__`` so that an instance in hand is always usable.  Every
     number it carries (p, q, weight parameters, nodes, weights, atoms, the
-    kernel point) must be finite: ValueError otherwise.
+    kernel point, stored moments) must be a finite number, and a real one
+    where the field is real: ValueError naming the field otherwise.
     """
 
     kind: str
@@ -99,36 +101,39 @@ class MomentSpec:
         if self.kind not in ("real_line_weighted", "unit_circle_weighted",
                              "discrete", "explicit_table"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        _require_finite("p", self.p)
+        _require_finite("q", self.q)
         object.__setattr__(self, "p", complex(self.p))
         object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "weights", tuple(self.weights))
-        _require_finite("p", self.p)
-        _require_finite("q", self.q)
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a dict, got {self.params!r}")
 
         if self.kind == "discrete":
             if not self.nodes:
                 raise ValueError("discrete spec needs at least one node")
             if len(self.nodes) != len(self.weights):
                 raise ValueError("nodes and weights must have equal length")
-            if any(not 0.0 < float(x) < math.inf for x in self.nodes):
+            for x, w in zip(self.nodes, self.weights):
+                _require_finite("discrete node", x, real=True)
+                _require_finite("discrete weight", w, real=True)
+            if any(not x > 0 for x in self.nodes):
                 raise ValueError("discrete nodes must be finite and > 0")
             if len({float(x) for x in self.nodes}) != len(self.nodes):
                 raise ValueError("discrete nodes must be distinct")
-            if any(not 0.0 < float(w) < math.inf for w in self.weights):
+            if any(not w > 0 for w in self.weights):
                 raise ValueError("discrete weights must be finite and > 0")
 
         elif self.kind == "real_line_weighted":
             if self.weight_id not in REAL_LINE_FAMILIES:
                 raise ValueError(f"unknown real-line weight family {self.weight_id!r}")
-            delta = self.params.get("delta")
-            qw = self.params.get("q")
-            if delta is None or not delta > 0:
-                raise ValueError("weight parameter delta must be > 0")
-            if qw is None or not qw > 0:
-                raise ValueError("weight parameter q must be > 0")
-            _require_finite("weight parameter delta", delta)
-            _require_finite("weight parameter q", qw)
+            for key in ("delta", "q"):
+                if key not in self.params:
+                    raise ValueError(f"weight parameter {key} is missing")
+                _require_finite(f"weight parameter {key}", self.params[key], real=True)
+                if not self.params[key] > 0:
+                    raise ValueError(f"weight parameter {key} must be > 0")
             # on (0, inf) both exponential directions must damp
             if not (self.p.real > 0.0 and self.q.real > 0.0):
                 raise InvalidSupport(
@@ -143,18 +148,29 @@ class MomentSpec:
             if self.weight_id == "circle_kernel":
                 if "w" not in self.params:
                     raise ValueError("circle_kernel spec needs params['w'] with |w| = 1")
-                w = complex(self.params["w"])
-                _require_finite("kernel point w", w)
-                if abs(abs(w) - 1.0) > 1e-12:
+                _require_finite("kernel point w", self.params["w"])
+                if abs(abs(complex(self.params["w"])) - 1.0) > 1e-12:
                     raise ValueError("kernel point w must have |w| = 1")
-            for theta, mass in self.params.get("atoms", ()):
-                _require_finite("atom angle", theta)
-                if not 0 < mass < math.inf:
+            atoms = self.params.get("atoms", ())
+            if not isinstance(atoms, (tuple, list)):
+                raise ValueError(f"atoms must be a sequence of (angle, mass), got {atoms!r}")
+            for atom in atoms:
+                try:
+                    theta, mass = atom
+                except (TypeError, ValueError):
+                    raise ValueError(f"an atom must be a pair (angle, mass), got {atom!r}") from None
+                _require_finite("atom angle", theta, real=True)
+                _require_finite("atom mass", mass, real=True)
+                if not mass > 0:
                     raise ValueError("atom masses must be finite and > 0")
 
         elif self.kind == "explicit_table":
-            if "nu" not in self.params:
-                raise ValueError("explicit_table spec needs params['nu']")
+            if not isinstance(self.params.get("nu"), dict):
+                raise ValueError("explicit_table spec needs params['nu'], a dict k -> nu_k")
+            for k, v in self.params["nu"].items():
+                _require_number(f"moment nu_{k}", v)  # MomentTable rejects non-finite entries
+            if "t0" in self.params:
+                _require_finite("t0", self.params["t0"], real=True)
 
         family = self.weight_id if self.kind == "unit_circle_weighted" else self.kind
         unknown = sorted(set(self.params) - _PARAM_KEYS[family])
@@ -185,16 +201,14 @@ class MomentSpec:
         if unknown:
             raise ValueError(f"unknown moment-spec keys {unknown}; expected a subset of "
                              f"{sorted(_JSON_KEYS)}")
-        p = complex(*d.get("p", (0.0, 0.0)))
-        q = complex(*d.get("q", (0.0, 0.0)))
         return MomentSpec(
             kind=d["kind"],
             weight_id=d.get("weight_id", ""),
             params=_params_from_json(d.get("params", {})),
-            p=p,
-            q=q,
-            nodes=tuple(d.get("nodes", ())),
-            weights=tuple(d.get("weights", ())),
+            p=_complex_from_json("p", d.get("p", (0.0, 0.0))),
+            q=_complex_from_json("q", d.get("q", (0.0, 0.0))),
+            nodes=tuple(_json_list("nodes", d.get("nodes", ()))),
+            weights=tuple(_json_list("weights", d.get("weights", ()))),
         )
 
     @staticmethod
@@ -202,10 +216,33 @@ class MomentSpec:
         return MomentSpec.from_json_dict(json.loads(text))
 
 
-def _require_finite(name: str, value):
-    """ValueError unless ``value`` is a finite number."""
+def _require_number(name: str, value, real: bool = False):
+    """ValueError naming ``name`` unless ``value`` is a number (a real one if ``real``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Number):
+        raise ValueError(f"{name} must be a {'real ' if real else ''}number, got {value!r}")
+
+
+def _require_finite(name: str, value, real: bool = False):
+    """ValueError naming ``name`` unless ``value`` is a finite number (a real one if ``real``)."""
+    _require_number(name, value, real)
     if not cmath.isfinite(complex(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _json_list(name: str, value):
+    """``value`` if it is a JSON array (a list or tuple), else ValueError naming ``name``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be an array, got {value!r}")
+    return value
+
+
+def _complex_from_json(name: str, value) -> complex:
+    """complex(re, im) from a JSON pair [re, im] of real numbers, else ValueError."""
+    if len(_json_list(name, value)) != 2:
+        raise ValueError(f"{name} must be a pair [re, im], got {value!r}")
+    for part in value:
+        _require_number(name, part, real=True)
+    return complex(*value)
 
 
 #: the top-level keys of a spec's JSON form, as ``to_json_dict`` writes them
@@ -236,14 +273,16 @@ def _params_to_json(params: dict) -> dict:
 
 
 def _params_from_json(params: dict) -> dict:
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {params!r}")
     out = {}
     for key, val in params.items():
         if key == "w":
-            out[key] = complex(*val)
+            out[key] = _complex_from_json("kernel point w", val)
         elif key == "atoms":
-            out[key] = tuple((th, m) for th, m in val)
-        elif key == "nu":
-            out[key] = {int(k): complex(*v) for k, v in val.items()}
+            out[key] = tuple(tuple(_json_list("atom", a)) for a in _json_list("atoms", val))
+        elif key == "nu" and isinstance(val, dict):
+            out[key] = {int(k): _complex_from_json(f"moment nu_{k}", v) for k, v in val.items()}
         else:
             out[key] = val
     return out
@@ -310,11 +349,11 @@ class MomentTable:
     returns read-only arrays (x_j, w_j) with m intervals and m is the count
     the moments converged at, or m is None for the discrete kind's fixed
     nodes.  On the real line node_set is the table's ``_NestedRule``: it
-    holds the m/2 and m rules the moments settled between, which is where
-    the Stieltjes ladder of ``lorth.bootstrap_recurrence`` starts, so that
-    ladder evaluates no weight at those levels; a finer rule it adds is
-    built from the finest one held and replaces the coarsest.  It is None
-    for explicit, circle and exact tables.
+    holds the m rule the moments settled at, which is where the Stieltjes
+    ladder of ``lorth.bootstrap_recurrence`` starts, so that ladder
+    evaluates no weight at that level (it reads the m/2 rule as the even
+    nodes); a finer rule it adds is built from the one held and replaces
+    it.  It is None for explicit, circle and exact tables.
     """
 
     t: float
@@ -368,11 +407,15 @@ def _power_sums(x, w, K: int, half=None):
     ``half`` is the (nu_k, s_k) of the m/2 rule when (x, w) is an m rule of a
     ``_NestedRule``: its even nodes carry the m/2 rule's terms halved, so
     only the odd nodes are summed, nu_k(m) = nu_k(m/2) / 2 + sum_{j odd}
-    w_j x_j^k, and likewise s_k.
+    w_j x_j^k, and likewise s_k.  Float64 terms that are all >= 0 (real
+    x and w >= 0) have s_k = nu_k, bitwise, and skip the |terms| pass.
     """
     ks = np.arange(-K, K + 1)[:, None]
+    dtype = np.result_type(x, w)
+    # min() is NaN for a NaN weight, so a NaN keeps the |terms| pass too
+    positive = dtype == np.float64 and w.min(initial=0.0) >= 0 and x.min(initial=0.0) >= 0
     if half is None:
-        nu = np.zeros(2 * K + 1, dtype=np.result_type(x, w))
+        nu = np.zeros(2 * K + 1, dtype=dtype)
         scale = np.zeros(2 * K + 1)
     else:
         x, w = x[1::2], w[1::2]
@@ -380,9 +423,10 @@ def _power_sums(x, w, K: int, half=None):
     for s in range(0, len(x), _SLAB):
         terms = w[s:s + _SLAB] * x[s:s + _SLAB] ** ks
         nu += terms.sum(axis=1)
-        scale += np.abs(terms).sum(axis=1)
+        if not positive:
+            scale += np.abs(terms).sum(axis=1)
     _check_finite(nu, K)
-    return nu, scale
+    return nu, nu.copy() if positive else scale
 
 
 def _dft_sums(w, K: int):
@@ -417,10 +461,11 @@ class _NestedRule:
     weights from it and evaluates the weight at its m/2 odd nodes only: a
     ladder 256, 512, ..., m evaluates each of its m (+ 1) nodes once.
 
-    The rule holds its two finest levels, the m/2 and m rules a moment ladder
-    settled between, where the Stieltjes ladder of
-    ``lorth.bootstrap_recurrence`` starts; a finer level replaces the
-    coarsest.  Every caller gets the same arrays, so they are read-only.
+    The rule holds its finest level only, which a finer one is built from
+    and then replaces: for a table, the m rule its moments settled at, where
+    the Stieltjes ladder of ``lorth.bootstrap_recurrence`` starts (that
+    ladder reads the m/2 rule as the m rule's even nodes).  Every caller
+    gets the same arrays, so they are read-only.
     """
 
     def __init__(self, build):
@@ -440,31 +485,20 @@ class _NestedRule:
             x[0::2], x[1::2] = half[0], xo
             w[0::2], w[1::2] = 0.5 * half[1], wo
         x.flags.writeable = w.flags.writeable = False
-        self.levels[m] = (x, w)
-        if len(self.levels) > 2:
-            del self.levels[min(self.levels)]
+        self.levels = {m: (x, w)}
         return x, w
 
 
-def _refine(rule, evaluate, settled, m: int = _M0):
-    """(evaluate(*rule(m), previous), m), doubling m until two results settle.
+def _doublings(m: int):
+    """The node counts m, 2m, 4m, ... of a refinement, then NonConvergentIntegral.
 
-    ``rule`` is a ``_NestedRule``, so each doubling evaluates the weight at
-    the new odd nodes only.  ``evaluate(x, w, previous)`` also receives its
-    own result on the m/2 rule (None at the first level), which a sum over
-    the nodes halves and completes with the odd nodes (``_power_sums``).
-    ``settled(previous, current)`` decides convergence.  The moments start at
-    _M0; the Stieltjes ladder over the same rule starts where the moments
-    converged, at levels the rule still holds.  Every caller shares one
-    budget: m never passes _M0 doubled _MAX_DOUBLINGS times.
+    Every refinement shares one budget: m never passes _M0 doubled
+    _MAX_DOUBLINGS times.  The moments start at _M0; the Stieltjes ladder of
+    ``lorth.bootstrap_recurrence`` starts where they converged.
     """
-    prev = evaluate(*rule(m), None)
-    while m < _M0 << _MAX_DOUBLINGS:
+    while m <= _M0 << _MAX_DOUBLINGS:
+        yield m
         m *= 2
-        cur = evaluate(*rule(m), prev)
-        if settled(prev, cur):
-            return cur, m
-        prev = cur
     raise NonConvergentIntegral(
         f"trapezoid rule did not converge to {_QUAD_INTERNAL} within {_M0 << _MAX_DOUBLINGS} "
         "intervals")
@@ -473,14 +507,19 @@ def _refine(rule, evaluate, settled, m: int = _M0):
 def _refine_moments(rule, sums):
     """``sums(*rule(m), previous)`` at the m where the moments settle, and that m.
 
-    ``sums`` returns (nu_k, s_k) as ``_power_sums`` does.  Converged when every
+    ``rule`` is a ``_NestedRule``, so each doubling evaluates the weight at
+    the new odd nodes only.  ``sums`` returns (nu_k, s_k) as ``_power_sums``
+    does, and also receives its own result on the m/2 rule (None at _M0),
+    which it may halve and complete with the odd nodes.  Converged when every
     |nu_k(2m) - nu_k(m)| is within _QUAD_INTERNAL of the rounding scale s_k
     (for positive node sets, the relative change of nu_k).
     """
-    (nu, _), m = _refine(
-        rule, sums,
-        lambda prev, cur: np.all(np.abs(cur[0] - prev[0]) <= _QUAD_INTERNAL * cur[1]))
-    return nu, m
+    prev = None
+    for m in _doublings(_M0):
+        cur = sums(*rule(m), prev)
+        if prev is not None and np.all(np.abs(cur[0] - prev[0]) <= _QUAD_INTERNAL * cur[1]):
+            return cur[0], m
+        prev = cur
 
 
 def _real_line_weight(spec: MomentSpec, t: float, u):
@@ -599,8 +638,9 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     node count (a DFT, since its nodes are roots of unity); real p and q
     keep the positive-axis weights and sums in float64.  Real-line and
     discrete tables keep their node set in ``nodes`` for the Stieltjes route
-    of ``lorth.bootstrap_recurrence``, which reads the real-line table's
-    rules instead of rebuilding them.
+    of ``lorth.bootstrap_recurrence``, which starts from the real-line
+    table's m rule instead of rebuilding it, and certifies that rule in the
+    same pass.
     Raises ValueError for a non-finite t, NonConvergentIntegral when a
     quadrature budget is exhausted or the sums overflow, and InvalidSupport
     for divergent modifications.

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ertl import (ClosedFormExample, ErtlError, IndexOutOfTable, MomentSpec,
-                  RegularityBreakdown, bootstrap_recurrence, compute_moments,
+                  NonConvergentIntegral, RegularityBreakdown, bootstrap_recurrence,
+                  compute_moments,
                   compute_moments_exact, discrete_spec, example1_coeffs, example1_spec,
                   example2_coeffs, example2_spec, explicit_table_spec,
                   triangle_from_coeffs)
+from ertl import lorth, measures
 from ertl.lorth import stieltjes
 from tests.conftest import (alpha_at, beta_at, eval_Q, orthogonality_residual, q_at_zero,
-                            tau_closed_form)
+                            tau_closed_form, two_pass_stieltjes)
 
 #: agreement of the two tau routes (node or moment sums vs the gamma identity)
 TAU_RTOL = 1e-8
@@ -254,15 +256,96 @@ def test_stieltjes_matches_moment_bootstrap_on_explicit_table(which, t, ten_node
         assert abs(got - want) <= 1e-8 * abs(want)
 
 
+def real_line_spec(family, p, q):
+    return MomentSpec(kind="real_line_weighted", weight_id=family,
+                      params={"delta": 1.0, "q": 2.0}, p=p, q=q)
+
+
+def settled_rule(table):
+    """The rule count the table's Stieltjes ladder stopped at: the level its rule holds."""
+    (m,) = table.nodes[0].levels
+    return m
+
+
+def pinned(table, m):
+    """The table with its Stieltjes ladder started at the m-interval rule."""
+    return dataclasses.replace(table, nodes=(table.nodes[0], m))
+
+
 def test_node_doubling_driven_by_coefficients(ex1_spec):
     # started from too coarse a rule (the 128-interval rule is off by 1e-2 at
-    # depth 40), the refinement doubles until the coefficients settle
+    # depth 40), the refinement doubles until one pass certifies its rule
     table = compute_moments(ex1_spec, 0.5, 41)
-    node_set, _ = table.nodes
-    _, rc = bootstrap_recurrence(dataclasses.replace(table, nodes=(node_set, 128)), 40)
+    _, rc = bootstrap_recurrence(pinned(table, 128), 40)
     ref = example1_coeffs(ClosedFormExample("example1", 1.0, 2.0), 0.5, 40)
     for got, want in zip(rc.beta + rc.alpha, ref.beta + ref.alpha):
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 2.0), (1 + 0.5j, 2 - 0.5j), (1 + 3j, 2 - 2j)],
+                         ids=["real", "complex", "complex-breakdown"])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_one_pass_certificate_agrees_with_two_runs(family, p, q):
+    # the m/2 sums of one pass and the coefficients of two whole runs settle
+    # at the same rule, so the coefficients are bitwise the same; the
+    # cancelling modification breaks down at the same level on both routes
+    spec = real_line_spec(family, p, q)
+    broken = 0
+    for N in (8, 12, 20, 30, 40):
+        for t in (0.0, 0.5, 1.0, 2.0):
+            table, twin = (compute_moments(spec, t, N + 1) for _ in range(2))
+            try:
+                lp, _ = bootstrap_recurrence(table, N)
+            except RegularityBreakdown as err:
+                with pytest.raises(RegularityBreakdown) as ref:
+                    two_pass_stieltjes(twin, N)
+                assert (ref.value.n, ref.value.which) == (err.n, err.which)
+                broken += 1
+                continue
+            ref, m = two_pass_stieltjes(twin, N)
+            assert settled_rule(table) == m
+            assert lp == ref
+    assert (broken > 0) == (p == 1 + 3j)
+
+
+def test_coarse_rule_refines_past_it(ex1_spec):
+    # a 32-interval rule resolves the functional at no depth this deep: the
+    # ladder doubles past it, to the closed forms.  The two-run route reads
+    # the 16-interval rule too, whose 17 nodes break down at level 7; a
+    # breakdown only the m/2 rule would hit no longer raises
+    N, t = 30, 0.5
+    table = pinned(compute_moments(ex1_spec, t, N + 1), 32)
+    _, rc = bootstrap_recurrence(table, N)
+    assert settled_rule(table) == 512
+    closed = example1_coeffs(ClosedFormExample("example1", 1.0, 2.0), t, N)
+    for got, want in zip(rc.beta + rc.alpha, closed.beta + closed.alpha):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    with pytest.raises(RegularityBreakdown) as err:
+        two_pass_stieltjes(pinned(compute_moments(ex1_spec, t, N + 1), 32), N)
+    assert err.value.n == 7
+    # from a rule both routes resolve they double to the same rule
+    table = pinned(compute_moments(ex1_spec, t, N + 1), 128)
+    lp, _ = bootstrap_recurrence(table, N)
+    ref, m = two_pass_stieltjes(pinned(compute_moments(ex1_spec, t, N + 1), 128), N)
+    assert settled_rule(table) == m == 512 and lp == ref
+
+
+def test_doubling_budget_raises(ex1_spec, monkeypatch):
+    # with no doublings allowed the ladder stops at _M0 = 256 intervals, which
+    # does not resolve depth 40 from a 128-interval start
+    sweeps = []
+    sweep = lorth._stieltjes
+
+    def counted_sweep(x, w, N, nested=False):
+        sweeps.append(len(x) - 1)
+        return sweep(x, w, N, nested)
+
+    table = compute_moments(ex1_spec, 0.5, 41)
+    monkeypatch.setattr(measures, "_MAX_DOUBLINGS", 0)
+    monkeypatch.setattr(lorth, "_stieltjes", counted_sweep)
+    with pytest.raises(NonConvergentIntegral, match="did not converge"):
+        bootstrap_recurrence(pinned(table, 128), 40)
+    assert sweeps == [128, 256]
 
 
 def test_stieltjes_raises_on_cancelling_complex_weights():

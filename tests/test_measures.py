@@ -15,7 +15,7 @@ from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, NonConvergentInte
                   RegularityBreakdown, bootstrap_recurrence, circle_kernel_spec,
                   circle_lebesgue_spec, compute_moments, compute_moments_exact,
                   discrete_spec, example1_spec, example2_spec, explicit_table_spec)
-from ertl import measures
+from ertl import lorth, measures
 from ertl.cli import main
 from ertl.lorth import stieltjes
 from ertl.measures import (_circle_node_set, _dft_sums, _discrete_node_set, _power_sums,
@@ -198,7 +198,7 @@ def test_nested_rule_equals_direct_rule(which):
             assert np.all(np.abs(half[0] - ref) <= 1e-15 * scale)
             assert np.all(np.abs(half[1] - scale) <= 1e-15 * scale)
             assert stieltjes(x, w, N) == stieltjes(xd, wd, N)
-    assert sorted(nested.levels) == [1024, 2048]
+    assert sorted(nested.levels) == [2048]  # the finest level only
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
@@ -207,15 +207,20 @@ def test_nested_rule_equals_direct_rule(which):
 def test_each_node_is_evaluated_once_per_table(family, N, t, monkeypatch):
     # the moment ladder 256 -> 512 evaluates the weight on the 257 + 256 nodes
     # of the 512 rule (besides the 129-point window probes), and the Stieltjes
-    # ladder reads the table's two rules without evaluating it again
-    sizes = []
-    weight = measures._real_line_weight
+    # ladder certifies the table's rule in one level sweep, evaluating no weight
+    sizes, sweeps = [], []
+    weight, sweep = measures._real_line_weight, lorth._stieltjes
 
     def counted(spec, t, u):
         sizes.append(len(u))
         return weight(spec, t, u)
 
+    def counted_sweep(x, w, N, nested=False):
+        sweeps.append(len(x))
+        return sweep(x, w, N, nested)
+
     monkeypatch.setattr(measures, "_real_line_weight", counted)
+    monkeypatch.setattr(lorth, "_stieltjes", counted_sweep)
     table = compute_moments(real_line_spec(family, 1.0, 2.0), t, N + 1)
     rule, m = table.nodes
     assert m == 512
@@ -223,9 +228,39 @@ def test_each_node_is_evaluated_once_per_table(family, N, t, monkeypatch):
     sizes.clear()
     bootstrap_recurrence(table, N)
     assert sizes == []
-    assert sorted(rule.levels) == [m // 2, m]
+    assert sweeps == [m + 1]
+    assert sorted(rule.levels) == [m]
     for x, w in rule.levels.values():
         assert not x.flags.writeable and not w.flags.writeable
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_power_sums_positive_path_matches_abs_path(family, t):
+    # float64 terms >= 0 take s_k = nu_k without the |terms| pass; the same
+    # rule with complex weights takes that pass and gives the same scales,
+    # through the nested ladder too
+    K = 20
+    rule = _real_line_node_set(real_line_spec(family, 1.0, 2.0), t, K)
+    fast = slow = None
+    for m in (256, 512, 1024):
+        x, w = rule(m)
+        fast = _power_sums(x, w, K, fast)
+        slow = _power_sums(x, w.astype(complex), K, slow)
+        assert np.array_equal(fast[1], fast[0])
+        assert np.array_equal(fast[1], slow[1])
+        assert np.all(np.abs(fast[0] - slow[0]) <= 1e-15 * fast[1])
+
+
+def test_power_sums_signed_weights_keep_abs_path():
+    # a negative weight makes nu_k cancel, so s_k is summed from |terms|
+    x = np.array([0.5, 1.0, 2.0])
+    for w in (np.array([1.0, -1.0, 1.0]), np.array([1.0, -1.0, 1.0]) + 0j):
+        nu, scale = _power_sums(x, w, 3)
+        ref = direct_power_sums(x, w, 3)
+        assert np.allclose(nu, ref, rtol=1e-15, atol=0)
+        assert np.allclose(scale, direct_power_sums(x, np.abs(w), 3), rtol=1e-15, atol=0)
+        assert scale[3] == 3.0 and nu[3] == 1.0  # k = 0
 
 
 def test_real_modification_keeps_node_weights_float64():
@@ -426,6 +461,55 @@ def test_spec_json_rejects_unknown_params_keys(capsys):
     assert main(["moments", "--measure", text, "--t", "0", "--K", "1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "'support'" in err["message"]
+
+
+NON_NUMERIC_SPECS = {
+    "node": ('{"kind":"discrete","nodes":[1,null],"weights":[1,1]}', "discrete node"),
+    "weight": ('{"kind":"discrete","nodes":[1,2],"weights":[1,"1"]}', "discrete weight"),
+    "delta": ('{"kind":"real_line_weighted","weight_id":"example1",'
+              '"params":{"delta":"1","q":2.0},"p":[1,0],"q":[2,0]}', "weight parameter delta"),
+    "weight-q": ('{"kind":"real_line_weighted","weight_id":"example2",'
+                 '"params":{"delta":1.0,"q":[2]},"p":[1,0],"q":[2,0]}', "weight parameter q"),
+    "atom": ('{"kind":"unit_circle_weighted","weight_id":"circle_lebesgue",'
+             '"params":{"atoms":[[0.5,null]]},"p":[0.5,0],"q":[0.5,0]}', "atom mass"),
+    "atom-pair": ('{"kind":"unit_circle_weighted","weight_id":"circle_lebesgue",'
+                  '"params":{"atoms":[[0.5]]},"p":[0.5,0],"q":[0.5,0]}', "atom"),
+    "kernel-w": ('{"kind":"unit_circle_weighted","weight_id":"circle_kernel",'
+                 '"params":{"w":[1,"0"]},"p":[0.5,0],"q":[0.5,0]}', "kernel point w"),
+    "p": ('{"kind":"discrete","nodes":[1,2],"weights":[1,1],"p":[1,null]}', "p"),
+    "nodes": ('{"kind":"discrete","nodes":1,"weights":[1]}', "nodes"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(NON_NUMERIC_SPECS))
+def test_spec_rejects_non_numeric_entries(which, capsys):
+    # a non-numeric JSON entry is invalid input: a ValueError naming the
+    # field, and from the CLI the one-line JSON error with exit 1
+    text, field = NON_NUMERIC_SPECS[which]
+    with pytest.raises(ValueError, match=field):
+        MomentSpec.from_json(text)
+    assert main(["moments", "--measure", text, "--K", "3"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and field in err["message"]
+
+
+def test_spec_constructor_rejects_non_numeric_entries():
+    with pytest.raises(ValueError, match="discrete node"):
+        discrete_spec([1.0, None], [1.0, 1.0])
+    with pytest.raises(ValueError, match="discrete weight"):
+        discrete_spec([1.0, 2.0], [1.0, 1j])
+    with pytest.raises(ValueError, match="weight parameter delta"):
+        MomentSpec(kind="real_line_weighted", weight_id="example1",
+                   params={"delta": "1", "q": 2.0}, p=1.0, q=2.0)
+    with pytest.raises(ValueError, match="weight parameter q is missing"):
+        MomentSpec(kind="real_line_weighted", weight_id="example1",
+                   params={"delta": 1.0}, p=1.0, q=2.0)
+    with pytest.raises(ValueError, match="atom angle"):
+        circle_lebesgue_spec(0.5, atoms=(("0.4", 0.2),))
+    with pytest.raises(ValueError, match="p must be a number"):
+        discrete_spec([1.0], [1.0], p=None)
+    with pytest.raises(ValueError, match="nu_1"):
+        explicit_table_spec({0: 1.0, 1: "2"})
 
 
 def test_circle_kernel_spec_needs_w():
