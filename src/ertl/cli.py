@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ErtlError
-from .measures import MomentSpec, compute_moments
+from .measures import MomentSpec, circle_lebesgue_spec, compute_moments
 from .lorth import bootstrap_recurrence
 from .lattice import SYSTEMS, LatticeState, StepControl, integrate, state_from_coeffs
 from .lax import lax_residual, spectra as lax_spectra
@@ -40,7 +40,6 @@ from .circle import (cd_from_verblunsky, integrate_cd, integrate_schur,
                      kernel_coeffs, rhs_schur, verblunsky_from_moments,
                      VerblunskySeq)
 from .oracles import ClosedFormExample, example1_coeffs, example2_coeffs
-from .measures import circle_lebesgue_spec
 
 
 def _f(x: float) -> str:

@@ -495,18 +495,20 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     The evolving unknowns are beta_1..beta_N and alpha_2..alpha_N; alpha_1
     and alpha_{N+1} stay pinned at 0.  ``rhs_id`` selects a system of
     ``SYSTEMS``: "rtl1" and "rtl2" run the generic flow at their forced
-    (p, q); "langmuir" checks the symmetric manifold once, here, then freezes
-    beta and steps the Volterra flow.  When p, q and the state are real the
-    unknowns are stepped as float64; the returned states are complex either
-    way.  The output grid follows ``integrate_core``, so the returned times
-    and states start at the state's own time.
+    (p, q), and their returned states carry it; "langmuir" checks the
+    symmetric manifold once, here, then freezes beta and steps the Volterra
+    flow.  When p, q and the state are real the unknowns are stepped as
+    float64; the returned states are complex either way.  The output grid
+    follows ``integrate_core``, so the returned times and states start at
+    the state's own time.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
     if rhs_id not in SYSTEMS:
         raise ValueError(f"unknown system {rhs_id!r}")
     N = state.N
-    p, q = SYSTEMS[rhs_id] or (state.p, state.q)
+    forced = SYSTEMS[rhs_id] or (state.p, state.q)
+    p, q = forced
 
     b, a = _padded(state.beta, state.alpha)  # f refills the unknowns in place
     if p.imag == q.imag == 0.0 and not (b.imag.any() or a.imag.any()):
@@ -532,7 +534,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     y0 = np.concatenate((b[1:], a[2:-1]))  # beta_1..beta_N, alpha_2..alpha_N
     times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)
     snaps = [y.astype(complex, copy=False) for y in snaps]  # states stay complex
-    states = [LatticeState(state.p, state.q, tt, y[:N].tolist(), [0j] + y[N:].tolist() + [0j])
+    states = [LatticeState(*forced, tt, y[:N].tolist(), [0j] + y[N:].tolist() + [0j])
               for tt, y in zip(times, snaps)]
     return Trajectory(times=tuple(times), states=tuple(states), step_stats=stats)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .lattice import LatticeState, Trajectory, _check_betas, rhs_ertl
+from .lattice import LatticeState, Trajectory, rhs_ertl
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ def build_pair(state: LatticeState) -> LaxPair:
     N = state.N
     beta = np.array(state.beta, dtype=complex)
     alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
-    _check_betas(beta, state.t)
     H = _hessenberg(alpha[1:] + beta, alpha[1:N])  # gamma_k = alpha_{k+1} + beta_k
     inv_beta = 1.0 / beta
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndexOutOfTable, NonConvergentIntegral, RegularityBreakdown
-from .measures import _QUAD_INTERNAL, MomentTable, _doublings
+from .measures import QUAD_SETTLE_REL, MomentTable
 
 #: relative threshold below which a sigma counts as a regularity failure
 SIGMA_ZERO_REL = 1e-12
@@ -129,18 +129,19 @@ def _sigma_threshold(log_scales) -> float:
 def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     """Build (LPolySequence, RecurrenceCoeffs) to depth N of a table's functional.
 
-    A table summed from a weighted node set (``table.nodes``: the real-line
-    and discrete kinds) runs the ``stieltjes`` pass on its nodes.  A discrete table
-    runs it once.  A quadrature table runs it on the trapezoid rules with
-    m, 2m, 4m, ... intervals, m being where its moments converged, until one
-    pass certifies itself: the m/2 rule is the m rule's even nodes with
-    doubled weights, so each level's sums D_n, S_n are also taken on the
-    m/2 rule, and every level must agree to _QUAD_INTERNAL of its rounding
-    scale (the discretization test of Gautschi 2004, sec. 2.2.3, applied to
-    the sums).  The doubling budget is the moments'.  The m rule is the one
-    the table holds, so the weight is not evaluated for it, and a finer rule
-    evaluates it at its new odd nodes only (the rules nest; see
-    ``measures._NestedRule``).  This route has no depth cap.
+    A table summed from a weighted node set (``table.nodes``, a rule with m
+    intervals: the real-line and discrete kinds) runs the ``stieltjes`` pass
+    on its nodes.  Discrete nodes (m = 0) run it once.  A trapezoid rule runs
+    it on the rules with m, 2m, 4m, ... intervals, m being where the moments
+    settled, until one pass certifies itself: the m/2 rule is the m rule's
+    even nodes with doubled weights, so each level's sums D_n, S_n are also
+    taken on the m/2 rule, and every level must agree to QUAD_SETTLE_REL of
+    its rounding scale (the discretization test of Gautschi 2004, sec.
+    2.2.3, applied to the sums).  The m rule is the one the table holds, so
+    the weight is not evaluated for it; each finer rule comes from the
+    rule's ``finer``, which evaluates the weight at the new odd nodes only
+    and shares the moments' doubling budget.  The table is not changed, so
+    a second call starts from the same rule.  This route has no depth cap.
 
     Every other table (explicit, circle, exact Fraction) runs the moment
     bootstrap: each level advances the mixed moments L[x^k Q_n],
@@ -163,17 +164,12 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     if not table.covers(-N - 1, N):
         raise IndexOutOfTable(f"bootstrap to depth {N} needs moments in [-{N + 1}, {N}]")
 
-    if table.nodes is None:
+    rule = table.nodes
+    if rule is None:
         lp = _moment_bootstrap(table, N)
     else:
-        node_set, m = table.nodes
-        if m is None:
-            lp = _stieltjes(*node_set(m), N)
-        else:
-            for m in _doublings(m):
-                lp = _stieltjes(*node_set(m), N, nested=True)
-                if lp is not None:
-                    break
+        while (lp := _stieltjes(rule.x, rule.w, N, nested=rule.m > 0)) is None:
+            rule = rule.finer()
     rc = RecurrenceCoeffs(t=table.t, p=0j if p is None else complex(p),
                           q=0j if q is None else complex(q),
                           beta=lp.beta, alpha=lp.alpha)
@@ -212,11 +208,11 @@ def stieltjes(x, w, N: int) -> LPolySequence:
 def _stieltjes(x, w, N: int, nested: bool = False):
     """``stieltjes``; with ``nested``, also the discretization test of the m rule.
 
-    (x, w) is then the m rule of a ``measures._NestedRule``, whose even nodes
-    with doubled weights are the m/2 rule.  Each level n <= N-1 also sums
-    its terms w r_n^2 and w r_n^2 / x over the even nodes, times 2: D~_n and
-    S~_n, the same sums on the m/2 rule.  The rule has settled when
-    |D_n - D~_n| and |S_n - S~_n| stay within _QUAD_INTERNAL of the rounding
+    (x, w) is then a trapezoid rule with m intervals, whose even nodes with
+    doubled weights are the m/2 rule (the rules nest).  Each level n <= N-1
+    also sums its terms w r_n^2 and w r_n^2 / x over the even nodes, times 2:
+    D~_n and S~_n, the same sums on the m/2 rule.  The rule has settled when
+    |D_n - D~_n| and |S_n - S~_n| stay within QUAD_SETTLE_REL of the rounding
     scales of the regularity test; a level that has not returns None before
     that test, so a breakdown is read only from a rule that resolves it.
     The main sums are untouched, so the result is ``stieltjes(x, w, N)``.
@@ -262,8 +258,8 @@ def _stieltjes(x, w, N: int, nested: bool = False):
             mag1, mag2 = mag, mag1
             if nested:
                 dh, sh = (wr2[0::2] @ even).tolist()
-                if not (abs(D - dh) <= _QUAD_INTERNAL * scale_d
-                        and abs(S - sh) <= _QUAD_INTERNAL * scale_s):
+                if not (abs(D - dh) <= QUAD_SETTLE_REL * scale_d
+                        and abs(S - sh) <= QUAD_SETTLE_REL * scale_s):
                     return None
             if n == len(x) or not abs(D) > SIGMA_ZERO_REL * scale_d:
                 raise RegularityBreakdown(n, "condition_b", D)

@@ -20,26 +20,26 @@ of functionals:
 * ``explicit_table`` -- moments supplied directly.
 
 Every kind but ``explicit_table`` is evaluated as one weighted node set
-(x_j, w_j): the moments are its power sums nu_k = sum_j w_j x_j^k.  Discrete
-nodes are summed once in plain floating point; the real-line and circle
-kinds are equispaced trapezoid rules whose node count one loop doubles until
-every nu_k has settled to its rounding scale sum_j |w_j x_j^k|.  The rules
-nest (Trefethen and Weideman, "The exponentially convergent trapezoidal
-rule", SIAM Review 56, 2014): the even nodes of the m-interval rule are the
-m/2 rule's nodes, bitwise, with halved weights.  So each doubling evaluates
-the weight at its new odd nodes only (``_NestedRule``), and a table
-evaluates each node once.  On the real line the sums follow suit,
-nu_k(m) = nu_k(m/2) / 2 + sum over the odd nodes.  On the circle the nodes
-are the m-th roots of unity, so the rule's power sums are one DFT of its
-assembled weights (one FFT per node count, the scale sum_j |w_j| for every
-k); every other node set (atoms, the real-line rule, discrete nodes) goes
-through one power-sum kernel.  When p and q are real the positive-axis
-weights exp(-t(p x + q/x)) are formed, and summed, in float64.  A
-``MomentTable`` holds t, K and the moments; one on the positive axis
-(real-line and discrete kinds) also keeps its node set, so
-``lorth.bootstrap_recurrence`` can run the discretized Stieltjes procedure
-on the nodes themselves instead of on the moments: on the real line it starts
-from the rule the table holds and evaluates no weight for it.
+(x_j, w_j), a ``_Rule`` with read-only arrays: the moments are its power sums
+nu_k = sum_j w_j x_j^k.  Discrete nodes (a rule with m = 0) are summed once
+in plain floating point.  The real-line and circle kinds are equispaced
+trapezoid rules with m intervals, and ``_Rule.finer`` doubles m until every
+nu_k has settled to QUAD_SETTLE_REL of its rounding scale sum_j |w_j x_j^k|.
+The rules nest (Trefethen and Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 56, 2014): the even nodes of the 2m rule are
+the m rule's nodes, bitwise, with halved weights.  So ``finer`` evaluates the
+weight at its m new odd nodes only, and a table evaluates each node once.  On
+the real line the sums follow suit, nu_k(2m) = nu_k(m) / 2 + sum over the
+odd nodes.  On the circle the nodes are the m-th roots of unity, so the
+rule's power sums are one DFT of its weights (one FFT per node count, the
+scale sum_j |w_j| for every k); every other node set (atoms, the real-line
+rule, discrete nodes) goes through one power-sum kernel.  When p and q are
+real the positive-axis weights exp(-t(p x + q/x)) are formed, and summed, in
+float64.  A ``MomentTable`` holds t, K and the moments; one on the positive
+axis (real-line and discrete kinds) also holds the rule its moments were
+summed from, so ``lorth.bootstrap_recurrence`` runs the discretized
+Stieltjes procedure on the nodes themselves instead of on the moments, and
+evaluates no weight for the rule the table holds.
 
 Weight families on the positive axis:
 
@@ -58,7 +58,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,9 +67,9 @@ from .errors import IndexOutOfTable, InvalidSupport, NonConvergentIntegral
 REAL_LINE_FAMILIES = ("example1", "example2")
 CIRCLE_FAMILIES = ("circle_lebesgue", "circle_kernel")
 
-#: doubling target of every node-set refinement: successive results must agree
+#: doubling target of every trapezoid refinement: successive results must agree
 #: to this fraction of their rounding scale
-_QUAD_INTERNAL = 1e-13
+QUAD_SETTLE_REL = 1e-13
 #: integrand values below this fraction of the peak are treated as tail
 _TAIL_FLOOR = 1e-18
 
@@ -344,34 +344,31 @@ class MomentTable:
     Entries are complex scalars, or all ``fractions.Fraction`` in a table from
     ``compute_moments_exact``; ``exact`` (derived, not settable) says which.
 
-    ``nodes`` is the node set the moments were summed from, when they came
-    from one on the positive axis: a pair (node_set, m) where node_set(m)
-    returns read-only arrays (x_j, w_j) with m intervals and m is the count
-    the moments converged at, or m is None for the discrete kind's fixed
-    nodes.  On the real line node_set is the table's ``_NestedRule``: it
-    holds the m rule the moments settled at, which is where the Stieltjes
-    ladder of ``lorth.bootstrap_recurrence`` starts, so that ladder
-    evaluates no weight at that level (it reads the m/2 rule as the even
-    nodes); a finer rule it adds is built from the one held and replaces
-    it.  It is None for explicit, circle and exact tables.
+    ``nodes`` is the ``_Rule`` the moments were summed from, when they came
+    from one on the positive axis: the discrete kind's fixed nodes (m = 0),
+    or the real-line trapezoid rule with the m intervals the moments settled
+    at.  ``lorth.bootstrap_recurrence`` starts its Stieltjes ladder there,
+    so it evaluates no weight for that rule, and builds any finer rule it
+    needs with ``finer`` without changing the table.  It is None for
+    explicit, circle and exact tables.
     """
 
     t: float
     K: int
     nu: dict
-    nodes: Optional[tuple] = field(default=None, compare=False, repr=False)
+    nodes: Optional[_Rule] = field(default=None, compare=False, repr=False)
     exact: bool = field(init=False)
 
     def __post_init__(self):
-        exact = True
-        for k, v in self.nu.items():
-            if isinstance(v, Fraction):
-                continue
-            exact = False
-            z = complex(v)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"non-finite moment nu_{k} = {v!r}")
-        object.__setattr__(self, "exact", exact)
+        # one subclass test per entry type: isinstance against Fraction is slow
+        fraction = [issubclass(c, Fraction) for c in set(map(type, self.nu.values()))]
+        object.__setattr__(self, "exact", all(fraction))
+        floating = ({k: v for k, v in self.nu.items() if not isinstance(v, Fraction)}
+                    if any(fraction) else self.nu)
+        finite = np.isfinite(np.fromiter(floating.values(), complex, len(floating)))
+        if not finite.all():
+            k = list(floating)[finite.argmin()]
+            raise ValueError(f"non-finite moment nu_{k} = {floating[k]!r}")
 
     def nu_at(self, k: int):
         try:
@@ -404,8 +401,8 @@ def _power_sums(x, w, K: int, half=None):
     The (2K+1) x m terms are formed a slab of nodes at a time, so memory
     stays bounded at the doubling budget.
 
-    ``half`` is the (nu_k, s_k) of the m/2 rule when (x, w) is an m rule of a
-    ``_NestedRule``: its even nodes carry the m/2 rule's terms halved, so
+    ``half`` is the (nu_k, s_k) of the m/2 rule when (x, w) is the m rule
+    ``_Rule.finer`` built from it: its even nodes carry those terms halved, so
     only the odd nodes are summed, nu_k(m) = nu_k(m/2) / 2 + sum_{j odd}
     w_j x_j^k, and likewise s_k.  Float64 terms that are all >= 0 (real
     x and w >= 0) have s_k = nu_k, bitwise, and skip the |terms| pass.
@@ -448,78 +445,66 @@ def _check_finite(nu, K: int):
         raise NonConvergentIntegral(f"moment sums overflow double precision at |k| <= {K}")
 
 
-class _NestedRule:
-    """An equispaced trapezoid rule as a node set that doubles by nesting.
+@dataclass(frozen=True, eq=False)
+class _Rule:
+    """A weighted node set (x_j, w_j) on read-only arrays.
 
-    ``rule(m)`` returns the arrays (x_j, w_j) of the rule with m intervals.
-    ``build(m, odd)`` evaluates the weight on the m rule's nodes: all of
-    them, or with ``odd`` only those of odd index.  Equispaced rules nest:
-    node 2i of the m rule is node i of the m/2 rule, bitwise, and its weight
-    is that node's weight halved, exactly since m is a power of two (only
-    subnormal tail weights can round differently).  So
-    once the m/2 rule is held, the m rule takes its even nodes and halved
-    weights from it and evaluates the weight at its m/2 odd nodes only: a
-    ladder 256, 512, ..., m evaluates each of its m (+ 1) nodes once.
-
-    The rule holds its finest level only, which a finer one is built from
-    and then replaces: for a table, the m rule its moments settled at, where
-    the Stieltjes ladder of ``lorth.bootstrap_recurrence`` starts (that
-    ladder reads the m/2 rule as the m rule's even nodes).  Every caller
-    gets the same arrays, so they are read-only.
+    With m = 0 it is fixed (the discrete kind's nodes).  Otherwise it is the
+    equispaced trapezoid rule with m intervals, and ``build(m, odd)``
+    evaluates the weight on the m rule's nodes: all of them, or with ``odd``
+    only those of odd index.  Equispaced rules nest: node 2i of the 2m rule
+    is node i of the m rule, bitwise, and its weight is that node's weight
+    halved, exactly since m is a power of two (only subnormal tail weights
+    can round differently).  So ``finer`` takes the even nodes and halved
+    weights from this rule and evaluates the weight at the m new odd nodes
+    only: a ladder 256, 512, ..., m evaluates each of its m (+ 1) nodes once.
     """
 
-    def __init__(self, build):
-        self._build = build
-        self.levels = {}
+    x: np.ndarray
+    w: np.ndarray
+    m: int = 0
+    build: Optional[Callable] = None
 
-    def __call__(self, m: int):
-        if m in self.levels:
-            return self.levels[m]
-        half = self.levels.get(m // 2) if m % 2 == 0 else None
-        if half is None:
-            x, w = self._build(m, False)
-        else:
-            xo, wo = self._build(m, True)
-            x = np.empty(len(half[0]) + len(xo), dtype=xo.dtype)
-            w = np.empty(len(x), dtype=wo.dtype)
-            x[0::2], x[1::2] = half[0], xo
-            w[0::2], w[1::2] = 0.5 * half[1], wo
-        x.flags.writeable = w.flags.writeable = False
-        self.levels = {m: (x, w)}
-        return x, w
+    def __post_init__(self):
+        self.x.flags.writeable = self.w.flags.writeable = False
 
+    def finer(self) -> "_Rule":
+        """The 2m rule; NonConvergentIntegral past the shared doubling budget.
 
-def _doublings(m: int):
-    """The node counts m, 2m, 4m, ... of a refinement, then NonConvergentIntegral.
-
-    Every refinement shares one budget: m never passes _M0 doubled
-    _MAX_DOUBLINGS times.  The moments start at _M0; the Stieltjes ladder of
-    ``lorth.bootstrap_recurrence`` starts where they converged.
-    """
-    while m <= _M0 << _MAX_DOUBLINGS:
-        yield m
-        m *= 2
-    raise NonConvergentIntegral(
-        f"trapezoid rule did not converge to {_QUAD_INTERNAL} within {_M0 << _MAX_DOUBLINGS} "
-        "intervals")
+        Every refinement, of the moments and of the Stieltjes ladder of
+        ``lorth.bootstrap_recurrence``, stops at _M0 doubled _MAX_DOUBLINGS
+        times.
+        """
+        m = 2 * self.m
+        if m > _M0 << _MAX_DOUBLINGS:
+            raise NonConvergentIntegral(
+                f"trapezoid rule did not converge to {QUAD_SETTLE_REL} within "
+                f"{_M0 << _MAX_DOUBLINGS} intervals")
+        xo, wo = self.build(m, True)
+        x = np.empty(len(self.x) + len(xo), dtype=xo.dtype)
+        w = np.empty(len(x), dtype=wo.dtype)
+        x[0::2], x[1::2] = self.x, xo
+        w[0::2], w[1::2] = 0.5 * self.w, wo
+        return _Rule(x, w, m, self.build)
 
 
 def _refine_moments(rule, sums):
-    """``sums(*rule(m), previous)`` at the m where the moments settle, and that m.
+    """``sums(rule, previous)`` on the rule where the moments settle, and that rule.
 
-    ``rule`` is a ``_NestedRule``, so each doubling evaluates the weight at
-    the new odd nodes only.  ``sums`` returns (nu_k, s_k) as ``_power_sums``
-    does, and also receives its own result on the m/2 rule (None at _M0),
-    which it may halve and complete with the odd nodes.  Converged when every
-    |nu_k(2m) - nu_k(m)| is within _QUAD_INTERNAL of the rounding scale s_k
-    (for positive node sets, the relative change of nu_k).
+    ``rule`` is the _M0 trapezoid rule; each ``finer`` evaluates the weight
+    at the new odd nodes only.  ``sums`` returns (nu_k, s_k) as
+    ``_power_sums`` does, and also receives its own result on the m/2 rule
+    (None at _M0), which it may halve and complete with the odd nodes.
+    Converged when every |nu_k(2m) - nu_k(m)| is within QUAD_SETTLE_REL of
+    the rounding scale s_k (for positive node sets, the relative change of
+    nu_k).
     """
-    prev = None
-    for m in _doublings(_M0):
-        cur = sums(*rule(m), prev)
-        if prev is not None and np.all(np.abs(cur[0] - prev[0]) <= _QUAD_INTERNAL * cur[1]):
-            return cur[0], m
-        prev = cur
+    cur = sums(rule, None)
+    while True:
+        prev, rule = cur, rule.finer()
+        cur = sums(rule, prev)
+        if np.all(np.abs(cur[0] - prev[0]) <= QUAD_SETTLE_REL * cur[1]):
+            return cur[0], rule
 
 
 def _real_line_weight(spec: MomentSpec, t: float, u):
@@ -537,7 +522,7 @@ def _real_line_weight(spec: MomentSpec, t: float, u):
 
 
 def _real_line_node_set(spec: MomentSpec, t: float, K: int):
-    """The u-trapezoid on (0, inf) as a ``_NestedRule``: node x_j carries h g(u_j).
+    """The _M0 u-trapezoid ``_Rule`` on (0, inf): node x_j carries h g(u_j).
 
     One window |u| <= U serves the whole table: it is widened until every
     k's integrand tails are below _TAIL_FLOOR of that k's peak, which also
@@ -567,13 +552,13 @@ def _real_line_node_set(spec: MomentSpec, t: float, K: int):
             u, h = np.linspace(-U, U, m + 1, retstep=True)
         x, g = _real_line_weight(spec, t, u)
         return x, h * g
-    return _NestedRule(build)
+    return _Rule(*build(_M0, False), _M0, build)
 
 
 def _circle_node_set(spec: MomentSpec, t: float):
     """The m equispaced z_j = e^(2 pi i j/m) with weights (z_j - w) damp_j / m.
 
-    A ``_NestedRule``: the m rule's even nodes are the m/2 rule's.  On
+    The _M0 rule as a ``_Rule``: the 2m rule's even nodes are the m rule's.  On
     |z| = 1 with p = conj(q) the modification is the real damping
     exp(-2t Re(q conj z)); ``circle_lebesgue`` is the kernel case w = 0.
     """
@@ -585,7 +570,7 @@ def _circle_node_set(spec: MomentSpec, t: float):
         z = np.exp(1j * theta)
         damp = np.exp(-2.0 * t * (qr * np.cos(theta) + qi * np.sin(theta)))
         return z, (z - w) * damp / m
-    return _NestedRule(build)
+    return _Rule(*build(_M0, False), _M0, build)
 
 
 def _kernel_point(spec: MomentSpec) -> complex:
@@ -594,7 +579,7 @@ def _kernel_point(spec: MomentSpec) -> complex:
 
 def _moments_circle(spec: MomentSpec, t: float, K: int):
     """The equispaced rule's sums, one FFT per node count, then the atoms once."""
-    nu = _refine_moments(_circle_node_set(spec, t), lambda z, w, _: _dft_sums(w, K))[0]
+    nu = _refine_moments(_circle_node_set(spec, t), lambda rule, _: _dft_sums(rule.w, K))[0]
     atoms = spec.params.get("atoms", ())
     if atoms:
         w = _kernel_point(spec)
@@ -605,10 +590,13 @@ def _moments_circle(spec: MomentSpec, t: float, K: int):
 
 
 def _discrete_node_set(spec: MomentSpec, t: float):
-    """The spec's nodes with weights w_j exp(-t(p x_j + q/x_j)), float64 for real p, q."""
+    """The fixed ``_Rule`` of the spec's nodes with weights w_j exp(-t(p x_j + q/x_j)).
+
+    The weights are float64 for real p and q.
+    """
     x = np.array(spec.nodes, dtype=float)
     p, q = _real_if_real(spec.p, spec.q)
-    return x, np.array(spec.weights, dtype=float) * np.exp(-t * (p * x + q / x))
+    return _Rule(x, np.array(spec.weights, dtype=float) * np.exp(-t * (p * x + q / x)))
 
 
 def _real_if_real(p: complex, q: complex):
@@ -627,20 +615,20 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     power sums sum_j w_j x_j^k are the moments: the discrete kind's own nodes
     (plain floating-point sums), or equispaced trapezoid rules on the
     real-line and circle kinds, refined by doubling until every
-    |nu_k(2m) - nu_k(m)| <= 1e-13 s_k, s_k = sum_j |w_j x_j^k| being the
-    rounding scale of nu_k.  Positive weights on the positive axis have
-    s_k = |nu_k|, so there the criterion is relative.  On the circle
+    |nu_k(2m) - nu_k(m)| <= QUAD_SETTLE_REL s_k, s_k = sum_j |w_j x_j^k|
+    being the rounding scale of nu_k.  Positive weights on the positive axis
+    have s_k = |nu_k|, so there the criterion is relative.  On the circle
     s_k = sum_j |w_j| for every k, so it is absolute, and a small circle
     moment carries no relative accuracy.  The rules nest, so each node is
-    evaluated once per table: a doubling evaluates the weight at its m/2 new
+    evaluated once per table: a doubling evaluates the weight at its m new
     odd nodes, and on the real line sums only those, halving the previous
     nu_k and s_k.  The circle rule's sums are one FFT of its weights per
     node count (a DFT, since its nodes are roots of unity); real p and q
-    keep the positive-axis weights and sums in float64.  Real-line and
-    discrete tables keep their node set in ``nodes`` for the Stieltjes route
-    of ``lorth.bootstrap_recurrence``, which starts from the real-line
-    table's m rule instead of rebuilding it, and certifies that rule in the
-    same pass.
+    keep the positive-axis weights and sums in float64.  A real-line or
+    discrete table holds its ``_Rule`` in ``nodes``: the discrete nodes, or
+    the trapezoid rule the moments settled at.  The Stieltjes route of
+    ``lorth.bootstrap_recurrence`` starts from that rule instead of
+    rebuilding it, and certifies it in the same pass.
     Raises ValueError for a non-finite t, NonConvergentIntegral when a
     quadrature budget is exhausted or the sums overflow, and InvalidSupport
     for divergent modifications.
@@ -664,16 +652,14 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.kind == "real_line_weighted":
-                rule = _real_line_node_set(spec, t, K)
-                sums, m = _refine_moments(rule, lambda x, w, half: _power_sums(x, w, K, half))
-                nodes = (rule, m)
+                sums, nodes = _refine_moments(
+                    _real_line_node_set(spec, t, K),
+                    lambda rule, half: _power_sums(rule.x, rule.w, K, half))
             elif spec.kind == "unit_circle_weighted":
                 sums = _moments_circle(spec, t, K)
             else:
-                x, w = _discrete_node_set(spec, t)
-                x.flags.writeable = w.flags.writeable = False
-                sums = _power_sums(x, w, K)[0]
-                nodes = (lambda m: (x, w), None)
+                nodes = _discrete_node_set(spec, t)
+                sums = _power_sums(nodes.x, nodes.w, K)[0]
         nu = dict(zip(range(-K, K + 1), sums.astype(complex).tolist()))
 
     return MomentTable(t=float(t), K=K, nu=nu, nodes=nodes)

@@ -8,9 +8,9 @@ from hypothesis import settings
 settings.register_profile("ertl", derandomize=True, deadline=None)
 settings.load_profile("ertl")
 
-from ertl import (SYSTEMS, LatticeState, NonConvergentIntegral, Trajectory, compute_moments,
-                  discrete_spec, example1_spec, example2_spec, rhs_ertl, stieltjes)
-from ertl import measures
+from ertl import (SYSTEMS, LatticeState, Trajectory, compute_moments, discrete_spec,
+                  example1_spec, example2_spec, rhs_ertl, stieltjes)
+from ertl import lorth, measures
 
 
 def beta_at(rc, n):
@@ -46,27 +46,40 @@ def direct_power_sums(x, w, K):
 
 def two_pass_stieltjes(table, N):
     """(lp, m): whole Stieltjes runs on a real-line table's m/2, m, 2m, ... rules,
-    until every coefficient moves by at most _QUAD_INTERNAL of its rounding scale.
+    until every coefficient moves by at most QUAD_SETTLE_REL of its rounding scale.
 
     The second route to the rule ``lorth.bootstrap_recurrence`` settles at:
     the discretization test on the coefficients of two runs (Gautschi 2004,
     sec. 2.2.3) rather than on the sums of one.  The scale of beta_{n+1} and
     alpha_{n+1} is |c| / margin, the margin being the smallest of levels <= n.
-    The m/2 rule is read off the table's m rule (even nodes, doubled weights).
+    The m/2 rule is read off the table's m rule (even nodes, doubled weights),
+    and each finer rule comes from ``finer``, which raises NonConvergentIntegral
+    past the doubling budget.
     """
-    rule, m = table.nodes
-    x, w = rule(m)
-    prev = stieltjes(x[0::2], 2.0 * w[0::2], N)
-    while m <= measures._M0 << measures._MAX_DOUBLINGS:
-        cur = stieltjes(*rule(m), N)
+    rule = table.nodes
+    prev = stieltjes(rule.x[0::2], 2.0 * rule.w[0::2], N)
+    while True:
+        cur = stieltjes(rule.x, rule.w, N)
         rho = np.minimum.accumulate(cur.margin)
         old = np.array(prev.beta + prev.alpha)
         new = np.array(cur.beta + cur.alpha)
         scale = np.maximum(np.abs(old), np.abs(new)) / np.concatenate([rho, rho[1:]])
-        if np.all(np.abs(new - old) <= measures._QUAD_INTERNAL * scale):
-            return cur, m
-        prev, m = cur, 2 * m
-    raise NonConvergentIntegral("coefficients did not settle within the doubling budget")
+        if np.all(np.abs(new - old) <= measures.QUAD_SETTLE_REL * scale):
+            return cur, rule.m
+        prev, rule = cur, rule.finer()
+
+
+@pytest.fixture
+def stieltjes_sweeps(monkeypatch):
+    """The interval count (nodes - 1) of each ``lorth._stieltjes`` sweep, in call order."""
+    sweeps, sweep = [], lorth._stieltjes
+
+    def counted(x, w, N, nested=False):
+        sweeps.append(len(x) - 1)
+        return sweep(x, w, N, nested)
+
+    monkeypatch.setattr(lorth, "_stieltjes", counted)
+    return sweeps
 
 
 def kahan_dot(coeffs, values):

@@ -20,8 +20,8 @@ from hypothesis.extra.numpy import arrays
 
 from ertl import (NonConvergence, PositivityLost, RecurrenceCoeffs, SingularDenominator,
                   StepControl, VerblunskySeq, build_pair, integrate, integrate_schur,
-                  isospectral_drift, rhs_cd, rhs_ertl, rhs_langmuir, rhs_schur, spectrum,
-                  state_from_coeffs)
+                  isospectral_drift, lax_residual, rhs_cd, rhs_ertl, rhs_langmuir, rhs_schur,
+                  spectrum, state_from_coeffs)
 from ertl.cli import main
 from ertl.circle import _cd_kernel, _cd_padded, _flow_modulus, _schur_kernel
 from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _check_betas,
@@ -415,12 +415,14 @@ def test_start_probe_past_unit_modulus_is_no_breakdown():
 def test_integrate_near_singular_beta_is_finite_or_typed(N, u, complex_data, seed, data):
     # one |beta_n| = 10^-u, run for 10^-u, the time beta_n takes to move by
     # its own size: finite states or a SingularDenominator bracketed inside
-    # the run, never NaN and never an error of the starting-step probe
+    # the run, never NaN and never an error of the starting-step probe.  The
+    # Lax identity holds to rounding on every state, near breakdown too
     state = random_state(np.random.default_rng(seed), N, complex_data=complex_data)
     n = data.draw(st.integers(0, N - 1))
     beta = list(state.beta)
     beta[n] = 10.0 ** -u * beta[n] / abs(beta[n])
     state = state_from_coeffs(state.p, state.q, 0.0, beta, state.alpha[1:-1])
+    assert lax_residual(state) <= 1e-12
     t_end = 10.0 ** -u
     try:
         traj = integrate(state, t_end)
@@ -429,6 +431,7 @@ def test_integrate_near_singular_beta_is_finite_or_typed(N, u, complex_data, see
         assert 0.0 <= lo < hi <= t_end
     else:
         assert all(np.isfinite(s.beta + s.alpha).all() for s in traj.states)
+        assert all(lax_residual(s) <= 1e-12 for s in traj.states)
 
 
 @given(N=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))

@@ -63,14 +63,16 @@ def test_gamma_is_shifted_alpha_plus_beta(rng):
 
 
 def test_specializations_share_kernel(rng):
-    # rtl1 and rtl2 are the generic flow at the (p, q) they force, bit for bit
+    # rtl1 and rtl2 are the generic flow at the (p, q) they force, bit for bit,
+    # and their states carry that (p, q), not the input state's
     for rhs_id, p, q in (("rtl1", 0.0, 1.0), ("rtl2", 1.0, 0.0)):
         st = random_state(rng, 6)
         forced = integrate(st, 0.3, rhs_id=rhs_id, t_out=[0.1, 0.3])
         generic = integrate(replace(st, p=p, q=q), 0.3, t_out=[0.1, 0.3])
         assert forced.times == generic.times
-        assert [(s.beta, s.alpha) for s in forced.states] == \
-            [(s.beta, s.alpha) for s in generic.states]
+        assert [(s.p, s.q, s.beta, s.alpha) for s in forced.states] == \
+            [(s.p, s.q, s.beta, s.alpha) for s in generic.states]
+        assert {(s.p, s.q) for s in forced.states} == {(p, q)}
 
 
 def test_rtl_single_site_zero():

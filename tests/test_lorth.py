@@ -14,8 +14,9 @@ from ertl import (ClosedFormExample, ErtlError, IndexOutOfTable, MomentSpec,
                   compute_moments_exact, discrete_spec, example1_coeffs, example1_spec,
                   example2_coeffs, example2_spec, explicit_table_spec,
                   triangle_from_coeffs)
-from ertl import lorth, measures
+from ertl import measures
 from ertl.lorth import stieltjes
+from ertl.measures import _Rule
 from tests.conftest import (alpha_at, beta_at, eval_Q, orthogonality_residual, q_at_zero,
                             tau_closed_form, two_pass_stieltjes)
 
@@ -261,15 +262,10 @@ def real_line_spec(family, p, q):
                       params={"delta": 1.0, "q": 2.0}, p=p, q=q)
 
 
-def settled_rule(table):
-    """The rule count the table's Stieltjes ladder stopped at: the level its rule holds."""
-    (m,) = table.nodes[0].levels
-    return m
-
-
 def pinned(table, m):
     """The table with its Stieltjes ladder started at the m-interval rule."""
-    return dataclasses.replace(table, nodes=(table.nodes[0], m))
+    build = table.nodes.build
+    return dataclasses.replace(table, nodes=_Rule(*build(m, False), m, build))
 
 
 def test_node_doubling_driven_by_coefficients(ex1_spec):
@@ -285,7 +281,7 @@ def test_node_doubling_driven_by_coefficients(ex1_spec):
 @pytest.mark.parametrize("p, q", [(1.0, 2.0), (1 + 0.5j, 2 - 0.5j), (1 + 3j, 2 - 2j)],
                          ids=["real", "complex", "complex-breakdown"])
 @pytest.mark.parametrize("family", ["example1", "example2"])
-def test_one_pass_certificate_agrees_with_two_runs(family, p, q):
+def test_one_pass_certificate_agrees_with_two_runs(family, p, q, stieltjes_sweeps):
     # the m/2 sums of one pass and the coefficients of two whole runs settle
     # at the same rule, so the coefficients are bitwise the same; the
     # cancelling modification breaks down at the same level on both routes
@@ -294,6 +290,7 @@ def test_one_pass_certificate_agrees_with_two_runs(family, p, q):
     for N in (8, 12, 20, 30, 40):
         for t in (0.0, 0.5, 1.0, 2.0):
             table, twin = (compute_moments(spec, t, N + 1) for _ in range(2))
+            stieltjes_sweeps.clear()
             try:
                 lp, _ = bootstrap_recurrence(table, N)
             except RegularityBreakdown as err:
@@ -302,21 +299,24 @@ def test_one_pass_certificate_agrees_with_two_runs(family, p, q):
                 assert (ref.value.n, ref.value.which) == (err.n, err.which)
                 broken += 1
                 continue
+            settled = stieltjes_sweeps[-1]  # the two-run route sweeps too
             ref, m = two_pass_stieltjes(twin, N)
-            assert settled_rule(table) == m
+            assert settled == m
             assert lp == ref
     assert (broken > 0) == (p == 1 + 3j)
 
 
-def test_coarse_rule_refines_past_it(ex1_spec):
+def test_coarse_rule_refines_past_it(ex1_spec, stieltjes_sweeps):
     # a 32-interval rule resolves the functional at no depth this deep: the
-    # ladder doubles past it, to the closed forms.  The two-run route reads
-    # the 16-interval rule too, whose 17 nodes break down at level 7; a
+    # ladder doubles past it, one sweep per rule, to the closed forms, and
+    # leaves the table's rule as it was.  The two-run route reads the
+    # 16-interval rule too, whose 17 nodes break down at level 7; a
     # breakdown only the m/2 rule would hit no longer raises
     N, t = 30, 0.5
     table = pinned(compute_moments(ex1_spec, t, N + 1), 32)
     _, rc = bootstrap_recurrence(table, N)
-    assert settled_rule(table) == 512
+    assert stieltjes_sweeps == [32, 64, 128, 256, 512]
+    assert table.nodes.m == 32
     closed = example1_coeffs(ClosedFormExample("example1", 1.0, 2.0), t, N)
     for got, want in zip(rc.beta + rc.alpha, closed.beta + closed.alpha):
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -325,27 +325,21 @@ def test_coarse_rule_refines_past_it(ex1_spec):
     assert err.value.n == 7
     # from a rule both routes resolve they double to the same rule
     table = pinned(compute_moments(ex1_spec, t, N + 1), 128)
+    stieltjes_sweeps.clear()
     lp, _ = bootstrap_recurrence(table, N)
+    settled = stieltjes_sweeps[-1]
     ref, m = two_pass_stieltjes(pinned(compute_moments(ex1_spec, t, N + 1), 128), N)
-    assert settled_rule(table) == m == 512 and lp == ref
+    assert settled == m == 512 and lp == ref
 
 
-def test_doubling_budget_raises(ex1_spec, monkeypatch):
+def test_doubling_budget_raises(ex1_spec, monkeypatch, stieltjes_sweeps):
     # with no doublings allowed the ladder stops at _M0 = 256 intervals, which
     # does not resolve depth 40 from a 128-interval start
-    sweeps = []
-    sweep = lorth._stieltjes
-
-    def counted_sweep(x, w, N, nested=False):
-        sweeps.append(len(x) - 1)
-        return sweep(x, w, N, nested)
-
     table = compute_moments(ex1_spec, 0.5, 41)
     monkeypatch.setattr(measures, "_MAX_DOUBLINGS", 0)
-    monkeypatch.setattr(lorth, "_stieltjes", counted_sweep)
     with pytest.raises(NonConvergentIntegral, match="did not converge"):
         bootstrap_recurrence(pinned(table, 128), 40)
-    assert sweeps == [128, 256]
+    assert stieltjes_sweeps == [128, 256]
 
 
 def test_stieltjes_raises_on_cancelling_complex_weights():
@@ -384,7 +378,7 @@ def test_stieltjes_matches_exact_bootstrap_property(measure, t):
     table = compute_moments(discrete_spec(nodes, weights, p=1.0, q=1.0), t, m + 2)
     lp, rc = bootstrap_recurrence(table, m)
     # the exact oracle of the modified weights the node route summed
-    x, w = table.nodes[0](None)
+    x, w = table.nodes.x, table.nodes.w
     exact_table = compute_moments_exact(discrete_spec(x, w.real), 0.0, m + 1)
     _, exact = bootstrap_recurrence(exact_table, m)
     # rounding grows as eps over the smallest margin: relative error times
@@ -435,6 +429,6 @@ def test_coincident_nodes_give_finite_or_typed_result(measure, t):
 
 def test_stieltjes_direct_call_matches_bootstrap(ten_node_boot):
     table, lp, _ = ten_node_boot
-    x, w = table.nodes[0](None)
+    x, w = table.nodes.x, table.nodes.w
     direct = stieltjes(x, w, 8)
     assert direct == lp

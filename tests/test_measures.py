@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import iv, kv
 
-from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, NonConvergentIntegral,
-                  RegularityBreakdown, bootstrap_recurrence, circle_kernel_spec,
-                  circle_lebesgue_spec, compute_moments, compute_moments_exact,
-                  discrete_spec, example1_spec, example2_spec, explicit_table_spec)
-from ertl import lorth, measures
+from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, MomentTable,
+                  NonConvergentIntegral, RegularityBreakdown, bootstrap_recurrence,
+                  circle_kernel_spec, circle_lebesgue_spec, compute_moments,
+                  compute_moments_exact, discrete_spec, example1_spec, example2_spec,
+                  explicit_table_spec)
+from ertl import measures
 from ertl.cli import main
 from ertl.lorth import stieltjes
 from ertl.measures import (_circle_node_set, _dft_sums, _discrete_node_set, _power_sums,
@@ -126,7 +127,7 @@ def test_cli_moments_exits_2_on_overflow(capsys):
     (circle_kernel_spec(0.3 + 0.4j, w=np.exp(0.7j)), 0.4)])
 def test_circle_dft_sums_match_direct_sums(spec, t, m):
     # the rule's power sums as one FFT of its weights; K = 20 >= m wraps |k| past m
-    z, w = _circle_node_set(spec, t)(m)
+    z, w = _circle_node_set(spec, t).build(m, False)
     scale = np.abs(w).sum()
     for K in (3, 20):
         nu, s = _dft_sums(w, K)
@@ -139,7 +140,7 @@ def test_circle_table_matches_direct_sums(atoms):
     # the rule converges geometrically: at m = 512 its direct sums are exact to
     # rounding, whatever node count the refinement stopped at
     spec, t, K = circle_lebesgue_spec(0.3 + 0.4j, atoms=atoms), 0.25, 20
-    z, w = _circle_node_set(spec, t)(512)
+    z, w = _circle_node_set(spec, t).build(512, False)
     ref, scale = direct_power_sums(z, w, K), np.abs(w).sum()
     if atoms:
         theta, mass = np.array(atoms).T
@@ -181,12 +182,13 @@ def test_nested_rule_equals_direct_rule(which):
     # built from scratch
     spec, t, K, N = NESTED_SPECS[which], 0.5, 20, 8
     circle = spec.kind == "unit_circle_weighted"
-    make = (lambda: _circle_node_set(spec, t)) if circle else (
-        lambda: _real_line_node_set(spec, t, K))
-    nested, half = make(), None
+    nested = _circle_node_set(spec, t) if circle else _real_line_node_set(spec, t, K)
+    half = None
     for m in (256, 512, 1024, 2048):
-        x, w = nested(m)
-        xd, wd = make()(m)
+        if m > nested.m:
+            nested = nested.finer()
+        x, w = nested.x, nested.w
+        xd, wd = nested.build(m, False)
         assert np.array_equal(x, xd)
         assert w.dtype == wd.dtype and equal_but_subnormal(w, wd)
         if circle:
@@ -198,40 +200,35 @@ def test_nested_rule_equals_direct_rule(which):
             assert np.all(np.abs(half[0] - ref) <= 1e-15 * scale)
             assert np.all(np.abs(half[1] - scale) <= 1e-15 * scale)
             assert stieltjes(x, w, N) == stieltjes(xd, wd, N)
-    assert sorted(nested.levels) == [2048]  # the finest level only
+    assert nested.m == 2048 and not (x.flags.writeable or w.flags.writeable)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("N", [12, 20])
 @pytest.mark.parametrize("family", ["example1", "example2"])
-def test_each_node_is_evaluated_once_per_table(family, N, t, monkeypatch):
+def test_each_node_is_evaluated_once_per_table(family, N, t, monkeypatch, stieltjes_sweeps):
     # the moment ladder 256 -> 512 evaluates the weight on the 257 + 256 nodes
     # of the 512 rule (besides the 129-point window probes), and the Stieltjes
-    # ladder certifies the table's rule in one level sweep, evaluating no weight
-    sizes, sweeps = [], []
-    weight, sweep = measures._real_line_weight, lorth._stieltjes
+    # ladder certifies the table's rule in one level sweep, evaluating no
+    # weight and leaving the table's rule as it was
+    sizes = []
+    weight = measures._real_line_weight
 
     def counted(spec, t, u):
         sizes.append(len(u))
         return weight(spec, t, u)
 
-    def counted_sweep(x, w, N, nested=False):
-        sweeps.append(len(x))
-        return sweep(x, w, N, nested)
-
     monkeypatch.setattr(measures, "_real_line_weight", counted)
-    monkeypatch.setattr(lorth, "_stieltjes", counted_sweep)
     table = compute_moments(real_line_spec(family, 1.0, 2.0), t, N + 1)
-    rule, m = table.nodes
-    assert m == 512
-    assert sum(n for n in sizes if n != 129) == m + 1
+    rule = table.nodes
+    assert rule.m == 512
+    assert sum(n for n in sizes if n != 129) == rule.m + 1
     sizes.clear()
     bootstrap_recurrence(table, N)
     assert sizes == []
-    assert sweeps == [m + 1]
-    assert sorted(rule.levels) == [m]
-    for x, w in rule.levels.values():
-        assert not x.flags.writeable and not w.flags.writeable
+    assert stieltjes_sweeps == [rule.m]
+    assert table.nodes is rule and len(rule.x) == rule.m + 1
+    assert not rule.x.flags.writeable and not rule.w.flags.writeable
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
@@ -244,7 +241,9 @@ def test_power_sums_positive_path_matches_abs_path(family, t):
     rule = _real_line_node_set(real_line_spec(family, 1.0, 2.0), t, K)
     fast = slow = None
     for m in (256, 512, 1024):
-        x, w = rule(m)
+        if m > rule.m:
+            rule = rule.finer()
+        x, w = rule.x, rule.w
         fast = _power_sums(x, w, K, fast)
         slow = _power_sums(x, w.astype(complex), K, slow)
         assert np.array_equal(fast[1], fast[0])
@@ -268,10 +267,9 @@ def test_real_modification_keeps_node_weights_float64():
                                         params={"delta": 1.0, "q": 2.0}, p=p, q=q)
     for p, q, dtype in ((1.0, 2.0, np.float64), (1 + 3j, 2.0, np.complex128),
                         (1.0, 2 - 2j, np.complex128)):
-        _, w = _real_line_node_set(real_line(p, q), 0.5, 4)(64)
-        assert w.dtype == dtype
-        _, w = _discrete_node_set(discrete_spec([0.5, 2.0], [1.0, 1.0], p=p, q=q), 0.5)
-        assert w.dtype == dtype
+        assert _real_line_node_set(real_line(p, q), 0.5, 4).w.dtype == dtype
+        spec = discrete_spec([0.5, 2.0], [1.0, 1.0], p=p, q=q)
+        assert _discrete_node_set(spec, 0.5).w.dtype == dtype
 
 
 def test_circle_lebesgue_matches_bessel_series():
@@ -323,6 +321,9 @@ def test_moment_table_rejects_non_finite_entry(capsys):
     assert main(["moments", "--measure", spec.to_json(), "--K", "1"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "nu_0" in err["message"]
+    # the first non-finite entry is named, in a table with Fractions too
+    with pytest.raises(ValueError, match="non-finite moment nu_0"):
+        MomentTable(0.0, 1, {-1: Fraction(1), 0: complex(0.0, math.nan), 1: math.inf})
 
 
 def test_moment_table_exact_is_derived_from_entries():
@@ -335,6 +336,9 @@ def test_moment_table_exact_is_derived_from_entries():
     tab = compute_moments(explicit_table_spec({k: Fraction(k + 4, 3) for k in range(-2, 3)}),
                           0.0, 2)
     assert not tab.exact and tab.nu_at(1) == 5 / 3
+    # a table mixing Fraction and complex entries is not exact; its Fractions
+    # are not converted, so one past double range passes the finiteness check
+    assert not MomentTable(0.0, 1, {-1: Fraction(10 ** 400), 0: 1.0, 1: Fraction(1, 3)}).exact
 
 
 # -- Hankel determinants: the regularity conditions as determinants -----------

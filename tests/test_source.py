@@ -36,6 +36,37 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def private_imports(source):
+    """'module.name (line n)' for each underscore name imported from another ertl module.
+
+    Relative imports and imports from the ``ertl`` package count; a dunder
+    such as ``__version__`` is not private.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "ertl":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append(f"{module}.{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_private_imports_finds_sibling_underscore_name():
+    source = ("from . import __version__\nfrom .a import b, _c\n"
+              "from ertl.d import _e as e\nfrom numpy import _globals\n")
+    assert private_imports(source) == ["a._c (line 2)", "ertl.d._e (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
 def module_definitions(source):
     """(name, node) for each function, class and assigned name at module level."""
     for node in ast.parse(source).body:
