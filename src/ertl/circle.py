@@ -34,6 +34,8 @@ float64 C = (c_0 = 1, c_1..c_M, 0) and D = (d_0 = 0, d_1..d_M, d_{M+1} = 0)
 for the (c, d) system, and complex A = (a_{-1} = -1, a_0, ..., top
 neighbour) for the Schur flow.  The public ``rhs_cd``/``rhs_schur`` pad their
 input and return lists; the integrators refill the padded arrays in place.
+Both flows keep ``lattice.integrate_core``'s breakdown rule: pure kernels,
+and |a_n| < 1 or d_n in (0, 1) checked on accepted states only.
 """
 
 from __future__ import annotations
@@ -311,7 +313,7 @@ def _check_modulus(a):
 
 
 def _flow_modulus(y, t):
-    """|a_n| inside the Schur flow; PositivityLost (n, modulus, t) at the first |a_n| >= 1.
+    """PositivityLost (n, modulus, t) at the first |a_n| >= 1 of a Schur flow state.
 
     NaN entries are skipped, as by the comparison that locates n.
     """
@@ -320,14 +322,13 @@ def _flow_modulus(y, t):
         n = int(np.argmax(mods >= 1.0))
         mod = float(mods[n])
         raise PositivityLost(f"|a_{n}| = {mod} reached 1 at t={t}", n=n, modulus=mod, t=t)
-    return mods
 
 
 def _schur_kernel(A, q, mods):
     """Rows n = 0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}).
 
     A = (a_{-1} = -1, a_0, ..., top neighbour); ``mods`` holds the rows'
-    |a_n|, already checked below 1 by the caller.
+    |a_n|, which the kernel does not check.
     """
     return (1.0 - mods ** 2) * (q.conjugate() * A[:-2] - q * A[2:])
 
@@ -350,9 +351,9 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     The window evolves a_0..a_{M-1} with the missing neighbour a_M held at 0;
     only the first ``n_report`` coefficients are trustworthy (truncation
     effects creep in from the top), and ValueError is raised unless
-    1 <= n_report <= M.  The modulus bound |a_n| < 1 is asserted at every
-    stage and every accepted step (PositivityLost with n, modulus and t);
-    the output grid follows ``integrate_core``.
+    1 <= n_report <= M.  |a_n| < 1 is checked on accepted steps only
+    (PositivityLost with n, modulus and t), by the breakdown rule of
+    ``integrate_core``, whose output grid this follows as well.
     Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
     n_report = v.N if n_report is None else n_report
@@ -363,7 +364,7 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
 
     def f(t, y):
         A[1:-1] = y
-        return _schur_kernel(A, q, _flow_modulus(y, t))
+        return _schur_kernel(A, q, np.abs(y))
 
     def validate(t, y):
         _flow_modulus(y, t)

@@ -197,21 +197,19 @@ def _cmd_simulate(args):
         _emit(args, "t,site,c,d", rows)
         return 0
 
-    if args.system == "schur":
-        data = _load_json_arg(args.init) if args.init else None
-        if data is None:
-            raise ValueError("--system schur requires --init with {'a': [[re,im],...]}")
-        a = [complex(*x) for x in data["a"]]
-        times, seqs, _ = integrate_schur(VerblunskySeq(args.t0, tuple(a)), args.q,
-                                         args.t_end, ctrl=ctrl, t_out=t_out)
-        rows = []
-        for t, v in zip(times, seqs):
-            for n, an in enumerate(v.a):
-                rows.append([_f(t), str(n)] + _cx_cells(an))
-        _emit(args, "t,site,re_a,im_a", rows)
-        return 0
-
-    raise ValueError(f"unknown system {args.system!r}")
+    # "schur", the last of the --system choices
+    data = _load_json_arg(args.init) if args.init else None
+    if data is None:
+        raise ValueError("--system schur requires --init with {'a': [[re,im],...]}")
+    a = [complex(*x) for x in data["a"]]
+    times, seqs, _ = integrate_schur(VerblunskySeq(args.t0, tuple(a)), args.q,
+                                     args.t_end, ctrl=ctrl, t_out=t_out)
+    rows = []
+    for t, v in zip(times, seqs):
+        for n, an in enumerate(v.a):
+            rows.append([_f(t), str(n)] + _cx_cells(an))
+    _emit(args, "t,site,re_a,im_a", rows)
+    return 0
 
 
 def _random_state(rng, N, p, q, t):
@@ -270,8 +268,10 @@ def _cmd_spectrum(args):
 
 def _circle_spec(args) -> MomentSpec:
     if args.measure:
+        if args.q is not None:
+            raise ValueError("--q applies only without --measure; the spec carries its q")
         return _load_spec(args.measure)
-    return circle_lebesgue_spec(args.q)
+    return circle_lebesgue_spec(0.5 if args.q is None else args.q)
 
 
 def _cmd_circle(args):
@@ -300,25 +300,23 @@ def _cmd_circle(args):
         _emit(args, "n,c,d", rows)
         return 0
 
-    if args.mode == "schur-check":
-        h = args.h
-        vp = verblunsky_from_moments(compute_moments(spec, args.t + h, K), args.N)
-        vm = verblunsky_from_moments(compute_moments(spec, args.t - h, K), args.N)
-        fd = [(ap - am) / (2.0 * h) for ap, am in zip(vp.a, vm.a)]
-        rhs = rhs_schur(v, spec.q)
-        errs = [abs(f - r) for f, r in zip(fd, rhs)]
-        report = {
-            "N": args.N,
-            "t": args.t,
-            "h": h,
-            "max_err_n_ge_1": max(errs[1:]) if len(errs) > 1 else None,
-            "err_n0_with_boundary": errs[0],
-            "pass": max(errs[1:]) < args.tol if len(errs) > 1 else True,
-        }
-        print(json.dumps(report, indent=1, sort_keys=True))
-        return 0 if report["pass"] else 2
-
-    raise ValueError(f"unknown circle mode {args.mode!r}")
+    # "schur-check", the last of the circle modes
+    h = args.h
+    vp = verblunsky_from_moments(compute_moments(spec, args.t + h, K), args.N)
+    vm = verblunsky_from_moments(compute_moments(spec, args.t - h, K), args.N)
+    fd = [(ap - am) / (2.0 * h) for ap, am in zip(vp.a, vm.a)]
+    rhs = rhs_schur(v, spec.q)
+    errs = [abs(f - r) for f, r in zip(fd, rhs)]
+    report = {
+        "N": args.N,
+        "t": args.t,
+        "h": h,
+        "max_err_n_ge_1": max(errs[1:]) if len(errs) > 1 else None,
+        "err_n0_with_boundary": errs[0],
+        "pass": max(errs[1:]) < args.tol if len(errs) > 1 else True,
+    }
+    print(json.dumps(report, indent=1, sort_keys=True))
+    return 0 if report["pass"] else 2
 
 
 def _cmd_oracle(args):
@@ -393,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     ci = sub.add_parser("circle", help="unit-circle pipelines")
     ci.add_argument("mode", choices=["verblunsky", "kernel", "cd", "schur-check"])
     ci.add_argument("--measure", default=None, help="JSON circle spec; default Lebesgue")
-    ci.add_argument("--q", type=_parse_complex, default=0.5 + 0j)
+    ci.add_argument("--q", type=_parse_complex, default=None,
+                    help="q of the default Lebesgue measure (0.5); not with --measure")
     ci.add_argument("--N", type=int, required=True)
     ci.add_argument("--t", type=float, default=0.0)
     ci.add_argument("--w", type=_parse_complex, default=1 + 0j)

@@ -28,12 +28,14 @@ validation fails, which happens when coefficients grow with site index).
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
-regularized.  Integration uses the Dormand-Prince 8(5,3) pair (DOP853) with
-FSAL (f at the new solution of an accepted step is the next step's first
-stage), and accepts a step when its local error, scaled per component, is
-within the tolerance (error per step, not per unit step).  The first step is
-sized from the problem by one Euler probe (Hairer's HINIT), and a step cut
-short to land on an output time leaves the next step's proposal as it was.
+regularized.  One breakdown rule serves every flow: the kernels are pure,
+and only accepted states are checked (``integrate_core``'s ``validate``).
+Integration uses the Dormand-Prince 8(5,3) pair (DOP853) with FSAL (f at the
+new solution of an accepted step is the next step's first stage), and
+accepts a step when its local error, scaled per component, is within the
+tolerance (error per step, not per unit step).  The first step is sized
+from the problem by one Euler probe (Hairer's HINIT), and a step cut short
+to land on an output time leaves the next step's proposal as it was.
 Steps run in the dtype of the unknowns: float64 for a real flow, complex
 otherwise.
 
@@ -53,8 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BufferTooSmall, ErtlError, NotSymmetricState, SingularDenominator,
-                     StepUnderflow)
+from .errors import BufferTooSmall, NotSymmetricState, SingularDenominator, StepUnderflow
 
 #: |beta_n| below this is treated as a blow-up of the flow
 EPS_SING = 1e-12
@@ -155,7 +156,7 @@ def _check_betas(beta, t=None):
         raise SingularDenominator(n + 1, complex(beta[n]), t=t)
 
 
-def _ertl_kernel(p, q, b, a, t=None):
+def _ertl_kernel(p, q, b, a):
     """dbeta_1..N and dalpha_1..N on the padded b, a (real or complex).
 
     With s_n = p alpha_n - q alpha_n / (beta_n beta_{n-1}) and v_n = p beta_n
@@ -167,7 +168,6 @@ def _ertl_kernel(p, q, b, a, t=None):
     s_{N+1} would need beta_{N+1}; it is 0 when alpha_{N+1} = 0 and dbeta_N
     is NaN otherwise.  dalpha_{N+1} (0 or NaN likewise) is the caller's.
     """
-    _check_betas(b[1:], t)
     bn, an = b[1:], a[1:-1]
     s = an * (p - q / (bn * b[:-1]))
     dbeta = bn * s
@@ -181,8 +181,9 @@ def _ertl_kernel(p, q, b, a, t=None):
 
 def rhs_ertl(state: LatticeState):
     """Two-parameter flow; returns (dbeta_1..N, dalpha_1..N+1)."""
+    _check_betas(state.beta, state.t)
     b, a = _padded(state.beta, state.alpha)
-    dbeta, dalpha = _ertl_kernel(state.p, state.q, b, a, state.t)
+    dbeta, dalpha = _ertl_kernel(state.p, state.q, b, a)
     return dbeta.tolist(), dalpha.tolist() + [0j if a[-1] == 0 else _NAN]
 
 
@@ -201,11 +202,13 @@ def _volterra_kernel(a):
 def rhs_langmuir(state: LatticeState):
     """Volterra flow alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}).
 
-    Requires the symmetric manifold beta_n = sqrt(q) (q real positive, p
-    absorbed to 1); also verifies that the generic beta equation vanishes
-    there, since the manifold must be invariant.  Returns dalpha_1..N+1.
+    Requires the symmetric manifold beta_n = sqrt(q) (q real positive) and
+    p = 1, the only p that leaves it invariant; also verifies that the
+    generic beta equation vanishes there.  Returns dalpha_1..N+1.
     """
     q = state.q
+    if state.p != 1:
+        raise NotSymmetricState(f"symmetric reduction needs p = 1, got p = {state.p}")
     if abs(q.imag) > 1e-12 or q.real <= 0:
         raise NotSymmetricState("symmetric reduction needs real positive q")
     b, a = _padded(state.beta, state.alpha)
@@ -213,7 +216,7 @@ def rhs_langmuir(state: LatticeState):
     if dev > SYMMETRY_TOL:
         raise NotSymmetricState(f"max |beta_n - sqrt(q)| = {dev:.3e}")
 
-    dbeta, _ = _ertl_kernel(1, q, b, a, state.t)
+    dbeta, _ = _ertl_kernel(1, q, b, a)
     scale = 1.0 + float(np.abs(a[1:]).max())
     bad = float(np.abs(dbeta[~np.isnan(dbeta)]).max(initial=0.0))
     if bad > 1e-12 * scale:
@@ -362,19 +365,15 @@ def _start_step(f, t0, y0, f0, span, ctrl):
     d1 is below 1e-5) gives d2 = max |f(t0 + h0, y0 + h0 f0) - f0| / sc / h0,
     and the proposal is min(100 h0, (0.01 / max(d1, d2))^(1/8), span).  A
     flat start (max(d1, d2) <= 1e-15) takes the whole span.  The probe point
-    is off the trajectory, so a probe that raises an ``ErtlError`` or returns
-    non-finite values is no breakdown of the flow: the proposal is then
-    ``_H_FALLBACK``.
+    is off the trajectory and, like a stage argument, is not checked: where
+    it leaves the flow's domain the kernel returns large or non-finite
+    values, and a non-finite d2 gives the proposal ``_H_FALLBACK``.
     """
     sc = ctrl.abs_tol + ctrl.rel_tol * np.abs(y0)
     d0 = float((np.abs(y0) / sc).max())
     d1 = float((np.abs(f0) / sc).max())
     h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and 1e-5 <= d1 < math.inf else 1e-6, span)
-    try:
-        with np.errstate(all="ignore"):
-            d2 = float((np.abs(f(t0 + h0, y0 + h0 * f0) - f0) / sc).max()) / h0
-    except ErtlError:
-        d2 = math.nan
+    d2 = float((np.abs(f(t0 + h0, y0 + h0 * f0) - f0) / sc).max()) / h0
     if not math.isfinite(d2):
         return _H_FALLBACK
     d = max(d1, d2)
@@ -387,23 +386,26 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
     The one owner of output-grid semantics for every flow: ``t_out`` defaults
     to [t_end], is sorted, must lie in (t0, t_end] without repeats (ValueError
     otherwise, as for t_end <= t0) and gains t_end when missing.  Steps land
-    exactly on every output time (no interpolation).  ``validate(t, y)`` runs
-    on every step that passes the error test, before it is accepted, and may
-    raise to abort (singularity / positivity loss); a SingularDenominator from
-    f or from ``validate`` is re-raised with ``t_bracket``, the start and end
-    time of the step.  The unknowns are stepped in the dtype of ``y0``
+    exactly on every output time (no interpolation).  The one breakdown rule:
+    ``f`` is a pure array function, and ``validate(t, y)`` alone decides a
+    breakdown (singularity / positivity loss).  It runs on every step that
+    passes the error test, before it is accepted, and may raise to abort; a
+    SingularDenominator from it is re-raised with ``t_bracket``, the start
+    and end time of the step.  Where an off-trajectory f (the start probe,
+    a stage argument) leaves the flow's domain its values are large or
+    non-finite, and the error test rejects them; the stepping runs under
+    ``np.errstate(all="ignore")``, so they raise no warning.  y0 is the
+    caller's to check.  The unknowns are stepped in the dtype of ``y0``
     (float64 when it is real, complex otherwise), and ``f`` must return that
     dtype; ``ctrl`` None means ``StepControl()``.  Returns (times, snapshots,
-    stats): times are t0 followed by the output times, and the first snapshot
-    is y0 in the stepping dtype.
+    stats): times are t0 followed by the output times, and the first
+    snapshot is y0 in the stepping dtype.
 
     The first step comes from ``_start_step``: f(t0, y0), which is also the
-    first step's first stage, and one probe call of f.  An error of f(t0, y0)
-    is the flow's own (a SingularDenominator is bracketed as if the first
-    step were ``_H_FALLBACK``); an error of the probe is not, and only
-    selects that fallback step.  Each attempt is clipped to land on the next
-    output time, and a step accepted after such a clip leaves the proposal
-    at least where it was before, so landing costs no extra steps later.
+    first step's first stage, and one probe call of f.  Each attempt is
+    clipped to land on the next output time, and a step accepted after such
+    a clip leaves the proposal at least where it was before, so landing
+    costs no extra steps later.
 
     ``stats`` holds ``accepted`` and ``rejected`` step counts, ``rhs_calls``
     (calls of f: 11 per attempt, plus f(t, y) once at each point an attempt
@@ -430,25 +432,21 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
     K = np.empty((12, y.size), dtype=y.dtype)
     t = t0
-    try:
-        K[0] = f(t0, y)
-    except SingularDenominator as exc:  # bracketed by the fallback first step
-        raise SingularDenominator(exc.n, exc.value, t_bracket=(
-            t0, t0 + min(_H_FALLBACK, times[0] - t0))) from None
-    h = _start_step(f, t0, y, K[0], t_end - t0, ctrl)
-    h_start = min(h, times[0] - t0)
     accepted = rejected = 0
     k1_due = False  # K[0] = f(t, y) is still to evaluate at this y
     max_err = 0.0
     h_min, h_max = math.inf, 0.0
     snaps = [y.copy()]
 
-    for target in times:
-        while target - t > 1e-15 * max(abs(target), 1.0):
-            if accepted + rejected > _MAX_STEPS:
-                raise StepUnderflow(f"step budget exhausted at t={t}")
-            h_try = min(h, target - t)
-            try:
+    with np.errstate(all="ignore"):
+        K[0] = f(t0, y)
+        h = _start_step(f, t0, y, K[0], t_end - t0, ctrl)
+        h_start = min(h, times[0] - t0)
+        for target in times:
+            while target - t > 1e-15 * max(abs(target), 1.0):
+                if accepted + rejected > _MAX_STEPS:
+                    raise StepUnderflow(f"step budget exhausted at t={t}")
+                h_try = min(h, target - t)
                 if k1_due:
                     K[0] = f(t, y)
                     k1_due = False
@@ -458,30 +456,30 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
                                 _ROUNDING_FLOOR * float(scale.max()))
                 e5, e3 = (np.abs(e) / sc).max(axis=1).tolist()
                 err = e5 * e5 / max(math.hypot(e5, 0.1 * e3), _TINY)
-                if err <= 1.0:
-                    validate(t + h_try, y_new)
-            except SingularDenominator as exc:
-                raise SingularDenominator(exc.n, exc.value,
-                                          t_bracket=(t, t + h_try)) from None
 
-            factor = 0.9 * err ** -0.125 if 0.0 < err < math.inf else \
-                (5.0 if err == 0.0 else 0.1)
-            if not err <= 1.0:  # also catches NaN
-                rejected += 1
-                h = h_try * max(0.1, factor)
-                if h < _H_MIN:
-                    raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
-                continue
-            max_err = max(max_err, err)
-            h_next = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
-            h = max(h_next, h) if h_try < h else h_next  # landing keeps the proposal
-            k1_due = True
-            accepted += 1
-            h_min, h_max = min(h_min, h_try), max(h_max, h_try)
-            t = t + h_try
-            y = y_new
-        t = target
-        snaps.append(y.copy())
+                factor = 0.9 * err ** -0.125 if 0.0 < err < math.inf else \
+                    (5.0 if err == 0.0 else 0.1)
+                if not err <= 1.0:  # also catches NaN
+                    rejected += 1
+                    h = h_try * max(0.1, factor)
+                    if h < _H_MIN:
+                        raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
+                    continue
+                try:
+                    validate(t + h_try, y_new)
+                except SingularDenominator as exc:
+                    raise SingularDenominator(exc.n, exc.value,
+                                              t_bracket=(t, t + h_try)) from None
+                max_err = max(max_err, err)
+                h_next = max(h_try * min(5.0, max(0.2, factor)), _H_MIN)
+                h = max(h_next, h) if h_try < h else h_next  # landing keeps the proposal
+                k1_due = True
+                accepted += 1
+                h_min, h_max = min(h_min, h_try), max(h_max, h_try)
+                t = t + h_try
+                y = y_new
+            t = target
+            snaps.append(y.copy())
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,
              "h_start": h_start, "h_min": h_min, "h_max": h_max,
              "rhs_calls": 11 * (accepted + rejected) + accepted + 1}
@@ -525,7 +523,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
         def f(t, y):
             b[1:] = y[:N]
             a[2:-1] = y[N:]
-            dbeta, dalpha = _ertl_kernel(p, q, b, a, t)
+            dbeta, dalpha = _ertl_kernel(p, q, b, a)
             return np.concatenate((dbeta, dalpha[1:]))
 
     def validate(t, y):

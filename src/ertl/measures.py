@@ -134,10 +134,10 @@ class MomentSpec:
                 _require_finite(f"weight parameter {key}", self.params[key], real=True)
                 if not self.params[key] > 0:
                     raise ValueError(f"weight parameter {key} must be > 0")
-            # on (0, inf) both exponential directions must damp
-            if not (self.p.real > 0.0 and self.q.real > 0.0):
+            # the base weight damps both ends, so Re(p), Re(q) >= 0 converge for t >= 0
+            if not (self.p.real >= 0.0 and self.q.real >= 0.0):
                 raise InvalidSupport(
-                    "a weight on (0, inf) requires Re(p) > 0 and Re(q) > 0; "
+                    "a weight on (0, inf) requires Re(p) >= 0 and Re(q) >= 0; "
                     "refusing a divergent modification")
 
         elif self.kind == "unit_circle_weighted":

@@ -239,6 +239,15 @@ def test_exit_code_validation_error(capsys):
     assert "error" in err
 
 
+def test_exit_code_circle_q_with_measure(capsys):
+    # --q sets only the default Lebesgue measure; a spec carries its own q, so
+    # the two together are bad input (1), not a silently ignored flag
+    spec = '{"kind":"unit_circle_weighted","weight_id":"circle_lebesgue","p":[0.5,0],"q":[0.5,0]}'
+    assert main(["circle", "verblunsky", "--measure", spec, "--q", "0.3,0.4", "--N", "4"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert main(["circle", "verblunsky", "--measure", spec, "--N", "4"]) == 0
+
+
 def test_exit_code_bad_initial_chain(capsys):
     # d_2 outside (0, 1) at the start is bad input (1), not a breakdown of the flow (2)
     assert main(["simulate", "--system", "cd", "--q", "0,0", "--t-end", "0.1",
@@ -298,7 +307,7 @@ def test_exit_code_numerical_breakdown(capsys):
 
 
 def test_exit_code_schur_breakdown(capsys):
-    # an RK stage pushes |a_1| past 1: a breakdown of the flow (exit 2), not bad input
+    # a step that passes the error test takes |a_1| past 1: a breakdown (exit 2), not bad input
     code = main(["simulate", "--system", "schur", "--q", "50,0", "--t-end", "1",
                  "--init", '{"a": [[0.99,0],[0.5,0]]}'])
     assert code == 2

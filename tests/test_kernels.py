@@ -385,16 +385,16 @@ def test_start_step_is_accepted_on_linear_decay(lam, fallback_attempts):
     assert abs(snaps[-1][0] - math.exp(-lam)) < 1e-10
 
 
-@pytest.mark.parametrize("bad", ["raise", "nan"])
+@pytest.mark.parametrize("bad", ["inf", "nan"])
 def test_start_falls_back_when_probe_leaves_the_domain(bad):
+    # a pure kernel outside its domain returns large or non-finite values; it
+    # never raises, so a probe that leaves the domain reads non-finite
     calls = []
 
     def f(t, y):
         calls.append(t)
         if len(calls) == 2:  # the starting-step probe, right after f(t0, y0)
-            if bad == "raise":
-                raise SingularDenominator(1, 0j, t=t)
-            return np.full_like(y, np.nan)
+            return np.full_like(y, float(bad))
         return -y
 
     _, snaps, stats = integrate_core(f, 0.0, [1.0], 1.0, None, None, lambda t, y: None)
@@ -404,9 +404,10 @@ def test_start_falls_back_when_probe_leaves_the_domain(bad):
 
 def test_start_probe_past_unit_modulus_is_no_breakdown():
     # the probe y0 + h0 f0 from a_0 = -(1 - 1e-8) lands at |a_0| > 1, off the
-    # trajectory; the flow itself keeps |a_0| < 1
-    _, seqs, stats = integrate_schur(VerblunskySeq(0.0, (-(1 - 1e-8),)), 2 + 2j, 1.0)
-    assert abs(seqs[-1].a[0]) < 1.0 and stats["h_start"] == _H_FALLBACK
+    # trajectory, where the kernel is evaluated unchecked; the flow itself
+    # keeps |a_0| < 1
+    _, seqs, _ = integrate_schur(VerblunskySeq(0.0, (-(1 - 1e-8),)), 2 + 2j, 1.0)
+    assert abs(seqs[-1].a[0]) < 1.0
 
 
 @settings(max_examples=100)

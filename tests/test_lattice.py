@@ -134,6 +134,13 @@ def test_langmuir_equals_ertl_alpha(rng):
     da = rhs_langmuir(st)
     _, da_full = rhs_ertl(st)
     assert max(abs(x - y) for x, y in zip(da, da_full)) < 1e-12
+    # and the frozen-beta trajectory is the generic flow's on the manifold
+    st = state_from_coeffs(1.0, 1.7, 0.0, [sq] * 6, alpha[:5])
+    volterra = integrate(st, 0.1, rhs_id="langmuir", t_out=[0.05, 0.1])
+    generic = integrate(st, 0.1, t_out=[0.05, 0.1])
+    assert volterra.times == generic.times
+    assert max(abs(x - y) for a, b in zip(volterra.states, generic.states)
+               for x, y in zip(a.alpha, b.alpha)) <= 1e-13
 
 
 def test_langmuir_rejects_asymmetric(rng):
@@ -143,6 +150,15 @@ def test_langmuir_rejects_asymmetric(rng):
     st2 = state_from_coeffs(1.0, -2.0, 0.0, [1.4] * 3, [0.3, 0.2])
     with pytest.raises(NotSymmetricState):
         rhs_langmuir(st2)
+    # within SYMMETRY_TOL of the manifold, but the beta equation does not vanish
+    sq = np.sqrt(2.0)
+    st3 = state_from_coeffs(1.0, 2.0, 0.0, [sq * (1 + 1e-10)] * 3, [0.3, 0.2])
+    with pytest.raises(NotSymmetricState, match="beta equation"):
+        rhs_langmuir(st3)
+    # off p = 1 the manifold is not invariant, so the Volterra flow is not the flow
+    st4 = state_from_coeffs(0.5, 2.0, 0.0, [sq] * 3, [0.3, 0.2])
+    with pytest.raises(NotSymmetricState, match="p = 1"):
+        integrate(st4, 0.1, rhs_id="langmuir")
 
 
 # -- integration ------------------------------------------------------------------
@@ -236,9 +252,17 @@ def test_buffered_example2_check_run_rejects_few_steps():
     # 3rd-order estimates combined per component it rejected 10 of 45 attempts;
     # combining their norms, as DOP853 does, rejects at most 3
     ex = ClosedFormExample("example2", 1.0, 2.0)
-    rc = example2_coeffs(ex, 0.0, 65)
-    st = state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:64], rc.alpha[:63])
-    traj = integrate(st, 0.5, ctrl=StepControl(rel_tol=1e-8), t_out=[0.25, 0.5])
+
+    def mk(M):
+        rc = example2_coeffs(ex, 0.0, M + 1)
+        return state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
+
+    # one sweep from the default window lands on the closed form
+    sweep = integrate_buffered(mk, 6, 0.5, ctrl=StepControl(rel_tol=1e-8))
+    ref = example2_coeffs(ex, 0.5, 7)
+    assert max(abs(a - b) for a, b in zip(sweep.final.beta, ref.beta[:6])) <= 1e-8
+    assert max(abs(a - b) for a, b in zip(sweep.final.alpha[1:], ref.alpha[:6])) <= 1e-8
+    traj = integrate(mk(64), 0.5, ctrl=StepControl(rel_tol=1e-8), t_out=[0.25, 0.5])
     assert traj.step_stats["rejected"] <= 3
     for t, s in zip(traj.times[1:], traj.states[1:]):
         ref = example2_coeffs(ex, t, 7)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import iv, kv
 
-from ertl import (IndexOutOfTable, InvalidSupport, MomentSpec, MomentTable,
-                  NonConvergentIntegral, RegularityBreakdown, bootstrap_recurrence,
-                  circle_kernel_spec, circle_lebesgue_spec, compute_moments,
-                  compute_moments_exact, discrete_spec, example1_spec, example2_spec,
-                  explicit_table_spec)
+from ertl import (ClosedFormExample, IndexOutOfTable, InvalidSupport, MomentSpec,
+                  MomentTable, NonConvergentIntegral, RegularityBreakdown,
+                  bootstrap_recurrence, circle_kernel_spec, circle_lebesgue_spec,
+                  compute_moments, compute_moments_exact, discrete_spec, example1_coeffs,
+                  example1_spec, example2_spec, explicit_table_spec)
 from ertl import measures
 from ertl.cli import main
 from ertl.lorth import stieltjes
@@ -85,6 +85,22 @@ def test_complex_modification_matches_bessel():
         ref = 2 * (b / a) ** (nu / 2) * kv(nu, 2 * np.sqrt(a * b))
         mod = 2 * (b.real / a.real) ** (nu / 2) * kv(nu, 2 * math.sqrt(a.real * b.real))
         assert abs(tab.nu_at(k) - ref) <= 1e-13 * mod
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("p, q", [(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (0.5, 0.0)])
+def test_relativistic_toda_modifications_match_closed_form(p, q, t):
+    # p = 0 (rtl1) and q = 0 (rtl2) converge on (0, inf): with A = delta + t p
+    # and B = delta q_w + t q the modified example1 weight is example1 with
+    # delta' = A and q' = B / A, at time 0
+    delta, qw, N = 1.0, 2.0, 20
+    spec = MomentSpec(kind="real_line_weighted", weight_id="example1",
+                      params={"delta": delta, "q": qw}, p=p, q=q)
+    _, rc = bootstrap_recurrence(compute_moments(spec, t, N + 1), N, p=p, q=q)
+    A, B = delta + t * p, delta * qw + t * q
+    ref = example1_coeffs(ClosedFormExample("example1", A, B / A), 0.0, N)
+    got, want = np.array(rc.beta + rc.alpha), np.array(ref.beta + ref.alpha)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 OVERFLOW_SPEC = ('{"kind":"real_line_weighted","weight_id":"example1",'

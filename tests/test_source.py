@@ -149,3 +149,40 @@ def test_undocumented_finds_missing_docstrings():
 def test_exports_have_docstrings():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert undocumented((SRC / "__init__.py").read_text(), sources) == []
+
+
+#: the checks that decide a breakdown; they belong on accepted states only
+BREAKDOWN_CHECKS = ("_check_betas", "_flow_modulus", "_check_modulus", "_first_outside_unit")
+
+
+def impure_kernels(source):
+    """'name (line n)' for each raise, or call of a breakdown check, in a ``_*_kernel`` function.
+
+    A flow kernel is a pure array function: it is also evaluated off the
+    trajectory (stage arguments, the start probe), where only the error test
+    may judge it.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and node.name.endswith("_kernel")):
+            continue
+        for inner in ast.walk(node):
+            checks = (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+                      and inner.func.id in BREAKDOWN_CHECKS)
+            if checks or isinstance(inner, ast.Raise):
+                found.append(f"{node.name} (line {inner.lineno})")
+    return sorted(found)
+
+
+def test_impure_kernels_finds_raise_and_check():
+    source = ("def _a_kernel(b):\n    _check_betas(b[1:])\n    return b\n\n\n"
+              "def _b_kernel(y):\n    if y:\n        raise ValueError(y)\n    return y\n\n\n"
+              "def _c_kernel(y):\n    return abs(y)\n\n\n"
+              "def validate(t, y):\n    _flow_modulus(y, t)\n")
+    assert impure_kernels(source) == ["_a_kernel (line 2)", "_b_kernel (line 8)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_flow_kernels_are_pure(path):
+    assert impure_kernels(path.read_text()) == []
