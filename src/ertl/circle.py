@@ -32,8 +32,11 @@ against quadrature-evolved measures in the test suite).
 Both flows' right-hand sides are shifted-slice kernels on padded arrays:
 float64 C = (c_0 = 1, c_1..c_M, 0) and D = (d_0 = 0, d_1..d_M, d_{M+1} = 0)
 for the (c, d) system, and complex A = (a_{-1} = -1, a_0, ..., top
-neighbour) for the Schur flow.  The public ``rhs_cd``/``rhs_schur`` pad their
-input and return lists; the integrators refill the padded arrays in place.
+neighbour) for the Schur flow.  A kernel binds once to its padded arrays
+and output array and returns the evaluation.  The public
+``rhs_cd``/``rhs_schur`` pad their input, evaluate once and return lists;
+the integrators bind once per integration and refill the padded arrays in
+place, so each stage writes into the same output array.
 Both flows keep ``lattice.integrate_core``'s breakdown rule: pure kernels,
 and |a_n| < 1 or d_n in (0, 1) checked on accepted states only.
 """
@@ -264,11 +267,13 @@ def map_cd_beta_alpha(beta, alpha):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _cd_kernel(C, D, q):
-    """(dc_1..M, dd_2..M) on the padded C = (1, c_1..c_M, 0), D = (0, d_1..d_M, 0).
+def _cd_kernel(C, D, q, out):
+    """Bind the (c, d) flow to the padded C = (1, c_1..c_M, 0), D = (0, d_1..d_M, 0).
 
-    With z_k = 1 + i c_k, the edge term P_n = Im(q z_n z_{n-1}) (n = 1..M+1)
-    and R_k = Re(q z_k) / |z_k|^2,
+    Returns evaluate(); each call reads the current C and D and writes
+    (dc_1..M, dd_2..M) into the float64 ``out`` (2M - 1 entries).  With
+    z_k = 1 + i c_k, the edge term P_n = Im(q z_n z_{n-1}) (n = 1..M+1) and
+    R_k = Re(q z_k) / |z_k|^2,
 
         dc_n = 4 (d_n P_n / |z_{n-1}|^2 - d_{n+1} P_{n+1} / |z_{n+1}|^2),
         dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1}
@@ -279,16 +284,26 @@ def _cd_kernel(C, D, q):
     c-equation.
     """
     qr, qi = q.real, q.imag
-    den = 1.0 + C * C                                # |z_k|^2, k = 0..M+1
-    cn, cm = C[1:], C[:-1]                           # edges n = 1..M+1
-    P = qr * (cn + cm) + qi * (1.0 - cn * cm)
-    dP = D[1:] * P                                   # d_n P_n
-    dc = 4.0 * (dP[:-1] / den[:-2] - dP[1:] / den[2:])
-    R = (qr - qi * C) / den
-    G = (cm - cn) * P / (den[1:] * den[:-1])
-    d = D[2:-1]                                      # rows n = 2..M
-    dd = 4.0 * d * (D[1:-2] * R[:-3] - D[3:] * R[3:] + (1.0 - d) * G[1:-1])
-    return dc, dd
+    M = len(C) - 2
+    dc, dd = out[:M], out[M:]
+    den = np.empty(M + 2)                            # |z_k|^2, k = 0..M+1
+    P, dP = np.empty(M + 1), np.empty(M + 1)         # edges n = 1..M+1
+    R, G = np.empty(M + 2), np.empty(M + 1)
+    cn, cm, Dn = C[1:], C[:-1], D[1:]
+    den_lo, den_hi, den_n, den_m = den[:-2], den[2:], den[1:], den[:-1]
+    dP_lo, dP_hi = dP[:-1], dP[1:]
+    d, d_lo, d_hi = D[2:-1], D[1:-2], D[3:]          # rows n = 2..M
+    R_lo, R_hi, G_mid = R[:-3], R[3:], G[1:-1]
+
+    def evaluate():
+        np.add(1.0, C * C, out=den)
+        np.add(qr * (cn + cm), qi * (1.0 - cn * cm), out=P)
+        np.multiply(Dn, P, out=dP)                   # d_n P_n
+        np.multiply(4.0, dP_lo / den_lo - dP_hi / den_hi, out=dc)
+        np.divide(qr - qi * C, den, out=R)
+        np.divide((cm - cn) * P, den_n * den_m, out=G)
+        np.multiply(4.0 * d, d_lo * R_lo - d_hi * R_hi + (1.0 - d) * G_mid, out=dd)
+    return evaluate
 
 
 def _cd_padded(c, d):
@@ -297,19 +312,22 @@ def _cd_padded(c, d):
 
 def rhs_cd(state: CircleState, q):
     """Time derivatives (dc_1..N, dd_2..N) of the real kernel parametrization."""
+    M = len(state.c)
+    if M == 0:
+        return [], []
     C, D = _cd_padded(state.c, (0.0,) + state.d)
-    dc, dd = _cd_kernel(C, D, complex(q))
-    return dc.tolist(), dd.tolist()
+    out = np.empty(2 * M - 1)
+    _cd_kernel(C, D, complex(q), out)()
+    return out[:M].tolist(), out[M:].tolist()
 
 
 def _check_modulus(a):
-    """ValueError at the first n with |a_n| >= 1; returns |a_n|."""
+    """ValueError at the first n with |a_n| >= 1."""
     mods = np.abs(a)
     bad = mods >= 1.0
     if bad.any():
         n = int(bad.argmax())
         raise ValueError(f"|a_{n}| = {float(mods[n])} >= 1: degenerate measure rejected")
-    return mods
 
 
 def _flow_modulus(y, t):
@@ -324,13 +342,19 @@ def _flow_modulus(y, t):
         raise PositivityLost(f"|a_{n}| = {mod} reached 1 at t={t}", n=n, modulus=mod, t=t)
 
 
-def _schur_kernel(A, q, mods):
-    """Rows n = 0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}).
+def _schur_kernel(A, q, out):
+    """Bind the Schur flow to A = (a_{-1} = -1, a_0, ..., top neighbour); returns evaluate().
 
-    A = (a_{-1} = -1, a_0, ..., top neighbour); ``mods`` holds the rows'
-    |a_n|, which the kernel does not check.
+    Each call of evaluate() reads the current A and writes the rows n =
+    0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}) into ``out``.
+    It does not check |a_n| < 1.
     """
-    return (1.0 - mods ** 2) * (q.conjugate() * A[:-2] - q * A[2:])
+    qc = q.conjugate()
+    a_lo, a, a_hi = A[:-2], A[1:-1], A[2:]
+
+    def evaluate():
+        np.multiply(1.0 - np.abs(a) ** 2, qc * a_lo - q * a_hi, out=out)
+    return evaluate
 
 
 def rhs_schur(v: VerblunskySeq, q):
@@ -340,7 +364,10 @@ def rhs_schur(v: VerblunskySeq, q):
     a_{-1} = -1, so a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).
     """
     A = np.array((-1.0,) + v.a, dtype=complex)
-    return _schur_kernel(A, complex(q), _check_modulus(A[1:-1])).tolist()
+    _check_modulus(A[1:-1])
+    out = np.empty(len(A) - 2, dtype=complex)
+    _schur_kernel(A, complex(q), out)()
+    return out.tolist()
 
 
 def integrate_schur(v: VerblunskySeq, q, t_end: float,
@@ -361,10 +388,14 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
         raise ValueError(f"n_report = {n_report} must lie in 1..{v.N}, the window size")
     q = complex(q)
     A = np.array((-1.0,) + v.a + (0j,))  # f refills a_0..a_{M-1}; a_M = 0 stays
+    out = np.empty(v.N, dtype=complex)
+    evaluate = _schur_kernel(A, q, out)
+    a = A[1:-1]
 
     def f(t, y):
-        A[1:-1] = y
-        return _schur_kernel(A, q, np.abs(y))
+        a[:] = y
+        evaluate()
+        return out
 
     def validate(t, y):
         _flow_modulus(y, t)
@@ -401,11 +432,15 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
     C, D = _cd_padded(c, d)  # f refills c_1..c_M and d_2..d_M in place
+    out = np.empty(2 * M - 1)
+    evaluate = _cd_kernel(C, D, q, out)
+    c_free, d_free = C[1:-1], D[2:-1]
 
     def f(t, y):
-        C[1:-1] = y[:M]
-        D[2:-1] = y[M:]
-        return np.concatenate(_cd_kernel(C, D, q))
+        c_free[:] = y[:M]
+        d_free[:] = y[M:]
+        evaluate()
+        return out
 
     def validate(t, y):
         n = _first_outside_unit(y[M:])

@@ -359,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--system", required=True,
                      choices=[*SYSTEMS, "cd", "schur"])
     sim.add_argument("--N", type=int, default=None)
-    sim.add_argument("--p", type=_parse_complex, default=0j)
-    sim.add_argument("--q", type=_parse_complex, default=0j)
+    sim.add_argument("--p", type=_parse_complex, default=None,
+                     help="ertl and langmuir only (default 0)")
+    sim.add_argument("--q", type=_parse_complex, default=None,
+                     help="not with rtl1 or rtl2, which force (p, q) (default 0)")
     sim.add_argument("--t0", type=float, default=0.0)
     sim.add_argument("--t-end", type=float, required=True)
     sim.add_argument("--t-out", default=None, help="comma-separated output times")
@@ -395,9 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="q of the default Lebesgue measure (0.5); not with --measure")
     ci.add_argument("--N", type=int, required=True)
     ci.add_argument("--t", type=float, default=0.0)
-    ci.add_argument("--w", type=_parse_complex, default=1 + 0j)
-    ci.add_argument("--h", type=float, default=1e-4, help="FD step for schur-check")
-    ci.add_argument("--tol", type=float, default=1e-5)
+    ci.add_argument("--w", type=_parse_complex, default=None,
+                    help="kernel point, kernel mode only (default 1)")
+    ci.add_argument("--h", type=float, default=None,
+                    help="FD step, schur-check only (default 1e-4)")
+    ci.add_argument("--tol", type=float, default=None,
+                    help="pass threshold, schur-check only (default 1e-5)")
     ci.add_argument("--out", default="-")
     ci.set_defaults(func=_cmd_circle)
 
@@ -428,9 +433,33 @@ def _json_field(v):
     return str(v)
 
 
+#: (subcommand, flag) -> (default, the modes or systems that read the flag)
+_MODE_FLAGS = {
+    ("circle", "w"): (1 + 0j, ("kernel",)),
+    ("circle", "h"): (1e-4, ("schur-check",)),
+    ("circle", "tol"): (1e-5, ("schur-check",)),
+    ("simulate", "p"): (0j, ("ertl", "langmuir")),
+    ("simulate", "q"): (0j, ("ertl", "langmuir", "cd", "schur")),
+}
+
+
+def _check_mode_flags(args):
+    """ValueError for a flag given to a mode that does not read it; sets the others' defaults."""
+    for (command, flag), (default, readers) in _MODE_FLAGS.items():
+        if command != args.command:
+            continue
+        mode = args.mode if command == "circle" else args.system
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif mode not in readers:
+            where = f"circle {mode}" if command == "circle" else f"simulate --system {mode}"
+            raise ValueError(f"--{flag} is not read by {where}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_mode_flags(args)
         return args.func(args)
     except (ErtlError, ValueError, KeyError, OSError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}

@@ -42,10 +42,14 @@ otherwise.
 Each flow has one right-hand-side kernel, written as shifted slices of
 padded arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 = -1,
 alpha_1..alpha_{N+1}): row n reads b[n-1..n+1] and a[n-1..n+1], so the
-boundary conventions need no special case.  The public ``rhs_*`` functions
-pad a state as complex arrays and return lists; ``integrate`` refills one
-pair of padded arrays in place from its packed unknowns (beta_1..beta_N,
-alpha_2..alpha_N), real when p, q and the state are real.
+boundary conventions need no special case.  A kernel binds once to its
+padded arrays and output views and returns an evaluation that writes each
+result with one ``out=``, so a call slices and allocates no result.  The
+public ``rhs_*`` functions pad a state as complex arrays, bind, evaluate
+once and return lists.  ``integrate`` binds once per integration, real
+when p, q and the state are real; its f refills the padded arrays in place
+from the packed unknowns (beta_1..beta_N, alpha_2..alpha_N), evaluates,
+and returns the same output array on every call.
 """
 
 from __future__ import annotations
@@ -156,11 +160,15 @@ def _check_betas(beta, t=None):
         raise SingularDenominator(n + 1, complex(beta[n]), t=t)
 
 
-def _ertl_kernel(p, q, b, a):
-    """dbeta_1..N and dalpha_1..N on the padded b, a (real or complex).
+def _ertl_kernel(p, q, b, a, dbeta, dalpha):
+    """Bind the two-parameter flow to the padded b, a; returns evaluate().
 
-    With s_n = p alpha_n - q alpha_n / (beta_n beta_{n-1}) and v_n = p beta_n
-    + q / beta_n (n = 0..N, so v_0 = p + q):
+    Each call of evaluate() reads the current b and a and writes dbeta_1..N
+    into ``dbeta`` and the last len(dalpha) of dalpha_1..N into ``dalpha``:
+    all N rows, or rows 2..N (dalpha_1 = 0 when alpha_1 = 0).  The outputs
+    and the scratch arrays share ``dbeta``'s dtype.  With s_n = p alpha_n -
+    q alpha_n / (beta_n beta_{n-1}) and v_n = p beta_n + q / beta_n (n =
+    0..N, so v_0 = p + q):
 
         dbeta_n  = beta_n (s_n - s_{n+1}),
         dalpha_n = alpha_n (p (alpha_{n-1} - alpha_{n+1}) + v_{n-1} - v_n).
@@ -168,22 +176,38 @@ def _ertl_kernel(p, q, b, a):
     s_{N+1} would need beta_{N+1}; it is 0 when alpha_{N+1} = 0 and dbeta_N
     is NaN otherwise.  dalpha_{N+1} (0 or NaN likewise) is the caller's.
     """
-    bn, an = b[1:], a[1:-1]
-    s = an * (p - q / (bn * b[:-1]))
-    dbeta = bn * s
-    dbeta[:-1] -= bn[:-1] * s[1:]
-    if a[-1] != 0:
-        dbeta[-1] = np.nan
-    v = p * b + q / b
-    dalpha = an * (p * (a[:-2] - a[2:]) + (v[:-1] - v[1:]))
-    return dbeta, dalpha
+    r = len(dbeta) - len(dalpha)  # dalpha rows r+1..N
+    bn, bm, an = b[1:], b[:-1], a[1:-1]
+    an_r, a_lo, a_hi = a[1 + r:-1], a[r:-2], a[2 + r:]
+    s = np.empty_like(dbeta)
+    v = np.empty(len(b), dtype=dbeta.dtype)
+    bn_lo, s_hi, dbeta_lo = bn[:-1], s[1:], dbeta[:-1]
+    v_lo, v_hi = v[r:-1], v[1 + r:]
+
+    def evaluate():
+        np.multiply(an, p - q / (bn * bm), out=s)
+        np.multiply(bn, s, out=dbeta)
+        np.subtract(dbeta_lo, bn_lo * s_hi, out=dbeta_lo)
+        if a[-1] != 0:
+            dbeta[-1] = np.nan
+        np.add(p * b, q / b, out=v)
+        np.multiply(an_r, p * (a_lo - a_hi) + (v_lo - v_hi), out=dalpha)
+    return evaluate
+
+
+def _ertl_rates(p, q, b, a):
+    """dbeta_1..N and dalpha_1..N of the complex padded b, a, one array each."""
+    N = len(b) - 1
+    out = np.empty(2 * N, dtype=complex)
+    _ertl_kernel(p, q, b, a, out[:N], out[N:])()
+    return out[:N], out[N:]
 
 
 def rhs_ertl(state: LatticeState):
     """Two-parameter flow; returns (dbeta_1..N, dalpha_1..N+1)."""
     _check_betas(state.beta, state.t)
     b, a = _padded(state.beta, state.alpha)
-    dbeta, dalpha = _ertl_kernel(state.p, state.q, b, a)
+    dbeta, dalpha = _ertl_rates(state.p, state.q, b, a)
     return dbeta.tolist(), dalpha.tolist() + [0j if a[-1] == 0 else _NAN]
 
 
@@ -191,12 +215,18 @@ def rhs_ertl(state: LatticeState):
 SYMMETRY_TOL = 1e-8
 
 
-def _volterra_kernel(a):
-    """dalpha_1..N+1 of alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}), a padded."""
-    out = np.empty_like(a[1:])
-    out[:-1] = a[1:-1] * (a[:-2] - a[2:])
-    out[-1] = 0 if a[-1] == 0 else _NAN
-    return out
+def _volterra_kernel(a, dalpha):
+    """Bind alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}) to the padded a; returns evaluate().
+
+    Each call of evaluate() reads the current a and writes the last
+    len(dalpha) of rows 1..N into ``dalpha``; dalpha_{N+1} is the caller's.
+    """
+    r = len(a) - 2 - len(dalpha)  # rows r+1..N
+    an, a_lo, a_hi = a[1 + r:-1], a[r:-2], a[2 + r:]
+
+    def evaluate():
+        np.multiply(an, a_lo - a_hi, out=dalpha)
+    return evaluate
 
 
 def rhs_langmuir(state: LatticeState):
@@ -216,13 +246,15 @@ def rhs_langmuir(state: LatticeState):
     if dev > SYMMETRY_TOL:
         raise NotSymmetricState(f"max |beta_n - sqrt(q)| = {dev:.3e}")
 
-    dbeta, _ = _ertl_kernel(1, q, b, a)
+    dbeta, _ = _ertl_rates(1, q, b, a)
     scale = 1.0 + float(np.abs(a[1:]).max())
     bad = float(np.abs(dbeta[~np.isnan(dbeta)]).max(initial=0.0))
     if bad > 1e-12 * scale:
         raise NotSymmetricState(f"beta equation does not vanish: {bad:.3e}")
 
-    return _volterra_kernel(a).tolist()
+    dalpha = np.empty(len(b) - 1, dtype=complex)
+    _volterra_kernel(a, dalpha)()
+    return dalpha.tolist() + [0j if a[-1] == 0 else _NAN]
 
 
 #: system id -> the (p, q) it forces on the flow, or None to keep the state's
@@ -317,6 +349,10 @@ _DOP_E = np.array([
     _DOP_A[12, :12]])
 _DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
                           0.220588235294117647058823529412e-1)
+#: the tableau as complex128 for complex stages: a matmul of a real row with
+#: complex K converts that row on every stage, to these same values
+_DOP_TABLEAU = {np.dtype(float): (_DOP_A, _DOP_E),
+                np.dtype(complex): (_DOP_A.astype(complex), _DOP_E.astype(complex))}
 
 #: error-scale floor relative to max |y|.  Adding the update h (b @ K) to y
 #: rounds by about eps |y| every step, which the estimate cannot see, so a
@@ -346,15 +382,17 @@ _MAX_STEPS = 2_000_000
 def _dop853(f, t, y, h, K):
     """One DOP853 step of size h from (t, y).
 
-    ``K`` is a (12, n) array of y's dtype whose row 0 holds f(t, y); rows
-    1..11 are filled with the later stages.  Returns the 8th-order
+    ``K`` is a (12, n) float64 or complex128 array whose row 0 holds
+    f(t, y); rows 1..11 are filled with the later stages.  The tableau is
+    taken in K's dtype.  Returns the 8th-order
     y_new = y + h (b @ K) and the (2, n) error estimates h (E @ K), row 0 the
     5th-order e5 and row 1 the 3rd-order e3.
     """
-    hA = h * _DOP_A
+    A, E = _DOP_TABLEAU[K.dtype]
+    hA = h * A
     for i in range(1, 12):
         K[i] = f(t + _DOP_C[i] * h, y + hA[i, :i] @ K[:i])
-    return y + hA[12, :12] @ K, h * (_DOP_E @ K)
+    return y + hA[12, :12] @ K, h * (E @ K)
 
 
 def _start_step(f, t0, y0, f0, span, ctrl):
@@ -397,7 +435,10 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
     ``np.errstate(all="ignore")``, so they raise no warning.  y0 is the
     caller's to check.  The unknowns are stepped in the dtype of ``y0``
     (float64 when it is real, complex otherwise), and ``f`` must return that
-    dtype; ``ctrl`` None means ``StepControl()``.  Returns (times, snapshots,
+    dtype.  Each value of ``f`` is copied (into the stage array, or into the
+    start probe's difference) before ``f`` is called again, so ``f`` may
+    return the same array on every call.  ``ctrl`` None means
+    ``StepControl()``.  Returns (times, snapshots,
     stats): times are t0 followed by the output times, and the first
     snapshot is y0 in the stepping dtype.
 
@@ -512,24 +553,24 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     if p.imag == q.imag == 0.0 and not (b.imag.any() or a.imag.any()):
         p, q, b, a = p.real, q.real, b.real.copy(), a.real.copy()  # step in float64
 
+    out = np.zeros(2 * N - 1, dtype=b.dtype)  # dbeta_1..N, dalpha_2..N
     if rhs_id == "langmuir":
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
-        frozen = np.zeros(N)
-
-        def f(t, y):
-            a[2:-1] = y[N:]
-            return np.concatenate((frozen, _volterra_kernel(a)[1:-1]))
+        evaluate = _volterra_kernel(a, out[N:])  # dbeta stays 0: beta is frozen
     else:
-        def f(t, y):
-            b[1:] = y[:N]
-            a[2:-1] = y[N:]
-            dbeta, dalpha = _ertl_kernel(p, q, b, a)
-            return np.concatenate((dbeta, dalpha[1:]))
+        evaluate = _ertl_kernel(p, q, b, a, out[:N], out[N:])
+    beta, alpha = b[1:], a[2:-1]
+
+    def f(t, y):
+        beta[:] = y[:N]
+        alpha[:] = y[N:]
+        evaluate()
+        return out
 
     def validate(t, y):
         _check_betas(y[:N], t)
 
-    y0 = np.concatenate((b[1:], a[2:-1]))  # beta_1..beta_N, alpha_2..alpha_N
+    y0 = np.concatenate((beta, alpha))  # beta_1..beta_N, alpha_2..alpha_N
     times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)
     snaps = [y.astype(complex, copy=False) for y in snaps]  # states stay complex
     states = [LatticeState(*forced, tt, y[:N].tolist(), [0j] + y[N:].tolist() + [0j])
@@ -548,6 +589,11 @@ BUFFER_ESCALATIONS = 3
 
 
 def default_buffer(n_report: int, t_span: float) -> int:
+    """Sites of a buffered run by default: n_report + max(10, ceil(10 t_span)).
+
+    ``integrate_buffered`` starts from this and doubles it while the
+    reported sites move under doubling.
+    """
     return n_report + max(10, math.ceil(10.0 * t_span))
 
 

@@ -185,6 +185,7 @@ def ten_node_spec():
     return discrete_spec(nodes, weights, p=1.0, q=2.0)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test: its draws do not depend on which tests ran before."""
     return np.random.default_rng(20240817)

@@ -118,8 +118,7 @@ def test_simulate_stationary_single_site(tmp_path):
 
 
 def test_simulate_golden_and_determinism(tmp_path):
-    args = ["simulate", "--system", "rtl2", "--p", "1,0", "--q", "0,0",
-            "--t-end", "0.5", "--t-out", "0.25,0.5",
+    args = ["simulate", "--system", "rtl2", "--t-end", "0.5", "--t-out", "0.25,0.5",
             "--init", '{"beta":[[1,0],[2,0],[1.5,0]],"alpha":[[0.5,0],[0.25,0]]}']
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
@@ -143,6 +142,53 @@ def test_simulate_golden_and_determinism(tmp_path):
         for r, b, a in zip(rows, s.beta, s.alpha):
             assert abs(complex(float(r[2]), float(r[3])) - b) <= 1e-9
             assert abs(complex(float(r[4]), float(r[5])) - a) <= 1e-9
+
+
+SQRT2 = "[1.4142135623730951,0]"
+#: golden file -> simulate arguments; each file is a bitwise record of its flow's steps
+FLOW_GOLDENS = {
+    "simulate_ertl_complex.csv": [
+        "--system", "ertl", "--p", "1,0.5", "--q", "0.8,-0.3", "--init",
+        '{"beta":[[1,0.2],[1.2,-0.1],[0.9,0.1],[1.1,0]],'
+        '"alpha":[[0.5,0.1],[0.3,-0.2],[0.4,0]]}'],
+    "simulate_langmuir.csv": [
+        "--system", "langmuir", "--p", "1,0", "--q", "2,0", "--init",
+        '{"beta":[' + ",".join([SQRT2] * 5) + '],"alpha":[[0.5,0],[0.3,0],[0.8,0],[0.2,0]]}'],
+    "simulate_schur.csv": [
+        "--system", "schur", "--q", "0.5,0.3", "--init",
+        '{"a":[[0.2,0.1],[-0.1,0.05],[0.05,-0.02],[0.01,0]]}'],
+    "simulate_cd.csv": [
+        "--system", "cd", "--q", "0.5,0.2", "--init",
+        '{"c":[0.1,-0.2,0.3,0],"d":[0,0.25,0.3,0.2]}'],
+}
+
+
+@pytest.mark.parametrize("name", FLOW_GOLDENS, ids=lambda n: n[9:-4])
+def test_simulate_flow_golden(tmp_path, name):
+    # text-equal: a change to a flow's kernel or to the stepper that moves
+    # any step by one rounding shows here
+    out = tmp_path / name
+    assert main(["simulate", *FLOW_GOLDENS[name], "--t-end", "0.5", "--t-out", "0.25,0.5",
+                 "--out", str(out)]) == 0
+    assert body(out) == body(GOLDEN / name)
+    by_t = {}
+    for row in cells(out):
+        by_t.setdefault(row[0], []).append([float(x) for x in row[2:]])
+    assert list(by_t) == ["0", "0.25", "0.5"]
+    first = by_t["0"]
+    for rows in by_t.values():
+        if name == "simulate_ertl_complex.csv":  # tr H and det H are conserved
+            beta = [complex(r[0], r[1]) for r in rows]
+            alpha = [complex(r[2], r[3]) for r in rows]
+            assert abs(sum(beta) + sum(alpha) - (5.4 + 0.1j)) <= 1e-15
+            assert abs(math.prod(beta) - (1.1924 + 0.2728j)) <= 1e-12
+        elif name == "simulate_langmuir.csv":  # beta frozen, sum alpha_n conserved
+            assert [r[:2] for r in rows] == [r[:2] for r in first]
+            assert abs(sum(r[2] for r in rows) - 1.8) <= 1e-15
+        elif name == "simulate_schur.csv":
+            assert max(math.hypot(*r) for r in rows) < 1.0
+        else:
+            assert all(0.0 < r[1] < 1.0 for r in rows[1:]) and rows[0][1] == 0.0
 
 
 def test_simulate_cd_and_schur(tmp_path):
@@ -248,6 +294,39 @@ def test_exit_code_circle_q_with_measure(capsys):
     assert main(["circle", "verblunsky", "--measure", spec, "--N", "4"]) == 0
 
 
+def unread_flag(capsys, argv, flag):
+    """main(argv) exits 1 with a ValueError report that names ``flag``."""
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{flag} is not read")
+
+
+@pytest.mark.parametrize("mode", ["verblunsky", "cd", "schur-check"])
+def test_exit_code_w_outside_kernel(capsys, mode):
+    unread_flag(capsys, ["circle", mode, "--N", "3", "--w", "0,1"], "--w")
+
+
+@pytest.mark.parametrize("mode", ["verblunsky", "kernel", "cd"])
+@pytest.mark.parametrize("flag,value", [("--h", "5"), ("--tol", "1e9")])
+def test_exit_code_fd_flags_outside_schur_check(capsys, mode, flag, value):
+    unread_flag(capsys, ["circle", mode, "--N", "3", flag, value], flag)
+
+
+@pytest.mark.parametrize("system", ["rtl1", "rtl2"])
+@pytest.mark.parametrize("flag", ["--p", "--q"])
+def test_exit_code_p_q_with_forced_system(capsys, system, flag):
+    # rtl1 and rtl2 force (p, q); a given value would be silently replaced
+    unread_flag(capsys, ["simulate", "--system", system, flag, "5", "--N", "2",
+                         "--t-end", "0.1"], flag)
+
+
+@pytest.mark.parametrize("system", ["schur", "cd"])
+def test_exit_code_p_with_circle_flow(capsys, system):
+    init = '{"a":[[0.2,0],[0.1,0]]}' if system == "schur" else '{"c":[0,0],"d":[0,0.25]}'
+    unread_flag(capsys, ["simulate", "--system", system, "--p", "1,0", "--q", "0.5,0",
+                         "--t-end", "0.1", "--init", init], "--p")
+
+
 def test_exit_code_bad_initial_chain(capsys):
     # d_2 outside (0, 1) at the start is bad input (1), not a breakdown of the flow (2)
     assert main(["simulate", "--system", "cd", "--q", "0,0", "--t-end", "0.1",
@@ -293,7 +372,7 @@ def test_exit_code_output_time_before_start(capsys):
 
 def test_exit_code_numerical_breakdown(capsys):
     # blow-up of the flow: detected singular denominator maps to exit 2
-    code = main(["simulate", "--system", "rtl1", "--q", "1,0", "--t-end", "2",
+    code = main(["simulate", "--system", "rtl1", "--t-end", "2",
                  "--init", '{"beta":[[0.5,0],[1,0]],"alpha":[[-1,0]]}'])
     assert code == 2
     err = json.loads(capsys.readouterr().err)

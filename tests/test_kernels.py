@@ -18,14 +18,16 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ertl import (NonConvergence, PositivityLost, RecurrenceCoeffs, SingularDenominator,
-                  StepControl, VerblunskySeq, build_pair, integrate, integrate_schur,
-                  isospectral_drift, lax_residual, rhs_cd, rhs_ertl, rhs_langmuir, rhs_schur,
-                  spectrum, state_from_coeffs)
+import ertl.circle as circle
+import ertl.lattice as lattice
+from ertl import (LatticeState, NonConvergence, PositivityLost, RecurrenceCoeffs,
+                  SingularDenominator, StepControl, VerblunskySeq, build_pair, integrate,
+                  integrate_cd, integrate_schur, isospectral_drift, lax_residual, rhs_cd,
+                  rhs_ertl, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
 from ertl.circle import _cd_kernel, _cd_padded, _flow_modulus, _schur_kernel
 from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _check_betas,
-                          _dop853, _ertl_kernel, _padded, integrate_core)
+                          _dop853, _ertl_kernel, _padded, _volterra_kernel, integrate_core)
 from tests.conftest import eval_Q
 from tests.test_lattice import random_state
 
@@ -204,11 +206,13 @@ def test_ertl_kernel_matches_loop(data):
     assert_matches(da, wa, scale)
     assert np.isnan(db[-1]) == np.isnan(da[-1]) == (alpha[-1] != 0)
     if isinstance(p, float):
-        # the real route integrate takes: float64 arrays in, float64 out
-        rb, ra = _ertl_kernel(p, q, *_padded(beta, alpha, float))
-        assert rb.dtype == ra.dtype == np.float64
-        assert_matches(rb, wb, scale)
-        assert_matches(ra, wa[:-1], scale)
+        # the real route integrate takes: float64 arrays in, float64 out (a
+        # complex value would not cast into the float64 output)
+        N = len(beta)
+        out = np.empty(2 * N)
+        _ertl_kernel(p, q, *_padded(beta, alpha, float), out[:N], out[N:])()
+        assert_matches(out[:N], wb, scale)
+        assert_matches(out[N:], wa[:-1], scale)
 
 
 @given(lattice_data())
@@ -251,8 +255,11 @@ def test_cd_kernel_matches_loop(M, q, data):
     scale = 4.0 * abs(q) * 4.0 * max([1.0] + [abs(x) for x in c]) ** 2
     assert_matches(dc, wc, scale)
     assert_matches(dd, wd[1:], scale)
-    # integrate_cd steps float64 arrays: the kernel stays real for any q
-    assert all(x.dtype == np.float64 for x in _cd_kernel(*_cd_padded(c, d), q))
+    # integrate_cd steps float64 arrays: the kernel stays real for any q (a
+    # complex value would not cast into the float64 output)
+    out = np.empty(2 * M - 1)
+    _cd_kernel(*_cd_padded(c, d), q, out)()
+    assert out.tolist() == dc + dd
 
 
 @given(sizes, nonzero, st.one_of(st.none(), st.complex_numbers(max_magnitude=0.99)),
@@ -263,7 +270,8 @@ def test_schur_kernel_matches_loop(N, q, a_top, data):
         got = rhs_schur(SimpleNamespace(a=tuple(a)), q)
     else:  # integrate_schur's window adds the n = N-1 row against a frozen top
         A = np.array([-1.0, *a, a_top], dtype=complex)
-        got = _schur_kernel(A, complex(q), np.abs(A[1:-1]))
+        got = np.empty(N, dtype=complex)
+        _schur_kernel(A, complex(q), got)()
     assert_matches(got, schur_loop(a, q, a_top), 2.0 * abs(q))
 
 
@@ -288,6 +296,113 @@ def test_flow_modulus_skips_nan():
         _flow_modulus(y, 0.25)
     assert (exc.value.n, exc.value.modulus, exc.value.t) == (3, 1.25, 0.25)
     _flow_modulus(np.array([np.nan, 0.5]), 0.0)  # NaN alone is not |a_n| >= 1
+
+
+# -- bound kernels: the public right-hand sides and the stepping f agree bit for bit
+
+class Captured(Exception):
+    """Carries the (f, y0) an integration hands to ``integrate_core``."""
+
+
+def stepping_f(module, run):
+    """(f, y0) that ``run()`` passes to ``module.integrate_core``, which is not run."""
+    def capture(f, t0, y0, *args):
+        raise Captured(f, y0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_core", capture)
+        with pytest.raises(Captured) as exc:
+            run()
+    return exc.value.args
+
+
+def same_bits(got, want):
+    """got and want hold the same bits; a float64 got is compared with want's real part."""
+    want = np.asarray(want, dtype=complex)
+    if got.dtype == np.float64:
+        assert not want.imag.any()
+        want = want.real
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(st.one_of(lattice_data(), lattice_data(real=True)))
+def test_bound_ertl_is_public_rhs_bitwise(data):
+    p, q, beta, alpha = data
+    N = len(beta)
+    db, da = rhs_ertl(raw_state(p, q, beta, alpha))
+    # integrate's layout (dalpha rows 2..N) on the public rhs's complex arrays,
+    # finite or buffered (NaN dbeta_N)
+    out = np.empty(2 * N - 1, dtype=complex)
+    _ertl_kernel(complex(p), complex(q), *_padded(beta, alpha), out[:N], out[N:])()
+    same_bits(out, db + da[1:-1])
+    if alpha[-1] != 0:
+        return
+    f, y0 = stepping_f(lattice, lambda: integrate(LatticeState(p, q, 0.0, beta, alpha), 1.0))
+    if y0.dtype == complex:
+        same_bits(f(0.0, y0), db + da[1:-1])
+    else:  # stepped in float64: the public layout on float64 arrays, rows 2..N
+        b, a = (x.real.copy() for x in _padded(beta, alpha))
+        want = np.empty(2 * N)
+        _ertl_kernel(complex(p).real, complex(q).real, b, a, want[:N], want[N:])()
+        same_bits(f(0.0, y0), np.delete(want, N))
+
+
+@given(sizes, st.floats(0.1, 4.0), st.booleans(), st.data())
+def test_bound_volterra_is_public_rhs_bitwise(N, q, real, data):
+    dtype, cf, top = ((float, real_coeffs, st.one_of(st.just(0.0), real_nonzero)) if real
+                      else (complex, coeffs, tops))
+    alpha = [dtype(0)] + values(data.draw, N - 1, cf, dtype) + [data.draw(top)]
+    beta = [math.sqrt(q)] * N
+    da = rhs_langmuir(raw_state(1.0, q, beta, alpha))
+    out = np.empty(N - 1, dtype=complex)
+    _volterra_kernel(_padded(beta, alpha)[1], out)()
+    same_bits(out, da[1:-1])
+    if alpha[-1] != 0:
+        return
+    state = LatticeState(1.0, q, 0.0, beta, alpha)
+    f, y0 = stepping_f(lattice, lambda: integrate(state, 1.0, rhs_id="langmuir"))
+    # a float64 f matches too: the complex products of real values are exact
+    same_bits(f(0.0, y0), [0.0] * N + da[1:-1])
+
+
+@given(sizes, nonzero, st.data())
+def test_bound_schur_is_public_rhs_bitwise(N, q, data):
+    a = values(data.draw, N, st.one_of(st.complex_numbers(max_magnitude=0.99),
+                                       st.floats(-0.99, 0.99).map(complex)))
+    # the window's frozen zero top is the public rhs's last coefficient
+    want = rhs_schur(SimpleNamespace(a=(*a, 0j)), q)
+    f, y0 = stepping_f(circle, lambda: integrate_schur(VerblunskySeq(0.0, tuple(a)), q, 1.0))
+    same_bits(f(0.0, y0), want)
+
+
+@given(sizes, st.one_of(nonzero, real_nonzero), st.data())
+def test_bound_cd_is_public_rhs_bitwise(M, q, data):
+    c = values(data.draw, M, st.floats(-3.0, 3.0), float)
+    d = [0.0] + values(data.draw, M - 1, st.floats(0.0, 1.0, exclude_min=True,
+                                                   exclude_max=True), float)
+    dc, dd = rhs_cd(SimpleNamespace(c=tuple(c), d=tuple(d[1:])), q)
+    f, y0 = stepping_f(circle, lambda: integrate_cd(c, d, q, 0.0, 1.0))
+    same_bits(f(0.0, y0), dc + dd)
+
+
+@pytest.mark.parametrize("flow", ["ertl", "langmuir", "schur", "cd"])
+def test_stepping_f_reuses_one_array(flow):
+    # integrate_core copies f's value at once, so every flow writes its
+    # derivative into one array per integration instead of allocating
+    if flow in ("ertl", "langmuir"):
+        state = state_from_coeffs(1.0, 2.0, 0.0, [2.0 ** 0.5] * 4, [0.5, 0.3, 0.8])
+        f, y0 = stepping_f(lattice, lambda: integrate(state, 1.0, rhs_id=flow))
+    elif flow == "schur":
+        v = VerblunskySeq(0.0, (0.2 + 0.1j, -0.1, 0.05j))
+        f, y0 = stepping_f(circle, lambda: integrate_schur(v, 0.5 + 0.3j, 1.0))
+    else:
+        f, y0 = stepping_f(circle, lambda: integrate_cd([0.1, -0.2, 0.3], [0.0, 0.25, 0.3],
+                                                        0.5 + 0.2j, 0.0, 1.0))
+    first = f(0.0, y0)
+    want = first.copy()
+    moved = f(0.0, 1.01 * y0)
+    assert moved is first and not np.array_equal(moved, want)
+    assert f(0.0, y0) is first and np.array_equal(first, want)
 
 
 # -- integrator: Dormand-Prince 8(5,3) with FSAL ----------------------------------

@@ -160,7 +160,8 @@ def impure_kernels(source):
 
     A flow kernel is a pure array function: it is also evaluated off the
     trajectory (stage arguments, the start probe), where only the error test
-    may judge it.
+    may judge it.  The walk covers the closures a kernel defines and returns
+    (its bound evaluation), at any depth.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -179,8 +180,14 @@ def test_impure_kernels_finds_raise_and_check():
     source = ("def _a_kernel(b):\n    _check_betas(b[1:])\n    return b\n\n\n"
               "def _b_kernel(y):\n    if y:\n        raise ValueError(y)\n    return y\n\n\n"
               "def _c_kernel(y):\n    return abs(y)\n\n\n"
-              "def validate(t, y):\n    _flow_modulus(y, t)\n")
-    assert impure_kernels(source) == ["_a_kernel (line 2)", "_b_kernel (line 8)"]
+              "def validate(t, y):\n    _flow_modulus(y, t)\n\n\n"
+              "def _d_kernel(y, out):\n    def evaluate():\n        def inner():\n"
+              "            _flow_modulus(y, 0.0)\n        out[:] = y\n"
+              "    return evaluate\n\n\n"
+              "def _e_kernel(y):\n    def evaluate():\n        if y:\n"
+              "            raise ValueError(y)\n    return evaluate\n")
+    assert impure_kernels(source) == ["_a_kernel (line 2)", "_b_kernel (line 8)",
+                                      "_d_kernel (line 23)", "_e_kernel (line 31)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
