@@ -49,19 +49,25 @@ import numpy as np
 
 from .errors import DegenerateKernel, NotPositiveDefinite, PositivityLost, ReciprocalZero
 from .lattice import StepControl, integrate_core
-from .measures import MomentTable
+from .measures import MomentTable, require_finite
 
 
 @dataclass(frozen=True)
 class VerblunskySeq:
-    """Reflection coefficients a_0..a_{N-1} of a positive measure at time t."""
+    """Reflection coefficients a_0..a_{N-1} of a positive measure at time t.
+
+    t and every a_n must be finite, and |a_n| < 1 (ValueError otherwise).
+    """
 
     t: float
     a: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(complex(x) for x in self.a))
-        _check_modulus(np.array(self.a, dtype=complex))
+        y = np.array((self.t, *self.a), dtype=complex)
+        if not np.isfinite(y).all():
+            raise ValueError("t and the reflection coefficients must be finite")
+        object.__setattr__(self, "a", tuple(y[1:].tolist()))
+        _check_modulus(y[1:])
 
     @property
     def N(self) -> int:
@@ -74,7 +80,8 @@ class CircleState:
 
     ``g`` and ``c`` hold indices 1..N; ``d`` (derived) holds
     d_{n+1} = (1 - g_n) g_{n+1} for n = 1..N-1.  The conventions c_0 = 1,
-    d_1 = 0 are implied.
+    d_1 = 0 are implied.  Every g_n lies in (0, 1) and every c_n is finite
+    (ValueError otherwise).
     """
 
     t: float
@@ -82,6 +89,8 @@ class CircleState:
     c: tuple
 
     def __post_init__(self):
+        if not np.isfinite(np.array(self.c, dtype=float)).all():
+            raise ValueError("the rotations c_n must be finite")
         for n, gv in enumerate(self.g, start=1):
             if not 0.0 < gv < 1.0:
                 raise ValueError(f"g_{n} = {gv} outside (0,1)")
@@ -191,7 +200,7 @@ def kernel_coeffs(v: VerblunskySeq, w: complex):
     beta_n = -rho_n/rho_{n-1} and
     alpha_{n+1} = (1 + rho_n a_{n-1}) (1 - conj(w rho_n a_n)) w.
     """
-    if abs(abs(w) - 1.0) > 1e-12:
+    if not abs(abs(w) - 1.0) <= 1e-12:
         raise ValueError("kernel point must satisfy |w| = 1")
     rho = szego_values(v, complex(w))
     beta = [-rho[n] / rho[n - 1] for n in range(1, v.N + 1)]
@@ -378,14 +387,15 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     The window evolves a_0..a_{M-1} with the missing neighbour a_M held at 0;
     only the first ``n_report`` coefficients are trustworthy (truncation
     effects creep in from the top), and ValueError is raised unless
-    1 <= n_report <= M.  |a_n| < 1 is checked on accepted steps only
-    (PositivityLost with n, modulus and t), by the breakdown rule of
-    ``integrate_core``, whose output grid this follows as well.
+    1 <= n_report <= M and q is finite.  |a_n| < 1 is checked on accepted
+    steps only (PositivityLost with n, modulus and t), by the breakdown rule
+    of ``integrate_core``, whose output grid this follows as well.
     Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
     n_report = v.N if n_report is None else n_report
     if not 1 <= n_report <= v.N:
         raise ValueError(f"n_report = {n_report} must lie in 1..{v.N}, the window size")
+    require_finite("q", q)
     q = complex(q)
     A = np.array((-1.0,) + v.a + (0j,))  # f refills a_0..a_{M-1}; a_M = 0 stays
     out = np.empty(v.N, dtype=complex)
@@ -419,15 +429,19 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  The unknowns
     c_1..c_M, d_2..d_M are stepped as float64.  No chain sequence lives
     where some d_n, n >= 2, is outside (0, 1): ValueError is raised when
-    the initial chain has one there, and PositivityLost when an accepted
-    step takes one there.  The output grid follows ``integrate_core``.
+    the initial chain has one there (or a c_n or q is not finite), and
+    PositivityLost when an accepted step takes one there.  The output grid
+    follows ``integrate_core``.
     Returns (times, c_snapshots, d_snapshots, stats), all starting at t0.
     """
+    require_finite("q", q)
     q = complex(q)
     M = len(c)
     if len(d) != M or (M and d[0] != 0.0):
         raise ValueError("d must list d_1..d_M with d_1 = 0")
     y0 = np.array(list(c) + list(d[1:]), dtype=float)
+    if not np.isfinite(y0[:M]).all():
+        raise ValueError("the initial c_n must be finite")
     n = _first_outside_unit(y0[M:])
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")

@@ -15,8 +15,24 @@ Complex numbers are `re,im` pairs on the command line and `[re, im]` arrays
 in JSON files.  Every CSV starts with one header comment line
 (`# ertl=<version> config=<sha256 prefix>`); bodies are deterministic for
 a fixed config, with floats printed to 17 significant digits (round-trip
-exact).  Exit codes: 0 ok, 1 invalid configuration, 2 numerical breakdown
-(a JSON error report goes to stderr).
+exact).
+
+Initial data (`simulate --init`, `verify-lax --init`) is a JSON object,
+inline or in a file, whose keys are exactly those of its system:
+
+  ertl, rtl1, rtl2, langmuir   {"beta": [[re, im], ...], "alpha": [[re, im], ...]}
+  (and verify-lax)             beta_1..beta_N and the free alpha_2..alpha_N
+  schur                        {"a": [[re, im], ...]}, a_0..a_{N-1}, |a_n| < 1
+  cd                           {"c": [c_1, ...], "d": [0, d_2, ...]}, real,
+                               d_1 = 0 and d_n in (0, 1)
+
+Every entry must be a finite number.  `--init` sets N, so it and `--N` are
+alternatives for the lattice systems and verify-lax; schur and cd take
+`--init` only.
+
+Exit codes: 0 ok, 1 invalid configuration (usage errors included), 2
+numerical breakdown.  Every nonzero exit writes one JSON error report,
+{"error": <type>, "message": ...}, to stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +48,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ErtlError
-from .measures import MomentSpec, circle_lebesgue_spec, compute_moments
+from .measures import (MomentSpec, circle_lebesgue_spec, complex_from_json, compute_moments,
+                       json_list, require_number)
 from .lorth import bootstrap_recurrence
 from .lattice import SYSTEMS, LatticeState, StepControl, integrate, state_from_coeffs
 from .lax import lax_residual, spectra as lax_spectra
@@ -149,23 +166,42 @@ def _cmd_from_measure(args):
     return 0
 
 
-def _lattice_init(args, N):
-    if args.init:
-        data = _load_json_arg(args.init)
-        beta = [complex(*x) for x in data["beta"]]
-        alpha = [complex(*x) for x in data["alpha"]]
-        if len(alpha) == len(beta) - 1:          # free alpha_2..alpha_N
-            alpha = [0j] + alpha + [0j]
-        elif len(alpha) == len(beta) + 1:        # full alpha_1..alpha_{N+1}
-            pass
-        else:
-            raise ValueError("alpha must list alpha_2..alpha_N or alpha_1..alpha_{N+1}")
-        return LatticeState(p=args.p, q=args.q, t=args.t0, beta=beta, alpha=alpha)
-    if N is None:
-        raise ValueError("either --init or --N is required")
-    beta = [1.0 + 0j] * N
-    alpha = [0.25 + 0j] * (N - 1)
-    return state_from_coeffs(args.p, args.q, args.t0, beta, alpha)
+#: system -> the keys of its --init object
+_INIT_KEYS = {**dict.fromkeys(SYSTEMS, ("beta", "alpha")), "cd": ("c", "d"), "schur": ("a",)}
+
+
+def _initial_data(args, system: str, t: float):
+    """The --init data of ``system`` at time t, read and checked in one place.
+
+    Returns a LatticeState (with ``args.p``, ``args.q``) for the lattice
+    systems, a VerblunskySeq for schur and the lists (c, d) for cd.
+    ValueError unless ``--init`` is a JSON object with exactly the system's
+    keys, each an array of [re, im] pairs (of real numbers for cd).
+    """
+    keys = _INIT_KEYS[system]
+    if args.init is None:
+        raise ValueError(f"--system {system} requires --init, a JSON object with keys {keys}")
+    data = _load_json_arg(args.init)
+    if not isinstance(data, dict) or set(data) != set(keys):
+        got = sorted(data) if isinstance(data, dict) else type(data).__name__
+        raise ValueError(f"--init must be a JSON object with exactly the keys {keys}; got {got}")
+    if system == "cd":
+        for key in keys:
+            for i, x in enumerate(json_list(key, data[key])):
+                require_number(f"{key}[{i}]", x, real=True)
+        return data["c"], data["d"]
+    entry = {key: [complex_from_json(f"{key}[{i}]", x)
+                   for i, x in enumerate(json_list(key, data[key]))] for key in keys}
+    if system == "schur":
+        return VerblunskySeq(t, entry["a"])
+    return state_from_coeffs(args.p, args.q, t, entry["beta"], entry["alpha"])
+
+
+def _uses_init(args) -> bool:
+    """True for a lattice state from --init, False for one of --N sites; ValueError unless one."""
+    if (args.init is None) == (args.N is None):
+        raise ValueError("--N and --init (which sets N) are alternatives: give exactly one")
+    return args.init is not None
 
 
 def _cmd_simulate(args):
@@ -173,7 +209,11 @@ def _cmd_simulate(args):
     t_out = [float(x) for x in args.t_out.split(",")] if args.t_out else None
 
     if args.system in SYSTEMS:
-        state = _lattice_init(args, args.N)
+        if _uses_init(args):
+            state = _initial_data(args, args.system, args.t0)
+        else:
+            state = state_from_coeffs(args.p, args.q, args.t0, [1.0] * args.N,
+                                      [0.25] * (args.N - 1))
         traj = integrate(state, args.t_end, rhs_id=args.system, ctrl=ctrl, t_out=t_out)
         rows = []
         for t, s in zip(traj.times, traj.states):
@@ -184,10 +224,7 @@ def _cmd_simulate(args):
         return 0
 
     if args.system == "cd":
-        data = _load_json_arg(args.init) if args.init else None
-        if data is None:
-            raise ValueError("--system cd requires --init with {'c': [...], 'd': [...]}")
-        c, d = [float(x) for x in data["c"]], [float(x) for x in data["d"]]
+        c, d = _initial_data(args, "cd", args.t0)
         times, cs, ds, _ = integrate_cd(c, d, args.q, args.t0, args.t_end,
                                         ctrl=ctrl, t_out=t_out)
         rows = []
@@ -198,11 +235,7 @@ def _cmd_simulate(args):
         return 0
 
     # "schur", the last of the --system choices
-    data = _load_json_arg(args.init) if args.init else None
-    if data is None:
-        raise ValueError("--system schur requires --init with {'a': [[re,im],...]}")
-    a = [complex(*x) for x in data["a"]]
-    times, seqs, _ = integrate_schur(VerblunskySeq(args.t0, tuple(a)), args.q,
+    times, seqs, _ = integrate_schur(_initial_data(args, "schur", args.t0), args.q,
                                      args.t_end, ctrl=ctrl, t_out=t_out)
     rows = []
     for t, v in zip(times, seqs):
@@ -219,16 +252,17 @@ def _random_state(rng, N, p, q, t):
 
 
 def _cmd_verify_lax(args):
-    if args.init:
-        state = _lattice_init(args, args.N)
-        cases = [lax_residual(state)]
+    if not (args.tol > 0 and args.count >= 1):
+        raise ValueError(f"--tol must be > 0 and --count >= 1, got {args.tol} and {args.count}")
+    if _uses_init(args):
+        states = [_initial_data(args, "ertl", args.t)]
     else:
         rng = np.random.default_rng(args.seed)
         states = [_random_state(rng, args.N, args.p, args.q, args.t)
                   for _ in range(args.count)]
-        cases = [lax_residual(s) for s in states]
+    cases = [lax_residual(s) for s in states]
     report = {
-        "N": args.N,
+        "N": states[0].N,
         "count": len(cases),
         "seed": args.seed,
         "residual": max(cases),
@@ -302,6 +336,8 @@ def _cmd_circle(args):
 
     # "schur-check", the last of the circle modes
     h = args.h
+    if not (h > 0 and args.tol > 0):
+        raise ValueError(f"--h and --tol must be > 0, got {h} and {args.tol}")
     vp = verblunsky_from_moments(compute_moments(spec, args.t + h, K), args.N)
     vm = verblunsky_from_moments(compute_moments(spec, args.t - h, K), args.N)
     fd = [(ap - am) / (2.0 * h) for ap, am in zip(vp.a, vm.a)]
@@ -332,9 +368,16 @@ def _cmd_oracle(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, reported by ``main`` (exit 1)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.lru_cache(maxsize=None)  # built on first use, shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ertl", description=__doc__.split("\n")[0])
+    ap = _Parser(prog="ertl", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("moments", help="moment table of a modified functional")
@@ -358,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="integrate a lattice or circle flow")
     sim.add_argument("--system", required=True,
                      choices=[*SYSTEMS, "cd", "schur"])
-    sim.add_argument("--N", type=int, default=None)
+    sim.add_argument("--N", type=int, default=None,
+                     help="sites of the default lattice state; not with --init")
     sim.add_argument("--p", type=_parse_complex, default=None,
                      help="ertl and langmuir only (default 0)")
     sim.add_argument("--q", type=_parse_complex, default=None,
@@ -375,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     vl = sub.add_parser("verify-lax", help="commutator identity residual report")
-    vl.add_argument("--N", type=int, required=True)
+    vl.add_argument("--N", type=int, default=None, help="size of random states; not with --init")
     vl.add_argument("--p", type=_parse_complex, default=1 + 0j)
     vl.add_argument("--q", type=_parse_complex, default=1 + 0j)
     vl.add_argument("--t", type=float, default=0.0)
@@ -440,6 +484,7 @@ _MODE_FLAGS = {
     ("circle", "tol"): (1e-5, ("schur-check",)),
     ("simulate", "p"): (0j, ("ertl", "langmuir")),
     ("simulate", "q"): (0j, ("ertl", "langmuir", "cd", "schur")),
+    ("simulate", "N"): (None, tuple(SYSTEMS)),
 }
 
 
@@ -457,8 +502,8 @@ def _check_mode_flags(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_mode_flags(args)
         return args.func(args)
     except (ErtlError, ValueError, KeyError, OSError) as exc:

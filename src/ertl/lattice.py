@@ -79,7 +79,8 @@ class LatticeState:
     truncation; every right-hand side is defined at every site).  A
     ``"buffered"`` state is a reported prefix of a longer integration and may
     carry the true nonzero alpha_{N+1}; top-site derivatives that would need
-    beta_{N+1} are then NaN.
+    beta_{N+1} are then NaN.  The entries are stored as complex numbers,
+    and p, q, t and every entry must be finite (ValueError otherwise).
     """
 
     p: complex
@@ -90,19 +91,25 @@ class LatticeState:
     closure: str = "finite"
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(self.beta))
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "p", complex(self.p))
-        object.__setattr__(self, "q", complex(self.q))
+        beta, alpha = tuple(self.beta), tuple(self.alpha)
         if self.closure not in ("finite", "buffered"):
             raise ValueError(f"unknown closure {self.closure!r}")
-        if len(self.alpha) != len(self.beta) + 1:
+        if len(alpha) != len(beta) + 1:
             raise ValueError("need alpha_1..alpha_{N+1} alongside beta_1..beta_N")
+        y = np.array((self.p, self.q, self.t, *beta, *alpha), dtype=complex)
+        if not np.isfinite(y).all():
+            raise ValueError("p, q, t, beta and alpha must be finite")
+        N = len(beta)
+        p, q, _, *entries = y.tolist()
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "beta", tuple(entries[:N]))
+        object.__setattr__(self, "alpha", tuple(entries[N:]))
         if self.alpha[0] != 0:
             raise ValueError("alpha_1 must be 0")
         if self.closure == "finite" and self.alpha[-1] != 0:
             raise ValueError("finite closure requires alpha_{N+1} = 0")
-        _check_betas(self.beta, self.t)
+        _check_betas(y[3:3 + N], self.t)
 
     @property
     def N(self) -> int:
@@ -118,8 +125,11 @@ class LatticeState:
 
 def state_from_coeffs(p, q, t, beta, alpha_free):
     """Assemble a finite-closure state from beta_1..beta_N and the free alpha_2..alpha_N."""
-    alpha = (0,) + tuple(alpha_free) + (0,)
-    return LatticeState(p=p, q=q, t=t, beta=tuple(beta), alpha=alpha)
+    beta, alpha_free = tuple(beta), tuple(alpha_free)
+    if len(alpha_free) != len(beta) - 1:
+        raise ValueError(f"alpha_2..alpha_N needs N - 1 = {len(beta) - 1} entries, "
+                         f"got {len(alpha_free)}")
+    return LatticeState(p=p, q=q, t=t, beta=beta, alpha=(0,) + alpha_free + (0,))
 
 
 @dataclass(frozen=True)
@@ -423,7 +433,8 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
 
     The one owner of output-grid semantics for every flow: ``t_out`` defaults
     to [t_end], is sorted, must lie in (t0, t_end] without repeats (ValueError
-    otherwise, as for t_end <= t0) and gains t_end when missing.  Steps land
+    otherwise, as for t_end <= t0 or a time that is not finite) and gains
+    t_end when missing.  Steps land
     exactly on every output time (no interpolation).  The one breakdown rule:
     ``f`` is a pure array function, and ``validate(t, y)`` alone decides a
     breakdown (singularity / positivity loss).  It runs on every step that
@@ -458,13 +469,13 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
     the scaled norms of ``StepControl`` (at most 1).
     """
     t0, t_end = float(t0), float(t_end)
-    if t_end <= t0:
-        raise ValueError("t_end must exceed the start time")
+    if not -math.inf < t0 < t_end < math.inf:  # also catches NaN
+        raise ValueError("t_end must exceed the start time, both finite")
     slack = 1e-15 * max(1.0, abs(t_end))
     times = sorted(float(x) for x in ([t_end] if t_out is None else t_out))
-    if not times or times[0] <= t0 or times[-1] > t_end + slack:
+    if not (times and all(t0 < x <= t_end + slack for x in times)):
         raise ValueError("output times must lie in (t0, t_end]")
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if not all(a < b for a, b in zip(times, times[1:])):
         raise ValueError("output times must not repeat")
     if t_end - times[-1] > slack:
         times.append(t_end)

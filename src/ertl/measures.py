@@ -101,8 +101,8 @@ class MomentSpec:
         if self.kind not in ("real_line_weighted", "unit_circle_weighted",
                              "discrete", "explicit_table"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        _require_finite("p", self.p)
-        _require_finite("q", self.q)
+        require_finite("p", self.p)
+        require_finite("q", self.q)
         object.__setattr__(self, "p", complex(self.p))
         object.__setattr__(self, "q", complex(self.q))
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -116,8 +116,8 @@ class MomentSpec:
             if len(self.nodes) != len(self.weights):
                 raise ValueError("nodes and weights must have equal length")
             for x, w in zip(self.nodes, self.weights):
-                _require_finite("discrete node", x, real=True)
-                _require_finite("discrete weight", w, real=True)
+                require_finite("discrete node", x, real=True)
+                require_finite("discrete weight", w, real=True)
             if any(not x > 0 for x in self.nodes):
                 raise ValueError("discrete nodes must be finite and > 0")
             if len({float(x) for x in self.nodes}) != len(self.nodes):
@@ -131,7 +131,7 @@ class MomentSpec:
             for key in ("delta", "q"):
                 if key not in self.params:
                     raise ValueError(f"weight parameter {key} is missing")
-                _require_finite(f"weight parameter {key}", self.params[key], real=True)
+                require_finite(f"weight parameter {key}", self.params[key], real=True)
                 if not self.params[key] > 0:
                     raise ValueError(f"weight parameter {key} must be > 0")
             # the base weight damps both ends, so Re(p), Re(q) >= 0 converge for t >= 0
@@ -148,7 +148,7 @@ class MomentSpec:
             if self.weight_id == "circle_kernel":
                 if "w" not in self.params:
                     raise ValueError("circle_kernel spec needs params['w'] with |w| = 1")
-                _require_finite("kernel point w", self.params["w"])
+                require_finite("kernel point w", self.params["w"])
                 if abs(abs(complex(self.params["w"])) - 1.0) > 1e-12:
                     raise ValueError("kernel point w must have |w| = 1")
             atoms = self.params.get("atoms", ())
@@ -159,8 +159,8 @@ class MomentSpec:
                     theta, mass = atom
                 except (TypeError, ValueError):
                     raise ValueError(f"an atom must be a pair (angle, mass), got {atom!r}") from None
-                _require_finite("atom angle", theta, real=True)
-                _require_finite("atom mass", mass, real=True)
+                require_finite("atom angle", theta, real=True)
+                require_finite("atom mass", mass, real=True)
                 if not mass > 0:
                     raise ValueError("atom masses must be finite and > 0")
 
@@ -168,9 +168,9 @@ class MomentSpec:
             if not isinstance(self.params.get("nu"), dict):
                 raise ValueError("explicit_table spec needs params['nu'], a dict k -> nu_k")
             for k, v in self.params["nu"].items():
-                _require_number(f"moment nu_{k}", v)  # MomentTable rejects non-finite entries
+                require_number(f"moment nu_{k}", v)  # MomentTable rejects non-finite entries
             if "t0" in self.params:
-                _require_finite("t0", self.params["t0"], real=True)
+                require_finite("t0", self.params["t0"], real=True)
 
         family = self.weight_id if self.kind == "unit_circle_weighted" else self.kind
         unknown = sorted(set(self.params) - _PARAM_KEYS[family])
@@ -205,10 +205,10 @@ class MomentSpec:
             kind=d["kind"],
             weight_id=d.get("weight_id", ""),
             params=_params_from_json(d.get("params", {})),
-            p=_complex_from_json("p", d.get("p", (0.0, 0.0))),
-            q=_complex_from_json("q", d.get("q", (0.0, 0.0))),
-            nodes=tuple(_json_list("nodes", d.get("nodes", ()))),
-            weights=tuple(_json_list("weights", d.get("weights", ()))),
+            p=complex_from_json("p", d.get("p", (0.0, 0.0))),
+            q=complex_from_json("q", d.get("q", (0.0, 0.0))),
+            nodes=tuple(json_list("nodes", d.get("nodes", ()))),
+            weights=tuple(json_list("weights", d.get("weights", ()))),
         )
 
     @staticmethod
@@ -216,32 +216,34 @@ class MomentSpec:
         return MomentSpec.from_json_dict(json.loads(text))
 
 
-def _require_number(name: str, value, real: bool = False):
+# -- checked readers of numbers and JSON values, shared with circle and the CLI ---
+
+def require_number(name: str, value, real: bool = False):
     """ValueError naming ``name`` unless ``value`` is a number (a real one if ``real``)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Number):
         raise ValueError(f"{name} must be a {'real ' if real else ''}number, got {value!r}")
 
 
-def _require_finite(name: str, value, real: bool = False):
+def require_finite(name: str, value, real: bool = False):
     """ValueError naming ``name`` unless ``value`` is a finite number (a real one if ``real``)."""
-    _require_number(name, value, real)
+    require_number(name, value, real)
     if not cmath.isfinite(complex(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _json_list(name: str, value):
+def json_list(name: str, value):
     """``value`` if it is a JSON array (a list or tuple), else ValueError naming ``name``."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be an array, got {value!r}")
     return value
 
 
-def _complex_from_json(name: str, value) -> complex:
+def complex_from_json(name: str, value) -> complex:
     """complex(re, im) from a JSON pair [re, im] of real numbers, else ValueError."""
-    if len(_json_list(name, value)) != 2:
+    if len(json_list(name, value)) != 2:
         raise ValueError(f"{name} must be a pair [re, im], got {value!r}")
     for part in value:
-        _require_number(name, part, real=True)
+        require_number(name, part, real=True)
     return complex(*value)
 
 
@@ -278,11 +280,11 @@ def _params_from_json(params: dict) -> dict:
     out = {}
     for key, val in params.items():
         if key == "w":
-            out[key] = _complex_from_json("kernel point w", val)
+            out[key] = complex_from_json("kernel point w", val)
         elif key == "atoms":
-            out[key] = tuple(tuple(_json_list("atom", a)) for a in _json_list("atoms", val))
+            out[key] = tuple(tuple(json_list("atom", a)) for a in json_list("atoms", val))
         elif key == "nu" and isinstance(val, dict):
-            out[key] = {int(k): _complex_from_json(f"moment nu_{k}", v) for k, v in val.items()}
+            out[key] = {int(k): complex_from_json(f"moment nu_{k}", v) for k, v in val.items()}
         else:
             out[key] = val
     return out

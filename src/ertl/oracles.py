@@ -37,10 +37,10 @@ class ClosedFormExample:
     def __post_init__(self):
         if self.id not in ("example1", "example2"):
             raise ValueError(f"unknown closed-form family {self.id!r}")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
-        if not self.q > 0:
-            raise ValueError("q must be > 0")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be finite and > 0")
+        if not 0 < self.q < math.inf:
+            raise ValueError("q must be finite and > 0")
 
 
 def _check_family(ex: ClosedFormExample, family: str):
@@ -52,7 +52,7 @@ def _check_family(ex: ClosedFormExample, family: str):
 def example1_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:
     """beta_n = sqrt(q), alpha_{n+1} = n/(2(t+delta)) for the first family."""
     _check_family(ex, "example1")
-    if t + ex.delta <= 0:
+    if not t + ex.delta > 0:  # also catches NaN
         raise ValueError("need t + delta > 0")
     s = t + ex.delta
     beta = [math.sqrt(ex.q)] * N
@@ -73,7 +73,7 @@ def _l_sequence(ex: ClosedFormExample, t: float, N: int):
 def example2_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:
     """Coefficients of the second family via the l_n forward recursion."""
     _check_family(ex, "example2")
-    if t + ex.delta <= 0:
+    if not t + ex.delta > 0:  # also catches NaN
         raise ValueError("need t + delta > 0")
     l = _l_sequence(ex, t, N)
     sq = math.sqrt(ex.q)

@@ -452,3 +452,23 @@ def test_integrate_schur_near_breakdown_keeps_modulus_or_raises(a, q):
 def test_circle_state_invariants():
     with pytest.raises(ValueError):
         CircleState(t=0.0, g=(1.5,), c=(0.0,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            CircleState(t=0.0, g=(0.5,), c=(bad,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_circle_inputs_reject_non_finite(bad):
+    # a NaN or inf is bad input (ValueError), not a breakdown at t = 0 later
+    with pytest.raises(ValueError, match="must be finite"):
+        VerblunskySeq(0.0, (0.2, bad))
+    with pytest.raises(ValueError, match="must be finite"):
+        VerblunskySeq(abs(bad), (0.2, 0.1))
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_schur(VerblunskySeq(0.0, (0.2, 0.1)), bad, 0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_cd([0.0, abs(bad)], [0.0, 0.25], 0.5, 0.0, 0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate_cd([0.0, 0.0], [0.0, 0.25], bad, 0.0, 0.1)
+    with pytest.raises(ValueError, match="kernel point"):
+        kernel_coeffs(VerblunskySeq(0.0, (0.2, 0.1)), bad)

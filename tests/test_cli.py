@@ -418,3 +418,107 @@ def test_library_imports_leave_scipy_out():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+TWO_SITES = '{"beta":[[1,0],[1,0]],"alpha":[[0.5,0]]}'
+ERTL = ["simulate", "--system", "ertl", "--t-end", "1"]
+SCHUR = ["simulate", "--system", "schur", "--q", "0.5,0", "--t-end", "0.1"]
+CD = ["simulate", "--system", "cd", "--q", "0.5,0", "--t-end", "0.1"]
+SCHUR_CHECK = ["circle", "schur-check", "--q", "0.5,0", "--N", "4", "--t", "0.25"]
+ORACLE = ["oracle", "example1", "--delta", "1", "--q", "2", "--N", "3"]
+#: id -> (command line, a substring of the error message); each exits 1
+BAD_COMMAND_LINES = {
+    # --N and --init are alternatives; schur and cd read --init only
+    "verify-lax-N-and-init": (["verify-lax", "--N", "2", "--init", TWO_SITES], "--N and --init"),
+    "verify-lax-neither": (["verify-lax"], "--N and --init"),
+    "ertl-N-and-init": (ERTL + ["--N", "9", "--init", '{"beta":[[1,0]],"alpha":[]}'],
+                        "--N and --init"),
+    "ertl-neither": (ERTL, "--N and --init"),
+    "schur-N": (SCHUR + ["--N", "7", "--init", '{"a":[[0.2,0]]}'], "--N is not read"),
+    "cd-N": (CD + ["--N", "2", "--init", '{"c":[0,0],"d":[0,0.25]}'], "--N is not read"),
+    "schur-no-init": (SCHUR, "requires --init"),
+    # usage errors
+    "unknown-system": (["simulate", "--system", "foo"], "invalid choice: 'foo'"),
+    "missing-t-end": (["simulate", "--system", "ertl", "--N", "2"], "required: --t-end"),
+    "delta-not-a-number": (ORACLE + ["--delta", "x"], "invalid float value: 'x'"),
+    "no-command": ([], "required: command"),
+    # malformed --init
+    "init-array": (ERTL + ["--init", "[1,2]"], "JSON object"),
+    "init-number-for-array": (ERTL + ["--init", '{"beta":5,"alpha":[]}'], "beta must be an array"),
+    "init-triple": (ERTL + ["--init", '{"beta":[[1,0,3]],"alpha":[]}'], "beta[0] must be a pair"),
+    "init-string": (SCHUR + ["--init", '{"a":[["a",0]]}'], "a[0] must be a real number"),
+    "init-single": (SCHUR + ["--init", '{"a":[[0.1]]}'], "a[0] must be a pair"),
+    "init-bool": (SCHUR + ["--init", '{"a":[[true,0]]}'], "a[0] must be a real number"),
+    "init-cd-pair": (CD + ["--init", '{"c":[[0,0]],"d":[0]}'], "c[0] must be a real number"),
+    "init-unknown-key": (CD + ["--init", '{"c":[0],"d":[0],"e":1}'], "exactly the keys"),
+    "init-missing-key": (ERTL + ["--init", '{"beta":[[1,0]]}'], "exactly the keys"),
+    "init-nan-beta": (ERTL + ["--init", '{"beta":[[NaN,0]],"alpha":[]}'], "must be finite"),
+    "init-inf-a": (SCHUR + ["--init", '{"a":[[0.1,Infinity]]}'], "must be finite"),
+    "init-nan-c": (CD + ["--init", '{"c":[NaN,0],"d":[0,0.25]}'], "must be finite"),
+    "init-alpha-count": (ERTL + ["--init", '{"beta":[[1,0]],"alpha":[[1,0]]}'], "N - 1 = 0"),
+    "init-full-alpha": (ERTL + ["--init", '{"beta":[[1,0]],"alpha":[[0,0],[0,0]]}'],
+                        "N - 1 = 0"),
+    "verify-lax-init": (["verify-lax", "--init", '{"beta":[[1,0]],"alpha":[["x",0]]}'],
+                        "alpha[0] must be a real number"),
+    # NaN for each numeric flag
+    "simulate-N": (ERTL + ["--N", "nan"], "invalid int value"),
+    "simulate-p": (ERTL + ["--N", "2", "--p", "nan"], "must be finite"),
+    "simulate-q": (ERTL + ["--N", "2", "--q", "nan"], "must be finite"),
+    "simulate-schur-q": (SCHUR + ["--q", "nan", "--init", '{"a":[[0.2,0]]}'], "must be finite"),
+    "simulate-cd-q": (CD + ["--q", "nan", "--init", '{"c":[0,0],"d":[0,0.25]}'],
+                      "must be finite"),
+    "simulate-t0": (ERTL + ["--N", "2", "--t0", "nan"], "must be finite"),
+    "simulate-schur-t0": (SCHUR + ["--t0", "nan", "--init", '{"a":[[0.2,0]]}'], "must be finite"),
+    "simulate-cd-t0": (CD + ["--t0", "nan", "--init", '{"c":[0,0],"d":[0,0.25]}'],
+                       "t_end must exceed"),
+    "simulate-t-end": (ERTL + ["--N", "2", "--t-end", "nan"], "t_end must exceed"),
+    "simulate-t-out": (ERTL + ["--N", "2", "--t-out", "nan"], "output times"),
+    "simulate-t-out-last": (ERTL + ["--N", "2", "--t-out", "0.5,nan"], "output times"),
+    "simulate-rel-tol": (ERTL + ["--N", "2", "--rel-tol", "nan"], "tolerances"),
+    "simulate-abs-tol": (ERTL + ["--N", "2", "--abs-tol", "nan"], "tolerances"),
+    "verify-lax-N": (["verify-lax", "--N", "nan"], "invalid int value"),
+    "verify-lax-p": (["verify-lax", "--N", "2", "--p", "nan"], "must be finite"),
+    "verify-lax-q": (["verify-lax", "--N", "2", "--q", "nan"], "must be finite"),
+    "verify-lax-t": (["verify-lax", "--N", "2", "--t", "nan"], "must be finite"),
+    "verify-lax-init-t": (["verify-lax", "--init", TWO_SITES, "--t", "nan"], "must be finite"),
+    "verify-lax-seed": (["verify-lax", "--N", "2", "--seed", "nan"], "invalid int value"),
+    "verify-lax-count": (["verify-lax", "--N", "2", "--count", "nan"], "invalid int value"),
+    "verify-lax-count-0": (["verify-lax", "--N", "2", "--count", "0"], "--count >= 1"),
+    "verify-lax-tol": (["verify-lax", "--N", "2", "--tol", "nan"], "--tol must be > 0"),
+    "circle-q": (["circle", "verblunsky", "--N", "3", "--q", "nan"], "must be finite"),
+    "circle-N": (["circle", "verblunsky", "--N", "nan"], "invalid int value"),
+    "circle-t": (["circle", "verblunsky", "--N", "3", "--t", "nan"], "must be finite"),
+    "circle-w": (["circle", "kernel", "--N", "3", "--w", "nan"], "kernel point"),
+    "circle-h": (SCHUR_CHECK + ["--h", "nan"], "--h and --tol must be > 0"),
+    "circle-h-0": (SCHUR_CHECK + ["--h", "0"], "--h and --tol must be > 0"),
+    "circle-tol": (SCHUR_CHECK + ["--tol", "nan"], "--h and --tol must be > 0"),
+    "oracle-delta": (ORACLE + ["--delta", "nan"], "delta must be finite"),
+    "oracle-q": (ORACLE + ["--q", "nan"], "q must be finite"),
+    "oracle-t": (ORACLE + ["--t", "nan"], "t + delta > 0"),
+    "oracle-N": (ORACLE + ["--N", "nan"], "invalid int value"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_COMMAND_LINES)
+def test_bad_command_line_exits_1_with_report(capsys, case):
+    # bad input of any kind is exit 1 with one JSON report on stderr: never a
+    # traceback, argparse's exit 2 (the breakdown code) or a NaN row with exit 0
+    argv, needle = BAD_COMMAND_LINES[case]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    report = json.loads(err)
+    assert report["error"] == "ValueError" and needle in report["message"]
+
+
+def test_verify_lax_checks_init_state_at_its_t(capsys):
+    assert main(["verify-lax", "--init", TWO_SITES, "--p", "0.7,0.3", "--t", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["N"] == 2 and report["count"] == 1 and report["pass"] is True
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--init" in capsys.readouterr().out

@@ -47,6 +47,55 @@ def test_state_invariants():
         LatticeState(1, 1, 0.0, (1e-15,), (0.0, 0.0))
 
 
+BAD = (float("nan"), float("inf"), complex(0.0, float("nan")))
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("field", ["p", "q", "t", "beta", "alpha"])
+def test_state_rejects_non_finite_entry(field, bad):
+    # a NaN or inf is bad input (ValueError), not a breakdown at t = 0 later
+    fields = dict(p=1.0, q=2.0, t=0.0, beta=(1.0, 2.0), alpha=(0.0, 0.5, 0.0))
+    if field in ("beta", "alpha"):
+        fields[field] = fields[field][:1] + (bad,) + fields[field][2:]
+    else:
+        fields[field] = abs(bad) if field == "t" else bad  # t is real
+    with pytest.raises(ValueError, match="must be finite"):
+        LatticeState(**fields)
+
+
+def test_int_state_integrates_like_its_float_twin():
+    ints = LatticeState(1, 2, 0, [1, 2], [0, 1, 0])
+    floats = LatticeState(1.0, 2.0, 0.0, [1.0, 2.0], [0.0, 1.0, 0.0])
+    assert ints == floats
+    assert all(type(x) is complex for x in (ints.p, ints.q, *ints.beta, *ints.alpha))
+    a, b = integrate(ints, 0.5, t_out=[0.25]), integrate(floats, 0.5, t_out=[0.25])
+    assert a.times == b.times and a.states == b.states and a.step_stats == b.step_stats
+
+
+def test_state_from_coeffs_counts_free_alphas():
+    with pytest.raises(ValueError, match="N - 1 = 1 entries, got 2"):
+        state_from_coeffs(1, 1, 0.0, [1.0, 2.0], [0.5, 0.5])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("t0,t_end,t_out", [
+    (0.0, NAN, None), (NAN, 1.0, None), (0.0, float("inf"), None),
+    (0.0, 1.0, [0.5, NAN]), (0.0, 1.0, [NAN, 0.5]), (0.0, 1.0, [0.2, NAN, 0.5]),
+], ids=["t_end", "t0", "t_end-inf", "t_out-last", "t_out-first", "t_out-middle"])
+@pytest.mark.parametrize("flow", ["lattice", "schur", "cd"])
+def test_time_grid_rejects_nan(flow, t0, t_end, t_out):
+    # each comparison of the grid check is False for NaN; written negated, all raise
+    with pytest.raises(ValueError):
+        if flow == "lattice":
+            integrate(state_from_coeffs(1, 1, t0, [1.0, 2.0], [0.5]), t_end, t_out=t_out)
+        elif flow == "schur":
+            integrate_schur(VerblunskySeq(t0, (0.2, 0.1)), 0.5, t_end, t_out=t_out)
+        else:
+            integrate_cd([0.0, 0.0], [0.0, 0.25], 0.5, t0, t_end, t_out=t_out)
+
+
 def test_gamma_is_shifted_alpha_plus_beta(rng):
     # the paper's gamma equation, gamma_n = alpha_{n+1} + beta_n, written out
     # site by site, is alpha_dot_{n+1} + beta_dot_n of rhs_ertl

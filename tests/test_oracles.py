@@ -105,3 +105,19 @@ def test_bad_family_rejected():
         ClosedFormExample("example3", 1.0, 1.0)
     with pytest.raises(ValueError):
         ClosedFormExample("example1", -1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(bad):
+    for delta, q in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            ClosedFormExample("example1", delta, q)
+
+
+@pytest.mark.parametrize("t", [math.nan, -math.inf, -1.0])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_time_outside_family_rejected(family, t):
+    # t + delta must be > 0; a NaN t must not give rows of NaN
+    coeffs = example1_coeffs if family == "example1" else example2_coeffs
+    with pytest.raises(ValueError, match="t \\+ delta > 0"):
+        coeffs(ClosedFormExample(family, 1.0, 2.0), t, 3)
