@@ -142,8 +142,11 @@ def verblunsky_from_moments(table: MomentTable, N: int) -> VerblunskySeq:
         ||Phi_{n+1}||^2 = (1 - |a_n|^2) ||Phi_n||^2,
 
     and the next coefficient vector is shift(b) - conj(a_n) * rev(conj(b)).
-    Raises NotPositiveDefinite(n) as soon as an implied |a_n| >= 1.
+    Raises NotPositiveDefinite(n) as soon as an implied |a_n| >= 1, and
+    ValueError unless N >= 1.
     """
+    if N < 1:
+        raise ValueError("depth N must be >= 1")
     mu = _toeplitz_moments(table, N)
     b = [1.0 + 0j]
     norm2 = mu[0].real

@@ -28,7 +28,8 @@ inline or in a file, whose keys are exactly those of its system:
 
 Every entry must be a finite number.  `--init` sets N, so it and `--N` are
 alternatives for the lattice systems and verify-lax; schur and cd take
-`--init` only.
+`--init` only.  verify-lax draws `--count` random states from `--seed`
+(defaults 1 and 0) only without `--init`.  A depth `--N` must be >= 1.
 
 Exit codes: 0 ok, 1 invalid configuration (usage errors included), 2
 numerical breakdown.  Every nonzero exit writes one JSON error report,
@@ -252,19 +253,25 @@ def _random_state(rng, N, p, q, t):
 
 
 def _cmd_verify_lax(args):
-    if not (args.tol > 0 and args.count >= 1):
-        raise ValueError(f"--tol must be > 0 and --count >= 1, got {args.tol} and {args.count}")
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be > 0, got {args.tol}")
     if _uses_init(args):
-        states = [_initial_data(args, "ertl", args.t)]
+        for flag in ("count", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} draws random states; not with --init")
+        seed, states = None, [_initial_data(args, "ertl", args.t)]
     else:
-        rng = np.random.default_rng(args.seed)
-        states = [_random_state(rng, args.N, args.p, args.q, args.t)
-                  for _ in range(args.count)]
+        seed = 0 if args.seed is None else args.seed
+        count = 1 if args.count is None else args.count
+        if count < 1:
+            raise ValueError(f"need --count >= 1, got {count}")
+        rng = np.random.default_rng(seed)
+        states = [_random_state(rng, args.N, args.p, args.q, args.t) for _ in range(count)]
     cases = [lax_residual(s) for s in states]
     report = {
         "N": states[0].N,
         "count": len(cases),
-        "seed": args.seed,
+        "seed": seed,
         "residual": max(cases),
         "residuals": cases,
         "norms": {"normalization": "max(1, |H|_max * |F|_max)"},
@@ -423,8 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     vl.add_argument("--p", type=_parse_complex, default=1 + 0j)
     vl.add_argument("--q", type=_parse_complex, default=1 + 0j)
     vl.add_argument("--t", type=float, default=0.0)
-    vl.add_argument("--seed", type=int, default=0)
-    vl.add_argument("--count", type=int, default=1)
+    vl.add_argument("--seed", type=int, default=None,
+                    help="seed of the random states (default 0); not with --init")
+    vl.add_argument("--count", type=int, default=None,
+                    help="number of random states (default 1); not with --init")
     vl.add_argument("--init", default=None)
     vl.add_argument("--tol", type=float, default=1e-12)
     vl.set_defaults(func=_cmd_verify_lax)
@@ -505,6 +514,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_mode_flags(args)
+        if getattr(args, "N", None) is not None and args.N < 1:  # every command's one rule
+            raise ValueError("depth N must be >= 1")
         return args.func(args)
     except (ErtlError, ValueError, KeyError, OSError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}

@@ -103,4 +103,4 @@ class DegenerateKernel(ErtlError):
 
 
 class BufferTooSmall(ErtlError):
-    """Buffered truncation failed doubling validation even after escalation."""
+    """Buffered truncation disagreed with its largest check window."""

@@ -23,8 +23,9 @@ Langmuir/Volterra lattice alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}).
 Finite truncation closes the system with alpha_{N+1} = 0.  For comparison
 against semi-infinite measure-derived coefficients, ``integrate_buffered``
 integrates extra sites with finite closure at the far end and reports only a
-prefix, validating the buffer by doubling (and escalating it when the
-validation fails, which happens when coefficients grow with site index).
+prefix.  Each run is checked against a larger window, and a failed check
+is followed by a larger one, sized from the deviation it measured (more
+buffer is needed when coefficients grow with site index).
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
@@ -124,8 +125,13 @@ class LatticeState:
 
 
 def state_from_coeffs(p, q, t, beta, alpha_free):
-    """Assemble a finite-closure state from beta_1..beta_N and the free alpha_2..alpha_N."""
+    """Assemble a finite-closure state from beta_1..beta_N and the free alpha_2..alpha_N.
+
+    ValueError unless N >= 1 and alpha_free has N - 1 entries.
+    """
     beta, alpha_free = tuple(beta), tuple(alpha_free)
+    if not beta:
+        raise ValueError("depth N must be >= 1")
     if len(alpha_free) != len(beta) - 1:
         raise ValueError(f"alpha_2..alpha_N needs N - 1 = {len(beta) - 1} entries, "
                          f"got {len(alpha_free)}")
@@ -593,19 +599,54 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 # Buffered truncation of semi-infinite systems
 # ---------------------------------------------------------------------------
 
-#: reported sites must move less than this under buffer doubling
+#: the reported sites of a run must agree with a larger window's to within this
 BUFFER_VALIDATION_TOL = 1e-9
-#: buffer doublings tried before BufferTooSmall
+#: doublings of the first window that bound the check ladder: BufferTooSmall
+#: once a check of n_buf 2^(BUFFER_ESCALATIONS + 1) sites or more has failed
 BUFFER_ESCALATIONS = 3
 
 
 def default_buffer(n_report: int, t_span: float) -> int:
     """Sites of a buffered run by default: n_report + max(10, ceil(10 t_span)).
 
-    ``integrate_buffered`` starts from this and doubles it while the
-    reported sites move under doubling.
+    ``integrate_buffered`` starts from this window and checks it against
+    twice as many sites, then sizes any later check from the deviations.
     """
     return n_report + max(10, math.ceil(10.0 * t_span))
+
+
+def _head_gap(run, check, n_report):
+    """(largest |run - check| over the reported sites, largest |entry| of run's head).
+
+    The head is beta_1..beta_n and alpha_1..alpha_{n+1} (n = n_report) at
+    every output time.
+    """
+    def head(s):
+        return np.array(s.beta[:n_report] + s.alpha[:n_report + 1])
+
+    dev = size = 0.0
+    for a, b in zip(run.states, check.states):
+        x = head(a)
+        dev = max(dev, float(np.abs(x - head(b)).max()))
+        size = max(size, float(np.abs(x).max()))
+    return dev, size
+
+
+def _model_check(n_report, m, m2, dev, size):
+    """Window of the check after the failed pair (m, m2), from its deviation.
+
+    The head deviation of window m is taken to decay geometrically from the
+    largest head entry ``size`` at n_report sites to ``dev`` at m sites.  Let
+    P be the smallest window where that line falls below
+    BUFFER_VALIDATION_TOL and g the sites over which it falls tenfold
+    (rounded, at least 1); the check is min(2 m2, max(P, m2 + g)).  A
+    deviation no smaller than ``size`` shows no decay, and the check doubles.
+    """
+    if not dev < size:
+        return 2 * m2
+    decades = math.log10(size / dev) / (m - n_report)  # per site, > 0
+    reach = n_report + math.floor(math.log10(size / BUFFER_VALIDATION_TOL) / decades) + 1
+    return min(2 * m2, max(reach, m2 + max(1, round(1.0 / decades))))
 
 
 def integrate_buffered(make_state, n_report: int, t_end: float,
@@ -614,15 +655,25 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     """Integrate a semi-infinite system by truncating past a buffer zone.
 
     ``make_state(M)`` must return a finite-closure state with M sites (the
-    truncated initial data).  The first ``n_report`` sites of the buffered run
+    truncated initial data).  The first ``n_report`` sites of a buffered run
     are reported, with the true alpha_{n_report+1} taken from the buffer.
-    The run is checked against one with twice the buffer, which must agree on
-    the reported sites to BUFFER_VALIDATION_TOL; on disagreement the check run
-    becomes the run and the buffer doubles, up to BUFFER_ESCALATIONS times,
-    before BufferTooSmall is raised.  The perturbation from the artificial
-    far-end closure travels inward at a speed set by the local coefficient
-    size, so systems whose coefficients grow with the site index need more
-    buffer than the default.  ValueError is raised unless n_buf > n_report.
+    Each run of M sites is checked against a larger window M' and is
+    reported when the two agree on the reported sites to
+    BUFFER_VALIDATION_TOL.  On disagreement the check run becomes the run and
+    a larger check follows.  The first check, and the check after a failed
+    one that was sized from the model, double the window; any other check is
+    sized by ``_model_check`` from the failed pair's deviation, which the
+    head error of these flows follows closely (it falls about tenfold per
+    two sites on example1 and example2).  BufferTooSmall is raised once a
+    check of n_buf 2^(BUFFER_ESCALATIONS + 1) sites or more has failed.  The
+    perturbation from the artificial far-end closure travels inward at a
+    speed set by the local coefficient size, so systems whose coefficients
+    grow with the site index need more buffer than the default.  ValueError
+    is raised unless n_buf > n_report.
+
+    ``step_stats`` is the reported run's, plus ``n_buf`` (its window),
+    ``windows`` (the sites of every run, in order) and ``deviation`` (the
+    head deviation of the pair that agreed).
     """
     state0 = make_state(n_report)  # cheap sanity probe of the callback
     if n_buf is None:
@@ -636,21 +687,24 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
             raise ValueError("make_state(M) must return a finite-closure state with M sites")
         return integrate(st, t_end, rhs_id=rhs_id, ctrl=ctrl, t_out=t_out)
 
+    largest = n_buf * 2 ** (BUFFER_ESCALATIONS + 1)
+    windows = [n_buf, 2 * n_buf]
     traj = run(n_buf)
-    for escalation in range(BUFFER_ESCALATIONS + 1):
-        check = run(2 * n_buf)
-        dev = 0.0
-        for a, b in zip(traj.states, check.states):
-            pa, pb = a.prefix(n_report), b.prefix(n_report)
-            dev = max(dev, max(abs(x - y) for x, y in zip(pa.beta, pb.beta)))
-            dev = max(dev, max(abs(x - y) for x, y in zip(pa.alpha, pb.alpha)))
+    doubled = True  # whether the pending check doubled its run's window
+    while True:
+        check = run(windows[-1])
+        dev, size = _head_gap(traj, check, n_report)
         if dev < BUFFER_VALIDATION_TOL:
             break
-        if escalation == BUFFER_ESCALATIONS:
-            raise BufferTooSmall(
-                f"buffer {n_buf} failed doubling validation (deviation {dev:.3e})")
-        traj, n_buf = check, 2 * n_buf
+        m, m2 = windows[-2:]
+        if m2 >= largest:
+            raise BufferTooSmall(f"buffer {m} failed validation against {m2} sites, "
+                                 f"and no larger check is tried (deviation {dev:.3e})")
+        nxt = _model_check(n_report, m, m2, dev, size) if doubled else 2 * m2
+        doubled = nxt == 2 * m2
+        windows.append(nxt)
+        traj = check
 
     states = tuple(s.prefix(n_report) for s in traj.states)
-    stats = dict(traj.step_stats, n_buf=n_buf)
+    stats = dict(traj.step_stats, n_buf=windows[-2], windows=windows, deviation=dev)
     return Trajectory(times=traj.times, states=states, step_stats=stats)

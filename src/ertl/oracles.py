@@ -43,17 +43,20 @@ class ClosedFormExample:
             raise ValueError("q must be finite and > 0")
 
 
-def _check_family(ex: ClosedFormExample, family: str):
+def _check_call(ex: ClosedFormExample, family: str, t: float, N: int):
+    """ValueError unless ``ex`` is of ``family``, t + delta > 0 and N >= 1."""
     if ex.id != family:
         raise ValueError(f"{family}_coeffs given a {ex.id} example; "
                          f"the {ex.id} family needs {ex.id}_coeffs")
+    if not t + ex.delta > 0:  # also catches NaN
+        raise ValueError("need t + delta > 0")
+    if N < 1:
+        raise ValueError("depth N must be >= 1")
 
 
 def example1_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:
     """beta_n = sqrt(q), alpha_{n+1} = n/(2(t+delta)) for the first family."""
-    _check_family(ex, "example1")
-    if not t + ex.delta > 0:  # also catches NaN
-        raise ValueError("need t + delta > 0")
+    _check_call(ex, "example1", t, N)
     s = t + ex.delta
     beta = [math.sqrt(ex.q)] * N
     alpha = [n / (2.0 * s) for n in range(1, N)]  # alpha_2..alpha_N
@@ -72,9 +75,7 @@ def _l_sequence(ex: ClosedFormExample, t: float, N: int):
 
 def example2_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:
     """Coefficients of the second family via the l_n forward recursion."""
-    _check_family(ex, "example2")
-    if not t + ex.delta > 0:  # also catches NaN
-        raise ValueError("need t + delta > 0")
+    _check_call(ex, "example2", t, N)
     l = _l_sequence(ex, t, N)
     sq = math.sqrt(ex.q)
     beta = [sq * l[n - 1] / l[n] for n in range(1, N + 1)]

@@ -68,6 +68,13 @@ def leb_verb(leb_table):
     return verblunsky_from_moments(leb_table, 10)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_verblunsky_depth_below_1_rejected(leb_table, N):
+    # an empty sequence was returned before
+    with pytest.raises(ValueError, match="depth N must be >= 1"):
+        verblunsky_from_moments(leb_table, N)
+
+
 def test_lebesgue_at_zero_time_gives_zero_coefficients():
     tab = compute_moments(circle_lebesgue_spec(0.7), 0.0, 6)
     v = verblunsky_from_moments(tab, 5)

@@ -485,6 +485,10 @@ BAD_COMMAND_LINES = {
     "verify-lax-count": (["verify-lax", "--N", "2", "--count", "nan"], "invalid int value"),
     "verify-lax-count-0": (["verify-lax", "--N", "2", "--count", "0"], "--count >= 1"),
     "verify-lax-tol": (["verify-lax", "--N", "2", "--tol", "nan"], "--tol must be > 0"),
+    # --init gives the one state, so the random draw's flags are not read
+    "verify-lax-init-count": (["verify-lax", "--init", TWO_SITES, "--count", "5"], "--count"),
+    "verify-lax-init-seed": (["verify-lax", "--init", TWO_SITES, "--seed", "3"], "--seed"),
+    "verify-lax-init-count-1": (["verify-lax", "--init", TWO_SITES, "--count", "1"], "--count"),
     "circle-q": (["circle", "verblunsky", "--N", "3", "--q", "nan"], "must be finite"),
     "circle-N": (["circle", "verblunsky", "--N", "nan"], "invalid int value"),
     "circle-t": (["circle", "verblunsky", "--N", "3", "--t", "nan"], "must be finite"),
@@ -509,6 +513,40 @@ def test_bad_command_line_exits_1_with_report(capsys, case):
     assert out == "" and "Traceback" not in err
     report = json.loads(err)
     assert report["error"] == "ValueError" and needle in report["message"]
+
+
+#: command lines that take the depth N last; each needs N >= 1
+DEPTH_COMMANDS = {
+    "simulate": ERTL + ["--N"],
+    "verify-lax": ["verify-lax", "--N"],
+    "from-measure": ["from-measure", "--measure", DISCRETE, "--N"],
+    "circle-verblunsky": ["circle", "verblunsky", "--N"],
+    "circle-kernel": ["circle", "kernel", "--N"],
+    "circle-cd": ["circle", "cd", "--N"],
+    "circle-schur-check": ["circle", "schur-check", "--N"],
+    "oracle-example1": ORACLE[:-1],
+    "oracle-example2": ["oracle", "example2"] + ORACLE[2:-1],
+}
+
+
+@pytest.mark.parametrize("N", ["0", "-1"])
+@pytest.mark.parametrize("case", DEPTH_COMMANDS)
+def test_depth_below_1_exits_1(capsys, case, N):
+    # one rule for every depth: an empty table with exit 0, or a message about
+    # alpha counts or numpy dimensions, was the answer to --N 0 before
+    assert main(DEPTH_COMMANDS[case] + [N]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(err)
+    assert out == "" and report == {"error": "ValueError", "message": "depth N must be >= 1"}
+
+
+def test_verify_lax_init_reports_no_seed(capsys):
+    assert main(["verify-lax", "--init", TWO_SITES]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] is None and report["count"] == 1
+    assert main(["verify-lax", "--N", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 0 and report["count"] == 1
 
 
 def test_verify_lax_checks_init_state_at_its_t(capsys):

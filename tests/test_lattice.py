@@ -11,7 +11,7 @@ from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   discrete_spec, example1_coeffs, example2_coeffs, integrate,
                   integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
                   rhs_langmuir, state_from_coeffs, LatticeState)
-from ertl.lattice import BUFFER_ESCALATIONS
+from ertl.lattice import BUFFER_ESCALATIONS, BUFFER_VALIDATION_TOL
 from tests.conftest import rk4_reference
 
 EX1 = ClosedFormExample("example1", 1.0, 2.0)
@@ -75,6 +75,11 @@ def test_int_state_integrates_like_its_float_twin():
 def test_state_from_coeffs_counts_free_alphas():
     with pytest.raises(ValueError, match="N - 1 = 1 entries, got 2"):
         state_from_coeffs(1, 1, 0.0, [1.0, 2.0], [0.5, 0.5])
+
+
+def test_state_from_coeffs_needs_a_site():
+    with pytest.raises(ValueError, match="depth N must be >= 1"):
+        state_from_coeffs(1, 1, 0.0, [], [])
 
 
 NAN = float("nan")
@@ -297,9 +302,10 @@ def test_error_vs_work_beats_dp54_record():
 
 
 def test_buffered_example2_check_run_rejects_few_steps():
-    # the 64-site check run of a buffered example2 sweep: with the 5th- and
-    # 3rd-order estimates combined per component it rejected 10 of 45 attempts;
-    # combining their norms, as DOP853 does, rejects at most 3
+    # a 64-site example2 run, the last check of a buffered sweep that doubles
+    # every window: with the 5th- and 3rd-order estimates combined per
+    # component it rejected 10 of 45 attempts; combining their norms, as
+    # DOP853 does, rejects at most 3
     ex = ClosedFormExample("example2", 1.0, 2.0)
 
     def mk(M):
@@ -377,6 +383,57 @@ def test_buffer_too_small_reuses_check_runs():
     # one: every failed check run becomes the next run instead of repeating it
     assert len(calls) == 1 + (BUFFER_ESCALATIONS + 2)
     assert calls == [2] + [4 * 2 ** k for k in range(BUFFER_ESCALATIONS + 2)]
+
+
+@pytest.mark.parametrize("family, system", [("example2", "ertl"), ("example1", "langmuir")])
+def test_buffered_check_sized_from_deviation(family, system):
+    # the benchmark's buffered sweeps: 16 fails against 32, whose check is
+    # sized from that deviation instead of doubled to 64, and the reported
+    # run is the 32-site one, bitwise as a plain integration
+    closed = example1_coeffs if family == "example1" else example2_coeffs
+    ex = ClosedFormExample(family, 1.0, 2.0)
+
+    def mk(M):
+        rc = closed(ex, 0.0, M + 1)
+        return state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
+
+    ctrl = StepControl(rel_tol=1e-8)
+    sweep = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
+    stats = sweep.step_stats
+    assert stats["windows"][:2] == [16, 32] and len(stats["windows"]) == 3
+    assert 32 < stats["windows"][2] < 64
+    assert stats["n_buf"] == 32
+    assert stats["deviation"] < BUFFER_VALIDATION_TOL
+    ref = integrate(mk(32), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
+    assert sweep.times == ref.times
+    assert sweep.states == tuple(s.prefix(6) for s in ref.states)
+    assert {k: stats[k] for k in ref.step_stats} == ref.step_stats
+
+
+def test_buffer_plateau_doubles_after_failed_model_check():
+    calls = []
+
+    def mk(M):
+        # stationary (alpha = 0); the reported beta move by 10^(-M/2), which
+        # decays tenfold per two sites, plus 1e-6 log2(M), which never settles
+        calls.append(M)
+        beta = 1.0 + 10.0 ** (-M / 2) + 1e-6 * np.log2(M)
+        return state_from_coeffs(1.0, 2.0, 0.0, [beta] * M, [0.0] * (M - 1))
+
+    with pytest.raises(BufferTooSmall):
+        integrate_buffered(mk, 2, 0.1, n_buf=4)
+    windows = calls[1:]  # after the probe
+    assert windows[:2] == [4, 8]
+    assert all(a < b for a, b in zip(windows, windows[1:]))
+    modelled = [i for i in range(2, len(windows)) if windows[i] < 2 * windows[i - 1]]
+    assert modelled  # the decay sizes some check below twice its run
+    for i in modelled:
+        if i + 1 < len(windows):  # a failed model-sized check is followed by doubling
+            assert windows[i + 1] == 2 * windows[i]
+    # the ladder stops at the first failed check as large as the largest
+    # doubling check, 4 * 2^(BUFFER_ESCALATIONS + 1) sites
+    largest = 4 * 2 ** (BUFFER_ESCALATIONS + 1)
+    assert windows[-1] >= largest > windows[-2]
 
 
 def test_integrate_buffered_rejects_buffer_not_wider_than_report():

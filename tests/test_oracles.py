@@ -121,3 +121,12 @@ def test_time_outside_family_rejected(family, t):
     coeffs = example1_coeffs if family == "example1" else example2_coeffs
     with pytest.raises(ValueError, match="t \\+ delta > 0"):
         coeffs(ClosedFormExample(family, 1.0, 2.0), t, 3)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("family", ["example1", "example2"])
+def test_depth_below_1_rejected(family, N):
+    # an empty family was returned before
+    coeffs = example1_coeffs if family == "example1" else example2_coeffs
+    with pytest.raises(ValueError, match="depth N must be >= 1"):
+        coeffs(ClosedFormExample(family, 1.0, 2.0), 0.0, N)
