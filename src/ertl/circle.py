@@ -284,37 +284,43 @@ def _cd_kernel(C, D, q, out):
 
     Returns evaluate(); each call reads the current C and D and writes
     (dc_1..M, dd_2..M) into the float64 ``out`` (2M - 1 entries).  With
-    z_k = 1 + i c_k, the edge term P_n = Im(q z_n z_{n-1}) (n = 1..M+1) and
-    R_k = Re(q z_k) / |z_k|^2,
+    z_k = 1 + i c_k, P_n = Im(q z_n z_{n-1}) and R_k = Re(q z_k) / |z_k|^2,
 
         dc_n = 4 (d_n P_n / |z_{n-1}|^2 - d_{n+1} P_{n+1} / |z_{n+1}|^2),
         dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1}
                       + (1 - d_n) (c_{n-1} - c_n) P_n / (|z_n|^2 |z_{n-1}|^2)).
 
-    d_{M+1} = 0 closes the window (the chain analogue of a vanishing top
-    alpha).  With d_1 = 0 the n = 1 row of dc is the boundary form of the
-    c-equation.
+    Two identities remove P.  As P_n = q_r (c_{n-1} + c_n) + q_i (1 - c_{n-1}
+    c_n) and |z_k|^2 R_k = q_r - q_i c_k, expanding q_i |z_{n-1}|^2 + (c_{n-1}
+    + c_n) (q_r - q_i c_{n-1}) gives P_n, so P_n / |z_{n-1}|^2 = q_i +
+    (c_{n-1} + c_n) R_{n-1}; by the symmetry of P_n also P_n / |z_n|^2 = q_i +
+    (c_{n-1} + c_n) R_n.  And |z_n|^2 |z_{n-1}|^2 (R_n - R_{n-1}) = |z_{n-1}|^2
+    (q_r - q_i c_n) - |z_n|^2 (q_r - q_i c_{n-1}) expands to (c_{n-1} - c_n) P_n.
+    So with V_n = d_n (c_{n-1} + c_n)
+
+        dc_n = 4 (q_i (d_n - d_{n+1}) + V_n R_{n-1} - V_{n+1} R_{n+1}),
+        dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1} + (1 - d_n) (R_n - R_{n-1})),
+
+    which evaluate() takes with the 4 folded into R and q_i; R and V share
+    one scratch array.  d_{M+1} = 0 closes the window (the chain analogue of
+    a vanishing top alpha).  With d_1 = 0 the n = 1 row of dc is the
+    boundary form of the c-equation.
     """
-    qr, qi = q.real, q.imag
+    qr4, qi4 = 4.0 * q.real, 4.0 * q.imag
     M = len(C) - 2
     dc, dd = out[:M], out[M:]
-    den = np.empty(M + 2)                            # |z_k|^2, k = 0..M+1
-    P, dP = np.empty(M + 1), np.empty(M + 1)         # edges n = 1..M+1
-    R, G = np.empty(M + 2), np.empty(M + 1)
-    cn, cm, Dn = C[1:], C[:-1], D[1:]
-    den_lo, den_hi, den_n, den_m = den[:-2], den[2:], den[1:], den[:-1]
-    dP_lo, dP_hi = dP[:-1], dP[1:]
-    d, d_lo, d_hi = D[2:-1], D[1:-2], D[3:]          # rows n = 2..M
-    R_lo, R_hi, G_mid = R[:-3], R[3:], G[1:-1]
+    R, V = np.empty((2, M + 2))            # 4 R_k at slot k; V_n at slot n >= 1
+    cn, cm, Dn, Vn = C[1:], C[:-1], D[1:], V[1:]
+    V_lo, V_hi, R_m, R_p = V[1:-1], V[2:], R[:-2], R[2:]     # rows n = 1..M
+    D_lo, D_hi = D[1:-1], D[2:]
+    d, d_lo, d_hi = D[2:-1], D[1:-2], D[3:]                    # rows n = 2..M
+    R_lo, R_hi, R_n, R_n1 = R[:-3], R[3:], R[2:-1], R[1:-2]
 
     def evaluate():
-        np.add(1.0, C * C, out=den)
-        np.add(qr * (cn + cm), qi * (1.0 - cn * cm), out=P)
-        np.multiply(Dn, P, out=dP)                   # d_n P_n
-        np.multiply(4.0, dP_lo / den_lo - dP_hi / den_hi, out=dc)
-        np.divide(qr - qi * C, den, out=R)
-        np.divide((cm - cn) * P, den_n * den_m, out=G)
-        np.multiply(4.0 * d, d_lo * R_lo - d_hi * R_hi + (1.0 - d) * G_mid, out=dd)
+        np.divide(qr4 - qi4 * C, 1.0 + C * C, out=R)
+        np.multiply(Dn, cn + cm, out=Vn)
+        np.add(V_lo * R_m - V_hi * R_p, qi4 * (D_lo - D_hi), out=dc)
+        np.multiply(d, d_lo * R_lo - d_hi * R_hi + (1.0 - d) * (R_n - R_n1), out=dd)
     return evaluate
 
 
@@ -389,12 +395,15 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
 
     The window evolves a_0..a_{M-1} with the missing neighbour a_M held at 0;
     only the first ``n_report`` coefficients are trustworthy (truncation
-    effects creep in from the top), and ValueError is raised unless
-    1 <= n_report <= M and q is finite.  |a_n| < 1 is checked on accepted
-    steps only (PositivityLost with n, modulus and t), by the breakdown rule
-    of ``integrate_core``, whose output grid this follows as well.
+    effects creep in from the top), and ValueError is raised for an empty
+    window (M = 0) and unless 1 <= n_report <= M and q is finite.  |a_n| < 1
+    is checked on accepted steps only (PositivityLost with n, modulus and
+    t), by the breakdown rule of ``integrate_core``, whose output grid this
+    follows as well.
     Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
+    if not v.N:
+        raise ValueError("the Schur window is empty: integrate_schur needs a_0 at least")
     n_report = v.N if n_report is None else n_report
     if not 1 <= n_report <= v.N:
         raise ValueError(f"n_report = {n_report} must lie in 1..{v.N}, the window size")
@@ -432,15 +441,17 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  The unknowns
     c_1..c_M, d_2..d_M are stepped as float64.  No chain sequence lives
     where some d_n, n >= 2, is outside (0, 1): ValueError is raised when
-    the initial chain has one there (or a c_n or q is not finite), and
-    PositivityLost when an accepted step takes one there.  The output grid
-    follows ``integrate_core``.
+    the initial chain has one there (or is empty, or a c_n or q is not
+    finite), and PositivityLost when an accepted step takes one there.  The
+    output grid follows ``integrate_core``.
     Returns (times, c_snapshots, d_snapshots, stats), all starting at t0.
     """
     require_finite("q", q)
     q = complex(q)
     M = len(c)
-    if len(d) != M or (M and d[0] != 0.0):
+    if not M:
+        raise ValueError("the (c, d) window is empty: integrate_cd needs c_1 and d_1 at least")
+    if len(d) != M or d[0] != 0.0:
         raise ValueError("d must list d_1..d_M with d_1 = 0")
     y0 = np.array(list(c) + list(d[1:]), dtype=float)
     if not np.isfinite(y0[:M]).all():

@@ -29,7 +29,8 @@ inline or in a file, whose keys are exactly those of its system:
 Every entry must be a finite number.  `--init` sets N, so it and `--N` are
 alternatives for the lattice systems and verify-lax; schur and cd take
 `--init` only.  verify-lax draws `--count` random states from `--seed`
-(defaults 1 and 0) only without `--init`.  A depth `--N` must be >= 1.
+(defaults 1 and 0) only without `--init`.  A depth `--N` must be >= 1
+(>= 2 for `circle schur-check`).
 
 Exit codes: 0 ok, 1 invalid configuration (usage errors included), 2
 numerical breakdown.  Every nonzero exit writes one JSON error report,
@@ -316,6 +317,8 @@ def _circle_spec(args) -> MomentSpec:
 
 
 def _cmd_circle(args):
+    if args.mode == "schur-check" and args.N < 2:  # row n of the Schur flow reads a_{n+1}
+        raise ValueError(f"circle schur-check needs --N >= 2, got {args.N}")
     spec = _circle_spec(args)
     K = max(args.N + 3, 4)
     table = compute_moments(spec, args.t, K)

@@ -46,6 +46,8 @@ alpha_1..alpha_{N+1}): row n reads b[n-1..n+1] and a[n-1..n+1], so the
 boundary conventions need no special case.  A kernel binds once to its
 padded arrays and output views and returns an evaluation that writes each
 result with one ``out=``, so a call slices and allocates no result.  The
+ertl kernel's s_{N+1}, which would need beta_{N+1}, is set at bind time from
+alpha_{N+1}: 0 when it is 0, NaN otherwise, so no binding changes it.  The
 public ``rhs_*`` functions pad a state as complex arrays, bind, evaluate
 once and return lists.  ``integrate`` binds once per integration, real
 when p, q and the state are real; its f refills the padded arrays in place
@@ -182,31 +184,32 @@ def _ertl_kernel(p, q, b, a, dbeta, dalpha):
     Each call of evaluate() reads the current b and a and writes dbeta_1..N
     into ``dbeta`` and the last len(dalpha) of dalpha_1..N into ``dalpha``:
     all N rows, or rows 2..N (dalpha_1 = 0 when alpha_1 = 0).  The outputs
-    and the scratch arrays share ``dbeta``'s dtype.  With s_n = p alpha_n -
-    q alpha_n / (beta_n beta_{n-1}) and v_n = p beta_n + q / beta_n (n =
-    0..N, so v_0 = p + q):
+    and the scratch arrays share ``dbeta``'s dtype.  With u_n = q / beta_n,
+    s_n = alpha_n (p - u_n / beta_{n-1}) and v_n = p beta_n + u_n (n = 0..N,
+    so v_0 = p + q):
 
         dbeta_n  = beta_n (s_n - s_{n+1}),
         dalpha_n = alpha_n (p (alpha_{n-1} - alpha_{n+1}) + v_{n-1} - v_n).
 
-    s_{N+1} would need beta_{N+1}; it is 0 when alpha_{N+1} = 0 and dbeta_N
-    is NaN otherwise.  dalpha_{N+1} (0 or NaN likewise) is the caller's.
+    s_{N+1} would need beta_{N+1}: its padded slot in s is set here, once,
+    to 0 when the bound alpha_{N+1} is 0 and to NaN (so dbeta_N is NaN)
+    otherwise, so a binding must hold alpha_{N+1} fixed, as every caller
+    does.  dalpha_{N+1} (0 or NaN likewise) is the caller's.
     """
     r = len(dbeta) - len(dalpha)  # dalpha rows r+1..N
     bn, bm, an = b[1:], b[:-1], a[1:-1]
     an_r, a_lo, a_hi = a[1 + r:-1], a[r:-2], a[2 + r:]
-    s = np.empty_like(dbeta)
-    v = np.empty(len(b), dtype=dbeta.dtype)
-    bn_lo, s_hi, dbeta_lo = bn[:-1], s[1:], dbeta[:-1]
+    v = np.empty(len(b), dtype=dbeta.dtype)  # u_0..N, then v_0..N in place
+    s = np.empty(len(b), dtype=dbeta.dtype)  # s_1..N+1
+    s[-1] = 0.0 if a[-1] == 0 else np.nan
+    un, s_lo, s_hi = v[1:], s[:-1], s[1:]
     v_lo, v_hi = v[r:-1], v[1 + r:]
 
     def evaluate():
-        np.multiply(an, p - q / (bn * bm), out=s)
-        np.multiply(bn, s, out=dbeta)
-        np.subtract(dbeta_lo, bn_lo * s_hi, out=dbeta_lo)
-        if a[-1] != 0:
-            dbeta[-1] = np.nan
-        np.add(p * b, q / b, out=v)
+        np.divide(q, b, out=v)  # u
+        np.multiply(an, p - un / bm, out=s_lo)
+        np.multiply(bn, s_lo - s_hi, out=dbeta)
+        np.add(p * b, v, out=v)  # u becomes v
         np.multiply(an_r, p * (a_lo - a_hi) + (v_lo - v_hi), out=dalpha)
     return evaluate
 
@@ -601,8 +604,8 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 
 #: the reported sites of a run must agree with a larger window's to within this
 BUFFER_VALIDATION_TOL = 1e-9
-#: doublings of the first window that bound the check ladder: BufferTooSmall
-#: once a check of n_buf 2^(BUFFER_ESCALATIONS + 1) sites or more has failed
+#: doublings of the first window that bound the check ladder: no check exceeds
+#: n_buf 2^(BUFFER_ESCALATIONS + 1) sites, and BufferTooSmall once one that size fails
 BUFFER_ESCALATIONS = 3
 
 
@@ -660,16 +663,16 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     Each run of M sites is checked against a larger window M' and is
     reported when the two agree on the reported sites to
     BUFFER_VALIDATION_TOL.  On disagreement the check run becomes the run and
-    a larger check follows.  The first check, and the check after a failed
-    one that was sized from the model, double the window; any other check is
-    sized by ``_model_check`` from the failed pair's deviation, which the
-    head error of these flows follows closely (it falls about tenfold per
-    two sites on example1 and example2).  BufferTooSmall is raised once a
-    check of n_buf 2^(BUFFER_ESCALATIONS + 1) sites or more has failed.  The
-    perturbation from the artificial far-end closure travels inward at a
-    speed set by the local coefficient size, so systems whose coefficients
-    grow with the site index need more buffer than the default.  ValueError
-    is raised unless n_buf > n_report.
+    a larger check follows.  The first check, and every check once one sized
+    from the model has failed, double the window; any other check is sized
+    by ``_model_check`` from the failed pair's deviation, which the head
+    error of these flows follows closely (it falls about tenfold per two
+    sites on example1 and example2).  No check exceeds n_buf
+    2^(BUFFER_ESCALATIONS + 1) sites, and BufferTooSmall is raised once a
+    check of that size has failed.  The perturbation from the artificial
+    far-end closure travels inward at a speed set by the local coefficient
+    size, so systems whose coefficients grow with the site index need more
+    buffer than the default.  ValueError is raised unless n_buf > n_report.
 
     ``step_stats`` is the reported run's, plus ``n_buf`` (its window),
     ``windows`` (the sites of every run, in order) and ``deviation`` (the
@@ -690,7 +693,7 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     largest = n_buf * 2 ** (BUFFER_ESCALATIONS + 1)
     windows = [n_buf, 2 * n_buf]
     traj = run(n_buf)
-    doubled = True  # whether the pending check doubled its run's window
+    modelled = False  # whether a model-sized check has failed
     while True:
         check = run(windows[-1])
         dev, size = _head_gap(traj, check, n_report)
@@ -700,9 +703,9 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
         if m2 >= largest:
             raise BufferTooSmall(f"buffer {m} failed validation against {m2} sites, "
                                  f"and no larger check is tried (deviation {dev:.3e})")
-        nxt = _model_check(n_report, m, m2, dev, size) if doubled else 2 * m2
-        doubled = nxt == 2 * m2
-        windows.append(nxt)
+        modelled = modelled or m2 < 2 * m
+        nxt = 2 * m2 if modelled else _model_check(n_report, m, m2, dev, size)
+        windows.append(min(nxt, largest))
         traj = check
 
     states = tuple(s.prefix(n_report) for s in traj.states)

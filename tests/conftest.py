@@ -152,6 +152,53 @@ def rk4_reference(state, t_end, h, t_out=None, rhs_id="ertl"):
     return Trajectory((state.t, *times), tuple(states), {})
 
 
+def cd_edge_rates(c, d, q):
+    """(dc_1..M, dd_2..M) of the (c, d) flow from its edge terms: the second route to ``rhs_cd``.
+
+    ``d`` lists d_1..d_M with d_1 = 0; c_0 = 1 and d_{M+1} = c_{M+1} = 0 pad
+    the window.  With den_k = |z_k|^2 = 1 + c_k^2, P_n = Im(q z_n z_{n-1}),
+    R_k = Re(q z_k) / den_k and G_n = (c_{n-1} - c_n) P_n / (den_n den_{n-1}),
+
+        dc_n = 4 (d_n P_n / den_{n-1} - d_{n+1} P_{n+1} / den_{n+1}),
+        dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1} + (1 - d_n) G_n),
+
+    the form the kernel took before two identities removed P and G.
+    """
+    qr, qi = q.real, q.imag
+    C, D = np.array([1.0, *c, 0.0]), np.array([0.0, *d, 0.0])
+    cn, cm = C[1:], C[:-1]
+    den = 1.0 + C * C
+    P = qr * (cn + cm) + qi * (1.0 - cn * cm)  # n = 1..M+1
+    dP = D[1:] * P
+    dc = 4.0 * (dP[:-1] / den[:-2] - dP[1:] / den[2:])
+    R = (qr - qi * C) / den
+    G = (cm - cn) * P / (den[1:] * den[:-1])
+    dn = D[2:-1]
+    dd = 4.0 * dn * (D[1:-2] * R[:-3] - D[3:] * R[3:] + (1.0 - dn) * G[1:-1])
+    return dc, dd
+
+
+def ertl_drag_rates(p, q, beta, alpha):
+    """dbeta_1..N and dalpha_1..N+1 of the two-parameter flow: the second route to ``rhs_ertl``.
+
+    The drag is q / (beta_n beta_{n-1}) in one quotient, and dbeta_n =
+    beta_n s_n - beta_n s_{n+1} is formed in three steps, with dbeta_N set
+    to NaN afterwards when alpha_{N+1} != 0 (s_{N+1} would need beta_{N+1});
+    s_n = alpha_n (p - q / (beta_n beta_{n-1})) and v_n = p beta_n + q / beta_n.
+    """
+    b = np.array([1, *beta], dtype=complex)
+    a = np.array([-1, *alpha], dtype=complex)
+    bn, an = b[1:], a[1:-1]
+    s = an * (p - q / (bn * b[:-1]))
+    dbeta = bn * s
+    dbeta[:-1] -= bn[:-1] * s[1:]
+    if a[-1] != 0:
+        dbeta[-1] = np.nan
+    v = p * b + q / b
+    dalpha = an * (p * (a[:-2] - a[2:]) + (v[:-1] - v[1:]))
+    return dbeta, np.append(dalpha, 0j if a[-1] == 0 else complex(np.nan, np.nan))
+
+
 def tau_closed_form(lp, n):
     """tau_n = L[x Q_n] as sigma_{n,n} * sum_{k=1}^{n+1} gamma_k, gamma_k = alpha_{k+1} + beta_k.
 

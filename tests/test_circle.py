@@ -392,6 +392,14 @@ def test_integrate_schur_rejects_report_outside_window():
     assert len(seqs[-1].a) == 3
 
 
+def test_circle_flows_reject_empty_window():
+    # numpy's "negative dimensions" and an n_report range of 1..0 answered before
+    with pytest.raises(ValueError, match=r"the \(c, d\) window is empty"):
+        integrate_cd([], [], 0.5, 0.0, 0.1)
+    with pytest.raises(ValueError, match="the Schur window is empty"):
+        integrate_schur(VerblunskySeq(0.0, ()), 0.5, 0.1)
+
+
 def test_integrate_cd_rejects_initial_d_outside_unit_interval():
     # with q = 0 the flow is stationary: d_2 never left (0, 1), it started outside
     with pytest.raises(ValueError, match="d_2 = -0.5"):

@@ -163,6 +163,20 @@ FLOW_GOLDENS = {
 }
 
 
+def golden_mismatch(got, want):
+    """How two CSV bodies differ: the count of differing cells and the largest numeric change."""
+    cells = [(a, b) for g, w in zip(got, want)
+             for a, b in zip(g.split(","), w.split(",")) if a != b]
+    numeric = []
+    for a, b in cells:
+        try:
+            numeric.append(abs(float(a) - float(b)))
+        except ValueError:
+            pass
+    return (f"{len(cells)} cells differ (largest numeric difference "
+            f"{max(numeric, default=0.0):.3g}); {len(got)} rows against {len(want)}")
+
+
 @pytest.mark.parametrize("name", FLOW_GOLDENS, ids=lambda n: n[9:-4])
 def test_simulate_flow_golden(tmp_path, name):
     # text-equal: a change to a flow's kernel or to the stepper that moves
@@ -170,7 +184,8 @@ def test_simulate_flow_golden(tmp_path, name):
     out = tmp_path / name
     assert main(["simulate", *FLOW_GOLDENS[name], "--t-end", "0.5", "--t-out", "0.25,0.5",
                  "--out", str(out)]) == 0
-    assert body(out) == body(GOLDEN / name)
+    got, want = body(out), body(GOLDEN / name)
+    assert got == want, golden_mismatch(got, want)
     by_t = {}
     for row in cells(out):
         by_t.setdefault(row[0], []).append([float(x) for x in row[2:]])
@@ -496,6 +511,12 @@ BAD_COMMAND_LINES = {
     "circle-h": (SCHUR_CHECK + ["--h", "nan"], "--h and --tol must be > 0"),
     "circle-h-0": (SCHUR_CHECK + ["--h", "0"], "--h and --tol must be > 0"),
     "circle-tol": (SCHUR_CHECK + ["--tol", "nan"], "--h and --tol must be > 0"),
+    # rhs_schur has no row for N = 1: an IndexError traceback answered before
+    "schur-check-N-1": (["circle", "schur-check", "--N", "1", "--t", "0.1"],
+                        "circle schur-check needs --N >= 2"),
+    # empty circle windows: numpy's "negative dimensions" and "n_report = 0" before
+    "cd-empty": (CD + ["--init", '{"c":[],"d":[]}'], "the (c, d) window is empty"),
+    "schur-empty": (SCHUR + ["--init", '{"a":[]}'], "the Schur window is empty"),
     "oracle-delta": (ORACLE + ["--delta", "nan"], "delta must be finite"),
     "oracle-q": (ORACLE + ["--q", "nan"], "q must be finite"),
     "oracle-t": (ORACLE + ["--t", "nan"], "t + delta > 0"),

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ertl.circle as circle
@@ -28,7 +28,7 @@ from ertl.cli import main
 from ertl.circle import _cd_kernel, _cd_padded, _flow_modulus, _schur_kernel
 from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _check_betas,
                           _dop853, _ertl_kernel, _padded, _volterra_kernel, integrate_core)
-from tests.conftest import eval_Q
+from tests.conftest import cd_edge_rates, ertl_drag_rates, eval_Q
 from tests.test_lattice import random_state
 
 NAN = complex(float("nan"), float("nan"))
@@ -142,14 +142,14 @@ def schur_loop(a, q, a_top=None):
             for n, up in enumerate(tops)]
 
 
-def assert_matches(got, want, scale):
-    """Same NaN pattern; finite entries agree to REL times the term scale."""
+def assert_matches(got, want, scale, rel=REL):
+    """Same NaN pattern; finite entries agree to ``rel`` times the term scale."""
     got = np.asarray(got, dtype=complex)
     want = np.asarray(want, dtype=complex)
     assert got.shape == want.shape
     assert np.array_equal(np.isnan(got), np.isnan(want))
     fin = ~np.isnan(want)
-    assert np.all(np.abs(got[fin] - want[fin]) <= REL * scale)
+    assert np.all(np.abs(got[fin] - want[fin]) <= rel * scale)
 
 
 # -- strategies -------------------------------------------------------------------
@@ -260,6 +260,45 @@ def test_cd_kernel_matches_loop(M, q, data):
     out = np.empty(2 * M - 1)
     _cd_kernel(*_cd_padded(c, d), q, out)()
     assert out.tolist() == dc + dd
+
+
+@st.composite
+def cd_data(draw):
+    """(c_1..c_M, d_1..d_M): c_n in [-3, 3], d_1 = 0 and d_n in (0, 1)."""
+    M = draw(st.integers(1, 24))
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return (values(draw, M, st.floats(-3.0, 3.0), float),
+            [0.0] + values(draw, M - 1, inside, float))
+
+
+@given(cd_data(), coeffs)
+@example(([0.7], [0.0]), 0.5 + 0.3j)  # M = 1: the boundary row alone
+@example(([-3.0, 3.0, 0.5], [0.0, 0.999, 1e-3]), -2.0 + 1.5j)
+def test_rhs_cd_matches_edge_route(cd, q):
+    # the identities that removed P and G from the kernel hold to rounding
+    c, d = cd
+    dc, dd = rhs_cd(SimpleNamespace(c=tuple(c), d=tuple(d[1:])), q)
+    wc, wd = cd_edge_rates(c, d, complex(q))
+    scale = 16.0 * abs(q) * max([1.0] + [abs(x) for x in c]) ** 2
+    assert_matches(dc, wc, scale, rel=1e-14)
+    assert_matches(dd, wd, scale, rel=1e-14)
+
+
+@given(st.one_of(lattice_data(), lattice_data(real=True)))
+@example((1 + 0.5j, 0.8 - 0.3j, [1.2 + 0.1j], [0j, 0j]))  # N = 1, finite
+@example((1 + 0.5j, 0.8 - 0.3j, [1.2 + 0.1j], [0j, 0.4 - 0.2j]))  # N = 1, NaN top row
+@example((0.5, 2.0, [1.5, 0.3, -2.0], [0.0, 0.7, -1.1, 2.5]))  # buffered, real
+def test_rhs_ertl_matches_drag_route(data):
+    # u_n = q / beta_n once, and the bind-time s_{N+1}, change results by rounding only
+    p, q, beta, alpha = data
+    db, da = rhs_ertl(raw_state(p, q, beta, alpha))
+    wb, wa = ertl_drag_rates(complex(p), complex(q), beta, alpha)
+    m = max([1.0] + [abs(x) for x in alpha] + [abs(b) for b in beta]
+            + [1.0 / abs(b) for b in beta])
+    scale = 4.0 * m * m * (abs(p) + abs(q) * m * m)  # beta alpha q / (beta beta), and so on
+    assert_matches(db, wb, scale, rel=1e-14)
+    assert_matches(da, wa, scale, rel=1e-14)
+    assert np.isnan(db[-1]) == np.isnan(da[-1]) == (alpha[-1] != 0)
 
 
 @given(sizes, nonzero, st.one_of(st.none(), st.complex_numbers(max_magnitude=0.99)),

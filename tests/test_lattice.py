@@ -420,20 +420,14 @@ def test_buffer_plateau_doubles_after_failed_model_check():
         beta = 1.0 + 10.0 ** (-M / 2) + 1e-6 * np.log2(M)
         return state_from_coeffs(1.0, 2.0, 0.0, [beta] * M, [0.0] * (M - 1))
 
-    with pytest.raises(BufferTooSmall):
+    with pytest.raises(BufferTooSmall, match="buffer 44 failed validation against 64 sites"):
         integrate_buffered(mk, 2, 0.1, n_buf=4)
     windows = calls[1:]  # after the probe
-    assert windows[:2] == [4, 8]
-    assert all(a < b for a, b in zip(windows, windows[1:]))
-    modelled = [i for i in range(2, len(windows)) if windows[i] < 2 * windows[i - 1]]
-    assert modelled  # the decay sizes some check below twice its run
-    for i in modelled:
-        if i + 1 < len(windows):  # a failed model-sized check is followed by doubling
-            assert windows[i + 1] == 2 * windows[i]
-    # the ladder stops at the first failed check as large as the largest
-    # doubling check, 4 * 2^(BUFFER_ESCALATIONS + 1) sites
-    largest = 4 * 2 ** (BUFFER_ESCALATIONS + 1)
-    assert windows[-1] >= largest > windows[-2]
+    # the decay sizes the check after 8 at 11; once that model-sized check has
+    # failed the ladder doubles, and it stops at the first failed check of the
+    # largest doubling check's size, 4 * 2^(BUFFER_ESCALATIONS + 1) sites
+    assert windows == [4, 8, 11, 22, 44, 64]
+    assert 4 * 2 ** (BUFFER_ESCALATIONS + 1) == 64
 
 
 def test_integrate_buffered_rejects_buffer_not_wider_than_report():
