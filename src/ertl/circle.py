@@ -33,10 +33,10 @@ Both flows' right-hand sides are shifted-slice kernels on padded arrays:
 float64 C = (c_0 = 1, c_1..c_M, 0) and D = (d_0 = 0, d_1..d_M, d_{M+1} = 0)
 for the (c, d) system, and complex A = (a_{-1} = -1, a_0, ..., top
 neighbour) for the Schur flow.  A kernel binds once to its padded arrays
-and output array and returns the evaluation.  The public
-``rhs_cd``/``rhs_schur`` pad their input, evaluate once and return lists;
-the integrators bind once per integration and refill the padded arrays in
-place, so each stage writes into the same output array.
+and output array, and its evaluation returns that array.  The integrators
+step the padded arrays' interiors (C and D share one buffer, ``_bind_cd``),
+so each DOP853 stage is written straight into what the kernel reads; the
+public ``rhs_cd``/``rhs_schur`` evaluate once and return lists.
 Both flows keep ``lattice.integrate_core``'s breakdown rule: pure kernels,
 and |a_n| < 1 or d_n in (0, 1) checked on accepted states only.
 """
@@ -279,12 +279,12 @@ def map_cd_beta_alpha(beta, alpha):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _cd_kernel(C, D, q, out):
+def _cd_kernel(C, D, q, dc, dd, out):
     """Bind the (c, d) flow to the padded C = (1, c_1..c_M, 0), D = (0, d_1..d_M, 0).
 
-    Returns evaluate(); each call reads the current C and D and writes
-    (dc_1..M, dd_2..M) into the float64 ``out`` (2M - 1 entries).  With
-    z_k = 1 + i c_k, P_n = Im(q z_n z_{n-1}) and R_k = Re(q z_k) / |z_k|^2,
+    Returns evaluate(); each call reads C and D, writes dc_1..M into ``dc``
+    and dd_2..M into ``dd`` (float64 views of ``out``) and returns ``out``.
+    With z_k = 1 + i c_k, P_n = Im(q z_n z_{n-1}) and R_k = Re(q z_k) / |z_k|^2,
 
         dc_n = 4 (d_n P_n / |z_{n-1}|^2 - d_{n+1} P_{n+1} / |z_{n+1}|^2),
         dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1}
@@ -304,11 +304,12 @@ def _cd_kernel(C, D, q, out):
     which evaluate() takes with the 4 folded into R and q_i; R and V share
     one scratch array.  d_{M+1} = 0 closes the window (the chain analogue of
     a vanishing top alpha).  With d_1 = 0 the n = 1 row of dc is the
-    boundary form of the c-equation.
+    boundary form of the c-equation.  ``_bind_cd`` binds C and D as the ends
+    of one buffer [1, c_1..c_M, 0, d_1 = 0, d_2..d_M, 0], sharing the slot
+    c_{M+1} = d_0 = 0 (no row reads d_0), and ``out`` as [dc, 0, 0, dd].
     """
     qr4, qi4 = 4.0 * q.real, 4.0 * q.imag
     M = len(C) - 2
-    dc, dd = out[:M], out[M:]
     R, V = np.empty((2, M + 2))            # 4 R_k at slot k; V_n at slot n >= 1
     cn, cm, Dn, Vn = C[1:], C[:-1], D[1:], V[1:]
     V_lo, V_hi, R_m, R_p = V[1:-1], V[2:], R[:-2], R[2:]     # rows n = 1..M
@@ -316,16 +317,24 @@ def _cd_kernel(C, D, q, out):
     d, d_lo, d_hi = D[2:-1], D[1:-2], D[3:]                    # rows n = 2..M
     R_lo, R_hi, R_n, R_n1 = R[:-3], R[3:], R[2:-1], R[1:-2]
 
-    def evaluate():
+    def evaluate(t=None):
         np.divide(qr4 - qi4 * C, 1.0 + C * C, out=R)
         np.multiply(Dn, cn + cm, out=Vn)
         np.add(V_lo * R_m - V_hi * R_p, qi4 * (D_lo - D_hi), out=dc)
         np.multiply(d, d_lo * R_lo - d_hi * R_hi + (1.0 - d) * (R_n - R_n1), out=dd)
+        return out
     return evaluate
 
 
-def _cd_padded(c, d):
-    return np.array([1.0, *c, 0.0]), np.array([0.0, *d, 0.0])
+def _bind_cd(c, d, q):
+    """(buffer, evaluate) of the (c, d) flow on c_1..c_M and d_1..d_M (d_1 = 0).
+
+    evaluate() returns the derivative of the buffer's interior.
+    """
+    M = len(c)
+    buf = np.array([1.0, *c, 0.0, *d, 0.0], dtype=float)
+    out = np.zeros(2 * M + 1)
+    return buf, _cd_kernel(buf[:M + 2], buf[M + 1:], complex(q), out[:M], out[M + 2:], out)
 
 
 def rhs_cd(state: CircleState, q):
@@ -333,10 +342,8 @@ def rhs_cd(state: CircleState, q):
     M = len(state.c)
     if M == 0:
         return [], []
-    C, D = _cd_padded(state.c, (0.0,) + state.d)
-    out = np.empty(2 * M - 1)
-    _cd_kernel(C, D, complex(q), out)()
-    return out[:M].tolist(), out[M:].tolist()
+    out = _bind_cd(state.c, (0.0,) + state.d, q)[1]()
+    return out[:M].tolist(), out[M + 2:].tolist()
 
 
 def _check_modulus(a):
@@ -361,17 +368,18 @@ def _flow_modulus(y, t):
 
 
 def _schur_kernel(A, q, out):
-    """Bind the Schur flow to A = (a_{-1} = -1, a_0, ..., top neighbour); returns evaluate().
+    """Bind the Schur flow to A = (a_{-1} = -1, a_0, ..., top neighbour); returns evaluate(t=None).
 
-    Each call of evaluate() reads the current A and writes the rows n =
-    0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}) into ``out``.
-    It does not check |a_n| < 1.
+    Each call of evaluate() reads the current A, writes the rows n =
+    0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}) into ``out``
+    and returns ``out``.  It does not check |a_n| < 1.
     """
     qc = q.conjugate()
     a_lo, a, a_hi = A[:-2], A[1:-1], A[2:]
 
-    def evaluate():
+    def evaluate(t=None):
         np.multiply(1.0 - np.abs(a) ** 2, qc * a_lo - q * a_hi, out=out)
+        return out
     return evaluate
 
 
@@ -383,9 +391,7 @@ def rhs_schur(v: VerblunskySeq, q):
     """
     A = np.array((-1.0,) + v.a, dtype=complex)
     _check_modulus(A[1:-1])
-    out = np.empty(len(A) - 2, dtype=complex)
-    _schur_kernel(A, complex(q), out)()
-    return out.tolist()
+    return _schur_kernel(A, complex(q), np.empty(len(A) - 2, dtype=complex))().tolist()
 
 
 def integrate_schur(v: VerblunskySeq, q, t_end: float,
@@ -409,21 +415,13 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
         raise ValueError(f"n_report = {n_report} must lie in 1..{v.N}, the window size")
     require_finite("q", q)
     q = complex(q)
-    A = np.array((-1.0,) + v.a + (0j,))  # f refills a_0..a_{M-1}; a_M = 0 stays
-    out = np.empty(v.N, dtype=complex)
-    evaluate = _schur_kernel(A, q, out)
-    a = A[1:-1]
-
-    def f(t, y):
-        a[:] = y
-        evaluate()
-        return out
+    A = np.array((-1.0,) + v.a + (0j,))  # a_0..a_{M-1} are stepped; a_M = 0 stays
+    evaluate = _schur_kernel(A, q, np.empty(v.N, dtype=complex))
 
     def validate(t, y):
         _flow_modulus(y, t)
 
-    times, snaps, stats = integrate_core(f, v.t, np.array(v.a, dtype=complex), t_end,
-                                         t_out, ctrl, validate)
+    times, snaps, stats = integrate_core(A[1:-1], evaluate, v.t, t_end, t_out, ctrl, validate)
     seqs = [VerblunskySeq(t=tt, a=tuple(y[:n_report])) for tt, y in zip(times, snaps)]
     return times, seqs, stats
 
@@ -447,35 +445,25 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     Returns (times, c_snapshots, d_snapshots, stats), all starting at t0.
     """
     require_finite("q", q)
-    q = complex(q)
     M = len(c)
     if not M:
         raise ValueError("the (c, d) window is empty: integrate_cd needs c_1 and d_1 at least")
     if len(d) != M or d[0] != 0.0:
         raise ValueError("d must list d_1..d_M with d_1 = 0")
-    y0 = np.array(list(c) + list(d[1:]), dtype=float)
-    if not np.isfinite(y0[:M]).all():
+    buf, evaluate = _bind_cd(c, d, q)
+    if not np.isfinite(buf[1:M + 1]).all():
         raise ValueError("the initial c_n must be finite")
-    n = _first_outside_unit(y0[M:])
+    n = _first_outside_unit(buf[M + 3:-1])
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
-    C, D = _cd_padded(c, d)  # f refills c_1..c_M and d_2..d_M in place
-    out = np.empty(2 * M - 1)
-    evaluate = _cd_kernel(C, D, q, out)
-    c_free, d_free = C[1:-1], D[2:-1]
-
-    def f(t, y):
-        c_free[:] = y[:M]
-        d_free[:] = y[M:]
-        evaluate()
-        return out
 
     def validate(t, y):
-        n = _first_outside_unit(y[M:])
+        n = _first_outside_unit(y[M + 2:])
         if n:
-            raise PositivityLost(f"d_{n} = {y[M + n - 2]} left (0, 1) at t={t}", n=n, t=t)
+            raise PositivityLost(f"d_{n} = {y[M + n]} left (0, 1) at t={t}", n=n, t=t)
 
-    times, snaps, stats = integrate_core(f, t0, y0, t_end, t_out, ctrl, validate)
+    times, snaps, stats = integrate_core(buf[1:-1], evaluate, t0, t_end, t_out, ctrl,
+                                         validate)
     c_snaps = [y[:M].tolist() for y in snaps]
-    d_snaps = [[0.0] + y[M:].tolist() for y in snaps]
+    d_snaps = [[0.0] + y[M + 2:].tolist() for y in snaps]
     return times, c_snaps, d_snaps, stats

@@ -6,7 +6,7 @@ moments       moments of a (modified) functional         -> k,re_nu,im_nu
 from-measure  recurrence coefficients of a measure       -> n,re_beta,im_beta,re_alpha,im_alpha
 simulate      integrate a lattice/circle flow            -> t,site,... per system
 verify-lax    commutator-identity residual report        -> JSON on stdout
-spectrum      eigenvalues along a simulated trajectory   -> t,i,re_lambda,im_lambda
+spectrum      eigenvalues along a lattice trajectory CSV -> t,i,re_lambda,im_lambda
               (each time warm-started from the previous one's zeros)
 circle        verblunsky | kernel | cd | schur-check
 oracle        closed-form families example1 | example2   -> same schema as from-measure
@@ -30,7 +30,7 @@ Every entry must be a finite number.  `--init` sets N, so it and `--N` are
 alternatives for the lattice systems and verify-lax; schur and cd take
 `--init` only.  verify-lax draws `--count` random states from `--seed`
 (defaults 1 and 0) only without `--init`.  A depth `--N` must be >= 1
-(>= 2 for `circle schur-check`).
+(>= 3 for `circle schur-check`, which judges the rows n >= 1).
 
 Exit codes: 0 ok, 1 invalid configuration (usage errors included), 2
 numerical breakdown.  Every nonzero exit writes one JSON error report,
@@ -170,6 +170,7 @@ def _cmd_from_measure(args):
 
 #: system -> the keys of its --init object
 _INIT_KEYS = {**dict.fromkeys(SYSTEMS, ("beta", "alpha")), "cd": ("c", "d"), "schur": ("a",)}
+_TRAJ_HEADER = "t,site,re_beta,im_beta,re_alpha,im_alpha"  # simulate writes, spectrum reads
 
 
 def _initial_data(args, system: str, t: float):
@@ -222,7 +223,7 @@ def _cmd_simulate(args):
             for n in range(1, s.N + 1):
                 rows.append([_f(t), str(n)] + _cx_cells(s.beta[n - 1])
                             + _cx_cells(s.alpha[n - 1]))
-        _emit(args, "t,site,re_beta,im_beta,re_alpha,im_alpha", rows)
+        _emit(args, _TRAJ_HEADER, rows)
         return 0
 
     if args.system == "cd":
@@ -284,13 +285,17 @@ def _cmd_verify_lax(args):
 
 def _cmd_spectrum(args):
     # group the trajectory CSV by time and rebuild finite-closure states
-    rows = []
     with open(args.traj) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("t,"):
-                continue
-            rows.append(line.split(","))
+        lines = [(num, ln) for num, ln in enumerate(map(str.strip, fh), start=1)
+                 if ln and not ln.startswith("#")]
+    bad = f"{args.traj} is no lattice trajectory"
+    if not lines or lines[0][1] != _TRAJ_HEADER:  # a cd or schur trajectory, say
+        got = f"line {lines[0][0]} reads {lines[0][1]!r}" if lines else "it has no header"
+        raise ValueError(f"{bad}: its header must be {_TRAJ_HEADER!r}, but {got}")
+    rows = [line.split(",") for _, line in lines[1:]]
+    for (num, _), row in zip(lines[1:], rows):
+        if len(row) != 6:
+            raise ValueError(f"{bad}: line {num} has {len(row)} cells, not 6")
     by_t: dict = {}
     for r in rows:
         by_t.setdefault(r[0], []).append(r)
@@ -317,8 +322,8 @@ def _circle_spec(args) -> MomentSpec:
 
 
 def _cmd_circle(args):
-    if args.mode == "schur-check" and args.N < 2:  # row n of the Schur flow reads a_{n+1}
-        raise ValueError(f"circle schur-check needs --N >= 2, got {args.N}")
+    if args.mode == "schur-check" and args.N < 3:  # rows n >= 1 of the Schur flow read a_{n+1}
+        raise ValueError(f"circle schur-check needs --N >= 3, got {args.N}")
     spec = _circle_spec(args)
     K = max(args.N + 3, 4)
     table = compute_moments(spec, args.t, K)
@@ -357,9 +362,9 @@ def _cmd_circle(args):
         "N": args.N,
         "t": args.t,
         "h": h,
-        "max_err_n_ge_1": max(errs[1:]) if len(errs) > 1 else None,
+        "max_err_n_ge_1": max(errs[1:]),
         "err_n0_with_boundary": errs[0],
-        "pass": max(errs[1:]) < args.tol if len(errs) > 1 else True,
+        "pass": max(errs[1:]) < args.tol,
     }
     print(json.dumps(report, indent=1, sort_keys=True))
     return 0 if report["pass"] else 2

@@ -44,15 +44,15 @@ Each flow has one right-hand-side kernel, written as shifted slices of
 padded arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 = -1,
 alpha_1..alpha_{N+1}): row n reads b[n-1..n+1] and a[n-1..n+1], so the
 boundary conventions need no special case.  A kernel binds once to its
-padded arrays and output views and returns an evaluation that writes each
-result with one ``out=``, so a call slices and allocates no result.  The
-ertl kernel's s_{N+1}, which would need beta_{N+1}, is set at bind time from
-alpha_{N+1}: 0 when it is 0, NaN otherwise, so no binding changes it.  The
-public ``rhs_*`` functions pad a state as complex arrays, bind, evaluate
-once and return lists.  ``integrate`` binds once per integration, real
-when p, q and the state are real; its f refills the padded arrays in place
-from the packed unknowns (beta_1..beta_N, alpha_2..alpha_N), evaluates,
-and returns the same output array on every call.
+padded arrays and output views; its evaluation writes each result with one
+``out=`` and returns the bound output array.  The ertl kernel's s_{N+1},
+which would need beta_{N+1}, is set at bind time from alpha_{N+1}: 0 when
+it is 0, NaN otherwise.  The public ``rhs_*`` functions pad a state as
+complex arrays, bind, evaluate once and return lists.  ``integrate`` binds
+once per integration (real when p, q and the state are real) to one buffer
+[1, beta_1..beta_N, alpha_1 = 0, alpha_2..alpha_N, alpha_{N+1}], with b its
+head and a its tail from beta_N's slot, which only a dalpha_1 row reads.
+Its interior, alpha_1 a gap slot, is what DOP853 steps (``integrate_core``).
 """
 
 from __future__ import annotations
@@ -178,15 +178,17 @@ def _check_betas(beta, t=None):
         raise SingularDenominator(n + 1, complex(beta[n]), t=t)
 
 
-def _ertl_kernel(p, q, b, a, dbeta, dalpha):
+def _ertl_kernel(p, q, b, a, dbeta, dalpha, out):
     """Bind the two-parameter flow to the padded b, a; returns evaluate().
 
-    Each call of evaluate() reads the current b and a and writes dbeta_1..N
-    into ``dbeta`` and the last len(dalpha) of dalpha_1..N into ``dalpha``:
-    all N rows, or rows 2..N (dalpha_1 = 0 when alpha_1 = 0).  The outputs
-    and the scratch arrays share ``dbeta``'s dtype.  With u_n = q / beta_n,
-    s_n = alpha_n (p - u_n / beta_{n-1}) and v_n = p beta_n + u_n (n = 0..N,
-    so v_0 = p + q):
+    Each call of evaluate() reads b and a, writes dbeta_1..N into ``dbeta``
+    and the last len(dalpha) of dalpha_1..N (all N rows, or rows 2..N when
+    alpha_1 = 0) into ``dalpha``, views of ``out``, and returns ``out``.
+    Rows 2..N never read a[0]: ``integrate`` binds b and a as the head and
+    tail of its one buffer (module docstring), and ``out`` as [dbeta, 0,
+    dalpha_2..N].  Outputs and scratch share ``dbeta``'s dtype.  With u_n =
+    q / beta_n, s_n = alpha_n (p - u_n / beta_{n-1}) and v_n = p beta_n + u_n
+    (n = 0..N, so v_0 = p + q):
 
         dbeta_n  = beta_n (s_n - s_{n+1}),
         dalpha_n = alpha_n (p (alpha_{n-1} - alpha_{n+1}) + v_{n-1} - v_n).
@@ -205,12 +207,13 @@ def _ertl_kernel(p, q, b, a, dbeta, dalpha):
     un, s_lo, s_hi = v[1:], s[:-1], s[1:]
     v_lo, v_hi = v[r:-1], v[1 + r:]
 
-    def evaluate():
+    def evaluate(t=None):
         np.divide(q, b, out=v)  # u
         np.multiply(an, p - un / bm, out=s_lo)
         np.multiply(bn, s_lo - s_hi, out=dbeta)
         np.add(p * b, v, out=v)  # u becomes v
         np.multiply(an_r, p * (a_lo - a_hi) + (v_lo - v_hi), out=dalpha)
+        return out
     return evaluate
 
 
@@ -218,8 +221,7 @@ def _ertl_rates(p, q, b, a):
     """dbeta_1..N and dalpha_1..N of the complex padded b, a, one array each."""
     N = len(b) - 1
     out = np.empty(2 * N, dtype=complex)
-    _ertl_kernel(p, q, b, a, out[:N], out[N:])()
-    return out[:N], out[N:]
+    return np.split(_ertl_kernel(p, q, b, a, out[:N], out[N:], out)(), [N])
 
 
 def rhs_ertl(state: LatticeState):
@@ -234,17 +236,19 @@ def rhs_ertl(state: LatticeState):
 SYMMETRY_TOL = 1e-8
 
 
-def _volterra_kernel(a, dalpha):
+def _volterra_kernel(a, dalpha, out):
     """Bind alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}) to the padded a; returns evaluate().
 
-    Each call of evaluate() reads the current a and writes the last
-    len(dalpha) of rows 1..N into ``dalpha``; dalpha_{N+1} is the caller's.
+    Each call of evaluate() reads a, writes the last len(dalpha) of rows 1..N
+    into ``dalpha``, a view of ``out`` (dalpha_{N+1} is the caller's), and
+    returns ``out``; ``integrate`` binds a in its one buffer.
     """
     r = len(a) - 2 - len(dalpha)  # rows r+1..N
     an, a_lo, a_hi = a[1 + r:-1], a[r:-2], a[2 + r:]
 
-    def evaluate():
+    def evaluate(t=None):
         np.multiply(an, a_lo - a_hi, out=dalpha)
+        return out
     return evaluate
 
 
@@ -272,8 +276,7 @@ def rhs_langmuir(state: LatticeState):
         raise NotSymmetricState(f"beta equation does not vanish: {bad:.3e}")
 
     dalpha = np.empty(len(b) - 1, dtype=complex)
-    _volterra_kernel(a, dalpha)()
-    return dalpha.tolist() + [0j if a[-1] == 0 else _NAN]
+    return _volterra_kernel(a, dalpha, dalpha)().tolist() + [0j if a[-1] == 0 else _NAN]
 
 
 #: system id -> the (p, q) it forces on the flow, or None to keep the state's
@@ -318,12 +321,12 @@ class StepControl:
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
 # Section II.10, the coefficients of their code DOP853).  Row 12 of A is the
 # 8th-order weight vector b, so f at the new solution (c = 1) is the next
-# step's k1 (FSAL), evaluated when that step starts.  Rows of _DOP_E weigh
-# stages 1..12: E5 = b minus a 5th-order rule, E3 = b minus a 3rd-order rule.
+# step's k1 (FSAL), evaluated when that step starts.  Columns of A and rows of
+# _DOP_E weigh stages 1..12: E5 = b minus a 5th-order rule, E3 = b minus a 3rd-order rule.
 _DOP_C = (0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
           0.118350341907227396726757197510, 0.281649658092772603273242802490,
           1 / 3, 0.25, 4 / 13, 127 / 195, 0.6, 6 / 7, 1.0, 1.0)
-_DOP_A = np.zeros((13, 13))
+_DOP_A = np.zeros((13, 12))
 for _i, _row in enumerate((
         (),
         (5.26001519587677318785587544488e-2,),
@@ -368,10 +371,6 @@ _DOP_E = np.array([
     _DOP_A[12, :12]])
 _DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
                           0.220588235294117647058823529412e-1)
-#: the tableau as complex128 for complex stages: a matmul of a real row with
-#: complex K converts that row on every stage, to these same values
-_DOP_TABLEAU = {np.dtype(float): (_DOP_A, _DOP_E),
-                np.dtype(complex): (_DOP_A.astype(complex), _DOP_E.astype(complex))}
 
 #: error-scale floor relative to max |y|.  Adding the update h (b @ K) to y
 #: rounds by about eps |y| every step, which the estimate cannot see, so a
@@ -398,69 +397,84 @@ _H_MIN = 1e-14
 _MAX_STEPS = 2_000_000
 
 
-def _dop853(f, t, y, h, K):
-    """One DOP853 step of size h from (t, y).
+class _StageTable:
+    """DOP853 steps on n unknowns of one dtype, kept in one stage table.
 
-    ``K`` is a (12, n) float64 or complex128 array whose row 0 holds
-    f(t, y); rows 1..11 are filled with the later stages.  The tableau is
-    taken in K's dtype.  Returns the 8th-order
-    y_new = y + h (b @ K) and the (2, n) error estimates h (E @ K), row 0 the
-    5th-order e5 and row 1 the 3rd-order e3.
+    Row 0 of the (13, n) ``Y`` holds y and rows 1..12 the stages k1..k12.
+    Row i of ``W`` is (1, h a_i1, ..., h a_i,12), so W[i, :i+1] @ Y[:i+1] is
+    the argument of stage i and W[12] @ Y is y_new.  ``E`` is ``_DOP_E`` in
+    Y's dtype, which no product then converts.
     """
-    A, E = _DOP_TABLEAU[K.dtype]
-    hA = h * A
-    for i in range(1, 12):
-        K[i] = f(t + _DOP_C[i] * h, y + hA[i, :i] @ K[:i])
-    return y + hA[12, :12] @ K, h * (E @ K)
+
+    def __init__(self, n, dtype):
+        self.Y = np.empty((13, n), dtype=dtype)
+        self.W = np.ones((13, 13), dtype=dtype)  # column 0 stays 1
+        self.E = _DOP_E.astype(dtype)
+        self._hA, self._K = self.W[:, 1:], self.Y[1:]
+        self._stages = [(self.W[i, :i + 1], self.Y[:i + 1], self.Y[i + 1], _DOP_C[i])
+                        for i in range(1, 12)]
+
+    def step(self, stage, evaluate, t, h):
+        """Step h from (t, Y[0]), f(t, y) in Y[1]: y_new into ``stage``, (e5, e3) returned."""
+        np.multiply(_DOP_A, h, out=self._hA)
+        for w, ys, k, c in self._stages:
+            np.dot(w, ys, out=stage)
+            k[...] = evaluate(t + c * h)
+        np.dot(self.W[12], self.Y, out=stage)
+        return h * (self.E @ self._K)
 
 
-def _start_step(f, t0, y0, f0, span, ctrl):
+def _start_step(stage, evaluate, t0, y0, f0, span, ctrl):
     """First step proposal from the problem (the HINIT of Hairer's DOP853).
 
     With sc = abs_tol + rel_tol |y0|, d0 = max |y0| / sc and d1 = max |f0| /
     sc, an explicit Euler probe of length h0 = 0.01 d0 / d1 (1e-6 when d0 or
     d1 is below 1e-5) gives d2 = max |f(t0 + h0, y0 + h0 f0) - f0| / sc / h0,
     and the proposal is min(100 h0, (0.01 / max(d1, d2))^(1/8), span).  A
-    flat start (max(d1, d2) <= 1e-15) takes the whole span.  The probe point
-    is off the trajectory and, like a stage argument, is not checked: where
-    it leaves the flow's domain the kernel returns large or non-finite
-    values, and a non-finite d2 gives the proposal ``_H_FALLBACK``.
+    flat start (max(d1, d2) <= 1e-15) takes the whole span.  The probe point,
+    in ``stage``, is off the trajectory and, like a stage argument, is not
+    checked: where it leaves the flow's domain the kernel returns large or
+    non-finite values, and a non-finite d2 gives the proposal ``_H_FALLBACK``.
     """
     sc = ctrl.abs_tol + ctrl.rel_tol * np.abs(y0)
     d0 = float((np.abs(y0) / sc).max())
     d1 = float((np.abs(f0) / sc).max())
     h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and 1e-5 <= d1 < math.inf else 1e-6, span)
-    d2 = float((np.abs(f(t0 + h0, y0 + h0 * f0) - f0) / sc).max()) / h0
+    np.add(y0, h0 * f0, out=stage)
+    d2 = float((np.abs(evaluate(t0 + h0) - f0) / sc).max()) / h0
     if not math.isfinite(d2):
         return _H_FALLBACK
     d = max(d1, d2)
     return span if d <= 1e-15 else min(100.0 * h0, (0.01 / d) ** 0.125, span)
 
 
-def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
+def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, validate):
     """Drive y' = f(t, y) from t0 to t_end, snapshotting at t0 and the times ``t_out``.
 
     The one owner of output-grid semantics for every flow: ``t_out`` defaults
     to [t_end], is sorted, must lie in (t0, t_end] without repeats (ValueError
-    otherwise, as for t_end <= t0 or a time that is not finite) and gains
-    t_end when missing.  Steps land
-    exactly on every output time (no interpolation).  The one breakdown rule:
-    ``f`` is a pure array function, and ``validate(t, y)`` alone decides a
+    otherwise, as for t_end <= t0 or a time that is not finite) and gains t_end
+    when missing.  Steps land exactly on every output time (no interpolation).
+    The flow is the pair (``stage``, ``evaluate``): ``stage`` is a writable,
+    contiguous 1-D float64 or complex128 view of the flow's padded state, the
+    array its kernel reads, holding y0 on entry (the unknowns are stepped in
+    its dtype), and ``evaluate(t)`` returns f(t, stage) as the kernel's bound
+    output array (the flows ignore t).  Each point f is wanted at is written
+    into ``stage`` by one numpy call, and each value of f is copied before the
+    next call.  A gap slot (padding inside ``stage``) holds 0 with derivative
+    0, so it stays exactly 0 and adds nothing to the error norms or max |y|;
+    ``validate`` and the snapshots' readers skip it.  The one breakdown rule:
+    the kernel is a pure array function, and ``validate(t, y)`` alone decides a
     breakdown (singularity / positivity loss).  It runs on every step that
     passes the error test, before it is accepted, and may raise to abort; a
-    SingularDenominator from it is re-raised with ``t_bracket``, the start
-    and end time of the step.  Where an off-trajectory f (the start probe,
-    a stage argument) leaves the flow's domain its values are large or
-    non-finite, and the error test rejects them; the stepping runs under
+    SingularDenominator from it is re-raised with ``t_bracket``, the start and
+    end time of the step.  Where an off-trajectory f (the start probe, a stage
+    argument) leaves the flow's domain its values are large or non-finite, and
+    the error test rejects them; the stepping runs under
     ``np.errstate(all="ignore")``, so they raise no warning.  y0 is the
-    caller's to check.  The unknowns are stepped in the dtype of ``y0``
-    (float64 when it is real, complex otherwise), and ``f`` must return that
-    dtype.  Each value of ``f`` is copied (into the stage array, or into the
-    start probe's difference) before ``f`` is called again, so ``f`` may
-    return the same array on every call.  ``ctrl`` None means
-    ``StepControl()``.  Returns (times, snapshots,
-    stats): times are t0 followed by the output times, and the first
-    snapshot is y0 in the stepping dtype.
+    caller's to check.  ``ctrl`` None means ``StepControl()``.  Returns (times,
+    snapshots, stats): times are t0 followed by the output times, and the first
+    snapshot is y0.
 
     The first step comes from ``_start_step``: f(t0, y0), which is also the
     first step's first stage, and one probe call of f.  Each attempt is
@@ -490,29 +504,30 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
         times.append(t_end)
     ctrl = ctrl or StepControl()
 
-    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    K = np.empty((12, y.size), dtype=y.dtype)
+    table = _StageTable(stage.size, stage.dtype)
+    y, k1 = table.Y[:2]
+    y[...] = stage
     t = t0
     accepted = rejected = 0
-    k1_due = False  # K[0] = f(t, y) is still to evaluate at this y
+    k1_due = False  # k1 = f(t, y) is still to evaluate at this y
     max_err = 0.0
     h_min, h_max = math.inf, 0.0
     snaps = [y.copy()]
 
     with np.errstate(all="ignore"):
-        K[0] = f(t0, y)
-        h = _start_step(f, t0, y, K[0], t_end - t0, ctrl)
+        k1[...] = evaluate(t0)
+        h = _start_step(stage, evaluate, t0, y, k1, t_end - t0, ctrl)
         h_start = min(h, times[0] - t0)
         for target in times:
             while target - t > 1e-15 * max(abs(target), 1.0):
                 if accepted + rejected > _MAX_STEPS:
                     raise StepUnderflow(f"step budget exhausted at t={t}")
                 h_try = min(h, target - t)
-                if k1_due:
-                    K[0] = f(t, y)
+                if k1_due:  # stage still holds y, the last accepted y_new
+                    k1[...] = evaluate(t)
                     k1_due = False
-                y_new, e = _dop853(f, t, y, h_try, K)
-                scale = np.maximum(np.abs(y), np.abs(y_new))
+                e = table.step(stage, evaluate, t, h_try)
+                scale = np.maximum(np.abs(y), np.abs(stage))
                 sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale,
                                 _ROUNDING_FLOOR * float(scale.max()))
                 e5, e3 = (np.abs(e) / sc).max(axis=1).tolist()
@@ -527,7 +542,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
                         raise StepUnderflow(f"h = {h:.3e} below floor at t = {t}")
                     continue
                 try:
-                    validate(t + h_try, y_new)
+                    validate(t + h_try, stage)
                 except SingularDenominator as exc:
                     raise SingularDenominator(exc.n, exc.value,
                                               t_bracket=(t, t + h_try)) from None
@@ -538,7 +553,7 @@ def integrate_core(f, t0, y0, t_end, t_out, ctrl: StepControl | None, validate):
                 accepted += 1
                 h_min, h_max = min(h_min, h_try), max(h_max, h_try)
                 t = t + h_try
-                y = y_new
+                y[...] = stage
             t = target
             snaps.append(y.copy())
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,
@@ -566,34 +581,26 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     if rhs_id not in SYSTEMS:
         raise ValueError(f"unknown system {rhs_id!r}")
     N = state.N
-    forced = SYSTEMS[rhs_id] or (state.p, state.q)
-    p, q = forced
+    p, q = forced = SYSTEMS[rhs_id] or (state.p, state.q)
 
-    b, a = _padded(state.beta, state.alpha)  # f refills the unknowns in place
-    if p.imag == q.imag == 0.0 and not (b.imag.any() or a.imag.any()):
-        p, q, b, a = p.real, q.real, b.real.copy(), a.real.copy()  # step in float64
+    buf = np.array([1, *state.beta, *state.alpha], dtype=complex)  # the one buffer
+    if p.imag == q.imag == 0.0 and not buf.imag.any():
+        p, q, buf = p.real, q.real, buf.real.copy()  # step in float64
 
-    out = np.zeros(2 * N - 1, dtype=b.dtype)  # dbeta_1..N, dalpha_2..N
+    out = np.zeros(2 * N, dtype=buf.dtype)  # dbeta_1..N, dalpha_1 = 0, dalpha_2..N
     if rhs_id == "langmuir":
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
-        evaluate = _volterra_kernel(a, out[N:])  # dbeta stays 0: beta is frozen
+        evaluate = _volterra_kernel(buf[N:], out[N + 1:], out)  # dbeta stays 0: beta is frozen
     else:
-        evaluate = _ertl_kernel(p, q, b, a, out[:N], out[N:])
-    beta, alpha = b[1:], a[2:-1]
-
-    def f(t, y):
-        beta[:] = y[:N]
-        alpha[:] = y[N:]
-        evaluate()
-        return out
+        evaluate = _ertl_kernel(p, q, buf[:N + 1], buf[N:], out[:N], out[N + 1:], out)
 
     def validate(t, y):
         _check_betas(y[:N], t)
 
-    y0 = np.concatenate((beta, alpha))  # beta_1..beta_N, alpha_2..alpha_N
-    times, snaps, stats = integrate_core(f, state.t, y0, t_end, t_out, ctrl, validate)
+    times, snaps, stats = integrate_core(buf[1:-1], evaluate, state.t, t_end, t_out, ctrl,
+                                         validate)
     snaps = [y.astype(complex, copy=False) for y in snaps]  # states stay complex
-    states = [LatticeState(*forced, tt, y[:N].tolist(), [0j] + y[N:].tolist() + [0j])
+    states = [LatticeState(*forced, tt, y[:N].tolist(), [0j] + y[N + 1:].tolist() + [0j])
               for tt, y in zip(times, snaps)]
     return Trajectory(times=tuple(times), states=tuple(states), step_stats=stats)
 

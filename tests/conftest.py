@@ -10,7 +10,7 @@ settings.load_profile("ertl")
 
 from ertl import (SYSTEMS, LatticeState, Trajectory, compute_moments, discrete_spec,
                   example1_spec, example2_spec, rhs_ertl, stieltjes)
-from ertl import lorth, measures
+from ertl import lattice, lorth, measures
 
 
 def beta_at(rc, n):
@@ -150,6 +150,34 @@ def rk4_reference(state, t_end, h, t_out=None, rhs_id="ertl"):
         t = target
         states.append(LatticeState(state.p, state.q, t, y[:N], [0j, *y[N:], 0j]))
     return Trajectory((state.t, *times), tuple(states), {})
+
+
+def bound_flow(f, y0):
+    """(stage, evaluate) of a plain f(t, y): the flow contract of ``integrate_core``.
+
+    ``stage`` holds y0, as float64 when it is real and complex128 otherwise,
+    and evaluate(t) returns f(t, stage).  The generic stepper tests state
+    their problems as f(t, y) and bind them here.
+    """
+    stage = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
+    return stage, lambda t: f(t, stage)
+
+
+def copying_step(table, stage, evaluate, t, h):
+    """One DOP853 step in the stage form before the stage table: the second route to its ``step``.
+
+    Each stage argument y + h A[i, :i] @ K[:i] is built as a new array and
+    then copied into ``stage``, as an f(t, y) that refilled the kernel's
+    arrays did; y_new = y + h (b @ K) is left in ``stage`` and h (E @ K)
+    returned, as by ``lattice._StageTable.step``.
+    """
+    hA = h * lattice._DOP_A.astype(table.Y.dtype)
+    y, K = table.Y[0], table.Y[1:]
+    for i in range(1, 12):
+        stage[...] = y + hA[i, :i] @ K[:i]
+        K[i] = evaluate(t + lattice._DOP_C[i] * h)
+    stage[...] = y + hA[12] @ K
+    return h * (table.E @ K)
 
 
 def cd_edge_rates(c, d, q):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+import ertl.circle as circle
 from hypothesis import given, settings, strategies as st
 
 from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefinite,
@@ -381,6 +383,31 @@ def test_integrate_cd_positivity_guard():
     for q in (0.5, 3.0, 2 + 2j):
         _, _, ds, _ = integrate_cd([0.0] * 4, [0.0, 0.25, 0.25, 0.25], q, 0.0, 3.0)
         assert all(0.0 < x < 1.0 for x in ds[-1][1:])
+
+
+@pytest.mark.parametrize("c, d, q, n", [
+    ([0.0] * 3, [0.0, 0.9, 0.9], 3.0, 3),
+    ([0.0] * 5, [0.0, 0.3, 0.3, 0.95, 0.95], 3.0, 5),
+    ([0.1, -0.2, 0.3, 0.0, 0.1], [0.0, 0.5, 0.5, 0.05, 0.5], -3.0 + 1j, 2)])
+def test_integrate_cd_positivity_lost_names_n_and_d_n(monkeypatch, c, d, q, n):
+    # the stepped vector holds two gap slots before d_2..d_M: PositivityLost
+    # names the first d_n outside (0, 1) of the rejected state, by d's own index
+    M, states, core = len(c), [], circle.integrate_core
+
+    def recording(stage, evaluate, t0, t_end, t_out, ctrl, validate):
+        def validate_and_record(t, y):
+            states.append(y.copy())
+            validate(t, y)
+        return core(stage, evaluate, t0, t_end, t_out, ctrl, validate_and_record)
+
+    monkeypatch.setattr(circle, "integrate_core", recording)
+    with pytest.raises(PositivityLost) as exc:
+        integrate_cd(c, d, q, 0.0, 2.0)
+    d_now = states[-1][M + 1:]  # d_1 = 0 (a gap slot), d_2..d_M
+    assert exc.value.n == n and d_now[0] == 0.0
+    assert all(0.0 < x < 1.0 for x in d_now[1:n - 1]) and not 0.0 < d_now[n - 1] < 1.0
+    assert str(exc.value).startswith(f"d_{n} = {d_now[n - 1]} left (0, 1)")
+    assert all(0.0 < x < 1.0 for s in states[:-1] for x in s[M + 2:])
 
 
 def test_integrate_schur_rejects_report_outside_window():

@@ -12,6 +12,7 @@ import pytest
 from scipy.special import iv
 
 import ertl
+import ertl.cli as cli
 from ertl.cli import main
 from ertl.lattice import state_from_coeffs
 from ertl.lorth import RecurrenceCoeffs, bootstrap_recurrence
@@ -117,14 +118,29 @@ def test_simulate_stationary_single_site(tmp_path):
     assert rows[0][2] == rows[-1][2] == "1"
 
 
-def test_simulate_golden_and_determinism(tmp_path):
+def step_counts(monkeypatch):
+    """(accepted, rejected) of each integration ``main`` runs, in order."""
+    counts = []
+    for name in ("integrate", "integrate_cd", "integrate_schur"):
+        def counted(*args, _run=getattr(cli, name), _lattice=name == "integrate", **kwargs):
+            result = _run(*args, **kwargs)
+            stats = result.step_stats if _lattice else result[-1]
+            counts.append((stats["accepted"], stats["rejected"]))
+            return result
+        monkeypatch.setattr(cli, name, counted)
+    return counts
+
+
+def test_simulate_golden_and_determinism(tmp_path, monkeypatch):
     args = ["simulate", "--system", "rtl2", "--t-end", "0.5", "--t-out", "0.25,0.5",
             "--init", '{"beta":[[1,0],[2,0],[1.5,0]],"alpha":[[0.5,0],[0.25,0]]}']
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    counts = step_counts(monkeypatch)
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert body(out1) == body(out2)
     assert body(out1) == body(GOLDEN / "simulate_rtl2.csv")
+    assert counts == [(5, 1)] * 2  # the golden's steps: a regeneration that moves one shows
     by_t = {}
     for row in cells(out1):
         by_t.setdefault(float(row[0]), []).append(row)
@@ -146,6 +162,7 @@ def test_simulate_golden_and_determinism(tmp_path):
 
 SQRT2 = "[1.4142135623730951,0]"
 #: golden file -> simulate arguments; each file is a bitwise record of its flow's steps
+#: (their accepted and rejected counts are in FLOW_GOLDEN_STEPS)
 FLOW_GOLDENS = {
     "simulate_ertl_complex.csv": [
         "--system", "ertl", "--p", "1,0.5", "--q", "0.8,-0.3", "--init",
@@ -161,6 +178,10 @@ FLOW_GOLDENS = {
         "--system", "cd", "--q", "0.5,0.2", "--init",
         '{"c":[0.1,-0.2,0.3,0],"d":[0,0.25,0.3,0.2]}'],
 }
+#: golden file -> (accepted, rejected) steps of its run.  A golden regenerated
+#: for rounding only (the stage arithmetic changed) must keep these counts
+FLOW_GOLDEN_STEPS = {"simulate_ertl_complex.csv": (5, 0), "simulate_langmuir.csv": (4, 0),
+                     "simulate_schur.csv": (5, 0), "simulate_cd.csv": (5, 0)}
 
 
 def golden_mismatch(got, want):
@@ -178,14 +199,16 @@ def golden_mismatch(got, want):
 
 
 @pytest.mark.parametrize("name", FLOW_GOLDENS, ids=lambda n: n[9:-4])
-def test_simulate_flow_golden(tmp_path, name):
+def test_simulate_flow_golden(tmp_path, monkeypatch, name):
     # text-equal: a change to a flow's kernel or to the stepper that moves
     # any step by one rounding shows here
     out = tmp_path / name
+    counts = step_counts(monkeypatch)
     assert main(["simulate", *FLOW_GOLDENS[name], "--t-end", "0.5", "--t-out", "0.25,0.5",
                  "--out", str(out)]) == 0
     got, want = body(out), body(GOLDEN / name)
     assert got == want, golden_mismatch(got, want)
+    assert counts == [FLOW_GOLDEN_STEPS[name]]
     by_t = {}
     for row in cells(out):
         by_t.setdefault(row[0], []).append([float(x) for x in row[2:]])
@@ -255,6 +278,36 @@ def test_spectrum_from_trajectory(tmp_path):
         assert max(abs(a - b) for a, b in zip(s, specs[0])) < 1e-7
 
 
+@pytest.mark.parametrize("system", ["cd", "schur", "short-row", "no-header"])
+def test_spectrum_rejects_a_csv_that_is_no_lattice_trajectory(tmp_path, capsys, system):
+    # an IndexError traceback answered a cd or schur CSV, or a short row, before
+    traj = tmp_path / "traj.csv"
+    header = "its header must be 't,site,re_beta,im_beta,re_alpha,im_alpha', but "
+    if system == "cd":
+        argv = CD + ["--init", '{"c":[0.1,0.2],"d":[0,0.25]}']
+        needle = header + "line 2 reads 't,site,c,d'"
+    elif system == "schur":
+        argv = SCHUR + ["--init", '{"a":[[0.2,0],[0.1,0]]}']
+        needle = header + "line 2 reads 't,site,re_a,im_a'"
+    else:
+        argv = ERTL + ["--N", "2"]
+        needle = "line 4 has 5 cells, not 6"
+    assert main(argv + ["--out", str(traj)]) == 0
+    if system == "short-row":
+        lines = traj.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        traj.write_text("\n".join(lines) + "\n")
+    elif system == "no-header":
+        traj.write_text("# ertl\n")
+        needle = header + "it has no header"
+    capsys.readouterr()
+    assert main(["spectrum", "--traj", str(traj)]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(err)
+    assert out == "" and report["error"] == "ValueError"
+    assert report["message"] == f"{traj} is no lattice trajectory: {needle}"
+
+
 def test_circle_subcommands(tmp_path, capsys):
     out = tmp_path / "v.csv"
     assert main(["circle", "verblunsky", "--q", "0.5,0", "--N", "6",
@@ -292,6 +345,19 @@ def test_circle_subcommands(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
     assert report["max_err_n_ge_1"] < 1e-5
+
+
+def test_schur_check_n3_judges_row_1(capsys):
+    # N = 3 is the smallest window with a row n >= 1 (a_dot_1 reads a_2): its
+    # error alone decides "pass", and the boundary row n = 0 is only reported
+    argv = ["circle", "schur-check", "--q", "0.5,0", "--N", "3", "--t", "0.25"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    err = report["max_err_n_ge_1"]
+    assert report["pass"] is True and 0.0 < err < 1e-5
+    assert main(argv + ["--tol", repr(err / 2)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is False and report["max_err_n_ge_1"] == err
 
 
 def test_exit_code_validation_error(capsys):
@@ -513,7 +579,10 @@ BAD_COMMAND_LINES = {
     "circle-tol": (SCHUR_CHECK + ["--tol", "nan"], "--h and --tol must be > 0"),
     # rhs_schur has no row for N = 1: an IndexError traceback answered before
     "schur-check-N-1": (["circle", "schur-check", "--N", "1", "--t", "0.1"],
-                        "circle schur-check needs --N >= 2"),
+                        "circle schur-check needs --N >= 3"),
+    # at N = 2 only the boundary row n = 0 exists: "pass" with nothing compared before
+    "schur-check-N-2": (["circle", "schur-check", "--N", "2", "--t", "0.1"],
+                        "circle schur-check needs --N >= 3, got 2"),
     # empty circle windows: numpy's "negative dimensions" and "n_report = 0" before
     "cd-empty": (CD + ["--init", '{"c":[],"d":[]}'], "the (c, d) window is empty"),
     "schur-empty": (SCHUR + ["--init", '{"a":[]}'], "the Schur window is empty"),

@@ -25,10 +25,10 @@ from ertl import (LatticeState, NonConvergence, PositivityLost, RecurrenceCoeffs
                   integrate_cd, integrate_schur, isospectral_drift, lax_residual, rhs_cd,
                   rhs_ertl, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
-from ertl.circle import _cd_kernel, _cd_padded, _flow_modulus, _schur_kernel
-from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _check_betas,
-                          _dop853, _ertl_kernel, _padded, _volterra_kernel, integrate_core)
-from tests.conftest import cd_edge_rates, ertl_drag_rates, eval_Q
+from ertl.circle import _cd_kernel, _flow_modulus, _schur_kernel
+from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _StageTable,
+                          _check_betas, _ertl_kernel, _padded, _volterra_kernel, integrate_core)
+from tests.conftest import bound_flow, cd_edge_rates, copying_step, ertl_drag_rates, eval_Q
 from tests.test_lattice import random_state
 
 NAN = complex(float("nan"), float("nan"))
@@ -210,7 +210,7 @@ def test_ertl_kernel_matches_loop(data):
         # complex value would not cast into the float64 output)
         N = len(beta)
         out = np.empty(2 * N)
-        _ertl_kernel(p, q, *_padded(beta, alpha, float), out[:N], out[N:])()
+        assert _ertl_kernel(p, q, *_padded(beta, alpha, float), out[:N], out[N:], out)() is out
         assert_matches(out[:N], wb, scale)
         assert_matches(out[N:], wa[:-1], scale)
 
@@ -256,9 +256,11 @@ def test_cd_kernel_matches_loop(M, q, data):
     assert_matches(dc, wc, scale)
     assert_matches(dd, wd[1:], scale)
     # integrate_cd steps float64 arrays: the kernel stays real for any q (a
-    # complex value would not cast into the float64 output)
+    # complex value would not cast into the float64 output).  Bound to two
+    # separate padded arrays it gives the bits of one shared buffer (rhs_cd)
     out = np.empty(2 * M - 1)
-    _cd_kernel(*_cd_padded(c, d), q, out)()
+    C, D = np.array([1.0, *c, 0.0]), np.array([0.0, *d, 0.0])
+    assert _cd_kernel(C, D, q, out[:M], out[M:], out)() is out
     assert out.tolist() == dc + dd
 
 
@@ -309,8 +311,7 @@ def test_schur_kernel_matches_loop(N, q, a_top, data):
         got = rhs_schur(SimpleNamespace(a=tuple(a)), q)
     else:  # integrate_schur's window adds the n = N-1 row against a frozen top
         A = np.array([-1.0, *a, a_top], dtype=complex)
-        got = np.empty(N, dtype=complex)
-        _schur_kernel(A, complex(q), got)()
+        got = _schur_kernel(A, complex(q), np.empty(N, dtype=complex))()
     assert_matches(got, schur_loop(a, q, a_top), 2.0 * abs(q))
 
 
@@ -337,16 +338,16 @@ def test_flow_modulus_skips_nan():
     _flow_modulus(np.array([np.nan, 0.5]), 0.0)  # NaN alone is not |a_n| >= 1
 
 
-# -- bound kernels: the public right-hand sides and the stepping f agree bit for bit
+# -- bound kernels: the public right-hand sides and the stepped flows agree bit for bit
 
 class Captured(Exception):
-    """Carries the (f, y0) an integration hands to ``integrate_core``."""
+    """Carries the (stage, evaluate) an integration hands to ``integrate_core``."""
 
 
-def stepping_f(module, run):
-    """(f, y0) that ``run()`` passes to ``module.integrate_core``, which is not run."""
-    def capture(f, t0, y0, *args):
-        raise Captured(f, y0)
+def stepping_flow(module, run):
+    """(stage, evaluate) that ``run()`` passes to ``module.integrate_core``, which is not run."""
+    def capture(stage, evaluate, *args):
+        raise Captured(stage, evaluate)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "integrate_core", capture)
@@ -364,6 +365,12 @@ def same_bits(got, want):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def without_gaps(x, gaps):
+    """x without its gap slots, which must hold +0 exactly (not -0, not NaN)."""
+    assert not np.asarray(x)[gaps].any() and not np.signbit(np.real(x[gaps])).any()
+    return np.delete(x, gaps)
+
+
 @given(st.one_of(lattice_data(), lattice_data(real=True)))
 def test_bound_ertl_is_public_rhs_bitwise(data):
     p, q, beta, alpha = data
@@ -372,18 +379,22 @@ def test_bound_ertl_is_public_rhs_bitwise(data):
     # integrate's layout (dalpha rows 2..N) on the public rhs's complex arrays,
     # finite or buffered (NaN dbeta_N)
     out = np.empty(2 * N - 1, dtype=complex)
-    _ertl_kernel(complex(p), complex(q), *_padded(beta, alpha), out[:N], out[N:])()
+    _ertl_kernel(complex(p), complex(q), *_padded(beta, alpha), out[:N], out[N:], out)()
     same_bits(out, db + da[1:-1])
     if alpha[-1] != 0:
         return
-    f, y0 = stepping_f(lattice, lambda: integrate(LatticeState(p, q, 0.0, beta, alpha), 1.0))
-    if y0.dtype == complex:
-        same_bits(f(0.0, y0), db + da[1:-1])
+    stage, evaluate = stepping_flow(
+        lattice, lambda: integrate(LatticeState(p, q, 0.0, beta, alpha), 1.0))
+    # the stepped vector is the one buffer's interior: beta, alpha_1 = 0, alpha_2..N
+    same_bits(without_gaps(stage, N), beta + alpha[1:-1])
+    got = without_gaps(evaluate(0.0), N)
+    if stage.dtype == complex:
+        same_bits(got, db + da[1:-1])
     else:  # stepped in float64: the public layout on float64 arrays, rows 2..N
         b, a = (x.real.copy() for x in _padded(beta, alpha))
         want = np.empty(2 * N)
-        _ertl_kernel(complex(p).real, complex(q).real, b, a, want[:N], want[N:])()
-        same_bits(f(0.0, y0), np.delete(want, N))
+        _ertl_kernel(complex(p).real, complex(q).real, b, a, want[:N], want[N:], want)()
+        same_bits(got, np.delete(want, N))
 
 
 @given(sizes, st.floats(0.1, 4.0), st.booleans(), st.data())
@@ -394,14 +405,15 @@ def test_bound_volterra_is_public_rhs_bitwise(N, q, real, data):
     beta = [math.sqrt(q)] * N
     da = rhs_langmuir(raw_state(1.0, q, beta, alpha))
     out = np.empty(N - 1, dtype=complex)
-    _volterra_kernel(_padded(beta, alpha)[1], out)()
+    _volterra_kernel(_padded(beta, alpha)[1], out, out)()
     same_bits(out, da[1:-1])
     if alpha[-1] != 0:
         return
     state = LatticeState(1.0, q, 0.0, beta, alpha)
-    f, y0 = stepping_f(lattice, lambda: integrate(state, 1.0, rhs_id="langmuir"))
-    # a float64 f matches too: the complex products of real values are exact
-    same_bits(f(0.0, y0), [0.0] * N + da[1:-1])
+    stage, evaluate = stepping_flow(lattice, lambda: integrate(state, 1.0, rhs_id="langmuir"))
+    # a float64 evaluation matches too: the complex products of real values
+    # are exact.  beta is frozen: its rows, and the gap slot, stay 0
+    same_bits(evaluate(0.0), [0.0] * (N + 1) + da[1:-1])
 
 
 @given(sizes, nonzero, st.data())
@@ -410,8 +422,10 @@ def test_bound_schur_is_public_rhs_bitwise(N, q, data):
                                        st.floats(-0.99, 0.99).map(complex)))
     # the window's frozen zero top is the public rhs's last coefficient
     want = rhs_schur(SimpleNamespace(a=(*a, 0j)), q)
-    f, y0 = stepping_f(circle, lambda: integrate_schur(VerblunskySeq(0.0, tuple(a)), q, 1.0))
-    same_bits(f(0.0, y0), want)
+    stage, evaluate = stepping_flow(
+        circle, lambda: integrate_schur(VerblunskySeq(0.0, tuple(a)), q, 1.0))
+    same_bits(stage, a)
+    same_bits(evaluate(0.0), want)
 
 
 @given(sizes, st.one_of(nonzero, real_nonzero), st.data())
@@ -420,28 +434,121 @@ def test_bound_cd_is_public_rhs_bitwise(M, q, data):
     d = [0.0] + values(data.draw, M - 1, st.floats(0.0, 1.0, exclude_min=True,
                                                    exclude_max=True), float)
     dc, dd = rhs_cd(SimpleNamespace(c=tuple(c), d=tuple(d[1:])), q)
-    f, y0 = stepping_f(circle, lambda: integrate_cd(c, d, q, 0.0, 1.0))
-    same_bits(f(0.0, y0), dc + dd)
+    stage, evaluate = stepping_flow(circle, lambda: integrate_cd(c, d, q, 0.0, 1.0))
+    # the stepped vector: c, the gap slots c_{M+1} = d_0 and d_1, d_2..d_M
+    same_bits(without_gaps(stage, [M, M + 1]), c + d[1:])
+    same_bits(without_gaps(evaluate(0.0), [M, M + 1]), dc + dd)
+
+
+def flow_run(flow):
+    """(module, run) of a small integration of ``flow`` to t = 1."""
+    if flow in ("ertl", "langmuir"):
+        state = state_from_coeffs(1.0, 2.0, 0.0, [2.0 ** 0.5] * 4, [0.5, 0.3, 0.8])
+        return lattice, lambda: integrate(state, 1.0, rhs_id=flow)
+    if flow == "schur":
+        v = VerblunskySeq(0.0, (0.2 + 0.1j, -0.1, 0.05j))
+        return circle, lambda: integrate_schur(v, 0.5 + 0.3j, 1.0)
+    return circle, lambda: integrate_cd([0.1, -0.2, 0.3], [0.0, 0.25, 0.3], 0.5 + 0.2j,
+                                        0.0, 1.0)
 
 
 @pytest.mark.parametrize("flow", ["ertl", "langmuir", "schur", "cd"])
 def test_stepping_f_reuses_one_array(flow):
-    # integrate_core copies f's value at once, so every flow writes its
-    # derivative into one array per integration instead of allocating
-    if flow in ("ertl", "langmuir"):
-        state = state_from_coeffs(1.0, 2.0, 0.0, [2.0 ** 0.5] * 4, [0.5, 0.3, 0.8])
-        f, y0 = stepping_f(lattice, lambda: integrate(state, 1.0, rhs_id=flow))
-    elif flow == "schur":
-        v = VerblunskySeq(0.0, (0.2 + 0.1j, -0.1, 0.05j))
-        f, y0 = stepping_f(circle, lambda: integrate_schur(v, 0.5 + 0.3j, 1.0))
-    else:
-        f, y0 = stepping_f(circle, lambda: integrate_cd([0.1, -0.2, 0.3], [0.0, 0.25, 0.3],
-                                                        0.5 + 0.2j, 0.0, 1.0))
-    first = f(0.0, y0)
+    # each stage is written into the flow's own padded state, the array its
+    # kernel reads, and each evaluation writes its derivative into one array
+    # per integration, which integrate_core copies at once
+    stage, evaluate = stepping_flow(*flow_run(flow))
+    assert stage.ndim == 1 and stage.flags.c_contiguous and stage.flags.writeable
+    y0 = stage.copy()
+    first = evaluate(0.0)
     want = first.copy()
-    moved = f(0.0, 1.01 * y0)
+    stage *= 1.01
+    moved = evaluate(0.0)
     assert moved is first and not np.array_equal(moved, want)
-    assert f(0.0, y0) is first and np.array_equal(first, want)
+    stage[...] = y0
+    assert evaluate(0.0) is first and np.array_equal(first, want)
+
+
+@pytest.mark.parametrize("flow, gaps", [("ertl", [4]), ("langmuir", [4]), ("cd", [3, 4])])
+def test_gap_slots_stay_zero(flow, gaps):
+    # a gap slot holds 0 with derivative 0, so every stage, the start probe
+    # and every snapshot read +0 there, also when the values elsewhere are
+    # not finite: here the start probe and the first stage read NaN, so the
+    # first attempt is rejected and the start falls back to _H_FALLBACK
+    module, run = flow_run(flow)
+    real_core = module.integrate_core
+    seen, snaps, stats = [], [], {}
+
+    def leaving(stage, evaluate):
+        def wrapped(t):
+            seen.append(stage.copy())
+            out = evaluate(t)
+            if len(seen) in (2, 3):
+                out = out.copy()
+                out[np.delete(np.arange(len(out)), gaps)] = np.nan
+            return out
+        return wrapped
+
+    def core(stage, evaluate, *args):
+        times, ys, st = real_core(stage, leaving(stage, evaluate), *args)
+        snaps.extend(ys)
+        stats.update(st)
+        return times, ys, st
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_core", core)
+        run()
+    assert len(seen) > 24 and len(snaps) == 2
+    assert stats["h_start"] == _H_FALLBACK and stats["rejected"] >= 1
+    assert not np.isfinite(seen[3]).all()  # the second stage read the first one's NaN
+    for x in seen + snaps:
+        without_gaps(x, gaps)
+    assert all(np.isfinite(x).all() for x in snaps)
+
+
+@settings(max_examples=60)
+@given(flow=st.sampled_from(["ertl", "langmuir", "schur", "cd"]), size=st.integers(1, 24),
+       seed=st.integers(0, 2 ** 32 - 1), rel_tol=st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_stage_table_matches_copying_stages(flow, size, seed, rel_tol):
+    # one product per stage argument, written into the stage, against the
+    # stage form before it (y + h A[i, :i] @ K[:i], then copied into the
+    # kernel's arrays): the same steps, and values within 8 ulp of their scale
+    # (the largest seen on 1200 such runs was 5.3 ulp; it grows with the span)
+    rng = np.random.default_rng(seed)
+    kw = dict(ctrl=StepControl(rel_tol=rel_tol), t_out=[0.125, 0.25])
+    if flow == "ertl":
+        state = random_state(rng, size, complex_data=bool(seed % 2))
+        run = lambda: integrate(state, 0.25, **kw)
+    elif flow == "langmuir":
+        state = state_from_coeffs(1.0, 2.0, 0.0, [2.0 ** 0.5] * size,
+                                  rng.uniform(0.1, 1.0, size - 1))
+        run = lambda: integrate(state, 0.25, rhs_id="langmuir", **kw)
+    elif flow == "schur":
+        a = rng.uniform(0.0, 0.9, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+        q = complex(*rng.uniform(-1.0, 1.0, 2))
+        run = lambda: integrate_schur(VerblunskySeq(0.0, tuple(a)), q, 0.25, **kw)
+    else:
+        c = rng.uniform(-1.0, 1.0, size).tolist()
+        d = [0.0] + rng.uniform(0.3, 0.7, size - 1).tolist()
+        q = complex(*rng.uniform(-0.5, 0.5, 2))
+        run = lambda: integrate_cd(c, d, q, 0.0, 0.25, **kw)
+
+    def flat(result):
+        if flow in ("ertl", "langmuir"):
+            return (np.array([s.beta + s.alpha for s in result.states]),
+                    result.step_stats)
+        if flow == "schur":
+            return np.array([v.a for v in result[1]]), result[2]
+        return np.hstack((result[1], result[2])), result[3]
+
+    got, got_stats = flat(run())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_StageTable, "step", copying_step)
+        want, want_stats = flat(run())
+    assert (got_stats["accepted"], got_stats["rejected"]) == \
+        (want_stats["accepted"], want_stats["rejected"])
+    eps = np.finfo(float).eps
+    assert np.abs(got - want).max() <= 8 * eps * np.abs(want).max()
 
 
 # -- integrator: Dormand-Prince 8(5,3) with FSAL ----------------------------------
@@ -454,7 +561,8 @@ def test_rhs_calls_per_attempt():
         return -y * (1.0 + t)
 
     ctrl = StepControl(rel_tol=1e-10)  # the controller rejects some attempts
-    _, _, stats = integrate_core(f, 0.0, [1.0, 0.5j], 2.0, None, ctrl, lambda t, y: None)
+    _, _, stats = integrate_core(*bound_flow(f, [1.0, 0.5j]), 0.0, 2.0, None, ctrl,
+                                 lambda t, y: None)
     assert stats["rejected"] >= 1
     # 11 stages per attempt, f(t, y) once per starting point, which is the
     # start plus every accepted step but the last, and the starting-step probe
@@ -471,18 +579,20 @@ def test_integrate_core_steps_in_y0_dtype():
 
     for y0, dtype in (([1.0, 2.0], np.float64), ([1.0, 2j], np.complex128)):
         seen.clear()
-        _, snaps, _ = integrate_core(f, 0.0, y0, 0.5, None, StepControl(), lambda t, y: None)
+        _, snaps, _ = integrate_core(*bound_flow(f, y0), 0.0, 0.5, None, StepControl(),
+                                     lambda t, y: None)
         assert set(seen) == {np.dtype(dtype)} and snaps[-1].dtype == dtype
         assert np.allclose(snaps[-1], np.array(y0) * math.exp(-0.5), rtol=1e-9, atol=0.0)
 
 
 def dop_quadrature_step(g):
     """One DOP853 step of y' = g(t) over [0, 1] from y = 0: (y_new, e5, e3)."""
-    f = lambda t, y: np.full(y.shape, g(t))
-    K = np.empty((12, 1))
-    K[0] = f(0.0, np.zeros(1))
-    y_new, e = _dop853(f, 0.0, np.zeros(1), 1.0, K)
-    return float(y_new[0]), float(e[0, 0]), float(e[1, 0])
+    stage, evaluate = bound_flow(lambda t, y: np.full(y.shape, g(t)), np.zeros(1))
+    table = _StageTable(1, stage.dtype)
+    table.Y[0] = 0.0
+    table.Y[1] = evaluate(0.0)
+    e = table.step(stage, evaluate, 0.0, 1.0)
+    return float(stage[0]), float(e[0, 0]), float(e[1, 0])
 
 
 def test_dop853_tableau_quadrature_orders():
@@ -522,7 +632,7 @@ def test_flat_start_takes_one_step_per_output_interval():
     # [0, 1]: 0.01, 0.05, 0.25, 0.69
     zero = lambda t, y: np.zeros_like(y)
     for t_out, steps in ((None, 1), ([0.25, 0.5, 0.75, 1.0], 4)):
-        _, _, stats = integrate_core(zero, 0.0, [1.0, 2.0], 1.0, t_out, None,
+        _, _, stats = integrate_core(*bound_flow(zero, [1.0, 2.0]), 0.0, 1.0, t_out, None,
                                      lambda t, y: None)
         assert (stats["accepted"], stats["rejected"]) == (steps, 0)
         assert stats["h_start"] == (t_out or [1.0])[0]
@@ -532,8 +642,8 @@ def test_flat_start_takes_one_step_per_output_interval():
 def test_start_step_is_accepted_on_linear_decay(lam, fallback_attempts):
     # fallback_attempts: the attempts made from the fallback first step of 1e-2
     passed = []
-    _, snaps, stats = integrate_core(lambda t, y: -lam * y, 0.0, [1.0], 1.0, None, None,
-                                     lambda t, y: passed.append(t))
+    _, snaps, stats = integrate_core(*bound_flow(lambda t, y: -lam * y, [1.0]), 0.0, 1.0,
+                                     None, None, lambda t, y: passed.append(t))
     assert passed[0] == stats["h_start"]  # the first attempt passed the error test
     assert stats["rejected"] == 0 and stats["accepted"] <= fallback_attempts
     assert abs(snaps[-1][0] - math.exp(-lam)) < 1e-10
@@ -551,7 +661,8 @@ def test_start_falls_back_when_probe_leaves_the_domain(bad):
             return np.full_like(y, float(bad))
         return -y
 
-    _, snaps, stats = integrate_core(f, 0.0, [1.0], 1.0, None, None, lambda t, y: None)
+    _, snaps, stats = integrate_core(*bound_flow(f, [1.0]), 0.0, 1.0, None, None,
+                                     lambda t, y: None)
     assert stats["h_start"] == _H_FALLBACK and stats["rhs_calls"] == len(calls)
     assert abs(snaps[-1][0] - math.exp(-1.0)) < 1e-10
 

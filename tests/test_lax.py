@@ -118,12 +118,13 @@ def test_lax_residual_reads_beta_equation(rng, monkeypatch):
     st = random_state(rng, 8)
     kernel = lattice._ertl_kernel
 
-    def wrong_beta(p, q, b, a, dbeta, dalpha):
-        evaluate = kernel(p, q, b, a, dbeta, dalpha)
+    def wrong_beta(p, q, b, a, dbeta, dalpha, out):
+        evaluate = kernel(p, q, b, a, dbeta, dalpha, out)
 
-        def wrong():
+        def wrong(t=None):
             evaluate()
             dbeta[:] *= 1 + 1e-6
+            return out
         return wrong
 
     monkeypatch.setattr(lattice, "_ertl_kernel", wrong_beta)
