@@ -29,14 +29,14 @@ extended to n = 0 by the boundary convention a_{-1} = -1 (derived from the
 telescoping beta-sum identity through the coefficient map, and verified
 against quadrature-evolved measures in the test suite).
 
-Both flows' right-hand sides are shifted-slice kernels on padded arrays:
-float64 C = (c_0 = 1, c_1..c_M, 0) and D = (d_0 = 0, d_1..d_M, d_{M+1} = 0)
-for the (c, d) system, and complex A = (a_{-1} = -1, a_0, ..., top
-neighbour) for the Schur flow.  A kernel binds once to its padded arrays
-and output array, and its evaluation returns that array.  The integrators
-step the padded arrays' interiors (C and D share one buffer, ``_bind_cd``),
-so each DOP853 stage is written straight into what the kernel reads; the
-public ``rhs_cd``/``rhs_schur`` evaluate once and return lists.
+Each flow's right-hand side is one shifted-slice kernel on one padded
+buffer: float64 [1, c_1..c_M, 0, d_1 = 0, d_2..d_M, 0] for the (c, d)
+system, and the complex window A = (a_{-1} = -1, a_0..a_{M-1}, a_M = 0) for
+the Schur flow.  A kernel binds once to its buffer, and each evaluation
+returns the kernel's own output array, the derivative of the interior.  The
+integrators step that interior, so each DOP853 stage is written straight
+into what the kernel reads; the public ``rhs_cd``/``rhs_schur`` bind the
+same buffer, evaluate once and return lists.
 Both flows keep ``lattice.integrate_core``'s breakdown rule: pure kernels,
 and |a_n| < 1 or d_n in (0, 1) checked on accepted states only.
 """
@@ -279,12 +279,14 @@ def map_cd_beta_alpha(beta, alpha):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _cd_kernel(C, D, q, dc, dd, out):
-    """Bind the (c, d) flow to the padded C = (1, c_1..c_M, 0), D = (0, d_1..d_M, 0).
+def _cd_kernel(buf, q):
+    """Bind the (c, d) flow to its buffer [1, c_1..c_M, 0, d_1 = 0, d_2..d_M, 0].
 
-    Returns evaluate(); each call reads C and D, writes dc_1..M into ``dc``
-    and dd_2..M into ``dd`` (float64 views of ``out``) and returns ``out``.
-    With z_k = 1 + i c_k, P_n = Im(q z_n z_{n-1}) and R_k = Re(q z_k) / |z_k|^2,
+    Its head is C = (c_0 = 1, c_1..c_M, 0) and its tail D = (d_0, d_1..d_M,
+    d_{M+1} = 0); no row reads d_0.  Each call of evaluate() returns the
+    kernel's own float64 output array, the derivative [dc_1..M, 0, 0,
+    dd_2..M] of buf[1:-1].  With z_k = 1 + i c_k, P_n = Im(q z_n z_{n-1})
+    and R_k = Re(q z_k) / |z_k|^2,
 
         dc_n = 4 (d_n P_n / |z_{n-1}|^2 - d_{n+1} P_{n+1} / |z_{n+1}|^2),
         dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1}
@@ -304,12 +306,14 @@ def _cd_kernel(C, D, q, dc, dd, out):
     which evaluate() takes with the 4 folded into R and q_i; R and V share
     one scratch array.  d_{M+1} = 0 closes the window (the chain analogue of
     a vanishing top alpha).  With d_1 = 0 the n = 1 row of dc is the
-    boundary form of the c-equation.  ``_bind_cd`` binds C and D as the ends
-    of one buffer [1, c_1..c_M, 0, d_1 = 0, d_2..d_M, 0], sharing the slot
-    c_{M+1} = d_0 = 0 (no row reads d_0), and ``out`` as [dc, 0, 0, dd].
+    boundary form of the c-equation.
     """
+    q = complex(q)
     qr4, qi4 = 4.0 * q.real, 4.0 * q.imag
-    M = len(C) - 2
+    M = len(buf) // 2 - 1
+    C, D = buf[:M + 2], buf[M + 1:]
+    out = np.zeros(2 * M + 1)
+    dc, dd = out[:M], out[M + 2:]
     R, V = np.empty((2, M + 2))            # 4 R_k at slot k; V_n at slot n >= 1
     cn, cm, Dn, Vn = C[1:], C[:-1], D[1:], V[1:]
     V_lo, V_hi, R_m, R_p = V[1:-1], V[2:], R[:-2], R[2:]     # rows n = 1..M
@@ -326,24 +330,14 @@ def _cd_kernel(C, D, q, dc, dd, out):
     return evaluate
 
 
-def _bind_cd(c, d, q):
-    """(buffer, evaluate) of the (c, d) flow on c_1..c_M and d_1..d_M (d_1 = 0).
-
-    evaluate() returns the derivative of the buffer's interior.
-    """
-    M = len(c)
-    buf = np.array([1.0, *c, 0.0, *d, 0.0], dtype=float)
-    out = np.zeros(2 * M + 1)
-    return buf, _cd_kernel(buf[:M + 2], buf[M + 1:], complex(q), out[:M], out[M + 2:], out)
-
-
 def rhs_cd(state: CircleState, q):
     """Time derivatives (dc_1..N, dd_2..N) of the real kernel parametrization."""
     M = len(state.c)
     if M == 0:
         return [], []
-    out = _bind_cd(state.c, (0.0,) + state.d, q)[1]()
-    return out[:M].tolist(), out[M + 2:].tolist()
+    buf = np.array([1.0, *state.c, 0.0, 0.0, *state.d, 0.0])
+    out = _cd_kernel(buf, q)().tolist()
+    return out[:M], out[M + 2:]
 
 
 def _check_modulus(a):
@@ -367,15 +361,16 @@ def _flow_modulus(y, t):
         raise PositivityLost(f"|a_{n}| = {mod} reached 1 at t={t}", n=n, modulus=mod, t=t)
 
 
-def _schur_kernel(A, q, out):
-    """Bind the Schur flow to A = (a_{-1} = -1, a_0, ..., top neighbour); returns evaluate(t=None).
+def _schur_kernel(A, q):
+    """Bind the Schur flow to A = (a_{-1} = -1, a_0..a_{M-1}, a_M = 0); returns evaluate().
 
-    Each call of evaluate() reads the current A, writes the rows n =
-    0..len(A)-3 of (1 - |a_n|^2)(conj(q) a_{n-1} - q a_{n+1}) into ``out``
-    and returns ``out``.  It does not check |a_n| < 1.
+    Each call of evaluate() reads the current A and returns the kernel's own
+    output array, the rows n = 0..M-1 of (1 - |a_n|^2)(conj(q) a_{n-1} - q
+    a_{n+1}), the derivative of A[1:-1].  It does not check |a_n| < 1.
     """
     qc = q.conjugate()
     a_lo, a, a_hi = A[:-2], A[1:-1], A[2:]
+    out = np.empty(len(A) - 2, dtype=complex)
 
     def evaluate(t=None):
         np.multiply(1.0 - np.abs(a) ** 2, qc * a_lo - q * a_hi, out=out)
@@ -386,12 +381,13 @@ def _schur_kernel(A, q, out):
 def rhs_schur(v: VerblunskySeq, q):
     """Two-parameter Schur flow a_dot_n = (1-|a_n|^2)(conj(q) a_{n-1} - q a_{n+1}).
 
-    Returns a_dot_0..a_dot_{N-2}; the n = 0 row uses the boundary convention
-    a_{-1} = -1, so a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).
+    Returns a_dot_0..a_dot_{N-2}, the rows of ``integrate_schur``'s window
+    but the last; the n = 0 row uses the boundary convention a_{-1} = -1, so
+    a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).
     """
-    A = np.array((-1.0,) + v.a, dtype=complex)
-    _check_modulus(A[1:-1])
-    return _schur_kernel(A, complex(q), np.empty(len(A) - 2, dtype=complex))().tolist()
+    A = np.array((-1.0, *v.a, 0.0), dtype=complex)
+    _check_modulus(A[1:-2])
+    return _schur_kernel(A, complex(q))()[:-1].tolist()
 
 
 def integrate_schur(v: VerblunskySeq, q, t_end: float,
@@ -416,7 +412,7 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     require_finite("q", q)
     q = complex(q)
     A = np.array((-1.0,) + v.a + (0j,))  # a_0..a_{M-1} are stepped; a_M = 0 stays
-    evaluate = _schur_kernel(A, q, np.empty(v.N, dtype=complex))
+    evaluate = _schur_kernel(A, q)
 
     def validate(t, y):
         _flow_modulus(y, t)
@@ -450,7 +446,8 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
         raise ValueError("the (c, d) window is empty: integrate_cd needs c_1 and d_1 at least")
     if len(d) != M or d[0] != 0.0:
         raise ValueError("d must list d_1..d_M with d_1 = 0")
-    buf, evaluate = _bind_cd(c, d, q)
+    buf = np.array([1.0, *c, 0.0, *d, 0.0], dtype=float)
+    evaluate = _cd_kernel(buf, q)
     if not np.isfinite(buf[1:M + 1]).all():
         raise ValueError("the initial c_n must be finite")
     n = _first_outside_unit(buf[M + 3:-1])

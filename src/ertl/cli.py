@@ -139,6 +139,8 @@ def _coeff_rows(beta, alpha_with_a1):
 def _cmd_from_measure(args):
     spec = _load_spec(args.measure)
     times = [float(x) for x in args.t.split(",")]
+    if len(set(times)) < len(times):
+        raise ValueError(f"--t times must not repeat, got {args.t}")
     all_rows = []
     dump = {}
     for t in times:
@@ -284,7 +286,8 @@ def _cmd_verify_lax(args):
 
 
 def _cmd_spectrum(args):
-    # group the trajectory CSV by time and rebuild finite-closure states
+    # group the trajectory CSV by time and rebuild finite-closure states: the
+    # sites 1..N once at every time, N set by the first time
     with open(args.traj) as fh:
         lines = [(num, ln) for num, ln in enumerate(map(str.strip, fh), start=1)
                  if ln and not ln.startswith("#")]
@@ -292,16 +295,26 @@ def _cmd_spectrum(args):
     if not lines or lines[0][1] != _TRAJ_HEADER:  # a cd or schur trajectory, say
         got = f"line {lines[0][0]} reads {lines[0][1]!r}" if lines else "it has no header"
         raise ValueError(f"{bad}: its header must be {_TRAJ_HEADER!r}, but {got}")
-    rows = [line.split(",") for _, line in lines[1:]]
-    for (num, _), row in zip(lines[1:], rows):
+    by_t: dict = {}
+    for num, line in lines[1:]:
+        row = line.split(",")
         if len(row) != 6:
             raise ValueError(f"{bad}: line {num} has {len(row)} cells, not 6")
-    by_t: dict = {}
-    for r in rows:
-        by_t.setdefault(r[0], []).append(r)
+        by_t.setdefault(row[0], []).append((num, row))
+    N = len(next(iter(by_t.values()), ()))
     states = []
-    for tkey in by_t:
-        grp = sorted(by_t[tkey], key=lambda r: int(r[1]))
+    for tkey, numbered in by_t.items():
+        sites = {}
+        for num, row in numbered:
+            site = int(row[1]) if row[1].isdecimal() else 0
+            if not 1 <= site <= N or site in sites:
+                raise ValueError(f"{bad}: line {num} gives site {row[1]!r} at t = {tkey}, "
+                                 f"but each time needs the sites 1..{N} once")
+            sites[site] = row
+        if len(sites) < N:
+            raise ValueError(f"{bad}: t = {tkey} (line {numbered[0][0]}) lacks site "
+                             f"{min(set(range(1, N + 1)) - set(sites))} of 1..{N}")
+        grp = [sites[n] for n in range(1, N + 1)]
         beta = [complex(float(r[2]), float(r[3])) for r in grp]
         alpha = [complex(float(r[4]), float(r[5])) for r in grp] + [0j]
         states.append(LatticeState(p=0, q=0, t=float(tkey), beta=beta, alpha=alpha))

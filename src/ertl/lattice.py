@@ -40,19 +40,19 @@ to land on an output time leaves the next step's proposal as it was.
 Steps run in the dtype of the unknowns: float64 for a real flow, complex
 otherwise.
 
-Each flow has one right-hand-side kernel, written as shifted slices of
-padded arrays b = (beta_0 = 1, beta_1..beta_N) and a = (alpha_0 = -1,
-alpha_1..alpha_{N+1}): row n reads b[n-1..n+1] and a[n-1..n+1], so the
-boundary conventions need no special case.  A kernel binds once to its
-padded arrays and output views; its evaluation writes each result with one
-``out=`` and returns the bound output array.  The ertl kernel's s_{N+1},
-which would need beta_{N+1}, is set at bind time from alpha_{N+1}: 0 when
-it is 0, NaN otherwise.  The public ``rhs_*`` functions pad a state as
-complex arrays, bind, evaluate once and return lists.  ``integrate`` binds
-once per integration (real when p, q and the state are real) to one buffer
-[1, beta_1..beta_N, alpha_1 = 0, alpha_2..alpha_N, alpha_{N+1}], with b its
-head and a its tail from beta_N's slot, which only a dalpha_1 row reads.
-Its interior, alpha_1 a gap slot, is what DOP853 steps (``integrate_core``).
+Each flow has one right-hand-side kernel on one buffer [1, beta_1..beta_N,
+alpha_1 = 0, alpha_2..alpha_N, alpha_{N+1}], written as shifted slices of
+its head b = (beta_0 = 1, beta_1..beta_N) and its tail a from beta_N's
+slot: row n reads b[n-1..n+1] and a[n-1..n+1], so the boundary conventions
+need no special case (dalpha_1 = 0, the one row that would read beta_N's
+slot as alpha_0, is not computed).  A kernel binds once to the buffer and
+allocates its own output, the derivative of the buffer's interior, which
+each evaluation writes with one ``out=`` per result and returns.  The ertl
+kernel's s_{N+1}, which would need beta_{N+1}, is set at bind time from
+alpha_{N+1}: 0 when it is 0, NaN otherwise.  The public ``rhs_*`` bind a
+state's buffer as complex and evaluate once; ``integrate`` binds it once
+per integration (real when p, q and the state are real), and DOP853 steps
+its interior, alpha_1 a gap slot (``integrate_core``).
 """
 
 from __future__ import annotations
@@ -159,13 +159,8 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Right-hand sides: one shifted-slice kernel per flow on padded arrays
+# Right-hand sides: one shifted-slice kernel per flow on its one buffer
 # ---------------------------------------------------------------------------
-
-def _padded(beta, alpha, dtype=complex):
-    """b = (1, beta_1..beta_N) and a = (-1, alpha_1..alpha_{N+1}) as arrays."""
-    return np.array([1, *beta], dtype=dtype), np.array([-1, *alpha], dtype=dtype)
-
 
 def _check_betas(beta, t=None):
     """SingularDenominator at the first n with |beta_n| < EPS_SING (beta_1..beta_N).
@@ -178,17 +173,13 @@ def _check_betas(beta, t=None):
         raise SingularDenominator(n + 1, complex(beta[n]), t=t)
 
 
-def _ertl_kernel(p, q, b, a, dbeta, dalpha, out):
-    """Bind the two-parameter flow to the padded b, a; returns evaluate().
+def _ertl_kernel(p, q, buf):
+    """Bind the two-parameter flow to its buffer (module docstring); returns evaluate().
 
-    Each call of evaluate() reads b and a, writes dbeta_1..N into ``dbeta``
-    and the last len(dalpha) of dalpha_1..N (all N rows, or rows 2..N when
-    alpha_1 = 0) into ``dalpha``, views of ``out``, and returns ``out``.
-    Rows 2..N never read a[0]: ``integrate`` binds b and a as the head and
-    tail of its one buffer (module docstring), and ``out`` as [dbeta, 0,
-    dalpha_2..N].  Outputs and scratch share ``dbeta``'s dtype.  With u_n =
-    q / beta_n, s_n = alpha_n (p - u_n / beta_{n-1}) and v_n = p beta_n + u_n
-    (n = 0..N, so v_0 = p + q):
+    Each call of evaluate() reads ``buf`` and returns the kernel's own output
+    array in ``buf``'s dtype, the derivative [dbeta_1..N, dalpha_1 = 0,
+    dalpha_2..N] of buf[1:-1].  With u_n = q / beta_n, s_n = alpha_n (p -
+    u_n / beta_{n-1}) and v_n = p beta_n + u_n (n = 0..N, so v_0 = p + q):
 
         dbeta_n  = beta_n (s_n - s_{n+1}),
         dalpha_n = alpha_n (p (alpha_{n-1} - alpha_{n+1}) + v_{n-1} - v_n).
@@ -198,14 +189,16 @@ def _ertl_kernel(p, q, b, a, dbeta, dalpha, out):
     otherwise, so a binding must hold alpha_{N+1} fixed, as every caller
     does.  dalpha_{N+1} (0 or NaN likewise) is the caller's.
     """
-    r = len(dbeta) - len(dalpha)  # dalpha rows r+1..N
+    N = len(buf) // 2 - 1
+    b, a = buf[:N + 1], buf[N:]
+    out = np.zeros(2 * N, dtype=buf.dtype)
+    dbeta, dalpha = out[:N], out[N + 1:]
     bn, bm, an = b[1:], b[:-1], a[1:-1]
-    an_r, a_lo, a_hi = a[1 + r:-1], a[r:-2], a[2 + r:]
-    v = np.empty(len(b), dtype=dbeta.dtype)  # u_0..N, then v_0..N in place
-    s = np.empty(len(b), dtype=dbeta.dtype)  # s_1..N+1
+    an_r, a_lo, a_hi = a[2:-1], a[1:-2], a[3:]
+    v, s = np.empty((2, N + 1), dtype=buf.dtype)  # u_0..N, then v_0..N in place; s_1..N+1
     s[-1] = 0.0 if a[-1] == 0 else np.nan
     un, s_lo, s_hi = v[1:], s[:-1], s[1:]
-    v_lo, v_hi = v[r:-1], v[1 + r:]
+    v_lo, v_hi = v[1:-1], v[2:]
 
     def evaluate(t=None):
         np.divide(q, b, out=v)  # u
@@ -217,34 +210,29 @@ def _ertl_kernel(p, q, b, a, dbeta, dalpha, out):
     return evaluate
 
 
-def _ertl_rates(p, q, b, a):
-    """dbeta_1..N and dalpha_1..N of the complex padded b, a, one array each."""
-    N = len(b) - 1
-    out = np.empty(2 * N, dtype=complex)
-    return np.split(_ertl_kernel(p, q, b, a, out[:N], out[N:], out)(), [N])
-
-
 def rhs_ertl(state: LatticeState):
-    """Two-parameter flow; returns (dbeta_1..N, dalpha_1..N+1)."""
-    _check_betas(state.beta, state.t)
-    b, a = _padded(state.beta, state.alpha)
-    dbeta, dalpha = _ertl_rates(state.p, state.q, b, a)
-    return dbeta.tolist(), dalpha.tolist() + [0j if a[-1] == 0 else _NAN]
+    """Two-parameter flow; returns (dbeta_1..N, dalpha_1..N+1), dalpha_1 = 0."""
+    N = len(state.beta)
+    buf = np.array([1, *state.beta, *state.alpha], dtype=complex)
+    _check_betas(buf[1:N + 1], state.t)
+    out = _ertl_kernel(state.p, state.q, buf)().tolist()
+    return out[:N], out[N:] + [0j if buf[-1] == 0 else _NAN]
 
 
 #: tolerance for the frozen-beta check of the symmetric reduction
 SYMMETRY_TOL = 1e-8
 
 
-def _volterra_kernel(a, dalpha, out):
-    """Bind alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}) to the padded a; returns evaluate().
+def _volterra_kernel(buf):
+    """Bind alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}) to the ertl buffer.
 
-    Each call of evaluate() reads a, writes the last len(dalpha) of rows 1..N
-    into ``dalpha``, a view of ``out`` (dalpha_{N+1} is the caller's), and
-    returns ``out``; ``integrate`` binds a in its one buffer.
+    Returns evaluate(); each call reads ``buf`` and returns the kernel's own
+    output array, the derivative of buf[1:-1] with beta frozen: 0 but at
+    dalpha_2..N.  dalpha_{N+1} is the caller's.
     """
-    r = len(a) - 2 - len(dalpha)  # rows r+1..N
-    an, a_lo, a_hi = a[1 + r:-1], a[r:-2], a[2 + r:]
+    N = len(buf) // 2 - 1
+    a, out = buf[N:], np.zeros(2 * N, dtype=buf.dtype)
+    dalpha, an, a_lo, a_hi = out[N + 1:], a[2:-1], a[1:-2], a[3:]
 
     def evaluate(t=None):
         np.multiply(an, a_lo - a_hi, out=dalpha)
@@ -257,26 +245,25 @@ def rhs_langmuir(state: LatticeState):
 
     Requires the symmetric manifold beta_n = sqrt(q) (q real positive) and
     p = 1, the only p that leaves it invariant; also verifies that the
-    generic beta equation vanishes there.  Returns dalpha_1..N+1.
+    generic beta equation vanishes there.  Returns dalpha_1..N+1, dalpha_1 = 0.
     """
     q = state.q
     if state.p != 1:
         raise NotSymmetricState(f"symmetric reduction needs p = 1, got p = {state.p}")
     if abs(q.imag) > 1e-12 or q.real <= 0:
         raise NotSymmetricState("symmetric reduction needs real positive q")
-    b, a = _padded(state.beta, state.alpha)
-    dev = float(np.abs(b[1:] - math.sqrt(q.real)).max())
+    N = len(state.beta)
+    buf = np.array([1, *state.beta, *state.alpha], dtype=complex)
+    dev = float(np.abs(buf[1:N + 1] - math.sqrt(q.real)).max(initial=0.0))
     if dev > SYMMETRY_TOL:
         raise NotSymmetricState(f"max |beta_n - sqrt(q)| = {dev:.3e}")
 
-    dbeta, _ = _ertl_rates(1, q, b, a)
-    scale = 1.0 + float(np.abs(a[1:]).max())
-    bad = float(np.abs(dbeta[~np.isnan(dbeta)]).max(initial=0.0))
+    scale = 1.0 + float(np.abs(buf[N + 1:]).max())
+    bad = float(np.fmax.reduce(np.abs(rhs_ertl(state)[0]), initial=0.0))  # NaN skipped
     if bad > 1e-12 * scale:
         raise NotSymmetricState(f"beta equation does not vanish: {bad:.3e}")
 
-    dalpha = np.empty(len(b) - 1, dtype=complex)
-    return _volterra_kernel(a, dalpha, dalpha)().tolist() + [0j if a[-1] == 0 else _NAN]
+    return _volterra_kernel(buf)()[N:].tolist() + [0j if buf[-1] == 0 else _NAN]
 
 
 #: system id -> the (p, q) it forces on the flow, or None to keep the state's
@@ -583,16 +570,15 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     N = state.N
     p, q = forced = SYSTEMS[rhs_id] or (state.p, state.q)
 
-    buf = np.array([1, *state.beta, *state.alpha], dtype=complex)  # the one buffer
+    buf = np.array([1, *state.beta, *state.alpha], dtype=complex)
     if p.imag == q.imag == 0.0 and not buf.imag.any():
         p, q, buf = p.real, q.real, buf.real.copy()  # step in float64
 
-    out = np.zeros(2 * N, dtype=buf.dtype)  # dbeta_1..N, dalpha_1 = 0, dalpha_2..N
     if rhs_id == "langmuir":
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
-        evaluate = _volterra_kernel(buf[N:], out[N + 1:], out)  # dbeta stays 0: beta is frozen
+        evaluate = _volterra_kernel(buf)
     else:
-        evaluate = _ertl_kernel(p, q, buf[:N + 1], buf[N:], out[:N], out[N + 1:], out)
+        evaluate = _ertl_kernel(p, q, buf)
 
     def validate(t, y):
         _check_betas(y[:N], t)

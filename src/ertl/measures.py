@@ -197,6 +197,8 @@ class MomentSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "MomentSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"a moment spec must be a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - _JSON_KEYS)
         if unknown:
             raise ValueError(f"unknown moment-spec keys {unknown}; expected a subset of "

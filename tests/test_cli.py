@@ -97,6 +97,17 @@ def test_from_measure_golden(tmp_path):
             assert abs(sum(terms)) <= 1e-12 * sum(abs(v) for v in terms)
 
 
+def test_from_measure_rejects_repeated_times(tmp_path, capsys):
+    # every row was written twice, and the dump kept one entry, with exit 0 before
+    out, dump = tmp_path / "fm.csv", tmp_path / "poly.json"
+    for times in ("0,0", "0.5,0.25,0.50"):
+        assert main(["from-measure", "--measure", DISCRETE_PQ, "--t", times, "--N", "3",
+                     "--out", str(out), "--dump-poly", str(dump)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"--t times must not repeat, got {times}"}
+        assert not out.exists() and not dump.exists()
+
+
 def test_from_measure_dump_poly(tmp_path):
     out = tmp_path / "fm.csv"
     dump = tmp_path / "poly.json"
@@ -276,6 +287,36 @@ def test_spectrum_from_trajectory(tmp_path):
     specs = list(by_t.values())
     for s in specs[1:]:  # isospectral within integration tolerance
         assert max(abs(a - b) for a, b in zip(s, specs[0])) < 1e-7
+
+
+@pytest.mark.parametrize("edit, needle", [
+    # the row 0.5,2,... dropped: two eigenvalues at t = 0.5, exit 0, before
+    ("drop 7", "t = 0.5 (line 6) lacks site 2 of 1..3"),
+    ("repeat 6 at 7", "line 7 gives site '1' at t = 0.5, but each time needs the sites 1..3 once"),
+    ("drop 8", "t = 0.5 (line 6) lacks site 3 of 1..3"),  # N falls to 2
+    ("drop 5", "line 7 gives site '3' at t = 0.5, but each time needs the sites 1..2 once"),
+    ("add 4", "line 9 gives site '4' at t = 0.5, but each time needs the sites 1..3 once"),
+])
+def test_spectrum_needs_every_site_once_at_every_time(tmp_path, capsys, edit, needle):
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--system", "ertl", "--p", "1,0", "--q", "1,0", "--N", "3",
+                 "--t-end", "0.5", "--out", str(traj)]) == 0
+    lines = traj.read_text().splitlines()  # lines 3..5 at t = 0, lines 6..8 at t = 0.5
+    assert [ln.split(",")[:2] for ln in lines[2:]] == [
+        [t, n] for t in ("0", "0.5") for n in ("1", "2", "3")]
+    verb, *where = edit.split()
+    if verb == "drop":
+        del lines[int(where[0]) - 1]
+    elif verb == "repeat":
+        lines[int(where[2]) - 1] = lines[int(where[0]) - 1]
+    else:
+        lines.append("0.5," + where[0] + "," + lines[-1].split(",", 2)[2])
+    traj.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["spectrum", "--traj", str(traj)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "ValueError", "message": f"{traj} is no lattice trajectory: {needle}"}
 
 
 @pytest.mark.parametrize("system", ["cd", "schur", "short-row", "no-header"])
@@ -523,6 +564,12 @@ BAD_COMMAND_LINES = {
     "missing-t-end": (["simulate", "--system", "ertl", "--N", "2"], "required: --t-end"),
     "delta-not-a-number": (ORACLE + ["--delta", "x"], "invalid float value: 'x'"),
     "no-command": ([], "required: command"),
+    # a moment spec that is a JSON array: a TypeError traceback, or "unknown
+    # moment-spec keys [1]", before
+    "measure-array": (["moments", "--measure", '["kind"]', "--K", "2"],
+                      "a moment spec must be a JSON object, got list"),
+    "measure-array-number": (["moments", "--measure", "[1]", "--K", "2"],
+                             "a moment spec must be a JSON object, got list"),
     # malformed --init
     "init-array": (ERTL + ["--init", "[1,2]"], "JSON object"),
     "init-number-for-array": (ERTL + ["--init", '{"beta":5,"alpha":[]}'], "beta must be an array"),

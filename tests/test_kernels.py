@@ -27,7 +27,7 @@ from ertl import (LatticeState, NonConvergence, PositivityLost, RecurrenceCoeffs
 from ertl.cli import main
 from ertl.circle import _cd_kernel, _flow_modulus, _schur_kernel
 from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _StageTable,
-                          _check_betas, _ertl_kernel, _padded, _volterra_kernel, integrate_core)
+                          _check_betas, _ertl_kernel, integrate_core)
 from tests.conftest import bound_flow, cd_edge_rates, copying_step, ertl_drag_rates, eval_Q
 from tests.test_lattice import random_state
 
@@ -205,14 +205,15 @@ def test_ertl_kernel_matches_loop(data):
     assert_matches(db, wb, scale)
     assert_matches(da, wa, scale)
     assert np.isnan(db[-1]) == np.isnan(da[-1]) == (alpha[-1] != 0)
+    assert da[0] == 0 and not np.signbit(da[0].real)  # dalpha_1 is +0, not computed
     if isinstance(p, float):
-        # the real route integrate takes: float64 arrays in, float64 out (a
-        # complex value would not cast into the float64 output)
+        # the real route integrate takes: a float64 buffer in, float64 out, the
+        # derivative of its interior [beta, alpha_1 = 0, alpha_2..N]
         N = len(beta)
-        out = np.empty(2 * N)
-        assert _ertl_kernel(p, q, *_padded(beta, alpha, float), out[:N], out[N:], out)() is out
+        out = _ertl_kernel(p, q, np.array([1.0, *beta, *alpha]))()
+        assert out.dtype == np.float64
         assert_matches(out[:N], wb, scale)
-        assert_matches(out[N:], wa[:-1], scale)
+        assert_matches(out[N:], [0.0] + wa[1:-1], scale)
 
 
 @given(lattice_data())
@@ -256,12 +257,9 @@ def test_cd_kernel_matches_loop(M, q, data):
     assert_matches(dc, wc, scale)
     assert_matches(dd, wd[1:], scale)
     # integrate_cd steps float64 arrays: the kernel stays real for any q (a
-    # complex value would not cast into the float64 output).  Bound to two
-    # separate padded arrays it gives the bits of one shared buffer (rhs_cd)
-    out = np.empty(2 * M - 1)
-    C, D = np.array([1.0, *c, 0.0]), np.array([0.0, *d, 0.0])
-    assert _cd_kernel(C, D, q, out[:M], out[M:], out)() is out
-    assert out.tolist() == dc + dd
+    # complex value would not cast into the float64 output)
+    out = _cd_kernel(np.array([1.0, *c, 0.0, *d, 0.0]), q)()
+    assert out.dtype == np.float64 and out.tolist() == dc + [0.0, 0.0] + dd
 
 
 @st.composite
@@ -311,8 +309,28 @@ def test_schur_kernel_matches_loop(N, q, a_top, data):
         got = rhs_schur(SimpleNamespace(a=tuple(a)), q)
     else:  # integrate_schur's window adds the n = N-1 row against a frozen top
         A = np.array([-1.0, *a, a_top], dtype=complex)
-        got = _schur_kernel(A, complex(q), np.empty(N, dtype=complex))()
+        got = _schur_kernel(A, complex(q))()
     assert_matches(got, schur_loop(a, q, a_top), 2.0 * abs(q))
+
+
+def plus_zero(z):
+    """z is 0j with both parts +0."""
+    return z == 0 and not np.signbit(z.real) and not np.signbit(z.imag)
+
+
+def test_public_rhs_edge_cases():
+    # N = 0: no rows, and dalpha still has its N + 1 entries
+    assert rhs_ertl(raw_state(1j, 2.0, [], [0j])) == ([], [0j])
+    assert rhs_langmuir(LatticeState(1.0, 2.0, 0.0, (), (0,))) == [0j]
+    # dalpha_1 is +0, not a computed 0 * x (which is -0 here)
+    db, da = rhs_ertl(raw_state(1.0, 2.0, [1.0], [0j, 0j]))
+    assert len(db) == 1 and len(da) == 2 and plus_zero(da[0])
+    state = state_from_coeffs(1.0, 2.0, 0.0, [2.0 ** 0.5] * 3, [0.5, -0.25])
+    assert plus_zero(rhs_langmuir(state)[0]) and plus_zero(rhs_ertl(state)[1][0])
+    # an empty or one-coefficient sequence has no Schur row, as rhs_cd has none at M = 0
+    assert rhs_schur(SimpleNamespace(a=()), 1.0) == []
+    assert rhs_schur(SimpleNamespace(a=(0.5,)), 1.0) == []
+    assert rhs_cd(SimpleNamespace(c=(), d=()), 1.0) == ([], [])
 
 
 def test_schur_kernel_rejects_modulus_one():
@@ -374,46 +392,34 @@ def without_gaps(x, gaps):
 @given(st.one_of(lattice_data(), lattice_data(real=True)))
 def test_bound_ertl_is_public_rhs_bitwise(data):
     p, q, beta, alpha = data
+    alpha[-1] = alpha[0]  # integrate takes finite closure only
     N = len(beta)
     db, da = rhs_ertl(raw_state(p, q, beta, alpha))
-    # integrate's layout (dalpha rows 2..N) on the public rhs's complex arrays,
-    # finite or buffered (NaN dbeta_N)
-    out = np.empty(2 * N - 1, dtype=complex)
-    _ertl_kernel(complex(p), complex(q), *_padded(beta, alpha), out[:N], out[N:], out)()
-    same_bits(out, db + da[1:-1])
-    if alpha[-1] != 0:
-        return
     stage, evaluate = stepping_flow(
         lattice, lambda: integrate(LatticeState(p, q, 0.0, beta, alpha), 1.0))
     # the stepped vector is the one buffer's interior: beta, alpha_1 = 0, alpha_2..N
     same_bits(without_gaps(stage, N), beta + alpha[1:-1])
-    got = without_gaps(evaluate(0.0), N)
+    got = evaluate(0.0)
     if stage.dtype == complex:
-        same_bits(got, db + da[1:-1])
-    else:  # stepped in float64: the public layout on float64 arrays, rows 2..N
-        b, a = (x.real.copy() for x in _padded(beta, alpha))
-        want = np.empty(2 * N)
-        _ertl_kernel(complex(p).real, complex(q).real, b, a, want[:N], want[N:], want)()
-        same_bits(got, np.delete(want, N))
+        same_bits(got, db + da[:-1])
+    else:  # stepped in float64: the public binding on the float64 buffer, as a
+        # complex quotient of real values rounds differently
+        want = _ertl_kernel(complex(p).real, complex(q).real, np.array([1.0, *beta, *alpha]))()
+        same_bits(got, want)
+        without_gaps(got, N)
 
 
 @given(sizes, st.floats(0.1, 4.0), st.booleans(), st.data())
 def test_bound_volterra_is_public_rhs_bitwise(N, q, real, data):
-    dtype, cf, top = ((float, real_coeffs, st.one_of(st.just(0.0), real_nonzero)) if real
-                      else (complex, coeffs, tops))
-    alpha = [dtype(0)] + values(data.draw, N - 1, cf, dtype) + [data.draw(top)]
+    dtype, cf = (float, real_coeffs) if real else (complex, coeffs)
+    alpha = [dtype(0)] + values(data.draw, N - 1, cf, dtype) + [dtype(0)]
     beta = [math.sqrt(q)] * N
     da = rhs_langmuir(raw_state(1.0, q, beta, alpha))
-    out = np.empty(N - 1, dtype=complex)
-    _volterra_kernel(_padded(beta, alpha)[1], out, out)()
-    same_bits(out, da[1:-1])
-    if alpha[-1] != 0:
-        return
     state = LatticeState(1.0, q, 0.0, beta, alpha)
     stage, evaluate = stepping_flow(lattice, lambda: integrate(state, 1.0, rhs_id="langmuir"))
     # a float64 evaluation matches too: the complex products of real values
-    # are exact.  beta is frozen: its rows, and the gap slot, stay 0
-    same_bits(evaluate(0.0), [0.0] * (N + 1) + da[1:-1])
+    # are exact.  beta is frozen: its rows stay 0, and the gap slot is dalpha_1
+    same_bits(evaluate(0.0), [0.0] * N + da[:-1])
 
 
 @given(sizes, nonzero, st.data())

@@ -113,22 +113,25 @@ def test_lax_residual_example1():
 
 
 def test_lax_residual_reads_beta_equation(rng, monkeypatch):
-    # dH/dt above the diagonal is alpha_dot_{n+1} + beta_dot_n of the stepped
-    # right-hand side, so a wrong beta equation shows in the residual
+    # dH/dt above the diagonal is alpha_dot_{n+1} + beta_dot_n of the one
+    # binding integrate steps, so a wrong beta equation shows in the residual
+    # and moves the integration too
     st = random_state(rng, 8)
     kernel = lattice._ertl_kernel
+    right = integrate(st, 0.1).final
 
-    def wrong_beta(p, q, b, a, dbeta, dalpha, out):
-        evaluate = kernel(p, q, b, a, dbeta, dalpha, out)
+    def wrong_beta(p, q, buf):
+        evaluate = kernel(p, q, buf)
 
         def wrong(t=None):
-            evaluate()
-            dbeta[:] *= 1 + 1e-6
+            out = evaluate()
+            out[:st.N] *= 1 + 1e-6
             return out
         return wrong
 
     monkeypatch.setattr(lattice, "_ertl_kernel", wrong_beta)
     assert lax_residual(st) > 1e-9
+    assert integrate(st, 0.1).final.beta != right.beta
 
 
 def test_lax_identity_exact_rational():

@@ -193,3 +193,50 @@ def test_impure_kernels_finds_raise_and_check():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_flow_kernels_are_pure(path):
     assert impure_kernels(path.read_text()) == []
+
+
+#: each flow kernel and the functions that share its one binding: its flow's
+#: public right-hand side and its integrator
+KERNEL_CALLERS = {"_ertl_kernel": {"rhs_ertl", "integrate"},
+                  "_volterra_kernel": {"rhs_langmuir", "integrate"},
+                  "_schur_kernel": {"rhs_schur", "integrate_schur"},
+                  "_cd_kernel": {"rhs_cd", "integrate_cd"}}
+
+
+def kernel_callers(source):
+    """{kernel: {caller}} for each call of a ``_*_kernel`` name, bare or as an attribute.
+
+    The caller is the module-level function or class the call sits in, at
+    any depth, or "<module>" for a call at module level.
+    """
+    found = {}
+    for top in ast.parse(source).body:
+        caller = getattr(top, "name", "<module>")  # a def or class has a name
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name.startswith("_") and name.endswith("_kernel"):
+                    found.setdefault(name, set()).add(caller)
+    return found
+
+
+def test_kernel_callers_finds_every_call_site():
+    source = ("def _a_kernel(buf):\n    return buf\n\n\n"
+              "def rhs_a(s):\n    return _a_kernel(s)()\n\n\n"
+              "def integrate_a(s):\n    def bind():\n        return _a_kernel(s)\n"
+              "    return bind()\n\n\n"
+              "def _bind(s):\n    return m._b_kernel(s)\n\n\n"
+              "class C:\n    def f(self):\n        return _a_kernel(self)\n\n\n"
+              "X = _a_kernel([])\n")
+    assert kernel_callers(source) == {"_a_kernel": {"rhs_a", "integrate_a", "C", "<module>"},
+                                      "_b_kernel": {"_bind"}}
+
+
+def test_each_kernel_is_bound_by_its_own_flow_only():
+    # one binding per flow: no second layout, wrapper or module binds a kernel
+    found = {}
+    for path in MODULES:
+        for kernel, callers in kernel_callers(path.read_text()).items():
+            found.setdefault(kernel, set()).update(callers)
+    assert found == KERNEL_CALLERS
