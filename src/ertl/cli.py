@@ -43,6 +43,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import numbers
 import sys
 
@@ -285,6 +286,18 @@ def _cmd_verify_lax(args):
     return 0 if report["pass"] else 2
 
 
+def _traj_number(bad, num, col, cell):
+    """float(cell), or a ValueError naming the line and column of a cell that is
+    not a finite number."""
+    try:
+        x = float(cell)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{bad}: line {num} has {col} = {cell!r}, not a finite number")
+    return x
+
+
 def _cmd_spectrum(args):
     # group the trajectory CSV by time and rebuild finite-closure states: the
     # sites 1..N once at every time, N set by the first time
@@ -302,8 +315,11 @@ def _cmd_spectrum(args):
             raise ValueError(f"{bad}: line {num} has {len(row)} cells, not 6")
         by_t.setdefault(row[0], []).append((num, row))
     N = len(next(iter(by_t.values()), ()))
+    # every time first: a bad t cell starts a group of its own, which would
+    # otherwise read as a site missing from its true time
+    times = [_traj_number(bad, numbered[0][0], "t", tkey) for tkey, numbered in by_t.items()]
     states = []
-    for tkey, numbered in by_t.items():
+    for t, (tkey, numbered) in zip(times, by_t.items()):
         sites = {}
         for num, row in numbered:
             site = int(row[1]) if row[1].isdecimal() else 0
@@ -315,9 +331,15 @@ def _cmd_spectrum(args):
             raise ValueError(f"{bad}: t = {tkey} (line {numbered[0][0]}) lacks site "
                              f"{min(set(range(1, N + 1)) - set(sites))} of 1..{N}")
         grp = [sites[n] for n in range(1, N + 1)]
-        beta = [complex(float(r[2]), float(r[3])) for r in grp]
-        alpha = [complex(float(r[4]), float(r[5])) for r in grp] + [0j]
-        states.append(LatticeState(p=0, q=0, t=float(tkey), beta=beta, alpha=alpha))
+        try:
+            beta = [complex(float(r[2]), float(r[3])) for r in grp]
+            alpha = [complex(float(r[4]), float(r[5])) for r in grp] + [0j]
+            states.append(LatticeState(p=0, q=0, t=t, beta=beta, alpha=alpha))
+        except ValueError as exc:  # name the first cell that is not a finite number
+            for num, row in numbered:
+                for col, cell in zip(_TRAJ_HEADER.split(",")[2:], row[2:]):
+                    _traj_number(bad, num, col, cell)
+            raise ValueError(f"{bad}: t = {tkey} (line {numbered[0][0]}): {exc}") from None
     out = []
     for tkey, zeros in zip(by_t, lax_spectra(states)):
         for i, lam in enumerate(zeros):

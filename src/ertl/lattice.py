@@ -23,9 +23,10 @@ Langmuir/Volterra lattice alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}).
 Finite truncation closes the system with alpha_{N+1} = 0.  For comparison
 against semi-infinite measure-derived coefficients, ``integrate_buffered``
 integrates extra sites with finite closure at the far end and reports only a
-prefix.  Each run is checked against a larger window, and a failed check
-is followed by a larger one, sized from the deviation it measured (more
-buffer is needed when coefficients grow with site index).
+prefix.  The first window comes from a measured law in the time span
+(``default_buffer``) and is checked against a window a quarter larger; a
+failed check is followed by a larger one, sized from the deviation it
+measured (more buffer is needed when coefficients grow with site index).
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
@@ -603,12 +604,20 @@ BUFFER_ESCALATIONS = 3
 
 
 def default_buffer(n_report: int, t_span: float) -> int:
-    """Sites of a buffered run by default: n_report + max(10, ceil(10 t_span)).
+    """Sites of a buffered run by default: n_report + 12 + ceil(24 t_span).
 
-    ``integrate_buffered`` starts from this window and checks it against
-    twice as many sites, then sizes any later check from the deviations.
+    The law is measured.  On example1 and example2 (delta = 1, q_w = 2) under
+    ertl, rtl1, rtl2 and langmuir (example1 only), at rel_tol 1e-8 with
+    outputs at t_span/2 and t_span, the smallest window whose 6-site head is
+    within 1e-10 of a 120-site run (a decade under BUFFER_VALIDATION_TOL) is
+    14-18 sites at t_span = 0.1, 18-24 at 0.25, 20-30 at 0.5, 28-42 at 1 and
+    38-64 at 2 (rtl1 at the low end, ertl and langmuir at the high end).  For
+    n_report = 6 the law gives 21, 24, 30, 42 and 66, so these runs pass
+    their first check.  Slower-decaying data fail it (delta = 0.3, q_w = 1
+    needs 34-40, 52-58 and 86-96 sites at 0.25, 0.5 and 1), and
+    ``integrate_buffered`` escalates.
     """
-    return n_report + max(10, math.ceil(10.0 * t_span))
+    return n_report + 12 + math.ceil(24.0 * max(t_span, 0.0))
 
 
 def _head_gap(run, check, n_report):
@@ -656,11 +665,12 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     Each run of M sites is checked against a larger window M' and is
     reported when the two agree on the reported sites to
     BUFFER_VALIDATION_TOL.  On disagreement the check run becomes the run and
-    a larger check follows.  The first check, and every check once one sized
-    from the model has failed, double the window; any other check is sized
-    by ``_model_check`` from the failed pair's deviation, which the head
-    error of these flows follows closely (it falls about tenfold per two
-    sites on example1 and example2).  No check exceeds n_buf
+    a larger check follows.  The first check has n_buf + ceil(n_buf / 4)
+    sites, n_buf being ``default_buffer``'s window unless given; every check
+    once one sized from the model has failed doubles the window; any other
+    check is sized by ``_model_check`` from the failed pair's deviation,
+    which the head error of these flows follows closely (it falls about
+    tenfold per two sites on example1 and example2).  No check exceeds n_buf
     2^(BUFFER_ESCALATIONS + 1) sites, and BufferTooSmall is raised once a
     check of that size has failed.  The perturbation from the artificial
     far-end closure travels inward at a speed set by the local coefficient
@@ -684,7 +694,7 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
         return integrate(st, t_end, rhs_id=rhs_id, ctrl=ctrl, t_out=t_out)
 
     largest = n_buf * 2 ** (BUFFER_ESCALATIONS + 1)
-    windows = [n_buf, 2 * n_buf]
+    windows = [n_buf, n_buf + math.ceil(n_buf / 4)]
     traj = run(n_buf)
     modelled = False  # whether a model-sized check has failed
     while True:
@@ -696,7 +706,7 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
         if m2 >= largest:
             raise BufferTooSmall(f"buffer {m} failed validation against {m2} sites, "
                                  f"and no larger check is tried (deviation {dev:.3e})")
-        modelled = modelled or m2 < 2 * m
+        modelled = modelled or (len(windows) > 2 and m2 < 2 * m)  # not the first check
         nxt = 2 * m2 if modelled else _model_check(n_report, m, m2, dev, size)
         windows.append(min(nxt, largest))
         traj = check

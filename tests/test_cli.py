@@ -319,6 +319,33 @@ def test_spectrum_needs_every_site_once_at_every_time(tmp_path, capsys, edit, ne
         "error": "ValueError", "message": f"{traj} is no lattice trajectory: {needle}"}
 
 
+@pytest.mark.parametrize("line, col, cell, needle", [
+    # before, "could not convert string to float: 'x'" and "p, q, t, beta and
+    # alpha must be finite", with no file or line; a bad t read as site 2
+    # missing at t = 0.5
+    (7, "re_beta", "x", "line 7 has re_beta = 'x', not a finite number"),
+    (7, "re_beta", "nan", "line 7 has re_beta = 'nan', not a finite number"),
+    (7, "t", "x", "line 7 has t = 'x', not a finite number"),
+    (7, "t", "nan", "line 7 has t = 'nan', not a finite number"),
+    (8, "im_alpha", "inf", "line 8 has im_alpha = 'inf', not a finite number"),
+    (6, "re_alpha", "0.5", "t = 0.5 (line 6): alpha_1 must be 0"),
+])
+def test_spectrum_names_the_line_of_a_bad_cell(tmp_path, capsys, line, col, cell, needle):
+    traj = tmp_path / "traj.csv"
+    assert main(["simulate", "--system", "ertl", "--p", "1,0", "--q", "1,0", "--N", "3",
+                 "--t-end", "0.5", "--out", str(traj)]) == 0
+    lines = traj.read_text().splitlines()  # lines 3..5 at t = 0, lines 6..8 at t = 0.5
+    row = lines[line - 1].split(",")
+    row[lines[1].split(",").index(col)] = cell
+    lines[line - 1] = ",".join(row)
+    traj.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["spectrum", "--traj", str(traj)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "ValueError", "message": f"{traj} is no lattice trajectory: {needle}"}
+
+
 @pytest.mark.parametrize("system", ["cd", "schur", "short-row", "no-header"])
 def test_spectrum_rejects_a_csv_that_is_no_lattice_trajectory(tmp_path, capsys, system):
     # an IndexError traceback answered a cd or schur CSV, or a short row, before

@@ -1,5 +1,6 @@
 """Lattice right-hand sides, reductions, and the adaptive integrator."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   discrete_spec, example1_coeffs, example2_coeffs, integrate,
                   integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
                   rhs_langmuir, state_from_coeffs, LatticeState)
-from ertl.lattice import BUFFER_ESCALATIONS, BUFFER_VALIDATION_TOL
+from ertl.lattice import BUFFER_ESCALATIONS, BUFFER_VALIDATION_TOL, default_buffer
 from tests.conftest import rk4_reference
 
 EX1 = ClosedFormExample("example1", 1.0, 2.0)
@@ -379,35 +380,87 @@ def test_buffer_too_small_reuses_check_runs():
 
     with pytest.raises(BufferTooSmall):
         integrate_buffered(mk, 2, 0.1, n_buf=4)
-    # the probe, the first run, then one check run per escalation and a last
-    # one: every failed check run becomes the next run instead of repeating it
-    assert len(calls) == 1 + (BUFFER_ESCALATIONS + 2)
-    assert calls == [2] + [4 * 2 ** k for k in range(BUFFER_ESCALATIONS + 2)]
+    # the probe, the first run, its check 4 + ceil(4 / 4) = 5, then one check
+    # run per escalation (the deviation 1/m - 1/m2 shows too little decay to
+    # size one, so each doubles) up to the last of 4 * 2^(BUFFER_ESCALATIONS
+    # + 1) sites: every failed check run becomes the next run instead of
+    # repeating it
+    assert len(calls) == 1 + (BUFFER_ESCALATIONS + 3) == len(set(calls))
+    assert calls == [2, 4] + [5 * 2 ** k for k in range(BUFFER_ESCALATIONS + 1)] + [64]
+    assert 4 * 2 ** (BUFFER_ESCALATIONS + 1) == 64
 
 
-@pytest.mark.parametrize("family, system", [("example2", "ertl"), ("example1", "langmuir")])
-def test_buffered_check_sized_from_deviation(family, system):
-    # the benchmark's buffered sweeps: 16 fails against 32, whose check is
-    # sized from that deviation instead of doubled to 64, and the reported
-    # run is the 32-site one, bitwise as a plain integration
+def _closed_form_truncations(family):
+    """``make_state(M)``: the first M sites of a closed-form family at t = 0."""
     closed = example1_coeffs if family == "example1" else example2_coeffs
     ex = ClosedFormExample(family, 1.0, 2.0)
 
     def mk(M):
         rc = closed(ex, 0.0, M + 1)
         return state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
+    return mk
 
+
+@pytest.mark.parametrize("family, system", [("example2", "ertl"), ("example1", "langmuir")])
+def test_buffered_check_sized_from_deviation(family, system):
+    # the benchmark's buffered sweeps: the default window, 30 sites, passes
+    # its first check against 30 + ceil(30 / 4) = 38, and the reported run is
+    # the 30-site one, bitwise as a plain integration
+    mk = _closed_form_truncations(family)
     ctrl = StepControl(rel_tol=1e-8)
     sweep = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
     stats = sweep.step_stats
-    assert stats["windows"][:2] == [16, 32] and len(stats["windows"]) == 3
-    assert 32 < stats["windows"][2] < 64
-    assert stats["n_buf"] == 32
+    assert stats["windows"] == [30, 38]
+    assert stats["n_buf"] == 30
     assert stats["deviation"] < BUFFER_VALIDATION_TOL
-    ref = integrate(mk(32), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
+    ref = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
     assert sweep.times == ref.times
     assert sweep.states == tuple(s.prefix(6) for s in ref.states)
     assert {k: stats[k] for k in ref.step_stats} == ref.step_stats
+    # from 24 sites the first check, 30, fails; the next check is sized from
+    # that deviation instead of doubled to 60, and reports the same run
+    small = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5],
+                               n_buf=24)
+    windows = small.step_stats["windows"]
+    assert windows[:2] == [24, 30] and len(windows) == 3
+    assert 30 < windows[2] < 60
+    assert small.step_stats["n_buf"] == 30
+    assert small.step_stats["deviation"] < BUFFER_VALIDATION_TOL
+    assert small.states == sweep.states
+
+
+@pytest.mark.parametrize("t_span", [0.1, 0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("family, system", [
+    ("example1", "ertl"), ("example1", "rtl1"), ("example1", "rtl2"), ("example1", "langmuir"),
+    ("example2", "ertl"), ("example2", "rtl1"), ("example2", "rtl2")])
+def test_default_buffer_passes_its_first_check(family, system, t_span):
+    # default_buffer's law, n_report + 12 + ceil(24 t_span), was measured on
+    # these flows (langmuir needs example1's symmetric beta): its window
+    # agrees with its first check to a decade under the tolerance, so every
+    # sweep integrates twice
+    mk = _closed_form_truncations(family)
+    sweep = integrate_buffered(mk, 6, t_span, rhs_id=system, ctrl=StepControl(rel_tol=1e-8),
+                               t_out=[t_span / 2, t_span])
+    n_buf = default_buffer(6, t_span)
+    assert sweep.step_stats["windows"] == [n_buf, n_buf + math.ceil(n_buf / 4)]
+    assert sweep.step_stats["deviation"] < 0.1 * BUFFER_VALIDATION_TOL
+
+
+def test_failed_first_check_is_followed_by_model_sized_check():
+    calls = []
+
+    def mk(M):
+        # stationary (alpha = 0); the reported beta move by 10^(-M/2), which
+        # decays tenfold per two sites
+        calls.append(M)
+        return state_from_coeffs(1.0, 2.0, 0.0, [1.0 + 10.0 ** (-M / 2)] * M, [0.0] * (M - 1))
+
+    sweep = integrate_buffered(mk, 2, 0.1, n_buf=8)
+    # 8 fails against 10 (deviation 9e-5): the decay line through it sizes the
+    # check at 16, not 2 * 10; run 10 fails against that model-sized check,
+    # so the ladder doubles from there, and 32 passes against 64
+    assert calls[1:] == sweep.step_stats["windows"] == [8, 10, 16, 32, 64]
+    assert sweep.step_stats["n_buf"] == 32
 
 
 def test_buffer_plateau_doubles_after_failed_model_check():
@@ -420,13 +473,15 @@ def test_buffer_plateau_doubles_after_failed_model_check():
         beta = 1.0 + 10.0 ** (-M / 2) + 1e-6 * np.log2(M)
         return state_from_coeffs(1.0, 2.0, 0.0, [beta] * M, [0.0] * (M - 1))
 
-    with pytest.raises(BufferTooSmall, match="buffer 44 failed validation against 64 sites"):
+    with pytest.raises(BufferTooSmall, match="buffer 52 failed validation against 64 sites"):
         integrate_buffered(mk, 2, 0.1, n_buf=4)
     windows = calls[1:]  # after the probe
-    # the decay sizes the check after 8 at 11; once that model-sized check has
-    # failed the ladder doubles, and it stops at the first failed check of the
-    # largest doubling check's size, 4 * 2^(BUFFER_ESCALATIONS + 1) sites
-    assert windows == [4, 8, 11, 22, 44, 64]
+    # the first check is 4 + ceil(4 / 4) = 5; the decay sizes the check after
+    # it past 2 * 5, so it doubles to 10, and the check after 10 at 13.  Once
+    # that model-sized check has failed the ladder doubles, and it stops at
+    # the first failed check of the largest doubling check's size,
+    # 4 * 2^(BUFFER_ESCALATIONS + 1) sites
+    assert windows == [4, 5, 10, 13, 26, 52, 64]
     assert 4 * 2 ** (BUFFER_ESCALATIONS + 1) == 64
 
 
@@ -439,6 +494,9 @@ def test_integrate_buffered_rejects_buffer_not_wider_than_report():
         with pytest.raises(ValueError, match="n_buf"):
             integrate_buffered(mk, 10, 0.1, n_buf=n_buf)
     assert integrate_buffered(mk, 10, 0.1, n_buf=11).final.N == 10
+    # the default window of a backward span is not the error: the span is
+    with pytest.raises(ValueError, match="t_end must exceed the start time"):
+        integrate_buffered(mk, 10, -1.0)
 
 
 # -- output grid, shared by every flow through integrate_core ---------------------
