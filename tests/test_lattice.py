@@ -12,6 +12,7 @@ from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   discrete_spec, example1_coeffs, example2_coeffs, integrate,
                   integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
                   rhs_langmuir, state_from_coeffs, LatticeState)
+from ertl import lattice
 from ertl.lattice import BUFFER_ESCALATIONS, BUFFER_VALIDATION_TOL, default_buffer
 from tests.conftest import rk4_reference
 
@@ -208,8 +209,11 @@ def test_langmuir_rejects_asymmetric(rng):
     # within SYMMETRY_TOL of the manifold, but the beta equation does not vanish
     sq = np.sqrt(2.0)
     st3 = state_from_coeffs(1.0, 2.0, 0.0, [sq * (1 + 1e-10)] * 3, [0.3, 0.2])
-    with pytest.raises(NotSymmetricState, match="beta equation"):
+    bad = max(abs(x) for x in rhs_ertl(st3)[0])
+    with pytest.raises(NotSymmetricState) as err:
         rhs_langmuir(st3)
+    # the check reads the generic flow's own dbeta, to the last digit shown
+    assert str(err.value) == f"beta equation does not vanish: {bad:.3e}"
     # off p = 1 the manifold is not invariant, so the Volterra flow is not the flow
     st4 = state_from_coeffs(0.5, 2.0, 0.0, [sq] * 3, [0.3, 0.2])
     with pytest.raises(NotSymmetricState, match="p = 1"):
@@ -405,7 +409,8 @@ def _closed_form_truncations(family):
 def test_buffered_check_sized_from_deviation(family, system):
     # the benchmark's buffered sweeps: the default window, 30 sites, passes
     # its first check against 30 + ceil(30 / 4) = 38, and the reported run is
-    # the 30-site one, bitwise as a plain integration
+    # the 30-site one, bitwise as an integration that relaxes the sites past
+    # n_report + 1 = 7
     mk = _closed_form_truncations(family)
     ctrl = StepControl(rel_tol=1e-8)
     sweep = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
@@ -413,12 +418,16 @@ def test_buffered_check_sized_from_deviation(family, system):
     assert stats["windows"] == [30, 38]
     assert stats["n_buf"] == 30
     assert stats["deviation"] < BUFFER_VALIDATION_TOL
-    ref = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
+    ref = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5], _head=7)
     assert sweep.times == ref.times
     assert sweep.states == tuple(s.prefix(6) for s in ref.states)
     assert {k: stats[k] for k in ref.step_stats} == ref.step_stats
+    # the window's top site no longer sets the step: 97 f calls against 263
+    plain = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
+    assert 2 * ref.step_stats["rhs_calls"] < plain.step_stats["rhs_calls"]
     # from 24 sites the first check, 30, fails; the next check is sized from
-    # that deviation instead of doubled to 60, and reports the same run
+    # that deviation instead of doubled to 60, and reports the 30-site check,
+    # a plain run
     small = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5],
                                n_buf=24)
     windows = small.step_stats["windows"]
@@ -426,7 +435,8 @@ def test_buffered_check_sized_from_deviation(family, system):
     assert 30 < windows[2] < 60
     assert small.step_stats["n_buf"] == 30
     assert small.step_stats["deviation"] < BUFFER_VALIDATION_TOL
-    assert small.states == sweep.states
+    assert small.states == tuple(s.prefix(6) for s in plain.states)
+    assert small.step_stats["head"] is None
 
 
 @pytest.mark.parametrize("t_span", [0.1, 0.25, 0.5, 1.0, 2.0])
@@ -439,15 +449,29 @@ def test_default_buffer_passes_its_first_check(family, system, t_span):
     # agrees with its first check to a decade under the tolerance, so every
     # sweep integrates twice
     mk = _closed_form_truncations(family)
-    sweep = integrate_buffered(mk, 6, t_span, rhs_id=system, ctrl=StepControl(rel_tol=1e-8),
-                               t_out=[t_span / 2, t_span])
+    ctrl, t_out = StepControl(rel_tol=1e-8), [t_span / 2, t_span]
+    sweep = integrate_buffered(mk, 6, t_span, rhs_id=system, ctrl=ctrl, t_out=t_out)
     n_buf = default_buffer(6, t_span)
     assert sweep.step_stats["windows"] == [n_buf, n_buf + math.ceil(n_buf / 4)]
     assert sweep.step_stats["deviation"] < 0.1 * BUFFER_VALIDATION_TOL
+    # the relaxed buffer sites leave the reported head where the
+    # full-tolerance run of the same window has it (5.8e-13 measured per entry)
+    assert sweep.step_stats["head"] == 7
+    full = integrate(mk(n_buf), t_span, rhs_id=system, ctrl=ctrl, t_out=t_out)
+    for got, ref in zip(sweep.states, full.states):
+        got, ref = np.array(got.beta + got.alpha), np.array(ref.beta[:6] + ref.alpha[:7])
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
-def test_failed_first_check_is_followed_by_model_sized_check():
-    calls = []
+def test_failed_first_check_is_followed_by_model_sized_check(monkeypatch):
+    calls, heads = [], []
+    plain = lattice.integrate
+
+    def integrate_noting_head(*args, _head=None, **kwargs):
+        heads.append(_head)
+        return plain(*args, _head=_head, **kwargs)
+
+    monkeypatch.setattr(lattice, "integrate", integrate_noting_head)
 
     def mk(M):
         # stationary (alpha = 0); the reported beta move by 10^(-M/2), which
@@ -461,6 +485,42 @@ def test_failed_first_check_is_followed_by_model_sized_check():
     # so the ladder doubles from there, and 32 passes against 64
     assert calls[1:] == sweep.step_stats["windows"] == [8, 10, 16, 32, 64]
     assert sweep.step_stats["n_buf"] == 32
+    # only the first run relaxes the sites past n_report + 1 = 3; every
+    # check, and so every later run, is at full tolerance
+    assert heads == [3, None, None, None, None]
+    assert sweep.step_stats["head"] is None
+
+
+def test_integrate_relaxes_nothing_without_buffer_sites_or_headroom():
+    st = state_from_coeffs(1.0, 2.0, 0.0, [1.3, 1.1, 0.9, 1.2], [0.4, 0.3, 0.5])
+    for ctrl, h in ((None, 4), (None, 5), (StepControl(rel_tol=1e-4), 2)):
+        # no site past the head, or no room under BUFFER_TOL_LOOSEST
+        plain = integrate(st, 0.5, ctrl=ctrl, t_out=[0.25, 0.5])
+        run = integrate(st, 0.5, ctrl=ctrl, t_out=[0.25, 0.5], _head=h)
+        assert run.times == plain.times and run.states == plain.states
+        assert run.step_stats == plain.step_stats
+        assert run.step_stats["head"] is None
+    # rel_tol 1e-6 leaves a factor of 100
+    relaxed = integrate(st, 0.5, ctrl=StepControl(rel_tol=1e-6), _head=2)
+    assert relaxed.step_stats["head"] == 2
+
+
+@pytest.mark.parametrize("rel_tol, t_span, windows", [(1e-6, 0.5, [30, 38, 70, 140]),
+                                                      (1e-3, 0.25, [24, 30, 42, 84])])
+def test_loose_tolerance_buffered_run_keeps_its_ladder(rel_tol, t_span, windows):
+    # off-scale example1 under rtl2: the buffer is held to at most
+    # BUFFER_TOL_LOOSEST, so these ladders are those of full-tolerance runs
+    # (uncut, rel_tol 1e-3 put the buffer at 10 and ended in StepUnderflow)
+    ex = ClosedFormExample("example1", 0.3, 1.0)
+
+    def mk(M):
+        rc = example1_coeffs(ex, 0.0, M + 1)
+        return state_from_coeffs(1.0, 1.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
+
+    sweep = integrate_buffered(mk, 6, t_span, rhs_id="rtl2", ctrl=StepControl(rel_tol=rel_tol),
+                               t_out=[t_span / 2, t_span])
+    assert sweep.step_stats["windows"] == windows
+    assert sweep.step_stats["deviation"] < BUFFER_VALIDATION_TOL
 
 
 def test_buffer_plateau_doubles_after_failed_model_check():

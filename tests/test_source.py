@@ -196,8 +196,9 @@ def test_flow_kernels_are_pure(path):
 
 
 #: each flow kernel and the functions that share its one binding: its flow's
-#: public right-hand side and its integrator
-KERNEL_CALLERS = {"_ertl_kernel": {"rhs_ertl", "integrate"},
+#: public right-hand side and its integrator (rhs_langmuir binds the ertl
+#: kernel too, to check that the beta equation vanishes)
+KERNEL_CALLERS = {"_ertl_kernel": {"rhs_ertl", "rhs_langmuir", "integrate"},
                   "_volterra_kernel": {"rhs_langmuir", "integrate"},
                   "_schur_kernel": {"rhs_schur", "integrate_schur"},
                   "_cd_kernel": {"rhs_cd", "integrate_cd"}}
