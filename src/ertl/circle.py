@@ -340,25 +340,17 @@ def rhs_cd(state: CircleState, q):
     return out[:M], out[M + 2:]
 
 
+def _first_outside_disk(a):
+    """The first n with |a_n| >= 1, else None; NaN entries are skipped, as by the comparison."""
+    mods = np.abs(a)
+    return int(np.argmax(mods >= 1.0)) if np.fmax.reduce(mods, initial=0.0) >= 1.0 else None
+
+
 def _check_modulus(a):
     """ValueError at the first n with |a_n| >= 1."""
-    mods = np.abs(a)
-    bad = mods >= 1.0
-    if bad.any():
-        n = int(bad.argmax())
-        raise ValueError(f"|a_{n}| = {float(mods[n])} >= 1: degenerate measure rejected")
-
-
-def _flow_modulus(y, t):
-    """PositivityLost (n, modulus, t) at the first |a_n| >= 1 of a Schur flow state.
-
-    NaN entries are skipped, as by the comparison that locates n.
-    """
-    mods = np.abs(y)
-    if np.fmax.reduce(mods, initial=0.0) >= 1.0:
-        n = int(np.argmax(mods >= 1.0))
-        mod = float(mods[n])
-        raise PositivityLost(f"|a_{n}| = {mod} reached 1 at t={t}", n=n, modulus=mod, t=t)
+    n = _first_outside_disk(a)
+    if n is not None:
+        raise ValueError(f"|a_{n}| = {abs(a[n])} >= 1: degenerate measure rejected")
 
 
 def _schur_kernel(A, q):
@@ -415,7 +407,10 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     evaluate = _schur_kernel(A, q)
 
     def validate(t, y):
-        _flow_modulus(y, t)
+        n = _first_outside_disk(y)
+        if n is not None:
+            mod = float(abs(y[n]))
+            raise PositivityLost(f"|a_{n}| = {mod} reached 1 at t={t}", n=n, modulus=mod, t=t)
 
     times, snaps, stats = integrate_core(A[1:-1], evaluate, v.t, t_end, t_out, ctrl, validate)
     seqs = [VerblunskySeq(t=tt, a=tuple(y[:n_report])) for tt, y in zip(times, snaps)]

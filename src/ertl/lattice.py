@@ -28,9 +28,9 @@ prefix.  The first window comes from a measured law in the time span
 failed check is followed by a larger one, sized from the deviation it
 measured (more buffer is needed when coefficients grow with site index).
 The first run holds only its reported sites to the step tolerance, and its
-buffer sites, whose values are never reported, to a looser one
-(``BUFFER_TOL_RELAX``); every check runs at the step tolerance, so it also
-measures what the looser buffer moved in the head.
+buffer sites, whose values are never reported, to ``BUFFER_TOL`` when that
+is looser; every check runs at the step tolerance, so it also measures what
+the looser buffer moved in the head.
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
@@ -571,21 +571,17 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
     return [t0] + times, snaps, stats
 
 
-#: factor on the error scale sc_i of the buffer sites of a buffered run.
+#: local error tolerance of the buffer sites of a buffered run's first window.
 #: On example1 and example2 the top site of a window, the artificial closure,
-#: sets every step at full tolerance; at 1e4 (rel_tol 1e-8) a relaxed window
-#: takes about 2.5 times fewer f calls, and each head entry stays within
-#: 5.8e-13 relative of the full-tolerance run of the same window.  1e6 raised
-#: a spurious SingularDenominator on off-scale example1 (delta = 0.3, q_w = 1)
-#: under rtl2 at T = 0.5, and an unbounded factor ended in StepUnderflow there.
-BUFFER_TOL_RELAX = 1e4
-#: the loosest tolerance a buffer site is held to: the factor is cut to
-#: BUFFER_TOL_LOOSEST / max(rel_tol, abs_tol), and nothing is relaxed once that
-#: is 1 or less.  Uncut, on the off-scale data above (21 sweeps: example1 and
-#: example2 at T = 0.25, 0.5 and 1, which all pass at a plain rel_tol of up
-#: to 1e-3), rel_tol 1e-5 raised SingularDenominator on two sweeps, and
-#: StepUnderflow ended two at rel_tol 1e-4 and twelve at 1e-3.
-BUFFER_TOL_LOOSEST = 1e-4
+#: sets every step at full tolerance; with its buffer at 1e-4 under rel_tol
+#: 1e-8, a window takes about 2.5 times fewer f calls, and each head entry
+#: stays within 5.8e-13 relative of the full-tolerance run of the same window.
+#: Looser buffers fail on off-scale data (delta = 0.3, q_w = 1; 21 sweeps of
+#: example1 and example2 at T = 0.25, 0.5 and 1, which all pass at a plain
+#: rel_tol of up to 1e-3): 1e-2 raised a spurious SingularDenominator on
+#: example1 under rtl2 at T = 0.5, 0.1 raised it on two sweeps, and
+#: StepUnderflow ended two at 1 and twelve at 10.
+BUFFER_TOL = 1e-4
 
 
 def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
@@ -604,11 +600,11 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 
     ``_head`` is ``integrate_buffered``'s, for the sites it does not report:
     with _head < N, every beta_n and alpha_n with n > _head is accepted at a
-    local error BUFFER_TOL_RELAX times looser than ``ctrl``, the factor cut
-    by BUFFER_TOL_LOOSEST.  ``step_stats`` is ``integrate_core``'s plus
-    ``head``: the _head relaxed past, or None when nothing was relaxed (the
-    run is then bitwise the one without _head).  With a head,
-    ``max_err_est`` is the relaxed norm.
+    local error BUFFER_TOL / max(rel_tol, abs_tol) times looser than
+    ``ctrl``, unless that factor is 1 or less.  ``step_stats`` is
+    ``integrate_core``'s plus ``head``: the _head relaxed past, or None when
+    nothing was relaxed (the run is then bitwise the one without _head).
+    With a head, ``max_err_est`` is the relaxed norm.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
@@ -633,7 +629,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     relax = None
     if _head is not None and _head < N:  # beta_n and alpha_n, n > _head
         ctrl = ctrl or StepControl()
-        factor = min(BUFFER_TOL_RELAX, BUFFER_TOL_LOOSEST / max(ctrl.rel_tol, ctrl.abs_tol))
+        factor = BUFFER_TOL / max(ctrl.rel_tol, ctrl.abs_tol)
         if factor > 1.0:
             relax = np.ones(2 * N)
             relax[_head:N] = relax[N + _head:] = factor
@@ -729,11 +725,13 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     check of that size has failed.  The perturbation from the artificial
     far-end closure travels inward at a speed set by the local coefficient
     size, so systems whose coefficients grow with the site index need more
-    buffer than the default.  ValueError is raised unless n_buf > n_report.
+    buffer than the default.  ValueError is raised, before ``make_state`` is
+    called, unless n_report and n_buf are integers (bool excluded),
+    n_report >= 1 and n_buf > n_report.
 
     The first run holds only the reported sites and beta_{n_report+1} to
     ``ctrl``; its buffer sites, which no result reads, are accepted at a
-    local error up to BUFFER_TOL_RELAX times looser (``integrate``'s _head).
+    local error of BUFFER_TOL where that is looser (``integrate``'s _head).
     Checks run at ``ctrl``: a relaxed check would share most of the first
     run's relaxation error and cancel it in the deviation, which as it is
     includes what the looser buffer moved in the head.  So every later run,
@@ -746,11 +744,16 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     head deviation of the pair that agreed); its ``head`` shows whether that
     run was relaxed.
     """
+    for name, n in [("n_report", n_report)] + ([] if n_buf is None else [("n_buf", n_buf)]):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n_report < 1:
+        raise ValueError(f"n_report = {n_report} must be >= 1")
+    if n_buf is not None and n_buf <= n_report:
+        raise ValueError(f"buffer n_buf = {n_buf} must exceed n_report = {n_report}")
     state0 = make_state(n_report)  # cheap sanity probe of the callback
     if n_buf is None:
         n_buf = default_buffer(n_report, t_end - state0.t)
-    if n_buf <= n_report:
-        raise ValueError(f"buffer n_buf = {n_buf} must exceed n_report = {n_report}")
 
     def run(m, head=None):
         st = make_state(m)

@@ -20,12 +20,12 @@ from hypothesis.extra.numpy import arrays
 
 import ertl.circle as circle
 import ertl.lattice as lattice
-from ertl import (LatticeState, NonConvergence, PositivityLost, RecurrenceCoeffs,
-                  SingularDenominator, StepControl, VerblunskySeq, build_pair, integrate,
-                  integrate_cd, integrate_schur, isospectral_drift, lax_residual, rhs_cd,
-                  rhs_ertl, rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
+from ertl import (LatticeState, NonConvergence, RecurrenceCoeffs, SingularDenominator,
+                  StepControl, VerblunskySeq, build_pair, integrate, integrate_cd,
+                  integrate_schur, isospectral_drift, lax_residual, rhs_cd, rhs_ertl,
+                  rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
-from ertl.circle import _cd_kernel, _flow_modulus, _schur_kernel
+from ertl.circle import _cd_kernel, _first_outside_disk, _schur_kernel
 from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _StageTable,
                           _check_betas, _ertl_kernel, integrate_core)
 from tests.conftest import bound_flow, cd_edge_rates, copying_step, ertl_drag_rates, eval_Q
@@ -348,12 +348,12 @@ def test_check_betas_skips_nan():
     _check_betas(np.array([np.nan, 1.0]))  # NaN alone is not a small beta
 
 
-def test_flow_modulus_skips_nan():
-    y = np.array([0.5, np.nan, 0.2j, 1.25, 1.5 + 0j])
-    with pytest.raises(PositivityLost) as exc:
-        _flow_modulus(y, 0.25)
-    assert (exc.value.n, exc.value.modulus, exc.value.t) == (3, 1.25, 0.25)
-    _flow_modulus(np.array([np.nan, 0.5]), 0.0)  # NaN alone is not |a_n| >= 1
+def test_first_outside_disk_skips_nan():
+    # a NaN elsewhere in a must not hide an |a_n| >= 1 (a NaN-propagating
+    # maximum would)
+    assert _first_outside_disk(np.array([0.5, np.nan, 0.2j, 1.25, 1.5 + 0j])) == 3
+    assert _first_outside_disk(np.array([1.0, 0.5])) == 0
+    assert _first_outside_disk(np.array([np.nan, 0.5])) is None  # NaN alone is not |a_n| >= 1
 
 
 # -- bound kernels: the public right-hand sides and the stepped flows agree bit for bit

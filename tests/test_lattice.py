@@ -12,7 +12,6 @@ from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   discrete_spec, example1_coeffs, example2_coeffs, integrate,
                   integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
                   rhs_langmuir, state_from_coeffs, LatticeState)
-from ertl import lattice
 from ertl.lattice import BUFFER_ESCALATIONS, BUFFER_VALIDATION_TOL, default_buffer
 from tests.conftest import rk4_reference
 
@@ -439,39 +438,39 @@ def test_buffered_check_sized_from_deviation(family, system):
     assert small.step_stats["head"] is None
 
 
-@pytest.mark.parametrize("t_span", [0.1, 0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t_span, rel_tol, factor", [
+    *(pytest.param(t, 1e-8, 1e4, id=str(t)) for t in (0.1, 0.25, 0.5, 1.0, 2.0)),
+    *(pytest.param(t, 1e-10, 1e6, id=f"{t}-1e-10") for t in (0.5, 2.0))])
 @pytest.mark.parametrize("family, system", [
     ("example1", "ertl"), ("example1", "rtl1"), ("example1", "rtl2"), ("example1", "langmuir"),
     ("example2", "ertl"), ("example2", "rtl1"), ("example2", "rtl2")])
-def test_default_buffer_passes_its_first_check(family, system, t_span):
+def test_default_buffer_passes_its_first_check(lattice_runs, family, system, t_span, rel_tol,
+                                               factor):
     # default_buffer's law, n_report + 12 + ceil(24 t_span), was measured on
-    # these flows (langmuir needs example1's symmetric beta): its window
-    # agrees with its first check to a decade under the tolerance, so every
-    # sweep integrates twice
+    # these flows (langmuir needs example1's symmetric beta) at rel_tol 1e-8:
+    # its window agrees with its first check to a decade under the
+    # tolerance, so every sweep integrates twice, and at 1e-10 as well
     mk = _closed_form_truncations(family)
-    ctrl, t_out = StepControl(rel_tol=1e-8), [t_span / 2, t_span]
+    ctrl, t_out = StepControl(rel_tol=rel_tol), [t_span / 2, t_span]
     sweep = integrate_buffered(mk, 6, t_span, rhs_id=system, ctrl=ctrl, t_out=t_out)
     n_buf = default_buffer(6, t_span)
     assert sweep.step_stats["windows"] == [n_buf, n_buf + math.ceil(n_buf / 4)]
     assert sweep.step_stats["deviation"] < 0.1 * BUFFER_VALIDATION_TOL
-    # the relaxed buffer sites leave the reported head where the
-    # full-tolerance run of the same window has it (5.8e-13 measured per entry)
+    # the first run holds its buffer sites to BUFFER_TOL, BUFFER_TOL / rel_tol
+    # times looser than its head; the check holds every site to rel_tol
+    assert [(r["head"], r["relax"]) for r in lattice_runs] == [(7, factor), (None, 1.0)]
     assert sweep.step_stats["head"] == 7
+    # the relaxed buffer sites leave the reported head where the
+    # full-tolerance run of the same window has it (5.8e-13 measured per
+    # entry at rel_tol 1e-8)
     full = integrate(mk(n_buf), t_span, rhs_id=system, ctrl=ctrl, t_out=t_out)
     for got, ref in zip(sweep.states, full.states):
         got, ref = np.array(got.beta + got.alpha), np.array(ref.beta[:6] + ref.alpha[:7])
         assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
-def test_failed_first_check_is_followed_by_model_sized_check(monkeypatch):
-    calls, heads = [], []
-    plain = lattice.integrate
-
-    def integrate_noting_head(*args, _head=None, **kwargs):
-        heads.append(_head)
-        return plain(*args, _head=_head, **kwargs)
-
-    monkeypatch.setattr(lattice, "integrate", integrate_noting_head)
+def test_failed_first_check_is_followed_by_model_sized_check(lattice_runs):
+    calls = []
 
     def mk(M):
         # stationary (alpha = 0); the reported beta move by 10^(-M/2), which
@@ -487,14 +486,14 @@ def test_failed_first_check_is_followed_by_model_sized_check(monkeypatch):
     assert sweep.step_stats["n_buf"] == 32
     # only the first run relaxes the sites past n_report + 1 = 3; every
     # check, and so every later run, is at full tolerance
-    assert heads == [3, None, None, None, None]
+    assert [r["head"] for r in lattice_runs] == [3, None, None, None, None]
     assert sweep.step_stats["head"] is None
 
 
 def test_integrate_relaxes_nothing_without_buffer_sites_or_headroom():
     st = state_from_coeffs(1.0, 2.0, 0.0, [1.3, 1.1, 0.9, 1.2], [0.4, 0.3, 0.5])
     for ctrl, h in ((None, 4), (None, 5), (StepControl(rel_tol=1e-4), 2)):
-        # no site past the head, or no room under BUFFER_TOL_LOOSEST
+        # no site past the head, or no room under BUFFER_TOL
         plain = integrate(st, 0.5, ctrl=ctrl, t_out=[0.25, 0.5])
         run = integrate(st, 0.5, ctrl=ctrl, t_out=[0.25, 0.5], _head=h)
         assert run.times == plain.times and run.states == plain.states
@@ -508,9 +507,9 @@ def test_integrate_relaxes_nothing_without_buffer_sites_or_headroom():
 @pytest.mark.parametrize("rel_tol, t_span, windows", [(1e-6, 0.5, [30, 38, 70, 140]),
                                                       (1e-3, 0.25, [24, 30, 42, 84])])
 def test_loose_tolerance_buffered_run_keeps_its_ladder(rel_tol, t_span, windows):
-    # off-scale example1 under rtl2: the buffer is held to at most
-    # BUFFER_TOL_LOOSEST, so these ladders are those of full-tolerance runs
-    # (uncut, rel_tol 1e-3 put the buffer at 10 and ended in StepUnderflow)
+    # off-scale example1 under rtl2: the buffer is held to BUFFER_TOL or
+    # tighter, so these ladders are those of full-tolerance runs (a buffer
+    # at 10 under rel_tol 1e-3 ended in StepUnderflow)
     ex = ClosedFormExample("example1", 0.3, 1.0)
 
     def mk(M):
@@ -557,6 +556,21 @@ def test_integrate_buffered_rejects_buffer_not_wider_than_report():
     # the default window of a backward span is not the error: the span is
     with pytest.raises(ValueError, match="t_end must exceed the start time"):
         integrate_buffered(mk, 10, -1.0)
+
+
+@pytest.mark.parametrize("n_report, n_buf, name", [
+    (0, None, "n_report"), (-2, None, "n_report"), (2.5, None, "n_report"),
+    (True, None, "n_report"), (2, 10.5, "n_buf")])
+def test_integrate_buffered_rejects_bad_site_counts(n_report, n_buf, name):
+    calls = []
+
+    def mk(M):
+        calls.append(M)
+        return _closed_form_truncations("example1")(M)
+
+    with pytest.raises(ValueError, match=name):
+        integrate_buffered(mk, n_report, 0.2, n_buf=n_buf)
+    assert calls == []  # rejected before make_state is called
 
 
 # -- output grid, shared by every flow through integrate_core ---------------------

@@ -152,7 +152,8 @@ def test_exports_have_docstrings():
 
 
 #: the checks that decide a breakdown; they belong on accepted states only
-BREAKDOWN_CHECKS = ("_check_betas", "_flow_modulus", "_check_modulus", "_first_outside_unit")
+BREAKDOWN_CHECKS = ("_check_betas", "_first_outside_disk", "_check_modulus",
+                    "_first_outside_unit")
 
 
 def impure_kernels(source):
@@ -180,9 +181,9 @@ def test_impure_kernels_finds_raise_and_check():
     source = ("def _a_kernel(b):\n    _check_betas(b[1:])\n    return b\n\n\n"
               "def _b_kernel(y):\n    if y:\n        raise ValueError(y)\n    return y\n\n\n"
               "def _c_kernel(y):\n    return abs(y)\n\n\n"
-              "def validate(t, y):\n    _flow_modulus(y, t)\n\n\n"
+              "def validate(t, y):\n    _first_outside_disk(y)\n\n\n"
               "def _d_kernel(y, out):\n    def evaluate():\n        def inner():\n"
-              "            _flow_modulus(y, 0.0)\n        out[:] = y\n"
+              "            _first_outside_disk(y)\n        out[:] = y\n"
               "    return evaluate\n\n\n"
               "def _e_kernel(y):\n    def evaluate():\n        if y:\n"
               "            raise ValueError(y)\n    return evaluate\n")
