@@ -29,26 +29,25 @@ extended to n = 0 by the boundary convention a_{-1} = -1 (derived from the
 telescoping beta-sum identity through the coefficient map, and verified
 against quadrature-evolved measures in the test suite).
 
-Each flow's right-hand side is one shifted-slice kernel on one padded
-buffer: float64 [1, c_1..c_M, 0, d_1 = 0, d_2..d_M, 0] for the (c, d)
-system, and the complex window A = (a_{-1} = -1, a_0..a_{M-1}, a_M = 0) for
-the Schur flow.  A kernel binds once to its buffer, and each evaluation
-returns the kernel's own output array, the derivative of the interior.  The
-integrators step that interior, so each DOP853 stage is written straight
-into what the kernel reads; the public ``rhs_cd``/``rhs_schur`` bind the
-same buffer, evaluate once and return lists.
-Both flows keep ``lattice.integrate_core``'s breakdown rule: pure kernels,
+The (c, d) flow is the ertl flow at p = conj(q) carried through that map:
+a window with d_{M+1} = 0 is the finite state with alpha_{M+1} = 0, which
+``integrate_cd`` steps with ``lattice.integrate``.  The Schur flow has one
+shifted-slice kernel on the complex window A = (a_{-1} = -1, a_0..a_{M-1},
+a_M = 0), which returns its own output array, the derivative of the
+interior; ``integrate_schur`` steps that interior in place and
+``rhs_schur`` evaluates it once.  Both flows keep ``lattice.integrate_core``'s breakdown rule: pure kernels,
 and |a_n| < 1 or d_n in (0, 1) checked on accepted states only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateKernel, NotPositiveDefinite, PositivityLost, ReciprocalZero
-from .lattice import StepControl, integrate_core
+from .lattice import LatticeState, StepControl, integrate, integrate_core, rhs_ertl
 from .measures import MomentTable, require_finite
 
 
@@ -80,8 +79,8 @@ class CircleState:
 
     ``g`` and ``c`` hold indices 1..N; ``d`` (derived) holds
     d_{n+1} = (1 - g_n) g_{n+1} for n = 1..N-1.  The conventions c_0 = 1,
-    d_1 = 0 are implied.  Every g_n lies in (0, 1) and every c_n is finite
-    (ValueError otherwise).
+    d_1 = 0 are implied.  ``g`` and ``c`` have equal length, t and every c_n
+    are finite and every g_n lies in (0, 1) (ValueError otherwise).
     """
 
     t: float
@@ -89,8 +88,10 @@ class CircleState:
     c: tuple
 
     def __post_init__(self):
-        if not np.isfinite(np.array(self.c, dtype=float)).all():
-            raise ValueError("the rotations c_n must be finite")
+        if len(self.g) != len(self.c):
+            raise ValueError(f"g and c must have equal length, got {len(self.g)}, {len(self.c)}")
+        if not np.isfinite(np.array((self.t, *self.c), dtype=float)).all():
+            raise ValueError("t and the rotations c_n must be finite")
         for n, gv in enumerate(self.g, start=1):
             if not 0.0 < gv < 1.0:
                 raise ValueError(f"g_{n} = {gv} outside (0,1)")
@@ -279,65 +280,26 @@ def map_cd_beta_alpha(beta, alpha):
 # Flows
 # ---------------------------------------------------------------------------
 
-def _cd_kernel(buf, q):
-    """Bind the (c, d) flow to its buffer [1, c_1..c_M, 0, d_1 = 0, d_2..d_M, 0].
-
-    Its head is C = (c_0 = 1, c_1..c_M, 0) and its tail D = (d_0, d_1..d_M,
-    d_{M+1} = 0); no row reads d_0.  Each call of evaluate() returns the
-    kernel's own float64 output array, the derivative [dc_1..M, 0, 0,
-    dd_2..M] of buf[1:-1].  With z_k = 1 + i c_k, P_n = Im(q z_n z_{n-1})
-    and R_k = Re(q z_k) / |z_k|^2,
-
-        dc_n = 4 (d_n P_n / |z_{n-1}|^2 - d_{n+1} P_{n+1} / |z_{n+1}|^2),
-        dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1}
-                      + (1 - d_n) (c_{n-1} - c_n) P_n / (|z_n|^2 |z_{n-1}|^2)).
-
-    Two identities remove P.  As P_n = q_r (c_{n-1} + c_n) + q_i (1 - c_{n-1}
-    c_n) and |z_k|^2 R_k = q_r - q_i c_k, expanding q_i |z_{n-1}|^2 + (c_{n-1}
-    + c_n) (q_r - q_i c_{n-1}) gives P_n, so P_n / |z_{n-1}|^2 = q_i +
-    (c_{n-1} + c_n) R_{n-1}; by the symmetry of P_n also P_n / |z_n|^2 = q_i +
-    (c_{n-1} + c_n) R_n.  And |z_n|^2 |z_{n-1}|^2 (R_n - R_{n-1}) = |z_{n-1}|^2
-    (q_r - q_i c_n) - |z_n|^2 (q_r - q_i c_{n-1}) expands to (c_{n-1} - c_n) P_n.
-    So with V_n = d_n (c_{n-1} + c_n)
-
-        dc_n = 4 (q_i (d_n - d_{n+1}) + V_n R_{n-1} - V_{n+1} R_{n+1}),
-        dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1} + (1 - d_n) (R_n - R_{n-1})),
-
-    which evaluate() takes with the 4 folded into R and q_i; R and V share
-    one scratch array.  d_{M+1} = 0 closes the window (the chain analogue of
-    a vanishing top alpha).  With d_1 = 0 the n = 1 row of dc is the
-    boundary form of the c-equation.
-    """
-    q = complex(q)
-    qr4, qi4 = 4.0 * q.real, 4.0 * q.imag
-    M = len(buf) // 2 - 1
-    C, D = buf[:M + 2], buf[M + 1:]
-    out = np.zeros(2 * M + 1)
-    dc, dd = out[:M], out[M + 2:]
-    R, V = np.empty((2, M + 2))            # 4 R_k at slot k; V_n at slot n >= 1
-    cn, cm, Dn, Vn = C[1:], C[:-1], D[1:], V[1:]
-    V_lo, V_hi, R_m, R_p = V[1:-1], V[2:], R[:-2], R[2:]     # rows n = 1..M
-    D_lo, D_hi = D[1:-1], D[2:]
-    d, d_lo, d_hi = D[2:-1], D[1:-2], D[3:]                    # rows n = 2..M
-    R_lo, R_hi, R_n, R_n1 = R[:-3], R[3:], R[2:-1], R[1:-2]
-
-    def evaluate(t=None):
-        np.divide(qr4 - qi4 * C, 1.0 + C * C, out=R)
-        np.multiply(Dn, cn + cm, out=Vn)
-        np.add(V_lo * R_m - V_hi * R_p, qi4 * (D_lo - D_hi), out=dc)
-        np.multiply(d, d_lo * R_lo - d_hi * R_hi + (1.0 - d) * (R_n - R_n1), out=dd)
-        return out
-    return evaluate
-
-
 def rhs_cd(state: CircleState, q):
-    """Time derivatives (dc_1..N, dd_2..N) of the real kernel parametrization."""
-    M = len(state.c)
-    if M == 0:
+    """Time derivatives (dc_1..N, dd_2..N) of the real kernel parametrization.
+
+    The transport of ``rhs_ertl`` at p = conj(q) through ``map_beta_alpha_cd``,
+    written without division so that d_n = 0 is allowed: with z_n = 1 + i c_n,
+    c_0 = 1 and dc_0 = 0,
+
+        dc_n = Re(-i z_n^2 dbeta_n / 2),
+        dd_n = Re(z_n z_{n-1} dalpha_n + i alpha_n (z_{n-1} dc_n + z_n dc_{n-1})) / 4.
+    """
+    if not state.c:
         return [], []
-    buf = np.array([1.0, *state.c, 0.0, 0.0, *state.d, 0.0])
-    out = _cd_kernel(buf, q)().tolist()
-    return out[:M], out[M + 2:]
+    q = complex(q)
+    beta, alpha = map_beta_alpha_cd(state.c, (0.0, *state.d))
+    dbeta, dalpha = rhs_ertl(LatticeState(q.conjugate(), q, 0.0, beta, alpha + [0j]))
+    z = 1.0 + 1j * np.array((1.0, *state.c))  # z_0..z_M
+    dc = (-0.5j * z[1:] * z[1:] * np.array(dbeta)).real
+    dd = (z[2:] * z[1:-1] * np.array(dalpha[1:-1])
+          + 1j * np.array(alpha[1:]) * (z[1:-1] * dc[1:] + z[2:] * dc[:-1])).real / 4.0
+    return dc.tolist(), dd.tolist()
 
 
 def _first_outside_disk(a):
@@ -423,17 +385,34 @@ def _first_outside_unit(dd):
     return int(np.argmax(bad)) + 2 if bad.any() else None
 
 
+def _chain_d(beta, alpha):
+    """d_n = alpha_n / ((1 - beta_n)(1 - beta_{n-1})), n = 2..M, of (beta_1..M, alpha_2..M).
+
+    Complex, along the last axis; real on the image of ``map_beta_alpha_cd``.
+    """
+    w = 1.0 / (1.0 - beta)
+    return alpha * w[..., 1:] * w[..., :-1]
+
+
 def integrate_cd(c, d, q, t0: float, t_end: float,
                  ctrl: StepControl | None = None, t_out=None):
     """Integrate the real (c, d) flow on a finite window (d_{M+1} = 0).
 
-    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  The unknowns
-    c_1..c_M, d_2..d_M are stepped as float64.  No chain sequence lives
-    where some d_n, n >= 2, is outside (0, 1): ValueError is raised when
-    the initial chain has one there (or is empty, or a c_n or q is not
-    finite), and PositivityLost when an accepted step takes one there.  The
-    output grid follows ``integrate_core``.
-    Returns (times, c_snapshots, d_snapshots, stats), all starting at t0.
+    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  ``integrate`` steps
+    the window's image under ``map_beta_alpha_cd``, the finite ertl state at
+    p = conj(q), and each later snapshot is mapped back with the imaginary
+    parts dropped.  So ``ctrl`` bounds the local error of the mapped (beta,
+    alpha), and c_n is held to about rel_tol (1 + c_n^2) / 2 absolute, not
+    rel_tol |c_n|.  No chain sequence lives where some d_n, n >= 2, is
+    outside (0, 1): ValueError is raised when the initial chain has one
+    there (or is empty, or a c_n, q or the span is not finite), and
+    PositivityLost when an accepted step takes one there, with d_n =
+    Re(alpha_n / ((1 - beta_n)(1 - beta_{n-1}))) and 1 - beta_0 = 1 - i.
+    The output grid follows ``integrate_core``; the t0 snapshot is the
+    caller's c and d.  Returns (times, c_snapshots, d_snapshots, stats);
+    ``stats`` is ``integrate_core``'s plus ``imag_residue``, the drift off
+    the real (c, d) manifold: the largest |Im x| / (1 + |Re x|) the map back
+    dropped from a c_n or d_n.  It never raises.
     """
     require_finite("q", q)
     M = len(c)
@@ -441,21 +420,31 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
         raise ValueError("the (c, d) window is empty: integrate_cd needs c_1 and d_1 at least")
     if len(d) != M or d[0] != 0.0:
         raise ValueError("d must list d_1..d_M with d_1 = 0")
-    buf = np.array([1.0, *c, 0.0, *d, 0.0], dtype=float)
-    evaluate = _cd_kernel(buf, q)
-    if not np.isfinite(buf[1:M + 1]).all():
+    c0, d0 = np.array(c, dtype=float), np.array(d, dtype=float)
+    if not np.isfinite(c0).all():
         raise ValueError("the initial c_n must be finite")
-    n = _first_outside_unit(buf[M + 3:-1])
+    n = _first_outside_unit(d0[1:])
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
+    if not -math.inf < float(t0) < float(t_end) < math.inf:  # before LatticeState reads t0
+        raise ValueError("t_end must exceed the start time, both finite")
+    q = complex(q)
+    beta, alpha = map_beta_alpha_cd(c0, d0)
 
-    def validate(t, y):
-        n = _first_outside_unit(y[M + 2:])
+    def validate(t, y):  # y = [beta_1..M, alpha_1 = 0, alpha_2..M]
+        dd = _chain_d(y[:M], y[M + 1:]).real
+        n = _first_outside_unit(dd)
         if n:
-            raise PositivityLost(f"d_{n} = {y[M + n]} left (0, 1) at t={t}", n=n, t=t)
+            raise PositivityLost(f"d_{n} = {dd[n - 2]} left (0, 1) at t={t}", n=n, t=t)
 
-    times, snaps, stats = integrate_core(buf[1:-1], evaluate, t0, t_end, t_out, ctrl,
-                                         validate)
-    c_snaps = [y[:M].tolist() for y in snaps]
-    d_snaps = [[0.0] + y[M + 2:].tolist() for y in snaps]
-    return times, c_snaps, d_snaps, stats
+    traj = integrate(LatticeState(q.conjugate(), q, t0, beta, alpha + [0j]), t_end,
+                     ctrl=ctrl, t_out=t_out, _validate=validate)
+    B = np.array([s.beta for s in traj.states[1:]])
+    cz = -1j * (1.0 + B) / (1.0 - B)
+    dz = _chain_d(B, np.array([s.alpha[1:-1] for s in traj.states[1:]]))
+    stats = dict(traj.step_stats, imag_residue=max(
+        float((np.abs(x.imag) / (1.0 + np.abs(x.real))).max(initial=0.0)) for x in (cz, dz)))
+    del stats["head"]
+    c_snaps = [c0.tolist()] + (cz.real + 0.0).tolist()  # + 0.0: a c that stays 0 is not -0
+    d_snaps = [d0.tolist()] + [[0.0] + row for row in (dz.real + 0.0).tolist()]
+    return list(traj.times), c_snaps, d_snaps, stats

@@ -585,7 +585,8 @@ BUFFER_TOL = 1e-4
 
 
 def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
-              ctrl: StepControl | None = None, t_out=None, _head=None) -> Trajectory:
+              ctrl: StepControl | None = None, t_out=None, _head=None,
+              _validate=None) -> Trajectory:
     """Integrate a finite-closure state to t_end, snapshotting at t_out.
 
     The evolving unknowns are beta_1..beta_N and alpha_2..alpha_N; alpha_1
@@ -605,6 +606,8 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     ``integrate_core``'s plus ``head``: the _head relaxed past, or None when
     nothing was relaxed (the run is then bitwise the one without _head).
     With a head, ``max_err_est`` is the relaxed norm.
+    ``_validate(t, y)`` is ``integrate_cd``'s check of each accepted
+    [beta_1..N, alpha_1 = 0, alpha_2..N], after the beta check.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
@@ -623,8 +626,12 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     else:
         evaluate = _ertl_kernel(p, q, buf)
 
+    def check_betas(t, y):
+        _check_betas(y[:N], t)
+
     def validate(t, y):
         _check_betas(y[:N], t)
+        _validate(t, y)
 
     relax = None
     if _head is not None and _head < N:  # beta_n and alpha_n, n > _head
@@ -634,7 +641,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
             relax = np.ones(2 * N)
             relax[_head:N] = relax[N + _head:] = factor
     times, snaps, stats = integrate_core(buf[1:-1], evaluate, state.t, t_end, t_out, ctrl,
-                                         validate, relax)
+                                         check_betas if _validate is None else validate, relax)
     snaps = [y.astype(complex, copy=False) for y in snaps]  # states stay complex
     states = [LatticeState(*forced, tt, y[:N].tolist(), [0j] + y[N + 1:].tolist() + [0j])
               for tt, y in zip(times, snaps)]

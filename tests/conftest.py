@@ -221,7 +221,8 @@ def cd_edge_rates(c, d, q):
         dc_n = 4 (d_n P_n / den_{n-1} - d_{n+1} P_{n+1} / den_{n+1}),
         dd_n = 4 d_n (d_{n-1} R_{n-2} - d_{n+1} R_{n+1} + (1 - d_n) G_n),
 
-    the form the kernel took before two identities removed P and G.
+    the flow derived over the reals, where ``rhs_cd`` transports ``rhs_ertl``
+    through the coefficient map.
     """
     qr, qi = q.real, q.imag
     C, D = np.array([1.0, *c, 0.0]), np.array([0.0, *d, 0.0])

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import ertl.circle as circle
+import ertl.lattice as lattice
 from hypothesis import given, settings, strategies as st
 
 from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefinite,
@@ -14,7 +16,7 @@ from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefini
                   map_cd_beta_alpha, rhs_cd, rhs_ertl, rhs_schur,
                   verblunsky_from_moments)
 from ertl.lorth import MAX_DEPTH
-from tests.conftest import eval_Q, q_at_zero
+from tests.conftest import cd_edge_rates, eval_Q, q_at_zero
 
 
 def gram_schmidt_verblunsky(mu, N):
@@ -364,7 +366,8 @@ def test_integrate_cd_chain_sequence_preserved():
 def test_circle_flows_take_few_steps():
     # step counts are deterministic where timings are not.  The flows of the
     # circle benchmark task, from t0 = 0.1 with outputs at 0.2, 0.3 and 0.4,
-    # take 5 steps each from the fallback first step of 1e-2
+    # take 4 accepted steps each, from automatic first steps of 0.021 (Schur)
+    # and 0.035 (c, d)
     v = verblunsky_from_moments(compute_moments(circle_lebesgue_spec(0.5), 0.1, 20), 16)
     cs = cd_from_verblunsky(v, 0.1)
     t_out = [0.2, 0.3, 0.4]
@@ -372,6 +375,51 @@ def test_circle_flows_take_few_steps():
     *_, cd = integrate_cd(list(cs.c), [0.0, *cs.d], 0.5, 0.1, 0.4, t_out=t_out)
     for stats in (schur, cd):
         assert stats["accepted"] <= 4 and stats["rejected"] == 0
+
+
+#: the (c, d) window grid: q, and M sites from circle_lebesgue_spec(q) at t = 0.1
+CD_GRID = [(q, M) for q in (0.5, 0.3 + 0.4j, 2 + 2j, 1 - 1j) for M in (8, 16, 24)]
+
+
+@pytest.fixture(scope="module")
+def cd_grid_runs():
+    """{rel_tol: [(integrate_cd's final c_1..M, d_2..M, stats, reference)]} on CD_GRID, t 0.1 -> 1.
+
+    The reference integrates ``cd_edge_rates`` with scipy's DOP853 at
+    rtol 1e-13, atol 1e-15: a second route that shares neither the
+    coefficient map nor the stepper.
+    """
+    runs = {1e-8: [], 1e-10: []}
+    for q, M in CD_GRID:
+        v = verblunsky_from_moments(compute_moments(circle_lebesgue_spec(q), 0.1, M + 4), M)
+        cs = cd_from_verblunsky(v, 0.1)
+        c, d = list(cs.c), [0.0, *cs.d]
+
+        def f(t, y):
+            return np.concatenate(cd_edge_rates(y[:M], [0.0, *y[M:]], q))
+
+        ref = solve_ivp(f, (0.1, 1.0), c + d[1:], method="DOP853", rtol=1e-13,
+                        atol=1e-15).y[:, -1]
+        for rel_tol, out in runs.items():
+            _, cs_out, ds_out, stats = integrate_cd(c, d, q, 0.1, 1.0,
+                                                    ctrl=StepControl(rel_tol=rel_tol))
+            out.append((np.array(cs_out[-1] + ds_out[-1][1:]), stats, ref))
+    return runs
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+def test_integrate_cd_matches_edge_route_reference(cd_grid_runs, rel_tol):
+    for got, _, ref in cd_grid_runs[rel_tol]:
+        assert np.abs(got - ref).max() <= 10 * rel_tol
+
+
+def test_integrate_cd_reports_imag_residue(cd_grid_runs):
+    # the drift off the real (c, d) manifold is reported, not raised on: at
+    # rel_tol 1e-8 it exceeds map_cd_beta_alpha's 1e-10 realness check (4.1e-10)
+    for rel_tol, runs in cd_grid_runs.items():
+        residues = [stats["imag_residue"] for _, stats, _ in runs]
+        assert max(residues) < 10 * rel_tol
+    assert max(stats["imag_residue"] for _, stats, _ in cd_grid_runs[1e-8]) > 1e-10
 
 
 def test_integrate_cd_positivity_guard():
@@ -390,24 +438,25 @@ def test_integrate_cd_positivity_guard():
     ([0.0] * 5, [0.0, 0.3, 0.3, 0.95, 0.95], 3.0, 5),
     ([0.1, -0.2, 0.3, 0.0, 0.1], [0.0, 0.5, 0.5, 0.05, 0.5], -3.0 + 1j, 2)])
 def test_integrate_cd_positivity_lost_names_n_and_d_n(monkeypatch, c, d, q, n):
-    # the stepped vector holds two gap slots before d_2..d_M: PositivityLost
-    # names the first d_n outside (0, 1) of the rejected state, by d's own index
-    M, states, core = len(c), [], circle.integrate_core
+    # the stepped vector is the mapped ertl state [beta, alpha_1 = 0, alpha_2..M]:
+    # PositivityLost names the first d_n outside (0, 1) of the rejected state,
+    # by d's own index
+    M, states, core = len(c), [], lattice.integrate_core
 
-    def recording(stage, evaluate, t0, t_end, t_out, ctrl, validate):
-        def validate_and_record(t, y):
-            states.append(y.copy())
+    def recording(stage, evaluate, t0, t_end, t_out, ctrl, validate, relax=None):
+        def validate_and_record(t, y):  # d_1 = 0, then d_2..d_M as validate reads them
+            states.append(np.append(0.0, circle._chain_d(y[:M], y[M + 1:]).real))
             validate(t, y)
-        return core(stage, evaluate, t0, t_end, t_out, ctrl, validate_and_record)
+        return core(stage, evaluate, t0, t_end, t_out, ctrl, validate_and_record, relax)
 
-    monkeypatch.setattr(circle, "integrate_core", recording)
+    monkeypatch.setattr(lattice, "integrate_core", recording)
     with pytest.raises(PositivityLost) as exc:
         integrate_cd(c, d, q, 0.0, 2.0)
-    d_now = states[-1][M + 1:]  # d_1 = 0 (a gap slot), d_2..d_M
+    d_now = states[-1]
     assert exc.value.n == n and d_now[0] == 0.0
     assert all(0.0 < x < 1.0 for x in d_now[1:n - 1]) and not 0.0 < d_now[n - 1] < 1.0
     assert str(exc.value).startswith(f"d_{n} = {d_now[n - 1]} left (0, 1)")
-    assert all(0.0 < x < 1.0 for s in states[:-1] for x in s[M + 2:])
+    assert all(0.0 < x < 1.0 for s in states[:-1] for x in s[1:])
 
 
 def test_integrate_schur_rejects_report_outside_window():
@@ -497,6 +546,11 @@ def test_circle_state_invariants():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="must be finite"):
             CircleState(t=0.0, g=(0.5,), c=(bad,))
+        with pytest.raises(ValueError, match="must be finite"):
+            CircleState(t=bad, g=(0.5,), c=(0.1,))
+    for g, c in [((0.5,), (0.1, 0.2, 0.3)), ((0.5, 0.4), (0.1,))]:
+        with pytest.raises(ValueError, match="equal length"):
+            CircleState(t=0.0, g=g, c=c)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])

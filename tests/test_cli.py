@@ -192,7 +192,7 @@ FLOW_GOLDENS = {
 #: golden file -> (accepted, rejected) steps of its run.  A golden regenerated
 #: for rounding only (the stage arithmetic changed) must keep these counts
 FLOW_GOLDEN_STEPS = {"simulate_ertl_complex.csv": (5, 0), "simulate_langmuir.csv": (4, 0),
-                     "simulate_schur.csv": (5, 0), "simulate_cd.csv": (5, 0)}
+                     "simulate_schur.csv": (5, 0), "simulate_cd.csv": (5, 1)}
 
 
 def golden_mismatch(got, want):

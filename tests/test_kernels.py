@@ -25,7 +25,7 @@ from ertl import (LatticeState, NonConvergence, RecurrenceCoeffs, SingularDenomi
                   integrate_schur, isospectral_drift, lax_residual, rhs_cd, rhs_ertl,
                   rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
-from ertl.circle import _cd_kernel, _first_outside_disk, _schur_kernel
+from ertl.circle import _first_outside_disk, _schur_kernel
 from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _StageTable,
                           _check_betas, _ertl_kernel, integrate_core)
 from tests.conftest import bound_flow, cd_edge_rates, copying_step, ertl_drag_rates, eval_Q
@@ -247,7 +247,7 @@ def test_volterra_kernel_matches_loop(N, q, data):
 
 
 @given(sizes, st.one_of(nonzero, real_nonzero), st.data())
-def test_cd_kernel_matches_loop(M, q, data):
+def test_rhs_cd_matches_loop(M, q, data):
     q = complex(q)
     c = values(data.draw, M, st.floats(-3.0, 3.0), float)
     d = [0.0] + values(data.draw, M - 1, st.floats(0.0, 1.0), float)
@@ -256,10 +256,6 @@ def test_cd_kernel_matches_loop(M, q, data):
     scale = 4.0 * abs(q) * 4.0 * max([1.0] + [abs(x) for x in c]) ** 2
     assert_matches(dc, wc, scale)
     assert_matches(dd, wd[1:], scale)
-    # integrate_cd steps float64 arrays: the kernel stays real for any q (a
-    # complex value would not cast into the float64 output)
-    out = _cd_kernel(np.array([1.0, *c, 0.0, *d, 0.0]), q)()
-    assert out.dtype == np.float64 and out.tolist() == dc + [0.0, 0.0] + dd
 
 
 @st.composite
@@ -275,7 +271,7 @@ def cd_data(draw):
 @example(([0.7], [0.0]), 0.5 + 0.3j)  # M = 1: the boundary row alone
 @example(([-3.0, 3.0, 0.5], [0.0, 0.999, 1e-3]), -2.0 + 1.5j)
 def test_rhs_cd_matches_edge_route(cd, q):
-    # the identities that removed P and G from the kernel hold to rounding
+    # the transport of rhs_ertl and the real edge form agree to rounding
     c, d = cd
     dc, dd = rhs_cd(SimpleNamespace(c=tuple(c), d=tuple(d[1:])), q)
     wc, wd = cd_edge_rates(c, d, complex(q))
@@ -434,31 +430,16 @@ def test_bound_schur_is_public_rhs_bitwise(N, q, data):
     same_bits(evaluate(0.0), want)
 
 
-@given(sizes, st.one_of(nonzero, real_nonzero), st.data())
-def test_bound_cd_is_public_rhs_bitwise(M, q, data):
-    c = values(data.draw, M, st.floats(-3.0, 3.0), float)
-    d = [0.0] + values(data.draw, M - 1, st.floats(0.0, 1.0, exclude_min=True,
-                                                   exclude_max=True), float)
-    dc, dd = rhs_cd(SimpleNamespace(c=tuple(c), d=tuple(d[1:])), q)
-    stage, evaluate = stepping_flow(circle, lambda: integrate_cd(c, d, q, 0.0, 1.0))
-    # the stepped vector: c, the gap slots c_{M+1} = d_0 and d_1, d_2..d_M
-    same_bits(without_gaps(stage, [M, M + 1]), c + d[1:])
-    same_bits(without_gaps(evaluate(0.0), [M, M + 1]), dc + dd)
-
-
 def flow_run(flow):
     """(module, run) of a small integration of ``flow`` to t = 1."""
     if flow in ("ertl", "langmuir"):
         state = state_from_coeffs(1.0, 2.0, 0.0, [2.0 ** 0.5] * 4, [0.5, 0.3, 0.8])
         return lattice, lambda: integrate(state, 1.0, rhs_id=flow)
-    if flow == "schur":
-        v = VerblunskySeq(0.0, (0.2 + 0.1j, -0.1, 0.05j))
-        return circle, lambda: integrate_schur(v, 0.5 + 0.3j, 1.0)
-    return circle, lambda: integrate_cd([0.1, -0.2, 0.3], [0.0, 0.25, 0.3], 0.5 + 0.2j,
-                                        0.0, 1.0)
+    v = VerblunskySeq(0.0, (0.2 + 0.1j, -0.1, 0.05j))
+    return circle, lambda: integrate_schur(v, 0.5 + 0.3j, 1.0)
 
 
-@pytest.mark.parametrize("flow", ["ertl", "langmuir", "schur", "cd"])
+@pytest.mark.parametrize("flow", ["ertl", "langmuir", "schur"])
 def test_stepping_f_reuses_one_array(flow):
     # each stage is written into the flow's own padded state, the array its
     # kernel reads, and each evaluation writes its derivative into one array
@@ -475,7 +456,7 @@ def test_stepping_f_reuses_one_array(flow):
     assert evaluate(0.0) is first and np.array_equal(first, want)
 
 
-@pytest.mark.parametrize("flow, gaps", [("ertl", [4]), ("langmuir", [4]), ("cd", [3, 4])])
+@pytest.mark.parametrize("flow, gaps", [("ertl", [4]), ("langmuir", [4])])
 def test_gap_slots_stay_zero(flow, gaps):
     # a gap slot holds 0 with derivative 0, so every stage, the start probe
     # and every snapshot read +0 there, also when the values elsewhere are

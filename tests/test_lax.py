@@ -8,10 +8,12 @@ import pytest
 
 import ertl.lattice as lattice
 import ertl.lax as lax
-from ertl import (LaxPair, NonConvergence, RecurrenceCoeffs, StepControl, Trajectory,
-                  build_pair, commutator, example1_coeffs, example2_coeffs,
-                  hausdorff_distance, integrate, isospectral_drift, lax_residual, spectra,
-                  spectrum, state_from_coeffs, ClosedFormExample)
+from ertl import (LatticeState, LaxPair, NonConvergence, RecurrenceCoeffs, StepControl,
+                  Trajectory, build_pair, cd_from_verblunsky, circle_lebesgue_spec,
+                  commutator, compute_moments, example1_coeffs, example2_coeffs,
+                  hausdorff_distance, integrate, integrate_cd, isospectral_drift,
+                  lax_residual, map_beta_alpha_cd, spectra, spectrum, state_from_coeffs,
+                  verblunsky_from_moments, ClosedFormExample)
 from ertl.cli import main
 from tests.conftest import eval_Q
 from tests.test_lattice import random_state
@@ -390,6 +392,22 @@ def test_drift_small_and_scales_with_tolerance():
     assert drift[1e-10] < 1e-6
     ratio = drift[1e-9] / max(drift[1e-10], 1e-16)
     assert 3.0 < ratio < 40.0  # ~linear in tolerance
+
+    # a (c, d) window is the ertl state at p = conj(q) that map_beta_alpha_cd
+    # makes of it: its spectrum, the zeros of a kernel polynomial, lies on the
+    # unit circle and stays put (measured: 2.2e-16 off it, drift 4.6e-12)
+    q = 2 + 2j
+    v = verblunsky_from_moments(compute_moments(circle_lebesgue_spec(q), 0.1, 20), 16)
+    cs = cd_from_verblunsky(v, 0.1)
+    times, c_snaps, d_snaps, _ = integrate_cd(list(cs.c), [0.0, *cs.d], q, 0.1, 1.0,
+                                              ctrl=StepControl(rel_tol=1e-10),
+                                              t_out=[0.4, 0.7, 1.0])
+    states = []
+    for t, c, d in zip(times, c_snaps, d_snaps):
+        beta, alpha = map_beta_alpha_cd(c, d)
+        states.append(LatticeState(np.conj(q), q, t, beta, alpha + [0j]))
+    assert max(abs(abs(lam) - 1.0) for s in states for lam in spectrum(s)) <= 1e-10
+    assert isospectral_drift(Trajectory(tuple(times), tuple(states), {})) <= 1e-10
 
 
 def test_hausdorff_distance_basic():

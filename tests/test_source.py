@@ -201,8 +201,7 @@ def test_flow_kernels_are_pure(path):
 #: kernel too, to check that the beta equation vanishes)
 KERNEL_CALLERS = {"_ertl_kernel": {"rhs_ertl", "rhs_langmuir", "integrate"},
                   "_volterra_kernel": {"rhs_langmuir", "integrate"},
-                  "_schur_kernel": {"rhs_schur", "integrate_schur"},
-                  "_cd_kernel": {"rhs_cd", "integrate_cd"}}
+                  "_schur_kernel": {"rhs_schur", "integrate_schur"}}
 
 
 def kernel_callers(source):
