@@ -51,15 +51,24 @@ Each flow has one right-hand-side kernel on one buffer [1, beta_1..beta_N,
 alpha_1 = 0, alpha_2..alpha_N, alpha_{N+1}], written as shifted slices of
 its head b = (beta_0 = 1, beta_1..beta_N) and its tail a from beta_N's
 slot: row n reads b[n-1..n+1] and a[n-1..n+1], so the boundary conventions
-need no special case (dalpha_1 = 0, the one row that would read beta_N's
-slot as alpha_0, is not computed).  A kernel binds once to the buffer and
-allocates its own output, the derivative of the buffer's interior, which
-each evaluation writes with one ``out=`` per result and returns.  The ertl
-kernel's s_{N+1}, which would need beta_{N+1}, is set at bind time from
-alpha_{N+1}: 0 when it is 0, NaN otherwise.  The public ``rhs_*`` bind a
-state's buffer as complex and evaluate once; ``integrate`` binds it once
-per integration (real when p, q and the state are real), and DOP853 steps
-its interior, alpha_1 a gap slot (``integrate_core``).
+need no special case.  The one row that would read beta_N's slot as
+alpha_0 is dalpha_1, the gap slot: the Volterra kernel does not compute
+it, and the ertl kernel computes it with its whole alpha row and writes it
+back to +0.  The ertl kernel forms two rows of one scratch array, s_n =
+alpha_n (p - q / (beta_n beta_{n-1})) and G_m = p (beta_m + alpha_m +
+alpha_{m+1}) + q / beta_m, and takes dbeta and dalpha from them with one
+subtraction and one product over the (2, N) view [beta; alpha] of the
+buffer's interior.  A kernel binds once to the buffer and allocates its own
+output, the derivative of the buffer's interior, which each evaluation
+writes in place and returns.  The ertl kernel's s_{N+1}, which would need
+beta_{N+1}, is set at bind time from alpha_{N+1}: 0 when it is 0, NaN
+otherwise.  The public ``rhs_*`` bind a state's buffer as complex and
+evaluate once; ``integrate`` binds it once per integration (real when p, q
+and the state are real), and DOP853 steps its interior, alpha_1 a gap slot
+(``integrate_core``).  The steppers build their snapshots with the private
+``_unchecked`` constructors: ``integrate_core`` accepts only finite states
+that passed ``validate``, so the public constructors' checks would find
+nothing there.
 """
 
 from __future__ import annotations
@@ -121,12 +130,32 @@ class LatticeState:
             raise ValueError("finite closure requires alpha_{N+1} = 0")
         _check_betas(y[3:3 + N], self.t)
 
+    @classmethod
+    def _unchecked(cls, p: complex, q: complex, t: float, beta: tuple, alpha: tuple):
+        """A stepper's finite-closure snapshot, built without ``__post_init__``'s checks.
+
+        Only ``integrate`` calls it, with what those checks would return:
+        Python complex p, q and entries, alpha_1 = alpha_{N+1} = 0 and a
+        finite t.  Every entry is finite with |beta_n| >= EPS_SING, as
+        ``integrate_core`` accepts only finite steps that passed ``validate``.
+        """
+        state = object.__new__(cls)
+        for name, value in (("p", p), ("q", q), ("t", t), ("beta", beta), ("alpha", alpha),
+                            ("closure", "finite")):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def N(self) -> int:
         return len(self.beta)
 
     def prefix(self, n: int) -> "LatticeState":
-        """First n sites with the true alpha_{n+1}; closure becomes buffered."""
+        """First n sites with the true alpha_{n+1}; closure becomes buffered.
+
+        ValueError unless n is an integer (bool excluded) and n >= 1.
+        """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"prefix length n must be an integer >= 1, got {n!r}")
         if n >= self.N:
             return self
         return LatticeState(self.p, self.q, self.t, self.beta[:n],
@@ -185,34 +214,51 @@ def _ertl_kernel(p, q, buf):
 
     Each call of evaluate() reads ``buf`` and returns the kernel's own output
     array in ``buf``'s dtype, the derivative [dbeta_1..N, dalpha_1 = 0,
-    dalpha_2..N] of buf[1:-1].  With u_n = q / beta_n, s_n = alpha_n (p -
-    u_n / beta_{n-1}) and v_n = p beta_n + u_n (n = 0..N, so v_0 = p + q):
+    dalpha_2..N] of buf[1:-1].  With u_m = q / beta_m, two rows of one
+    (2, N + 1) scratch array hold
+
+        s_n = alpha_n (p - u_n / beta_{n-1}),                n = 1..N+1,
+        G_m = p (beta_m + alpha_m + alpha_{m+1}) + u_m,      m = 0..N,
+
+    and one subtraction and one product by the (2, N) view [beta; alpha] of
+    buf[1:-1] give both rows of the output:
 
         dbeta_n  = beta_n (s_n - s_{n+1}),
-        dalpha_n = alpha_n (p (alpha_{n-1} - alpha_{n+1}) + v_{n-1} - v_n).
+        dalpha_n = alpha_n (G_{n-1} - G_n).
 
-    s_{N+1} would need beta_{N+1}: its padded slot in s is set here, once,
-    to 0 when the bound alpha_{N+1} is 0 and to NaN (so dbeta_N is NaN)
-    otherwise, so a binding must hold alpha_{N+1} fixed, as every caller
-    does.  dalpha_{N+1} (0 or NaN likewise) is the caller's.
+    s_{N+1} would need beta_{N+1}: its slot is set here, once, to 0 when the
+    bound alpha_{N+1} is 0 and to NaN (so dbeta_N is NaN) otherwise, so a
+    binding must hold alpha_{N+1} fixed, as every caller does.  G_0 reads
+    beta_N's slot as alpha_0 and feeds only dalpha_1, the gap slot, which is
+    written back to +0 after each evaluation (also when a stage holds NaN).
+    dalpha_{N+1} (0 or NaN likewise) is the caller's.  That is ten ufunc
+    calls and the gap write per evaluation; p and q are bound as 0-d arrays,
+    which numpy dispatches faster than Python scalars, with the same bits.
     """
     N = len(buf) // 2 - 1
+    p, q = np.array(p), np.array(q)
     b, a = buf[:N + 1], buf[N:]
     out = np.zeros(2 * N, dtype=buf.dtype)
-    dbeta, dalpha = out[:N], out[N + 1:]
-    bn, bm, an = b[1:], b[:-1], a[1:-1]
-    an_r, a_lo, a_hi = a[2:-1], a[1:-2], a[3:]
-    v, s = np.empty((2, N + 1), dtype=buf.dtype)  # u_0..N, then v_0..N in place; s_1..N+1
+    rows = np.empty((2, N + 1), dtype=buf.dtype)  # s_1..N+1; G_0..N, first u_0..N
+    s, G = rows
     s[-1] = 0.0 if a[-1] == 0 else np.nan
-    un, s_lo, s_hi = v[1:], s[:-1], s[1:]
-    v_lo, v_hi = v[1:-1], v[2:]
+    w = np.empty(N + 1, dtype=buf.dtype)
+    s_lo, un, bm, an, a_m, a_m1 = s[:-1], G[1:], b[:-1], a[1:-1], a[:-1], a[1:]
+    lo, hi, BA, D = rows[:, :-1], rows[:, 1:], buf[1:-1].reshape(2, N), out.reshape(2, N)
+    gap = out[N:N + 1]
 
     def evaluate(t=None):
-        np.divide(q, b, out=v)  # u
-        np.multiply(an, p - un / bm, out=s_lo)
-        np.multiply(bn, s_lo - s_hi, out=dbeta)
-        np.add(p * b, v, out=v)  # u becomes v
-        np.multiply(an_r, p * (a_lo - a_hi) + (v_lo - v_hi), out=dalpha)
+        np.divide(q, b, out=G)  # u
+        np.divide(un, bm, out=s_lo)
+        np.subtract(p, s_lo, out=s_lo)
+        np.multiply(an, s_lo, out=s_lo)
+        np.add(b, a_m, out=w)
+        np.add(w, a_m1, out=w)
+        np.multiply(p, w, out=w)
+        np.add(w, G, out=G)  # u becomes G
+        np.subtract(lo, hi, out=D)
+        np.multiply(BA, D, out=D)
+        gap.fill(0)
         return out
     return evaluate
 
@@ -471,9 +517,11 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
     SingularDenominator from it is re-raised with ``t_bracket``, the start and
     end time of the step.  Where an off-trajectory f (the start probe, a stage
     argument) leaves the flow's domain its values are large or non-finite, and
-    the error test rejects them; the stepping runs under
-    ``np.errstate(all="ignore")``, so they raise no warning.  y0 is the
-    caller's to check.  ``ctrl`` None means ``StepControl()``.  Returns (times,
+    the error test rejects them, as it does a y_new that is not finite (an
+    overflowed y_new makes every sc inf, so its error would read 0): every
+    state ``validate`` sees, and so every snapshot, is finite.  The stepping
+    runs under ``np.errstate(all="ignore")``, so they raise no warning.  y0
+    is the caller's to check.  ``ctrl`` None means ``StepControl()``.  Returns (times,
     snapshots, stats): times are t0 followed by the output times, and the first
     snapshot is y0.
 
@@ -535,12 +583,14 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
                     k1_due = False
                 e = table.step(stage, evaluate, t, h_try)
                 scale = np.maximum(np.abs(y), np.abs(stage))
-                sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale,
-                                _ROUNDING_FLOOR * float(scale.max()))
+                smax = float(scale.max())
+                sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale, _ROUNDING_FLOOR * smax)
                 if relax is not None:
                     sc *= relax
                 e5, e3 = (np.abs(e) / sc).max(axis=1).tolist()
-                err = e5 * e5 / max(math.hypot(e5, 0.1 * e3), _TINY)
+                # a y_new that overflowed makes every sc inf, and its err would read 0
+                err = (e5 * e5 / max(math.hypot(e5, 0.1 * e3), _TINY) if smax < math.inf
+                       else math.inf)
 
                 factor = 0.9 * err ** -0.125 if 0.0 < err < math.inf else \
                     (5.0 if err == 0.0 else 0.1)
@@ -642,9 +692,10 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
             relax[_head:N] = relax[N + _head:] = factor
     times, snaps, stats = integrate_core(buf[1:-1], evaluate, state.t, t_end, t_out, ctrl,
                                          check_betas if _validate is None else validate, relax)
-    snaps = [y.astype(complex, copy=False) for y in snaps]  # states stay complex
-    states = [LatticeState(*forced, tt, y[:N].tolist(), [0j] + y[N + 1:].tolist() + [0j])
-              for tt, y in zip(times, snaps)]
+    states = []
+    for tt, y in zip(times, snaps):
+        v = y.astype(complex, copy=False).tolist()  # states stay complex
+        states.append(LatticeState._unchecked(*forced, tt, tuple(v[:N]), (0j, *v[N + 1:], 0j)))
     stats["head"] = None if relax is None else _head
     return Trajectory(times=tuple(times), states=tuple(states), step_stats=stats)
 

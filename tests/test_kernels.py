@@ -20,8 +20,9 @@ from hypothesis.extra.numpy import arrays
 
 import ertl.circle as circle
 import ertl.lattice as lattice
-from ertl import (LatticeState, NonConvergence, RecurrenceCoeffs, SingularDenominator,
-                  StepControl, VerblunskySeq, build_pair, integrate, integrate_cd,
+from ertl import (ClosedFormExample, LatticeState, NonConvergence, RecurrenceCoeffs,
+                  SingularDenominator, StepControl, StepUnderflow, VerblunskySeq, build_pair,
+                  example1_coeffs, integrate, integrate_buffered, integrate_cd,
                   integrate_schur, isospectral_drift, lax_residual, rhs_cd, rhs_ertl,
                   rhs_langmuir, rhs_schur, spectrum, state_from_coeffs)
 from ertl.cli import main
@@ -430,6 +431,54 @@ def test_bound_schur_is_public_rhs_bitwise(N, q, data):
     same_bits(evaluate(0.0), want)
 
 
+# -- stepped snapshots: built unchecked, yet what the public constructors build
+
+def assert_public_twin(s):
+    """s equals, value for value and type for type, its public construction from its values."""
+    twin = (VerblunskySeq(s.t, s.a) if isinstance(s, VerblunskySeq)
+            else LatticeState(s.p, s.q, s.t, s.beta, s.alpha, s.closure))
+    assert s == twin and repr(s) == repr(twin)
+
+
+@settings(max_examples=40)
+@given(flow=st.sampled_from(["ertl", "rtl1", "rtl2", "langmuir", "schur"]),
+       N=st.integers(1, 12), real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_stepped_snapshots_equal_public_construction(flow, N, real, seed):
+    rng = np.random.default_rng(seed)
+    turn = 1.0 if real else np.exp(1j * rng.uniform(-0.5, 0.5, N))
+    kw = dict(ctrl=StepControl(rel_tol=1e-8), t_out=[0.1, 0.2])
+    if flow == "schur":
+        q = rng.uniform(0.2, 1.0) if real else complex(*rng.uniform(-1.0, 1.0, 2))
+        v = VerblunskySeq(0.0, tuple(rng.uniform(-0.9, 0.9, N) * turn))
+        snaps = integrate_schur(v, q, 0.2, n_report=int(rng.integers(1, N + 1)), **kw)[1]
+    elif flow == "langmuir":
+        state = state_from_coeffs(1.0, 2.0, 0.0, [2.0 ** 0.5] * N,
+                                  (rng.uniform(0.1, 1.0, N) * turn)[:N - 1])
+        snaps = integrate(state, 0.2, rhs_id="langmuir", **kw).states
+    else:
+        state = random_state(rng, N, complex_data=not real)
+        snaps = integrate(state, 0.2, rhs_id=flow, **kw).states
+    assert len(snaps) == 3
+    for s in snaps:
+        assert_public_twin(s)
+
+
+@pytest.mark.parametrize("system", ["ertl", "langmuir"])
+def test_buffered_snapshots_equal_public_construction(system):
+    ex = ClosedFormExample("example1", 1.0, 2.0)
+
+    def make_state(M):
+        rc = example1_coeffs(ex, 0.0, M + 1)
+        return state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
+
+    traj = integrate_buffered(make_state, 4, 0.25, rhs_id=system,
+                              ctrl=StepControl(rel_tol=1e-8), t_out=[0.125, 0.25])
+    assert len(traj.states) == 3
+    for s in traj.states:
+        assert s.closure == "buffered" and s.N == 4
+        assert_public_twin(s)
+
+
 def flow_run(flow):
     """(module, run) of a small integration of ``flow`` to t = 1."""
     if flow in ("ertl", "langmuir"):
@@ -652,6 +701,19 @@ def test_start_falls_back_when_probe_leaves_the_domain(bad):
                                      lambda t, y: None)
     assert stats["h_start"] == _H_FALLBACK and stats["rhs_calls"] == len(calls)
     assert abs(snaps[-1][0] - math.exp(-1.0)) < 1e-10
+
+
+def test_overflowed_step_is_rejected():
+    # y' = 1e307 from y = 1.7e308 overflows before t = 1.  A y_new of inf
+    # makes every error scale inf, so the step's error reads 0 while its
+    # estimate stays finite (e5 = 0, e3 about 2.5e291 h); such a step must
+    # still be rejected, so the run ends in StepUnderflow with every accepted
+    # state finite
+    accepted = []
+    flow = bound_flow(lambda t, y: np.full_like(y, 1e307), [1.7e308])
+    with pytest.raises(StepUnderflow):
+        integrate_core(*flow, 0.0, 1.0, None, None, lambda t, y: accepted.append(y.copy()))
+    assert accepted and all(np.isfinite(y).all() for y in accepted)
 
 
 def test_start_probe_past_unit_modulus_is_no_breakdown():

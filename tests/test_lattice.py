@@ -1,6 +1,7 @@
 """Lattice right-hand sides, reductions, and the adaptive integrator."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,22 @@ def test_int_state_integrates_like_its_float_twin():
     assert all(type(x) is complex for x in (ints.p, ints.q, *ints.beta, *ints.alpha))
     a, b = integrate(ints, 0.5, t_out=[0.25]), integrate(floats, 0.5, t_out=[0.25])
     assert a.times == b.times and a.states == b.states and a.step_stats == b.step_stats
+
+
+@pytest.mark.parametrize("n", [0, -1, True, False, 2.5, 2.0, "2", None])
+def test_prefix_rejects_length_that_is_not_a_positive_integer(n):
+    # prefix(0) returned an empty state, prefix(True) ran as 1, prefix(-1)
+    # blamed the alpha count and prefix(2.5) raised TypeError
+    state = state_from_coeffs(1.0, 2.0, 0.0, [1.0, 2.0, 1.5], [0.5, 0.25])
+    with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
+        state.prefix(n)
+
+
+def test_prefix_keeps_true_top_alpha():
+    state = state_from_coeffs(1.0, 2.0, 0.0, [1.0, 2.0, 1.5], [0.5, 0.25])
+    assert state.prefix(np.int64(2)) == LatticeState(1.0, 2.0, 0.0, (1.0, 2.0), (0.0, 0.5, 0.25),
+                                                     closure="buffered")
+    assert state.prefix(3) is state and state.prefix(4) is state
 
 
 def test_state_from_coeffs_counts_free_alphas():

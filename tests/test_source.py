@@ -241,3 +241,42 @@ def test_each_kernel_is_bound_by_its_own_flow_only():
         for kernel, callers in kernel_callers(path.read_text()).items():
             found.setdefault(kernel, set()).update(callers)
     assert found == KERNEL_CALLERS
+
+
+#: each private snapshot constructor and the steppers that build states with
+#: it: ``integrate_core`` accepts only finite states that passed ``validate``,
+#: so the public constructors' checks would find nothing there
+UNCHECKED_CALLERS = {"LatticeState._unchecked": {"integrate"},
+                     "VerblunskySeq._unchecked": {"integrate_schur"}}
+
+
+def unchecked_callers(source):
+    """{"owner._unchecked": {caller}} for each reference to an ``_unchecked`` attribute.
+
+    A reference counts, called or not, so an alias cannot hide a call.  The
+    caller is found as by ``kernel_callers``.
+    """
+    found = {}
+    for top in ast.parse(source).body:
+        caller = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "_unchecked":
+                found.setdefault(f"{ast.unparse(node.value)}._unchecked", set()).add(caller)
+    return found
+
+
+def test_unchecked_callers_finds_every_reference():
+    source = ("class S:\n    @classmethod\n    def _unchecked(cls, x):\n        return cls()\n\n\n"
+              "def integrate(x):\n    return [S._unchecked(v) for v in x]\n\n\n"
+              "def sneaky(x):\n    make = m.S._unchecked\n    return make(x)\n\n\n"
+              "Y = S._unchecked(1)\n")
+    assert unchecked_callers(source) == {"S._unchecked": {"integrate", "<module>"},
+                                         "m.S._unchecked": {"sneaky"}}
+
+
+def test_unchecked_snapshots_are_built_by_their_steppers_only():
+    found = {}
+    for path in MODULES:
+        for owner, callers in unchecked_callers(path.read_text()).items():
+            found.setdefault(owner, set()).update(callers)
+    assert found == UNCHECKED_CALLERS
