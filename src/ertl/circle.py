@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import DegenerateKernel, NotPositiveDefinite, PositivityLost, ReciprocalZero
 from .lattice import LatticeState, StepControl, integrate, integrate_core, rhs_ertl
-from .measures import MomentTable, require_finite
+from .measures import MomentTable, require_count, require_finite
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,9 @@ def verblunsky_from_moments(table: MomentTable, N: int) -> VerblunskySeq:
 
     and the next coefficient vector is shift(b) - conj(a_n) * rev(conj(b)).
     Raises NotPositiveDefinite(n) as soon as an implied |a_n| >= 1, and
-    ValueError unless N >= 1.
+    ValueError unless N is an integer >= 1.
     """
-    if N < 1:
-        raise ValueError("depth N must be >= 1")
+    require_count("depth N", N)
     mu = _toeplitz_moments(table, N)
     b = [1.0 + 0j]
     norm2 = mu[0].real
@@ -254,17 +253,21 @@ def map_beta_alpha_cd(c, d):
     denominators never vanish for real c.  (The alpha denominator follows
     from dividing the self-inversive recurrence by the running product of
     (1 + i c_k); a conjugated second factor would make alpha disagree with
-    the kernel recurrence whenever c != 0.)  Inverse: ``map_cd_beta_alpha``.
+    the kernel recurrence whenever c != 0.)  ValueError unless c and d have
+    equal length, d_1 = 0 and every entry is a finite real number.
+    Inverse: ``map_cd_beta_alpha``.
     """
-    c = [float(x) for x in c]
-    d = [float(x) for x in d]
     if len(c) != len(d):
         raise ValueError("c and d must have equal length (d starts at d_1 = 0)")
-    if d and d[0] != 0.0:
+    x = np.array((*c, *d))
+    if x.dtype.kind not in "iuf" or not np.isfinite(x).all():
+        raise ValueError("c and d must be finite real numbers")
+    if len(d) and d[0] != 0.0:
         raise ValueError("d_1 must be 0")
     beta, alpha = [], []
     c_prev = 1.0  # c_0
     for cn, dn in zip(c, d):
+        cn, dn = float(cn), float(dn)
         beta.append(-(1.0 - 1j * cn) / (1.0 + 1j * cn))
         alpha.append(4.0 * dn / ((1.0 + 1j * cn) * (1.0 + 1j * c_prev)))
         c_prev = cn
@@ -272,10 +275,22 @@ def map_beta_alpha_cd(c, d):
 
 
 def map_cd_beta_alpha(beta, alpha):
-    """Inverse of ``map_beta_alpha_cd``: unimodular beta, alpha -> real (c, d)."""
+    """Inverse of ``map_beta_alpha_cd``: unimodular beta, alpha -> real (c, d).
+
+    ValueError unless beta and alpha have equal length, every entry is a
+    finite number and no beta_n is 1 (c_n would be infinite), and when a
+    recovered c_n or d_n is not real to 1e-10.
+    """
+    if len(beta) != len(alpha):
+        raise ValueError("beta and alpha must have equal length (alpha starts at alpha_1)")
+    x = np.array((*beta, *alpha))
+    if x.dtype.kind not in "iufc" or not np.isfinite(x).all():
+        raise ValueError("beta and alpha must be finite numbers")
     c, d = [], []
     c_prev = 1.0
-    for bn, an in zip(beta, alpha):
+    for n, (bn, an) in enumerate(zip(beta, alpha), start=1):
+        if bn == 1:
+            raise ValueError(f"beta_{n} = 1 maps to no finite c_{n}")
         cn = -1j * (1.0 + bn) / (1.0 - bn)
         if abs(cn.imag) > 1e-10 * (1.0 + abs(cn.real)):
             raise ValueError(f"recovered c = {cn} is not real; beta off the unit circle?")
@@ -360,8 +375,9 @@ def rhs_schur(v: VerblunskySeq, q):
 
     Returns a_dot_0..a_dot_{N-2}, the rows of ``integrate_schur``'s window
     but the last; the n = 0 row uses the boundary convention a_{-1} = -1, so
-    a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).
+    a_dot_0 = (1-|a_0|^2)(-conj(q) - q a_1).  ValueError unless q is finite.
     """
+    require_finite("q", q)
     A = np.array((-1.0, *v.a, 0.0), dtype=complex)
     _check_modulus(A[1:-2])
     return _schur_kernel(A, complex(q))()[:-1].tolist()
@@ -375,17 +391,16 @@ def integrate_schur(v: VerblunskySeq, q, t_end: float,
     The window evolves a_0..a_{M-1} with the missing neighbour a_M held at 0;
     only the first ``n_report`` coefficients are trustworthy (truncation
     effects creep in from the top), and ValueError is raised for an empty
-    window (M = 0) and unless 1 <= n_report <= M and q is finite.  |a_n| < 1
-    is checked on accepted steps only (PositivityLost with n, modulus and
-    t), by the breakdown rule of ``integrate_core``, whose output grid this
-    follows as well.
+    window (M = 0) and unless n_report is an integer in 1..M and q is
+    finite.  |a_n| < 1 is checked on accepted steps only (PositivityLost
+    with n, modulus and t), by the breakdown rule of ``integrate_core``,
+    whose output grid this follows as well.
     Returns (times, list of VerblunskySeq, stats), both starting at v.t.
     """
     if not v.N:
         raise ValueError("the Schur window is empty: integrate_schur needs a_0 at least")
     n_report = v.N if n_report is None else n_report
-    if not 1 <= n_report <= v.N:
-        raise ValueError(f"n_report = {n_report} must lie in 1..{v.N}, the window size")
+    require_count("n_report", n_report, 1, v.N)
     require_finite("q", q)
     q = complex(q)
     A = np.array((-1.0,) + v.a + (0j,))  # a_0..a_{M-1} are stepped; a_M = 0 stays
@@ -442,18 +457,14 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     M = len(c)
     if not M:
         raise ValueError("the (c, d) window is empty: integrate_cd needs c_1 and d_1 at least")
-    if len(d) != M or d[0] != 0.0:
-        raise ValueError("d must list d_1..d_M with d_1 = 0")
+    beta, alpha = map_beta_alpha_cd(c, d)  # checks the lengths, d_1 and finite real entries
     c0, d0 = np.array(c, dtype=float), np.array(d, dtype=float)
-    if not np.isfinite(c0).all():
-        raise ValueError("the initial c_n must be finite")
     n = _first_outside_unit(d0[1:])
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
     if not -math.inf < float(t0) < float(t_end) < math.inf:  # before LatticeState reads t0
         raise ValueError("t_end must exceed the start time, both finite")
     q = complex(q)
-    beta, alpha = map_beta_alpha_cd(c0, d0)
 
     def validate(t, y):  # y = [beta_1..M, alpha_1 = 0, alpha_2..M]
         dd = _chain_d(y[:M], y[M + 1:]).real
@@ -468,7 +479,6 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     dz = _chain_d(B, np.array([s.alpha[1:-1] for s in traj.states[1:]]))
     stats = dict(traj.step_stats, imag_residue=max(
         float((np.abs(x.imag) / (1.0 + np.abs(x.real))).max(initial=0.0)) for x in (cz, dz)))
-    del stats["head"]
     c_snaps = [c0.tolist()] + (cz.real + 0.0).tolist()  # + 0.0: a c that stays 0 is not -0
     d_snaps = [d0.tolist()] + [[0.0] + row for row in (dz.real + 0.0).tolist()]
     return list(traj.times), c_snaps, d_snaps, stats

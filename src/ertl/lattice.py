@@ -22,15 +22,14 @@ Langmuir/Volterra lattice alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}).
 
 Finite truncation closes the system with alpha_{N+1} = 0.  For comparison
 against semi-infinite measure-derived coefficients, ``integrate_buffered``
-integrates extra sites with finite closure at the far end and reports only a
-prefix.  The first window comes from a measured law in the time span
-(``default_buffer``) and is checked against a window a quarter larger; a
-failed check is followed by a larger one, sized from the deviation it
-measured (more buffer is needed when coefficients grow with site index).
-The first run holds only its reported sites to the step tolerance, and its
-buffer sites, whose values are never reported, to ``BUFFER_TOL`` when that
-is looser; every check runs at the step tolerance, so it also measures what
-the looser buffer moved in the head.
+integrates extra sites and reports only a prefix.  Its windows have an open
+top: the tail is continued past the last site at every evaluation
+(alpha_{N+1} = 2 alpha_N - alpha_{N-1}, beta_{N+1} = beta_N^2 / beta_{N-1}),
+in place of the wall alpha_{N+1} = 0.  The first window comes from a
+measured law in the time span (``default_buffer``) and is checked against a
+window a quarter larger; a failed check is followed by a larger one, sized
+from the deviation it measured (more buffer is needed when coefficients grow
+with site index).
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
@@ -39,11 +38,9 @@ and only accepted states are checked (``integrate_core``'s ``validate``).
 Integration uses the Dormand-Prince 8(5,3) pair (DOP853) with FSAL (f at the
 new solution of an accepted step is the next step's first stage), and
 accepts a step when its local error, scaled per component, is within the
-tolerance (error per step, not per unit step).  A component's scale may
-carry a factor of its own, which only the buffer sites of a buffered run's
-first window use.  The first step is sized from the problem by one Euler probe
-(Hairer's HINIT), and a step cut short to land on an output time leaves the
-next step's proposal as it was.
+tolerance (error per step, not per unit step).  The first step is sized
+from the problem by one Euler probe (Hairer's HINIT), and a step cut short
+to land on an output time leaves the next step's proposal as it was.
 Steps run in the dtype of the unknowns: float64 for a real flow, complex
 otherwise.
 
@@ -62,7 +59,9 @@ buffer's interior.  A kernel binds once to the buffer and allocates its own
 output, the derivative of the buffer's interior, which each evaluation
 writes in place and returns.  The ertl kernel's s_{N+1}, which would need
 beta_{N+1}, is set at bind time from alpha_{N+1}: 0 when it is 0, NaN
-otherwise.  The public ``rhs_*`` bind a state's buffer as complex and
+otherwise; an open binding, a buffered run's, instead refills alpha_{N+1}
+and s_{N+1} from the continued tail at each evaluation.  The public
+``rhs_*`` bind a state's buffer as complex and
 evaluate once; ``integrate`` binds it once per integration (real when p, q
 and the state are real), and DOP853 steps its interior, alpha_1 a gap slot
 (``integrate_core``).  The steppers build their snapshots with the private
@@ -79,6 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferTooSmall, NotSymmetricState, SingularDenominator, StepUnderflow
+from .measures import require_count
 
 #: |beta_n| below this is treated as a blow-up of the flow
 EPS_SING = 1e-12
@@ -131,17 +131,19 @@ class LatticeState:
         _check_betas(y[3:3 + N], self.t)
 
     @classmethod
-    def _unchecked(cls, p: complex, q: complex, t: float, beta: tuple, alpha: tuple):
-        """A stepper's finite-closure snapshot, built without ``__post_init__``'s checks.
+    def _unchecked(cls, p: complex, q: complex, t: float, beta: tuple, alpha: tuple,
+                   closure: str):
+        """A stepper's snapshot, built without ``__post_init__``'s checks.
 
         Only ``integrate`` calls it, with what those checks would return:
-        Python complex p, q and entries, alpha_1 = alpha_{N+1} = 0 and a
-        finite t.  Every entry is finite with |beta_n| >= EPS_SING, as
-        ``integrate_core`` accepts only finite steps that passed ``validate``.
+        Python complex p, q and entries, alpha_1 = 0, alpha_{N+1} = 0 for a
+        finite closure and a finite t.  Every entry is finite with |beta_n|
+        >= EPS_SING, as ``integrate_core`` accepts only finite steps that
+        passed ``validate``.
         """
         state = object.__new__(cls)
         for name, value in (("p", p), ("q", q), ("t", t), ("beta", beta), ("alpha", alpha),
-                            ("closure", "finite")):
+                            ("closure", closure)):
             object.__setattr__(state, name, value)
         return state
 
@@ -154,8 +156,7 @@ class LatticeState:
 
         ValueError unless n is an integer (bool excluded) and n >= 1.
         """
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"prefix length n must be an integer >= 1, got {n!r}")
+        require_count("prefix length n", n)
         if n >= self.N:
             return self
         return LatticeState(self.p, self.q, self.t, self.beta[:n],
@@ -209,7 +210,7 @@ def _check_betas(beta, t=None):
         raise SingularDenominator(n + 1, complex(beta[n]), t=t)
 
 
-def _ertl_kernel(p, q, buf):
+def _ertl_kernel(p, q, buf, open_top=False):
     """Bind the two-parameter flow to its buffer (module docstring); returns evaluate().
 
     Each call of evaluate() reads ``buf`` and returns the kernel's own output
@@ -228,14 +229,20 @@ def _ertl_kernel(p, q, buf):
 
     s_{N+1} would need beta_{N+1}: its slot is set here, once, to 0 when the
     bound alpha_{N+1} is 0 and to NaN (so dbeta_N is NaN) otherwise, so a
-    binding must hold alpha_{N+1} fixed, as every caller does.  G_0 reads
-    beta_N's slot as alpha_0 and feeds only dalpha_1, the gap slot, which is
-    written back to +0 after each evaluation (also when a stage holds NaN).
-    dalpha_{N+1} (0 or NaN likewise) is the caller's.  That is ten ufunc
-    calls and the gap write per evaluation; p and q are bound as 0-d arrays,
-    which numpy dispatches faster than Python scalars, with the same bits.
+    binding must hold alpha_{N+1} fixed, as every closed one does.  An open
+    binding (``open_top``, N >= 2) continues the tail instead: each
+    evaluation first writes alpha_{N+1} = 2 alpha_N - alpha_{N-1} into
+    buf[-1] and s_{N+1} = alpha_{N+1} (p - q beta_{N-1} / beta_N^3), which
+    is s_{N+1} at the geometric beta_{N+1} = beta_N^2 / beta_{N-1}, nonzero
+    while beta_N is.  G_0 reads beta_N's slot as alpha_0 and feeds only
+    dalpha_1, the gap slot, which is written back to +0 after each
+    evaluation (also when a stage holds NaN).  dalpha_{N+1} is the caller's.
+    That is ten ufunc calls and the gap write per evaluation; p and q are
+    bound as 0-d arrays, which numpy dispatches faster than Python scalars,
+    with the same bits.
     """
     N = len(buf) // 2 - 1
+    p_top, q_top = p, q  # the open top's scalar arithmetic is faster on Python scalars
     p, q = np.array(p), np.array(q)
     b, a = buf[:N + 1], buf[N:]
     out = np.zeros(2 * N, dtype=buf.dtype)
@@ -260,7 +267,14 @@ def _ertl_kernel(p, q, buf):
         np.multiply(BA, D, out=D)
         gap.fill(0)
         return out
-    return evaluate
+    if not open_top:
+        return evaluate
+
+    def evaluate_open(t=None):
+        top = buf[-1] = 2 * a[-2] - a[-3]
+        s[-1] = top * (p_top - q_top * b[-2] / b[-1] ** 3)
+        return evaluate()
+    return evaluate_open
 
 
 def rhs_ertl(state: LatticeState):
@@ -276,18 +290,22 @@ def rhs_ertl(state: LatticeState):
 SYMMETRY_TOL = 1e-8
 
 
-def _volterra_kernel(buf):
+def _volterra_kernel(buf, open_top=False):
     """Bind alpha_dot_n = alpha_n (alpha_{n-1} - alpha_{n+1}) to the ertl buffer.
 
     Returns evaluate(); each call reads ``buf`` and returns the kernel's own
     output array, the derivative of buf[1:-1] with beta frozen: 0 but at
-    dalpha_2..N.  dalpha_{N+1} is the caller's.
+    dalpha_2..N.  dalpha_{N+1} is the caller's.  An open binding
+    (``open_top``, N >= 2) first writes alpha_{N+1} = 2 alpha_N -
+    alpha_{N-1} into buf[-1], as the ertl kernel's does.
     """
     N = len(buf) // 2 - 1
     a, out = buf[N:], np.zeros(2 * N, dtype=buf.dtype)
     dalpha, an, a_lo, a_hi = out[N + 1:], a[2:-1], a[1:-2], a[3:]
 
     def evaluate(t=None):
+        if open_top:
+            buf[-1] = 2 * a[-2] - a[-3]
         np.multiply(an, a_lo - a_hi, out=dalpha)
         return out
     return evaluate
@@ -342,10 +360,6 @@ class StepControl:
     are combined as in Hairer's DOP853, and a step is accepted when
 
         E5^2 / hypot(E5, 0.1 E3) <= 1.
-
-    The two tolerances are the same for every component; ``integrate_core``'s
-    ``relax`` may multiply sc_i by a factor per component (a tolerance per
-    component, Hairer's ITOL = 1).
 
     The norms are combined, not the components: a component whose e3 passes
     near zero would otherwise be judged by its raw 5th-order estimate.  So
@@ -494,8 +508,7 @@ def _start_step(stage, evaluate, t0, y0, f0, span, ctrl):
     return span if d <= 1e-15 else min(100.0 * h0, (0.01 / d) ** 0.125, span)
 
 
-def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, validate,
-                   relax=None):
+def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, validate):
     """Drive y' = f(t, y) from t0 to t_end, snapshotting at t0 and the times ``t_out``.
 
     The one owner of output-grid semantics for every flow: ``t_out`` defaults
@@ -539,12 +552,6 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
     ``max_err_est``, the largest error E5^2 / hypot(E5, 0.1 E3) of an
     accepted step, with E5 = max_i |e5_i| / sc_i and E3 = max_i |e3_i| / sc_i
     the scaled norms of ``StepControl`` (at most 1).
-
-    ``relax``, when given, is a positive float64 array of ``stage``'s size
-    that multiplies sc after the rounding floor, so component i is accepted
-    at relax_i times the local error ``ctrl`` allows (and ``max_err_est`` is
-    then the relaxed norm).  It leaves the start step as it is.  None does
-    no extra work.
     """
     t0, t_end = float(t0), float(t_end)
     if not -math.inf < t0 < t_end < math.inf:  # also catches NaN
@@ -585,8 +592,6 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
                 scale = np.maximum(np.abs(y), np.abs(stage))
                 smax = float(scale.max())
                 sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale, _ROUNDING_FLOOR * smax)
-                if relax is not None:
-                    sc *= relax
                 e5, e3 = (np.abs(e) / sc).max(axis=1).tolist()
                 # a y_new that overflowed makes every sc inf, and its err would read 0
                 err = (e5 * e5 / max(math.hypot(e5, 0.1 * e3), _TINY) if smax < math.inf
@@ -621,21 +626,8 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
     return [t0] + times, snaps, stats
 
 
-#: local error tolerance of the buffer sites of a buffered run's first window.
-#: On example1 and example2 the top site of a window, the artificial closure,
-#: sets every step at full tolerance; with its buffer at 1e-4 under rel_tol
-#: 1e-8, a window takes about 2.5 times fewer f calls, and each head entry
-#: stays within 5.8e-13 relative of the full-tolerance run of the same window.
-#: Looser buffers fail on off-scale data (delta = 0.3, q_w = 1; 21 sweeps of
-#: example1 and example2 at T = 0.25, 0.5 and 1, which all pass at a plain
-#: rel_tol of up to 1e-3): 1e-2 raised a spurious SingularDenominator on
-#: example1 under rtl2 at T = 0.5, 0.1 raised it on two sweeps, and
-#: StepUnderflow ended two at 1 and twelve at 10.
-BUFFER_TOL = 1e-4
-
-
 def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
-              ctrl: StepControl | None = None, t_out=None, _head=None,
+              ctrl: StepControl | None = None, t_out=None, _open=False,
               _validate=None) -> Trajectory:
     """Integrate a finite-closure state to t_end, snapshotting at t_out.
 
@@ -649,13 +641,9 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     follows ``integrate_core``, so the returned times and states start at
     the state's own time.
 
-    ``_head`` is ``integrate_buffered``'s, for the sites it does not report:
-    with _head < N, every beta_n and alpha_n with n > _head is accepted at a
-    local error BUFFER_TOL / max(rel_tol, abs_tol) times looser than
-    ``ctrl``, unless that factor is 1 or less.  ``step_stats`` is
-    ``integrate_core``'s plus ``head``: the _head relaxed past, or None when
-    nothing was relaxed (the run is then bitwise the one without _head).
-    With a head, ``max_err_est`` is the relaxed norm.
+    ``_open`` is ``integrate_buffered``'s (N >= 2): the kernel is bound with
+    an open top, so alpha_{N+1} continues the tail instead of staying 0,
+    and the returned states are buffered ones that carry it.
     ``_validate(t, y)`` is ``integrate_cd``'s check of each accepted
     [beta_1..N, alpha_1 = 0, alpha_2..N], after the beta check.
     """
@@ -672,9 +660,10 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 
     if rhs_id == "langmuir":
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
-        evaluate = _volterra_kernel(buf)
+        evaluate = _volterra_kernel(buf, _open)
     else:
-        evaluate = _ertl_kernel(p, q, buf)
+        # a closed run binds with the three arguments it always had
+        evaluate = _ertl_kernel(p, q, buf, True) if _open else _ertl_kernel(p, q, buf)
 
     def check_betas(t, y):
         _check_betas(y[:N], t)
@@ -683,20 +672,14 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
         _check_betas(y[:N], t)
         _validate(t, y)
 
-    relax = None
-    if _head is not None and _head < N:  # beta_n and alpha_n, n > _head
-        ctrl = ctrl or StepControl()
-        factor = BUFFER_TOL / max(ctrl.rel_tol, ctrl.abs_tol)
-        if factor > 1.0:
-            relax = np.ones(2 * N)
-            relax[_head:N] = relax[N + _head:] = factor
     times, snaps, stats = integrate_core(buf[1:-1], evaluate, state.t, t_end, t_out, ctrl,
-                                         check_betas if _validate is None else validate, relax)
+                                         check_betas if _validate is None else validate)
     states = []
     for tt, y in zip(times, snaps):
         v = y.astype(complex, copy=False).tolist()  # states stay complex
-        states.append(LatticeState._unchecked(*forced, tt, tuple(v[:N]), (0j, *v[N + 1:], 0j)))
-    stats["head"] = None if relax is None else _head
+        top = 2 * v[-1] - v[-2] if _open else 0j
+        states.append(LatticeState._unchecked(*forced, tt, tuple(v[:N]), (0j, *v[N + 1:], top),
+                                              "buffered" if _open else "finite"))
     return Trajectory(times=tuple(times), states=tuple(states), step_stats=stats)
 
 
@@ -714,16 +697,18 @@ BUFFER_ESCALATIONS = 3
 def default_buffer(n_report: int, t_span: float) -> int:
     """Sites of a buffered run by default: n_report + 12 + ceil(24 t_span).
 
-    The law is measured.  On example1 and example2 (delta = 1, q_w = 2) under
-    ertl, rtl1, rtl2 and langmuir (example1 only), at rel_tol 1e-8 with
-    outputs at t_span/2 and t_span, the smallest window whose 6-site head is
-    within 1e-10 of a 120-site run (a decade under BUFFER_VALIDATION_TOL) is
-    14-18 sites at t_span = 0.1, 18-24 at 0.25, 20-30 at 0.5, 28-42 at 1 and
-    38-64 at 2 (rtl1 at the low end, ertl and langmuir at the high end).  For
-    n_report = 6 the law gives 21, 24, 30, 42 and 66, so these runs pass
-    their first check.  Slower-decaying data fail it (delta = 0.3, q_w = 1
-    needs 34-40, 52-58 and 86-96 sites at 0.25, 0.5 and 1), and
-    ``integrate_buffered`` escalates.
+    The law was measured with the wall alpha_{N+1} = 0 closing each window.
+    On example1 and example2 (delta = 1, q_w = 2) under ertl, rtl1, rtl2
+    and langmuir (example1 only), at rel_tol 1e-8 with outputs at t_span/2
+    and t_span, the smallest window whose 6-site head is within 1e-10 of a
+    120-site run (a decade under BUFFER_VALIDATION_TOL) was 14-18 sites at
+    t_span = 0.1, 18-24 at 0.25, 20-30 at 0.5, 28-42 at 1 and 38-64 at 2
+    (rtl1 at the low end, ertl and langmuir at the high end).  For
+    n_report = 6 the law gives 21, 24, 30, 42 and 66.  With the open top of
+    ``integrate_buffered``'s windows these runs pass their first check, and
+    slower-decaying data (delta = 0.3, q_w = 1, p = q = 1, t_span = 0.25,
+    0.5 and 1), which the wall needed 34-96 sites for, pass it or escalate
+    once.
     """
     return n_report + 12 + math.ceil(24.0 * max(t_span, 0.0))
 
@@ -778,50 +763,38 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     once one sized from the model has failed doubles the window; any other
     check is sized by ``_model_check`` from the failed pair's deviation,
     which the head error of these flows follows closely (it falls about
-    tenfold per two sites on example1 and example2).  No check exceeds n_buf
+    tenfold per two sites on example2).  No check exceeds n_buf
     2^(BUFFER_ESCALATIONS + 1) sites, and BufferTooSmall is raised once a
-    check of that size has failed.  The perturbation from the artificial
-    far-end closure travels inward at a speed set by the local coefficient
-    size, so systems whose coefficients grow with the site index need more
-    buffer than the default.  ValueError is raised, before ``make_state`` is
-    called, unless n_report and n_buf are integers (bool excluded),
-    n_report >= 1 and n_buf > n_report.
-
-    The first run holds only the reported sites and beta_{n_report+1} to
-    ``ctrl``; its buffer sites, which no result reads, are accepted at a
-    local error of BUFFER_TOL where that is looser (``integrate``'s _head).
-    Checks run at ``ctrl``: a relaxed check would share most of the first
-    run's relaxation error and cancel it in the deviation, which as it is
-    includes what the looser buffer moved in the head.  So every later run,
-    a failed check, is a plain one; relaxing them as well ended example2 at
-    p = 3i, q = 2, t_span = 1, where the closure's error travels inward
-    faster than it decays, in BufferTooSmall.
+    check of that size has failed.  Every run, check runs included, has an
+    open top (``integrate``'s _open) and steps at ``ctrl``: the window is
+    closed by continuing its tail, not by the wall alpha_{M+1} = 0, whose
+    error would set every step.  What is left of the truncation still
+    travels inward at a speed set by the local coefficient size, so systems
+    whose coefficients grow with the site index need more buffer than the
+    default.  ValueError is raised, before ``make_state`` is called, unless
+    n_report and n_buf are integers (bool excluded), n_report >= 1 and
+    n_buf > n_report.
 
     ``step_stats`` is the reported run's, plus ``n_buf`` (its window),
     ``windows`` (the sites of every run, in order) and ``deviation`` (the
-    head deviation of the pair that agreed); its ``head`` shows whether that
-    run was relaxed.
+    head deviation of the pair that agreed).
     """
-    for name, n in [("n_report", n_report)] + ([] if n_buf is None else [("n_buf", n_buf)]):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n_report < 1:
-        raise ValueError(f"n_report = {n_report} must be >= 1")
-    if n_buf is not None and n_buf <= n_report:
-        raise ValueError(f"buffer n_buf = {n_buf} must exceed n_report = {n_report}")
+    require_count("n_report", n_report)
+    if n_buf is not None:
+        require_count("n_buf", n_buf, least=n_report + 1)  # more sites than reported
     state0 = make_state(n_report)  # cheap sanity probe of the callback
     if n_buf is None:
         n_buf = default_buffer(n_report, t_end - state0.t)
 
-    def run(m, head=None):
+    def run(m):
         st = make_state(m)
         if st.N != m or st.closure != "finite":
             raise ValueError("make_state(M) must return a finite-closure state with M sites")
-        return integrate(st, t_end, rhs_id=rhs_id, ctrl=ctrl, t_out=t_out, _head=head)
+        return integrate(st, t_end, rhs_id=rhs_id, ctrl=ctrl, t_out=t_out, _open=True)
 
     largest = n_buf * 2 ** (BUFFER_ESCALATIONS + 1)
     windows = [n_buf, n_buf + math.ceil(n_buf / 4)]
-    traj = run(n_buf, n_report + 1)  # the one run with a relaxed buffer
+    traj = run(n_buf)
     modelled = False  # whether a model-sized check has failed
     while True:
         check = run(windows[-1])

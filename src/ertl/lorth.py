@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndexOutOfTable, NonConvergentIntegral, RegularityBreakdown
-from .measures import QUAD_SETTLE_REL, MomentTable
+from .measures import QUAD_SETTLE_REL, MomentTable, require_count
 
 #: relative threshold below which a sigma counts as a regularity failure
 SIGMA_ZERO_REL = 1e-12
@@ -156,8 +156,7 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     orders.  ``p``/``q`` are the modification coefficients recorded on the
     result (the coefficients themselves depend only on the table).
     """
-    if N < 1:
-        raise ValueError("depth N must be >= 1")
+    require_count("depth N", N)
     if table.nodes is None and N > MAX_DEPTH and not table.exact:
         raise ValueError(
             f"depth {N} exceeds the double-precision cap {MAX_DEPTH} of the moment bootstrap")
@@ -201,7 +200,11 @@ def stieltjes(x, w, N: int) -> LPolySequence:
 
     ``bootstrap_recurrence`` runs this pass on a table's node set; on a
     trapezoid rule the same pass also certifies the rule (``_stieltjes``).
+    ValueError unless N is an integer >= 1 and every node and weight is finite.
     """
+    require_count("depth N", N)
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise ValueError("Stieltjes nodes and weights must be finite")
     return _stieltjes(x, w, N)
 
 
@@ -217,8 +220,6 @@ def _stieltjes(x, w, N: int, nested: bool = False):
     that test, so a breakdown is read only from a rule that resolves it.
     The main sums are untouched, so the result is ``stieltjes(x, w, N)``.
     """
-    if N < 1:
-        raise ValueError("depth N must be >= 1")
     x = np.asarray(x, dtype=float)
     w = np.asarray(w)
     if not (x > 0).all():

@@ -233,6 +233,15 @@ def require_finite(name: str, value, real: bool = False):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_count(name: str, n, least: int = 1, most: int | None = None):
+    """ValueError naming ``name`` unless ``n`` is an integer (bool excluded) in least..most."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < least or (most is not None and n > most):
+        bound = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be {bound}, got {n!r}")
+
+
 def json_list(name: str, value):
     """``value`` if it is a JSON array (a list or tuple), else ValueError naming ``name``."""
     if not isinstance(value, (list, tuple)):
@@ -637,8 +646,7 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     quadrature budget is exhausted or the sums overflow, and InvalidSupport
     for divergent modifications.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    require_count("K", K)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     if spec.kind in ("real_line_weighted", "discrete") and t < 0:

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .lorth import RecurrenceCoeffs
+from .measures import require_count, require_finite
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,14 @@ class ClosedFormExample:
 
 
 def _check_call(ex: ClosedFormExample, family: str, t: float, N: int):
-    """ValueError unless ``ex`` is of ``family``, t + delta > 0 and N >= 1."""
+    """ValueError unless ``ex`` is of ``family``, t is finite with t + delta > 0 and N >= 1."""
     if ex.id != family:
         raise ValueError(f"{family}_coeffs given a {ex.id} example; "
                          f"the {ex.id} family needs {ex.id}_coeffs")
     if not t + ex.delta > 0:  # also catches NaN
         raise ValueError("need t + delta > 0")
-    if N < 1:
-        raise ValueError("depth N must be >= 1")
+    require_finite("t", t, real=True)
+    require_count("depth N", N)
 
 
 def example1_coeffs(ex: ClosedFormExample, t: float, N: int) -> RecurrenceCoeffs:

@@ -86,29 +86,15 @@ def stieltjes_sweeps(monkeypatch):
 def lattice_runs(monkeypatch):
     """One dict per ``lattice.integrate_core`` call of a lattice flow, in call order.
 
-    Each holds the window's ``N``, the ``head`` (``_head``) of the
-    ``lattice.integrate`` call that made it (None for a call made otherwise),
-    the ``relax`` factor of its buffer sites (the largest entry of its
-    ``relax``, 1.0 for None) and its ``rhs_calls``.
+    Each holds the window's ``N`` and its ``rhs_calls``.
     """
-    runs, integrate, core = [], lattice.integrate, lattice.integrate_core
-    head = [None]  # _head of the lattice.integrate call under way
+    runs, core = [], lattice.integrate_core
 
-    def noted_integrate(state, *args, _head=None, **kwargs):
-        head[0] = _head
-        try:
-            return integrate(state, *args, _head=_head, **kwargs)
-        finally:
-            head[0] = None
-
-    def noted_core(stage, evaluate, t0, t_end, t_out, ctrl, validate, relax=None):
-        runs.append({"N": stage.size // 2, "head": head[0],
-                     "relax": 1.0 if relax is None else float(relax.max())})
-        times, snaps, stats = core(stage, evaluate, t0, t_end, t_out, ctrl, validate, relax)
-        runs[-1]["rhs_calls"] = stats["rhs_calls"]
+    def noted_core(stage, evaluate, t0, t_end, t_out, ctrl, validate):
+        times, snaps, stats = core(stage, evaluate, t0, t_end, t_out, ctrl, validate)
+        runs.append({"N": stage.size // 2, "rhs_calls": stats["rhs_calls"]})
         return times, snaps, stats
 
-    monkeypatch.setattr(lattice, "integrate", noted_integrate)
     monkeypatch.setattr(lattice, "integrate_core", noted_core)
     return runs
 

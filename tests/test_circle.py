@@ -1,5 +1,7 @@
 """Unit-circle reductions: reflection coefficients, kernel maps, both flows."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -230,6 +232,28 @@ def test_map_trivial_values():
     assert beta1[0] == pytest.approx(1j)
 
 
+@pytest.mark.parametrize("call, message", [
+    # a one-site (c, d) answered before
+    (lambda: map_cd_beta_alpha([-1.0, 1j], [0j]), "equal length"),
+    # ZeroDivisionError before
+    (lambda: map_cd_beta_alpha([1.0], [0j]), "beta_1 = 1 maps to no finite c_1"),
+    (lambda: map_cd_beta_alpha([-1.0, complex(np.nan, 0.0)], [0j, 0j]), "must be finite"),
+    (lambda: map_cd_beta_alpha([-1.0], [np.inf]), "must be finite"),
+    # NaN and inf went through, and a complex c raised TypeError
+    (lambda: map_beta_alpha_cd([0.0, np.nan], [0.0, 0.25]), "must be finite real numbers"),
+    (lambda: map_beta_alpha_cd([0.0, 0.0], [0.0, np.inf]), "must be finite real numbers"),
+    (lambda: map_beta_alpha_cd([0.0, 0.5j], [0.0, 0.25]), "must be finite real numbers"),
+    (lambda: map_beta_alpha_cd([0.0], [0.0, 0.25]), "equal length"),
+    (lambda: map_beta_alpha_cd([0.0], [0.5]), "d_1 must be 0"),
+    # the same rules reach integrate_cd through the map
+    (lambda: integrate_cd([0.0, 0.5j], [0.0, 0.25], 0.5, 0.0, 0.1), "must be finite real numbers"),
+    # NaN rows answered before; integrate_schur rejected the same q
+    (lambda: rhs_schur(VerblunskySeq(0.0, (0.2, 0.1, 0.3)), np.nan), "q must be finite")])
+def test_circle_maps_reject_what_they_cannot_map(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_map_round_trip_random(rng):
     for _ in range(5):
         N = 8
@@ -443,11 +467,11 @@ def test_integrate_cd_positivity_lost_names_n_and_d_n(monkeypatch, c, d, q, n):
     # by d's own index
     M, states, core = len(c), [], lattice.integrate_core
 
-    def recording(stage, evaluate, t0, t_end, t_out, ctrl, validate, relax=None):
+    def recording(stage, evaluate, t0, t_end, t_out, ctrl, validate):
         def validate_and_record(t, y):  # d_1 = 0, then d_2..d_M as validate reads them
             states.append(np.append(0.0, circle._chain_d(y[:M], y[M + 1:]).real))
             validate(t, y)
-        return core(stage, evaluate, t0, t_end, t_out, ctrl, validate_and_record, relax)
+        return core(stage, evaluate, t0, t_end, t_out, ctrl, validate_and_record)
 
     monkeypatch.setattr(lattice, "integrate_core", recording)
     with pytest.raises(PositivityLost) as exc:

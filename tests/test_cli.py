@@ -663,6 +663,8 @@ BAD_COMMAND_LINES = {
     "oracle-delta": (ORACLE + ["--delta", "nan"], "delta must be finite"),
     "oracle-q": (ORACLE + ["--q", "nan"], "q must be finite"),
     "oracle-t": (ORACLE + ["--t", "nan"], "t + delta > 0"),
+    # alpha = 0 rows with exit 0 answered before
+    "oracle-t-inf": (ORACLE + ["--t", "inf"], "t must be finite"),
     "oracle-N": (ORACLE + ["--N", "nan"], "invalid int value"),
 }
 

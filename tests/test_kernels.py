@@ -28,7 +28,7 @@ from ertl import (ClosedFormExample, LatticeState, NonConvergence, RecurrenceCoe
 from ertl.cli import main
 from ertl.circle import _first_outside_disk, _schur_kernel
 from ertl.lattice import (EPS_SING, _DOP_A, _DOP_C, _DOP_E, _H_FALLBACK, _StageTable,
-                          _check_betas, _ertl_kernel, integrate_core)
+                          _check_betas, _ertl_kernel, _volterra_kernel, integrate_core)
 from tests.conftest import bound_flow, cd_edge_rates, copying_step, ertl_drag_rates, eval_Q
 from tests.test_lattice import random_state
 
@@ -245,6 +245,31 @@ def test_volterra_kernel_matches_loop(N, q, data):
     state = raw_state(1.0, q, [math.sqrt(q)] * N, alpha)
     m = max([1.0] + [abs(x) for x in alpha])
     assert_matches(rhs_langmuir(state), volterra_loop(alpha), 2.0 * m * m)
+
+
+@given(st.one_of(lattice_data(), lattice_data(real=True)).filter(lambda d: len(d[2]) >= 2))
+def test_open_kernels_match_loop_on_continued_tail(data):
+    # an open binding (a buffered run's window) reads one more site, the
+    # continued tail beta_{N+1} = beta_N^2 / beta_{N-1} and alpha_{N+1} =
+    # 2 alpha_N - alpha_{N-1}, whatever alpha_{N+1} the buffer held
+    p, q, beta, alpha = data
+    N = len(beta)
+    top = 2 * alpha[N - 1] - alpha[N - 2]
+    beta_x, alpha_x = beta + [beta[-1] ** 2 / beta[-2]], alpha[:N] + [top, 0]
+    wb, wa = ertl_loop(p, q, beta_x, alpha_x)
+    scale = lattice_scale(p, q, beta_x, alpha_x)
+    buf = np.array([1, *beta, *alpha])
+    out = _ertl_kernel(p, q, buf, True)()
+    assert out.dtype == buf.dtype
+    assert_matches(out[:N], wb[:N], scale)
+    assert_matches(out[N:], [0] + wa[1:N], scale)
+    assert buf[-1] == top
+    buf[-1] = 7.0  # refilled at every evaluation
+    volterra = _volterra_kernel(buf, True)()
+    assert buf[-1] == top
+    m = max([1.0] + [abs(x) for x in alpha_x])
+    assert_matches(volterra[N:], volterra_loop(alpha_x[:N + 1])[:N], 2.0 * m * m)
+    assert not volterra[:N].any()
 
 
 @given(sizes, st.one_of(nonzero, real_nonzero), st.data())

@@ -410,23 +410,34 @@ def test_buffer_too_small_reuses_check_runs():
     assert 4 * 2 ** (BUFFER_ESCALATIONS + 1) == 64
 
 
-def _closed_form_truncations(family):
-    """``make_state(M)``: the first M sites of a closed-form family at t = 0."""
+def _closed_form_truncations(family, delta=1.0, q_w=2.0):
+    """``make_state(M)``: the first M sites of a closed-form family at t = 0, p = 1, q = q_w."""
     closed = example1_coeffs if family == "example1" else example2_coeffs
-    ex = ClosedFormExample(family, 1.0, 2.0)
+    ex = ClosedFormExample(family, delta, q_w)
 
     def mk(M):
         rc = closed(ex, 0.0, M + 1)
-        return state_from_coeffs(1.0, 2.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
+        return state_from_coeffs(1.0, q_w, 0.0, rc.beta[:M], rc.alpha[:M - 1])
     return mk
+
+
+def _head_error(traj, family):
+    """Largest |entry - closed form| of the reported heads at the later output times."""
+    closed = example1_coeffs if family == "example1" else example2_coeffs
+    ex, err = ClosedFormExample(family, 1.0, 2.0), 0.0
+    for t, s in zip(traj.times[1:], traj.states[1:]):
+        ref = closed(ex, t, s.N + 1)
+        # the state's alpha runs alpha_1 = 0, alpha_2, ...; the oracle's from alpha_2
+        err = max(err, *(abs(a - b) for a, b in zip(s.beta + s.alpha[1:], ref.beta[:s.N]
+                                                     + ref.alpha[:s.N])))
+    return err
 
 
 @pytest.mark.parametrize("family, system", [("example2", "ertl"), ("example1", "langmuir")])
 def test_buffered_check_sized_from_deviation(family, system):
     # the benchmark's buffered sweeps: the default window, 30 sites, passes
     # its first check against 30 + ceil(30 / 4) = 38, and the reported run is
-    # the 30-site one, bitwise as an integration that relaxes the sites past
-    # n_report + 1 = 7
+    # the 30-site one, bitwise as an integration of that window with an open top
     mk = _closed_form_truncations(family)
     ctrl = StepControl(rel_tol=1e-8)
     sweep = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
@@ -434,35 +445,39 @@ def test_buffered_check_sized_from_deviation(family, system):
     assert stats["windows"] == [30, 38]
     assert stats["n_buf"] == 30
     assert stats["deviation"] < BUFFER_VALIDATION_TOL
-    ref = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5], _head=7)
+    ref = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5], _open=True)
     assert sweep.times == ref.times
     assert sweep.states == tuple(s.prefix(6) for s in ref.states)
     assert {k: stats[k] for k in ref.step_stats} == ref.step_stats
-    # the window's top site no longer sets the step: 97 f calls against 263
-    plain = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
-    assert 2 * ref.step_stats["rhs_calls"] < plain.step_stats["rhs_calls"]
-    # from 24 sites the first check, 30, fails; the next check is sized from
-    # that deviation instead of doubled to 60, and reports the 30-site check,
-    # a plain run
+    # the window's top site no longer sets the step: the wall alpha_31 = 0
+    # takes more than twice the f calls
+    wall = integrate(mk(30), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5])
+    assert 2 * ref.step_stats["rhs_calls"] < wall.step_stats["rhs_calls"]
+    if family == "example1":
+        return  # its tail, beta constant and alpha linear in n, is continued exactly
+    # from 8 sites the first check, 10, fails; the next check is sized from
+    # that deviation instead of doubled to 20.  It fails too, so the ladder
+    # doubles from there
     small = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5],
-                               n_buf=24)
+                               n_buf=8)
     windows = small.step_stats["windows"]
-    assert windows[:2] == [24, 30] and len(windows) == 3
-    assert 30 < windows[2] < 60
-    assert small.step_stats["n_buf"] == 30
+    assert windows[:2] == [8, 10]
+    assert 10 < windows[2] < 20
+    assert windows[3:] == [2 * windows[2], 4 * windows[2]]
+    assert small.step_stats["n_buf"] == 2 * windows[2]
     assert small.step_stats["deviation"] < BUFFER_VALIDATION_TOL
-    assert small.states == tuple(s.prefix(6) for s in plain.states)
-    assert small.step_stats["head"] is None
+    run = integrate(mk(2 * windows[2]), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5],
+                    _open=True)
+    assert small.states == tuple(s.prefix(6) for s in run.states)
 
 
-@pytest.mark.parametrize("t_span, rel_tol, factor", [
-    *(pytest.param(t, 1e-8, 1e4, id=str(t)) for t in (0.1, 0.25, 0.5, 1.0, 2.0)),
-    *(pytest.param(t, 1e-10, 1e6, id=f"{t}-1e-10") for t in (0.5, 2.0))])
+@pytest.mark.parametrize("t_span, rel_tol", [
+    *(pytest.param(t, 1e-8, id=str(t)) for t in (0.1, 0.25, 0.5, 1.0, 2.0)),
+    *(pytest.param(t, 1e-10, id=f"{t}-1e-10") for t in (0.5, 2.0))])
 @pytest.mark.parametrize("family, system", [
     ("example1", "ertl"), ("example1", "rtl1"), ("example1", "rtl2"), ("example1", "langmuir"),
     ("example2", "ertl"), ("example2", "rtl1"), ("example2", "rtl2")])
-def test_default_buffer_passes_its_first_check(lattice_runs, family, system, t_span, rel_tol,
-                                               factor):
+def test_default_buffer_passes_its_first_check(lattice_runs, family, system, t_span, rel_tol):
     # default_buffer's law, n_report + 12 + ceil(24 t_span), was measured on
     # these flows (langmuir needs example1's symmetric beta) at rel_tol 1e-8:
     # its window agrees with its first check to a decade under the
@@ -472,21 +487,13 @@ def test_default_buffer_passes_its_first_check(lattice_runs, family, system, t_s
     sweep = integrate_buffered(mk, 6, t_span, rhs_id=system, ctrl=ctrl, t_out=t_out)
     n_buf = default_buffer(6, t_span)
     assert sweep.step_stats["windows"] == [n_buf, n_buf + math.ceil(n_buf / 4)]
+    assert [r["N"] for r in lattice_runs] == sweep.step_stats["windows"]
     assert sweep.step_stats["deviation"] < 0.1 * BUFFER_VALIDATION_TOL
-    # the first run holds its buffer sites to BUFFER_TOL, BUFFER_TOL / rel_tol
-    # times looser than its head; the check holds every site to rel_tol
-    assert [(r["head"], r["relax"]) for r in lattice_runs] == [(7, factor), (None, 1.0)]
-    assert sweep.step_stats["head"] == 7
-    # the relaxed buffer sites leave the reported head where the
-    # full-tolerance run of the same window has it (5.8e-13 measured per
-    # entry at rel_tol 1e-8)
-    full = integrate(mk(n_buf), t_span, rhs_id=system, ctrl=ctrl, t_out=t_out)
-    for got, ref in zip(sweep.states, full.states):
-        got, ref = np.array(got.beta + got.alpha), np.array(ref.beta[:6] + ref.alpha[:7])
-        assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+    if system in ("ertl", "langmuir"):  # p = 1, q = 2: the families' own flow
+        assert _head_error(sweep, family) <= 1e-9  # 6.4e-11 measured
 
 
-def test_failed_first_check_is_followed_by_model_sized_check(lattice_runs):
+def test_failed_first_check_is_followed_by_model_sized_check():
     calls = []
 
     def mk(M):
@@ -501,38 +508,42 @@ def test_failed_first_check_is_followed_by_model_sized_check(lattice_runs):
     # so the ladder doubles from there, and 32 passes against 64
     assert calls[1:] == sweep.step_stats["windows"] == [8, 10, 16, 32, 64]
     assert sweep.step_stats["n_buf"] == 32
-    # only the first run relaxes the sites past n_report + 1 = 3; every
-    # check, and so every later run, is at full tolerance
-    assert [r["head"] for r in lattice_runs] == [3, None, None, None, None]
-    assert sweep.step_stats["head"] is None
 
 
-def test_integrate_relaxes_nothing_without_buffer_sites_or_headroom():
-    st = state_from_coeffs(1.0, 2.0, 0.0, [1.3, 1.1, 0.9, 1.2], [0.4, 0.3, 0.5])
-    for ctrl, h in ((None, 4), (None, 5), (StepControl(rel_tol=1e-4), 2)):
-        # no site past the head, or no room under BUFFER_TOL
-        plain = integrate(st, 0.5, ctrl=ctrl, t_out=[0.25, 0.5])
-        run = integrate(st, 0.5, ctrl=ctrl, t_out=[0.25, 0.5], _head=h)
-        assert run.times == plain.times and run.states == plain.states
-        assert run.step_stats == plain.step_stats
-        assert run.step_stats["head"] is None
-    # rel_tol 1e-6 leaves a factor of 100
-    relaxed = integrate(st, 0.5, ctrl=StepControl(rel_tol=1e-6), _head=2)
-    assert relaxed.step_stats["head"] == 2
+def test_open_top_window_passes_where_the_wall_needed_five():
+    # example1's tail is continued exactly, so a window of 8 sites agrees with
+    # 10 at once, where the wall alpha_9 = 0 ran [8, 10, 20, 40, 43]
+    mk = _closed_form_truncations("example1")
+    sweep = integrate_buffered(mk, 6, 0.5, ctrl=StepControl(rel_tol=1e-8), t_out=[0.25, 0.5],
+                               n_buf=8)
+    assert sweep.step_stats["windows"] == [8, 10]
+    assert _head_error(sweep, "example1") <= 1e-9  # 6.2e-11 measured
+    assert all(s.closure == "buffered" for s in sweep.states)
 
 
-@pytest.mark.parametrize("rel_tol, t_span, windows", [(1e-6, 0.5, [30, 38, 70, 140]),
-                                                      (1e-3, 0.25, [24, 30, 42, 84])])
+@pytest.mark.parametrize("family, system", [
+    ("example1", "ertl"), ("example1", "rtl1"), ("example1", "rtl2"), ("example1", "langmuir"),
+    ("example2", "ertl"), ("example2", "rtl1"), ("example2", "rtl2")])
+def test_off_scale_sweeps_validate_in_three_windows(lattice_runs, family, system):
+    # off-scale data (delta = 0.3, q_w = 1, p = q = 1) need more sites than
+    # default_buffer gives; the open top keeps each sweep to at most one
+    # escalation (the wall took up to 4 windows and 29,502 f calls)
+    mk = _closed_form_truncations(family, delta=0.3, q_w=1.0)
+    for t_span in (0.25, 0.5, 1.0):
+        lattice_runs.clear()
+        sweep = integrate_buffered(mk, 6, t_span, rhs_id=system,
+                                   ctrl=StepControl(rel_tol=1e-8), t_out=[t_span / 2, t_span])
+        assert len(sweep.step_stats["windows"]) <= 3
+        assert sweep.step_stats["deviation"] < BUFFER_VALIDATION_TOL
+        assert sum(r["rhs_calls"] for r in lattice_runs) <= 1000  # 731 measured
+
+
+@pytest.mark.parametrize("rel_tol, t_span, windows", [(1e-6, 0.5, [30, 38]),
+                                                      (1e-3, 0.25, [24, 30])])
 def test_loose_tolerance_buffered_run_keeps_its_ladder(rel_tol, t_span, windows):
-    # off-scale example1 under rtl2: the buffer is held to BUFFER_TOL or
-    # tighter, so these ladders are those of full-tolerance runs (a buffer
-    # at 10 under rel_tol 1e-3 ended in StepUnderflow)
-    ex = ClosedFormExample("example1", 0.3, 1.0)
-
-    def mk(M):
-        rc = example1_coeffs(ex, 0.0, M + 1)
-        return state_from_coeffs(1.0, 1.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
-
+    # off-scale example1 under rtl2 at a loose tolerance: the open top
+    # continues its tail exactly, so the default window passes its first check
+    mk = _closed_form_truncations("example1", delta=0.3, q_w=1.0)
     sweep = integrate_buffered(mk, 6, t_span, rhs_id="rtl2", ctrl=StepControl(rel_tol=rel_tol),
                                t_out=[t_span / 2, t_span])
     assert sweep.step_stats["windows"] == windows

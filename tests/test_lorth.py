@@ -432,3 +432,10 @@ def test_stieltjes_direct_call_matches_bootstrap(ten_node_boot):
     x, w = table.nodes.x, table.nodes.w
     direct = stieltjes(x, w, 8)
     assert direct == lp
+
+
+@pytest.mark.parametrize("x, w", [([1.0, 2.0], [1.0, np.nan]), ([1.0, np.inf], [1.0, 1.0])])
+def test_stieltjes_rejects_non_finite_nodes_and_weights(x, w):
+    # a NaN weight was reported as NonConvergentIntegral, "sums overflow"
+    with pytest.raises(ValueError, match="nodes and weights must be finite"):
+        stieltjes(x, w, 1)

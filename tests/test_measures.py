@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from ertl import (ClosedFormExample, IndexOutOfTable, InvalidSupport, MomentSpec
                   MomentTable, NonConvergentIntegral, RegularityBreakdown,
                   bootstrap_recurrence, circle_kernel_spec, circle_lebesgue_spec,
                   compute_moments, compute_moments_exact, discrete_spec, example1_coeffs,
-                  example1_spec, example2_spec, explicit_table_spec)
+                  example1_spec, example2_coeffs, example2_spec, explicit_table_spec,
+                  integrate_buffered, integrate_schur, state_from_coeffs, verblunsky_from_moments,
+                  VerblunskySeq)
 from ertl import measures
 from ertl.cli import main
 from ertl.lorth import stieltjes
@@ -674,3 +677,44 @@ def test_explicit_table_spec_roundtrip():
     assert tab.nu_at(2) == 2 - 2j
     with pytest.raises(ValueError):
         compute_moments(spec, 0.5, 3)
+
+
+#: each public count of sites, depth or moment order: a call with ``n`` in its place
+COUNT_SITES = {
+    "compute_moments": (lambda n: compute_moments(discrete_spec([1.0, 2.0], [1.0, 1.0]), 0.0, n),
+                        "K"),
+    "bootstrap_recurrence": (lambda n: bootstrap_recurrence(
+        compute_moments(discrete_spec([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), 0.0, 4), n), "depth N"),
+    "stieltjes": (lambda n: stieltjes([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], n), "depth N"),
+    "verblunsky_from_moments": (lambda n: verblunsky_from_moments(
+        compute_moments(circle_lebesgue_spec(0.5), 0.1, 4), n), "depth N"),
+    "example1_coeffs": (lambda n: example1_coeffs(ClosedFormExample("example1", 1.0, 2.0), 0.0, n),
+                        "depth N"),
+    "example2_coeffs": (lambda n: example2_coeffs(ClosedFormExample("example2", 1.0, 2.0), 0.0, n),
+                        "depth N"),
+    "integrate_schur": (lambda n: integrate_schur(VerblunskySeq(0.0, (0.2, 0.1)), 0.5, 0.1,
+                                                  n_report=n), "n_report"),
+    "prefix": (lambda n: state_from_coeffs(1.0, 2.0, 0.0, [1.0, 2.0], [0.5]).prefix(n),
+               "prefix length n"),
+    "integrate_buffered": (lambda n: integrate_buffered(
+        lambda M: state_from_coeffs(1.0, 2.0, 0.0, [1.0] * M, [0.0] * (M - 1)), n, 0.1),
+        "n_report"),
+}
+
+
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "2", 0, -1])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_counts_are_integers_of_at_least_one(site, n):
+    # one rule at every boundary: a bool ran as depth 1 (or gave a table with
+    # K = True), and a float raised TypeError, after a whole integration for
+    # integrate_schur
+    call, name = COUNT_SITES[site]
+    bound = r"(an integer|>= 1|in 1\.\.\d+)"
+    with pytest.raises(ValueError, match=f"^{name} must be {bound}, got {re.escape(repr(n))}$"):
+        call(n)
+
+
+def test_require_count_bounds():
+    measures.require_count("n", np.int64(3), least=3, most=3)
+    with pytest.raises(ValueError, match=r"^n must be in 1\.\.2, got 3$"):
+        measures.require_count("n", 3, most=2)
