@@ -55,18 +55,20 @@ from .measures import MomentTable, require_count, require_finite
 class VerblunskySeq:
     """Reflection coefficients a_0..a_{N-1} of a positive measure at time t.
 
-    t and every a_n must be finite, and |a_n| < 1 (ValueError otherwise).
+    t must be a finite real number, every a_n finite with |a_n| < 1
+    (ValueError otherwise).
     """
 
     t: float
     a: tuple
 
     def __post_init__(self):
-        y = np.array((self.t, *self.a), dtype=complex)
-        if not np.isfinite(y).all():
-            raise ValueError("t and the reflection coefficients must be finite")
-        object.__setattr__(self, "a", tuple(y[1:].tolist()))
-        _check_modulus(y[1:])
+        require_finite("t", self.t, real=True)
+        a = np.array(self.a, dtype=complex)
+        if not np.isfinite(a).all():
+            raise ValueError("the reflection coefficients must be finite")
+        object.__setattr__(self, "a", tuple(a.tolist()))
+        _check_modulus(a)
 
     @classmethod
     def _unchecked(cls, t: float, a: tuple):
@@ -92,8 +94,9 @@ class CircleState:
 
     ``g`` and ``c`` hold indices 1..N; ``d`` (derived) holds
     d_{n+1} = (1 - g_n) g_{n+1} for n = 1..N-1.  The conventions c_0 = 1,
-    d_1 = 0 are implied.  ``g`` and ``c`` have equal length, t and every c_n
-    are finite and every g_n lies in (0, 1) (ValueError otherwise).
+    d_1 = 0 are implied.  ``g`` and ``c`` have equal length, t is a finite
+    real number, every c_n is finite and every g_n lies in (0, 1)
+    (ValueError otherwise).
     """
 
     t: float
@@ -103,8 +106,9 @@ class CircleState:
     def __post_init__(self):
         if len(self.g) != len(self.c):
             raise ValueError(f"g and c must have equal length, got {len(self.g)}, {len(self.c)}")
-        if not np.isfinite(np.array((self.t, *self.c), dtype=float)).all():
-            raise ValueError("t and the rotations c_n must be finite")
+        require_finite("t", self.t, real=True)
+        if not np.isfinite(np.array(self.c, dtype=float)).all():
+            raise ValueError("the rotations c_n must be finite")
         for n, gv in enumerate(self.g, start=1):
             if not 0.0 < gv < 1.0:
                 raise ValueError(f"g_{n} = {gv} outside (0,1)")

@@ -26,10 +26,9 @@ integrates extra sites and reports only a prefix.  Its windows have an open
 top: the tail is continued past the last site at every evaluation
 (alpha_{N+1} = 2 alpha_N - alpha_{N-1}, beta_{N+1} = beta_N^2 / beta_{N-1}),
 in place of the wall alpha_{N+1} = 0.  The first window comes from a
-measured law in the time span (``default_buffer``) and is checked against a
-window a quarter larger; a failed check is followed by a larger one, sized
-from the deviation it measured (more buffer is needed when coefficients grow
-with site index).
+measured law in the time span (``default_buffer``), and every window is
+checked against one a quarter larger; a failed check becomes the next window
+(more buffer is needed when coefficients grow with site index).
 
 The right-hand sides divide by beta_n and beta_{n-1}; a beta crossing zero is
 a genuine blow-up of the flow and is detected (SingularDenominator), never
@@ -78,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferTooSmall, NotSymmetricState, SingularDenominator, StepUnderflow
-from .measures import require_count
+from .measures import require_count, require_finite, require_number
 
 #: |beta_n| below this is treated as a blow-up of the flow
 EPS_SING = 1e-12
@@ -98,8 +97,9 @@ class LatticeState:
     truncation; every right-hand side is defined at every site).  A
     ``"buffered"`` state is a reported prefix of a longer integration and may
     carry the true nonzero alpha_{N+1}; top-site derivatives that would need
-    beta_{N+1} are then NaN.  The entries are stored as complex numbers,
-    and p, q, t and every entry must be finite (ValueError otherwise).
+    beta_{N+1} are then NaN.  The entries are stored as complex numbers;
+    p, q, t and every entry must be finite, and t a real number (ValueError
+    otherwise).
     """
 
     p: complex
@@ -115,11 +115,12 @@ class LatticeState:
             raise ValueError(f"unknown closure {self.closure!r}")
         if len(alpha) != len(beta) + 1:
             raise ValueError("need alpha_1..alpha_{N+1} alongside beta_1..beta_N")
-        y = np.array((self.p, self.q, self.t, *beta, *alpha), dtype=complex)
+        require_finite("t", self.t, real=True)
+        y = np.array((self.p, self.q, *beta, *alpha), dtype=complex)
         if not np.isfinite(y).all():
-            raise ValueError("p, q, t, beta and alpha must be finite")
+            raise ValueError("p, q, beta and alpha must be finite")
         N = len(beta)
-        p, q, _, *entries = y.tolist()
+        p, q, *entries = y.tolist()
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "beta", tuple(entries[:N]))
@@ -128,7 +129,7 @@ class LatticeState:
             raise ValueError("alpha_1 must be 0")
         if self.closure == "finite" and self.alpha[-1] != 0:
             raise ValueError("finite closure requires alpha_{N+1} = 0")
-        _check_betas(y[3:3 + N], self.t)
+        _check_betas(y[2:2 + N], self.t)
 
     @classmethod
     def _unchecked(cls, p: complex, q: complex, t: float, beta: tuple, alpha: tuple,
@@ -366,13 +367,16 @@ class StepControl:
     ``rel_tol`` bounds the local error of one step, not the error per unit
     time.  The tolerances also size the first step, through the scale
     abs_tol + rel_tol |y0| of the automatic start (``_start_step``).  Both
-    must be finite and > 0 (ValueError otherwise).
+    must be real numbers (bool excluded), finite and > 0 (ValueError
+    otherwise).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
+        require_number("rel_tol", self.rel_tol, real=True)
+        require_number("abs_tol", self.abs_tol, real=True)
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError(f"tolerances must be finite and > 0, got rel_tol = "
                              f"{self.rel_tol}, abs_tol = {self.abs_tol}")
@@ -690,7 +694,8 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 #: the reported sites of a run must agree with a larger window's to within this
 BUFFER_VALIDATION_TOL = 1e-9
 #: doublings of the first window that bound the check ladder: no check exceeds
-#: n_buf 2^(BUFFER_ESCALATIONS + 1) sites, and BufferTooSmall once one that size fails
+#: n_buf 2^(BUFFER_ESCALATIONS + 1) sites, and BufferTooSmall once a check of
+#: that size fails
 BUFFER_ESCALATIONS = 3
 
 
@@ -707,44 +712,22 @@ def default_buffer(n_report: int, t_span: float) -> int:
     n_report = 6 the law gives 21, 24, 30, 42 and 66.  With the open top of
     ``integrate_buffered``'s windows these runs pass their first check, and
     slower-decaying data (delta = 0.3, q_w = 1, p = q = 1, t_span = 0.25,
-    0.5 and 1), which the wall needed 34-96 sites for, pass it or escalate
-    once.
+    0.5 and 1), which the wall needed 34-96 sites for, pass it or need one
+    more check.
     """
     return n_report + 12 + math.ceil(24.0 * max(t_span, 0.0))
 
 
 def _head_gap(run, check, n_report):
-    """(largest |run - check| over the reported sites, largest |entry| of run's head).
+    """Largest |run - check| over beta_1..beta_n and alpha_1..alpha_{n+1} (n = n_report).
 
-    The head is beta_1..beta_n and alpha_1..alpha_{n+1} (n = n_report) at
-    every output time.
+    Every output time is compared.
     """
     def head(s):
         return np.array(s.beta[:n_report] + s.alpha[:n_report + 1])
 
-    dev = size = 0.0
-    for a, b in zip(run.states, check.states):
-        x = head(a)
-        dev = max(dev, float(np.abs(x - head(b)).max()))
-        size = max(size, float(np.abs(x).max()))
-    return dev, size
-
-
-def _model_check(n_report, m, m2, dev, size):
-    """Window of the check after the failed pair (m, m2), from its deviation.
-
-    The head deviation of window m is taken to decay geometrically from the
-    largest head entry ``size`` at n_report sites to ``dev`` at m sites.  Let
-    P be the smallest window where that line falls below
-    BUFFER_VALIDATION_TOL and g the sites over which it falls tenfold
-    (rounded, at least 1); the check is min(2 m2, max(P, m2 + g)).  A
-    deviation no smaller than ``size`` shows no decay, and the check doubles.
-    """
-    if not dev < size:
-        return 2 * m2
-    decades = math.log10(size / dev) / (m - n_report)  # per site, > 0
-    reach = n_report + math.floor(math.log10(size / BUFFER_VALIDATION_TOL) / decades) + 1
-    return min(2 * m2, max(reach, m2 + max(1, round(1.0 / decades))))
+    return max(float(np.abs(head(a) - head(b)).max())
+               for a, b in zip(run.states, check.states))
 
 
 def integrate_buffered(make_state, n_report: int, t_end: float,
@@ -755,25 +738,21 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     ``make_state(M)`` must return a finite-closure state with M sites (the
     truncated initial data).  The first ``n_report`` sites of a buffered run
     are reported, with the true alpha_{n_report+1} taken from the buffer.
-    Each run of M sites is checked against a larger window M' and is
-    reported when the two agree on the reported sites to
-    BUFFER_VALIDATION_TOL.  On disagreement the check run becomes the run and
-    a larger check follows.  The first check has n_buf + ceil(n_buf / 4)
-    sites, n_buf being ``default_buffer``'s window unless given; every check
-    once one sized from the model has failed doubles the window; any other
-    check is sized by ``_model_check`` from the failed pair's deviation,
-    which the head error of these flows follows closely (it falls about
-    tenfold per two sites on example2).  No check exceeds n_buf
-    2^(BUFFER_ESCALATIONS + 1) sites, and BufferTooSmall is raised once a
-    check of that size has failed.  Every run, check runs included, has an
-    open top (``integrate``'s _open) and steps at ``ctrl``: the window is
-    closed by continuing its tail, not by the wall alpha_{M+1} = 0, whose
-    error would set every step.  What is left of the truncation still
-    travels inward at a speed set by the local coefficient size, so systems
-    whose coefficients grow with the site index need more buffer than the
-    default.  ValueError is raised, before ``make_state`` is called, unless
-    n_report and n_buf are integers (bool excluded), n_report >= 1 and
-    n_buf > n_report.
+    The first run has n_buf sites, ``default_buffer``'s window unless
+    given.  Each run of m sites is checked against a window of
+    m + ceil(m / 4) sites, capped at n_buf 2^(BUFFER_ESCALATIONS + 1), and
+    is reported when the two agree on the reported sites to
+    BUFFER_VALIDATION_TOL.  On disagreement the check run becomes the run
+    and the next check follows by the same rule.  BufferTooSmall is raised
+    once a check of the capped size has failed.  Every run, check runs
+    included, has an open top (``integrate``'s _open) and steps at
+    ``ctrl``: the window is closed by continuing its tail, not by the wall
+    alpha_{M+1} = 0, whose error would set every step.  What is left of
+    the truncation still travels inward at a speed set by the local
+    coefficient size, so systems whose coefficients grow with the site
+    index need more buffer than the default.  ValueError is raised, before
+    ``make_state`` is called, unless n_report and n_buf are integers (bool
+    excluded), n_report >= 1 and n_buf > n_report.
 
     ``step_stats`` is the reported run's, plus ``n_buf`` (its window),
     ``windows`` (the sites of every run, in order) and ``deviation`` (the
@@ -793,21 +772,18 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
         return integrate(st, t_end, rhs_id=rhs_id, ctrl=ctrl, t_out=t_out, _open=True)
 
     largest = n_buf * 2 ** (BUFFER_ESCALATIONS + 1)
-    windows = [n_buf, n_buf + math.ceil(n_buf / 4)]
+    windows = [n_buf]
     traj = run(n_buf)
-    modelled = False  # whether a model-sized check has failed
     while True:
+        m = windows[-1]
+        windows.append(min(m + math.ceil(m / 4), largest))
         check = run(windows[-1])
-        dev, size = _head_gap(traj, check, n_report)
+        dev = _head_gap(traj, check, n_report)
         if dev < BUFFER_VALIDATION_TOL:
             break
-        m, m2 = windows[-2:]
-        if m2 >= largest:
-            raise BufferTooSmall(f"buffer {m} failed validation against {m2} sites, "
+        if windows[-1] == largest:
+            raise BufferTooSmall(f"buffer {m} failed validation against {largest} sites, "
                                  f"and no larger check is tried (deviation {dev:.3e})")
-        modelled = modelled or (len(windows) > 2 and m2 < 2 * m)  # not the first check
-        nxt = 2 * m2 if modelled else _model_check(n_report, m, m2, dev, size)
-        windows.append(min(nxt, largest))
         traj = check
 
     states = tuple(s.prefix(n_report) for s in traj.states)

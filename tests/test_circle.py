@@ -592,3 +592,17 @@ def test_circle_inputs_reject_non_finite(bad):
         integrate_cd([0.0, 0.0], [0.0, 0.25], bad, 0.0, 0.1)
     with pytest.raises(ValueError, match="kernel point"):
         kernel_coeffs(VerblunskySeq(0.0, (0.2, 0.1)), bad)
+
+
+@pytest.mark.parametrize("t", [1j, True, "0"])
+def test_verblunsky_seq_rejects_time_that_is_not_a_real_number(t):
+    # a complex or string t was stored, and integrate_schur then failed in float()
+    with pytest.raises(ValueError, match="t must be a real number"):
+        VerblunskySeq(t, (0.2, 0.1))
+
+
+@pytest.mark.parametrize("t", [1j, True, "0"])
+def test_circle_state_rejects_time_that_is_not_a_real_number(t):
+    # a complex t raised TypeError from the float array of the finiteness check
+    with pytest.raises(ValueError, match="t must be a real number"):
+        CircleState(t=t, g=(0.5,), c=(0.1,))

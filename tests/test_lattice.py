@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   SingularDenominator, StepControl, StepUnderflow,
@@ -63,6 +64,13 @@ def test_state_rejects_non_finite_entry(field, bad):
         fields[field] = abs(bad) if field == "t" else bad  # t is real
     with pytest.raises(ValueError, match="must be finite"):
         LatticeState(**fields)
+
+
+@pytest.mark.parametrize("t", [1j, True, "0"])
+def test_state_rejects_time_that_is_not_a_real_number(t):
+    # a complex or boolean t was stored, and integrate then failed in float()
+    with pytest.raises(ValueError, match="t must be a real number"):
+        LatticeState(1.0, 2.0, t, (1.0,), (0.0, 0.0))
 
 
 def test_int_state_integrates_like_its_float_twin():
@@ -367,6 +375,15 @@ def test_step_control_rejects_non_finite_or_non_positive_tolerance(tols):
         StepControl(**tols)
 
 
+@pytest.mark.parametrize("tols", [dict(rel_tol=True), dict(abs_tol=True),
+                                  dict(rel_tol="1e-8"), dict(abs_tol=1e-12j)])
+def test_step_control_rejects_tolerance_that_is_not_a_real_number(tols):
+    # rel_tol = True ran as 1.0
+    (name,) = tols
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        StepControl(**tols)
+
+
 def test_blowup_detected():
     # alpha_2 < 0 with q-coupling drives beta_1 through zero in finite time
     st = state_from_coeffs(0.0, 1.0, 0.0, [0.5, 1.0], [-1.0])
@@ -398,15 +415,14 @@ def test_buffer_too_small_reuses_check_runs():
         calls.append(M)
         return state_from_coeffs(1.0, 2.0, 0.0, [1.0 + 1.0 / M] * M, [0.0] * (M - 1))
 
-    with pytest.raises(BufferTooSmall):
+    with pytest.raises(BufferTooSmall, match="buffer 60 failed validation against 64 sites"):
         integrate_buffered(mk, 2, 0.1, n_buf=4)
-    # the probe, the first run, its check 4 + ceil(4 / 4) = 5, then one check
-    # run per escalation (the deviation 1/m - 1/m2 shows too little decay to
-    # size one, so each doubles) up to the last of 4 * 2^(BUFFER_ESCALATIONS
-    # + 1) sites: every failed check run becomes the next run instead of
+    # the probe, the first run, then each check m + ceil(m / 4) sites after
+    # the run m it checks, up to the cap of 4 * 2^(BUFFER_ESCALATIONS + 1)
+    # sites: every failed check run becomes the next run instead of
     # repeating it
-    assert len(calls) == 1 + (BUFFER_ESCALATIONS + 3) == len(set(calls))
-    assert calls == [2, 4] + [5 * 2 ** k for k in range(BUFFER_ESCALATIONS + 1)] + [64]
+    assert calls == [2, 4, 5, 7, 9, 12, 15, 19, 24, 30, 38, 48, 60, 64]
+    assert len(calls) == len(set(calls))
     assert 4 * 2 ** (BUFFER_ESCALATIONS + 1) == 64
 
 
@@ -455,19 +471,15 @@ def test_buffered_check_sized_from_deviation(family, system):
     assert 2 * ref.step_stats["rhs_calls"] < wall.step_stats["rhs_calls"]
     if family == "example1":
         return  # its tail, beta constant and alpha linear in n, is continued exactly
-    # from 8 sites the first check, 10, fails; the next check is sized from
-    # that deviation instead of doubled to 20.  It fails too, so the ladder
-    # doubles from there
+    # from 8 sites every check is a quarter larger than its run, and each
+    # failed check becomes the next run: 22 sites agree with 28, and the
+    # reported run is the 22-site one
     small = integrate_buffered(mk, 6, 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5],
                                n_buf=8)
-    windows = small.step_stats["windows"]
-    assert windows[:2] == [8, 10]
-    assert 10 < windows[2] < 20
-    assert windows[3:] == [2 * windows[2], 4 * windows[2]]
-    assert small.step_stats["n_buf"] == 2 * windows[2]
+    assert small.step_stats["windows"] == [8, 10, 13, 17, 22, 28]
+    assert small.step_stats["n_buf"] == 22
     assert small.step_stats["deviation"] < BUFFER_VALIDATION_TOL
-    run = integrate(mk(2 * windows[2]), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5],
-                    _open=True)
+    run = integrate(mk(22), 0.5, rhs_id=system, ctrl=ctrl, t_out=[0.25, 0.5], _open=True)
     assert small.states == tuple(s.prefix(6) for s in run.states)
 
 
@@ -493,7 +505,7 @@ def test_default_buffer_passes_its_first_check(lattice_runs, family, system, t_s
         assert _head_error(sweep, family) <= 1e-9  # 6.4e-11 measured
 
 
-def test_failed_first_check_is_followed_by_model_sized_check():
+def test_failed_check_is_followed_by_a_quarter_larger_one():
     calls = []
 
     def mk(M):
@@ -503,11 +515,10 @@ def test_failed_first_check_is_followed_by_model_sized_check():
         return state_from_coeffs(1.0, 2.0, 0.0, [1.0 + 10.0 ** (-M / 2)] * M, [0.0] * (M - 1))
 
     sweep = integrate_buffered(mk, 2, 0.1, n_buf=8)
-    # 8 fails against 10 (deviation 9e-5): the decay line through it sizes the
-    # check at 16, not 2 * 10; run 10 fails against that model-sized check,
-    # so the ladder doubles from there, and 32 passes against 64
-    assert calls[1:] == sweep.step_stats["windows"] == [8, 10, 16, 32, 64]
-    assert sweep.step_stats["n_buf"] == 32
+    # 8 fails against 10 (deviation 9e-5), and each failed check becomes the
+    # run of a check a quarter larger: 22 passes against 28 (deviation 1e-11)
+    assert calls[1:] == sweep.step_stats["windows"] == [8, 10, 13, 17, 22, 28]
+    assert sweep.step_stats["n_buf"] == 22
 
 
 def test_open_top_window_passes_where_the_wall_needed_five():
@@ -550,26 +561,54 @@ def test_loose_tolerance_buffered_run_keeps_its_ladder(rel_tol, t_span, windows)
     assert sweep.step_stats["deviation"] < BUFFER_VALIDATION_TOL
 
 
-def test_buffer_plateau_doubles_after_failed_model_check():
-    calls = []
+@settings(max_examples=40)
+@given(r=st.floats(0.05, 0.95), n_report=st.integers(1, 3), extra=st.integers(1, 10))
+def test_every_check_is_a_quarter_larger_than_its_run(r, n_report, extra):
+    calls, n_buf = [], n_report + extra
 
     def mk(M):
-        # stationary (alpha = 0); the reported beta move by 10^(-M/2), which
-        # decays tenfold per two sites, plus 1e-6 log2(M), which never settles
+        # stationary (alpha = 0); the reported beta move by r^M
         calls.append(M)
-        beta = 1.0 + 10.0 ** (-M / 2) + 1e-6 * np.log2(M)
-        return state_from_coeffs(1.0, 2.0, 0.0, [beta] * M, [0.0] * (M - 1))
+        return state_from_coeffs(1.0, 2.0, 0.0, [1.0 + r ** M] * M, [0.0] * (M - 1))
 
-    with pytest.raises(BufferTooSmall, match="buffer 52 failed validation against 64 sites"):
-        integrate_buffered(mk, 2, 0.1, n_buf=4)
+    largest = n_buf * 2 ** (BUFFER_ESCALATIONS + 1)
+    try:
+        sweep = integrate_buffered(mk, n_report, 0.1, n_buf=n_buf)
+    except BufferTooSmall:
+        sweep = None
     windows = calls[1:]  # after the probe
-    # the first check is 4 + ceil(4 / 4) = 5; the decay sizes the check after
-    # it past 2 * 5, so it doubles to 10, and the check after 10 at 13.  Once
-    # that model-sized check has failed the ladder doubles, and it stops at
-    # the first failed check of the largest doubling check's size,
-    # 4 * 2^(BUFFER_ESCALATIONS + 1) sites
-    assert windows == [4, 5, 10, 13, 26, 52, 64]
-    assert 4 * 2 ** (BUFFER_ESCALATIONS + 1) == 64
+    assert windows[0] == n_buf
+    assert all(b == min(a + math.ceil(a / 4), largest) for a, b in zip(windows, windows[1:]))
+    gaps = [abs((1.0 + r ** a) - (1.0 + r ** b)) for a, b in zip(windows, windows[1:])]
+    assert all(g >= BUFFER_VALIDATION_TOL for g in gaps[:-1])
+    if sweep is None:  # only once a check of the capped size has failed
+        assert windows[-1] == largest and gaps[-1] >= BUFFER_VALIDATION_TOL
+    else:
+        assert gaps[-1] < BUFFER_VALIDATION_TOL
+        assert sweep.step_stats["windows"] == windows
+        assert sweep.step_stats["n_buf"] == windows[-2]
+        assert sweep.final.beta == (1.0 + r ** windows[-2],) * n_report
+
+
+def test_imaginary_p_ladder_climbs_by_quarters():
+    # example2 under ertl at p = 3i, q = 2: transport carries the truncation
+    # inward, so the default window (30) needs three more checks
+    ex = ClosedFormExample("example2", 1.0, 2.0)
+
+    def mk(M):
+        rc = example2_coeffs(ex, 0.0, M + 1)
+        return state_from_coeffs(3j, 2.0, 0.0, rc.beta[:M], rc.alpha[:M - 1])
+
+    t_out = [0.25, 0.5]
+    sweep = integrate_buffered(mk, 6, 0.5, ctrl=StepControl(rel_tol=1e-8), t_out=t_out)
+    assert sweep.step_stats["windows"] == [30, 38, 48, 60, 75]
+    ref = integrate(mk(100), 0.5, ctrl=StepControl(rel_tol=1e-11), t_out=t_out, _open=True)
+    err = 0.0
+    for got, want in zip(sweep.states, ref.states):
+        want = want.prefix(6)
+        err = max(err, *(abs(a - b) for a, b in zip(got.beta + got.alpha,
+                                                      want.beta + want.alpha)))
+    assert err <= 1e-10  # 2.7e-11 measured
 
 
 def test_integrate_buffered_rejects_buffer_not_wider_than_report():
