@@ -41,22 +41,23 @@ and |a_n| < 1 or d_n in (0, 1) checked on accepted states only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateKernel, NotPositiveDefinite, PositivityLost, ReciprocalZero
 from .lattice import LatticeState, StepControl, integrate, integrate_core, rhs_ertl
-from .measures import MomentTable, require_count, require_finite
+from .measures import MomentTable, finite_array, require_count, require_finite
 
 
 @dataclass(frozen=True)
 class VerblunskySeq:
     """Reflection coefficients a_0..a_{N-1} of a positive measure at time t.
 
-    t must be a finite real number, every a_n finite with |a_n| < 1
-    (ValueError otherwise).
+    t and the a_n are read by the one rule of ``measures.finite_array``:
+    every value a finite number, bool excluded, and t a real one.  Every
+    |a_n| must be < 1 (ValueError otherwise).  The a_n are stored as Python
+    complex numbers.
     """
 
     t: float
@@ -64,9 +65,7 @@ class VerblunskySeq:
 
     def __post_init__(self):
         require_finite("t", self.t, real=True)
-        a = np.array(self.a, dtype=complex)
-        if not np.isfinite(a).all():
-            raise ValueError("the reflection coefficients must be finite")
+        a = finite_array("the reflection coefficients", self.a)
         object.__setattr__(self, "a", tuple(a.tolist()))
         _check_modulus(a)
 
@@ -94,9 +93,10 @@ class CircleState:
 
     ``g`` and ``c`` hold indices 1..N; ``d`` (derived) holds
     d_{n+1} = (1 - g_n) g_{n+1} for n = 1..N-1.  The conventions c_0 = 1,
-    d_1 = 0 are implied.  ``g`` and ``c`` have equal length, t is a finite
-    real number, every c_n is finite and every g_n lies in (0, 1)
-    (ValueError otherwise).
+    d_1 = 0 are implied.  t, g and c are read by the one rule of
+    ``measures.finite_array``: every value a finite real number, bool
+    excluded.  ``g`` and ``c`` must have equal length and every g_n must lie
+    in (0, 1) (ValueError otherwise).  g and c are stored as given.
     """
 
     t: float
@@ -104,12 +104,12 @@ class CircleState:
     c: tuple
 
     def __post_init__(self):
-        if len(self.g) != len(self.c):
-            raise ValueError(f"g and c must have equal length, got {len(self.g)}, {len(self.c)}")
+        N = len(self.g)
+        if N != len(self.c):
+            raise ValueError(f"g and c must have equal length, got {N}, {len(self.c)}")
         require_finite("t", self.t, real=True)
-        if not np.isfinite(np.array(self.c, dtype=float)).all():
-            raise ValueError("the rotations c_n must be finite")
-        for n, gv in enumerate(self.g, start=1):
+        g = finite_array("g and c", (*self.g, *self.c), real=True)[:N].tolist()
+        for n, gv in enumerate(g, start=1):
             if not 0.0 < gv < 1.0:
                 raise ValueError(f"g_{n} = {gv} outside (0,1)")
 
@@ -219,7 +219,9 @@ def kernel_coeffs(v: VerblunskySeq, w: complex):
     Returns (beta_1..beta_N, alpha_2..alpha_N, rho_0..rho_N) with
     beta_n = -rho_n/rho_{n-1} and
     alpha_{n+1} = (1 + rho_n a_{n-1}) (1 - conj(w rho_n a_n)) w.
+    ValueError unless w is a finite number with |w| = 1.
     """
+    require_finite("kernel point w", w)
     if not abs(abs(w) - 1.0) <= 1e-12:
         raise ValueError("kernel point must satisfy |w| = 1")
     rho = szego_values(v, complex(w))
@@ -263,15 +265,13 @@ def map_beta_alpha_cd(c, d):
     """
     if len(c) != len(d):
         raise ValueError("c and d must have equal length (d starts at d_1 = 0)")
-    x = np.array((*c, *d))
-    if x.dtype.kind not in "iuf" or not np.isfinite(x).all():
-        raise ValueError("c and d must be finite real numbers")
-    if len(d) and d[0] != 0.0:
+    x = finite_array("c and d", (*c, *d), real=True).tolist()
+    c, d = x[:len(c)], x[len(c):]
+    if d and d[0] != 0.0:
         raise ValueError("d_1 must be 0")
     beta, alpha = [], []
     c_prev = 1.0  # c_0
     for cn, dn in zip(c, d):
-        cn, dn = float(cn), float(dn)
         beta.append(-(1.0 - 1j * cn) / (1.0 + 1j * cn))
         alpha.append(4.0 * dn / ((1.0 + 1j * cn) * (1.0 + 1j * c_prev)))
         c_prev = cn
@@ -287,9 +287,8 @@ def map_cd_beta_alpha(beta, alpha):
     """
     if len(beta) != len(alpha):
         raise ValueError("beta and alpha must have equal length (alpha starts at alpha_1)")
-    x = np.array((*beta, *alpha))
-    if x.dtype.kind not in "iufc" or not np.isfinite(x).all():
-        raise ValueError("beta and alpha must be finite numbers")
+    x = finite_array("beta and alpha", (*beta, *alpha)).tolist()
+    beta, alpha = x[:len(beta)], x[len(beta):]
     c, d = [], []
     c_prev = 1.0
     for n, (bn, an) in enumerate(zip(beta, alpha), start=1):
@@ -321,7 +320,10 @@ def rhs_cd(state: CircleState, q):
 
         dc_n = Re(-i z_n^2 dbeta_n / 2),
         dd_n = Re(z_n z_{n-1} dalpha_n + i alpha_n (z_{n-1} dc_n + z_n dc_{n-1})) / 4.
+
+    ValueError unless q is a finite number.
     """
+    require_finite("q", q)
     if not state.c:
         return [], []
     q = complex(q)
@@ -448,7 +450,8 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     alpha), and c_n is held to about rel_tol (1 + c_n^2) / 2 absolute, not
     rel_tol |c_n|.  No chain sequence lives where some d_n, n >= 2, is
     outside (0, 1): ValueError is raised when the initial chain has one
-    there (or is empty, or a c_n, q or the span is not finite), and
+    there (or is empty, or q is not a finite number, a c_n, d_n, t0 or
+    t_end not a finite real one, or t_end <= t0), and
     PositivityLost when an accepted step takes one there, with d_n =
     Re(alpha_n / ((1 - beta_n)(1 - beta_{n-1}))) and 1 - beta_0 = 1 - i.
     The output grid follows ``integrate_core``; the t0 snapshot is the
@@ -466,8 +469,6 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     n = _first_outside_unit(d0[1:])
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
-    if not -math.inf < float(t0) < float(t_end) < math.inf:  # before LatticeState reads t0
-        raise ValueError("t_end must exceed the start time, both finite")
     q = complex(q)
 
     def validate(t, y):  # y = [beta_1..M, alpha_1 = 0, alpha_2..M]

@@ -286,16 +286,21 @@ def _cmd_verify_lax(args):
     return 0 if report["pass"] else 2
 
 
-def _traj_number(bad, num, col, cell):
-    """float(cell), or a ValueError naming the line and column of a cell that is
-    not a finite number."""
-    try:
-        x = float(cell)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise ValueError(f"{bad}: line {num} has {col} = {cell!r}, not a finite number")
-    return x
+def _traj_numbers(bad, num, cols, cells):
+    """The cells of line ``num`` as floats, or ValueError naming the first that is not finite.
+
+    ``cols`` names the cells' columns.
+    """
+    xs = []
+    for col, cell in zip(cols, cells):
+        try:
+            x = float(cell)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise ValueError(f"{bad}: line {num} has {col} = {cell!r}, not a finite number")
+        xs.append(x)
+    return xs
 
 
 def _cmd_spectrum(args):
@@ -317,28 +322,27 @@ def _cmd_spectrum(args):
     N = len(next(iter(by_t.values()), ()))
     # every time first: a bad t cell starts a group of its own, which would
     # otherwise read as a site missing from its true time
-    times = [_traj_number(bad, numbered[0][0], "t", tkey) for tkey, numbered in by_t.items()]
+    times = [_traj_numbers(bad, numbered[0][0], ("t",), (tkey,))[0]
+             for tkey, numbered in by_t.items()]
+    cols = _TRAJ_HEADER.split(",")[2:]
     states = []
     for t, (tkey, numbered) in zip(times, by_t.items()):
         sites = {}
-        for num, row in numbered:
+        for num, row in numbered:  # each line once, in file order: the first bad one is named
             site = int(row[1]) if row[1].isdecimal() else 0
             if not 1 <= site <= N or site in sites:
                 raise ValueError(f"{bad}: line {num} gives site {row[1]!r} at t = {tkey}, "
                                  f"but each time needs the sites 1..{N} once")
-            sites[site] = row
+            sites[site] = _traj_numbers(bad, num, cols, row[2:])
         if len(sites) < N:
             raise ValueError(f"{bad}: t = {tkey} (line {numbered[0][0]}) lacks site "
                              f"{min(set(range(1, N + 1)) - set(sites))} of 1..{N}")
         grp = [sites[n] for n in range(1, N + 1)]
+        beta = [complex(b, bi) for b, bi, _, _ in grp]
+        alpha = [complex(a, ai) for _, _, a, ai in grp] + [0j]
         try:
-            beta = [complex(float(r[2]), float(r[3])) for r in grp]
-            alpha = [complex(float(r[4]), float(r[5])) for r in grp] + [0j]
             states.append(LatticeState(p=0, q=0, t=t, beta=beta, alpha=alpha))
-        except ValueError as exc:  # name the first cell that is not a finite number
-            for num, row in numbered:
-                for col, cell in zip(_TRAJ_HEADER.split(",")[2:], row[2:]):
-                    _traj_number(bad, num, col, cell)
+        except ValueError as exc:
             raise ValueError(f"{bad}: t = {tkey} (line {numbered[0][0]}): {exc}") from None
     out = []
     for tkey, zeros in zip(by_t, lax_spectra(states)):

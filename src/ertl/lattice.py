@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferTooSmall, NotSymmetricState, SingularDenominator, StepUnderflow
-from .measures import require_count, require_finite, require_number
+from .measures import finite_array, require_count, require_finite
 
 #: |beta_n| below this is treated as a blow-up of the flow
 EPS_SING = 1e-12
@@ -97,9 +97,10 @@ class LatticeState:
     truncation; every right-hand side is defined at every site).  A
     ``"buffered"`` state is a reported prefix of a longer integration and may
     carry the true nonzero alpha_{N+1}; top-site derivatives that would need
-    beta_{N+1} are then NaN.  The entries are stored as complex numbers;
-    p, q, t and every entry must be finite, and t a real number (ValueError
-    otherwise).
+    beta_{N+1} are then NaN.  p, q, t and the entries are read by the one
+    rule of ``measures.finite_array``: every value a finite number, bool
+    excluded, and t a real one (ValueError otherwise).  p, q and the entries
+    are stored as Python complex numbers.
     """
 
     p: complex
@@ -116,9 +117,7 @@ class LatticeState:
         if len(alpha) != len(beta) + 1:
             raise ValueError("need alpha_1..alpha_{N+1} alongside beta_1..beta_N")
         require_finite("t", self.t, real=True)
-        y = np.array((self.p, self.q, *beta, *alpha), dtype=complex)
-        if not np.isfinite(y).all():
-            raise ValueError("p, q, beta and alpha must be finite")
+        y = finite_array("p, q, beta and alpha", (self.p, self.q, *beta, *alpha))
         N = len(beta)
         p, q, *entries = y.tolist()
         object.__setattr__(self, "p", p)
@@ -367,17 +366,17 @@ class StepControl:
     ``rel_tol`` bounds the local error of one step, not the error per unit
     time.  The tolerances also size the first step, through the scale
     abs_tol + rel_tol |y0| of the automatic start (``_start_step``).  Both
-    must be real numbers (bool excluded), finite and > 0 (ValueError
-    otherwise).
+    must be finite real numbers (``measures.require_finite``) and > 0
+    (ValueError otherwise).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        require_number("rel_tol", self.rel_tol, real=True)
-        require_number("abs_tol", self.abs_tol, real=True)
-        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+        require_finite("rel_tol", self.rel_tol, real=True)
+        require_finite("abs_tol", self.abs_tol, real=True)
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError(f"tolerances must be finite and > 0, got rel_tol = "
                              f"{self.rel_tol}, abs_tol = {self.abs_tol}")
 
@@ -512,13 +511,23 @@ def _start_step(stage, evaluate, t0, y0, f0, span, ctrl):
     return span if d <= 1e-15 else min(100.0 * h0, (0.01 / d) ** 0.125, span)
 
 
+def _span(t0, t_end):
+    """(t0, t_end) as floats; ValueError unless t_end is above t0."""
+    t0, t_end = float(t0), float(t_end)
+    if not t0 < t_end:
+        raise ValueError(f"t_end must exceed the start time {t0}, got {t_end}")
+    return t0, t_end
+
+
 def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, validate):
     """Drive y' = f(t, y) from t0 to t_end, snapshotting at t0 and the times ``t_out``.
 
-    The one owner of output-grid semantics for every flow: ``t_out`` defaults
-    to [t_end], is sorted, must lie in (t0, t_end] without repeats (ValueError
-    otherwise, as for t_end <= t0 or a time that is not finite) and gains t_end
-    when missing.  Steps land exactly on every output time (no interpolation).
+    The one owner of output-grid semantics for every flow: t_end must be a
+    finite real number above t0, and ``t_out`` defaults to
+    [t_end], is read once by ``measures.finite_array`` (finite real numbers),
+    sorted, must lie in (t0, t_end] without repeats and gains t_end when
+    missing (ValueError otherwise).  Steps land exactly on every output time
+    (no interpolation).
     The flow is the pair (``stage``, ``evaluate``): ``stage`` is a writable,
     contiguous 1-D float64 or complex128 view of the flow's padded state, the
     array its kernel reads, holding y0 on entry (the unknowns are stepped in
@@ -557,11 +566,11 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
     accepted step, with E5 = max_i |e5_i| / sc_i and E3 = max_i |e3_i| / sc_i
     the scaled norms of ``StepControl`` (at most 1).
     """
-    t0, t_end = float(t0), float(t_end)
-    if not -math.inf < t0 < t_end < math.inf:  # also catches NaN
-        raise ValueError("t_end must exceed the start time, both finite")
+    require_finite("t_end", t_end, real=True)
+    t0, t_end = _span(t0, t_end)
     slack = 1e-15 * max(1.0, abs(t_end))
-    times = sorted(float(x) for x in ([t_end] if t_out is None else t_out))
+    times = [t_end] if t_out is None else sorted(
+        finite_array("output times", t_out, real=True).tolist())
     if not (times and all(t0 < x <= t_end + slack for x in times)):
         raise ValueError("output times must lie in (t0, t_end]")
     if not all(a < b for a, b in zip(times, times[1:])):
@@ -752,7 +761,9 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     coefficient size, so systems whose coefficients grow with the site
     index need more buffer than the default.  ValueError is raised, before
     ``make_state`` is called, unless n_report and n_buf are integers (bool
-    excluded), n_report >= 1 and n_buf > n_report.
+    excluded), n_report >= 1, n_buf > n_report and t_end is a finite real
+    number; and after the one probe call ``make_state(n_report)``, before any
+    run, unless t_end exceeds the probe's start time.
 
     ``step_stats`` is the reported run's, plus ``n_buf`` (its window),
     ``windows`` (the sites of every run, in order) and ``deviation`` (the
@@ -761,7 +772,9 @@ def integrate_buffered(make_state, n_report: int, t_end: float,
     require_count("n_report", n_report)
     if n_buf is not None:
         require_count("n_buf", n_buf, least=n_report + 1)  # more sites than reported
+    require_finite("t_end", t_end, real=True)
     state0 = make_state(n_report)  # cheap sanity probe of the callback
+    _span(state0.t, t_end)
     if n_buf is None:
         n_buf = default_buffer(n_report, t_end - state0.t)
 

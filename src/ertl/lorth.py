@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndexOutOfTable, NonConvergentIntegral, RegularityBreakdown
-from .measures import QUAD_SETTLE_REL, MomentTable, require_count
+from .measures import QUAD_SETTLE_REL, MomentTable, finite_array, require_count, require_finite
 
 #: relative threshold below which a sigma counts as a regularity failure
 SIGMA_ZERO_REL = 1e-12
@@ -154,9 +154,13 @@ def bootstrap_recurrence(table: MomentTable, N: int, p=None, q=None):
     Either route needs the table to cover nu_{-N-1}..nu_N (IndexOutOfTable
     otherwise): a quadrature node set is sized and converged for the table's
     orders.  ``p``/``q`` are the modification coefficients recorded on the
-    result (the coefficients themselves depend only on the table).
+    result (the coefficients themselves depend only on the table); each must
+    be a finite number when given (ValueError otherwise).
     """
     require_count("depth N", N)
+    for name, z in (("p", p), ("q", q)):
+        if z is not None:
+            require_finite(name, z)
     if table.nodes is None and N > MAX_DEPTH and not table.exact:
         raise ValueError(
             f"depth {N} exceeds the double-precision cap {MAX_DEPTH} of the moment bootstrap")
@@ -200,18 +204,19 @@ def stieltjes(x, w, N: int) -> LPolySequence:
 
     ``bootstrap_recurrence`` runs this pass on a table's node set; on a
     trapezoid rule the same pass also certifies the rule (``_stieltjes``).
-    ValueError unless N is an integer >= 1 and every node and weight is finite.
+    ValueError unless N is an integer >= 1, every node is a finite real
+    number and every weight a finite number (``measures.finite_array``).
     """
     require_count("depth N", N)
-    if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise ValueError("Stieltjes nodes and weights must be finite")
-    return _stieltjes(x, w, N)
+    return _stieltjes(finite_array("Stieltjes nodes and weights", x, real=True),
+                      finite_array("Stieltjes nodes and weights", w), N)
 
 
 def _stieltjes(x, w, N: int, nested: bool = False):
     """``stieltjes``; with ``nested``, also the discretization test of the m rule.
 
-    (x, w) is then a trapezoid rule with m intervals, whose even nodes with
+    x is a float64 array and w a float64 or complex128 one.  With ``nested``,
+    (x, w) is a trapezoid rule with m intervals, whose even nodes with
     doubled weights are the m/2 rule (the rules nest).  Each level n <= N-1
     also sums its terms w r_n^2 and w r_n^2 / x over the even nodes, times 2:
     D~_n and S~_n, the same sums on the m/2 rule.  The rule has settled when
@@ -220,8 +225,6 @@ def _stieltjes(x, w, N: int, nested: bool = False):
     that test, so a breakdown is read only from a rule that resolves it.
     The main sums are untouched, so the result is ``stieltjes(x, w, N)``.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w)
     if not (x > 0).all():
         raise ValueError("Stieltjes nodes must be positive")
     if np.iscomplexobj(w) and not w.imag.any():

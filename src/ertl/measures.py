@@ -115,14 +115,13 @@ class MomentSpec:
                 raise ValueError("discrete spec needs at least one node")
             if len(self.nodes) != len(self.weights):
                 raise ValueError("nodes and weights must have equal length")
-            for x, w in zip(self.nodes, self.weights):
-                require_finite("discrete node", x, real=True)
-                require_finite("discrete weight", w, real=True)
-            if any(not x > 0 for x in self.nodes):
+            x = finite_array("discrete nodes", self.nodes, real=True)
+            w = finite_array("discrete weights", self.weights, real=True)
+            if not (x > 0).all():
                 raise ValueError("discrete nodes must be finite and > 0")
-            if len({float(x) for x in self.nodes}) != len(self.nodes):
+            if len(set(x.tolist())) != len(x):
                 raise ValueError("discrete nodes must be distinct")
-            if any(not w > 0 for w in self.weights):
+            if not (w > 0).all():
                 raise ValueError("discrete weights must be finite and > 0")
 
         elif self.kind == "real_line_weighted":
@@ -218,7 +217,8 @@ class MomentSpec:
         return MomentSpec.from_json_dict(json.loads(text))
 
 
-# -- checked readers of numbers and JSON values, shared with circle and the CLI ---
+# -- checked readers of numbers and JSON values: the one rule of what a number is,
+# -- shared with lattice, circle, lorth, oracles and the CLI ---------------------
 
 def require_number(name: str, value, real: bool = False):
     """ValueError naming ``name`` unless ``value`` is a number (a real one if ``real``)."""
@@ -227,10 +227,49 @@ def require_number(name: str, value, real: bool = False):
 
 
 def require_finite(name: str, value, real: bool = False):
-    """ValueError naming ``name`` unless ``value`` is a finite number (a real one if ``real``)."""
+    """ValueError naming ``name`` unless ``value`` is a finite number (a real one if ``real``).
+
+    An integer too large for a double is not finite.
+    """
     require_number(name, value, real)
-    if not cmath.isfinite(complex(value)):
+    try:
+        finite = cmath.isfinite(complex(value))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def finite_array(name: str, values, real: bool = False) -> np.ndarray:
+    """``values`` as a new float64 (``real``) or complex128 array, by ``require_finite``'s rule.
+
+    Every entry must be a finite number, a real one if ``real``; bool is not
+    a number.  ``values`` is a list, a tuple or any other iterable, read
+    once.  ValueError naming ``name`` and the first bad entry otherwise.
+    Only bad input is read entry by entry: good input takes one type test per
+    distinct entry type, one conversion and one finiteness count.
+    """
+    if not isinstance(values, (list, tuple)):
+        try:
+            values = list(values)
+        except TypeError:
+            raise ValueError(f"{name} must be a sequence of numbers, got {values!r}") from None
+    types = set(map(type, values))
+    kind = numbers.Real if real else numbers.Number
+    x = None
+    if bool not in types and all(map(kind.__subclasscheck__, types)):
+        try:
+            x = np.array(values, dtype=float if real else complex)
+        except OverflowError:  # an integer too large for a double
+            pass
+    if x is None or np.count_nonzero(np.isfinite(x)) < len(x):
+        for v in values:
+            try:
+                require_finite(name, v, real)
+            except ValueError:
+                raise ValueError(f"{name} must be finite {'real ' if real else ''}numbers, "
+                                 f"got {v!r}") from None
+    return x
 
 
 def require_count(name: str, n, least: int = 1, most: int | None = None):
@@ -647,8 +686,7 @@ def compute_moments(spec: MomentSpec, t: float, K: int) -> MomentTable:
     for divergent modifications.
     """
     require_count("K", K)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    require_finite("t", t, real=True)
     if spec.kind in ("real_line_weighted", "discrete") and t < 0:
         raise ValueError("t must be >= 0 for positive-axis functionals")
 

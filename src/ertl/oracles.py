@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 
 from .lorth import RecurrenceCoeffs
-from .measures import require_count, require_finite
+from .measures import require_count, require_finite, require_number
 
 
 @dataclass(frozen=True)
 class ClosedFormExample:
-    """Parameters of a closed-form weight family: id in {example1, example2}."""
+    """Parameters of a closed-form weight family: id in {example1, example2}, delta, q > 0."""
 
     id: str
     delta: float
@@ -38,18 +38,19 @@ class ClosedFormExample:
     def __post_init__(self):
         if self.id not in ("example1", "example2"):
             raise ValueError(f"unknown closed-form family {self.id!r}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError("delta must be finite and > 0")
-        if not 0 < self.q < math.inf:
-            raise ValueError("q must be finite and > 0")
+        for name, value in (("delta", self.delta), ("q", self.q)):
+            require_finite(name, value, real=True)
+            if not value > 0:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 def _check_call(ex: ClosedFormExample, family: str, t: float, N: int):
-    """ValueError unless ``ex`` is of ``family``, t is finite with t + delta > 0 and N >= 1."""
+    """ValueError unless ``ex`` is of ``family``, t a finite real with t + delta > 0 and N >= 1."""
     if ex.id != family:
         raise ValueError(f"{family}_coeffs given a {ex.id} example; "
                          f"the {ex.id} family needs {ex.id}_coeffs")
-    if not t + ex.delta > 0:  # also catches NaN
+    require_number("t", t, real=True)
+    if not t > -ex.delta:  # t + delta > 0, also false for NaN; exact for any integer t
         raise ValueError("need t + delta > 0")
     require_finite("t", t, real=True)
     require_count("depth N", N)

@@ -18,6 +18,7 @@ from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefini
                   map_cd_beta_alpha, rhs_cd, rhs_ertl, rhs_schur,
                   verblunsky_from_moments)
 from ertl.lorth import MAX_DEPTH
+from ertl.measures import MomentTable
 from tests.conftest import cd_edge_rates, eval_Q, q_at_zero
 
 
@@ -252,6 +253,30 @@ def test_map_trivial_values():
 def test_circle_maps_reject_what_they_cannot_map(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("beta, alpha, message", [
+    ([0.5], [0.0], "recovered c = -3j is not real"),  # beta off the unit circle
+    ([-1.0, -1.0], [0.0, 1j], "recovered d = 0.25j is not real")])
+def test_map_back_rejects_what_is_not_a_real_chain(beta, alpha, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        map_cd_beta_alpha(beta, alpha)
+
+
+def toeplitz_table(changes=()):
+    """A K = 3 table of the arc measure (nu_k = mu_{k+1}, mu_0 = 1) with ``changes`` k -> nu_k."""
+    nu = {k: 1.0 + 0j if k == -1 else 0j for k in range(-3, 4)}
+    return MomentTable(t=0.0, K=3, nu={**nu, **dict(changes)})
+
+
+@pytest.mark.parametrize("table, N, message", [
+    (toeplitz_table(), 5, "need nu_k for -1 <= k <= 4 to reach depth 5"),
+    (toeplitz_table({-1: -1.0 + 0j}), 2, "is not real positive; not a measure table"),
+    (toeplitz_table({0: 0.5 + 0j, -2: 0.1 + 0j}), 2, "mu_-1 != conj(mu_1)")])
+def test_levinson_needs_a_toeplitz_measure_table(table, N, message):
+    assert verblunsky_from_moments(toeplitz_table(), 3).a == (0j, 0j, 0j)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verblunsky_from_moments(table, N)
 
 
 def test_map_round_trip_random(rng):

@@ -108,6 +108,37 @@ def test_from_measure_rejects_repeated_times(tmp_path, capsys):
         assert not out.exists() and not dump.exists()
 
 
+EXAMPLE1 = ('{"kind":"real_line_weighted","weight_id":"example1",'
+            '"params":{"delta":1.0,"q":2.0},"p":[1,0],"q":[2,0]}')
+
+
+def test_from_measure_at_several_times_matches_the_oracle(tmp_path):
+    # one t,n,... row per time and site; example1's modification shifts delta to delta + t
+    out = tmp_path / "fm.csv"
+    assert main(["from-measure", "--measure", EXAMPLE1, "--t", "0,0.5", "--N", "4",
+                 "--out", str(out)]) == 0
+    assert body(out)[0] == "t,n,re_beta,im_beta,re_alpha,im_alpha"
+    got = cells(out)
+    assert [row[:2] for row in got] == [[t, str(n)] for t in ("0", "0.5") for n in range(1, 5)]
+    for i, t in enumerate(("0", "0.5")):
+        want = tmp_path / f"oracle{i}.csv"
+        assert main(["oracle", "example1", "--delta", "1", "--q", "2", "--t", t, "--N", "4",
+                     "--out", str(want)]) == 0
+        for row, ref in zip(got[4 * i:4 * i + 4], cells(want)):
+            assert row[1] == ref[0]
+            assert np.allclose([float(x) for x in row[2:]], [float(x) for x in ref[1:]],
+                               rtol=1e-13, atol=1e-13)
+
+
+def test_measure_given_as_a_file_path(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(DISCRETE)
+    inline, from_file = tmp_path / "inline.csv", tmp_path / "file.csv"
+    for measure, out in ((DISCRETE, inline), (str(spec), from_file)):
+        assert main(["moments", "--measure", measure, "--K", "2", "--out", str(out)]) == 0
+    assert body(from_file) == body(inline) == body(GOLDEN / "moments_discrete.csv")
+
+
 def test_from_measure_dump_poly(tmp_path):
     out = tmp_path / "fm.csv"
     dump = tmp_path / "poly.json"
@@ -344,6 +375,12 @@ def test_spectrum_names_the_line_of_a_bad_cell(tmp_path, capsys, line, col, cell
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err) == {
         "error": "ValueError", "message": f"{traj} is no lattice trajectory: {needle}"}
+
+
+def test_trajectory_cells_are_read_and_the_first_bad_one_named():
+    assert cli._traj_numbers("bad", 3, ("a", "b"), ("1e308", "-2")) == [1e308, -2.0]
+    with pytest.raises(ValueError, match="bad: line 3 has b = 'x', not a finite number"):
+        cli._traj_numbers("bad", 3, ("a", "b", "c"), ("1", "x", "nan"))
 
 
 @pytest.mark.parametrize("system", ["cd", "schur", "short-row", "no-header"])
@@ -606,6 +643,11 @@ BAD_COMMAND_LINES = {
     "init-bool": (SCHUR + ["--init", '{"a":[[true,0]]}'], "a[0] must be a real number"),
     "init-cd-pair": (CD + ["--init", '{"c":[[0,0]],"d":[0]}'], "c[0] must be a real number"),
     "init-unknown-key": (CD + ["--init", '{"c":[0],"d":[0],"e":1}'], "exactly the keys"),
+    # an integer beyond a double escaped as an OverflowError traceback
+    "moments-huge-node": (["moments", "--K", "1", "--measure",
+                           '{"kind":"discrete","nodes":[1' + "0" * 400 + '],"weights":[1]}'],
+                          "discrete nodes must be finite real numbers"),
+    "simulate-p-triple": (ERTL + ["--N", "2", "--p", "1,2,3"], "expected re or re,im"),
     "init-missing-key": (ERTL + ["--init", '{"beta":[[1,0]]}'], "exactly the keys"),
     "init-nan-beta": (ERTL + ["--init", '{"beta":[[NaN,0]],"alpha":[]}'], "must be finite"),
     "init-inf-a": (SCHUR + ["--init", '{"a":[[0.1,Infinity]]}'], "must be finite"),
@@ -625,12 +667,12 @@ BAD_COMMAND_LINES = {
     "simulate-t0": (ERTL + ["--N", "2", "--t0", "nan"], "must be finite"),
     "simulate-schur-t0": (SCHUR + ["--t0", "nan", "--init", '{"a":[[0.2,0]]}'], "must be finite"),
     "simulate-cd-t0": (CD + ["--t0", "nan", "--init", '{"c":[0,0],"d":[0,0.25]}'],
-                       "t_end must exceed"),
-    "simulate-t-end": (ERTL + ["--N", "2", "--t-end", "nan"], "t_end must exceed"),
+                       "t must be finite"),
+    "simulate-t-end": (ERTL + ["--N", "2", "--t-end", "nan"], "t_end must be finite"),
     "simulate-t-out": (ERTL + ["--N", "2", "--t-out", "nan"], "output times"),
     "simulate-t-out-last": (ERTL + ["--N", "2", "--t-out", "0.5,nan"], "output times"),
-    "simulate-rel-tol": (ERTL + ["--N", "2", "--rel-tol", "nan"], "tolerances"),
-    "simulate-abs-tol": (ERTL + ["--N", "2", "--abs-tol", "nan"], "tolerances"),
+    "simulate-rel-tol": (ERTL + ["--N", "2", "--rel-tol", "nan"], "rel_tol must be finite"),
+    "simulate-abs-tol": (ERTL + ["--N", "2", "--abs-tol", "nan"], "abs_tol must be finite"),
     "verify-lax-N": (["verify-lax", "--N", "nan"], "invalid int value"),
     "verify-lax-p": (["verify-lax", "--N", "2", "--p", "nan"], "must be finite"),
     "verify-lax-q": (["verify-lax", "--N", "2", "--q", "nan"], "must be finite"),

@@ -13,7 +13,7 @@ from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   VerblunskySeq, bootstrap_recurrence, compute_moments,
                   discrete_spec, example1_coeffs, example2_coeffs, integrate,
                   integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
-                  rhs_langmuir, state_from_coeffs, LatticeState)
+                  rhs_langmuir, state_from_coeffs, LatticeState, Trajectory)
 from ertl.lattice import BUFFER_ESCALATIONS, BUFFER_VALIDATION_TOL, default_buffer
 from tests.conftest import rk4_reference
 
@@ -71,6 +71,12 @@ def test_state_rejects_time_that_is_not_a_real_number(t):
     # a complex or boolean t was stored, and integrate then failed in float()
     with pytest.raises(ValueError, match="t must be a real number"):
         LatticeState(1.0, 2.0, t, (1.0,), (0.0, 0.0))
+
+
+def test_trajectory_times_must_increase():
+    s = state_from_coeffs(1.0, 2.0, 0.0, [1.0], [])
+    with pytest.raises(ValueError, match="output times must be strictly increasing"):
+        Trajectory(times=(0.0, 0.5, 0.5), states=(s, s, s), step_stats={})
 
 
 def test_int_state_integrates_like_its_float_twin():
@@ -371,7 +377,10 @@ def test_positivity_preserved_and_enforced(rng):
 def test_step_control_rejects_non_finite_or_non_positive_tolerance(tols):
     # a NaN tolerance would make integrate report StepUnderflow at t = 0, and
     # an infinite one would let every step pass unchecked
-    with pytest.raises(ValueError, match="finite and > 0"):
+    ((name, value),) = tols.items()
+    needle = ("tolerances must be finite and > 0" if value <= 0
+              else f"{name} must be finite, got {value!r}")
+    with pytest.raises(ValueError, match=re.escape(needle)):
         StepControl(**tols)
 
 

@@ -67,6 +67,88 @@ def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
 
 
+def _np_call(node, names):
+    """True when ``node`` calls ``np.<one of names>``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np")
+
+
+def own_number_checks(source):
+    """'idiom (line n)' for each place a function decides for itself what a number is.
+
+    Two idioms count: a test of ``.dtype.kind``, and ``np.isfinite`` of the
+    function's own arguments (``self`` included), directly or as an
+    ``np.array(...)``/``np.asarray(...)`` of them, inline or bound to a name
+    first.  ``measures`` holds the one rule (``require_finite`` and
+    ``finite_array``); values a function computes may be tested freely, an
+    argument rebound to one included.
+    """
+    found = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+            found.add(f".dtype.kind (line {node.lineno})")
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        own = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+
+        def of_own(expr):  # an argument, or np.array / np.asarray of an expression reading one
+            if isinstance(expr, ast.Name):
+                return expr.id in own
+            return _np_call(expr, ("array", "asarray")) and any(
+                isinstance(n, ast.Name) and n.id in own for n in ast.walk(expr))
+
+        for node in ast.walk(func):  # names bound to arrays of the arguments, or not
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(target, node.value)])
+                    for t, v in pairs:
+                        if isinstance(t, ast.Name):
+                            array = (isinstance(node, ast.Assign)
+                                     and _np_call(v, ("array", "asarray")) and of_own(v))
+                            (own.add if array else own.discard)(t.id)
+        for node in ast.walk(func):
+            if _np_call(node, ("isfinite",)) and node.args and of_own(node.args[0]):
+                found.add(f"np.isfinite (line {node.lineno})")
+    return sorted(found)
+
+
+def test_own_number_checks_finds_both_idioms():
+    source = ("def f(x, w):\n"
+              "    if not np.isfinite(x).all():\n"
+              "        raise ValueError(x)\n"
+              "    y = np.array((*x, *w), dtype=complex)\n"
+              "    if not np.isfinite(y).all():\n"
+              "        raise ValueError(y)\n"
+              "    if np.asarray(w).dtype.kind != 'f':\n"
+              "        raise ValueError(w)\n"
+              "    z, u = np.exp(x), np.asarray(w)\n"
+              "    return np.isfinite(z).all() and np.isfinite(u).all()\n"
+              "\n\n"
+              "class S:\n"
+              "    def check(self):\n"
+              "        return np.isfinite(np.asarray(self.c)).all()\n"
+              "\n\n"
+              "def g(n, z):\n"
+              "    z = z - 1\n"
+              "    return np.isfinite(np.arange(n)).all() and np.isfinite(z).all()\n")
+    assert own_number_checks(source) == [".dtype.kind (line 7)", "np.isfinite (line 10)",
+                                         "np.isfinite (line 15)", "np.isfinite (line 2)",
+                                         "np.isfinite (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "measures.py"],
+                         ids=lambda p: p.name)
+def test_only_measures_decides_what_a_number_is(path):
+    assert own_number_checks(path.read_text()) == []
+
+
 def module_definitions(source):
     """(name, node) for each function, class and assigned name at module level."""
     for node in ast.parse(source).body:
