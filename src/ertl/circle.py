@@ -17,8 +17,8 @@ with reflection (Verblunsky) coefficients a_n = -conj(Phi_{n+1}(0)),
 * at w = 1 the real parametrization c_n (rotation) and d_{n+1} = (1-g_n)
   g_{n+1} (positive chain sequence with parameters g_n in (0,1)), linked to
   (beta, alpha) by the invertible map beta_n = -(1-i c_n)/(1+i c_n),
-  alpha_n = 4 d_n / ((1+i c_n)(1+i c_{n-1})), c_0 = 1, d_1 = 0.
-  ``CircleState`` stores g_n and c_n; d_{n+1} follows from g.
+  alpha_n = 4 d_n / ((1+i c_n)(1+i c_{n-1})), c_0 = 1, d_1 = 0 (one array
+  route each way).  ``CircleState`` stores g_n and c_n; d_{n+1} follows from g.
 
 The induced flows: the (c, d) system closes over the reals, and the
 reflection coefficients themselves satisfy the two-parameter Schur flow
@@ -190,10 +190,14 @@ def verblunsky_from_moments(table: MomentTable, N: int) -> VerblunskySeq:
 def szego_values(v: VerblunskySeq, w: complex):
     """Ratios rho_n = Phi_n(w)/Phi*_n(w) for n = 0..N, normalized to |rho_n| = 1.
 
-    The coupled recursion is rescaled by |Phi*| each level (a common real
-    factor, invisible to the ratio).  The unnormalized ratios may drift from
-    the unit circle only by rounding; a drift beyond 1e-10 raises ValueError.
+    ValueError unless w is a finite number with |w| = 1.  The coupled
+    recursion is rescaled by |Phi*| each level (a common real factor,
+    invisible to the ratio).  The unnormalized ratios may drift from the unit
+    circle only by rounding; a drift beyond 1e-10 raises ValueError.
     """
+    require_finite("kernel point w", w)
+    if not abs(abs(w) - 1.0) <= 1e-12:
+        raise ValueError("kernel point must satisfy |w| = 1")
     phi, phis = 1.0 + 0j, 1.0 + 0j
     raw = [phi / phis]
     for n, a_n in enumerate(v.a):
@@ -219,15 +223,12 @@ def kernel_coeffs(v: VerblunskySeq, w: complex):
     Returns (beta_1..beta_N, alpha_2..alpha_N, rho_0..rho_N) with
     beta_n = -rho_n/rho_{n-1} and
     alpha_{n+1} = (1 + rho_n a_{n-1}) (1 - conj(w rho_n a_n)) w.
-    ValueError unless w is a finite number with |w| = 1.
+    ValueError unless w is a finite number with |w| = 1 (``szego_values``).
     """
-    require_finite("kernel point w", w)
-    if not abs(abs(w) - 1.0) <= 1e-12:
-        raise ValueError("kernel point must satisfy |w| = 1")
-    rho = szego_values(v, complex(w))
+    rho = szego_values(v, w)
+    w = complex(w)
     beta = [-rho[n] / rho[n - 1] for n in range(1, v.N + 1)]
-    alpha = [(1.0 + rho[n] * v.a[n - 1])
-             * (1.0 - (complex(w) * rho[n] * v.a[n]).conjugate()) * complex(w)
+    alpha = [(1.0 + rho[n] * v.a[n - 1]) * (1.0 - (w * rho[n] * v.a[n]).conjugate()) * w
              for n in range(1, v.N)]
     return beta, alpha, rho
 
@@ -251,6 +252,35 @@ def cd_from_verblunsky(v: VerblunskySeq, t: float | None = None) -> CircleState:
     return CircleState(t=v.t if t is None else t, g=tuple(g), c=tuple(c))
 
 
+def _cd_to_ertl(c, d):
+    """``map_beta_alpha_cd`` on arrays: (beta, alpha, z_0..z_M with z_n = 1 + i c_n, d).
+
+    Reads c and d once, by ``measures.finite_array``; Im z is c_0 = 1, c_1..c_M
+    exactly (-0.0 reads +0.0) and d is d_1..d_M as read.
+    """
+    if len(c) != len(d):
+        raise ValueError("c and d must have equal length (d starts at d_1 = 0)")
+    x = finite_array("c and d", (1.0, *c, *d), real=True)
+    z, d = 1.0 + 1j * x[:len(c) + 1], x[len(c) + 1:]
+    if len(d) and d[0] != 0.0:
+        raise ValueError("d_1 must be 0")
+    return -z[1:].conj() / z[1:], 4.0 * d / (z[1:] * z[:-1]), z, d
+
+
+def _ertl_to_cd(beta, alpha, d_only=False):
+    """Complex [c; d] of (beta_1..M, alpha_1..M), along the first axis, or d alone (four ufuncs).
+
+    With w_n = 1 / (1 - beta_n) and 1 - beta_0 = 1 - i (c_0 = 1):
+    c_n = -i (1 + beta_n) / (1 - beta_n) = i (1 - 2 w_n) and d_n = alpha_n w_n w_{n-1}.
+    """
+    w = np.empty((len(beta) + 1, *beta.shape[1:]), dtype=complex)  # 1 - beta_0..M, then w
+    w[0] = 1.0 - 1j
+    np.subtract(1.0, beta, out=w[1:])
+    np.divide(1.0, w, out=w)
+    d = alpha * w[1:] * w[:-1]
+    return d if d_only else np.stack((1j - 2j * w[1:], d))
+
+
 def map_beta_alpha_cd(c, d):
     """(c_1..c_N, d_1..d_N with d_1 = 0) -> (beta_1..beta_N, alpha_1..alpha_N).
 
@@ -263,19 +293,8 @@ def map_beta_alpha_cd(c, d):
     equal length, d_1 = 0 and every entry is a finite real number.
     Inverse: ``map_cd_beta_alpha``.
     """
-    if len(c) != len(d):
-        raise ValueError("c and d must have equal length (d starts at d_1 = 0)")
-    x = finite_array("c and d", (*c, *d), real=True).tolist()
-    c, d = x[:len(c)], x[len(c):]
-    if d and d[0] != 0.0:
-        raise ValueError("d_1 must be 0")
-    beta, alpha = [], []
-    c_prev = 1.0  # c_0
-    for cn, dn in zip(c, d):
-        beta.append(-(1.0 - 1j * cn) / (1.0 + 1j * cn))
-        alpha.append(4.0 * dn / ((1.0 + 1j * cn) * (1.0 + 1j * c_prev)))
-        c_prev = cn
-    return beta, alpha
+    beta, alpha, _, _ = _cd_to_ertl(c, d)
+    return beta.tolist(), alpha.tolist()
 
 
 def map_cd_beta_alpha(beta, alpha):
@@ -283,28 +302,20 @@ def map_cd_beta_alpha(beta, alpha):
 
     ValueError unless beta and alpha have equal length, every entry is a
     finite number and no beta_n is 1 (c_n would be infinite), and when a
-    recovered c_n or d_n is not real to 1e-10.
+    recovered c_n or d_n is not real to 1e-10; the first site n at fault is named.
     """
     if len(beta) != len(alpha):
         raise ValueError("beta and alpha must have equal length (alpha starts at alpha_1)")
-    x = finite_array("beta and alpha", (*beta, *alpha)).tolist()
-    beta, alpha = x[:len(beta)], x[len(beta):]
-    c, d = [], []
-    c_prev = 1.0
-    for n, (bn, an) in enumerate(zip(beta, alpha), start=1):
-        if bn == 1:
-            raise ValueError(f"beta_{n} = 1 maps to no finite c_{n}")
-        cn = -1j * (1.0 + bn) / (1.0 - bn)
-        if abs(cn.imag) > 1e-10 * (1.0 + abs(cn.real)):
-            raise ValueError(f"recovered c = {cn} is not real; beta off the unit circle?")
-        cn = cn.real
-        dn = an * (1.0 + 1j * cn) * (1.0 + 1j * c_prev) / 4.0
-        if abs(dn.imag) > 1e-10 * (1.0 + abs(dn.real)):
-            raise ValueError(f"recovered d = {dn} is not real")
-        c.append(cn)
-        d.append(dn.real)
-        c_prev = cn
-    return c, d
+    x = finite_array("beta and alpha", (*beta, *alpha)).reshape(2, -1)  # rows beta, alpha
+    with np.errstate(all="ignore"):  # beta_n = 1 is rejected below
+        cd = _ertl_to_cd(*x)
+        faults = np.vstack((x[0] == 1.0, np.abs(cd.imag) > 1e-10 * (1.0 + np.abs(cd.real))))
+    if faults.any():
+        n, k = np.argwhere(faults.T)[0]  # the first site at fault, and its first fault
+        raise ValueError((f"beta_{n + 1} = 1 maps to no finite c_{n + 1}",
+                          f"recovered c = {cd[0, n].item()} is not real; beta off the unit circle?",
+                          f"recovered d = {cd[1, n].item()} is not real")[k])
+    return tuple(cd.real.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +338,12 @@ def rhs_cd(state: CircleState, q):
     if not state.c:
         return [], []
     q = complex(q)
-    beta, alpha = map_beta_alpha_cd(state.c, (0.0, *state.d))
-    dbeta, dalpha = rhs_ertl(LatticeState(q.conjugate(), q, 0.0, beta, alpha + [0j]))
-    z = 1.0 + 1j * np.array((1.0, *state.c))  # z_0..z_M
+    beta, alpha, z, _ = _cd_to_ertl(state.c, (0.0, *state.d))
+    dbeta, dalpha = rhs_ertl(LatticeState(q.conjugate(), q, 0.0, beta.tolist(),
+                                          [*alpha.tolist(), 0j]))
     dc = (-0.5j * z[1:] * z[1:] * np.array(dbeta)).real
     dd = (z[2:] * z[1:-1] * np.array(dalpha[1:-1])
-          + 1j * np.array(alpha[1:]) * (z[1:-1] * dc[1:] + z[2:] * dc[:-1])).real / 4.0
+          + 1j * alpha[1:] * (z[1:-1] * dc[1:] + z[2:] * dc[:-1])).real / 4.0
     return dc.tolist(), dd.tolist()
 
 
@@ -430,15 +441,6 @@ def _first_outside_unit(dd):
     return int(np.argmax(bad)) + 2 if bad.any() else None
 
 
-def _chain_d(beta, alpha):
-    """d_n = alpha_n / ((1 - beta_n)(1 - beta_{n-1})), n = 2..M, of (beta_1..M, alpha_2..M).
-
-    Complex, along the last axis; real on the image of ``map_beta_alpha_cd``.
-    """
-    w = 1.0 / (1.0 - beta)
-    return alpha * w[..., 1:] * w[..., :-1]
-
-
 def integrate_cd(c, d, q, t0: float, t_end: float,
                  ctrl: StepControl | None = None, t_out=None):
     """Integrate the real (c, d) flow on a finite window (d_{M+1} = 0).
@@ -452,8 +454,7 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     outside (0, 1): ValueError is raised when the initial chain has one
     there (or is empty, or q is not a finite number, a c_n, d_n, t0 or
     t_end not a finite real one, or t_end <= t0), and
-    PositivityLost when an accepted step takes one there, with d_n =
-    Re(alpha_n / ((1 - beta_n)(1 - beta_{n-1}))) and 1 - beta_0 = 1 - i.
+    PositivityLost when an accepted step's d_n, mapped back, is there.
     The output grid follows ``integrate_core``; the t0 snapshot is the
     caller's c and d.  Returns (times, c_snapshots, d_snapshots, stats);
     ``stats`` is ``integrate_core``'s plus ``imag_residue``, the drift off
@@ -464,26 +465,23 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     M = len(c)
     if not M:
         raise ValueError("the (c, d) window is empty: integrate_cd needs c_1 and d_1 at least")
-    beta, alpha = map_beta_alpha_cd(c, d)  # checks the lengths, d_1 and finite real entries
-    c0, d0 = np.array(c, dtype=float), np.array(d, dtype=float)
+    beta, alpha, z, d0 = _cd_to_ertl(c, d)  # checks the lengths, d_1 and finite real entries
     n = _first_outside_unit(d0[1:])
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
     q = complex(q)
 
     def validate(t, y):  # y = [beta_1..M, alpha_1 = 0, alpha_2..M]
-        dd = _chain_d(y[:M], y[M + 1:]).real
+        dd = _ertl_to_cd(y[:M], y[M:], d_only=True)[1:].real
         n = _first_outside_unit(dd)
         if n:
             raise PositivityLost(f"d_{n} = {dd[n - 2]} left (0, 1) at t={t}", n=n, t=t)
 
-    traj = integrate(LatticeState(q.conjugate(), q, t0, beta, alpha + [0j]), t_end,
-                     ctrl=ctrl, t_out=t_out, _validate=validate)
-    B = np.array([s.beta for s in traj.states[1:]])
-    cz = -1j * (1.0 + B) / (1.0 - B)
-    dz = _chain_d(B, np.array([s.alpha[1:-1] for s in traj.states[1:]]))
-    stats = dict(traj.step_stats, imag_residue=max(
-        float((np.abs(x.imag) / (1.0 + np.abs(x.real))).max(initial=0.0)) for x in (cz, dz)))
-    c_snaps = [c0.tolist()] + (cz.real + 0.0).tolist()  # + 0.0: a c that stays 0 is not -0
-    d_snaps = [d0.tolist()] + [[0.0] + row for row in (dz.real + 0.0).tolist()]
-    return list(traj.times), c_snaps, d_snaps, stats
+    traj = integrate(LatticeState(q.conjugate(), q, t0, beta.tolist(), [*alpha.tolist(), 0j]),
+                     t_end, ctrl=ctrl, t_out=t_out, _validate=validate)
+    y = np.array([(*s.beta, *s.alpha[:-1]) for s in traj.states[1:]]).T
+    cd = _ertl_to_cd(y[:M], y[M:])  # one column per snapshot
+    share = (np.abs(cd.imag) / (1.0 + np.abs(cd.real))).max(initial=0.0)
+    cz, dz = (cd.real + 0.0).transpose(0, 2, 1).tolist()  # + 0.0: a c that stays 0 is not -0
+    return (list(traj.times), [z.imag[1:].tolist()] + cz, [d0.tolist()] + dz,
+            dict(traj.step_stats, imag_residue=float(share)))

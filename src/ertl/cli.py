@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -139,7 +140,7 @@ def _coeff_rows(beta, alpha_with_a1):
 
 def _cmd_from_measure(args):
     spec = _load_spec(args.measure)
-    times = [float(x) for x in args.t.split(",")]
+    times = _finite_floats("--t (time points) has entry", itertools.count(1), args.t.split(","))
     if len(set(times)) < len(times):
         raise ValueError(f"--t times must not repeat, got {args.t}")
     all_rows = []
@@ -212,7 +213,8 @@ def _uses_init(args) -> bool:
 
 def _cmd_simulate(args):
     ctrl = StepControl(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    t_out = [float(x) for x in args.t_out.split(",")] if args.t_out else None
+    t_out = (_finite_floats("--t-out (output times) has entry", itertools.count(1),
+                            args.t_out.split(",")) if args.t_out else None)
 
     if args.system in SYSTEMS:
         if _uses_init(args):
@@ -286,19 +288,16 @@ def _cmd_verify_lax(args):
     return 0 if report["pass"] else 2
 
 
-def _traj_numbers(bad, num, cols, cells):
-    """The cells of line ``num`` as floats, or ValueError naming the first that is not finite.
-
-    ``cols`` names the cells' columns.
-    """
+def _finite_floats(where: str, names, cells) -> list:
+    """The cells as floats, or ValueError "<where> <name> = <cell>, not a finite number"."""
     xs = []
-    for col, cell in zip(cols, cells):
+    for name, cell in zip(names, cells):
         try:
             x = float(cell)
         except ValueError:
             x = math.nan
         if not math.isfinite(x):
-            raise ValueError(f"{bad}: line {num} has {col} = {cell!r}, not a finite number")
+            raise ValueError(f"{where} {name} = {cell!r}, not a finite number")
         xs.append(x)
     return xs
 
@@ -322,7 +321,7 @@ def _cmd_spectrum(args):
     N = len(next(iter(by_t.values()), ()))
     # every time first: a bad t cell starts a group of its own, which would
     # otherwise read as a site missing from its true time
-    times = [_traj_numbers(bad, numbered[0][0], ("t",), (tkey,))[0]
+    times = [_finite_floats(f"{bad}: line {numbered[0][0]} has", ("t",), (tkey,))[0]
              for tkey, numbered in by_t.items()]
     cols = _TRAJ_HEADER.split(",")[2:]
     states = []
@@ -333,7 +332,7 @@ def _cmd_spectrum(args):
             if not 1 <= site <= N or site in sites:
                 raise ValueError(f"{bad}: line {num} gives site {row[1]!r} at t = {tkey}, "
                                  f"but each time needs the sites 1..{N} once")
-            sites[site] = _traj_numbers(bad, num, cols, row[2:])
+            sites[site] = _finite_floats(f"{bad}: line {num} has", cols, row[2:])
         if len(sites) < N:
             raise ValueError(f"{bad}: t = {tkey} (line {numbered[0][0]}) lacks site "
                              f"{min(set(range(1, N + 1)) - set(sites))} of 1..{N}")

@@ -675,8 +675,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
         evaluate = _volterra_kernel(buf, _open)
     else:
-        # a closed run binds with the three arguments it always had
-        evaluate = _ertl_kernel(p, q, buf, True) if _open else _ertl_kernel(p, q, buf)
+        evaluate = _ertl_kernel(p, q, buf, _open)
 
     def check_betas(t, y):
         _check_betas(y[:N], t)

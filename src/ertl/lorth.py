@@ -53,7 +53,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IndexOutOfTable, NonConvergentIntegral, RegularityBreakdown
-from .measures import QUAD_SETTLE_REL, MomentTable, finite_array, require_count, require_finite
+from .measures import (QUAD_SETTLE_REL, MomentTable, finite_array, require_count, require_finite,
+                       require_number)
 
 #: relative threshold below which a sigma counts as a regularity failure
 SIGMA_ZERO_REL = 1e-12
@@ -66,7 +67,8 @@ class RecurrenceCoeffs:
     """Recurrence coefficients beta_1..beta_N, alpha_2..alpha_N at one time.
 
     ``beta[i]`` holds beta_{i+1} and ``alpha[i]`` holds alpha_{i+2}; the
-    boundary conventions are beta_0 = 1, alpha_0 = -1, alpha_1 = 0.
+    boundary conventions are beta_0 = 1, alpha_0 = -1, alpha_1 = 0.  Fields are read
+    by ``measures.require_finite``'s rule (entries may be NaN or inf) and kept as given.
     """
 
     t: float
@@ -76,6 +78,11 @@ class RecurrenceCoeffs:
     alpha: tuple
 
     def __post_init__(self):
+        require_finite("t", self.t, real=True)
+        require_finite("p", self.p)
+        require_finite("q", self.q)
+        for v in {type(v): v for v in (*self.beta, *self.alpha)}.values():  # one per type
+            require_number("beta and alpha entries", v)
         object.__setattr__(self, "beta", tuple(self.beta))
         object.__setattr__(self, "alpha", tuple(self.alpha))
         if len(self.alpha) not in (0, len(self.beta) - 1):

@@ -319,8 +319,8 @@ def _params_to_json(params: dict) -> dict:
             out[key] = [[float(th), float(m)] for th, m in val]
         elif key == "nu":
             out[key] = {str(k): [complex(v).real, complex(v).imag] for k, v in val.items()}
-        else:
-            out[key] = val
+        else:  # delta, q or t0: a real number, of any numeric type
+            out[key] = float(val)
     return out
 
 
@@ -345,15 +345,13 @@ def _params_from_json(params: dict) -> dict:
 def example1_spec(delta: float, q: float) -> MomentSpec:
     """Weight x^(-1/2) exp(-delta(x + q/x)) on (0, inf), modification p=1, same q."""
     return MomentSpec(kind="real_line_weighted", weight_id="example1",
-                      params={"delta": float(delta), "q": float(q)},
-                      p=1.0, q=float(q))
+                      params={"delta": delta, "q": q}, p=1.0, q=q)
 
 
 def example2_spec(delta: float, q: float) -> MomentSpec:
     """Weight (x + sqrt(q)) x^(-3/2) exp(-delta(x + q/x)) on (0, inf)."""
     return MomentSpec(kind="real_line_weighted", weight_id="example2",
-                      params={"delta": float(delta), "q": float(q)},
-                      p=1.0, q=float(q))
+                      params={"delta": delta, "q": q}, p=1.0, q=q)
 
 
 def discrete_spec(nodes, weights, p=0.0, q=0.0) -> MomentSpec:
@@ -364,25 +362,23 @@ def discrete_spec(nodes, weights, p=0.0, q=0.0) -> MomentSpec:
 
 def circle_lebesgue_spec(q, atoms=()) -> MomentSpec:
     """Functional f |-> int f(z) z dmu^(t)(z) over mu = arc measure + atoms."""
-    qc = complex(q)
+    require_finite("q", q)
     return MomentSpec(kind="unit_circle_weighted", weight_id="circle_lebesgue",
                       params={"atoms": tuple(atoms)} if atoms else {},
-                      p=qc.conjugate(), q=qc)
+                      p=complex(q).conjugate(), q=q)
 
 
 def circle_kernel_spec(q, w=1.0, atoms=()) -> MomentSpec:
     """Functional f |-> int f(z) (z - w) dmu^(t)(z), |w| = 1."""
-    qc = complex(q)
-    params = {"w": complex(w)}
-    if atoms:
-        params["atoms"] = tuple(atoms)
+    require_finite("q", q)
+    params = {"w": w, "atoms": tuple(atoms)} if atoms else {"w": w}
     return MomentSpec(kind="unit_circle_weighted", weight_id="circle_kernel",
-                      params=params, p=qc.conjugate(), q=qc)
+                      params=params, p=complex(q).conjugate(), q=q)
 
 
 def explicit_table_spec(nu: dict, t0: float = 0.0) -> MomentSpec:
     """Functional given by its moments ``nu`` (k -> nu_k), a snapshot at time t0."""
-    return MomentSpec(kind="explicit_table", params={"nu": dict(nu), "t0": float(t0)})
+    return MomentSpec(kind="explicit_table", params={"nu": dict(nu), "t0": t0})
 
 
 # ---------------------------------------------------------------------------

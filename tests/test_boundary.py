@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ertl import (CircleState, ClosedFormExample, LatticeState, StepControl, VerblunskySeq,
-                  bootstrap_recurrence, compute_moments, discrete_spec, example1_coeffs,
-                  example1_spec, integrate, integrate_buffered, integrate_schur, kernel_coeffs,
-                  map_beta_alpha_cd, map_cd_beta_alpha, state_from_coeffs, stieltjes)
+from ertl import (CircleState, ClosedFormExample, LatticeState, RecurrenceCoeffs, StepControl,
+                  VerblunskySeq, bootstrap_recurrence, circle_kernel_spec, circle_lebesgue_spec,
+                  compute_moments, discrete_spec, example1_coeffs, example1_spec,
+                  explicit_table_spec, integrate, integrate_buffered, integrate_schur,
+                  kernel_coeffs, map_beta_alpha_cd, map_cd_beta_alpha, state_from_coeffs,
+                  stieltjes, szego_values)
 from ertl.measures import finite_array
 
 HUGE = 10 ** 400  # an integer beyond a double
@@ -83,6 +85,24 @@ BAD_CALLS = {
     "discrete-huge-node": (lambda: discrete_spec([HUGE], [1.0]),
                            "discrete nodes must be finite real numbers"),
     "step-control-huge-tol": (lambda: StepControl(rel_tol=HUGE), "rel_tol must be finite"),
+    # the spec factories converted with float()/complex() before MomentSpec read them
+    "example1-spec-bool-delta": (lambda: example1_spec(True, 2.0),
+                                 "weight parameter delta must be a real number"),
+    "example1-spec-string-delta": (lambda: example1_spec("1", 2.0),
+                                   "weight parameter delta must be a real number"),
+    "lebesgue-spec-string-q": (lambda: circle_lebesgue_spec("0.5"), "q must be a number"),
+    "kernel-spec-string-w": (lambda: circle_kernel_spec(0.5, w="1"),
+                             "kernel point w must be a number"),
+    "table-spec-string-t0": (lambda: explicit_table_spec({0: 1.0}, t0="0"),
+                             "t0 must be a real number"),
+    # RecurrenceCoeffs took any entry; szego_values raised TypeError
+    "recurrence-string-beta": (lambda: RecurrenceCoeffs(0.0, 1, 1, ("x",), ()),
+                               "beta and alpha entries must be a number"),
+    "recurrence-bool-t": (lambda: RecurrenceCoeffs(True, 1, 1, (1.0,), ()),
+                          "t must be a real number"),
+    "recurrence-string-q": (lambda: RecurrenceCoeffs(0.0, 1, "1", (1.0,), ()),
+                            "q must be a number"),
+    "szego-string-w": (lambda: szego_values(SEQ, "1"), "kernel point w must be a number"),
 }
 
 

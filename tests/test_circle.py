@@ -494,7 +494,7 @@ def test_integrate_cd_positivity_lost_names_n_and_d_n(monkeypatch, c, d, q, n):
 
     def recording(stage, evaluate, t0, t_end, t_out, ctrl, validate):
         def validate_and_record(t, y):  # d_1 = 0, then d_2..d_M as validate reads them
-            states.append(np.append(0.0, circle._chain_d(y[:M], y[M + 1:]).real))
+            states.append(circle._ertl_to_cd(y[:M], y[M:], d_only=True).real)
             validate(t, y)
         return core(stage, evaluate, t0, t_end, t_out, ctrl, validate_and_record)
 

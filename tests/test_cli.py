@@ -378,9 +378,9 @@ def test_spectrum_names_the_line_of_a_bad_cell(tmp_path, capsys, line, col, cell
 
 
 def test_trajectory_cells_are_read_and_the_first_bad_one_named():
-    assert cli._traj_numbers("bad", 3, ("a", "b"), ("1e308", "-2")) == [1e308, -2.0]
+    assert cli._finite_floats("bad: line 3 has", ("a", "b"), ("1e308", "-2")) == [1e308, -2.0]
     with pytest.raises(ValueError, match="bad: line 3 has b = 'x', not a finite number"):
-        cli._traj_numbers("bad", 3, ("a", "b", "c"), ("1", "x", "nan"))
+        cli._finite_floats("bad: line 3 has", ("a", "b", "c"), ("1", "x", "nan"))
 
 
 @pytest.mark.parametrize("system", ["cd", "schur", "short-row", "no-header"])
@@ -671,6 +671,11 @@ BAD_COMMAND_LINES = {
     "simulate-t-end": (ERTL + ["--N", "2", "--t-end", "nan"], "t_end must be finite"),
     "simulate-t-out": (ERTL + ["--N", "2", "--t-out", "nan"], "output times"),
     "simulate-t-out-last": (ERTL + ["--N", "2", "--t-out", "0.5,nan"], "output times"),
+    # a bare float() answered "could not convert string to float: 'abc'"
+    "simulate-t-out-word": (ERTL + ["--N", "2", "--t-out", "0.5,abc"],
+                            "--t-out (output times) has entry 2 = 'abc', not a finite number"),
+    "from-measure-t-word": (["from-measure", "--measure", DISCRETE, "--N", "2", "--t", "abc"],
+                            "--t (time points) has entry 1 = 'abc', not a finite number"),
     "simulate-rel-tol": (ERTL + ["--N", "2", "--rel-tol", "nan"], "rel_tol must be finite"),
     "simulate-abs-tol": (ERTL + ["--N", "2", "--abs-tol", "nan"], "abs_tol must be finite"),
     "verify-lax-N": (["verify-lax", "--N", "nan"], "invalid int value"),

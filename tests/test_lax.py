@@ -122,8 +122,8 @@ def test_lax_residual_reads_beta_equation(rng, monkeypatch):
     kernel = lattice._ertl_kernel
     right = integrate(st, 0.1).final
 
-    def wrong_beta(p, q, buf):
-        evaluate = kernel(p, q, buf)
+    def wrong_beta(p, q, buf, open_top=False):
+        evaluate = kernel(p, q, buf, open_top)
 
         def wrong(t=None):
             out = evaluate()

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ertl import (ClosedFormExample, ErtlError, IndexOutOfTable, MomentSpec,
-                  NonConvergentIntegral, RegularityBreakdown, bootstrap_recurrence,
-                  compute_moments,
+                  NonConvergentIntegral, RecurrenceCoeffs, RegularityBreakdown,
+                  bootstrap_recurrence, compute_moments,
                   compute_moments_exact, discrete_spec, example1_coeffs, example1_spec,
                   example2_coeffs, example2_spec, explicit_table_spec,
                   triangle_from_coeffs)
@@ -168,6 +168,16 @@ def test_tau_exact_rational():
     table = compute_moments_exact(spec, 0.0, 3)
     lp, _ = bootstrap_recurrence(table, 2)
     assert lp.tau[1] == tau_closed_form(lp, 1) == Fraction(1)  # 1*(1-4/3) + 2*(2-4/3)
+
+
+def test_recurrence_coeffs_keep_entries_as_given():
+    # Fraction entries stay exact, and a NaN entry (a failed result that a
+    # check must still be able to hold) is admitted; a non-number is not
+    rc = RecurrenceCoeffs(0, 1, 2, [Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 5)])
+    assert rc.beta == (Fraction(1, 3), Fraction(1, 2)) and rc.alpha == (Fraction(1, 5),)
+    assert np.isnan(RecurrenceCoeffs(0.0, 1, 2, (1.0, np.nan), (0.5,)).beta[1])
+    with pytest.raises(ValueError, match="beta and alpha entries must be a number, got None"):
+        RecurrenceCoeffs(0.0, 1, 2, (1.0,), (None,))
 
 
 def test_exact_rational_agrees_with_float_bootstrap():

@@ -454,6 +454,26 @@ def test_spec_json_roundtrip():
         assert back == spec
 
 
+def test_spec_factories_leave_reading_to_the_spec():
+    # the factories no longer convert with float()/complex(); a spec built from
+    # floats equals the one they built by converting
+    from ertl import explicit_table_spec
+    assert example1_spec(1.0, 2.0) == MomentSpec(
+        kind="real_line_weighted", weight_id="example1", params={"delta": 1.0, "q": 2.0},
+        p=1.0 + 0j, q=2.0 + 0j)
+    assert circle_lebesgue_spec(0.3 + 0.4j) == MomentSpec(
+        kind="unit_circle_weighted", weight_id="circle_lebesgue", p=0.3 - 0.4j, q=0.3 + 0.4j)
+    assert circle_kernel_spec(0.5, w=1.0, atoms=((0.1, 0.2),)) == MomentSpec(
+        kind="unit_circle_weighted", weight_id="circle_kernel",
+        params={"w": 1 + 0j, "atoms": ((0.1, 0.2),)}, p=0.5 + 0j, q=0.5 + 0j)
+    assert explicit_table_spec({0: 1.0}, t0=0.5) == MomentSpec(
+        kind="explicit_table", params={"nu": {0: 1.0}, "t0": 0.5})
+    # numpy scalars are kept as given and still written as JSON numbers
+    spec = example1_spec(np.int64(1), np.float32(2.0))
+    assert json.loads(spec.to_json())["params"] == {"delta": 1.0, "q": 2.0}
+    assert MomentSpec.from_json(spec.to_json()) == spec
+
+
 def test_spec_json_rejects_unknown_keys(capsys):
     # a spec written for a bounded interval must not run on (0, inf)
     text = ('{"kind":"real_line_weighted","weight_id":"example1",'

@@ -286,11 +286,12 @@ KERNEL_CALLERS = {"_ertl_kernel": {"rhs_ertl", "rhs_langmuir", "integrate"},
                   "_schur_kernel": {"rhs_schur", "integrate_schur"}}
 
 
-def kernel_callers(source):
-    """{kernel: {caller}} for each call of a ``_*_kernel`` name, bare or as an attribute.
+def kernel_callers(source, wanted=lambda name: name.startswith("_") and name.endswith("_kernel")):
+    """{name: {caller}} for each call of a ``wanted`` name, bare or as an attribute.
 
-    The caller is the module-level function or class the call sits in, at
-    any depth, or "<module>" for a call at module level.
+    ``wanted`` picks the ``_*_kernel`` names by default.  The caller is the
+    module-level function or class the call sits in, at any depth, or
+    "<module>" for a call at module level.
     """
     found = {}
     for top in ast.parse(source).body:
@@ -299,7 +300,7 @@ def kernel_callers(source):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                if name.startswith("_") and name.endswith("_kernel"):
+                if wanted(name):
                     found.setdefault(name, set()).add(caller)
     return found
 
@@ -323,6 +324,20 @@ def test_each_kernel_is_bound_by_its_own_flow_only():
         for kernel, callers in kernel_callers(path.read_text()).items():
             found.setdefault(kernel, set()).update(callers)
     assert found == KERNEL_CALLERS
+
+
+#: the one map each way between a (c, d) chain and its ertl state at p = conj(q),
+#: and the functions that call it: no public map, rate or flow keeps its own copy
+MAP_CALLERS = {"_cd_to_ertl": {"map_beta_alpha_cd", "rhs_cd", "integrate_cd"},
+               "_ertl_to_cd": {"map_cd_beta_alpha", "integrate_cd"}}
+
+
+def test_each_cd_map_is_called_by_its_own_callers_only():
+    found = {}
+    for path in MODULES:
+        for name, callers in kernel_callers(path.read_text(), MAP_CALLERS.__contains__).items():
+            found.setdefault(name, set()).update(callers)
+    assert found == MAP_CALLERS
 
 
 #: each private snapshot constructor and the steppers that build states with
