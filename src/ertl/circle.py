@@ -96,7 +96,7 @@ class CircleState:
     d_1 = 0 are implied.  t, g and c are read by the one rule of
     ``measures.finite_array``: every value a finite real number, bool
     excluded.  ``g`` and ``c`` must have equal length and every g_n must lie
-    in (0, 1) (ValueError otherwise).  g and c are stored as given.
+    in (0, 1) (ValueError otherwise).  g and c are stored as read: Python floats.
     """
 
     t: float
@@ -108,8 +108,10 @@ class CircleState:
         if N != len(self.c):
             raise ValueError(f"g and c must have equal length, got {N}, {len(self.c)}")
         require_finite("t", self.t, real=True)
-        g = finite_array("g and c", (*self.g, *self.c), real=True)[:N].tolist()
-        for n, gv in enumerate(g, start=1):
+        x = finite_array("g and c", (*self.g, *self.c), real=True).tolist()
+        object.__setattr__(self, "g", tuple(x[:N]))
+        object.__setattr__(self, "c", tuple(x[N:]))
+        for n, gv in enumerate(self.g, start=1):
             if not 0.0 < gv < 1.0:
                 raise ValueError(f"g_{n} = {gv} outside (0,1)")
 
@@ -198,6 +200,7 @@ def szego_values(v: VerblunskySeq, w: complex):
     require_finite("kernel point w", w)
     if not abs(abs(w) - 1.0) <= 1e-12:
         raise ValueError("kernel point must satisfy |w| = 1")
+    w = complex(w)
     phi, phis = 1.0 + 0j, 1.0 + 0j
     raw = [phi / phis]
     for n, a_n in enumerate(v.a):
@@ -471,8 +474,8 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
     q = complex(q)
 
-    def validate(t, y):  # y = [beta_1..M, alpha_1 = 0, alpha_2..M]
-        dd = _ertl_to_cd(y[:M], y[M:], d_only=True)[1:].real
+    def validate(t, beta, alpha):
+        dd = _ertl_to_cd(beta, alpha, d_only=True)[1:].real
         n = _first_outside_unit(dd)
         if n:
             raise PositivityLost(f"d_{n} = {dd[n - 2]} left (0, 1) at t={t}", n=n, t=t)

@@ -464,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t-end", type=float, required=True)
     sim.add_argument("--t-out", default=None, help="comma-separated output times")
     sim.add_argument("--init", default=None, help="initial data JSON (inline or path)")
-    sim.add_argument("--rel-tol", type=float, default=1e-10,
+    sim.add_argument("--rel-tol", type=float, default=StepControl.rel_tol,
                      help="local error allowed per step, relative to each component")
-    sim.add_argument("--abs-tol", type=float, default=1e-12,
+    sim.add_argument("--abs-tol", type=float, default=StepControl.abs_tol,
                      help="local error allowed per step and component, added to rel-tol |y_i|")
     sim.add_argument("--out", default="-")
     sim.set_defaults(func=_cmd_simulate)
@@ -532,13 +532,14 @@ def _json_field(v):
     return str(v)
 
 
+_FREE_PQ = tuple(s for s, forced in SYSTEMS.items() if forced is None)  # read --p and --q
 #: (subcommand, flag) -> (default, the modes or systems that read the flag)
 _MODE_FLAGS = {
     ("circle", "w"): (1 + 0j, ("kernel",)),
     ("circle", "h"): (1e-4, ("schur-check",)),
     ("circle", "tol"): (1e-5, ("schur-check",)),
-    ("simulate", "p"): (0j, ("ertl", "langmuir")),
-    ("simulate", "q"): (0j, ("ertl", "langmuir", "cd", "schur")),
+    ("simulate", "p"): (0j, _FREE_PQ),
+    ("simulate", "q"): (0j, (*_FREE_PQ, "cd", "schur")),
     ("simulate", "N"): (None, tuple(SYSTEMS)),
 }
 

@@ -99,8 +99,8 @@ class LatticeState:
     carry the true nonzero alpha_{N+1}; top-site derivatives that would need
     beta_{N+1} are then NaN.  p, q, t and the entries are read by the one
     rule of ``measures.finite_array``: every value a finite number, bool
-    excluded, and t a real one (ValueError otherwise).  p, q and the entries
-    are stored as Python complex numbers.
+    excluded, and t a real one, and N >= 1 (ValueError otherwise).  p, q and
+    the entries are stored as Python complex numbers.
     """
 
     p: complex
@@ -114,6 +114,8 @@ class LatticeState:
         beta, alpha = tuple(self.beta), tuple(self.alpha)
         if self.closure not in ("finite", "buffered"):
             raise ValueError(f"unknown closure {self.closure!r}")
+        if not beta:
+            raise ValueError("depth N must be >= 1")
         if len(alpha) != len(beta) + 1:
             raise ValueError("need alpha_1..alpha_{N+1} alongside beta_1..beta_N")
         require_finite("t", self.t, real=True)
@@ -166,12 +168,10 @@ class LatticeState:
 def state_from_coeffs(p, q, t, beta, alpha_free):
     """Assemble a finite-closure state from beta_1..beta_N and the free alpha_2..alpha_N.
 
-    ValueError unless N >= 1 and alpha_free has N - 1 entries.
+    ValueError unless alpha_free has N - 1 entries, and where ``LatticeState`` (N >= 1) raises.
     """
     beta, alpha_free = tuple(beta), tuple(alpha_free)
-    if not beta:
-        raise ValueError("depth N must be >= 1")
-    if len(alpha_free) != len(beta) - 1:
+    if beta and len(alpha_free) != len(beta) - 1:
         raise ValueError(f"alpha_2..alpha_N needs N - 1 = {len(beta) - 1} entries, "
                          f"got {len(alpha_free)}")
     return LatticeState(p=p, q=q, t=t, beta=beta, alpha=(0,) + alpha_free + (0,))
@@ -657,8 +657,9 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     ``_open`` is ``integrate_buffered``'s (N >= 2): the kernel is bound with
     an open top, so alpha_{N+1} continues the tail instead of staying 0,
     and the returned states are buffered ones that carry it.
-    ``_validate(t, y)`` is ``integrate_cd``'s check of each accepted
-    [beta_1..N, alpha_1 = 0, alpha_2..N], after the beta check.
+    ``_validate(t, beta, alpha)`` is ``integrate_cd``'s check of each
+    accepted step, after the beta check: beta_1..N and alpha_1 = 0,
+    alpha_2..N are views of the stepped vector, in its dtype.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
@@ -677,15 +678,13 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     else:
         evaluate = _ertl_kernel(p, q, buf, _open)
 
-    def check_betas(t, y):
-        _check_betas(y[:N], t)
-
     def validate(t, y):
         _check_betas(y[:N], t)
-        _validate(t, y)
+        if _validate is not None:
+            _validate(t, y[:N], y[N:])
 
     times, snaps, stats = integrate_core(buf[1:-1], evaluate, state.t, t_end, t_out, ctrl,
-                                         check_betas if _validate is None else validate)
+                                         validate)
     states = []
     for tt, y in zip(times, snaps):
         v = y.astype(complex, copy=False).tolist()  # states stay complex

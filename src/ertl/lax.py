@@ -125,7 +125,7 @@ ABERTH_MAX_ITER = 200
 
 
 def _zeros(beta, alpha, z):
-    """Refine the start estimates z to the N zeros of Q_N (N >= 2).
+    """Refine the start estimates z to the N zeros of Q_N (N >= 1).
 
     Simultaneous Aberth iteration until every correction is below
     ``ABERTH_TOL`` (1 + |z|); near simple zeros the iteration converges
@@ -176,10 +176,10 @@ def spectra(states) -> list:
     the isospectral flow moves only by integration error, so the refinement
     takes a sweep or two and eig(H) is not formed.  A warm run that raises
     NonConvergence is retried from the cold start, and a snapshot with a
-    different N takes the cold start directly.  Returns one list of zeros
-    per snapshot, sorted lexicographically by (Re, Im).  Raises ValueError
-    on a state that is not finite-closure, and NonConvergence when a cold
-    run stalls or a root estimate turns non-finite (Q_N overflows).
+    different N takes the cold start directly; at N = 1 either start ends at
+    beta_1 exactly.  Returns one list of zeros per snapshot, sorted by (Re,
+    Im).  ValueError on a state that is not finite-closure; NonConvergence
+    when a cold run stalls or an estimate turns non-finite (Q_N overflows).
     """
     out = []
     for state in states:
@@ -188,9 +188,6 @@ def spectra(states) -> list:
         N = state.N
         beta = np.array(state.beta, dtype=complex)
         alpha = np.array(state.alpha, dtype=complex)  # alpha[k-1] = alpha_k
-        if N == 1:
-            out.append([complex(beta[0])])
-            continue
         z = None
         if out and len(out[-1]) == N:
             try:

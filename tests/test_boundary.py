@@ -185,6 +185,39 @@ def test_finite_array_copies_an_array():
     assert got.tolist() == [1.0, 2.0]
 
 
+# -- a lattice state has a site ---------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: LatticeState(1, 1, 0.0, (), (0,)),
+    lambda: LatticeState(1, 1, 0.0, (), ()),  # before the alpha count
+    lambda: state_from_coeffs(1, 1, 0.0, [], [0.5]),  # before the free-alpha count
+], ids=["state", "state-no-alpha", "from-coeffs-one-alpha"])
+def test_empty_lattice_state_is_rejected_by_lattice_state(call):
+    with pytest.raises(ValueError, match=re.escape("depth N must be >= 1")):
+        call()
+
+
+# -- values are stored as read -----------------------------------------------------
+
+def test_circle_state_stores_g_and_c_as_floats():
+    # g and c given as arrays were kept as arrays: == raised, hash failed, d held numpy scalars
+    from_arrays = CircleState(0.0, np.array([0.5, 0.4]), np.array([0.1, 0.2]))
+    from_tuples = CircleState(0.0, (0.5, 0.4), (0.1, 0.2))
+    assert from_arrays == from_tuples and hash(from_arrays) == hash(from_tuples)
+    from_ints = CircleState(0.0, [0.5, np.float32(0.25)], [0, np.int64(2)])
+    assert from_ints.c == (0.0, 2.0) and from_ints.g == (0.5, 0.25)
+    for s in (from_arrays, from_ints):
+        assert all(type(x) is float for x in (*s.g, *s.c, *s.d))
+
+
+def test_kernel_point_is_read_once_as_a_python_complex():
+    # a numpy w made every rho_n, beta_n and alpha_n a numpy complex128
+    w = np.exp(0.3j)
+    got = kernel_coeffs(SEQ, w)
+    assert all(type(z) is complex for part in got for z in part)
+    assert got == kernel_coeffs(SEQ, complex(w))
+
+
 # -- valid input is stored as before ----------------------------------------------
 
 FINITE = dict(allow_nan=False, allow_infinity=False)

@@ -506,6 +506,23 @@ def test_exit_code_p_q_with_forced_system(capsys, system, flag):
                          "--t-end", "0.1"], flag)
 
 
+@pytest.mark.parametrize("system", list(ertl.SYSTEMS))
+@pytest.mark.parametrize("flag", ["--p", "--q"])
+def test_p_q_are_unread_exactly_where_the_system_forces_them(capsys, system, flag):
+    # SYSTEMS alone decides which lattice systems read the state's own (p, q);
+    # p = q = 1 keeps langmuir's default beta_n = 1 on its symmetric manifold
+    argv = ["simulate", "--system", system, flag, "1,0", "--N", "2", "--t-end", "0.1"]
+    if ertl.SYSTEMS[system] is not None:
+        unread_flag(capsys, argv, flag)
+    else:
+        assert main(argv + ["--q" if flag == "--p" else "--p", "1,0"]) == 0
+
+
+def test_tolerance_defaults_are_step_controls():
+    args, ctrl = cli.build_parser().parse_args(ERTL), ertl.StepControl()
+    assert (args.rel_tol, args.abs_tol) == (ctrl.rel_tol, ctrl.abs_tol)
+
+
 @pytest.mark.parametrize("system", ["schur", "cd"])
 def test_exit_code_p_with_circle_flow(capsys, system):
     init = '{"a":[[0.2,0],[0.1,0]]}' if system == "schur" else '{"c":[0,0],"d":[0,0.25]}'

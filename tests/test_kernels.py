@@ -343,7 +343,7 @@ def plus_zero(z):
 def test_public_rhs_edge_cases():
     # N = 0: no rows, and dalpha still has its N + 1 entries
     assert rhs_ertl(raw_state(1j, 2.0, [], [0j])) == ([], [0j])
-    assert rhs_langmuir(LatticeState(1.0, 2.0, 0.0, (), (0,))) == [0j]
+    assert rhs_langmuir(raw_state(1.0, 2.0, [], [0j])) == [0j]
     # dalpha_1 is +0, not a computed 0 * x (which is -0 here)
     db, da = rhs_ertl(raw_state(1.0, 2.0, [1.0], [0j, 0j]))
     assert len(db) == 1 and len(da) == 2 and plus_zero(da[0])

@@ -371,6 +371,23 @@ def test_positivity_preserved_and_enforced(rng):
         assert all(a.real > 0 and a.imag == 0 for a in s.alpha[1:-1])
 
 
+@pytest.mark.parametrize("complex_data", [True, False])
+def test_validate_hook_reads_beta_and_alpha_of_each_accepted_step(rng, complex_data):
+    # integrate owns the stepped layout: _validate(t, beta, alpha) gets beta_1..N and
+    # alpha_1 = 0, alpha_2..N in the stepped dtype, once per accepted step
+    N, calls = 6, []
+    state = random_state(rng, N, complex_data=complex_data)
+    traj = integrate(state, 0.3, t_out=[0.1, 0.3],
+                     _validate=lambda t, beta, alpha: calls.append((t, beta.copy(), alpha.copy())))
+    assert len(calls) == traj.step_stats["accepted"] > 2
+    for _, beta, alpha in calls:
+        assert len(beta) == len(alpha) == N and alpha[0] == 0
+        assert beta.dtype == alpha.dtype == (complex if complex_data else np.float64)
+    t, beta, alpha = calls[-1]  # the last accepted step lands on t_end
+    assert t == pytest.approx(0.3, abs=1e-15)
+    assert beta.tolist() == list(traj.final.beta) and alpha.tolist() == list(traj.final.alpha[:-1])
+
+
 @pytest.mark.parametrize("tols", [dict(rel_tol=float("nan")), dict(rel_tol=float("inf")),
                                   dict(abs_tol=float("nan")), dict(abs_tol=float("inf")),
                                   dict(rel_tol=0.0), dict(abs_tol=-1e-12)])

@@ -187,6 +187,18 @@ def test_spectrum_scalar():
     assert spectrum(st) == [0.7 - 0.1j]
 
 
+@pytest.mark.parametrize("beta_1", [0.7, 2.0 ** 0.5, 1e-3, 0.7 - 0.1j, -3e5 + 2e-7j, 1j])
+def test_single_site_spectrum_is_beta_1_exactly(eigvals_calls, beta_1):
+    # N = 1 takes the general path: Aberth from eig of the 1 x 1 H (cold), or
+    # from the previous zero (warm), returns beta_1 bit for bit
+    state = state_from_coeffs(1.0, 2.0, 0.0, [beta_1], [])
+    traj = integrate(state, 0.5, t_out=[0.25, 0.5])  # a single site is stationary
+    other = state_from_coeffs(1.0, 2.0, 0.0, [0.3 + 2j], [])
+    runs = [spectrum(state), *spectra(traj.states), spectra([other, state])[1]]
+    assert all(np.array(zeros).tobytes() == np.array(state.beta).tobytes() for zeros in runs)
+    assert eigvals_calls == [1, 1, 1]  # one cold start per call; the rest ran warm
+
+
 def test_spectrum_quadratic_by_hand():
     st = state_from_coeffs(1.0, 1.0, 0.0, [1.0, 2.0], [1.0])
     lam = spectrum(st)
