@@ -32,9 +32,16 @@ alternatives for the lattice systems and verify-lax; schur and cd take
 (defaults 1 and 0) only without `--init`.  A depth `--N` must be >= 1
 (>= 3 for `circle schur-check`, which judges the rows n >= 1).
 
-Exit codes: 0 ok, 1 invalid configuration (usage errors included), 2
-numerical breakdown.  Every nonzero exit writes one JSON error report,
-{"error": <type>, "message": ...}, to stderr.
+A lattice system reads `--p` and `--q` where `lattice.SYSTEMS` leaves them
+free, and runs at its fixed value otherwise: ertl reads both, langmuir
+(p = 1) `--q` only, rtl1 and rtl2 neither; cd and schur read `--q` only.
+
+Exit codes: 0 ok, 1 bad input of any kind, 2 numerical breakdown met while
+computing (``ErtlError.breakdown``).  Bad input includes usage errors and a
+starting state, spec or table the library rejects in its own error type: a
+singular or off-manifold state exits 1.  Every nonzero exit writes one JSON
+error report, {"error": <type>, "message": ...} and the error's fields, to
+stderr.
 """
 
 from __future__ import annotations
@@ -421,6 +428,48 @@ def _cmd_oracle(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _free(param: str) -> tuple:
+    """The lattice systems that do not fix ``param`` (lattice.SYSTEMS), so read it."""
+    return tuple(s for s, fixed in SYSTEMS.items() if param not in fixed)
+
+
+#: (subcommand, flag) -> (default, the modes or systems that read the flag)
+_MODE_FLAGS = {
+    ("circle", "w"): (1 + 0j, ("kernel",)),
+    ("circle", "h"): (1e-4, ("schur-check",)),
+    ("circle", "tol"): (1e-5, ("schur-check",)),
+    ("simulate", "p"): (0j, _free("p")),
+    ("simulate", "q"): (0j, (*_free("q"), "cd", "schur")),
+    ("simulate", "N"): (None, tuple(SYSTEMS)),
+}
+
+
+def _mode_help(command: str, flag: str, text: str) -> str:
+    """``text`` with the tail "(read by <readers>; default <default>)" of ``_MODE_FLAGS``."""
+    default, readers = _MODE_FLAGS[command, flag]
+    tail = f"read by {', '.join(readers)}"
+    if default is not None:  # a real number, stored complex where the flag is
+        tail += f"; default {complex(default).real:g}"
+    return f"{text} ({tail})"
+
+
+def _check_mode_flags(args):
+    """ValueError for a flag given to a mode that does not read it; sets the others' values.
+
+    An unread flag takes the value its lattice system fixes (lattice.SYSTEMS),
+    if it fixes one, and the flag's default otherwise.
+    """
+    for (command, flag), (default, readers) in _MODE_FLAGS.items():
+        if command != args.command:
+            continue
+        mode = args.mode if command == "circle" else args.system
+        if getattr(args, flag) is None:
+            setattr(args, flag, SYSTEMS.get(mode, {}).get(flag, default))
+        elif mode not in readers:
+            where = f"circle {mode}" if command == "circle" else f"simulate --system {mode}"
+            raise ValueError(f"--{flag} is not read by {where}")
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors raise ValueError, reported by ``main`` (exit 1)."""
 
@@ -455,11 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--system", required=True,
                      choices=[*SYSTEMS, "cd", "schur"])
     sim.add_argument("--N", type=int, default=None,
-                     help="sites of the default lattice state; not with --init")
-    sim.add_argument("--p", type=_parse_complex, default=None,
-                     help="ertl and langmuir only (default 0)")
-    sim.add_argument("--q", type=_parse_complex, default=None,
-                     help="not with rtl1 or rtl2, which force (p, q) (default 0)")
+                     help=_mode_help("simulate", "N", "sites of the default lattice state; "
+                                                      "not with --init"))
+    for flag in ("p", "q"):
+        sim.add_argument(f"--{flag}", type=_parse_complex, default=None,
+                         help=_mode_help("simulate", flag, f"modification coefficient {flag}; "
+                                         "a lattice system that fixes it runs at its value"))
     sim.add_argument("--t0", type=float, default=0.0)
     sim.add_argument("--t-end", type=float, required=True)
     sim.add_argument("--t-out", default=None, help="comma-separated output times")
@@ -497,11 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--N", type=int, required=True)
     ci.add_argument("--t", type=float, default=0.0)
     ci.add_argument("--w", type=_parse_complex, default=None,
-                    help="kernel point, kernel mode only (default 1)")
-    ci.add_argument("--h", type=float, default=None,
-                    help="FD step, schur-check only (default 1e-4)")
+                    help=_mode_help("circle", "w", "kernel point"))
+    ci.add_argument("--h", type=float, default=None, help=_mode_help("circle", "h", "FD step"))
     ci.add_argument("--tol", type=float, default=None,
-                    help="pass threshold, schur-check only (default 1e-5)")
+                    help=_mode_help("circle", "tol", "pass threshold"))
     ci.add_argument("--out", default="-")
     ci.set_defaults(func=_cmd_circle)
 
@@ -532,31 +581,6 @@ def _json_field(v):
     return str(v)
 
 
-_FREE_PQ = tuple(s for s, forced in SYSTEMS.items() if forced is None)  # read --p and --q
-#: (subcommand, flag) -> (default, the modes or systems that read the flag)
-_MODE_FLAGS = {
-    ("circle", "w"): (1 + 0j, ("kernel",)),
-    ("circle", "h"): (1e-4, ("schur-check",)),
-    ("circle", "tol"): (1e-5, ("schur-check",)),
-    ("simulate", "p"): (0j, _FREE_PQ),
-    ("simulate", "q"): (0j, (*_FREE_PQ, "cd", "schur")),
-    ("simulate", "N"): (None, tuple(SYSTEMS)),
-}
-
-
-def _check_mode_flags(args):
-    """ValueError for a flag given to a mode that does not read it; sets the others' defaults."""
-    for (command, flag), (default, readers) in _MODE_FLAGS.items():
-        if command != args.command:
-            continue
-        mode = args.mode if command == "circle" else args.system
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-        elif mode not in readers:
-            where = f"circle {mode}" if command == "circle" else f"simulate --system {mode}"
-            raise ValueError(f"--{flag} is not read by {where}")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -570,7 +594,7 @@ def main(argv=None) -> int:
                       if getattr(exc, key, None) is not None)
         json.dump(report, sys.stderr)
         sys.stderr.write("\n")
-        return 2 if isinstance(exc, ErtlError) else 1
+        return 2 if isinstance(exc, ErtlError) and exc.breakdown else 1
 
 
 if __name__ == "__main__":

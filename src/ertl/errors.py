@@ -3,16 +3,22 @@
 Numerical breakdowns are *detected* conditions, never silent NaN: a vanishing
 recurrence denominator, a failed regularity condition or a non-convergent
 quadrature each raise a dedicated error carrying the level/site where the
-problem occurred.
+problem occurred.  Each error says which kind it is in ``breakdown``: True
+for a breakdown met while computing, False for an error that rejects what
+the caller gave.  The command line exits 2 for the one and 1 for the other.
 """
 
 
 class ErtlError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; a breakdown unless ``breakdown`` says otherwise."""
+
+    breakdown = True
 
 
 class InvalidSupport(ErtlError):
     """The modification does not damp the weight at 0 and at infinity, so the moments diverge."""
+
+    breakdown = False  # the spec asks for divergent moments
 
 
 class NonConvergentIntegral(ErtlError):
@@ -21,6 +27,9 @@ class NonConvergentIntegral(ErtlError):
 
 class IndexOutOfTable(ErtlError, KeyError):
     """A moment of order outside the computed table was requested."""
+
+    breakdown = False  # the request reaches past the table
+    __str__ = Exception.__str__  # the message, without KeyError's quotes
 
 
 class RegularityBreakdown(ErtlError):
@@ -40,13 +49,18 @@ class RegularityBreakdown(ErtlError):
 
 
 class SingularDenominator(ErtlError):
-    """|beta_n| fell below the singularity threshold at site ``n``."""
+    """|beta_n| fell below the singularity threshold at site ``n``.
+
+    A breakdown when a step met it (``t_bracket``, the step's start and end
+    time, set); otherwise the given state was singular, which is bad input.
+    """
 
     def __init__(self, n, value=None, t=None, t_bracket=None):
         self.n = n
         self.value = value
         self.t = t
         self.t_bracket = t_bracket
+        self.breakdown = t_bracket is not None
         loc = f" near t in {t_bracket}" if t_bracket is not None else (f" at t={t}" if t is not None else "")
         super().__init__(f"singular denominator: |beta_{n}| too small{loc}")
 
@@ -71,6 +85,8 @@ class PositivityLost(ErtlError):
 
 class NotSymmetricState(ErtlError):
     """State does not lie on the symmetric manifold beta_n = sqrt(q)."""
+
+    breakdown = False  # checked on the given state, before any step
 
 
 class NonConvergence(ErtlError):

@@ -339,8 +339,11 @@ def rhs_langmuir(state: LatticeState):
     return _volterra_kernel(buf)()[N:].tolist() + [0j if buf[-1] == 0 else _NAN]
 
 
-#: system id -> the (p, q) it forces on the flow, or None to keep the state's
-SYSTEMS = {"ertl": None, "rtl1": (0j, 1 + 0j), "rtl2": (1 + 0j, 0j), "langmuir": None}
+#: system id -> the parameters it fixes, by name ("p", "q"), at their values; a
+#: parameter a system does not name is the state's own.  rtl1 and rtl2 are the
+#: p = 0 and q = 0 reductions, and langmuir the p = 1 one on beta_n = sqrt(q)
+SYSTEMS = {"ertl": {}, "rtl1": {"p": 0j, "q": 1 + 0j}, "rtl2": {"p": 1 + 0j, "q": 0j},
+           "langmuir": {"p": 1 + 0j}}
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +649,14 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
 
     The evolving unknowns are beta_1..beta_N and alpha_2..alpha_N; alpha_1
     and alpha_{N+1} stay pinned at 0.  ``rhs_id`` selects a system of
-    ``SYSTEMS``: "rtl1" and "rtl2" run the generic flow at their forced
-    (p, q), and their returned states carry it; "langmuir" checks the
-    symmetric manifold once, here, then freezes beta and steps the Volterra
-    flow.  When p, q and the state are real the unknowns are stepped as
-    float64; the returned states are complex either way.  The output grid
-    follows ``integrate_core``, so the returned times and states start at
-    the state's own time.
+    ``SYSTEMS``, which runs at the value of each parameter it fixes and at
+    the state's own value of the others; the returned states carry the
+    (p, q) that ran.  "langmuir" (p = 1) checks the symmetric manifold
+    once, here, on the state's own p and q, then freezes beta and steps the
+    Volterra flow.  When p, q and the state are real the unknowns are
+    stepped as float64; the returned states are complex either way.  The
+    output grid follows ``integrate_core``, so the returned times and
+    states start at the state's own time.
 
     ``_open`` is ``integrate_buffered``'s (N >= 2): the kernel is bound with
     an open top, so alpha_{N+1} continues the tail instead of staying 0,
@@ -666,7 +670,8 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     if rhs_id not in SYSTEMS:
         raise ValueError(f"unknown system {rhs_id!r}")
     N = state.N
-    p, q = forced = SYSTEMS[rhs_id] or (state.p, state.q)
+    fixed = SYSTEMS[rhs_id]
+    p, q = pq = fixed.get("p", state.p), fixed.get("q", state.q)
 
     buf = np.array([1, *state.beta, *state.alpha], dtype=complex)
     if p.imag == q.imag == 0.0 and not buf.imag.any():
@@ -689,7 +694,7 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     for tt, y in zip(times, snaps):
         v = y.astype(complex, copy=False).tolist()  # states stay complex
         top = 2 * v[-1] - v[-2] if _open else 0j
-        states.append(LatticeState._unchecked(*forced, tt, tuple(v[:N]), (0j, *v[N + 1:], top),
+        states.append(LatticeState._unchecked(*pq, tt, tuple(v[:N]), (0j, *v[N + 1:], top),
                                               "buffered" if _open else "finite"))
     return Trajectory(times=tuple(times), states=tuple(states), step_stats=stats)
 

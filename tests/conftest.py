@@ -140,11 +140,13 @@ def rk4_reference(state, t_end, h, t_out=None, rhs_id="ertl"):
     stepping: every stage is a complex LatticeState.  Each stretch between
     output times (``t_out`` plus t_end) is cut into equal steps of at most h.
     ``rhs_id`` names a system of ``SYSTEMS`` stepped by the generic flow
-    ("ertl", "rtl1", "rtl2"), whose (p, q) it forces.
+    ("ertl", "rtl1", "rtl2"): a parameter it fixes takes the fixed value, and
+    the state keeps the others.
     """
     if rhs_id not in ("ertl", "rtl1", "rtl2"):
         raise ValueError(f"no generic-flow reference for {rhs_id!r}")
-    p, q = SYSTEMS[rhs_id] or (state.p, state.q)
+    fixed = SYSTEMS[rhs_id]
+    p, q = fixed.get("p", state.p), fixed.get("q", state.q)
     N = state.N
 
     def f(t, y):

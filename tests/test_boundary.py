@@ -56,6 +56,8 @@ BAD_CALLS = {
                                "Stieltjes nodes and weights must be finite real numbers"),
     "stieltjes-bool-weights": (lambda: stieltjes([1.0, 2.0], [True, True], 1),
                                "Stieltjes nodes and weights must be finite numbers"),
+    "stieltjes-zero-node": (lambda: stieltjes([0.0, 2.0], [1.0, 1.0], 1),
+                            "Stieltjes nodes must be positive"),
     "integrate-string-t-end": (lambda: integrate(STATE, "0.5"), "t_end must be a real number"),
     "integrate-bool-t-end": (lambda: integrate(STATE, True), "t_end must be a real number"),
     "integrate-string-t-out": (lambda: integrate(STATE, 1.0, t_out=["0.5"]),

@@ -11,12 +11,12 @@ import ertl.lattice as lattice
 from hypothesis import given, settings, strategies as st
 
 from ertl import (CircleState, DegenerateKernel, LatticeState, NotPositiveDefinite,
-                  PositivityLost, RecurrenceCoeffs, StepControl, VerblunskySeq,
-                  bootstrap_recurrence, cd_from_verblunsky, circle_kernel_spec,
-                  circle_lebesgue_spec, compute_moments, explicit_table_spec,
-                  integrate_cd, integrate_schur, kernel_coeffs, map_beta_alpha_cd,
-                  map_cd_beta_alpha, rhs_cd, rhs_ertl, rhs_schur,
-                  verblunsky_from_moments)
+                  PositivityLost, ReciprocalZero, RecurrenceCoeffs, StepControl,
+                  VerblunskySeq, bootstrap_recurrence, cd_from_verblunsky,
+                  circle_kernel_spec, circle_lebesgue_spec, compute_moments,
+                  explicit_table_spec, integrate_cd, integrate_schur, kernel_coeffs,
+                  map_beta_alpha_cd, map_cd_beta_alpha, rhs_cd, rhs_ertl, rhs_schur,
+                  szego_values, verblunsky_from_moments)
 from ertl.lorth import MAX_DEPTH
 from ertl.measures import MomentTable
 from tests.conftest import cd_edge_rates, eval_Q, q_at_zero
@@ -225,6 +225,15 @@ def test_degenerate_kernel_detected():
     assert cs.g[0] == pytest.approx(5.0e-14, rel=1e-2)
 
 
+def test_reciprocal_zero_detected():
+    # at |w| = 1 + 2^-52, within the kernel point's 1e-12, Phi*_1(w) = 1 - a_0 w
+    # rounds to 0 for a_0 = 1 - 2^-53
+    for call in (szego_values, kernel_coeffs):
+        with pytest.raises(ReciprocalZero) as exc:
+            call(VerblunskySeq(0.0, (1 - 2 ** -53,)), 1 + 2 ** -52)
+        assert exc.value.n == 1
+
+
 def test_map_trivial_values():
     beta, alpha = map_beta_alpha_cd([0.0, 0.0], [0.0, 0.25])
     assert beta[0] == pytest.approx(-1.0)
@@ -249,7 +258,13 @@ def test_map_trivial_values():
     # the same rules reach integrate_cd through the map
     (lambda: integrate_cd([0.0, 0.5j], [0.0, 0.25], 0.5, 0.0, 0.1), "must be finite real numbers"),
     # NaN rows answered before; integrate_schur rejected the same q
-    (lambda: rhs_schur(VerblunskySeq(0.0, (0.2, 0.1, 0.3)), np.nan), "q must be finite")])
+    (lambda: rhs_schur(VerblunskySeq(0.0, (0.2, 0.1, 0.3)), np.nan), "q must be finite"),
+    # the Szego ratios of the kernel maps need |w| = 1
+    (lambda: szego_values(VerblunskySeq(0.0, (0.2,)), 1.01), "kernel point must satisfy |w| = 1"),
+    # |w| = 1 - 1e-12 passes that test, but |rho_1| = |w - a_0| / |1 - a_0 w| is
+    # 1 - 1e-12 (1 + a_0) / (1 - a_0) = 1 - 2.0e-10 at a_0 = 0.99
+    (lambda: szego_values(VerblunskySeq(0.0, (0.99,)), 1 - 1e-12),
+     "|rho_1| = 0.99999999980")])
 def test_circle_maps_reject_what_they_cannot_map(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -1,8 +1,11 @@
 """End-to-end CLI runs: golden outputs, determinism, exit codes."""
 
+import argparse
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,7 +214,7 @@ FLOW_GOLDENS = {
         '{"beta":[[1,0.2],[1.2,-0.1],[0.9,0.1],[1.1,0]],'
         '"alpha":[[0.5,0.1],[0.3,-0.2],[0.4,0]]}'],
     "simulate_langmuir.csv": [
-        "--system", "langmuir", "--p", "1,0", "--q", "2,0", "--init",
+        "--system", "langmuir", "--q", "2,0", "--init",
         '{"beta":[' + ",".join([SQRT2] * 5) + '],"alpha":[[0.5,0],[0.3,0],[0.8,0],[0.2,0]]}'],
     "simulate_schur.csv": [
         "--system", "schur", "--q", "0.5,0.3", "--init",
@@ -509,13 +512,57 @@ def test_exit_code_p_q_with_forced_system(capsys, system, flag):
 @pytest.mark.parametrize("system", list(ertl.SYSTEMS))
 @pytest.mark.parametrize("flag", ["--p", "--q"])
 def test_p_q_are_unread_exactly_where_the_system_forces_them(capsys, system, flag):
-    # SYSTEMS alone decides which lattice systems read the state's own (p, q);
-    # p = q = 1 keeps langmuir's default beta_n = 1 on its symmetric manifold
+    # SYSTEMS alone decides, per parameter, which lattice systems read --p and
+    # --q: a system reads each one it does not fix.  q = 1 keeps langmuir's
+    # default beta_n = 1 on its symmetric manifold
     argv = ["simulate", "--system", system, flag, "1,0", "--N", "2", "--t-end", "0.1"]
-    if ertl.SYSTEMS[system] is not None:
+    if flag[2:] in ertl.SYSTEMS[system]:
         unread_flag(capsys, argv, flag)
     else:
-        assert main(argv + ["--q" if flag == "--p" else "--p", "1,0"]) == 0
+        assert main(argv) == 0
+
+
+def test_langmuir_fixes_p_1(capsys):
+    # p = 1 is the only p of the Langmuir reduction: its golden run needs no
+    # --p, and the --p 1,0 that run was once written with is an unread flag
+    assert ertl.SYSTEMS["langmuir"] == {"p": 1 + 0j}
+    unread_flag(capsys, ["simulate", *FLOW_GOLDENS["simulate_langmuir.csv"], "--t-end", "0.5",
+                         "--p", "1,0"], "--p")
+
+
+def option_help(command):
+    """{flag: help} of the parser's ``command`` subcommand, flags without their dashes."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {opt.lstrip("-"): action.help for action in subs.choices[command]._actions
+            for opt in action.option_strings}
+
+
+def test_mode_flag_help_ends_with_its_readers_and_default():
+    # the lattice systems that read --p and --q are those SYSTEMS leaves the
+    # parameter free, and each mode flag's help ends with _MODE_FLAGS' entry
+    for param in ("p", "q"):
+        free = [s for s, fixed in ertl.SYSTEMS.items() if param not in fixed]
+        circle = ["cd", "schur"] if param == "q" else []
+        assert list(cli._MODE_FLAGS["simulate", param][1]) == free + circle
+    assert cli._MODE_FLAGS["simulate", "N"][1] == tuple(ertl.SYSTEMS)
+    for (command, flag), (default, readers) in cli._MODE_FLAGS.items():
+        tail = "read by " + ", ".join(readers)
+        if default is not None:
+            assert complex(default).imag == 0
+            tail += f"; default {complex(default).real:g}"
+        assert option_help(command)[flag].endswith(f" ({tail})")
+
+
+def test_no_help_string_names_a_lattice_system():
+    # which system reads which flag is said once, by SYSTEMS and _MODE_FLAGS
+    tree = ast.parse(Path(cli.__file__).read_text())
+    texts = [node.value for kw in ast.walk(tree) if isinstance(kw, ast.keyword)
+             and kw.arg == "help" for node in ast.walk(kw.value)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert len(texts) > 20
+    named = {word for text in texts for word in re.findall(r"\w+", text)}
+    assert named.isdisjoint(ertl.SYSTEMS)
 
 
 def test_tolerance_defaults_are_step_controls():
@@ -743,6 +790,42 @@ def test_bad_command_line_exits_1_with_report(capsys, case):
     assert out == "" and "Traceback" not in err
     report = json.loads(err)
     assert report["error"] == "ValueError" and needle in report["message"]
+
+
+SINGULAR = '{"beta":[[0,0],[1,0]],"alpha":[[0.5,0]]}'  # beta_1 = 0
+SINGULAR_REPORT = {"error": "SingularDenominator", "n": 1, "value": [0.0, 0.0], "t": 0.0,
+                   "message": "singular denominator: |beta_1| too small at t=0.0"}
+#: id -> (command line, its report); input the library rejects with an ErtlError
+#: of its own, before any step.  Each exited 2, the breakdown code, before
+REJECTED_INPUT = {
+    "simulate-singular-init": (["simulate", "--system", "ertl", "--t-end", "0.1",
+                                "--init", SINGULAR], SINGULAR_REPORT),
+    "verify-lax-singular-init": (["verify-lax", "--init", SINGULAR], SINGULAR_REPORT),
+    "langmuir-off-manifold": (
+        ["simulate", "--system", "langmuir", "--q", "2,0", "--t-end", "0.1",
+         "--init", TWO_SITES],
+        {"error": "NotSymmetricState", "message": "max |beta_n - sqrt(q)| = 4.142e-01"}),
+    "moments-divergent": (
+        ["moments", "--K", "2", "--measure",
+         '{"kind":"real_line_weighted","weight_id":"example1",'
+         '"params":{"delta":1,"q":2},"p":[-1,0],"q":[1,0]}'],
+        {"error": "InvalidSupport", "message": "a weight on (0, inf) requires Re(p) >= 0 "
+         "and Re(q) >= 0; refusing a divergent modification"}),
+    "moments-short-table": (
+        ["moments", "--K", "2", "--measure",
+         '{"kind":"explicit_table","params":{"nu":{"-1":[1,0],"0":[1,0],"1":[1,0]}}}'],
+        {"error": "IndexOutOfTable", "message": "stored table does not cover |k| <= 2"}),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_INPUT)
+def test_input_rejected_by_the_library_exits_1(capsys, case):
+    # bad input is exit 1 also where the library's own error type rejects it;
+    # the report keeps that type and its fields
+    argv, want = REJECTED_INPUT[case]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == want
 
 
 #: command lines that take the depth N last; each needs N >= 1

@@ -666,6 +666,28 @@ def test_integrate_buffered_rejects_bad_site_counts(n_report, n_buf, name):
     assert calls == []  # rejected before make_state is called
 
 
+_EX1 = _closed_form_truncations("example1")
+#: id -> (call, message); each call asks integrate for what it cannot step
+UNSTEPPABLE = {
+    "unknown-system": (lambda: integrate(_EX1(3), 0.1, rhs_id="toda"), "unknown system 'toda'"),
+    "buffered-state": (lambda: integrate(_EX1(4).prefix(3), 0.1),
+                       "integration needs a finite-closure state"),
+    # the probe make_state(n_report) is not checked; each run's window is
+    "make-state-more-sites": (lambda: integrate_buffered(lambda M: _EX1(M + 1), 2, 0.1, n_buf=4),
+                              "make_state(M) must return a finite-closure state with M sites"),
+    "make-state-buffered": (lambda: integrate_buffered(lambda M: _EX1(M + 1).prefix(M), 2, 0.1,
+                                                       n_buf=4),
+                            "make_state(M) must return a finite-closure state with M sites"),
+}
+
+
+@pytest.mark.parametrize("case", UNSTEPPABLE)
+def test_integrate_rejects_what_it_cannot_step(case):
+    call, message = UNSTEPPABLE[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 # -- output grid, shared by every flow through integrate_core ---------------------
 
 def _lattice_times(t_end, t_out):

@@ -365,7 +365,7 @@ def test_spectra_reject_buffered_state():
     buffered = state.prefix(5)  # carries the true nonzero alpha_6
     traj = Trajectory(times=(0.0, 0.1), states=(state, buffered), step_stats={})
     for call in (lambda: spectrum(buffered), lambda: spectra([state, buffered]),
-                 lambda: isospectral_drift(traj)):
+                 lambda: isospectral_drift(traj), lambda: build_pair(buffered)):
         with pytest.raises(ValueError, match="finite-closure"):
             call()
 

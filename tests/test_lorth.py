@@ -62,6 +62,22 @@ def test_bootstrap_breaks_down_on_unit_mass():
     table = compute_moments(discrete_spec([1.0], [1.0]), 0.0, 4)
     with pytest.raises(RegularityBreakdown):
         bootstrap_recurrence(table, 3)
+    # the moment bootstrap of the same table, given explicitly: L[Q_1] = 0 at level 1
+    explicit = compute_moments(explicit_table_spec(table.nu), 0.0, 3)
+    with pytest.raises(RegularityBreakdown) as err:
+        bootstrap_recurrence(explicit, 2)
+    assert (err.value.n, err.value.which, err.value.value) == (1, "condition_b", 0j)
+
+
+def test_bootstrap_warns_when_sigmas_run_out_of_range():
+    # beta_1 = nu_0 / nu_-1 = 1, so sigma_{1,1} = nu_1 - nu_0 = 1e130 and
+    # sigma_{1,-1} = nu_-1 - nu_-2 = 1e130: both pass the regularity test, but
+    # sigma_{1,1} / sigma_{0,0} = 1e130 leaves the double-precision range
+    nu = {**dict.fromkeys(range(-3, 4), 0.0), 0: 1.0, -1: 1.0, 1: 1e130, -2: -1e130}
+    table = compute_moments(explicit_table_spec(nu), 0.0, 3)
+    with pytest.warns(RuntimeWarning, match="sigma ratio 1.000e[+]130 at level 1"):
+        _, rc = bootstrap_recurrence(table, 2)
+    assert rc.beta == (1 + 0j, -1 + 0j) and rc.alpha == (1e130 + 0j,)
 
 
 def test_bootstrap_positivity(ten_node_boot):

@@ -377,3 +377,50 @@ def test_unchecked_snapshots_are_built_by_their_steppers_only():
         for owner, callers in unchecked_callers(path.read_text()).items():
             found.setdefault(owner, set()).update(callers)
     assert found == UNCHECKED_CALLERS
+
+
+def idle_errors(errors_source, sources, tests):
+    """'Name (never raised)' or 'Name (named by no test)' for each ErtlError subclass.
+
+    The subclasses are the classes of ``errors_source`` that derive from
+    ``ErtlError``, directly or through another subclass.  One is raised when
+    a ``raise`` statement of one of the ``sources`` raises it, called or by
+    name, and tested when one of the ``tests`` holds its name as a word.
+    """
+    subclasses = {"ErtlError"}
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in subclasses for b in node.bases):
+            subclasses.add(node.name)
+    subclasses.discard("ErtlError")
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    named = {word for text in tests for word in re.findall(r"\w+", text)}
+    return sorted([f"{name} (never raised)" for name in subclasses - raised]
+                  + [f"{name} (named by no test)" for name in subclasses - named])
+
+
+def test_idle_errors_finds_unraised_and_untested_subclass():
+    errors = ("class ErtlError(Exception):\n    pass\n\n\n"
+              "class A(ErtlError):\n    pass\n\n\nclass B(A, KeyError):\n    pass\n\n\n"
+              "class C(ErtlError):\n    pass\n\n\nclass D(ErtlError):\n    pass\n\n\n"
+              "class Other(Exception):\n    pass\n")
+    sources = ["def f():\n    raise A('x')\n\n\ndef g():\n    raise B from None\n\n\n"
+               "def h():\n    return D('built, not raised')\n\n\n"
+               "def k():\n    raise Other()\n"]
+    tests = ["with pytest.raises(A):\n    f()\n", "# B and D are named here\n"]
+    assert idle_errors(errors, sources, tests) == ["C (named by no test)", "C (never raised)",
+                                                   "D (never raised)"]
+
+
+def test_every_error_is_raised_and_tested():
+    # a type nothing raises is dead, and one no test names is a path the suite never checks
+    tests = [p.read_text() for p in (ROOT / "tests").glob("test_*.py")
+             if p.name != "test_source.py"]
+    assert idle_errors((SRC / "errors.py").read_text(),
+                       [p.read_text() for p in MODULES], tests) == []
