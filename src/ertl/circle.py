@@ -30,8 +30,10 @@ telescoping beta-sum identity through the coefficient map, and verified
 against quadrature-evolved measures in the test suite).
 
 The (c, d) flow is the ertl flow at p = conj(q) carried through that map:
-a window with d_{M+1} = 0 is the finite state with alpha_{M+1} = 0, which
-``integrate_cd`` steps with ``lattice.integrate``.  The Schur flow has one
+a window with d_{M+1} = 0 is the finite window with alpha_{M+1} = 0, whose
+(beta, alpha) arrays ``integrate_cd`` steps with lattice's array core, the
+one under ``lattice.integrate``, and maps back; it builds no
+``LatticeState``.  The Schur flow has one
 shifted-slice kernel on the complex window A = (a_{-1} = -1, a_0..a_{M-1},
 a_M = 0), which returns its own output array, the derivative of the
 interior; ``integrate_schur`` steps that interior in place and
@@ -41,12 +43,14 @@ and |a_n| < 1 or d_n in (0, 1) checked on accepted states only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateKernel, NotPositiveDefinite, PositivityLost, ReciprocalZero
-from .lattice import LatticeState, StepControl, integrate, integrate_core, rhs_ertl
+from . import lattice
+from .lattice import LatticeState, StepControl, integrate_core, rhs_ertl
 from .measures import MomentTable, finite_array, require_count, require_finite
 
 
@@ -138,8 +142,8 @@ def _toeplitz_moments(table: MomentTable, N: int):
     """
     if not table.covers(-1, N - 1):
         raise ValueError(f"need nu_k for -1 <= k <= {N - 1} to reach depth {N}")
-    mu = {m: table.nu_at(m - 1) for m in range(-(table.K - 1), table.K + 2)
-          if (m - 1) in table.nu}
+    nu = table.nu
+    mu = {m: nu[m - 1] for m in range(-(table.K - 1), table.K + 2) if (m - 1) in nu}
     mu0 = mu[0]
     if abs(mu0.imag) > 1e-10 * max(1.0, abs(mu0.real)) or mu0.real <= 0.0:
         raise ValueError(f"mu_0 = {mu0} is not real positive; not a measure table")
@@ -167,11 +171,12 @@ def verblunsky_from_moments(table: MomentTable, N: int) -> VerblunskySeq:
     """
     require_count("depth N", N)
     mu = _toeplitz_moments(table, N)
+    mus = [mu[i] for i in range(1, N + 1)]  # mu_1..mu_N
     b = [1.0 + 0j]
     norm2 = mu[0].real
     out = []
     for n in range(N):
-        inner = sum(bi * mu[i + 1] for i, bi in enumerate(b))
+        inner = sum(map(operator.mul, b, mus))  # b has n + 1 entries
         ca = inner / norm2
         if abs(ca) >= 1.0:
             raise NotPositiveDefinite(n, abs(ca))
@@ -370,12 +375,12 @@ def _schur_kernel(A, q):
     output array, the rows n = 0..M-1 of (1 - |a_n|^2)(conj(q) a_{n-1} - q
     a_{n+1}), the derivative of A[1:-1].  It does not check |a_n| < 1.  The
     second factor is one product of (conj(q), -q) with the rows a_{n-1} and
-    a_{n+1} of A's sliding windows, and 1 - |a_n|^2 is formed in place: five
-    numpy calls per evaluation.
+    a_{n+1}, one strided (2, M) view of A (contiguous), and 1 - |a_n|^2 is
+    formed in place: five numpy calls per evaluation.
     """
-    M = len(A) - 2
+    M, step = len(A) - 2, A.strides[0]
     coef = np.array((q.conjugate(), -q))
-    sides = np.lib.stride_tricks.sliding_window_view(A, M)[::2]  # a_{n-1}; a_{n+1}
+    sides = np.ndarray((2, M), A.dtype, A, 0, (2 * step, step))  # a_{n-1}; a_{n+1}
     a = A[1:-1]
     out = np.empty(M, dtype=complex)
     mod = np.empty(M)  # |a_n|, then 1 - |a_n|^2
@@ -448,16 +453,17 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
                  ctrl: StepControl | None = None, t_out=None):
     """Integrate the real (c, d) flow on a finite window (d_{M+1} = 0).
 
-    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  ``integrate`` steps
-    the window's image under ``map_beta_alpha_cd``, the finite ertl state at
-    p = conj(q), and each later snapshot is mapped back with the imaginary
-    parts dropped.  So ``ctrl`` bounds the local error of the mapped (beta,
-    alpha), and c_n is held to about rel_tol (1 + c_n^2) / 2 absolute, not
-    rel_tol |c_n|.  No chain sequence lives where some d_n, n >= 2, is
-    outside (0, 1): ValueError is raised when the initial chain has one
-    there (or is empty, or q is not a finite number, a c_n, d_n, t0 or
-    t_end not a finite real one, or t_end <= t0), and
-    PositivityLost when an accepted step's d_n, mapped back, is there.
+    ``d`` lists d_1..d_M with d_1 = 0 (kept pinned).  Lattice's array core,
+    the one under ``lattice.integrate``, steps the window's image under
+    ``map_beta_alpha_cd``, the finite ertl state at p = conj(q), to the bit
+    as ``integrate`` steps that state, and each later snapshot is mapped
+    back with the imaginary parts dropped.  So ``ctrl`` bounds the local
+    error of the mapped (beta, alpha), and c_n is held to about
+    rel_tol (1 + c_n^2) / 2 absolute, not rel_tol |c_n|.  No chain sequence
+    lives where some d_n, n >= 2, is outside (0, 1): ValueError is raised
+    when the initial chain has one there (or is empty, or q is not a finite
+    number, a c_n, d_n, t0 or t_end not a finite real one, or t_end <= t0),
+    and PositivityLost when an accepted step's d_n, mapped back, is there.
     The output grid follows ``integrate_core``; the t0 snapshot is the
     caller's c and d.  Returns (times, c_snapshots, d_snapshots, stats);
     ``stats`` is ``integrate_core``'s plus ``imag_residue``, the drift off
@@ -472,6 +478,7 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
     n = _first_outside_unit(d0[1:])
     if n:
         raise ValueError(f"initial d_{n} = {d[n - 1]} is outside (0, 1)")
+    require_finite("t", t0, real=True)
     q = complex(q)
 
     def validate(t, beta, alpha):
@@ -480,11 +487,10 @@ def integrate_cd(c, d, q, t0: float, t_end: float,
         if n:
             raise PositivityLost(f"d_{n} = {dd[n - 2]} left (0, 1) at t={t}", n=n, t=t)
 
-    traj = integrate(LatticeState(q.conjugate(), q, t0, beta.tolist(), [*alpha.tolist(), 0j]),
-                     t_end, ctrl=ctrl, t_out=t_out, _validate=validate)
-    y = np.array([(*s.beta, *s.alpha[:-1]) for s in traj.states[1:]]).T
-    cd = _ertl_to_cd(y[:M], y[M:])  # one column per snapshot
+    times, beta, alpha, stats = lattice._integrate_arrays(
+        q.conjugate(), q, t0, beta, alpha, t_end, ctrl=ctrl, t_out=t_out, validate=validate)
+    cd = _ertl_to_cd(beta[1:].T, alpha[1:].T)  # one column per snapshot
     share = (np.abs(cd.imag) / (1.0 + np.abs(cd.real))).max(initial=0.0)
     cz, dz = (cd.real + 0.0).transpose(0, 2, 1).tolist()  # + 0.0: a c that stays 0 is not -0
-    return (list(traj.times), [z.imag[1:].tolist()] + cz, [d0.tolist()] + dz,
-            dict(traj.step_stats, imag_residue=float(share)))
+    return (times, [z.imag[1:].tolist()] + cz, [d0.tolist()] + dz,
+            dict(stats, imag_residue=float(share)))

@@ -61,12 +61,17 @@ beta_{N+1}, is set at bind time from alpha_{N+1}: 0 when it is 0, NaN
 otherwise; an open binding, a buffered run's, instead refills alpha_{N+1}
 and s_{N+1} from the continued tail at each evaluation.  The public
 ``rhs_*`` bind a state's buffer as complex and
-evaluate once; ``integrate`` binds it once per integration (real when p, q
-and the state are real), and DOP853 steps its interior, alpha_1 a gap slot
-(``integrate_core``).  The steppers build their snapshots with the private
-``_unchecked`` constructors: ``integrate_core`` accepts only finite states
-that passed ``validate``, so the public constructors' checks would find
-nothing there.
+evaluate once.  For stepping, one private array core, ``_integrate_arrays``,
+builds the buffer from (p, q, t0, beta, alpha) arrays, binds it once per
+integration (real when p, q and the window are real), has DOP853 step its
+interior, alpha_1 a gap slot (``integrate_core``), and returns the snapshots
+as beta and alpha arrays.  ``integrate`` checks a state, calls the core and
+packages its arrays as states; ``integrate_buffered`` runs its windows
+through ``integrate``, and ``circle.integrate_cd`` calls the core on its
+mapped window directly, so this module alone knows the stepped layout.
+``integrate`` builds its snapshots with the private ``_unchecked``
+constructor: ``integrate_core`` accepts only finite states that passed
+``validate``, so the public constructor's checks would find nothing there.
 """
 
 from __future__ import annotations
@@ -384,6 +389,10 @@ class StepControl:
                              f"{self.rel_tol}, abs_tol = {self.abs_tol}")
 
 
+#: the step control ``integrate_core`` reads when given None
+_DEFAULT_CONTROL = StepControl()
+
+
 # Dormand-Prince 8(5,3) tableau (Hairer, Norsett and Wanner, Solving ODEs I,
 # Section II.10, the coefficients of their code DOP853).  Row 12 of A is the
 # 8th-order weight vector b, so f at the new solution (c = 1) is the next
@@ -476,34 +485,40 @@ class _StageTable:
         self.Y = np.empty((13, n), dtype=dtype)
         self.W = np.ones((13, 13), dtype=dtype)  # column 0 stays 1
         self.E = _DOP_E.astype(dtype)
+        self._e = np.empty((2, n), dtype=dtype)
         self._hA, self._K = self.W[:, 1:], self.Y[1:]
         self._stages = [(self.W[i, :i + 1], self.Y[:i + 1], self.Y[i + 1], _DOP_C[i])
                         for i in range(1, 12)]
 
     def step(self, stage, evaluate, t, h):
-        """Step h from (t, Y[0]), f(t, y) in Y[1]: y_new into ``stage``, (e5, e3) returned."""
+        """Step h from (t, Y[0]), f(t, y) in Y[1]: y_new into ``stage``, (e5, e3) returned.
+
+        (e5, e3) is the table's own (2, n) array, overwritten by the next step.
+        """
         np.multiply(_DOP_A, h, out=self._hA)
         for w, ys, k, c in self._stages:
             np.dot(w, ys, out=stage)
             k[...] = evaluate(t + c * h)
         np.dot(self.W[12], self.Y, out=stage)
-        return h * (self.E @ self._K)
+        np.matmul(self.E, self._K, self._e)
+        return np.multiply(self._e, h, self._e)
 
 
-def _start_step(stage, evaluate, t0, y0, f0, span, ctrl):
+def _start_step(stage, evaluate, t0, y0, abs_y0, f0, span, ctrl):
     """First step proposal from the problem (the HINIT of Hairer's DOP853).
 
-    With sc = abs_tol + rel_tol |y0|, d0 = max |y0| / sc and d1 = max |f0| /
-    sc, an explicit Euler probe of length h0 = 0.01 d0 / d1 (1e-6 when d0 or
-    d1 is below 1e-5) gives d2 = max |f(t0 + h0, y0 + h0 f0) - f0| / sc / h0,
-    and the proposal is min(100 h0, (0.01 / max(d1, d2))^(1/8), span).  A
-    flat start (max(d1, d2) <= 1e-15) takes the whole span.  The probe point,
-    in ``stage``, is off the trajectory and, like a stage argument, is not
+    ``abs_y0`` holds |y0|.  With sc = abs_tol + rel_tol |y0|, d0 = max |y0| /
+    sc and d1 = max |f0| / sc, an explicit Euler probe of length
+    h0 = 0.01 d0 / d1 (1e-6 when d0 or d1 is below 1e-5) gives
+    d2 = max |f(t0 + h0, y0 + h0 f0) - f0| / sc / h0, and the proposal is
+    min(100 h0, (0.01 / max(d1, d2))^(1/8), span).  A flat start
+    (max(d1, d2) <= 1e-15) takes the whole span.  The probe point, in
+    ``stage``, is off the trajectory and, like a stage argument, is not
     checked: where it leaves the flow's domain the kernel returns large or
     non-finite values, and a non-finite d2 gives the proposal ``_H_FALLBACK``.
     """
-    sc = ctrl.abs_tol + ctrl.rel_tol * np.abs(y0)
-    d0 = float((np.abs(y0) / sc).max())
+    sc = ctrl.abs_tol + ctrl.rel_tol * abs_y0
+    d0 = float((abs_y0 / sc).max())
     d1 = float((np.abs(f0) / sc).max())
     h0 = min(0.01 * d0 / d1 if d0 >= 1e-5 and 1e-5 <= d1 < math.inf else 1e-6, span)
     np.add(y0, h0 * f0, out=stage)
@@ -550,7 +565,8 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
     overflowed y_new makes every sc inf, so its error would read 0): every
     state ``validate`` sees, and so every snapshot, is finite.  The stepping
     runs under ``np.errstate(all="ignore")``, so they raise no warning.  y0
-    is the caller's to check.  ``ctrl`` None means ``StepControl()``.  Returns (times,
+    is the caller's to check.  ``ctrl`` None reads the module's one default,
+    ``_DEFAULT_CONTROL`` (``StepControl()``).  Returns (times,
     snapshots, stats): times are t0 followed by the output times, and the first
     snapshot is y0.
 
@@ -580,11 +596,16 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
         raise ValueError("output times must not repeat")
     if t_end - times[-1] > slack:
         times.append(t_end)
-    ctrl = ctrl or StepControl()
+    ctrl = _DEFAULT_CONTROL if ctrl is None else ctrl
+    rel_tol, abs_tol = ctrl.rel_tol, ctrl.abs_tol
 
     table = _StageTable(stage.size, stage.dtype)
     y, k1 = table.Y[:2]
     y[...] = stage
+    # error-norm scratch: |y| of the last accepted step, |y_new|, then the scales
+    abs_y, abs_new, scale, sc = np.empty((4, stage.size))
+    abs_e = np.empty((2, stage.size))
+    np.abs(y, out=abs_y)
     t = t0
     accepted = rejected = 0
     k1_due = False  # k1 = f(t, y) is still to evaluate at this y
@@ -594,7 +615,7 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
 
     with np.errstate(all="ignore"):
         k1[...] = evaluate(t0)
-        h = _start_step(stage, evaluate, t0, y, k1, t_end - t0, ctrl)
+        h = _start_step(stage, evaluate, t0, y, abs_y, k1, t_end - t0, ctrl)
         h_start = min(h, times[0] - t0)
         for target in times:
             while target - t > 1e-15 * max(abs(target), 1.0):
@@ -605,10 +626,14 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
                     k1[...] = evaluate(t)
                     k1_due = False
                 e = table.step(stage, evaluate, t, h_try)
-                scale = np.maximum(np.abs(y), np.abs(stage))
+                np.abs(stage, out=abs_new)
+                np.maximum(abs_y, abs_new, out=scale)
                 smax = float(scale.max())
-                sc = np.maximum(ctrl.abs_tol + ctrl.rel_tol * scale, _ROUNDING_FLOOR * smax)
-                e5, e3 = (np.abs(e) / sc).max(axis=1).tolist()
+                np.multiply(scale, rel_tol, out=sc)
+                np.add(sc, abs_tol, out=sc)
+                np.maximum(sc, _ROUNDING_FLOOR * smax, out=sc)
+                np.abs(e, out=abs_e)
+                e5, e3 = np.divide(abs_e, sc, out=abs_e).max(axis=1).tolist()
                 # a y_new that overflowed makes every sc inf, and its err would read 0
                 err = (e5 * e5 / max(math.hypot(e5, 0.1 * e3), _TINY) if smax < math.inf
                        else math.inf)
@@ -634,6 +659,7 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
                 h_min, h_max = min(h_min, h_try), max(h_max, h_try)
                 t = t + h_try
                 y[...] = stage
+                abs_y, abs_new = abs_new, abs_y
             t = target
             snaps.append(y.copy())
     stats = {"accepted": accepted, "rejected": rejected, "max_err_est": max_err,
@@ -642,9 +668,44 @@ def integrate_core(stage, evaluate, t0, t_end, t_out, ctrl: StepControl | None, 
     return [t0] + times, snaps, stats
 
 
+def _integrate_arrays(p, q, t0, beta, alpha, t_end, rhs_id="ertl", ctrl=None, t_out=None,
+                      open_top=False, validate=None):
+    """The array core of ``integrate`` and ``circle.integrate_cd``: step a finite window.
+
+    beta_1..beta_N and alpha_1 = 0, alpha_2..alpha_N (sequences or arrays)
+    and alpha_{N+1} = 0 form the kernel's buffer, stepped as float64 when p,
+    q (Python numbers) and the window are real.  "langmuir" binds the
+    Volterra kernel and any other ``rhs_id`` the ertl kernel at (p, q), with
+    an open top when ``open_top`` (N >= 2).  ``integrate_core``, read as
+    this module's global, steps on its output grid, and ``validate(t, beta,
+    alpha)`` checks each accepted step after the beta check, with beta_1..N
+    and alpha_1 = 0, alpha_2..N views of the stepped vector.  The inputs are
+    the caller's to check.  Returns (times, beta, alpha, stats): beta_1..N
+    and alpha_1..N of each snapshot as the rows of (k, N) complex arrays,
+    alpha_1 the gap slot.
+    """
+    N = len(beta)
+    buf = np.empty(2 * N + 2, dtype=complex)
+    buf[0], buf[1:N + 1], buf[N + 1:-1], buf[-1] = 1, beta, alpha, 0
+    if p.imag == q.imag == 0.0 and not buf.imag.any():
+        p, q, buf = p.real, q.real, buf.real.copy()  # step in float64
+    if rhs_id == "langmuir":
+        evaluate = _volterra_kernel(buf, open_top)
+    else:
+        evaluate = _ertl_kernel(p, q, buf, open_top)
+
+    def check(t, y):
+        _check_betas(y[:N], t)
+        if validate is not None:
+            validate(t, y[:N], y[N:])
+
+    times, snaps, stats = integrate_core(buf[1:-1], evaluate, t0, t_end, t_out, ctrl, check)
+    y = np.array(snaps, dtype=complex)
+    return times, y[:, :N], y[:, N:], stats
+
+
 def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
-              ctrl: StepControl | None = None, t_out=None, _open=False,
-              _validate=None) -> Trajectory:
+              ctrl: StepControl | None = None, t_out=None, _open=False) -> Trajectory:
     """Integrate a finite-closure state to t_end, snapshotting at t_out.
 
     The evolving unknowns are beta_1..beta_N and alpha_2..alpha_N; alpha_1
@@ -656,45 +717,29 @@ def integrate(state: LatticeState, t_end: float, rhs_id: str = "ertl",
     Volterra flow.  When p, q and the state are real the unknowns are
     stepped as float64; the returned states are complex either way.  The
     output grid follows ``integrate_core``, so the returned times and
-    states start at the state's own time.
+    states start at the state's own time.  The checks and the packaging are
+    here, and the stepping is the array core's (``_integrate_arrays``).
 
-    ``_open`` is ``integrate_buffered``'s (N >= 2): the kernel is bound with
-    an open top, so alpha_{N+1} continues the tail instead of staying 0,
-    and the returned states are buffered ones that carry it.
-    ``_validate(t, beta, alpha)`` is ``integrate_cd``'s check of each
-    accepted step, after the beta check: beta_1..N and alpha_1 = 0,
-    alpha_2..N are views of the stepped vector, in its dtype.
+    ``_open``, the one private parameter, is ``integrate_buffered``'s
+    (N >= 2): the kernel is bound with an open top, so alpha_{N+1}
+    continues the tail instead of staying 0, and the returned states are
+    buffered ones that carry it.  Each window of a buffered run is one call
+    of ``integrate``, which the benchmark's traced run counts.
     """
     if state.closure != "finite":
         raise ValueError("integration needs a finite-closure state")
     if rhs_id not in SYSTEMS:
         raise ValueError(f"unknown system {rhs_id!r}")
-    N = state.N
     fixed = SYSTEMS[rhs_id]
-    p, q = pq = fixed.get("p", state.p), fixed.get("q", state.q)
-
-    buf = np.array([1, *state.beta, *state.alpha], dtype=complex)
-    if p.imag == q.imag == 0.0 and not buf.imag.any():
-        p, q, buf = p.real, q.real, buf.real.copy()  # step in float64
-
+    p, q = fixed.get("p", state.p), fixed.get("q", state.q)
     if rhs_id == "langmuir":
         rhs_langmuir(state)  # raises NotSymmetricState off the symmetric manifold
-        evaluate = _volterra_kernel(buf, _open)
-    else:
-        evaluate = _ertl_kernel(p, q, buf, _open)
-
-    def validate(t, y):
-        _check_betas(y[:N], t)
-        if _validate is not None:
-            _validate(t, y[:N], y[N:])
-
-    times, snaps, stats = integrate_core(buf[1:-1], evaluate, state.t, t_end, t_out, ctrl,
-                                         validate)
+    times, beta, alpha, stats = _integrate_arrays(p, q, state.t, state.beta, state.alpha[:-1],
+                                                  t_end, rhs_id, ctrl, t_out, _open)
     states = []
-    for tt, y in zip(times, snaps):
-        v = y.astype(complex, copy=False).tolist()  # states stay complex
-        top = 2 * v[-1] - v[-2] if _open else 0j
-        states.append(LatticeState._unchecked(*pq, tt, tuple(v[:N]), (0j, *v[N + 1:], top),
+    for tt, b, a in zip(times, beta.tolist(), alpha.tolist()):
+        top = 2 * a[-1] - a[-2] if _open else 0j
+        states.append(LatticeState._unchecked(p, q, tt, tuple(b), (0j, *a[1:], top),
                                               "buffered" if _open else "finite"))
     return Trajectory(times=tuple(times), states=tuple(states), step_stats=stats)
 

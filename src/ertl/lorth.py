@@ -203,7 +203,9 @@ def stieltjes(x, w, N: int) -> LPolySequence:
     (Q_m = prod_j (x - x_j)), and that level raises without a test, since
     rounding in the last levels can leave D_m above any fixed threshold.
     Level N is formed for the ladders but not checked, since it gates level
-    N+1 only.  Sums that overflow raise NonConvergentIntegral.
+    N+1 only.  Sums or rounding scales that overflow raise
+    NonConvergentIntegral, naming the level: no breakdown is read off an
+    infinite scale.
 
     The margins are D_n and S_n over those scales.  The relative rounding
     error of beta_{n+1} and alpha_{n+1} is of order eps over the smallest
@@ -263,9 +265,15 @@ def _stieltjes(x, w, N: int, nested: bool = False):
             if n == 0:
                 scale_d, scale_s = mag[0], mag[1]
             else:
-                bb, aa = abs(beta[-1]) ** 2, abs(a) ** 2
+                try:
+                    bb, aa = abs(beta[-1]) ** 2, abs(a) ** 2
+                except OverflowError:
+                    bb = aa = math.inf
                 scale_d = mag1[2] + bb * mag1[1] + aa * mag2[0]
                 scale_s = mag1[0] + bb * mag1[3] + aa * mag2[1]
+            if not (math.isfinite(scale_d) and math.isfinite(scale_s)):
+                raise NonConvergentIntegral(
+                    f"Stieltjes rounding scales overflow double precision at level {n}")
             mag1, mag2 = mag, mag1
             if nested:
                 dh, sh = (wr2[0::2] @ even).tolist()

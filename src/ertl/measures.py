@@ -202,6 +202,8 @@ class MomentSpec:
         if unknown:
             raise ValueError(f"unknown moment-spec keys {unknown}; expected a subset of "
                              f"{sorted(_JSON_KEYS)}")
+        if "kind" not in d:
+            raise ValueError("moment spec is missing the key 'kind'")
         return MomentSpec(
             kind=d["kind"],
             weight_id=d.get("weight_id", ""),

@@ -10,18 +10,19 @@ numpy message.
 
 import numbers
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ertl import (CircleState, ClosedFormExample, LatticeState, RecurrenceCoeffs, StepControl,
-                  VerblunskySeq, bootstrap_recurrence, circle_kernel_spec, circle_lebesgue_spec,
-                  compute_moments, discrete_spec, example1_coeffs, example1_spec,
-                  explicit_table_spec, integrate, integrate_buffered, integrate_schur,
-                  kernel_coeffs, map_beta_alpha_cd, map_cd_beta_alpha, state_from_coeffs,
-                  stieltjes, szego_values)
+from ertl import (CircleState, ClosedFormExample, LatticeState, MomentSpec, RecurrenceCoeffs,
+                  StepControl, VerblunskySeq, bootstrap_recurrence, circle_kernel_spec,
+                  circle_lebesgue_spec, compute_moments, compute_moments_exact, discrete_spec,
+                  example1_coeffs, example1_spec, explicit_table_spec, integrate,
+                  integrate_buffered, integrate_schur, kernel_coeffs, map_beta_alpha_cd,
+                  map_cd_beta_alpha, state_from_coeffs, stieltjes, szego_values)
 from ertl.measures import finite_array
 
 HUGE = 10 ** 400  # an integer beyond a double
@@ -111,6 +112,56 @@ BAD_CALLS = {
 @pytest.mark.parametrize("case", BAD_CALLS)
 def test_bad_number_is_a_value_error_naming_the_argument(case):
     call, message = BAD_CALLS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+EX1_SPEC = MomentSpec(kind="real_line_weighted", weight_id="example1",
+                      params={"delta": 1.0, "q": 2.0}, p=1.0, q=2.0)
+#: id -> (call, message): a guard on what a value means, past the number rule,
+#: each reached from real input
+VALUE_GUARDS = {
+    "state-closure": (lambda: LatticeState(1, 2, 0.0, (1.0,), (0, 0), closure="open"),
+                      "unknown closure 'open'"),
+    "state-alpha-count": (lambda: LatticeState(1, 2, 0.0, (1.0, 1.0), (0, 0)),
+                          "need alpha_1..alpha_{N+1} alongside beta_1..beta_N"),
+    "recurrence-alpha-count": (lambda: RecurrenceCoeffs(0.0, 1, 2, (1.0, 1.0, 1.0), (0.5,)),
+                               "need alpha_2..alpha_N alongside beta_1..beta_N"),
+    "spec-kind": (lambda: MomentSpec(kind="gaussian"), "unknown kind 'gaussian'"),
+    "spec-params-list": (lambda: MomentSpec(kind="discrete", params=[1], nodes=(1.0,),
+                                            weights=(1.0,)),
+                         "params must be a dict, got [1]"),
+    "spec-json-params-list": (
+        lambda: MomentSpec.from_json_dict({"kind": "discrete", "params": [1],
+                                           "nodes": [1.0], "weights": [1.0]}),
+        "params must be an object, got [1]"),
+    "discrete-no-nodes": (lambda: discrete_spec([], []), "discrete spec needs at least one node"),
+    "discrete-unequal": (lambda: discrete_spec([1.0, 2.0], [1.0]),
+                         "nodes and weights must have equal length"),
+    "real-line-family": (lambda: replace(EX1_SPEC, weight_id="example3"),
+                         "unknown real-line weight family 'example3'"),
+    "circle-family": (lambda: replace(circle_lebesgue_spec(0.5), weight_id="circle_arc"),
+                      "unknown circle weight family 'circle_arc'"),
+    "weight-parameter-zero": (lambda: example1_spec(0.0, 2.0),
+                              "weight parameter delta must be > 0"),
+    "kernel-off-circle": (lambda: circle_kernel_spec(0.5, w=2.0),
+                          "kernel point w must have |w| = 1"),
+    "atoms-not-sequence": (lambda: replace(circle_lebesgue_spec(0.5), params={"atoms": 3}),
+                           "atoms must be a sequence of (angle, mass), got 3"),
+    "atom-mass-zero": (lambda: circle_lebesgue_spec(0.5, atoms=((0.4, 0.0),)),
+                       "atom masses must be finite and > 0"),
+    "table-no-nu": (lambda: MomentSpec(kind="explicit_table", params={"t0": 0.0}),
+                    "explicit_table spec needs params['nu']"),
+    "moments-negative-t": (lambda: compute_moments(EX1_SPEC, -0.5, 3),
+                           "t must be >= 0 for positive-axis functionals"),
+    "exact-not-discrete": (lambda: compute_moments_exact(EX1_SPEC, 0.0, 2),
+                           "exact tables exist only for discrete specs"),
+}
+
+
+@pytest.mark.parametrize("case", VALUE_GUARDS)
+def test_value_guard_is_a_value_error_naming_what_it_rejects(case):
+    call, message = VALUE_GUARDS[case]
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 

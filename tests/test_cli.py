@@ -698,6 +698,9 @@ BAD_COMMAND_LINES = {
                       "a moment spec must be a JSON object, got list"),
     "measure-array-number": (["moments", "--measure", "[1]", "--K", "2"],
                              "a moment spec must be a JSON object, got list"),
+    # a KeyError report of "'kind'" before
+    "measure-no-kind": (["moments", "--measure", "{}", "--K", "2"],
+                        "moment spec is missing the key 'kind'"),
     # malformed --init
     "init-array": (ERTL + ["--init", "[1,2]"], "JSON object"),
     "init-number-for-array": (ERTL + ["--init", '{"beta":5,"alpha":[]}'], "beta must be an array"),

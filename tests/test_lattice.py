@@ -14,6 +14,7 @@ from ertl import (BufferTooSmall, ClosedFormExample, NotSymmetricState,
                   discrete_spec, example1_coeffs, example2_coeffs, integrate,
                   integrate_buffered, integrate_cd, integrate_schur, rhs_ertl,
                   rhs_langmuir, state_from_coeffs, LatticeState, Trajectory)
+from ertl import lattice
 from ertl.lattice import BUFFER_ESCALATIONS, BUFFER_VALIDATION_TOL, default_buffer
 from tests.conftest import rk4_reference
 
@@ -373,12 +374,17 @@ def test_positivity_preserved_and_enforced(rng):
 
 @pytest.mark.parametrize("complex_data", [True, False])
 def test_validate_hook_reads_beta_and_alpha_of_each_accepted_step(rng, complex_data):
-    # integrate owns the stepped layout: _validate(t, beta, alpha) gets beta_1..N and
-    # alpha_1 = 0, alpha_2..N in the stepped dtype, once per accepted step
+    # the array core owns the stepped layout: validate(t, beta, alpha) gets beta_1..N
+    # and alpha_1 = 0, alpha_2..N in the stepped dtype, once per accepted step
     N, calls = 6, []
     state = random_state(rng, N, complex_data=complex_data)
-    traj = integrate(state, 0.3, t_out=[0.1, 0.3],
-                     _validate=lambda t, beta, alpha: calls.append((t, beta.copy(), alpha.copy())))
+    times, beta_t, alpha_t, stats = lattice._integrate_arrays(
+        state.p, state.q, state.t, state.beta, state.alpha[:-1], 0.3, t_out=[0.1, 0.3],
+        validate=lambda t, beta, alpha: calls.append((t, beta.copy(), alpha.copy())))
+    traj = integrate(state, 0.3, t_out=[0.1, 0.3])
+    assert (times, stats) == (list(traj.times), traj.step_stats)
+    assert beta_t.tolist() == [list(s.beta) for s in traj.states]
+    assert alpha_t.tolist() == [list(s.alpha[:-1]) for s in traj.states]
     assert len(calls) == traj.step_stats["accepted"] > 2
     for _, beta, alpha in calls:
         assert len(beta) == len(alpha) == N and alpha[0] == 0

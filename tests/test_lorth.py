@@ -381,6 +381,14 @@ def test_stieltjes_raises_on_cancelling_complex_weights():
     assert 8 < err.value.n < 20 and err.value.which == "condition_b"
 
 
+def test_stieltjes_scale_overflow_is_non_convergent():
+    # beta_1 = 1.6e200 keeps level 1's sums finite, but its square, in the
+    # rounding scales of level 1, overflows: a bare OverflowError before, and
+    # an infinite scale must not read as a breakdown
+    with pytest.raises(NonConvergentIntegral, match="overflow double precision at level 1"):
+        stieltjes([1e200, 2e200, 3e200], [1, 1, 1], 2)
+
+
 @st.composite
 def positive_discrete(draw):
     """1-8 nodes at ratios 1.05-2.5 apart, weights 0.1-10."""

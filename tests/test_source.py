@@ -280,9 +280,11 @@ def test_flow_kernels_are_pure(path):
 
 #: each flow kernel and the functions that share its one binding: its flow's
 #: public right-hand side and its integrator (rhs_langmuir binds the ertl
-#: kernel too, to check that the beta equation vanishes)
-KERNEL_CALLERS = {"_ertl_kernel": {"rhs_ertl", "rhs_langmuir", "integrate"},
-                  "_volterra_kernel": {"rhs_langmuir", "integrate"},
+#: kernel too, to check that the beta equation vanishes).  The lattice kernels
+#: are bound for stepping by lattice's array core only, under ``integrate``,
+#: ``integrate_buffered`` and ``circle.integrate_cd`` alike
+KERNEL_CALLERS = {"_ertl_kernel": {"rhs_ertl", "rhs_langmuir", "_integrate_arrays"},
+                  "_volterra_kernel": {"rhs_langmuir", "_integrate_arrays"},
                   "_schur_kernel": {"rhs_schur", "integrate_schur"}}
 
 
@@ -327,9 +329,12 @@ def test_each_kernel_is_bound_by_its_own_flow_only():
 
 
 #: the one map each way between a (c, d) chain and its ertl state at p = conj(q),
-#: and the functions that call it: no public map, rate or flow keeps its own copy
+#: the one array core that steps that state, and the functions that call them:
+#: no public map, rate or flow keeps its own copy, and the (c, d) flow steps
+#: its mapped state by the same core as ``integrate``
 MAP_CALLERS = {"_cd_to_ertl": {"map_beta_alpha_cd", "rhs_cd", "integrate_cd"},
-               "_ertl_to_cd": {"map_cd_beta_alpha", "integrate_cd"}}
+               "_ertl_to_cd": {"map_cd_beta_alpha", "integrate_cd"},
+               "_integrate_arrays": {"integrate", "integrate_cd"}}
 
 
 def test_each_cd_map_is_called_by_its_own_callers_only():
@@ -342,7 +347,8 @@ def test_each_cd_map_is_called_by_its_own_callers_only():
 
 #: each private snapshot constructor and the steppers that build states with
 #: it: ``integrate_core`` accepts only finite states that passed ``validate``,
-#: so the public constructors' checks would find nothing there
+#: so the public constructors' checks would find nothing there.  Lattice's
+#: array core returns arrays and builds no state; ``integrate`` packages them
 UNCHECKED_CALLERS = {"LatticeState._unchecked": {"integrate"},
                      "VerblunskySeq._unchecked": {"integrate_schur"}}
 
